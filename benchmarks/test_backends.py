@@ -274,13 +274,14 @@ def test_backend_smoke():
 @pytest.mark.slow
 @pytest.mark.bench  # also auto-applied by benchmarks/conftest.py; explicit here
 @pytest.mark.figure("backends")
-def test_backend_full():
+def test_backend_full(bench_output):
     """Paper-scale shapes; the committed ``BENCH_backends.json`` comes from
-    this run.  Emitted must clearly beat the per-call-planning vectorized
+    this run under ``pytest --write-bench``.  Emitted must clearly beat the
+    per-call-planning vectorized
     tier on the fig-13 SpMM shapes (the compile-once/run-many claim), and —
     when a C toolchain is present — the native tier must beat emitted by
     >= 1.5x geomean on the same shapes (paired-median ratios)."""
-    payload = _run_suite("full", FULL_SHAPES, OUTPUT)
+    payload = _run_suite("full", FULL_SHAPES, bench_output(OUTPUT))
     assert payload["summary"]["geomean_emitted_vs_vectorized_fig13"] >= 1.5
     if payload["native_toolchain"]:
         assert payload["summary"]["geomean_native_vs_emitted_fig13"] >= 1.5

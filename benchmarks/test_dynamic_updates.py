@@ -244,9 +244,10 @@ def test_dynamic_smoke():
 @pytest.mark.slow
 @pytest.mark.bench  # also auto-applied by benchmarks/conftest.py; explicit here
 @pytest.mark.figure("dynamic")
-def test_dynamic_full():
+def test_dynamic_full(bench_output):
     """Fig-13-graph update streams; the committed ``BENCH_dynamic.json``
-    comes from this run.  Incremental updates must beat full rebuilds by
-    >= 1.3x geomean per-round wall time across the workloads."""
-    payload = _run_suite("full", FULL_CONFIG, OUTPUT)
+    comes from this run under ``pytest --write-bench``.  Incremental updates
+    must beat full rebuilds by >= 1.3x geomean per-round wall time across the
+    workloads."""
+    payload = _run_suite("full", FULL_CONFIG, bench_output(OUTPUT))
     assert payload["summary"]["geomean_incremental_speedup"] >= 1.3

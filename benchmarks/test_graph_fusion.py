@@ -30,8 +30,8 @@ agreement between the two executions.
 
 ``test_graph_smoke`` runs scaled-down models for the CI ``graph-smoke`` lane
 (writes ``BENCH_graph.smoke.json``); ``test_graph_full`` runs the fig-13
-configurations above and commits ``BENCH_graph.json`` with a fused-speedup
-geomean gate of 1.2x.
+configurations above, records both absolute times and refreshes the
+committed ``BENCH_graph.json`` only under ``pytest --write-bench``.
 """
 
 import json
@@ -226,9 +226,12 @@ def test_graph_smoke():
 @pytest.mark.slow
 @pytest.mark.bench  # also auto-applied by benchmarks/conftest.py; explicit here
 @pytest.mark.figure("graph-fusion")
-def test_graph_full():
+def test_graph_full(bench_output):
     """Fig-13-graph configurations; the committed ``BENCH_graph.json`` comes
-    from this run.  Whole-model fused execution must beat node-at-a-time
-    launches by >= 1.2x geomean across the three model families."""
-    payload = _run_suite("full", FULL_CONFIG, OUTPUT)
-    assert payload["summary"]["geomean_fused_speedup"] >= 1.2
+    from this run under ``pytest --write-bench``.  ``_run_suite`` asserts
+    bit-exactness and fewer fused launches; both absolute times are
+    recorded.  The fused-vs-unfused ratio is not gated here — its
+    denominator, node-at-a-time execution, now runs through the same bound
+    kernels — the gated number is ``graph-models`` ``ref_ratio`` in
+    ``bench/``."""
+    _run_suite("full", FULL_CONFIG, bench_output(OUTPUT))

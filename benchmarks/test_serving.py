@@ -29,8 +29,8 @@ coalesces in practice (small-to-medium graphs, narrow features).
 
 ``test_serving_smoke`` runs one scaled-down workload for the CI
 ``serve-smoke`` lane (writes ``BENCH_serving.smoke.json``);
-``test_serving_full`` commits ``BENCH_serving.json`` with a served-speedup
-geomean gate of 1.2x.
+``test_serving_full`` records both absolute rates and refreshes the
+committed ``BENCH_serving.json`` only under ``pytest --write-bench``.
 """
 
 import json
@@ -207,9 +207,11 @@ def test_serving_smoke():
 @pytest.mark.slow
 @pytest.mark.bench  # also auto-applied by benchmarks/conftest.py; explicit here
 @pytest.mark.figure("serving")
-def test_serving_full():
+def test_serving_full(bench_output):
     """Fig-13-graph burst workloads; the committed ``BENCH_serving.json``
-    comes from this run.  Coalesced serving must beat sequential eager by
-    >= 1.2x geomean requests/s across the workloads."""
-    payload = _run_suite("full", FULL_CONFIG, OUTPUT)
-    assert payload["summary"]["geomean_served_speedup"] >= 1.2
+    comes from this run under ``pytest --write-bench``.  ``_run_suite``
+    asserts bit-exactness and that coalescing happened; both absolute
+    rates are recorded.  The served-vs-eager ratio is not gated here — its
+    denominator is the eager path, which bound-kernel handles made faster —
+    the gated number is ``serve-burst`` ``ref_ratio`` in ``bench/``."""
+    _run_suite("full", FULL_CONFIG, bench_output(OUTPUT))

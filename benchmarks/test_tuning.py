@@ -206,16 +206,17 @@ def test_tuning_smoke():
 @pytest.mark.slow
 @pytest.mark.bench  # also auto-applied by benchmarks/conftest.py; explicit here
 @pytest.mark.figure("tuning")
-def test_tuning_full():
+def test_tuning_full(bench_output):
     """Every fig-13 graph; the committed ``BENCH_tuning.json`` comes from
-    this run.  Acceptance: on each graph the tuned decomposition is at least
+    this run under ``pytest --write-bench``.  Acceptance: on each graph the
+    tuned decomposition is at least
     as fast as the default hyb config, and the persisted TuningRecord
     replays without re-measurement."""
     graphs = [
         (name, synthetic_graph(name, seed=0).to_csr()) for name in available_graphs()
     ]
     payload = _run_suite(
-        "full", graphs, feat_size=32, output=OUTPUT,
+        "full", graphs, feat_size=32, output=bench_output(OUTPUT),
         max_trials=24, survivors=4, repeats=3,
     )
     assert payload["summary"]["min_speedup_vs_default"] >= 1.0

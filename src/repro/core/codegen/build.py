@@ -57,6 +57,9 @@ class Kernel:
         self.stage2 = stage2
         self.defaults: Dict[str, np.ndarray] = dict(defaults or {})
         self.last_engine: Optional[str] = None
+        #: Whether :func:`build` found this kernel's entry in the cache
+        #: (``None`` for an uncached build).
+        self.cache_hit: Optional[bool] = None
         self._source: Optional[str] = None
         self._vectorized: Any = None  # lazily built; False marks "unsupported"
         # The cache entry shares the emitted source and its compiled runner
@@ -75,6 +78,7 @@ class Kernel:
         self,
         bindings: Optional[Mapping[str, np.ndarray]] = None,
         engine: str = "auto",
+        prepared: bool = False,
     ) -> Dict[str, np.ndarray]:
         """Execute the kernel and return every buffer's flat array.
 
@@ -85,7 +89,19 @@ class Kernel:
         ``"emitted"`` / ``"vectorized"`` require that tier (raising if it
         does not apply); ``"interpret"`` forces the scalar interpreter.
         ``last_engine`` records the tier that served the run.
+
+        ``prepared=True`` is the warm path of a
+        :class:`~repro.runtime.bound.BoundKernel`: *bindings* already is the
+        complete flat-array dict and *engine* the tier :meth:`fast_tier`
+        resolved at bind time, so nothing is merged or marshalled here.  It
+        stays inside :meth:`run` so that whatever wraps or times this method
+        keeps seeing every kernel execution.
         """
+        if prepared:
+            runner = self._native_runner() if engine == "native" else self._emitted_runner()
+            self.last_engine = engine
+            return runner(bindings)
+
         from ...runtime.executor import Executor
         from ...runtime.vectorized import UnsupportedProgram, VectorizedExecutor
 
@@ -145,9 +161,24 @@ class Kernel:
         return Executor(self.func).run(merged)
 
     def _prepare(self, merged: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Flat arrays for the native/emitted runners, whose plans bake the
+        auxiliary buffers in and never read them per call."""
         from ...runtime.executor import prepare_arrays
 
-        return prepare_arrays(self.func, merged)
+        return prepare_arrays(self.func, merged, skip=self._aux_names)
+
+    def fast_tier(self, engine: str = "auto") -> Optional[str]:
+        """The compiled tier *engine* would dispatch to, or ``None``.
+
+        ``"native"`` / ``"emitted"`` when :meth:`run` would serve this kernel
+        from that tier (compiling its runner now if needed); ``None`` when
+        the run would reach the vectorized tier or the interpreter.
+        """
+        if engine in ("auto", "native") and self._native_runner() is not None:
+            return "native"
+        if engine in ("auto", "emitted") and self._emitted_runner() is not None:
+            return "emitted"
+        return None
 
     def _emitted_runner(self) -> Any:
         """The compiled stage-IV runner, or ``None`` when unavailable.
@@ -308,6 +339,16 @@ def _structural_copy(func: PrimFunc) -> PrimFunc:
     )
 
 
+def _cached_kernel(
+    entry: CacheEntry, defaults: Dict[str, np.ndarray], cache: KernelCache, key: str, hit: bool
+) -> Kernel:
+    kernel = Kernel(
+        entry.lowered, stage2=entry.stage2, defaults=defaults, entry=entry, cache=cache, key=key
+    )
+    kernel.cache_hit = hit
+    return kernel
+
+
 def build(
     func: PrimFunc,
     horizontal_fusion: bool = True,
@@ -340,14 +381,7 @@ def build(
         key = structural_fingerprint(func, {"horizontal_fusion": horizontal_fusion})
         entry = cache_obj.get(key)
         if entry is not None:
-            return Kernel(
-                entry.lowered,
-                stage2=entry.stage2,
-                defaults=defaults,
-                entry=entry,
-                cache=cache_obj,
-                key=key,
-            )
+            return _cached_kernel(entry, defaults, cache_obj, key, hit=True)
         # Cache miss: claim the single-flight slot, so concurrent builders of
         # the same structure — threads of this process, or cold processes
         # sharing the persistent layer — perform exactly one lowering.  A
@@ -355,15 +389,8 @@ def build(
         flight = cache_obj.begin_flight(key)
         if flight.entry is not None:
             flight.done()
-            entry = flight.entry
-            return Kernel(
-                entry.lowered,
-                stage2=entry.stage2,
-                defaults=defaults,
-                entry=entry,
-                cache=cache_obj,
-                key=key,
-            )
+            # ``get()`` counted this lookup as a miss; stay consistent with it.
+            return _cached_kernel(flight.entry, defaults, cache_obj, key, hit=False)
 
     try:
         stage2: Optional[PrimFunc] = None
@@ -395,9 +422,7 @@ def build(
         except UnsupportedForEmission:
             source = None
         entry = cache_obj.put(key, func, stage2=stage2, source=source)
-        return Kernel(
-            func, stage2=stage2, defaults=defaults, entry=entry, cache=cache_obj, key=key
-        )
+        return _cached_kernel(entry, defaults, cache_obj, key, hit=False)
     finally:
         if flight is not None:
             flight.done()

@@ -22,81 +22,25 @@ since fusion never alters any nest's computation or order.
 At run time the executor walks the units in order, feeds each kernel the
 values its ``bindmap`` names, finalises outputs that later units (or the
 caller) still need, and drops intermediates as soon as liveness allows.
+Every unit — fused or singleton — runs through a
+:class:`~repro.runtime.bound.BoundKernel`, the same warm path eager
+``Session`` calls take; only ``engine="vectorized"`` / ``"interpret"``
+sessions (and programs no compiled tier accepts) use the generic
+:meth:`Kernel.run` ladder.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.buffers import _np_dtype
 from ..core.script import EmitContext, ProgramBuilder
-from ..core.stmt import (
-    AssertStmt,
-    Block,
-    BufferStore,
-    ForLoop,
-    IfThenElse,
-    LetStmt,
-    SeqStmt,
-)
 from ..ops import registry
+from ..runtime.bound import BoundKernel
 from .fusion import FusionGroup, plan_groups
 from .ir import DataflowGraph, GraphNode
-
-
-def _store_targets(stmt: Any) -> set:
-    """Names of every buffer a stage-III statement tree stores to."""
-    out: set = set()
-    stack = [stmt]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        if isinstance(node, BufferStore):
-            out.add(node.buffer.name)
-        elif isinstance(node, SeqStmt):
-            stack.extend(node.stmts)
-        elif isinstance(node, (ForLoop, LetStmt, AssertStmt)):
-            stack.append(node.body)
-        elif isinstance(node, IfThenElse):
-            stack.append(node.then_case)
-            stack.append(node.else_case)
-        elif isinstance(node, Block):
-            stack.append(node.body)
-            stack.append(node.init)
-    return out
-
-
-@dataclass
-class _FusedState:
-    """Persistent flat buffers of one fused unit, allocated once.
-
-    A fused kernel's intermediates are internal to the merged program — no
-    later kernel ever observes them — so the unit owns its flat arrays for
-    the lifetime of the :class:`CompiledGraph` instead of re-materialising
-    them on every call the way the generic per-kernel path must.  Per call
-    only three refreshes run: graph inputs are copied in (``copy_in``),
-    store-target scratch buffers are re-zeroed (``zero_fill``), and
-    store-target constants are restored from their pristine copy
-    (``refresh``).  Escaping outputs are copied out before finalisation, so
-    arrays returned to the caller never alias the reused storage.  Reusing
-    buffers makes a single CompiledGraph non-reentrant; compile one graph
-    per thread for concurrent execution.
-    """
-
-    runner: Any
-    arrays: Dict[str, np.ndarray]
-    #: (destination, graph value name, expected flat size) per bound input.
-    copy_in: List[Tuple[np.ndarray, str, int]]
-    zero_fill: List[np.ndarray]
-    #: (destination, pristine copy) per stored-to constant buffer.
-    refresh: List[Tuple[np.ndarray, np.ndarray]]
-    #: Which dispatch tier ``runner`` came from ("native" or "emitted").
-    engine: str = "emitted"
 
 
 @dataclass
@@ -112,6 +56,9 @@ class _ExecUnit:
     #: index of the unit's last node in the graph order (liveness horizon).
     max_node_index: int = 0
     fused: bool = False
+    #: ``False`` until the first run; then the :class:`BoundKernel`, or
+    #: ``None`` when no compiled tier serves the kernel.
+    bound: Any = False
 
 
 class CompiledGraph:
@@ -123,11 +70,7 @@ class CompiledGraph:
         self.fuse = fuse
         self._fingerprint: Optional[str] = None
         self.units: List[_ExecUnit] = []
-        #: lazily built per-unit buffer reuse state (False marks unavailable).
-        self._states: Dict[int, Any] = {}
-        #: Fused units reuse their flat buffers across calls, so concurrent
-        #: ``run()`` calls (the serving front-end) must serialise here.
-        self._run_lock = threading.Lock()
+        self._live = graph.liveness()
         index_of = {node.id: i for i, node in enumerate(graph.nodes)}
         for group in plan_groups(graph, fuse=fuse):
             unit = None
@@ -138,11 +81,9 @@ class CompiledGraph:
                     self.units.append(self._build_single(node, index_of))
             else:
                 self.units.append(unit)
-        for unit in self.units:
-            if unit.fused:
-                session.stats.graph_nodes_fused += len(unit.node_ids)
-            else:
-                session.stats.graph_nodes_unfused += len(unit.node_ids)
+        with session.stats.lock:
+            session.stats.graph_nodes_fused += self.num_nodes_fused
+            session.stats.graph_nodes_unfused += self.num_nodes_unfused
 
     # -- lowering ----------------------------------------------------------------
     def _build_single(self, node: GraphNode, index_of: Dict[int, int]) -> _ExecUnit:
@@ -230,86 +171,24 @@ class CompiledGraph:
         return False
 
     # -- execution ---------------------------------------------------------------
-    def _fused_state(self, index: int, unit: _ExecUnit) -> Any:
-        """Build (or recall) the buffer-reuse state of a fused unit.
+    def _bound(self, unit: _ExecUnit) -> Optional[BoundKernel]:
+        """The unit's bound kernel, built on first use.
 
-        Returns ``False`` when the unit cannot take the reuse path (no
-        compiled stage-IV runner); the caller then uses the generic
-        per-kernel path, which re-materialises buffers every call.
+        ``None`` when no compiled tier serves the kernel under the session's
+        engine.  Only values that outlive the unit are finalised and
+        returned; a fused unit's intermediates stay inside its kernel.
         """
-        state = self._states.get(index)
-        if state is not None:
-            return state
-        kernel = unit.kernel
-        # The fused unit gets the native tier through the same shared build
-        # path as standalone kernels; the emitted NumPy runner is the
-        # fallback when the merged program (or this machine) lacks it.
-        engine = "native"
-        runner = kernel._native_runner()
-        if runner is None:
-            engine = "emitted"
-            runner = kernel._emitted_runner()
-        if runner is None:
-            self._states[index] = False
-            return False
-        func = kernel.func
-        aux = {buf.name for buf in func.aux_buffers}
-        stored = _store_targets(func.body)
-        backing = {buf.name: buf.data for buf in func.buffers if buf.data is not None}
-        arrays: Dict[str, np.ndarray] = {}
-        copy_in: List[Tuple[np.ndarray, str, int]] = []
-        zero_fill: List[np.ndarray] = []
-        refresh: List[Tuple[np.ndarray, np.ndarray]] = []
-        for flat in func.flat_buffers:
-            name = flat.name
-            if name in aux:
-                continue  # baked into the emitted plan; run() never reads them
-            dtype = _np_dtype(flat.dtype)
-            if name in unit.bindmap:
-                arr = np.empty(flat.size, dtype=dtype)
-                arrays[name] = arr
-                copy_in.append((arr, unit.bindmap[name], flat.size))
-                continue
-            data = kernel.defaults.get(name)
-            if data is None:
-                data = backing.get(name)
-            if data is not None:
-                pristine = np.asarray(data, dtype=dtype).reshape(-1).copy()
-                if name in stored:
-                    arrays[name] = pristine.copy()
-                    refresh.append((arrays[name], pristine))
-                else:
-                    arrays[name] = pristine
-            else:
-                arr = np.zeros(flat.size, dtype=dtype)
-                arrays[name] = arr
-                if name in stored:
-                    zero_fill.append(arr)
-        state = _FusedState(runner, arrays, copy_in, zero_fill, refresh, engine)
-        self._states[index] = state
-        return state
-
-    def _run_fused(self, state: _FusedState, env: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """One call of a fused unit over its persistent buffers."""
-        for arr, value_name, size in state.copy_in:
-            if value_name not in env:
-                raise ValueError(f"missing feed for graph input {value_name!r}")
-            src = np.asarray(env[value_name], dtype=arr.dtype).reshape(-1)
-            if src.size != size:
-                raise ValueError(
-                    f"feed for {value_name!r} has {src.size} elements, expected {size}"
-                )
-            np.copyto(arr, src)
-        for arr in state.zero_fill:
-            arr.fill(0)
-        for dst, pristine in state.refresh:
-            np.copyto(dst, pristine)
-        out = state.runner(state.arrays)
-        if state.engine == "native":
-            self.session.stats.native_runs += 1
-        else:
-            self.session.stats.emitted_runs += 1
-        return out
+        if unit.bound is False:
+            tier = unit.kernel.fast_tier(self.session.engine)
+            bound = None
+            if tier is not None:
+                escaping = [
+                    out for out in unit.produced
+                    if self._live.get(out[0], -1) > unit.max_node_index
+                ]
+                bound = BoundKernel(unit.kernel, tier, unit.bindmap, escaping)
+            unit.bound = bound  # one store: a concurrent run sees False or the result
+        return unit.bound
 
     def run(self, feeds: Optional[Mapping[str, np.ndarray]] = None) -> Dict[str, np.ndarray]:
         """Execute the graph; returns output arrays keyed by value name.
@@ -317,29 +196,24 @@ class CompiledGraph:
         ``feeds`` overrides (or provides) graph inputs by name; inputs
         captured from concrete arrays fall back to those defaults.
 
-        Thread-safe: runs are serialised by an internal lock (fused units
-        reuse their flat buffers across calls), so a serving front-end can
-        share one compiled graph between the batcher thread and degraded
-        inline callers.
+        Thread-safe: bound kernels keep no per-call state, so a serving
+        front-end can share one compiled graph between the batcher thread
+        and degraded inline callers.
         """
-        with self._run_lock:
-            return self._run_locked(feeds)
-
-    def _run_locked(self, feeds: Optional[Mapping[str, np.ndarray]] = None) -> Dict[str, np.ndarray]:
         env: Dict[str, np.ndarray] = dict(self.graph.defaults)
         if feeds:
             for name, value in feeds.items():
                 if name not in self.graph.inputs:
                     raise ValueError(f"unknown graph input {name!r}")
                 env[name] = np.asarray(value)
-        live = self.graph.liveness()
+        live = self._live
         horizon = len(self.graph.nodes)
         output_names = [ref.name for ref in self.graph.outputs]
-        reuse_ok = self.session.engine in ("auto", "emitted")
-        for index, unit in enumerate(self.units):
-            state = self._fused_state(index, unit) if unit.fused and reuse_ok else False
-            if state is not False:
-                out = self._run_fused(state, env)
+        for unit in self.units:
+            bound = self._bound(unit)
+            if bound is not None:
+                env.update(bound.run(env))
+                self.session.stats.count_run(bound.tier)
             else:
                 bindings: Dict[str, np.ndarray] = {}
                 for buffer_name, value_name in unit.bindmap.items():
@@ -347,13 +221,9 @@ class CompiledGraph:
                         raise ValueError(f"missing feed for graph input {value_name!r}")
                     bindings[buffer_name] = env[value_name]
                 out = self.session.run_kernel(unit.kernel, bindings)
-            for value_name, buffer_name, spec in unit.produced:
-                if live.get(value_name, -1) > unit.max_node_index:
-                    flat = out[buffer_name]
-                    if state is not False:
-                        # Escaping arrays must not alias the reused storage.
-                        flat = flat.copy()
-                    env[value_name] = registry.finalize(spec, flat)
+                for value_name, buffer_name, spec in unit.produced:
+                    if live.get(value_name, -1) > unit.max_node_index:
+                        env[value_name] = registry.finalize(spec, out[buffer_name])
             # Drop intermediates whose last consumer has now run.
             for name in list(env):
                 if live.get(name, horizon + 1) <= unit.max_node_index:

@@ -43,8 +43,12 @@ class FusionGroup:
     """A contiguous run of nodes emitted into one program."""
 
     nodes: List[GraphNode] = field(default_factory=list)
-    structure_key: Optional[str] = None
     dtype: Optional[str] = None
+
+    @property
+    def structure_key(self) -> Optional[str]:
+        """The first member's pattern hash (hashed on access, not on ``add``)."""
+        return self.nodes[0].spec.structure_key if self.nodes else None
 
     def can_accept(self, node: GraphNode) -> bool:
         spec = node.spec
@@ -58,8 +62,6 @@ class FusionGroup:
         self.nodes.append(node)
         if self.dtype is None:
             self.dtype = node.spec.dtype
-        if self.structure_key is None:
-            self.structure_key = node.spec.structure_key
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -185,7 +185,7 @@ def emit_batched_spmm(
     with ctx.sp_iter([h_axis, i_axis, j_axis, k_axis], "SSRS", "batched_spmm") as (h, i, j, k):
         ctx.init(c_buf[h, i, k], 0.0)
         ctx.compute(c_buf[h, i, k], c_buf[h, i, k] + a_buf[i, j] * b_buf[h, j, k])
-    return {"out": c_buf, "features": b_buf}
+    return {"out": c_buf, "features": b_buf, "values": a_buf}
 
 
 def build_batched_spmm_bsr_program(
@@ -305,7 +305,7 @@ def emit_batched_sddmm(
         scale_axes = [h_axis, fuse(i_axis, j_axis)] if fuse_ij else [h_axis, i_axis, j_axis]
         with ctx.sp_iter(scale_axes, "SSS", "scale_scores") as (h, i, j):
             ctx.compute(out_buf[h, i, j], out_buf[h, i, j] * float(scale))
-    return {"out": out_buf, "q": q_buf, "k": k_buf}
+    return {"out": out_buf, "q": q_buf, "k": k_buf, "values": a_buf}
 
 
 def build_batched_sddmm_bsr_program(

@@ -8,9 +8,11 @@ two-step protocol:
    dtype (:func:`repro.runtime.keys.resolve_dtype`), applies tuned overrides
    and cached format decompositions, and returns an :class:`OpSpec` — a
    self-contained description of one operator application;
-2. ``Session._execute(spec)`` (or a :class:`~repro.graph.compile.CompiledGraph`
-   for captured specs) builds the spec's program, runs it and finalises the
-   raw flat buffers into the operator's documented output array.
+2. ``Session._execute`` (or a :class:`~repro.graph.compile.CompiledGraph`
+   for captured specs) builds the spec's program, binds the kernel
+   (:class:`~repro.runtime.bound.BoundKernel`), runs it and finalises the
+   raw flat buffers into the operator's documented output array.  A warm
+   eager call skips step 1 as well: the session memoises the bound kernel.
 
 Specs whose ``fusable`` flag is set also know how to *emit* their stage-I
 iterations into a shared program (:func:`emit_spec`), which is what the
@@ -53,8 +55,8 @@ class OpSpec:
         matrix, sparse-conv problem) or ``None`` for dense operators.
     structure_key:
         Content hash of the *fusion-relevant* sparsity pattern, or ``None``
-        for dense operators.  The fusion pass only merges nodes whose keys
-        agree (dense nodes ride along with any group).
+        for dense operators and derived formats.  A property: hashing the
+        whole pattern is O(nnz), so it is computed on first access.
     params:
         Plain parameters of the program builder (sizes, scale, permutations).
     inputs:
@@ -75,7 +77,6 @@ class OpSpec:
 
     kind: str
     structure: Any
-    structure_key: Optional[str]
     params: Dict[str, Any]
     inputs: Dict[str, Any]
     dtype: str
@@ -83,6 +84,15 @@ class OpSpec:
     fusable: bool
     program_name: str
     extra_outputs: Dict[str, Any] = field(default_factory=dict)
+    _structure_key: Optional[str] = field(default=None, repr=False)
+
+    @property
+    def structure_key(self) -> Optional[str]:
+        if self._structure_key is None:
+            hasher = _STRUCTURE_KEYS.get(self.kind)
+            if hasher is not None:
+                self._structure_key = hasher(self.structure)
+        return self._structure_key
 
     def input_array(self, name: str) -> Optional[np.ndarray]:
         """The input as an array, or ``None`` when unbound / a graph edge."""
@@ -136,6 +146,19 @@ def conv_structure_key(problem: Any) -> str:
     return content_key(*parts)
 
 
+#: Pattern hasher per operator kind; kinds not listed have no structure key.
+_STRUCTURE_KEYS: Dict[str, Callable[[Any], str]] = {
+    "spmm": csr_structure_key,
+    "sddmm": csr_structure_key,
+    "batched_spmm": csr_structure_key,
+    "batched_sddmm": csr_structure_key,
+    "edge_softmax": csr_structure_key,
+    "batched_spmm_edges": csr_structure_key,
+    "rgms": csf_structure_key,
+    "sparse_conv": conv_structure_key,
+}
+
+
 # ---------------------------------------------------------------------------
 # prepare_* — argument resolution into OpSpecs
 # ---------------------------------------------------------------------------
@@ -166,7 +189,7 @@ def prepare_spmm(
         num_buckets = overrides.get("num_buckets", num_buckets)
     if format == "csr":
         return OpSpec(
-            kind="spmm", structure=csr, structure_key=csr_structure_key(csr),
+            kind="spmm", structure=csr,
             params={"feat_size": feat_size, "rows": csr.rows},
             inputs={"features": features}, dtype=value_dtype,
             out_shape=(csr.rows, feat_size), fusable=True, program_name="spmm",
@@ -174,7 +197,7 @@ def prepare_spmm(
     if format == "hyb":
         hyb = session.decompose_hyb(csr, num_col_parts=num_col_parts, num_buckets=num_buckets)
         return OpSpec(
-            kind="spmm_hyb", structure=hyb, structure_key=None,
+            kind="spmm_hyb", structure=hyb,
             params={"feat_size": feat_size, "rows": csr.rows},
             inputs={"features": features}, dtype=value_dtype,
             out_shape=(csr.rows, feat_size), fusable=False, program_name="spmm_hyb",
@@ -200,7 +223,7 @@ def prepare_sddmm(
         overrides = session._tuned_overrides("sddmm", SDDMMProblem(csr, x.shape[1]))
         fuse_ij = overrides.get("fuse_ij", fuse_ij)
     return OpSpec(
-        kind="sddmm", structure=csr, structure_key=csr_structure_key(csr),
+        kind="sddmm", structure=csr,
         params={"feat_size": x.shape[1], "fuse_ij": fuse_ij, "nnz": csr.nnz},
         inputs={"x": x, "y": y}, dtype=value_dtype,
         out_shape=(csr.nnz,), fusable=True, program_name="sddmm",
@@ -210,7 +233,7 @@ def prepare_sddmm(
 def prepare_pruned_spmm(session: Any, bsr: Any, x: Any) -> OpSpec:
     x = _as_value(x, "float32")
     return OpSpec(
-        kind="pruned_spmm", structure=bsr, structure_key=None,
+        kind="pruned_spmm", structure=bsr,
         params={"seq_len": x.shape[1], "out_rows": bsr.shape[0]},
         inputs={"x": x}, dtype="float32",
         out_shape=(bsr.shape[0], x.shape[1]), fusable=False,
@@ -245,7 +268,7 @@ def prepare_batched_spmm(
         block_size = overrides.get("block_size", block_size)
     if format == "csr":
         return OpSpec(
-            kind="batched_spmm", structure=csr, structure_key=csr_structure_key(csr),
+            kind="batched_spmm", structure=csr,
             params={"heads": heads, "feat_size": feat, "rows": csr.rows},
             inputs={"features": features}, dtype=value_dtype,
             out_shape=(heads, csr.rows, feat), fusable=True, program_name="batched_spmm",
@@ -264,7 +287,7 @@ def prepare_batched_spmm(
         bsr = session.decompose_bsr(csr, block_size)
         padded = _pad_axis(features, axis=1, length=bsr.shape[1])
         return OpSpec(
-            kind="batched_spmm_bsr", structure=bsr, structure_key=None,
+            kind="batched_spmm_bsr", structure=bsr,
             params={
                 "heads": heads, "feat_size": feat,
                 "rows": csr.rows, "padded_rows": bsr.shape[0],
@@ -303,7 +326,7 @@ def prepare_batched_sddmm(
         block_size = overrides.get("block_size", block_size)
     if format == "csr":
         return OpSpec(
-            kind="batched_sddmm", structure=csr, structure_key=csr_structure_key(csr),
+            kind="batched_sddmm", structure=csr,
             params={
                 "heads": heads, "feat_size": feat,
                 "fuse_ij": fuse_ij, "scale": scale, "nnz": csr.nnz,
@@ -330,7 +353,7 @@ def prepare_batched_sddmm(
         q_pad = _pad_axis(q, axis=1, length=bsr.shape[0])
         k_pad = _pad_axis(k, axis=2, length=bsr.shape[1])
         return OpSpec(
-            kind="batched_sddmm_bsr", structure=bsr, structure_key=None,
+            kind="batched_sddmm_bsr", structure=bsr,
             params={"heads": heads, "feat_size": feat, "scale": scale, "perm": perm},
             inputs={"q": q_pad, "k": k_pad}, dtype="float32",
             out_shape=(heads, csr.nnz), fusable=False, program_name="batched_sddmm_bsr",
@@ -346,7 +369,7 @@ def prepare_rgms(session: Any, adjacency: Any, x: Any, w: Any, tuned: bool = Fal
     if len(x.shape) != 2 or w.ndim != 3:
         raise ValueError("x must be (n, d_in) and w (R, d_in, d_out)")
     return OpSpec(
-        kind="rgms", structure=adjacency, structure_key=csf_structure_key(adjacency),
+        kind="rgms", structure=adjacency,
         params={"in_feats": x.shape[1], "out_feats": w.shape[2],
                 "rows": adjacency.shape[1], "w": w},
         inputs={"x": x}, dtype="float32",
@@ -362,7 +385,7 @@ def prepare_sparse_conv(
     features = _as_value(features, "float32")
     weights = np.asarray(weights, dtype=np.float32)
     return OpSpec(
-        kind="sparse_conv", structure=problem, structure_key=conv_structure_key(problem),
+        kind="sparse_conv", structure=problem,
         params={"w": weights},
         inputs={"features": features}, dtype="float32",
         out_shape=(problem.num_out_points, problem.out_channels),
@@ -379,7 +402,7 @@ def prepare_edge_softmax(
         raise ValueError("scores must be (heads, nnz)")
     heads = scores.shape[0]
     return OpSpec(
-        kind="edge_softmax", structure=csr, structure_key=csr_structure_key(csr),
+        kind="edge_softmax", structure=csr,
         params={"heads": heads, "nnz": csr.nnz},
         inputs={"scores": scores}, dtype=value_dtype,
         out_shape=(heads, csr.nnz), fusable=True, program_name="edge_softmax",
@@ -398,7 +421,7 @@ def prepare_batched_spmm_edges(
         raise ValueError("features must be (heads, cols, feat)")
     heads, feat = edge_values.shape[0], features.shape[2]
     return OpSpec(
-        kind="batched_spmm_edges", structure=csr, structure_key=csr_structure_key(csr),
+        kind="batched_spmm_edges", structure=csr,
         params={"heads": heads, "feat_size": feat, "rows": csr.rows},
         inputs={"edge_values": edge_values, "features": features}, dtype=value_dtype,
         out_shape=(heads, csr.rows, feat), fusable=True, program_name="batched_spmm_edges",
@@ -414,7 +437,7 @@ def prepare_gemm(session: Any, a: Any, b: Any, dtype: Any = None) -> OpSpec:
     m, kk = a.shape
     n = b.shape[1]
     return OpSpec(
-        kind="gemm", structure=None, structure_key=None,
+        kind="gemm", structure=None,
         params={"m": m, "k": kk, "n": n},
         inputs={"a": a, "b": b}, dtype=value_dtype,
         out_shape=(m, n), fusable=True, program_name="gemm",
@@ -428,7 +451,7 @@ def prepare_add(session: Any, a: Any, b: Any, dtype: Any = None) -> OpSpec:
     if len(a.shape) != 2 or a.shape != b.shape:
         raise ValueError(f"add shapes do not agree: {a.shape} + {b.shape}")
     return OpSpec(
-        kind="add", structure=None, structure_key=None,
+        kind="add", structure=None,
         params={"m": a.shape[0], "n": a.shape[1]},
         inputs={"a": a, "b": b}, dtype=value_dtype,
         out_shape=tuple(a.shape), fusable=True, program_name="add",
@@ -441,7 +464,7 @@ def prepare_relu(session: Any, a: Any, dtype: Any = None) -> OpSpec:
     if len(a.shape) != 2:
         raise ValueError("relu expects a 2-D matrix")
     return OpSpec(
-        kind="relu", structure=None, structure_key=None,
+        kind="relu", structure=None,
         params={"m": a.shape[0], "n": a.shape[1]},
         inputs={"a": a}, dtype=value_dtype,
         out_shape=tuple(a.shape), fusable=True, program_name="relu",
@@ -565,6 +588,10 @@ def build_spec_program(spec: OpSpec) -> Tuple[PrimFunc, Dict[str, str]]:
     Fusable kinds build through :func:`emit_spec` with an empty namespace, so
     the program — and therefore its structural fingerprint — is identical to
     the historical ``build_*_program`` output.
+
+    A ``"values"`` entry names the buffer holding ``spec.structure.data``
+    (where the program reads the structure's own value array), so a bound
+    kernel can re-read it on every call.
     """
     if spec.fusable:
         ctx = EmitContext(ProgramBuilder(spec.program_name))
@@ -583,7 +610,7 @@ def build_spec_program(spec: OpSpec) -> Tuple[PrimFunc, Dict[str, str]]:
         from .pruned_spmm import build_pruned_spmm_bsr_program
 
         func = build_pruned_spmm_bsr_program(spec.structure, p["seq_len"], spec.input_array("x"))
-        return func, {"out": "Y", "x": "X"}
+        return func, {"out": "Y", "x": "X", "values": "W"}
     if spec.kind == "batched_spmm_bsr":
         from .batched import build_batched_spmm_bsr_program
 

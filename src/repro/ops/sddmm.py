@@ -126,7 +126,7 @@ def emit_sddmm(
     with ctx.sp_iter(axes, "SSR", "sddmm") as (i, j, k):
         ctx.init(out_buf[i, j], 0.0)
         ctx.compute(out_buf[i, j], out_buf[i, j] + a_buf[i, j] * x_buf[i, k] * y_buf[k, j])
-    return {"out": out_buf, "x": x_buf, "y": y_buf}
+    return {"out": out_buf, "x": x_buf, "y": y_buf, "values": a_buf}
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def emit_spmm(
     ``bind`` may map ``"features"`` to an already-emitted buffer (the output
     of a fused producer), in which case no fresh input buffer is created.
     Returns the operator's buffers by logical role (``"out"``,
-    ``"features"``).
+    ``"features"``, and ``"values"`` for the matrix's own value array).
     """
     bind = bind or {}
     i_axis, j_axis = ctx.csr_axes(csr)
@@ -138,7 +138,7 @@ def emit_spmm(
     with ctx.sp_iter([i_axis, j_axis, k_axis], "SRS", "spmm") as (i, j, k):
         ctx.init(c_buf[i, k], 0.0)
         ctx.compute(c_buf[i, k], c_buf[i, k] + a_buf[i, j] * b_buf[j, k])
-    return {"out": c_buf, "features": b_buf}
+    return {"out": c_buf, "features": b_buf, "values": a_buf}
 
 
 def build_spmm_program(

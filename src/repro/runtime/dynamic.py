@@ -85,7 +85,8 @@ def overlay_spmm(
         csr.base_view(), features, format=format, num_col_parts=num_col_parts,
         num_buckets=num_buckets, dtype=value_dtype, tuned=False,
     )
-    session.stats.overlay_runs += 1
+    with session.stats.lock:
+        session.stats.overlay_runs += 1
     merged = csr._merged_view()
     if merged.affected_rows.size:
         feats = features.astype(value_dtype, copy=False)
@@ -120,7 +121,8 @@ def overlay_sddmm(
     base_scores = session.sddmm(
         csr.base_view(), x, y, fuse_ij=fuse_ij, dtype=value_dtype, tuned=False
     )
-    session.stats.overlay_runs += 1
+    with session.stats.lock:
+        session.stats.overlay_runs += 1
     merged = csr._merged_view()
     out = np.zeros(len(merged.indices), dtype=value_dtype)
     out[merged.base_positions] = base_scores[merged.kept_mask]

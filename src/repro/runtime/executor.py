@@ -22,7 +22,7 @@ Semantics notes
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Collection, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class _StructuralZero(Exception):
 
 
 def prepare_arrays(
-    func: PrimFunc, bindings: Mapping[str, np.ndarray]
+    func: PrimFunc, bindings: Mapping[str, np.ndarray], skip: Collection[str] = ()
 ) -> Dict[str, np.ndarray]:
     """Materialise the flat value array for every buffer of a stage-III program.
 
@@ -71,6 +71,10 @@ def prepare_arrays(
     their data from the axes), or are zero-initialised.  Shared by the scalar
     interpreter and the vectorized fast path so both engines observe
     identical inputs.
+
+    Buffers named in *skip* are left out: the native and emitted plans bake
+    the auxiliary (``indptr``/``indices``) buffers in at build time, so
+    copying them per call would be wasted work.
     """
     buffers_by_name: Dict[str, SparseBuffer] = {
         buf.name: buf for buf in list(func.buffers) + list(func.aux_buffers)
@@ -78,6 +82,8 @@ def prepare_arrays(
     arrays: Dict[str, np.ndarray] = {}
     for flat in func.flat_buffers:
         name = flat.name
+        if name in skip:
+            continue
         if name in bindings:
             array = np.asarray(bindings[name], dtype=_np_dtype(flat.dtype)).reshape(-1).copy()
             if array.size != flat.size:
@@ -92,7 +98,7 @@ def prepare_arrays(
                 array = np.zeros(flat.size, dtype=_np_dtype(flat.dtype))
         arrays[name] = array
     for name, value in bindings.items():
-        if name not in arrays:
+        if name not in arrays and name not in skip:
             arrays[name] = np.asarray(value).reshape(-1).copy()
     return arrays
 

@@ -13,9 +13,14 @@ A :class:`Session` bundles everything between "here is a sparse matrix" and
   (``persistent=True`` or ``$REPRO_KERNEL_CACHE``), so a fresh process
   reloads lowered programs and emitted stage-IV source instead of
   recompiling them;
-* **execution engine selection** — kernels run on the emitted stage-IV
-  kernel when available, then the vectorized fast path, then the
-  interpreter, and the session records which tier served each run.
+* **execution engine selection** — kernels run on the native compiled
+  kernel when available, then the emitted stage-IV NumPy kernel, then the
+  vectorized fast path, then the interpreter, and the session records which
+  tier served each run;
+* **bound-kernel handles** — a repeated operator call over an unchanged
+  structure skips all of the above: the session memoises a
+  :class:`~repro.runtime.bound.BoundKernel` per operator application and a
+  warm call only hands its operands to the compiled runner.
 
 Operator-level helpers (:meth:`Session.spmm`, :meth:`Session.sddmm`,
 :meth:`Session.pruned_spmm`, :meth:`Session.batched_spmm`,
@@ -41,15 +46,16 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..core.codegen.build import Kernel, build
 from ..core.codegen.cache import KernelCache
 from ..core.program import PrimFunc
-from .keys import content_key, resolve_dtype
+from .bound import BoundKernel
+from .keys import content_key
 
 
 @dataclass
@@ -62,6 +68,12 @@ class SessionStats:
     ``native_hits``, ``native_rebuilds``, ``disk_hits``) live on the kernel
     cache — read them from ``session.cache.stats`` to assert that a
     warm-started process did no compilation work at all.
+
+    ``builds`` / ``kernel_cache_hits`` count kernels obtained / obtained
+    without lowering; a bound-kernel handle hit is both (and one
+    ``handle_hits``; on a derived format also one ``format_cache_hits``).
+    Serving runs one session from several threads, so every increment
+    happens under :attr:`lock`.
     """
 
     builds: int = 0
@@ -78,6 +90,15 @@ class SessionStats:
     overlay_runs: int = 0
     stale_plan_reuses: int = 0
     retunes_triggered: int = 0
+    handle_hits: int = 0
+    handle_misses: int = 0
+    lock: Any = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def count_run(self, engine: Optional[str]) -> None:
+        """Record one kernel execution on *engine* (a :data:`ENGINES` name)."""
+        counter = "interpreted_runs" if engine == "interpret" else f"{engine}_runs"
+        with self.lock:
+            setattr(self, counter, getattr(self, counter) + 1)
 
     @property
     def runs(self) -> int:
@@ -110,6 +131,8 @@ class SessionStats:
             "overlay_runs": self.overlay_runs,
             "stale_plan_reuses": self.stale_plan_reuses,
             "retunes_triggered": self.retunes_triggered,
+            "handle_hits": self.handle_hits,
+            "handle_misses": self.handle_misses,
         }
 
 
@@ -117,20 +140,30 @@ class SessionStats:
 _UNRESOLVED = object()
 
 
-def _pad_axis(array: np.ndarray, axis: int, length: int) -> np.ndarray:
-    """Zero-pad one axis of *array* up to *length* (no-op when equal)."""
-    if array.shape[axis] == length:
-        return array
-    pad = [(0, 0)] * array.ndim
-    pad[axis] = (0, length - array.shape[axis])
-    return np.pad(array, pad)
+@dataclass
+class _Handle:
+    """One memoised operator application: a bound kernel plus its guard."""
+
+    bound: BoundKernel
+    #: The structure the call was made on, pinned so its ``id`` cannot be
+    #: reused while the handle is alive.
+    structure: Any
+    #: Its storage at bind time; ``compact()`` swaps these under an unchanged
+    #: epoch, so a hit requires them to be the very same arrays.
+    storage: Tuple[Any, Any]
+    #: Whether the structure's value array is a per-call operand.
+    feeds_values: bool
+    #: Whether the kernel runs on a decomposition of the structure.
+    derived_format: bool
+
+    def run(self, operands: Dict[str, np.ndarray]) -> np.ndarray:
+        if self.feeds_values:
+            operands["values"] = self.structure.data
+        return self.bound.run(operands)["out"]
 
 
-# Backwards-compatible aliases: the canonical definitions moved to
-# :mod:`repro.runtime.keys` so the operator registry and the graph layer can
-# share them without importing the (heavier) session module.
-_content_key = content_key
-_resolve_dtype = resolve_dtype
+def _storage(structure: Any) -> Tuple[Any, Any]:
+    return getattr(structure, "indptr", None), getattr(structure, "indices", None)
 
 
 class Session:
@@ -145,8 +178,11 @@ class Session:
         kernel caching.
     engine:
         Execution backend passed to :meth:`Kernel.run`: ``"auto"`` (default:
-        emitted, then vectorized, then interpreter), ``"emitted"``,
-        ``"vectorized"`` or ``"interpret"``.
+        native, then emitted, then vectorized, then interpreter),
+        ``"native"``, ``"emitted"``, ``"vectorized"`` or ``"interpret"``.
+        Only the two compiled tiers are served through bound-kernel
+        handles; ``"vectorized"`` and ``"interpret"`` always take the
+        generic :meth:`Kernel.run` path.
     persistent:
         On-disk layer of the session's private kernel cache: ``None``
         (default) follows ``$REPRO_KERNEL_CACHE``; ``True`` uses the default
@@ -155,7 +191,9 @@ class Session:
         given — a shared cache keeps its own disk configuration.
     format_cache_capacity:
         LRU bound on memoised format decompositions (each entry holds a full
-        decomposition of one matrix, so this bounds session memory).
+        decomposition of one matrix, so this bounds session memory) and,
+        separately, on memoised bound-kernel handles (each pins one
+        structure).
     tuning_records:
         Persistent layer of the session's tuning records: ``None`` (default)
         follows ``$REPRO_TUNING_RECORDS``; ``True`` uses the default
@@ -207,7 +245,12 @@ class Session:
         self.stats = SessionStats()
         self.format_cache_capacity = int(format_cache_capacity)
         self._formats: "OrderedDict[str, Any]" = OrderedDict()
-        self._format_lock = threading.Lock()
+        #: One lock for the session's counters and LRU bookkeeping.
+        self._lock = self.stats.lock
+        self._handles: "OrderedDict[tuple, _Handle]" = OrderedDict()
+        #: Bumped whenever :meth:`autotune` records a plan, so ``tuned=True``
+        #: handles bound under the previous plans stop matching.
+        self._tuning_generation = 0
         self._tuning_records_arg = tuning_records
         self._tuning_store: Any = _UNRESOLVED
         self._tuned: Dict[str, Any] = {}
@@ -224,14 +267,12 @@ class Session:
     # -- compilation -----------------------------------------------------------
     def build(self, func: PrimFunc, horizontal_fusion: bool = True) -> Kernel:
         """Build *func* through the session's structural kernel cache."""
-        cache = self.cache
-        before = cache.stats.hits if isinstance(cache, KernelCache) else 0
-        kernel = build(func, horizontal_fusion=horizontal_fusion, cache=cache)
-        self.stats.builds += 1
-        if isinstance(cache, KernelCache):
-            if cache.stats.hits > before:
+        kernel = build(func, horizontal_fusion=horizontal_fusion, cache=self.cache)
+        with self._lock:
+            self.stats.builds += 1
+            if kernel.cache_hit is True:
                 self.stats.kernel_cache_hits += 1
-            else:
+            elif kernel.cache_hit is False:
                 self.stats.kernel_cache_misses += 1
         return kernel
 
@@ -250,29 +291,105 @@ class Session:
     ) -> Dict[str, np.ndarray]:
         """Execute an already-built kernel with the session's engine."""
         result = kernel.run(bindings, engine=self.engine)
-        if kernel.last_engine == "native":
-            self.stats.native_runs += 1
-        elif kernel.last_engine == "emitted":
-            self.stats.emitted_runs += 1
-        elif kernel.last_engine == "vectorized":
-            self.stats.vectorized_runs += 1
-        else:
-            self.stats.interpreted_runs += 1
+        self.stats.count_run(kernel.last_engine)
         return result
 
-    def _execute(self, spec) -> np.ndarray:
-        """Build, run and finalise one resolved operator spec.
+    def _execute(
+        self, kind: str, structure: Any, operands: Dict[str, Any], **options: Any
+    ) -> np.ndarray:
+        """Run one operator application: through its handle when warm.
 
-        The single execution path behind every public operator method: the
-        spec (see :mod:`repro.ops.registry`) already carries the resolved
-        dtype, tuned overrides and format decompositions, so all that is
-        left is the shared build/run/finalize plumbing.
+        The single execution path behind every public operator method.  A
+        repeated application — same operator, options, operand shapes and
+        dtypes over an unchanged structure — is served by its memoised
+        :class:`~repro.runtime.bound.BoundKernel`; anything else goes
+        through :meth:`_execute_cold`.
+        """
+        operands = {role: np.asarray(value) for role, value in operands.items()}
+        if options.get("dtype") is not None:
+            options["dtype"] = np.dtype(options["dtype"])  # one key per spelling
+        key = (
+            kind,
+            id(structure),
+            getattr(structure, "structure_epoch", None),
+            tuple((value.shape, value.dtype) for value in operands.values()),
+            tuple(options.values()),
+            self._tuning_generation if options.get("tuned") else None,
+        )
+        storage = _storage(structure)
+        with self._lock:
+            handle = self._handles.get(key)
+            if handle is not None and (
+                handle.storage[0] is not storage[0] or handle.storage[1] is not storage[1]
+            ):
+                handle = None
+            if handle is not None:
+                self._handles.move_to_end(key)
+                stats = self.stats
+                stats.handle_hits += 1
+                stats.builds += 1
+                stats.kernel_cache_hits += 1
+                if handle.derived_format:
+                    stats.format_cache_hits += 1
+                if handle.bound.tier == "native":
+                    stats.native_runs += 1
+                else:
+                    stats.emitted_runs += 1
+        if handle is not None:
+            return handle.run(operands)
+        return self._execute_cold(key, kind, structure, storage, operands, options)
+
+    def _execute_cold(
+        self,
+        key: tuple,
+        kind: str,
+        structure: Any,
+        storage: Tuple[Any, Any],
+        operands: Dict[str, np.ndarray],
+        options: Dict[str, Any],
+    ) -> np.ndarray:
+        """Resolve, build and run one application; bind its handle if possible.
+
+        ``prepare`` resolves the :class:`~repro.ops.registry.OpSpec` (dtype,
+        tuned overrides, format decompositions) and the program builds
+        through the kernel cache, exactly as every call used to.  When a
+        compiled tier serves the kernel and every operand is a buffer the
+        program reads as given, the kernel is bound and memoised under
+        *key*, and this first call already runs through the handle.  Not
+        bindable: ``rgms`` / ``sparse_conv`` (weights are baked into
+        per-relation buffers) and BSR operands ``prepare`` had to zero-pad.
         """
         from ..ops import registry
 
+        args = list(operands.values()) if structure is None else [structure, *operands.values()]
+        spec = registry.prepare(self, kind, *args, **options)
         func, names = registry.build_spec_program(spec)
-        out = self.run(func)
-        return registry.finalize(spec, out[names["out"]])
+        kernel = self.build(func)
+        tier = kernel.fast_tier(self.engine)
+        if tier is None or not all(
+            role in names and spec.inputs[role].shape == value.shape
+            for role, value in operands.items()
+        ):
+            out = self.run_kernel(kernel)
+            return registry.finalize(spec, out[names["out"]])
+        feeds = {names[role]: role for role in operands}
+        feeds_values = spec.structure is structure and "values" in names
+        if feeds_values:
+            feeds[names["values"]] = "values"
+        # The spec only finalises from here on; its operand arrays must not
+        # stay pinned by the handle.
+        outputs = [("out", names["out"], replace(spec, inputs={}))]
+        handle = _Handle(
+            BoundKernel(kernel, tier, feeds, outputs), structure, storage, feeds_values,
+            derived_format=spec.structure is not structure,
+        )
+        with self._lock:
+            self.stats.handle_misses += 1
+            self._handles[key] = handle
+            while len(self._handles) > self.format_cache_capacity:
+                self._handles.popitem(last=False)
+        self.stats.count_run(tier)
+        return handle.run(operands)
 
     # -- graph capture -----------------------------------------------------------
     def graph(self):
@@ -366,6 +483,7 @@ class Session:
 
     def _remember_tuning(self, record: Any) -> None:
         self._tuned[record.fingerprint] = record
+        self._tuning_generation += 1
 
     @staticmethod
     def _problem_structure(problem: Any):
@@ -400,9 +518,11 @@ class Session:
         edits = int(getattr(structure, "mutation_count", 0)) - entry["mutations"]
         drift = edits / max(entry["nnz"], 1)
         if drift < self.drift_threshold:
-            self.stats.stale_plan_reuses += 1
+            with self._lock:
+                self.stats.stale_plan_reuses += 1
             return entry["record"]
-        self.stats.retunes_triggered += 1
+        with self._lock:
+            self.stats.retunes_triggered += 1
         del self._tuned_lineage[id(structure)]
         if self.auto_retune:
             result = self.autotune(workload, problem, **entry["kwargs"])
@@ -490,7 +610,7 @@ class Session:
         threads may race to build the same decomposition — both results are
         equivalent and the second store wins harmlessly.
         """
-        with self._format_lock:
+        with self._lock:
             hit = self._formats.get(key)
             if hit is not None:
                 self._formats.move_to_end(key)
@@ -498,7 +618,7 @@ class Session:
                 return hit
             self.stats.format_cache_misses += 1
         entry = build_entry()
-        with self._format_lock:
+        with self._lock:
             self._formats[key] = entry
             while len(self._formats) > self.format_cache_capacity:
                 self._formats.popitem(last=False)
@@ -515,13 +635,13 @@ class Session:
         signature = getattr(csr, "content_signature", None)
         if callable(signature):
             return signature()
-        return _content_key(csr.shape, csr.indptr, csr.indices, csr.data)
+        return content_key(csr.shape, csr.indptr, csr.indices, csr.data)
 
     def decompose_hyb(self, csr, num_col_parts: int = 1, num_buckets: Optional[int] = None):
         """``HybFormat.from_csr`` memoised by sparsity content and parameters."""
         from ..formats.hyb import HybFormat
 
-        key = _content_key("hyb", self._csr_memo_content(csr), num_col_parts, num_buckets)
+        key = content_key("hyb", self._csr_memo_content(csr), num_col_parts, num_buckets)
         return self._memoized_format(
             key,
             lambda: HybFormat.from_csr(csr, num_col_parts=num_col_parts, num_buckets=num_buckets),
@@ -539,7 +659,7 @@ class Session:
         """
         from ..formats.bsr import BSRMatrix
 
-        key = _content_key("bsr", self._csr_memo_content(csr), block_size)
+        key = content_key("bsr", self._csr_memo_content(csr), block_size)
         return self._memoized_format(key, lambda: BSRMatrix.from_csr(csr, block_size))
 
     # -- operators -------------------------------------------------------------
@@ -588,12 +708,10 @@ class Session:
                 self, csr, features, format=format, num_col_parts=num_col_parts,
                 num_buckets=num_buckets, dtype=dtype, tuned=tuned,
             )
-        from ..ops.registry import prepare_spmm
-
-        return self._execute(prepare_spmm(
-            self, csr, features, format=format, num_col_parts=num_col_parts,
-            num_buckets=num_buckets, dtype=dtype, tuned=tuned,
-        ))
+        return self._execute(
+            "spmm", csr, {"features": features}, format=format,
+            num_col_parts=num_col_parts, num_buckets=num_buckets, dtype=dtype, tuned=tuned,
+        )
 
     def sddmm(
         self,
@@ -627,11 +745,9 @@ class Session:
             return overlay_sddmm(
                 self, csr, x, y, fuse_ij=fuse_ij, dtype=dtype, tuned=tuned
             )
-        from ..ops.registry import prepare_sddmm
-
-        return self._execute(prepare_sddmm(
-            self, csr, x, y, fuse_ij=fuse_ij, dtype=dtype, tuned=tuned
-        ))
+        return self._execute(
+            "sddmm", csr, {"x": x, "y": y}, fuse_ij=fuse_ij, dtype=dtype, tuned=tuned
+        )
 
     def pruned_spmm(self, bsr, x: np.ndarray) -> np.ndarray:
         """``W @ X`` with a BSR (block-pruned) weight matrix.
@@ -643,9 +759,7 @@ class Session:
         Returns:
             The product, shape ``(out_features, seq_len)``.
         """
-        from ..ops.registry import prepare_pruned_spmm
-
-        return self._execute(prepare_pruned_spmm(self, bsr, x))
+        return self._execute("pruned_spmm", bsr, {"x": x})
 
     def batched_spmm(
         self,
@@ -679,12 +793,10 @@ class Session:
         Returns:
             The per-head products, shape ``(heads, rows, feat)``.
         """
-        from ..ops.registry import prepare_batched_spmm
-
-        return self._execute(prepare_batched_spmm(
-            self, csr, features, format=format, block_size=block_size,
-            dtype=dtype, tuned=tuned,
-        ))
+        return self._execute(
+            "batched_spmm", csr, {"features": features}, format=format,
+            block_size=block_size, dtype=dtype, tuned=tuned,
+        )
 
     def batched_sddmm(
         self,
@@ -721,12 +833,10 @@ class Session:
         Returns:
             Per-head edge scores in CSR order, shape ``(heads, nnz)``.
         """
-        from ..ops.registry import prepare_batched_sddmm
-
-        return self._execute(prepare_batched_sddmm(
-            self, csr, q, k, format=format, block_size=block_size,
+        return self._execute(
+            "batched_sddmm", csr, {"q": q, "k": k}, format=format, block_size=block_size,
             fuse_ij=fuse_ij, scale=scale, dtype=dtype, tuned=tuned,
-        ))
+        )
 
     def rgms(self, adjacency, x: np.ndarray, w: np.ndarray, tuned: bool = False) -> np.ndarray:
         """Relational gather-matmul-scatter over a CSF adjacency tensor.
@@ -748,9 +858,7 @@ class Session:
         Returns:
             Aggregated features, shape ``(n, d_out)``.
         """
-        from ..ops.registry import prepare_rgms
-
-        return self._execute(prepare_rgms(self, adjacency, x, w, tuned=tuned))
+        return self._execute("rgms", adjacency, {"x": x, "w": w}, tuned=tuned)
 
     def sparse_conv(
         self, problem, features: np.ndarray, weights: np.ndarray, tuned: bool = False
@@ -770,9 +878,9 @@ class Session:
         Returns:
             Output voxel features, ``(num_out_points, out_channels)``.
         """
-        from ..ops.registry import prepare_sparse_conv
-
-        return self._execute(prepare_sparse_conv(self, problem, features, weights, tuned=tuned))
+        return self._execute(
+            "sparse_conv", problem, {"features": features, "weights": weights}, tuned=tuned
+        )
 
     def edge_softmax(self, csr, scores: np.ndarray, dtype: Any = None) -> np.ndarray:
         """Row-wise softmax over the stored edges, per head.
@@ -785,9 +893,7 @@ class Session:
         Returns:
             The attention probabilities in CSR order, shape ``(heads, nnz)``.
         """
-        from ..ops.registry import prepare_edge_softmax
-
-        return self._execute(prepare_edge_softmax(self, csr, scores, dtype=dtype))
+        return self._execute("edge_softmax", csr, {"scores": scores}, dtype=dtype)
 
     def batched_spmm_edges(
         self, csr, edge_values: np.ndarray, features: np.ndarray, dtype: Any = None
@@ -803,29 +909,22 @@ class Session:
         Returns:
             The per-head products, shape ``(heads, rows, feat)``.
         """
-        from ..ops.registry import prepare_batched_spmm_edges
-
-        return self._execute(prepare_batched_spmm_edges(
-            self, csr, edge_values, features, dtype=dtype
-        ))
+        return self._execute(
+            "batched_spmm_edges", csr, {"edge_values": edge_values, "features": features},
+            dtype=dtype,
+        )
 
     def gemm(self, a: np.ndarray, b: np.ndarray, dtype: Any = None) -> np.ndarray:
         """Dense ``A @ B`` through the generated-kernel pipeline."""
-        from ..ops.registry import prepare_gemm
-
-        return self._execute(prepare_gemm(self, a, b, dtype=dtype))
+        return self._execute("gemm", None, {"a": a, "b": b}, dtype=dtype)
 
     def add(self, a: np.ndarray, b: np.ndarray, dtype: Any = None) -> np.ndarray:
         """Element-wise ``A + B`` through the generated-kernel pipeline."""
-        from ..ops.registry import prepare_add
-
-        return self._execute(prepare_add(self, a, b, dtype=dtype))
+        return self._execute("add", None, {"a": a, "b": b}, dtype=dtype)
 
     def relu(self, a: np.ndarray, dtype: Any = None) -> np.ndarray:
         """Element-wise ``max(A, 0)`` through the generated-kernel pipeline."""
-        from ..ops.registry import prepare_relu
-
-        return self._execute(prepare_relu(self, a, dtype=dtype))
+        return self._execute("relu", None, {"a": a}, dtype=dtype)
 
     def __repr__(self) -> str:
         return f"Session(engine={self.engine!r}, stats={self.stats.as_dict()})"

@@ -14,6 +14,10 @@ whole-scalar reduction residuals at NumPy's ``np.full``/``ufunc.at``
 promotion semantics, so they agree bitwise by construction wherever the
 emitted tier agrees with the interpreter (which this battery also asserts),
 and the comparison stays transitive across all four tiers.
+
+Every operator case also runs twice through one ``Session``: the second call
+is served by the memoised bound-kernel handle (the warm path) and must equal
+an interpreter session's result bit for bit.
 """
 
 import numpy as np
@@ -30,6 +34,7 @@ from repro.ops.pruned_spmm import build_pruned_spmm_bsr_program
 from repro.ops.rgms import build_rgms_program
 from repro.ops.sddmm import build_sddmm_program
 from repro.ops.spmm import build_spmm_hyb_program, build_spmm_program
+from repro.runtime.session import Session
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -62,12 +67,17 @@ def assert_tiers_bit_exact(func, expect_emitted=True):
         native = kernel.run(engine="native")
         assert kernel.last_engine == "native"
         assert native.keys() == emitted.keys()
-    assert interpreted.keys() == vectorized.keys() == emitted.keys()
+    # The compiled plans bake the auxiliary (indptr/indices) arrays in, so
+    # their runs neither take nor return them.
+    aux = {buf.name for buf in kernel.func.aux_buffers}
+    assert interpreted.keys() == vectorized.keys()
+    assert emitted.keys() == interpreted.keys() - aux
     for name in interpreted:
-        assert interpreted[name].dtype == emitted[name].dtype, name
         assert np.array_equal(interpreted[name], vectorized[name]), (
             f"vectorized diverges from interpreter on {name!r}"
         )
+    for name in emitted:
+        assert interpreted[name].dtype == emitted[name].dtype, name
         assert np.array_equal(interpreted[name], emitted[name]), (
             f"emitted diverges from interpreter on {name!r}"
         )
@@ -77,6 +87,22 @@ def assert_tiers_bit_exact(func, expect_emitted=True):
                 f"native diverges from emitted on {name!r}"
             )
     return emitted
+
+
+def assert_warm_call_bit_exact(call, expect_handle=True):
+    """Run ``call(session)`` twice through one Session against the interpreter.
+
+    The second call hits the bound-kernel handle the first one memoised
+    (``rgms`` bakes its weights into the program and never binds one).
+    """
+    oracle = call(Session(engine="interpret", persistent=False))
+    session = Session(persistent=False)
+    cold, warm = call(session), call(session)
+    assert session.stats.handle_hits == (1 if expect_handle else 0)
+    assert session.stats.interpreted_runs == 0
+    for result in (cold, warm):
+        assert result.dtype == oracle.dtype
+        assert np.array_equal(result, oracle), "session diverges from the interpreter"
 
 
 class TestSpMMDifferential:
@@ -96,6 +122,7 @@ class TestSpMMDifferential:
         feats = rng.standard_normal((cols, feat)).astype(dtype)
         func = build_spmm_program(csr, feat, feats, dtype=np.dtype(dtype).name)
         out = assert_tiers_bit_exact(func)
+        assert_warm_call_bit_exact(lambda session: session.spmm(csr, feats, dtype=dtype))
         ref = dense.astype(np.float64) @ feats.astype(np.float64)
         np.testing.assert_allclose(
             out["C"].reshape(rows, feat).astype(np.float64), ref, rtol=1e-4, atol=1e-4
@@ -119,12 +146,18 @@ class TestSpMMDifferential:
         feats = np.random.default_rng(seed + 1).standard_normal((cols, feat)).astype(np.float32)
         func = build_spmm_hyb_program(hyb, feat, feats)
         assert_tiers_bit_exact(func)
+        assert_warm_call_bit_exact(
+            lambda session: session.spmm(
+                csr, feats, format="hyb", num_col_parts=parts, num_buckets=buckets
+            )
+        )
 
     def test_empty_matrix(self):
         csr = CSRMatrix.from_dense(np.zeros((5, 7), dtype=np.float32))
         feats = np.ones((7, 3), dtype=np.float32)
         out = assert_tiers_bit_exact(build_spmm_program(csr, 3, feats))
         assert np.all(out["C"] == 0.0)
+        assert_warm_call_bit_exact(lambda session: session.spmm(csr, feats))
 
     def test_empty_rows_and_single_element(self):
         dense = np.zeros((4, 4), dtype=np.float32)
@@ -132,6 +165,7 @@ class TestSpMMDifferential:
         csr = CSRMatrix.from_dense(dense)
         feats = np.arange(8, dtype=np.float32).reshape(4, 2)
         assert_tiers_bit_exact(build_spmm_program(csr, 2, feats))
+        assert_warm_call_bit_exact(lambda session: session.spmm(csr, feats))
 
 
 class TestSDDMMDifferential:
@@ -153,12 +187,16 @@ class TestSDDMMDifferential:
         y = rng.standard_normal((feat, cols)).astype(dtype)
         func = build_sddmm_program(csr, feat, x, y, fuse_ij=fuse, dtype=np.dtype(dtype).name)
         assert_tiers_bit_exact(func)
+        assert_warm_call_bit_exact(
+            lambda session: session.sddmm(csr, x, y, fuse_ij=fuse, dtype=dtype)
+        )
 
     def test_fused_loop_over_empty_matrix(self):
         csr = CSRMatrix.from_dense(np.zeros((3, 3), dtype=np.float32))
         x = np.ones((3, 2), dtype=np.float32)
         y = np.ones((2, 3), dtype=np.float32)
         assert_tiers_bit_exact(build_sddmm_program(csr, 2, x, y, fuse_ij=True))
+        assert_warm_call_bit_exact(lambda session: session.sddmm(csr, x, y, fuse_ij=True))
 
 
 class TestBlockAndBatchedDifferential:
@@ -178,6 +216,7 @@ class TestBlockAndBatchedDifferential:
         x = np.random.default_rng(seed + 3).standard_normal((cols, seq)).astype(np.float32)
         func = build_pruned_spmm_bsr_program(bsr, seq, x)
         assert_tiers_bit_exact(func)
+        assert_warm_call_bit_exact(lambda session: session.pruned_spmm(bsr, x))
 
     @settings(**SETTINGS)
     @given(
@@ -198,6 +237,7 @@ class TestBlockAndBatchedDifferential:
         )
         func = build_batched_spmm_program(csr, heads, feat, feats)
         assert_tiers_bit_exact(func)
+        assert_warm_call_bit_exact(lambda session: session.batched_spmm(csr, feats))
 
     @settings(**SETTINGS)
     @given(
@@ -218,6 +258,7 @@ class TestBlockAndBatchedDifferential:
         k = rng.standard_normal((heads, feat, cols)).astype(np.float32)
         func = build_batched_sddmm_program(csr, heads, feat, q, k, scale=scale)
         assert_tiers_bit_exact(func)
+        assert_warm_call_bit_exact(lambda session: session.batched_sddmm(csr, q, k, scale=scale))
 
 
 class TestRGMSDifferential:
@@ -238,6 +279,9 @@ class TestRGMSDifferential:
         w = rng.standard_normal((relations, in_feats, out_feats)).astype(np.float32)
         func = build_rgms_program(adjacency, in_feats, out_feats, x, w)
         assert_tiers_bit_exact(func)
+        assert_warm_call_bit_exact(
+            lambda session: session.rgms(adjacency, x, w), expect_handle=False
+        )
 
     def test_empty_relation(self):
         """A relation with no edges must contribute nothing on every tier."""
@@ -250,6 +294,9 @@ class TestRGMSDifferential:
         w = rng.standard_normal((3, 3, 2)).astype(np.float32)
         func = build_rgms_program(adjacency, 3, 2, x, w)
         assert_tiers_bit_exact(func)
+        assert_warm_call_bit_exact(
+            lambda session: session.rgms(adjacency, x, w), expect_handle=False
+        )
 
 
 class TestGraphChainDifferential:
@@ -273,8 +320,6 @@ class TestGraphChainDifferential:
         seed=st.integers(0, 2**16),
     )
     def test_random_chain(self, nodes, feat, density, depth, ops, dtype, seed):
-        from repro.runtime.session import Session
-
         dense = random_dense(nodes, nodes, density, dtype, seed)
         csr = CSRMatrix.from_dense(dense)
         rng = np.random.default_rng(seed + 7)
@@ -318,8 +363,6 @@ class TestGraphChainDifferential:
     )
     def test_rgms_chain(self, relations, nodes, feats, density, seed):
         """Per-relation RGMS chains (incl. empty relations) fuse bit-exactly."""
-        from repro.runtime.session import Session
-
         rng = np.random.default_rng(seed)
         dense = (rng.random((relations, nodes, nodes)) < density).astype(np.float32)
         adjacency = CSFTensor.from_dense(dense)

@@ -55,11 +55,17 @@ class TestSharedSession:
 
         _run_threads(worker)
         # Every thread raced on ONE structural entry; the cache must hold it
-        # exactly once and account for every build.
+        # exactly once and every call is accounted for — by a cache lookup
+        # or by a hit on the bound-kernel handle a lookup produced.
         assert len(session.cache) == 1
         stats = session.cache.stats
-        assert stats.hits + stats.misses == THREADS * ROUNDS
+        assert stats.hits + stats.misses + session.stats.handle_hits == THREADS * ROUNDS
         assert stats.misses >= 1
+        assert session.stats.builds == THREADS * ROUNDS
+        assert (
+            session.stats.kernel_cache_hits + session.stats.kernel_cache_misses
+            == THREADS * ROUNDS
+        )
         assert session.stats.runs == THREADS * ROUNDS
 
     def test_mixed_structures_with_eviction(self):

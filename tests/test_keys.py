@@ -38,12 +38,6 @@ class TestContentKey:
         # callers embed shape explicitly when it matters.
         assert content_key(a) == content_key(b)
 
-    def test_session_aliases_point_here(self):
-        from repro.runtime import session
-
-        assert session._content_key is content_key
-        assert session._resolve_dtype is resolve_dtype
-
 
 class TestResolveDtype:
     def test_default_is_float32(self):
