@@ -1,7 +1,7 @@
-"""Backend-tier wall-clock harness: interpreter / vectorized / emitted / native.
+"""Backend-tier wall-clock harness: interpreter / emitted / native.
 
 Unlike the other benchmark modules (which drive the GPU *performance model*),
-this harness measures real execution time of the four dispatch tiers on the
+this harness measures real execution time of the three dispatch tiers on the
 executable fig-13 (graph SpMM), fig-14 (graph SDDMM) and fig-16
 (sparse-attention) workloads, and writes ``BENCH_backends.json`` at the
 repository root — the perf trajectory the CI ``bench-smoke`` job uploads as
@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.codegen import UnsupportedForEmission
 from repro.ops.batched import build_batched_sddmm_program, build_batched_spmm_program
 from repro.ops.sddmm import build_sddmm_program
 from repro.ops.spmm import build_spmm_hyb_program, build_spmm_program
@@ -98,26 +99,22 @@ def _paired_medians(fn_a, fn_b, rounds):
 def _time_tiers(kernel, lanes, repeats=3, rounds=9):
     """Seconds per tier on an already-built kernel.
 
-    Emitted / vectorized / interpreter report best-of-N (the historical
-    columns); native vs emitted is measured in interleaved paired rounds
+    Emitted / interpreter report best-of-N (the historical columns);
+    native vs emitted is measured in interleaved paired rounds
     and reported as per-tier medians (``native_s`` / ``emitted_paired_s``).
     ``native_s`` is ``None`` when the tier is unavailable — no toolchain,
     or a program outside the C emitter's fragment.
     """
-    from repro.runtime.vectorized import UnsupportedProgram
-
     timings = {}
     kernel.run(engine="emitted")  # warm-up compiles the plan once
     timings["emitted_s"] = _best_seconds(lambda: kernel.run(engine="emitted"), repeats)
-    kernel.run(engine="vectorized")
-    timings["vectorized_s"] = _best_seconds(lambda: kernel.run(engine="vectorized"), repeats)
     if lanes <= INTERPRETER_LANE_BUDGET:
         timings["interpreter_s"] = _best_seconds(lambda: kernel.run(engine="interpret"), 1)
     else:
         timings["interpreter_s"] = None
     try:
         kernel.run(engine="native")  # warm-up: compile (or load) the .so once
-    except UnsupportedProgram:
+    except UnsupportedForEmission:
         timings["native_s"] = None
         timings["emitted_paired_s"] = None
         return timings
@@ -148,7 +145,6 @@ def _record(results, figure, workload, kernel, lanes, repeats=3, rounds=9):
         "workload": workload,
         "lanes": int(lanes),
         **timings,
-        "speedup_emitted_vs_vectorized": timings["vectorized_s"] / timings["emitted_s"],
         "speedup_emitted_vs_interpreter": (
             timings["interpreter_s"] / timings["emitted_s"]
             if timings["interpreter_s"]
@@ -165,8 +161,7 @@ def _record(results, figure, workload, kernel, lanes, repeats=3, rounds=9):
         else "native     (unavailable)"
     )
     print(
-        f"{figure:18s} {workload:38s} emitted {timings['emitted_s'] * 1e3:8.2f} ms   "
-        f"x{entry['speedup_emitted_vs_vectorized']:.2f} vs vectorized   {native_col}"
+        f"{figure:18s} {workload:38s} emitted {timings['emitted_s'] * 1e3:8.2f} ms   {native_col}"
     )
 
 
@@ -210,8 +205,6 @@ def _run_suite(mode, shapes, output):
 
     from repro.core.codegen.emit_c import toolchain_available
 
-    speedups = [r["speedup_emitted_vs_vectorized"] for r in results]
-    fig13 = [r["speedup_emitted_vs_vectorized"] for r in results if r["figure"] == "fig13-spmm"]
     native = [r["speedup_native_vs_emitted"] for r in results
               if r["speedup_native_vs_emitted"] is not None]
     native_fig13 = [r["speedup_native_vs_emitted"] for r in results
@@ -221,22 +214,19 @@ def _run_suite(mode, shapes, output):
         return float(np.exp(np.mean(np.log(values)))) if values else None
 
     payload = {
-        "schema": 2,
+        "schema": 3,
         "harness": "benchmarks/test_backends.py",
         "mode": mode,
         "numpy": np.__version__,
-        "tiers": ["native", "emitted", "vectorized", "interpreter"],
+        "tiers": ["native", "emitted", "interpreter"],
         "native_toolchain": toolchain_available(),
         "methodology": {
-            "emitted/vectorized/interpreter": "best-of-N single runs",
+            "emitted/interpreter": "best-of-N single runs",
             "native_vs_emitted": "interleaved paired rounds; "
                                  "ratio = median(emitted)/median(native)",
         },
         "results": results,
         "summary": {
-            "geomean_emitted_vs_vectorized": _geomean(speedups),
-            "geomean_emitted_vs_vectorized_fig13": _geomean(fig13),
-            "min_emitted_vs_vectorized_fig13": float(min(fig13)),
             "geomean_native_vs_emitted": _geomean(native),
             "geomean_native_vs_emitted_fig13": _geomean(native_fig13),
             "min_native_vs_emitted": float(min(native)) if native else None,
@@ -244,12 +234,11 @@ def _run_suite(mode, shapes, output):
     }
     output.write_text(json.dumps(payload, indent=2) + "\n")
     native_note = (
-        f", geomean native vs emitted: x{payload['summary']['geomean_native_vs_emitted']:.2f}"
+        f"geomean native vs emitted: x{payload['summary']['geomean_native_vs_emitted']:.2f}"
         if native
-        else ", native tier unavailable (no C toolchain)"
+        else "native tier unavailable (no C toolchain)"
     )
-    print(f"\nwrote {output} (geomean emitted vs vectorized: "
-          f"x{payload['summary']['geomean_emitted_vs_vectorized']:.2f}{native_note})")
+    print(f"\nwrote {output} ({native_note})")
     return payload
 
 
@@ -264,7 +253,7 @@ def test_backend_smoke():
     payload = _run_suite("smoke", SMOKE_SHAPES, SMOKE_OUTPUT)
     assert SMOKE_OUTPUT.exists()
     for row in payload["results"]:
-        assert row["emitted_s"] > 0 and row["vectorized_s"] > 0
+        assert row["emitted_s"] > 0
         assert row["interpreter_s"] is None or row["interpreter_s"] > 0
         assert row["native_s"] is None or row["native_s"] > 0
         if not payload["native_toolchain"]:
@@ -276,12 +265,9 @@ def test_backend_smoke():
 @pytest.mark.figure("backends")
 def test_backend_full(bench_output):
     """Paper-scale shapes; the committed ``BENCH_backends.json`` comes from
-    this run under ``pytest --write-bench``.  Emitted must clearly beat the
-    per-call-planning vectorized
-    tier on the fig-13 SpMM shapes (the compile-once/run-many claim), and —
-    when a C toolchain is present — the native tier must beat emitted by
-    >= 1.5x geomean on the same shapes (paired-median ratios)."""
+    this run under ``pytest --write-bench``.  When a C toolchain is
+    present the native tier must beat emitted by >= 1.5x geomean on the
+    fig-13 SpMM shapes (paired-median ratios)."""
     payload = _run_suite("full", FULL_SHAPES, bench_output(OUTPUT))
-    assert payload["summary"]["geomean_emitted_vs_vectorized_fig13"] >= 1.5
     if payload["native_toolchain"]:
         assert payload["summary"]["geomean_native_vs_emitted_fig13"] >= 1.5

@@ -62,7 +62,7 @@ def main() -> None:
           f"(paper reports {graph.spec.paper_padding_percent:.1f}% for the full-size graph)")
 
     # Numerically execute the tuned composable-format kernel on a small
-    # feature slice through the session (vectorized fast path + kernel cache)
+    # feature slice through the session (compiled kernel + kernel cache)
     # and validate it against the dense reference.
     features = feature_matrix(csr.cols, 16, seed=1)
     out = session.spmm(

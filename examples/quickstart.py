@@ -4,9 +4,9 @@ This walks the full pipeline of the paper on a small random sparse matrix:
 
 1. write the stage-I (coordinate space) program with the builder API;
 2. lower it to stage II (position space) and stage III (flat loops);
-3. execute the compiled kernel on the NumPy runtime (the vectorized fast
-   path) through a compile-once/run-many Session and check it against a
-   dense reference;
+3. execute the compiled kernel on the NumPy runtime (native C kernel when
+   a compiler is present, emitted NumPy kernel otherwise) through a
+   compile-once/run-many Session and check it against a dense reference;
 4. inspect the generated CUDA-like listing;
 5. estimate its execution time on a simulated V100.
 
@@ -43,7 +43,7 @@ def main() -> None:
     schedule.bind(loops[-1], "threadIdx.x")
 
     # 3. Build (stage III + codegen, cached structurally by the session) and
-    #    execute on the NumPy runtime's vectorized fast path.
+    #    execute on the fastest tier the runtime has for this program.
     kernel = session.build(schedule.func)
     out = session.run_kernel(kernel)
     result = out["C"].reshape(matrix.rows, feat_size)

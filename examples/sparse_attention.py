@@ -68,7 +68,8 @@ def run_attention_step() -> None:
     stats = session.stats.as_dict()
     print(f"attention step ({heads} heads, seq {seq}, dim {dim}) executed "
           f"through the Session runtime:")
-    print(f"  engines: {stats['vectorized_runs']} vectorized, "
+    print(f"  engines: {stats['native_runs']} native, "
+          f"{stats['emitted_runs']} emitted, "
           f"{stats['interpreted_runs']} interpreted")
     print(f"  kernel cache: {stats['kernel_cache_misses']} misses, "
           f"{stats['kernel_cache_hits']} hits "

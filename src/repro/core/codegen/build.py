@@ -11,10 +11,15 @@ from ..stage2.lowering import lower_sparse_iterations
 from ..stage3.buffer_lowering import lower_sparse_buffers
 from .cache import CacheEntry, KernelCache, resolve_cache, structural_fingerprint
 from .cuda_like import emit_cuda_source
+from .emit_numpy import UnsupportedForEmission, compile_emitted, emit_numpy_source
 from .fusion import launch_count
 
 #: Execution tiers of :meth:`Kernel.run`, fastest first.
-ENGINES = ("native", "emitted", "vectorized", "interpret")
+ENGINES = ("native", "emitted", "interpret")
+
+
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 class Kernel:
@@ -22,14 +27,14 @@ class Kernel:
 
     A kernel bundles the fully lowered (stage-III) program with
 
-    * a NumPy runtime (:meth:`run`) with four dispatch tiers: the native
+    * a NumPy runtime (:meth:`run`) with three dispatch tiers: the native
       compiled kernel (C source generated once per structure, compiled into
       a shared object and shared across processes through the disk cache),
       the emitted stage-IV NumPy kernel (source generated once per
-      structure, plan executed once per process), the vectorized
-      whole-array fast path, and the element-by-element interpreter — tried
-      in that order under ``"auto"``, with automatic fallback whenever a
-      tier rejects the program; every tier is bit-exact,
+      structure, plan executed once per process), and the
+      element-by-element interpreter — tried in that order under
+      ``"auto"``, with automatic fallback whenever a tier rejects the
+      program (:attr:`declined` says why); every tier is bit-exact,
     * the emitted NumPy listing (:meth:`emitted_source`) and the pseudo-CUDA
       listing (:meth:`cuda_source`) produced by code generation, and
     * a hook for the GPU performance model (:meth:`profile`) which estimates
@@ -61,7 +66,7 @@ class Kernel:
         #: (``None`` for an uncached build).
         self.cache_hit: Optional[bool] = None
         self._source: Optional[str] = None
-        self._vectorized: Any = None  # lazily built; False marks "unsupported"
+        self._aux_rebound = False
         # The cache entry shares the emitted source and its compiled runner
         # across every kernel built from the same structure; an uncached
         # kernel gets a private entry on first use.  ``cache``/``key`` give
@@ -84,11 +89,11 @@ class Kernel:
 
         ``engine`` selects the backend: ``"auto"`` (default) tries the
         native compiled kernel, then the emitted stage-IV NumPy kernel, then
-        the vectorized fast path, then the interpreter, silently falling
-        back whenever a tier does not support the program; ``"native"`` /
-        ``"emitted"`` / ``"vectorized"`` require that tier (raising if it
-        does not apply); ``"interpret"`` forces the scalar interpreter.
-        ``last_engine`` records the tier that served the run.
+        the interpreter, silently falling back whenever a tier does not
+        support the program; ``"native"`` / ``"emitted"`` require that tier
+        (raising :class:`UnsupportedForEmission` if it does not apply);
+        ``"interpret"`` forces the scalar interpreter.  ``last_engine``
+        records the tier that served the run.
 
         ``prepared=True`` is the warm path of a
         :class:`~repro.runtime.bound.BoundKernel`: *bindings* already is the
@@ -100,10 +105,10 @@ class Kernel:
         if prepared:
             runner = self._native_runner() if engine == "native" else self._emitted_runner()
             self.last_engine = engine
+            self._aux_rebound = False
             return runner(bindings)
 
         from ...runtime.executor import Executor
-        from ...runtime.vectorized import UnsupportedProgram, VectorizedExecutor
 
         merged: Dict[str, np.ndarray] = dict(self.defaults)
         if bindings:
@@ -113,8 +118,9 @@ class Kernel:
             raise ValueError(f"unknown engine {engine!r}")
         # The native and emitted plans bake the auxiliary (structural) arrays
         # in, so a binding that overrides one would be silently ignored; such
-        # runs drop to the vectorized tier which reads them per call.
-        aux_override = bindings and any(name in self._aux_names for name in bindings)
+        # runs drop to the interpreter, which reads them per call.
+        aux_override = bool(bindings) and any(name in self._aux_names for name in bindings)
+        self._aux_rebound = aux_override
         if engine in ("auto", "native"):
             runner = None if aux_override else self._native_runner()
             if runner is not None:
@@ -122,7 +128,7 @@ class Kernel:
                 self.last_engine = "native"
                 return result
             if engine == "native":
-                raise UnsupportedProgram(
+                raise UnsupportedForEmission(
                     f"program {self.func.name!r} has no native kernel"
                     + (" (auxiliary buffers rebound)" if aux_override else "")
                 )
@@ -133,30 +139,10 @@ class Kernel:
                 self.last_engine = "emitted"
                 return result
             if engine == "emitted":
-                raise UnsupportedProgram(
+                raise UnsupportedForEmission(
                     f"program {self.func.name!r} has no emitted kernel"
                     + (" (auxiliary buffers rebound)" if aux_override else "")
                 )
-        if engine == "vectorized":
-            # Strict: any rejection (at analysis or at run time) propagates.
-            executor = (
-                self._vectorized
-                if isinstance(self._vectorized, VectorizedExecutor)
-                else VectorizedExecutor(self.func)
-            )
-            self._vectorized = executor
-            result = executor.run(merged)
-            self.last_engine = "vectorized"
-            return result
-        if engine == "auto" and self._vectorized is not False:
-            try:
-                if self._vectorized is None:
-                    self._vectorized = VectorizedExecutor(self.func)
-                result = self._vectorized.run(merged)
-                self.last_engine = "vectorized"
-                return result
-            except UnsupportedProgram:
-                self._vectorized = False
         self.last_engine = "interpret"
         return Executor(self.func).run(merged)
 
@@ -172,13 +158,39 @@ class Kernel:
 
         ``"native"`` / ``"emitted"`` when :meth:`run` would serve this kernel
         from that tier (compiling its runner now if needed); ``None`` when
-        the run would reach the vectorized tier or the interpreter.
+        the run would reach the interpreter.
         """
         if engine in ("auto", "native") and self._native_runner() is not None:
             return "native"
         if engine in ("auto", "emitted") and self._emitted_runner() is not None:
             return "emitted"
         return None
+
+    @property
+    def declined(self) -> Dict[str, str]:
+        """Why a compiled tier did not serve this kernel: tier -> reason.
+
+        Reasons are recorded once per cache entry, the first time a tier is
+        tried and declines (``"no toolchain"``, ``"UnsupportedForEmission:
+        <message>"``, or the compile/plan error with its type); a tier that
+        was never tried or that works is absent.  When the last :meth:`run`
+        rebound an auxiliary buffer, both compiled tiers read
+        ``"aux rebound"`` for that run.
+        """
+        if self._aux_rebound:
+            return {"native": "aux rebound", "emitted": "aux rebound"}
+        return dict(self._entry.declined) if self._entry is not None else {}
+
+    def _ensure_entry(self) -> CacheEntry:
+        """The shared cache entry, or a private one for an uncached kernel."""
+        entry = self._entry
+        if entry is None:
+            entry = self._entry = CacheEntry(lowered=self.func)
+            try:
+                entry.source = emit_numpy_source(self.func)
+            except UnsupportedForEmission as exc:
+                entry.declined["emitted"] = _reason(exc)
+        return entry
 
     def _emitted_runner(self) -> Any:
         """The compiled stage-IV runner, or ``None`` when unavailable.
@@ -188,30 +200,28 @@ class Kernel:
         a failed compile or plan (e.g. lane overflow) marks the entry so the
         fallback decision is also made once.
         """
-        entry = self._entry
-        if entry is None:
-            entry = self._entry = CacheEntry(lowered=self.func, source=self._emit_source())
-        if entry.source is None or entry.runner is False:
+        entry = self._ensure_entry()
+        if entry.source is None:
+            if "emitted" not in entry.declined:
+                # A cached entry (memory or disk) stores only the absence of
+                # source; ask the emitter again for the reason.
+                try:
+                    emit_numpy_source(self.func)
+                except UnsupportedForEmission as exc:
+                    entry.declined["emitted"] = _reason(exc)
+            return None
+        if entry.runner is False:
             return None
         if entry.runner is not None:
             return entry.runner
         with entry.lock:
             if entry.runner is None:
-                from .emit_numpy import compile_emitted
-
                 try:
                     entry.runner = compile_emitted(entry.source, self.func)
-                except Exception:
+                except Exception as exc:
                     entry.runner = False
+                    entry.declined["emitted"] = _reason(exc)
         return entry.runner or None
-
-    def _emit_source(self) -> Optional[str]:
-        from .emit_numpy import UnsupportedForEmission, emit_numpy_source
-
-        try:
-            return emit_numpy_source(self.func)
-        except UnsupportedForEmission:
-            return None
 
     def _native_runner(self) -> Any:
         """The compiled native (C) runner, or ``None`` when unavailable.
@@ -221,9 +231,7 @@ class Kernel:
         outside the C emitter's fragment, a compile or load error — marking
         the entry so the fallback to the emitted tier is decided once.
         """
-        entry = self._entry
-        if entry is None:
-            entry = self._entry = CacheEntry(lowered=self.func, source=self._emit_source())
+        entry = self._ensure_entry()
         if entry.native_runner is False:
             return None
         if entry.native_runner is not None:
@@ -233,54 +241,52 @@ class Kernel:
                 entry.native_runner = self._build_native(entry) or False
         return entry.native_runner or None
 
-    def _build_native(self, entry: CacheEntry) -> Any:
-        from .emit_c import emit_c_source, load_native, toolchain_available
-        from .emit_numpy import UnsupportedForEmission
+    def _native_sources(self, entry: CacheEntry) -> Any:
+        """The emitted ``(c_source, glue_source)`` pair, or ``False`` when the
+        program falls outside the C emitter's fragment (decided once)."""
+        from .emit_c import emit_c_source
 
-        if not toolchain_available():
-            return None
         if entry.native is None:
             try:
                 entry.native = emit_c_source(self.func)
-            except UnsupportedForEmission:
+            except UnsupportedForEmission as exc:
                 entry.native = False
-        if entry.native is False:
+                entry.declined["native"] = _reason(exc)
+        return entry.native
+
+    def _build_native(self, entry: CacheEntry) -> Any:
+        from .emit_c import load_native, toolchain_available
+
+        if not toolchain_available():
+            entry.declined["native"] = "no toolchain"
             return None
-        c_source, glue_source = entry.native
+        sources = self._native_sources(entry)
+        if sources is False:
+            return None
+        c_source, glue_source = sources
         disk = self._cache.disk if self._cache is not None else None
         stats = self._cache.stats if self._cache is not None else None
         try:
             return load_native(
                 self.func, c_source, glue_source, disk=disk, key=self._key, stats=stats
             )
-        except Exception:
+        except Exception as exc:
             # Compile failure, artifact load failure, or a plan that
             # overflows the lane budget: the emitted tier takes over.
+            entry.declined["native"] = _reason(exc)
             return None
 
     def native_source(self) -> Optional[str]:
         """The C module emitted for this kernel's native tier (``None`` when
         the program falls outside the C emitter's fragment)."""
-        from .emit_c import emit_c_source
-        from .emit_numpy import UnsupportedForEmission
-
-        entry = self._entry
-        if entry is None:
-            entry = self._entry = CacheEntry(lowered=self.func, source=self._emit_source())
-        if entry.native is None:
-            try:
-                entry.native = emit_c_source(self.func)
-            except UnsupportedForEmission:
-                entry.native = False
-        return entry.native[0] if entry.native else None
+        sources = self._native_sources(self._ensure_entry())
+        return sources[0] if sources else None
 
     # -- code generation ---------------------------------------------------------
     def emitted_source(self) -> Optional[str]:
         """The stage-IV NumPy module emitted for this kernel (``None`` when
         the program falls outside the emitter's fragment)."""
-        if self._entry is None:
-            self._entry = CacheEntry(lowered=self.func, source=self._emit_source())
-        return self._entry.source
+        return self._ensure_entry().source
 
     def cuda_source(self) -> str:
         """The CUDA-like listing emitted for this kernel."""
@@ -410,8 +416,6 @@ def build(
         defaults.update(_collect_defaults(func))
         if cache_obj is None or key is None:
             return Kernel(func, stage2=stage2, defaults=defaults)
-
-        from .emit_numpy import UnsupportedForEmission, emit_numpy_source
 
         func = _structural_copy(func)
         stage2 = None if stage2 is None else _structural_copy(stage2)

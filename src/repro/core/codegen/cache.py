@@ -196,6 +196,10 @@ class CacheEntry:
     C emitter's fragment) and ``native_runner`` the compiled-and-loaded
     closure.  Both are per-process — only the shared object itself persists,
     in the disk layer keyed by source hash, platform and ABI.
+
+    ``declined`` maps a compiled tier (``"native"`` / ``"emitted"``) to the
+    reason it will not serve this entry, written where the tier is marked
+    unavailable and read through :attr:`Kernel.declined`.
     """
 
     lowered: PrimFunc
@@ -204,6 +208,7 @@ class CacheEntry:
     runner: Any = None
     native: Any = None
     native_runner: Any = None
+    declined: Dict[str, str] = field(default_factory=dict, repr=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 

@@ -92,6 +92,7 @@ from .emit_numpy import (
     _indent,
     aux_arrays,
 )
+from .hazards import coords_to_positions
 
 #: Bumped whenever the native-source contract (C layout, glue protocol, or
 #: compile flags) changes; stale on-disk ``.so`` artifacts from an older
@@ -388,7 +389,7 @@ class _CEmitter(_Emitter):
         array = self._bind_buffer(name)
         self._stored.add(name)
 
-        residual = self._vec._reduction_residual.get(id(store))
+        residual = self._store_forms.get(id(store))
         value_expr = residual[1] if residual is not None else store.value
         if self._expr_zone(store.indices[0]) == _RUN:
             self._emit_run_index_store(
@@ -1029,8 +1030,6 @@ def load_native(
     processes; see :meth:`DiskKernelCache.get_native`); ``stats`` receives
     ``native_hits`` / ``native_rebuilds``.
     """
-    from ...runtime.vectorized import coords_to_positions
-
     sha = source_sha(c_source)
     with _MEMO_LOCK:
         lib = _LIB_MEMO.get(sha)

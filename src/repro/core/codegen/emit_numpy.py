@@ -1,11 +1,11 @@
 """Stage-IV source backend: emit a compiled NumPy kernel for a stage-III program.
 
-The vectorized executor (:mod:`repro.runtime.vectorized`) re-plans every call:
-it walks the stage-III AST, expands loops into lane arrays, evaluates every
-expression over the lanes and scatters the stores.  The *plan* — which lanes
-exist, which flat indices every load gathers from, which lanes a structural
-zero drops — depends only on the program structure, and the structure is
-exactly what the kernel cache fingerprints.  This module walks the lowered
+A stage-III loop nest can be executed with whole-array NumPy operations:
+expand its loops into lane arrays, evaluate every expression over the lanes
+and scatter the stores.  The *plan* — which lanes exist, which flat indices
+every load gathers from, which lanes a structural zero drops — depends only
+on the program structure, and the structure is exactly what the kernel cache
+fingerprints.  This module walks the lowered
 program **once** and fixes that plan into Python source text:
 
 * :func:`emit_numpy_source` returns a standalone module defining
@@ -19,15 +19,17 @@ program **once** and fixes that plan into Python source text:
 
 Expressions are split between the two zones by what they read: loads from
 auxiliary (structural) buffers are **plan** work, loads from value buffers
-are **run** work.  Every emitted operation mirrors the corresponding
-vectorized-executor operation (same NumPy calls, same lane order, same
-masking), so emitted results are bit-identical to both the vectorized
-executor and the scalar interpreter.
+are **run** work.  Lanes are materialised in serial loop order, reductions
+scatter through ``ufunc.at`` (unbuffered, in lane order) and structural zeros
+are masks instead of exceptions (an invalid index makes a load evaluate to 0
+and a store drop its lane), so emitted results are bit-identical to the
+scalar interpreter.
 
 Programs outside the emitter's fragment (value-dependent loop bounds or
-branch conditions, unknown intrinsics, anything the vectorized safety
-analysis rejects) raise :class:`UnsupportedForEmission`; callers fall back to
-the vectorized tier, so emission is never a correctness risk.
+branch conditions, unknown intrinsics, anything the hazard analysis of
+:mod:`~repro.core.codegen.hazards` rejects) raise
+:class:`UnsupportedForEmission`; callers fall back to the interpreter, so
+emission is never a correctness risk.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from ..stmt import (
     SeqStmt,
     Stmt,
 )
+from .hazards import UnsupportedForEmission, analyze_hazards, coords_to_positions
 
 #: Bumped whenever the emitted-source contract changes; participates in the
 #: structural fingerprint so stale on-disk source can never be executed.
@@ -113,18 +116,13 @@ _CALL_OPS = {
 _UNARY_CALLS = {"exp", "tanh", "sqrt", "log", "abs"}
 
 
-class UnsupportedForEmission(Exception):
-    """The program contains a construct the source emitter cannot fix into code."""
-
-
 class _Val:
     """One emitted expression: a code fragment plus its static classification.
 
     ``zone`` says when the fragment's inputs are available (``plan``: only
     structural data; ``run``: value arrays).  ``lanes`` says whether the
-    fragment evaluates to a lane array or a scalar — known statically, unlike
-    the vectorized executor which checks ``np.ndim`` at run time.  ``invalid``
-    names the structural-zero mask accompanying the value, if any.
+    fragment evaluates to a lane array or a scalar — known statically.
+    ``invalid`` names the structural-zero mask accompanying the value, if any.
     """
 
     __slots__ = ("code", "zone", "lanes", "invalid")
@@ -144,15 +142,9 @@ class _Emitter:
     def __init__(self, func: PrimFunc):
         if func.stage != STAGE_LOOP:
             raise ValueError(f"emit_numpy expects a stage-III program, got {func.stage}")
-        from ...runtime.vectorized import UnsupportedProgram, VectorizedExecutor
-
-        try:
-            # Reuse the vectorized executor's safety analysis: it proves each
-            # nest free of read-after-write hazards and classifies every store
-            # as a plain store or a reduction self-update.
-            self._vec = VectorizedExecutor(func)
-        except UnsupportedProgram as exc:
-            raise UnsupportedForEmission(str(exc)) from exc
+        # Proves each nest free of read-after-write hazards and classifies
+        # every store as a plain store or a reduction self-update.
+        self._store_forms = analyze_hazards(func)
         self.func = func
         self.aux_names = {buf.name: buf for buf in func.aux_buffers}
         self.flat_sizes = {fb.name: fb.size for fb in func.flat_buffers}
@@ -221,8 +213,8 @@ class _Emitter:
                 self._walk(stmt.body, env, n_code, mode)
             return
         if mode == "init":
-            # Mirror the vectorized executor: the init pass does not descend
-            # into leaf statements above the first block.
+            # Mirror the interpreter: the init pass does not descend into
+            # leaf statements above the first block.
             return
         if mode == "init_only":
             if isinstance(stmt, IfThenElse):
@@ -361,7 +353,7 @@ class _Emitter:
         if size is None:
             raise UnsupportedForEmission(f"store to unknown flat buffer {name!r}")
         array = self._bind_buffer(name)
-        residual = self._vec._reduction_residual.get(id(store))
+        residual = self._store_forms.get(id(store))
         self._line(_RUN, f"# {store!r}")
 
         index = self._eval(store.indices[0], env, n_code)
@@ -453,8 +445,8 @@ class _Emitter:
             if call is not None:
                 return _Val(f"{call}({a.code}, {b.code})", zone, lanes, invalid)
             if isinstance(expr, Div):
-                # The vectorized executor evaluates divisions under
-                # ``np.errstate`` to silence 0/0 warnings; mirror that.
+                # Whole-array division warns on x/0 and 0/0 lanes; the
+                # results (inf / nan) are the contract, the warnings are not.
                 name = self._fresh("q")
                 self._line(
                     zone,
@@ -559,7 +551,7 @@ class _Emitter:
             # reached when the slice applies (``anybad`` is part of the
             # condition), and every consumer either reads the view or copies
             # out of it before any store touches the source buffer (the
-            # vectorized safety analysis proves nests hazard-free).
+            # hazard analysis proves nests hazard-free).
             gather = self._fresh("sl")
             self._line(
                 _PLAN,
@@ -791,7 +783,7 @@ def emit_numpy_source(func: PrimFunc) -> str:
     """Emit the stage-IV NumPy module source for a stage-III program.
 
     Raises :class:`UnsupportedForEmission` when the program falls outside the
-    emitter's fragment; callers fall back to the vectorized tier.
+    emitter's fragment; callers fall back to the interpreter.
     """
     return _Emitter(func).emit()
 
@@ -800,8 +792,8 @@ def aux_arrays(func: PrimFunc) -> Dict[str, np.ndarray]:
     """The structural (auxiliary) flat arrays of a lowered program.
 
     Prepared exactly like :func:`repro.runtime.executor.prepare_arrays` does
-    for the same buffers, so plan-time loads observe the bytes the vectorized
-    executor would.
+    for the same buffers, so plan-time loads observe the bytes the
+    interpreter would.
     """
     dtypes = {fb.name: fb.dtype for fb in func.flat_buffers}
     sizes = {fb.name: fb.size for fb in func.flat_buffers}
@@ -822,8 +814,6 @@ def compile_emitted(source: str, func: PrimFunc) -> Any:
     propagates to the caller, which treats the emitted tier as unavailable
     for this kernel and falls back.
     """
-    from ...runtime.vectorized import coords_to_positions
-
     namespace: Dict[str, Any] = {}
     code = compile(source, f"<emitted:{func.name}>", "exec")
     exec(code, namespace)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 #: Upper bound on the number of lanes a single loop nest may expand to before
-#: the whole-array engines (vectorized executor, emitted kernels) bail out to
-#: the interpreter (guards against memory blowups).  Part of the structural
+#: the compiled tiers (emitted and native kernels) bail out to the
+#: interpreter (guards against memory blowups).  Part of the structural
 #: fingerprint: changing it changes which engine serves a cached kernel.
 MAX_LANES = 1 << 26
 
@@ -14,7 +14,7 @@ MAX_LANES = 1 << 26
 def ragged_arange(counts: np.ndarray) -> np.ndarray:
     """``concatenate([arange(c) for c in counts])`` without the Python loop.
 
-    The workhorse of ragged-range expansion: both the vectorized executor
+    The workhorse of ragged-range expansion: both the emitted kernels
     (expanding variable-extent loops into lanes) and the hyb format builder
     (scattering variable-length row pieces into ELL buckets) are built on it.
     """

@@ -24,9 +24,8 @@ values its ``bindmap`` names, finalises outputs that later units (or the
 caller) still need, and drops intermediates as soon as liveness allows.
 Every unit — fused or singleton — runs through a
 :class:`~repro.runtime.bound.BoundKernel`, the same warm path eager
-``Session`` calls take; only ``engine="vectorized"`` / ``"interpret"``
-sessions (and programs no compiled tier accepts) use the generic
-:meth:`Kernel.run` ladder.
+``Session`` calls take; only ``engine="interpret"`` sessions (and programs
+no compiled tier accepts) use the generic :meth:`Kernel.run` ladder.
 """
 
 from __future__ import annotations

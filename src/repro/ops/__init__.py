@@ -6,7 +6,7 @@ Each operator module provides up to four layers:
 * executable entry points (``spmm``, ``sddmm``, ``pruned_spmm``,
   ``batched_spmm``, ``batched_sddmm``, ``rgms``, ``sparse_conv``) — compile
   the stage-I program and run it through a compile-once/run-many
-  :class:`~repro.runtime.session.Session` (vectorized executor, structural
+  :class:`~repro.runtime.session.Session` (compiled kernels, structural
   kernel cache) returning plain arrays;
 * ``build_*_program`` — SparseTIR stage-I programs compiled through the full
   pipeline (used by tests and examples);

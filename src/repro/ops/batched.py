@@ -10,7 +10,7 @@ badly (0.04-0.08x in the paper), which the model reproduces.
 
 Both operators are executable end-to-end: ``build_batched_*_program`` emit
 stage-I programs whose head axis is a plain dense batch loop (flattened into
-lanes by the vectorized executor), and :func:`batched_spmm` /
+lanes by the compiled tiers), and :func:`batched_spmm` /
 :func:`batched_sddmm` run them through a compile-once/run-many
 :class:`~repro.runtime.session.Session` in CSR or BSR form.
 """
@@ -31,7 +31,7 @@ from ..formats.csr import CSRMatrix
 from ..perf.device import DeviceSpec
 from ..perf.tensor_core import MMA_SHAPES
 from ..perf.workload import BlockGroup, KernelWorkload
-from .common import INDEX_BYTES, ceil_div, keyword_session, value_bytes
+from .common import INDEX_BYTES, ceil_div, value_bytes
 from .sddmm import sddmm_reference
 from .spmm import spmm_reference
 
@@ -61,7 +61,6 @@ def batched_sddmm_reference(csr: CSRMatrix, q: np.ndarray, k: np.ndarray) -> np.
 # Executable operators (compile-once/run-many Session path)
 # ---------------------------------------------------------------------------
 
-@keyword_session
 def batched_spmm(
     csr: CSRMatrix,
     features: np.ndarray,
@@ -95,7 +94,6 @@ def batched_spmm(
     )
 
 
-@keyword_session
 def batched_sddmm(
     csr: CSRMatrix,
     q: np.ndarray,
@@ -148,8 +146,8 @@ def build_batched_spmm_program(
 ) -> PrimFunc:
     """The CSR multi-head SpMM program: Figure 3 plus a leading batch axis.
 
-    The head axis ``H`` is an ordinary dense-fixed loop, so the vectorized
-    executor flattens it into lanes exactly like the row/feature axes; the
+    The head axis ``H`` is an ordinary dense-fixed loop, so the compiled
+    tiers flatten it into lanes exactly like the row/feature axes; the
     sparsity structure (and the edge-value buffer ``A``) is shared by all
     heads, matching the attention masks of Section 4.3.1.
     """
@@ -247,7 +245,7 @@ def build_batched_sddmm_program(
     sparse axis — the batched flattening case of equation (8): one segment of
     ``nnz`` slots per head.  With ``scale`` a second, pointwise iteration
     rescales every stored score (the ``1/sqrt(d)`` step of attention), which
-    the vectorized executor runs as an in-place ``multiply.at`` reduction.
+    the compiled tiers run as an in-place ``multiply.at`` reduction.
     """
     ctx = EmitContext(ProgramBuilder("batched_sddmm"))
     emit_batched_sddmm(

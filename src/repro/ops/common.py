@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-import inspect
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -13,47 +10,6 @@ from ..perf.cache import reuse_distance_hit_rate
 from ..perf.device import DeviceSpec
 
 INDEX_BYTES = 4
-
-
-def keyword_session(func):
-    """Back-compat shim for operator entry points with keyword-only ``session``.
-
-    The operator free functions historically accepted the session (and the
-    options after it) positionally; the redesigned signatures make everything
-    from ``session`` on keyword-only.  This wrapper keeps the old positional
-    call pattern working — extra positional arguments map onto the
-    keyword-only parameters in declaration order — but emits a
-    ``DeprecationWarning`` steering callers to ``session=...``.
-    """
-    parameters = list(inspect.signature(func).parameters.values())
-    max_positional = sum(
-        1 for p in parameters if p.kind is not inspect.Parameter.KEYWORD_ONLY
-    )
-    keyword_names = [
-        p.name for p in parameters if p.kind is inspect.Parameter.KEYWORD_ONLY
-    ]
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        if len(args) > max_positional:
-            extra, args = args[max_positional:], args[:max_positional]
-            if len(extra) > len(keyword_names):
-                raise TypeError(f"{func.__name__}() got too many positional arguments")
-            warnings.warn(
-                f"passing session positionally to {func.__name__}() is "
-                f"deprecated; use {func.__name__}(..., session=session)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            for name, value in zip(keyword_names, extra):
-                if name in kwargs:
-                    raise TypeError(
-                        f"{func.__name__}() got multiple values for argument {name!r}"
-                    )
-                kwargs[name] = value
-        return func(*args, **kwargs)
-
-    return wrapper
 
 
 def value_bytes(dtype: str) -> int:

@@ -25,7 +25,7 @@ from ..formats.dbsr import DBSRMatrix
 from ..formats.srbcrs import SRBCRSMatrix
 from ..perf.device import DeviceSpec
 from ..perf.workload import BlockGroup, KernelWorkload
-from .common import INDEX_BYTES, dense_reuse_miss_rate, keyword_session, value_bytes
+from .common import INDEX_BYTES, dense_reuse_miss_rate, value_bytes
 
 #: Bytes of fixed work a thread block performs even when its block row is
 #: empty (reading the row extent, exiting).
@@ -44,7 +44,6 @@ def pruned_spmm_reference(bsr: BSRMatrix, x: np.ndarray) -> np.ndarray:
     return (bsr.to_scipy() @ x).astype(np.float32)
 
 
-@keyword_session
 def pruned_spmm(bsr: BSRMatrix, x: np.ndarray, *, session=None) -> np.ndarray:
     """Execute the BSR pruned SpMM through the pipeline and NumPy runtime."""
     from ..runtime.session import get_default_session

@@ -31,7 +31,7 @@ from ..formats.csf import CSFTensor
 from ..formats.hyb import HybFormat
 from ..perf.device import DeviceSpec
 from ..perf.workload import BlockGroup, KernelWorkload
-from .common import INDEX_BYTES, ceil_div, dense_reuse_miss_rate, keyword_session, value_bytes
+from .common import INDEX_BYTES, ceil_div, dense_reuse_miss_rate, value_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,6 @@ def rgms_two_stage_reference(adjacency: CSFTensor, x: np.ndarray, w: np.ndarray)
 # Executable operator (compile-once/run-many Session path)
 # ---------------------------------------------------------------------------
 
-@keyword_session
 def rgms(
     adjacency: CSFTensor,
     x: np.ndarray,

@@ -23,7 +23,7 @@ from ..core.sparse_iteration import fuse
 from ..formats.csr import CSRMatrix
 from ..perf.device import DeviceSpec
 from ..perf.workload import BlockGroup, KernelWorkload
-from .common import INDEX_BYTES, ceil_div, dense_reuse_miss_rate, keyword_session, value_bytes
+from .common import INDEX_BYTES, ceil_div, dense_reuse_miss_rate, value_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,6 @@ def sddmm_reference(csr: CSRMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # Executable operator (compile-once/run-many Session path)
 # ---------------------------------------------------------------------------
 
-@keyword_session
 def sddmm(
     csr: CSRMatrix,
     x: np.ndarray,

@@ -26,7 +26,7 @@ from ..core.program import PrimFunc
 from ..core.script import EmitContext, ProgramBuilder
 from ..perf.device import DeviceSpec
 from ..perf.workload import BlockGroup, KernelWorkload
-from .common import INDEX_BYTES, ceil_div, keyword_session, value_bytes
+from .common import INDEX_BYTES, ceil_div, value_bytes
 
 
 @dataclass
@@ -86,7 +86,6 @@ def sparse_conv_reference(problem: SparseConvProblem, features: np.ndarray, weig
 # Executable operator (compile-once/run-many Session path)
 # ---------------------------------------------------------------------------
 
-@keyword_session
 def sparse_conv(
     problem: SparseConvProblem,
     features: np.ndarray,

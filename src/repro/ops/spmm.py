@@ -31,7 +31,6 @@ from .common import (
     INDEX_BYTES,
     ceil_div,
     dense_reuse_miss_rate,
-    keyword_session,
     split_row_blocks,
     value_bytes,
 )
@@ -72,7 +71,6 @@ def spmm_hyb_reference(hyb: HybFormat, features: np.ndarray) -> np.ndarray:
 # Executable operator (compile-once/run-many Session path)
 # ---------------------------------------------------------------------------
 
-@keyword_session
 def spmm(
     csr: CSRMatrix,
     features: np.ndarray,
@@ -86,12 +84,12 @@ def spmm(
     """Execute ``A @ X`` through the compiler pipeline and NumPy runtime.
 
     Compiles the stage-I program (CSR, or composable ``hyb`` when
-    ``format="hyb"``), runs it on the vectorized executor (interpreter
-    fallback) and returns the dense ``(rows, feat_size)`` result.  Repeated
-    calls with the same sparsity structure reuse the session's cached
-    decomposition and lowered kernel.  ``tuned=True`` picks up the
-    autotuned decomposition recorded for this structure (see
-    :meth:`repro.runtime.session.Session.autotune`).
+    ``format="hyb"``), runs it on the fastest tier that accepts it (native,
+    then emitted, then the interpreter) and returns the dense
+    ``(rows, feat_size)`` result.  Repeated calls with the same sparsity
+    structure reuse the session's cached decomposition and lowered kernel.
+    ``tuned=True`` picks up the autotuned decomposition recorded for this
+    structure (see :meth:`repro.runtime.session.Session.autotune`).
     """
     from ..runtime.session import get_default_session
 

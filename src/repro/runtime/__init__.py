@@ -1,22 +1,20 @@
 """Runtime: NumPy-backed execution of lowered SparseTIR programs.
 
-Three execution tiers share identical semantics: the element-by-element
-:class:`Executor` (the numerical ground truth), the batched
-:class:`VectorizedExecutor` fast path, and the emitted stage-IV kernels
-(:mod:`repro.core.codegen.emit_numpy`) whose lane plan is fixed into
-generated source.  :class:`Session` is the compile-once/run-many entry point
-bundling format decomposition, kernel building (with structural and
-persistent caching) and engine selection.
+Three execution tiers share identical semantics: the native kernels
+(:mod:`repro.core.codegen.emit_c`, C compiled once per program family), the
+emitted stage-IV kernels (:mod:`repro.core.codegen.emit_numpy`) whose lane
+plan is fixed into generated source, and the element-by-element
+:class:`Executor` (the numerical ground truth, and the fallback for programs
+no compiled tier accepts).  :class:`Session` is the compile-once/run-many
+entry point bundling format decomposition, kernel building (with structural
+and persistent caching) and engine selection.
 """
 
 from .executor import Executor, prepare_arrays, run_primfunc
 from .session import Session, SessionStats, get_default_session
-from .vectorized import UnsupportedProgram, VectorizedExecutor
 
 __all__ = [
     "Executor",
-    "VectorizedExecutor",
-    "UnsupportedProgram",
     "prepare_arrays",
     "run_primfunc",
     "Session",

@@ -69,8 +69,8 @@ def prepare_arrays(
     buffers not bound explicitly use the data already attached to their
     :class:`SparseBuffer` (auxiliary indptr/indices buffers usually carry
     their data from the axes), or are zero-initialised.  Shared by the scalar
-    interpreter and the vectorized fast path so both engines observe
-    identical inputs.
+    interpreter and the compiled tiers so every engine observes identical
+    inputs.
 
     Buffers named in *skip* are left out: the native and emitted plans bake
     the auxiliary (``indptr``/``indices``) buffers in at build time, so
@@ -306,9 +306,11 @@ def run_primfunc(
 ) -> Dict[str, np.ndarray]:
     """Lower *func* as needed and execute it, returning all buffer arrays.
 
-    ``engine`` selects the execution backend: ``"auto"`` tries the vectorized
-    fast path and falls back to the interpreter, ``"vectorized"`` requires the
-    fast path, ``"interpret"`` forces the element-by-element interpreter.
+    ``engine`` selects the execution backend exactly as in
+    :meth:`repro.core.codegen.build.Kernel.run`: ``"auto"`` tries the native
+    kernel, then the emitted kernel, then the interpreter; ``"native"`` /
+    ``"emitted"`` require that tier; ``"interpret"`` forces the
+    element-by-element interpreter.
     Lowering goes through the structural kernel cache, so repeated calls with
     the same program structure skip it.
     """

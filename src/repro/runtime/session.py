@@ -15,8 +15,7 @@ A :class:`Session` bundles everything between "here is a sparse matrix" and
   recompiling them;
 * **execution engine selection** — kernels run on the native compiled
   kernel when available, then the emitted stage-IV NumPy kernel, then the
-  vectorized fast path, then the interpreter, and the session records which
-  tier served each run;
+  interpreter, and the session records which tier served each run;
 * **bound-kernel handles** — a repeated operator call over an unchanged
   structure skips all of the above: the session memoises a
   :class:`~repro.runtime.bound.BoundKernel` per operator application and a
@@ -51,7 +50,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.codegen.build import Kernel, build
+from ..core.codegen.build import ENGINES, Kernel, build
 from ..core.codegen.cache import KernelCache
 from ..core.program import PrimFunc
 from .bound import BoundKernel
@@ -62,9 +61,8 @@ from .keys import content_key
 class SessionStats:
     """Counters describing the compile/run activity of one session.
 
-    ``native_runs`` / ``emitted_runs`` / ``vectorized_runs`` /
-    ``interpreted_runs`` count which dispatch tier served each kernel
-    execution.  Compilation-side counters (``lowerings``, ``emissions``,
+    ``native_runs`` / ``emitted_runs`` / ``interpreted_runs`` count which
+    dispatch tier served each kernel execution.  Compilation-side counters (``lowerings``, ``emissions``,
     ``native_hits``, ``native_rebuilds``, ``disk_hits``) live on the kernel
     cache — read them from ``session.cache.stats`` to assert that a
     warm-started process did no compilation work at all.
@@ -83,7 +81,6 @@ class SessionStats:
     format_cache_misses: int = 0
     native_runs: int = 0
     emitted_runs: int = 0
-    vectorized_runs: int = 0
     interpreted_runs: int = 0
     graph_nodes_fused: int = 0
     graph_nodes_unfused: int = 0
@@ -102,18 +99,12 @@ class SessionStats:
 
     @property
     def runs(self) -> int:
-        return (
-            self.native_runs
-            + self.emitted_runs
-            + self.vectorized_runs
-            + self.interpreted_runs
-        )
+        return self.native_runs + self.emitted_runs + self.interpreted_runs
 
     @property
     def fast_runs(self) -> int:
-        """Runs served without the scalar interpreter (native, emitted or
-        vectorized)."""
-        return self.native_runs + self.emitted_runs + self.vectorized_runs
+        """Runs served without the scalar interpreter (native or emitted)."""
+        return self.native_runs + self.emitted_runs
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -124,7 +115,6 @@ class SessionStats:
             "format_cache_misses": self.format_cache_misses,
             "native_runs": self.native_runs,
             "emitted_runs": self.emitted_runs,
-            "vectorized_runs": self.vectorized_runs,
             "interpreted_runs": self.interpreted_runs,
             "graph_nodes_fused": self.graph_nodes_fused,
             "graph_nodes_unfused": self.graph_nodes_unfused,
@@ -178,11 +168,10 @@ class Session:
         kernel caching.
     engine:
         Execution backend passed to :meth:`Kernel.run`: ``"auto"`` (default:
-        native, then emitted, then vectorized, then interpreter),
-        ``"native"``, ``"emitted"``, ``"vectorized"`` or ``"interpret"``.
-        Only the two compiled tiers are served through bound-kernel
-        handles; ``"vectorized"`` and ``"interpret"`` always take the
-        generic :meth:`Kernel.run` path.
+        native, then emitted, then interpreter), ``"native"``,
+        ``"emitted"`` or ``"interpret"``.  Only the two compiled tiers are
+        served through bound-kernel handles; ``"interpret"`` always takes
+        the generic :meth:`Kernel.run` path.
     persistent:
         On-disk layer of the session's private kernel cache: ``None``
         (default) follows ``$REPRO_KERNEL_CACHE``; ``True`` uses the default
@@ -229,6 +218,8 @@ class Session:
     ):
         if format_cache_capacity <= 0:
             raise ValueError("format_cache_capacity must be positive")
+        if engine not in ("auto",) + ENGINES:
+            raise ValueError(f"unknown engine {engine!r}")
         if cache is None:
             if persistent is None:
                 cache = KernelCache()  # disk layer resolved from the environment
@@ -773,8 +764,7 @@ class Session:
         """Multi-head SpMM ``O[h] = A @ X[h]`` with a shared sparse mask.
 
         The head axis is a dense batch loop of the generated program, so the
-        vectorized executor flattens it into lanes alongside rows and
-        features.
+        compiled tiers flatten it into lanes alongside rows and features.
 
         Args:
             csr: The shared mask (:class:`~repro.formats.csr.CSRMatrix`).

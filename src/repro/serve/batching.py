@@ -35,7 +35,7 @@ from ..runtime.keys import content_key, resolve_dtype
 DEFAULT_MAX_BATCH = 16
 
 #: Default cap on total lanes (``batch * nnz * feat``) per coalesced launch.
-#: Past roughly this working set the vectorized multi-head kernel stops
+#: Past roughly this working set the coalesced multi-head kernel stops
 #: beating sequential eager execution (cache-capacity crossover), so larger
 #: groups are chunked rather than batched blindly.
 DEFAULT_MAX_LANES = 1_500_000

@@ -123,8 +123,8 @@ def tune_spmm(
 
     The default objective is the performance model's estimated kernel
     duration; ``objective="wallclock"`` instead *executes* each candidate
-    through the runtime's three-tier dispatch (emitted kernel, vectorized
-    executor, interpreter fallback) and minimises measured seconds — the
+    through the runtime's three-tier dispatch (native kernel, emitted
+    kernel, interpreter fallback) and minimises measured seconds — the
     compile-once/run-many loop the stage-IV backend exists for: every
     candidate structure is lowered and emitted once, then timed on its
     cached runner.  Each candidate column-partition / bucket-count pair is

@@ -1,9 +1,9 @@
-"""Differential harness: the four dispatch tiers must agree bit for bit.
+"""Differential harness: the three dispatch tiers must agree bit for bit.
 
 Every test builds a stage-I program from hypothesis-randomized formats,
 shapes and value dtypes, runs it through the native compiled-C kernel
-(when a toolchain is present), the emitted stage-IV kernel, the vectorized
-executor and the scalar interpreter, and asserts that **every** buffer of
+(when a toolchain is present), the emitted stage-IV kernel and the scalar
+interpreter, and asserts that **every** buffer of
 the result is bit-identical (``np.array_equal`` on the raw arrays, dtype
 equality included).  Structural-zero paths (padded ELL slots, empty rows,
 empty relations, nnz=0 matrices) are exercised explicitly — they are where
@@ -13,7 +13,7 @@ The native tier is compared against the *emitted* tier: both materialise
 whole-scalar reduction residuals at NumPy's ``np.full``/``ufunc.at``
 promotion semantics, so they agree bitwise by construction wherever the
 emitted tier agrees with the interpreter (which this battery also asserts),
-and the comparison stays transitive across all four tiers.
+and the comparison stays transitive across all three tiers.
 
 Every operator case also runs twice through one ``Session``: the second call
 is served by the memoised bound-kernel handle (the warm path) and must equal
@@ -52,14 +52,13 @@ def random_dense(rows, cols, density, dtype, seed):
 
 
 def assert_tiers_bit_exact(func, expect_emitted=True):
-    """Run a program on all four tiers and compare every buffer bitwise."""
+    """Run a program on all three tiers and compare every buffer bitwise."""
     from repro.core.codegen.emit_c import toolchain_available
 
     kernel = build(func, cache=False)
     if expect_emitted:
         assert kernel.emitted_source() is not None, "program fell out of the emitter fragment"
     interpreted = kernel.run(engine="interpret")
-    vectorized = kernel.run(engine="vectorized")
     emitted = kernel.run(engine="emitted")
     assert kernel.last_engine == "emitted"
     native = None
@@ -70,12 +69,7 @@ def assert_tiers_bit_exact(func, expect_emitted=True):
     # The compiled plans bake the auxiliary (indptr/indices) arrays in, so
     # their runs neither take nor return them.
     aux = {buf.name for buf in kernel.func.aux_buffers}
-    assert interpreted.keys() == vectorized.keys()
     assert emitted.keys() == interpreted.keys() - aux
-    for name in interpreted:
-        assert np.array_equal(interpreted[name], vectorized[name]), (
-            f"vectorized diverges from interpreter on {name!r}"
-        )
     for name in emitted:
         assert interpreted[name].dtype == emitted[name].dtype, name
         assert np.array_equal(interpreted[name], emitted[name]), (
@@ -388,8 +382,8 @@ class TestGraphChainDifferential:
 
 class TestFallbackConsistency:
     def test_unsupported_program_rejected_by_both_fast_tiers(self):
-        """A program the vectorized analysis rejects is also unemittable, and
-        auto dispatch lands on the interpreter."""
+        """A program the hazard analysis rejects has no emitted and no native
+        kernel, and auto dispatch lands on the interpreter."""
         from repro.core.buffers import FlatBuffer
         from repro.core.codegen.emit_numpy import UnsupportedForEmission, emit_numpy_source
         from repro.core.expr import Var
@@ -400,7 +394,7 @@ class TestFallbackConsistency:
         c = FlatBuffer("c", 4)
         i = Var("i")
         # c reads b while b is written in the same nest: a read-after-write
-        # hazard neither fast tier may batch.
+        # hazard neither compiled tier may batch.
         body = SeqStmt(
             [
                 ForLoop(i, 0, 4, BufferStore(b, [i], c[i] + 1.0)),

@@ -2,11 +2,15 @@
 
 Run by the CI docs job (and the normal fast lane).  The checks are
 intentionally dependency-free: a regex pass over the repository's markdown
-files verifying that every relative link target exists on disk, plus
-structural assertions that the docs cover the subsystems they promise.
+files verifying that every relative link target exists on disk, structural
+assertions that the docs cover the subsystems they promise, and one run of
+every script under ``examples/``.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,8 +61,8 @@ def test_architecture_guide_covers_all_stages():
 def test_runtime_guide_covers_runtime_subsystems():
     text = (REPO_ROOT / "docs" / "runtime.md").read_text(encoding="utf-8")
     for needle in (
-        "Session", "KernelCache", "VectorizedExecutor", "UnsupportedProgram",
-        "np.add.at", "structural fingerprint",
+        "Session", "KernelCache", "analyze_hazards", "UnsupportedForEmission",
+        "Kernel.declined", "np.add.at", "structural fingerprint",
         "batched_spmm", "batched_sddmm", "rgms", "sparse_conv",
     ):
         assert needle in text, f"runtime.md does not mention {needle!r}"
@@ -98,3 +102,17 @@ def test_readme_coverage_matrix_lists_every_session_operator():
         assert f"Session.{method}" in text, (
             f"README coverage matrix is missing Session.{method}"
         )
+
+
+EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
+def test_example_runs(script, tmp_path):
+    """Each example is a ``__main__`` script that asserts its own results."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -24,7 +24,7 @@ from repro.core.codegen.cache import (
     DiskKernelCache,
     KernelCache,
 )
-from repro.core.codegen import emit_c
+from repro.core.codegen import UnsupportedForEmission, emit_c
 from repro.core.codegen.emit_c import (
     NATIVE_ENV_VAR,
     NATIVE_VERSION,
@@ -37,7 +37,6 @@ from repro.core.codegen.emit_c import (
 )
 from repro.formats.csr import CSRMatrix
 from repro.ops.spmm import build_spmm_program, spmm_reference
-from repro.runtime.vectorized import UnsupportedProgram
 
 from test_emit_numpy import GOLDEN_DIR, canonical_lowered
 
@@ -160,7 +159,7 @@ class TestUnsupportedConstructs:
         assert kernel.native_source() is None
         kernel.run()
         assert kernel.last_engine != "native"
-        with pytest.raises(UnsupportedProgram):
+        with pytest.raises(UnsupportedForEmission):
             kernel.run(engine="native")
 
 
@@ -183,7 +182,7 @@ class TestToolchainGating:
         out = kernel.run()
         assert kernel.last_engine == "emitted"
         assert np.allclose(out["C"].reshape(csr.rows, 4), spmm_reference(csr, x), atol=1e-4)
-        with pytest.raises(UnsupportedProgram):
+        with pytest.raises(UnsupportedForEmission):
             kernel.run(engine="native")
 
     @needs_cc

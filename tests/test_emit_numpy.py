@@ -129,7 +129,8 @@ class TestEmitterBehaviour:
         kernel.run()
         assert kernel.last_engine in ("native", "emitted")
         rebound = kernel.run({"J_indptr": csr.indptr.copy()})
-        assert kernel.last_engine not in ("native", "emitted")
+        assert kernel.last_engine == "interpret"
+        assert kernel.declined == {"native": "aux rebound", "emitted": "aux rebound"}
         assert np.array_equal(rebound["C"], kernel.run()["C"])
 
     def test_strict_engine_raises_for_unemittable_program(self):
@@ -137,7 +138,6 @@ class TestEmitterBehaviour:
         from repro.core.expr import Var
         from repro.core.program import STAGE_LOOP, PrimFunc
         from repro.core.stmt import BufferStore, ForLoop
-        from repro.runtime.vectorized import UnsupportedProgram
 
         b = FlatBuffer("b", 4)
         n = FlatBuffer("n", 1)
@@ -150,7 +150,7 @@ class TestEmitterBehaviour:
         with pytest.raises(UnsupportedForEmission):
             emit_numpy_source(func)
         kernel = build(func, cache=False)
-        with pytest.raises(UnsupportedProgram):
+        with pytest.raises(UnsupportedForEmission):
             kernel.run(engine="emitted")
 
     def test_emitted_source_cached_alongside_program(self):

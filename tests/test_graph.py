@@ -449,43 +449,24 @@ class TestOpsDeprecationShim:
             spmm(csr, x, session=session)
             spmm(csr, x)  # implicit default session: supported, silent
 
-    def test_positional_session_warns(self, csr, rng):
-        from repro.ops.spmm import spmm
-
-        x = rng.standard_normal((30, 4)).astype(np.float32)
-        session = Session(persistent=False)
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            out = spmm(csr, x, "csr", 1, None, session)
-        assert np.array_equal(out, session.spmm(csr, x))
-
-    def test_positional_session_everywhere(self, csr, rng):
+    def test_positional_session_is_a_type_error(self, csr, rng):
+        """``session`` and the options after it are keyword-only everywhere."""
+        from repro.formats.bsr import BSRMatrix
         from repro.ops.batched import batched_spmm
+        from repro.ops.pruned_spmm import pruned_spmm
         from repro.ops.sddmm import sddmm
+        from repro.ops.spmm import spmm
 
         session = Session(persistent=False)
         x = rng.standard_normal((30, 3)).astype(np.float32)
         y = rng.standard_normal((3, 30)).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            sddmm(csr, x, y, True, session)
         feats = rng.standard_normal((2, 30, 3)).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            batched_spmm(csr, feats, "csr", 16, session)
-
-    def test_conflicting_duplicate_rejected(self, csr, rng):
-        from repro.ops.spmm import spmm
-
-        session = Session(persistent=False)
-        x = rng.standard_normal((30, 4)).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                spmm(csr, x, "csr", 1, None, session, session=session)
-
-    def test_too_many_positionals_rejected(self, csr, rng):
-        from repro.ops.pruned_spmm import pruned_spmm
-        from repro.formats.bsr import BSRMatrix
-
-        bsr = BSRMatrix.from_csr(csr, 5)
-        x = rng.standard_normal((30, 2)).astype(np.float32)
-        session = Session(persistent=False)
-        with pytest.raises(TypeError, match="too many positional"):
-            pruned_spmm(bsr, x, session, "extra")
+        for call in (
+            lambda: spmm(csr, x, "csr", 1, None, session),
+            lambda: spmm(csr, x, "csr", 1, None, session, session=session),
+            lambda: sddmm(csr, x, y, True, session),
+            lambda: batched_spmm(csr, feats, "csr", 16, session),
+            lambda: pruned_spmm(BSRMatrix.from_csr(csr, 5), x, session),
+        ):
+            with pytest.raises(TypeError, match="positional argument"):
+                call()

@@ -141,6 +141,13 @@ class TestBatchedAttention:
         assert many.total_flops() == pytest.approx(8 * one.total_flops())
 
 
+def _run_compiled(kernel):
+    """Default dispatch, which must land on a compiled tier."""
+    out = kernel.run()
+    assert kernel.last_engine in ("native", "emitted")
+    return out
+
+
 class TestExecutablePrograms:
     """The stage-I programs compiled and run through the full pipeline."""
 
@@ -152,7 +159,7 @@ class TestExecutablePrograms:
         feats = rng.standard_normal((3, small_mask.cols, 4)).astype(np.float32)
         func = batched.build_batched_spmm_program(small_mask, 3, 4, feats)
         kernel = build(func, cache=False)
-        fast = kernel.run(engine="vectorized")["C"]
+        fast = _run_compiled(kernel)["C"]
         slow = kernel.run(engine="interpret")["C"]
         assert np.array_equal(fast, slow)
         ref = batched.batched_spmm_reference(small_mask, feats)
@@ -163,7 +170,7 @@ class TestExecutablePrograms:
         feats = rng.standard_normal((2, bsr.shape[1], 4)).astype(np.float32)
         func = batched.build_batched_spmm_bsr_program(bsr, 2, 4, feats)
         kernel = build(func, cache=False)
-        out = kernel.run(engine="vectorized")["C"].reshape(2, bsr.shape[0], 4)
+        out = _run_compiled(kernel)["C"].reshape(2, bsr.shape[0], 4)
         ref = batched.batched_spmm_reference(small_mask, feats[:, : small_mask.cols])
         assert np.array_equal(out[:, : small_mask.rows], ref)
 
@@ -173,7 +180,7 @@ class TestExecutablePrograms:
         k = rng.standard_normal((2, 4, small_mask.cols)).astype(np.float32)
         func = batched.build_batched_sddmm_program(small_mask, 2, 4, q, k, fuse_ij=fuse_ij)
         kernel = build(func, cache=False)
-        fast = kernel.run(engine="vectorized")["OUT"].reshape(2, small_mask.nnz)
+        fast = _run_compiled(kernel)["OUT"].reshape(2, small_mask.nnz)
         slow = kernel.run(engine="interpret")["OUT"].reshape(2, small_mask.nnz)
         assert np.array_equal(fast, slow)
         ref = batched.batched_sddmm_reference(small_mask, q, k)
@@ -197,7 +204,7 @@ class TestExecutablePrograms:
         w = rng.standard_normal((5, 8, 6)).astype(np.float32)
         func = rgms.build_rgms_program(small_relational, 8, 6, x, w)
         kernel = build(func, cache=False)
-        fast = kernel.run(engine="vectorized")["Y"].reshape(64, 6)
+        fast = _run_compiled(kernel)["Y"].reshape(64, 6)
         slow = kernel.run(engine="interpret")["Y"].reshape(64, 6)
         assert np.array_equal(fast, slow)
         assert np.allclose(fast, rgms.rgms_reference(small_relational, x, w), atol=1e-4)
@@ -219,7 +226,7 @@ class TestExecutablePrograms:
         ).astype(np.float32)
         func = sparse_conv.build_sparse_conv_program(problem, feats, weights)
         kernel = build(func, cache=False)
-        fast = kernel.run(engine="vectorized")["Y"]
+        fast = _run_compiled(kernel)["Y"]
         slow = kernel.run(engine="interpret")["Y"]
         assert np.array_equal(fast, slow)
         ref = sparse_conv.sparse_conv_reference(problem, feats, weights)

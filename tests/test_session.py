@@ -136,7 +136,9 @@ class TestBatchedAttentionOps:
     def test_engines_agree_bit_exactly(self, mask, rng):
         q = rng.standard_normal((2, mask.rows, 3)).astype(np.float32)
         k = rng.standard_normal((2, 3, mask.cols)).astype(np.float32)
-        fast = Session(engine="vectorized").batched_sddmm(mask, q, k)
+        session = Session()
+        fast = session.batched_sddmm(mask, q, k)
+        assert session.stats.interpreted_runs == 0
         slow = Session(engine="interpret").batched_sddmm(mask, q, k)
         assert np.array_equal(fast, slow)
 
@@ -187,7 +189,9 @@ class TestRGMSAndSparseConvOps:
     def test_rgms_engines_agree_bit_exactly(self, adjacency, rng):
         x = rng.standard_normal((48, 6)).astype(np.float32)
         w = rng.standard_normal((5, 6, 4)).astype(np.float32)
-        fast = Session(engine="vectorized").rgms(adjacency, x, w)
+        session = Session()
+        fast = session.rgms(adjacency, x, w)
+        assert session.stats.interpreted_runs == 0
         slow = Session(engine="interpret").rgms(adjacency, x, w)
         assert np.array_equal(fast, slow)
 
@@ -228,7 +232,9 @@ class TestRGMSAndSparseConvOps:
         weights = rng.standard_normal(
             (conv_problem.kernel_volume, conv_problem.in_channels, conv_problem.out_channels)
         ).astype(np.float32)
-        fast = Session(engine="vectorized").sparse_conv(conv_problem, feats, weights)
+        session = Session()
+        fast = session.sparse_conv(conv_problem, feats, weights)
+        assert session.stats.interpreted_runs == 0
         slow = Session(engine="interpret").sparse_conv(conv_problem, feats, weights)
         assert np.array_equal(fast, slow)
 
@@ -295,7 +301,7 @@ class TestVectorizedFallback:
         return builder.finish()
 
     def test_rejected_batched_program_falls_back(self, rng):
-        from repro.runtime.vectorized import UnsupportedProgram, VectorizedExecutor
+        from repro.core.codegen import UnsupportedForEmission, emit_numpy_source
 
         csr = CSRMatrix.random(rows=8, cols=8, density=0.3, seed=9)
         features = rng.standard_normal((2, 8, 3)).astype(np.float32)
@@ -303,11 +309,11 @@ class TestVectorizedFallback:
 
         session = Session()
         kernel = session.build(func)
-        with pytest.raises(UnsupportedProgram):
-            VectorizedExecutor(kernel.func)
+        with pytest.raises(UnsupportedForEmission, match="store value reads buffers written"):
+            emit_numpy_source(kernel.func)
         out = session.run_kernel(kernel)
         assert session.stats.interpreted_runs == 1
-        assert session.stats.vectorized_runs == 0
+        assert session.stats.fast_runs == 0
         assert kernel.last_engine == "interpret"
         # The safe part of the program still computed the batched SpMM.
         expected = np.stack(
@@ -330,11 +336,13 @@ class TestCompileOnceRunMany:
         session = Session(engine="interpret")
         session.spmm(csr, rng.standard_normal((csr.cols, 2)).astype(np.float32))
         assert session.stats.interpreted_runs == 1
-        assert session.stats.vectorized_runs == 0
+        assert session.stats.fast_runs == 0
 
     def test_engines_agree_through_session(self, csr, rng):
         x = rng.standard_normal((csr.cols, 4)).astype(np.float32)
-        fast = Session(engine="vectorized").spmm(csr, x)
+        session = Session()
+        fast = session.spmm(csr, x)
+        assert session.stats.interpreted_runs == 0
         slow = Session(engine="interpret").spmm(csr, x)
         assert np.array_equal(fast, slow)
 

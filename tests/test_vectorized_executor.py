@@ -1,9 +1,16 @@
-"""Equivalence tests: vectorized executor output == interpreter output.
+"""Whole-array execution vs the interpreter, and the hazard analysis behind it.
 
-Every operator/format combination the fast path claims to support is
-compiled through the full pipeline and executed by both engines; results
-must match *bit for bit* (lanes are materialised in serial loop order and
-reductions accumulate unbuffered, so even float32 rounding agrees).
+Every operator/format combination the compiled tiers claim to support is
+compiled through the full pipeline and executed by the emitted kernel and by
+the interpreter; results must match *bit for bit* (lanes are materialised in
+serial loop order and reductions accumulate unbuffered, so even float32
+rounding agrees).  The remaining tests pin the read-after-write analysis of
+:mod:`repro.core.codegen.hazards` — what it accepts, what it rejects and with
+which message — and what a rejection means for ``Kernel.run``: ``"auto"``
+lands on the interpreter with the serial result, a strict engine raises.
+
+(The file keeps the name it had when a separate lane interpreter ran these
+programs, so the test ids stay comparable across revisions.)
 """
 
 import numpy as np
@@ -15,21 +22,38 @@ from repro.formats.bsr import BSRMatrix
 from repro.ops.pruned_spmm import build_pruned_spmm_bsr_program, pruned_spmm_reference
 from repro.ops.sddmm import build_sddmm_program, sddmm_reference
 from repro.ops.spmm import build_spmm_hyb_program, build_spmm_program, spmm_reference
-from repro.runtime import Executor, UnsupportedProgram, VectorizedExecutor
+from repro.core.codegen import UnsupportedForEmission, emit_numpy_source
+from repro.core.codegen.emit_c import toolchain_available
+from repro.core.codegen.hazards import analyze_hazards
+from repro.runtime import Executor, Session
 
 
 def _both_engines(func):
     kernel = build(func, cache=False)
     interpreted = kernel.run(engine="interpret")
-    vectorized = kernel.run(engine="vectorized")
-    assert kernel.last_engine == "vectorized"
-    return interpreted, vectorized
+    emitted = kernel.run(engine="emitted")
+    assert kernel.last_engine == "emitted"
+    return interpreted, emitted
 
 
-def _assert_identical(interpreted, vectorized):
-    assert interpreted.keys() == vectorized.keys()
-    for name in interpreted:
-        assert np.array_equal(interpreted[name], vectorized[name]), name
+def _assert_identical(interpreted, emitted):
+    # The emitted plan bakes the auxiliary arrays in and does not return them.
+    assert emitted.keys() <= interpreted.keys()
+    for name in emitted:
+        assert np.array_equal(interpreted[name], emitted[name]), name
+
+
+def _assert_rejected(func, message):
+    """The analysis and the emitter reject *func*; "auto" lands on the
+    interpreter and a strict compiled engine raises."""
+    with pytest.raises(UnsupportedForEmission, match=message):
+        analyze_hazards(func)
+    with pytest.raises(UnsupportedForEmission, match=message):
+        emit_numpy_source(func)
+    kernel = build(func, cache=False)
+    with pytest.raises(UnsupportedForEmission):
+        kernel.run(engine="emitted")
+    return kernel
 
 
 @pytest.fixture
@@ -138,11 +162,12 @@ class TestBatchedEquivalence:
         _assert_identical(interp, vec)
         unscaled = build(
             build_batched_sddmm_program(mask, 2, 4, q, k), cache=False
-        ).run(engine="vectorized")
+        ).run(engine="emitted")
         assert np.array_equal(vec["OUT"], unscaled["OUT"] * np.float32(0.125))
 
     def test_multiply_self_update_is_batched(self):
-        """A pointwise in-place rescale alone must run on the fast path."""
+        """A pointwise in-place rescale alone is a ``multiply.at`` self-update
+        and runs on a compiled tier."""
         from repro.core.buffers import FlatBuffer
         from repro.core.expr import Var
         from repro.core.program import STAGE_LOOP, PrimFunc
@@ -153,12 +178,14 @@ class TestBatchedEquivalence:
         body = ForLoop(i, 0, 6, BufferStore(b, [i], b[i] * 0.5))
         func = PrimFunc("rescale", axes=[], buffers=[], body=body,
                         stage=STAGE_LOOP, flat_buffers=[b])
+        (form,) = analyze_hazards(func).values()
+        assert form[0] == "mul" and form[1].value == 0.5
         kernel = build(func, cache=False)
         out = kernel.run({"b": np.arange(6, dtype=np.float32)})
-        assert kernel.last_engine in ("native", "emitted", "vectorized")
+        assert kernel.last_engine in ("native", "emitted")
         assert np.array_equal(out["b"], np.arange(6, dtype=np.float32) * 0.5)
-        out = kernel.run({"b": np.arange(6, dtype=np.float32)}, engine="vectorized")
-        assert kernel.last_engine == "vectorized"
+        out = kernel.run({"b": np.arange(6, dtype=np.float32)}, engine="emitted")
+        assert kernel.last_engine == "emitted"
         assert np.array_equal(out["b"], np.arange(6, dtype=np.float32) * 0.5)
 
     def test_multiply_at_other_index_still_rejected(self):
@@ -173,9 +200,7 @@ class TestBatchedEquivalence:
         body = ForLoop(i, 0, 4, BufferStore(b, [i + 1], b[i + 1] * b[i]))
         func = PrimFunc("prod_scan", axes=[], buffers=[], body=body,
                         stage=STAGE_LOOP, flat_buffers=[b])
-        with pytest.raises(UnsupportedProgram):
-            VectorizedExecutor(func)
-        kernel = build(func, cache=False)
+        kernel = _assert_rejected(func, "store residual reads buffers written")
         out = kernel.run({"b": np.full(5, 2.0, dtype=np.float32)})
         assert kernel.last_engine == "interpret"
         assert np.array_equal(out["b"], [2.0, 4.0, 8.0, 16.0, 32.0])
@@ -188,7 +213,7 @@ class TestEngineSemantics:
         kernel = build(build_spmm_program(matrices, 3, x), cache=False)
         stale = np.full(matrices.rows * 3, 123.0, dtype=np.float32)
         interp = kernel.run({"C": stale.copy()}, engine="interpret")
-        vec = kernel.run({"C": stale.copy()}, engine="vectorized")
+        vec = kernel.run({"C": stale.copy()}, engine="emitted")
         assert np.array_equal(interp["C"], vec["C"])
         lengths = matrices.row_lengths()
         empty = np.repeat(lengths == 0, 3)
@@ -205,7 +230,7 @@ class TestEngineSemantics:
 
     def test_unsupported_statement_falls_back(self, matrices, rng):
         """A store whose value reads another buffer written in the same nest
-        is outside the fragment: engine="vectorized" raises, "auto" falls
+        is outside the fragment: a strict compiled engine raises, "auto" falls
         back to the interpreter and still produces the right answer."""
         from repro.core.buffers import FlatBuffer
         from repro.core.expr import Var
@@ -220,16 +245,14 @@ class TestEngineSemantics:
         )
         func = PrimFunc("chained", axes=[], buffers=[], body=body,
                         stage=STAGE_LOOP, flat_buffers=[a, b])
-        with pytest.raises(UnsupportedProgram):
-            VectorizedExecutor(func)
-        kernel = build(func, cache=False)
+        kernel = _assert_rejected(func, "store value reads buffers written")
         out = kernel.run(engine="auto")
         assert kernel.last_engine == "interpret"
         assert np.allclose(out["b"], 2.0)
         assert np.array_equal(out["b"], Executor(func).run()["b"])
 
     def test_vectorized_stays_strict_after_auto_fallback(self, matrices, rng):
-        """Once "auto" has fallen back, demanding "vectorized" must still
+        """Once "auto" has fallen back, demanding a compiled tier must still
         raise instead of silently running the interpreter."""
         from repro.core.buffers import FlatBuffer
         from repro.core.expr import Var
@@ -247,12 +270,13 @@ class TestEngineSemantics:
         kernel = build(func, cache=False)
         kernel.run(engine="auto")
         assert kernel.last_engine == "interpret"
-        with pytest.raises(UnsupportedProgram):
-            kernel.run(engine="vectorized")
+        for engine in ("native", "emitted"):
+            with pytest.raises(UnsupportedForEmission):
+                kernel.run(engine=engine)
 
     def test_residual_reading_own_target_at_other_index_rejected(self):
         """``B[i+1] = B[i+1] + B[i]`` is a loop-carried dependency, not a
-        reduction: the fast path must refuse it (and "auto" must produce the
+        reduction: the analysis must refuse it (and "auto" must produce the
         interpreter's serial result)."""
         from repro.core.buffers import FlatBuffer
         from repro.core.expr import Var
@@ -264,9 +288,7 @@ class TestEngineSemantics:
         body = ForLoop(i, 0, 4, BufferStore(b, [i + 1], b[i + 1] + b[i]))
         func = PrimFunc("scan", axes=[], buffers=[], body=body,
                         stage=STAGE_LOOP, flat_buffers=[b])
-        with pytest.raises(UnsupportedProgram):
-            VectorizedExecutor(func)
-        kernel = build(func, cache=False)
+        kernel = _assert_rejected(func, "store residual reads buffers written")
         out = kernel.run({"b": np.ones(5, dtype=np.float32)})
         assert kernel.last_engine == "interpret"
         assert np.array_equal(out["b"], [1.0, 2.0, 3.0, 4.0, 5.0])
@@ -282,12 +304,52 @@ class TestEngineSemantics:
         body = ForLoop(i, 0, n[0], BufferStore(n, [0], 0))
         func = PrimFunc("self_bound", axes=[], buffers=[], body=body,
                         stage=STAGE_LOOP, flat_buffers=[n])
-        with pytest.raises(UnsupportedProgram):
-            VectorizedExecutor(func)
+        kernel = _assert_rejected(func, "loop bounds, conditions or indices read buffers")
+        out = kernel.run({"n": np.array([3], dtype=np.int32)})
+        assert kernel.last_engine == "interpret"
+        assert np.array_equal(out["n"], [0])
 
     def test_fast_path_is_used_by_default(self, matrices, rng):
         x = rng.standard_normal((matrices.cols, 2)).astype(np.float32)
         kernel = build(build_spmm_program(matrices, 2, x), cache=False)
         kernel.run()
         # Auto dispatch prefers a compiled tier, never the interpreter.
-        assert kernel.last_engine in ("native", "emitted", "vectorized")
+        assert kernel.last_engine in ("native", "emitted")
+
+    def test_removed_engine_value_is_rejected(self, matrices, rng):
+        x = rng.standard_normal((matrices.cols, 2)).astype(np.float32)
+        kernel = build(build_spmm_program(matrices, 2, x), cache=False)
+        removed = "vectorized"
+        with pytest.raises(ValueError, match=f"unknown engine '{removed}'"):
+            kernel.run(engine=removed)
+        with pytest.raises(ValueError, match=f"unknown engine '{removed}'"):
+            Session(engine=removed)
+
+    def test_declined_names_the_reason_a_tier_was_skipped(self, matrices, rng):
+        """The only cliff left is compiled tier -> interpreter; the kernel
+        says which check caused it."""
+        from repro.core.buffers import FlatBuffer
+        from repro.core.expr import Var
+        from repro.core.program import STAGE_LOOP, PrimFunc
+        from repro.core.stmt import BufferStore, ForLoop
+
+        b = FlatBuffer("b", 5)
+        i = Var("i")
+        body = ForLoop(i, 0, 4, BufferStore(b, [i + 1], b[i + 1] + b[i]))
+        hazard = build(
+            PrimFunc("scan", axes=[], buffers=[], body=body, stage=STAGE_LOOP, flat_buffers=[b]),
+            cache=False,
+        )
+        assert hazard.declined == {}  # nothing tried yet
+        hazard.run()
+        reason = (
+            "UnsupportedForEmission: store residual reads buffers written in "
+            "the same nest: ['b']"
+        )
+        no_cc = {} if toolchain_available() else {"native": "no toolchain"}
+        assert hazard.declined == {"native": reason, "emitted": reason, **no_cc}
+
+        x = rng.standard_normal((matrices.cols, 2)).astype(np.float32)
+        kernel = build(build_spmm_program(matrices, 2, x), cache=False)
+        kernel.run()
+        assert kernel.declined == no_cc
