@@ -28,10 +28,10 @@ class Kernel:
     A kernel bundles the fully lowered (stage-III) program with
 
     * a NumPy runtime (:meth:`run`) with three dispatch tiers: the native
-      compiled kernel (C source generated once per structure, compiled into
-      a shared object and shared across processes through the disk cache),
-      the emitted stage-IV NumPy kernel (source generated once per
-      structure, plan executed once per process), and the
+      compiled kernel (the loop nest printed as C once per structure, one
+      shared object per program family, shared across processes through the
+      disk cache), the emitted stage-IV NumPy kernel (source generated once
+      per structure, plan executed once per process), and the
       element-by-element interpreter — tried in that order under
       ``"auto"``, with automatic fallback whenever a tier rejects the
       program (:attr:`declined` says why); every tier is bit-exact,
@@ -116,9 +116,9 @@ class Kernel:
 
         if engine not in ("auto",) + ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
-        # The native and emitted plans bake the auxiliary (structural) arrays
-        # in, so a binding that overrides one would be silently ignored; such
-        # runs drop to the interpreter, which reads them per call.
+        # The native and emitted runners bound the auxiliary (structural)
+        # arrays when they were built, so a binding that overrides one would
+        # be silently ignored; such runs drop to the interpreter.
         aux_override = bool(bindings) and any(name in self._aux_names for name in bindings)
         self._aux_rebound = aux_override
         if engine in ("auto", "native"):
@@ -147,8 +147,8 @@ class Kernel:
         return Executor(self.func).run(merged)
 
     def _prepare(self, merged: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Flat arrays for the native/emitted runners, whose plans bake the
-        auxiliary buffers in and never read them per call."""
+        """Flat arrays for the native/emitted runners, which bound the
+        auxiliary buffers at build time and never take them per call."""
         from ...runtime.executor import prepare_arrays
 
         return prepare_arrays(self.func, merged, skip=self._aux_names)
@@ -242,7 +242,7 @@ class Kernel:
         return entry.native_runner or None
 
     def _native_sources(self, entry: CacheEntry) -> Any:
-        """The emitted ``(c_source, glue_source)`` pair, or ``False`` when the
+        """The emitted ``(c_source, binding)`` pair, or ``False`` when the
         program falls outside the C emitter's fragment (decided once)."""
         from .emit_c import emit_c_source
 
@@ -255,7 +255,7 @@ class Kernel:
         return entry.native
 
     def _build_native(self, entry: CacheEntry) -> Any:
-        from .emit_c import load_native, toolchain_available
+        from .emit_c import NativeBuildError, load_native, toolchain_available
 
         if not toolchain_available():
             entry.declined["native"] = "no toolchain"
@@ -263,16 +263,14 @@ class Kernel:
         sources = self._native_sources(entry)
         if sources is False:
             return None
-        c_source, glue_source = sources
+        c_source, binding = sources
         disk = self._cache.disk if self._cache is not None else None
         stats = self._cache.stats if self._cache is not None else None
         try:
-            return load_native(
-                self.func, c_source, glue_source, disk=disk, key=self._key, stats=stats
-            )
-        except Exception as exc:
-            # Compile failure, artifact load failure, or a plan that
-            # overflows the lane budget: the emitted tier takes over.
+            return load_native(self.func, c_source, binding, disk=disk, key=self._key, stats=stats)
+        except (NativeBuildError, OSError, UnsupportedForEmission) as exc:
+            # A compile failure or an artifact that does not load: the
+            # emitted tier takes over.
             entry.declined["native"] = _reason(exc)
             return None
 

@@ -192,7 +192,7 @@ class CacheEntry:
     callable afterwards.  ``lock`` serialises that lazy compilation.
 
     The native tier mirrors that protocol: ``native`` holds the emitted
-    ``(c_source, glue_source)`` pair (``None`` unset, ``False`` outside the
+    ``(c_source, binding)`` pair (``None`` unset, ``False`` outside the
     C emitter's fragment) and ``native_runner`` the compiled-and-loaded
     closure.  Both are per-process — only the shared object itself persists,
     in the disk layer keyed by source hash, platform and ABI.

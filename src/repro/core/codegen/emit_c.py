@@ -1,45 +1,49 @@
-"""Native stage-IV backend: emit a standalone C module for a stage-III program.
+"""Native stage-IV backend: compile a stage-III program as the loop nest it is.
 
-The emitted NumPy tier (:mod:`repro.core.codegen.emit_numpy`) already splits a
-lowered program into a structural *plan* (lane expansion, gather/scatter index
-tables, structural-zero masks — computed once per process) and a per-call
-*run* body.  That run body still pays one NumPy dispatch per gather / compute
-/ ``ufunc.at`` line, which dominates on small-nnz graph workloads.  This
-module reuses the exact same plan machinery and compiles the run body down to
-plain C loops over typed buffers:
+The paper's stage III *is* a loop nest over ``indptr``/``indices``; C has no
+need for the whole-array lanes the NumPy tier flattens it into.  This module
+prints each ``ForLoop`` / ``Block`` / ``BufferStore`` / ``IfThenElse`` /
+``LetStmt`` as the C construct it already is, in the scalar interpreter's own
+order: an init pass over every nest, then a compute pass; an out-of-bounds or
+structural-zero load evaluates to 0, such a store is dropped, a zero-trip
+reduction loop runs no init.  Execution order *is* the oracle's order, so
+bit-exactness holds by construction and the hazard analysis the lane model
+needs is no precondition here.
 
-* :func:`emit_c_source` walks the lowered program once and returns two
-  sources: a **C module** whose ``run(bufs, tabs, ipar, fpar)`` function is
-  the per-call body (one flat loop per store, gathering through plan-built
-  index tables), and a **glue module** defining
-  ``make_kernel(axes, aux, helpers, lib)`` whose body is the plan — the same
-  Python plan lines the NumPy emitter would produce, plus the marshalling of
-  index tables and scalar parameters into the C call.
-* The C source deliberately contains **no sizes**: lane counts, gather
-  indices and bounds all travel through the plan-built tables and the
-  ``ipar`` scalar block.  Every structure of the same program family shares
-  one C source, so one compilation (memoised by source hash) serves a whole
-  tuning sweep or test battery.
-* :func:`load_native` compiles the C source with the system compiler (cffi in
-  ABI mode — no ``Python.h`` required), dlopens the shared object, executes
-  the glue plan and returns the ``run(arrays)`` closure used by
-  :meth:`~repro.core.codegen.build.Kernel.run`'s native tier.
+* :func:`emit_c_source` returns ``(c_source, binding)``.  ``run(bufs, tabs,
+  ipar, fpar)`` reads the value buffers (``bufs``), the program's auxiliary
+  buffers and axis arrays in their own dtype (``tabs``) and every size — loop
+  extents, buffer lengths, index-arithmetic constants — from ``ipar`` (float
+  literals from ``fpar``).  The source contains **no sizes**: one compilation
+  (memoised by source hash) serves every structure, shape and feature width
+  of a program family.  ``binding`` (:class:`NativeBinding`) names the arrays
+  and scalars that fill the four blocks.
+* Three rewrites keep the checked semantics off the hot path without changing
+  what is computed: a subexpression that reads no written buffer is
+  materialised once, at the depth of its deepest loop variable; a reduction
+  loop the init statements do not index runs them once (if its trip count is
+  positive); the bounds guards of an innermost loop's operands are hoisted
+  into one range test in front of it — an unchecked body when it holds, the
+  checked body otherwise (which is how ELL/hyb ``-1`` padding keeps loading 0).
+* :func:`load_native` compiles the source with the system compiler (cffi in
+  ABI mode — no ``Python.h`` required), dlopens it, gathers the binding's
+  arrays and returns the ``run(arrays)`` closure of the native tier.
 
-Bit-exactness is the contract: every C operation mirrors the NumPy operation
-of the emitted tier (same lane order, same NEP-50 promotion, same
-structural-zero masking; compiled with ``-ffp-contract=off`` so no FMA
-contraction changes results).  Constructs whose C semantics could diverge —
-``exp``/``tanh``/``log`` (NumPy's SIMD routines are not bit-identical to
-libm), floor division, value-dependent masks, boolean arithmetic — raise
-:class:`UnsupportedForC` and the kernel falls back to the emitted NumPy tier,
-so the native tier is never a correctness risk.
+Arithmetic mirrors the interpreter's NumPy scalars (NEP-50 promotion with weak
+Python literals, ``-ffp-contract=off``), except that integers are evaluated in
+int64 throughout.  Constructs with no bit-exact C form — ``exp``/``tanh``/
+``log`` (NumPy's routines are not libm's), boolean arithmetic, float floor
+division — raise :class:`UnsupportedForC` and the kernel falls back to the
+emitted NumPy tier, so the native tier is never a correctness risk.
 """
 
 from __future__ import annotations
 
+import atexit
+import functools
 import hashlib
-import math
 import os
+import re
 import platform as _platform
 import shutil
 import subprocess
@@ -47,57 +51,23 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..axes import SparseVariableAxis
 from ..buffers import _np_dtype
-from ..expr import (
-    Add,
-    And,
-    BinaryOp,
-    BufferLoad,
-    Call,
-    Cast,
-    Div,
-    EQ,
-    Expr,
-    FloatImm,
-    GE,
-    GT,
-    IntImm,
-    LE,
-    LT,
-    Max,
-    Min,
-    Mul,
-    NE,
-    Not,
-    Or,
-    Select,
-    StringImm,
-    Sub,
-    Var,
-)
-from ..nputils import MAX_LANES, ragged_arange
-from ..program import PrimFunc
-from ..stmt import LetStmt, Stmt
-from .emit_numpy import (
-    _PLAN,
-    _RUN,
-    UnsupportedForEmission,
-    _apply_aliases,
-    _cse_plan,
-    _Emitter,
-    _indent,
-    aux_arrays,
-)
-from .hazards import coords_to_positions
+from .. import expr as ir
+from .. import stmt as st
+from ..program import STAGE_LOOP, PrimFunc
+from ..stage2.lowering import BINARY_SEARCH, ROW_UPPER_BOUND
+from .emit_numpy import aux_arrays
+from .hazards import UnsupportedForEmission
 
-#: Bumped whenever the native-source contract (C layout, glue protocol, or
+#: Bumped whenever the native-source contract (C layout, binding protocol, or
 #: compile flags) changes; stale on-disk ``.so`` artifacts from an older
 #: version load as cache misses and are rebuilt, never imported.
-NATIVE_VERSION = 1
+NATIVE_VERSION = 2
 
 #: Environment variable disabling the native tier (``0`` / ``off`` / ``false``).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -116,47 +86,47 @@ CFLAGS = (
     "-fwrapv",
 )
 
-_COMPILE_TIMEOUT_S = 180.0
-
 
 class UnsupportedForC(UnsupportedForEmission):
-    """The program contains a construct the C emitter cannot fix into code.
-
-    Subclasses :class:`UnsupportedForEmission`, so every caller that already
-    treats the emitted tier as optional handles the native tier the same way.
-    """
+    """The program contains a construct the C emitter cannot fix into code;
+    callers treat the native tier as optional, like the emitted one."""
 
 
 class NativeBuildError(RuntimeError):
     """Compiling or loading the native artifact failed (caller falls back)."""
 
 
+class NativeBinding(NamedTuple):
+    """What fills ``run(bufs, tabs, ipar, fpar)`` for one program: no code.
+
+    ``bufs`` names the value buffers in ``bufs[]`` order.  ``tabs`` lists
+    ``(kind, name)`` per table: ``("aux", buffer)`` is an auxiliary buffer in
+    its flat dtype, ``("indptr" | "indices", axis)`` that axis array (int64)
+    and ``("rowof", axis)`` the row of every position of a variable axis
+    (int32, one entry per *position*).  ``ipar`` / ``fpar`` are the scalars.
+    """
+
+    bufs: Tuple[str, ...]
+    tabs: Tuple[Tuple[str, str], ...]
+    ipar: Tuple[int, ...]
+    fpar: Tuple[float, ...]
+
+
 # -- ctype lattice -------------------------------------------------------------
 #
-# C expressions carry a static type mirroring NumPy's NEP-50 promotion:
-# ``f64``/``f32``/``i64`` are strong dtypes (arrays and NumPy scalars),
-# ``u8`` is boolean, and ``ilit``/``flit`` are *weak* Python scalars whose
-# promotion defers to the other operand — exactly the distinction NumPy makes
-# between ``np.int64(2)`` and the literal ``2``.
+# C expressions carry a static type mirroring the NEP-50 promotion of the
+# interpreter's scalars: ``f64``/``f32``/``i64`` are strong (array elements,
+# int32 ones widened on load), ``u8`` is boolean, ``ilit``/``flit`` are *weak*
+# Python scalars (loop variables, literals, ``int()``/``float()`` casts, searched
+# rows and positions) whose promotion defers to the other operand, like ``2``.
 
 _CDECL = {
-    "f64": "double",
-    "f32": "float",
-    "i64": "int64_t",
-    "i32": "int32_t",
-    "u8": "uint8_t",
+    "f64": "double", "f32": "float", "i64": "int64_t", "i32": "int32_t",
+    "ilit": "int64_t", "flit": "double", "u8": "int",
 }
-_CZERO = {"f64": "0.0", "f32": "0.0f", "i64": "(int64_t)0", "i32": "(int32_t)0"}
 _BUFFER_CTYPES = {"float64": "f64", "float32": "f32", "int64": "i64", "int32": "i32"}
 
-_INFIX_C = {Add: "+", Sub: "-", Mul: "*"}
-_CMP_C = {LT: "<", LE: "<=", GT: ">", GE: ">=", EQ: "==", NE: "!="}
-
-#: Weak Python scalars become *strong* NumPy arrays wherever the NumPy tier
-#: materialises them with ``np.full`` (let bindings, whole-scalar store
-#: values): ``np.full(n, 0.5)`` is float64, not a weak literal.  Promotion
-#: against the strengthened type mirrors that tier bit-for-bit.
-_STRENGTHEN = {"flit": "f64", "ilit": "i64"}
+_HEAVY = (ir.BufferLoad, ir.Call, ir.Select, ir.Mul, ir.Div, ir.FloorDiv, ir.FloorMod, ir.Min, ir.Max)
 
 
 def _promote(a: str, b: str) -> str:
@@ -165,651 +135,735 @@ def _promote(a: str, b: str) -> str:
         return a
     pair = {a, b}
     if "u8" in pair:
-        raise UnsupportedForC("boolean lanes in arithmetic")
+        raise UnsupportedForC("boolean operand in arithmetic")
     if pair == {"ilit", "flit"}:
         return "flit"
-    if "f64" in pair:
+    if "f64" in pair or pair == {"f32", "i64"} or pair == {"i64", "flit"}:
+        # int64 does not fit float32; NumPy widens the pair to float64.
         return "f64"
-    if pair in ({"f32", "i64"}, {"f32", "i32"}):
-        # int32/int64 do not fit float32; NumPy widens the pair to float64.
-        return "f64"
-    if "f32" in pair:
-        return "f32"  # f32 with a weak scalar stays f32
-    if pair == {"i32", "i64"}:
-        return "i64"
-    if pair == {"i32", "flit"}:
-        return "f64"
-    if "i32" in pair:
-        return "i32"  # i32 with a weak int stays i32
-    if "i64" in pair:
-        return "f64" if "flit" in pair else "i64"
-    raise UnsupportedForC(f"cannot promote {a!r} with {b!r}")
+    return "f32" if "f32" in pair else "i64"  # a strong type with a weak scalar
 
 
-class _CVal:
-    """One emitted C expression: code, static ctype, pending invalid masks.
+class _CVal(NamedTuple):
+    """One emitted C expression: code, static ctype, validity condition.
 
-    ``invalids`` lists plan-zone structural-zero masks not yet consumed by a
-    load; the enclosing store folds them into its drop mask, mirroring the
-    NumPy emitter's keep-filter.
+    ``ok`` is a C condition that is false when evaluating the expression met a
+    structural zero (a failed coordinate search), or ``None`` when it cannot.
+    The code itself is always safe to evaluate.
     """
 
-    __slots__ = ("code", "ctype", "invalids")
-
-    def __init__(self, code: str, ctype: str, invalids: Optional[List[Any]] = None):
-        self.code = code
-        self.ctype = ctype
-        self.invalids = invalids or []
+    code: str
+    ctype: str
+    ok: Optional[str] = None
 
 
-#: C keywords that a buffer name must not collide with (buffer names become
-#: C identifiers verbatim; Python's identifier check does not cover these).
+class _Scope(NamedTuple):
+    """A binding scope (function body, loop body, let body): its lines and the
+    subexpressions already materialised in it, by structural key."""
+
+    depth: int
+    lines: List[str]
+    temps: Dict[str, _CVal]
+
+
+#: Names an emitted identifier must not collide with (buffer and loop-variable
+#: names become C identifiers verbatim).
 _C_RESERVED = {
     "auto", "break", "case", "char", "const", "continue", "default", "do",
     "double", "else", "enum", "extern", "float", "for", "goto", "if",
     "inline", "int", "long", "register", "restrict", "return", "short",
     "signed", "sizeof", "static", "struct", "switch", "typedef", "union",
-    "unsigned", "void", "volatile", "while", "run", "bufs", "tabs", "ipar",
-    "fpar",
+    "unsigned", "void", "volatile", "while", "ip", "fp", "int32_t", "int64_t",
+    "uint64_t", "sqrt", "sqrtf", "fabs", "fabsf", "llabs",
 }
 
-_C_HELPERS = """\
-static inline double _min_f64(double a, double b) {
-    return (a != a) ? a : ((b != b) ? b : ((a < b) ? a : b));
+#: Includes, macros and helpers; a kernel's source carries the ones it uses.
+_PRELUDE = {
+    "libm": "#include <math.h>\n#include <stdlib.h>",
+    "_IN": "#define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))",
+    "_IN2": "#define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))",
+    "_LD": "#define _LD(b, i, n) (_IN(i, n) ? (b)[i] : 0)",
+    # searchsorted(indptr, p, side="right") - 1 through a per-position table.
+    "_ROW": "#define _ROW(t, p, nnz, rows) ((p) < 0 ? -1 : (p) >= (nnz) ? (rows) : (t)[p])",
+    # Python's floor division / modulo; NumPy's 0 on a zero divisor.
+    "_fdiv": (
+        "static inline int64_t _fdiv(int64_t a, int64_t b) {\n"
+        "\treturn b == 0 ? 0 : b == -1 ? -a : a / b - ((a % b != 0) && ((a < 0) != (b < 0)));\n}"
+    ),
+    "_fmod": (
+        "static inline int64_t _fmod(int64_t a, int64_t b) {\n"
+        "\tint64_t r = (b == 0 || b == -1) ? 0 : a % b;\n"
+        "\treturn (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;\n}"
+    ),
+    # np.searchsorted(row, key) over row = idx[lo:hi], as a position in it.
+    "_find": (
+        "static inline int64_t _find(const int64_t *idx, int64_t lo, int64_t hi, int64_t key) {\n"
+        "\tint64_t a = lo, b = hi;\n"
+        "\twhile (a < b) {\n"
+        "\t\tint64_t m = a + ((b - a) >> 1);\n"
+        "\t\tif (idx[m] < key) a = m + 1; else b = m;\n"
+        "\t}\n"
+        "\treturn (a < hi && idx[a] == key) ? a - lo : -1;\n}"
+    ),
 }
-static inline double _max_f64(double a, double b) {
-    return (a != a) ? a : ((b != b) ? b : ((a > b) ? a : b));
-}
-static inline float _min_f32(float a, float b) {
-    return (a != a) ? a : ((b != b) ? b : ((a < b) ? a : b));
-}
-static inline float _max_f32(float a, float b) {
-    return (a != a) ? a : ((b != b) ? b : ((a > b) ? a : b));
-}
-static inline int64_t _min_i64(int64_t a, int64_t b) { return (a < b) ? a : b; }
-static inline int64_t _max_i64(int64_t a, int64_t b) { return (a > b) ? a : b; }
-static inline int32_t _min_i32(int32_t a, int32_t b) { return (a < b) ? a : b; }
-static inline int32_t _max_i32(int32_t a, int32_t b) { return (a > b) ? a : b; }\
-"""
 
 
-class _CEmitter(_Emitter):
-    """Walks the lowered program emitting the plan in Python and the run in C.
+def _and(*conds: Optional[str]) -> Optional[str]:
+    present = [c for c in conds if c is not None]
+    return " && ".join(present) if present else None
 
-    The plan zone is inherited wholesale from the NumPy emitter — every plan
-    line this class adds (gather/store index tables with structural drops
-    folded to ``-1``) is plain NumPy over structural data.  Run-zone work is
-    routed through :meth:`_ceval`, which generates C expressions and
-    registers the plan values they consume as typed tables (``tabs``) and
-    scalar parameters (``ipar``/``fpar``).
-    """
+
+def _bare(code: str) -> str:
+    """*code* without a redundant outermost pair of parentheses."""
+    if code.startswith("(") and code.endswith(")"):
+        depth = 0
+        for pos, char in enumerate(code):
+            depth += (char == "(") - (char == ")")
+            if depth == 0 and pos < len(code) - 1:
+                return code
+        return code[1:-1]
+    return code
+
+
+def _indent(lines: List[str]) -> List[str]:
+    return ["\t" + line for line in lines]  # deep nests: one byte a level
+
+
+def _block(head: str, body: List[str]) -> List[str]:
+    """``head { body }``, without the braces around a single statement (no
+    caller follows a block with an ``else``, so none can dangle)."""
+    one = body and not body[0].startswith("const ") and all(
+        line.startswith("\t") or line == "}" for line in body[1:]
+    )
+    return [head[:-2], *_indent(body)] if one else [head, *_indent(body), "}"]
+
+
+def _contains_init(stmt: st.Stmt) -> bool:
+    return any(block.init is not None for block in st.find_blocks(stmt))
+
+
+def _spelled(lit: ir.Expr) -> bool:  # 0, 1 and an integer -1 are printed, not passed in a slot
+    return lit.value in (0, 1) or (lit.value == -1 and isinstance(lit, ir.IntImm))
+
+
+def _mentions(expr: ir.Expr, var: ir.Var) -> bool:
+    return expr is var or any(_mentions(kid, var) for kid in ir.children(expr))
+
+
+def _affine(expr: ir.Expr, var: ir.Var) -> Optional[Tuple[ir.Expr, ir.Expr]]:
+    """``(base, stride)`` with ``expr == base + stride * var``, or ``None``."""
+    if expr is var:
+        return ir.IntImm(0), ir.IntImm(1)
+    if isinstance(expr, (ir.Add, ir.Sub, ir.Mul)):
+        a, b = _affine(expr.a, var), _affine(expr.b, var)
+        if a is None or b is None:
+            return None
+        if not isinstance(expr, ir.Mul):
+            return type(expr)(a[0], b[0]), type(expr)(a[1], b[1])
+        for (base, stride), other in ((a, b), (b, a)):
+            if isinstance(other[1], ir.IntImm) and other[1].value == 0:  # var-free factor
+                return ir.Mul(base, other[0]), ir.Mul(stride, other[0])
+        return None
+    return None if _mentions(expr, var) else (expr, ir.IntImm(0))
+
+
+class _CEmitter:
+    """Prints a program as one C function per top-level nest and pass, called
+    in the interpreter's order from ``run``.  Nests that differ only in their
+    operands and sizes (the buckets of a hyb matrix, the relations of a fused
+    RGCN layer) print the same text and share one function."""
 
     def __init__(self, func: PrimFunc):
-        super().__init__(func)
-        self.crun: List[str] = []
-        #: (plan expression, ctype) -> table slot, in registration order.
-        self._ctabs: List[Tuple[str, str]] = []
-        self._ctab_index: Dict[Tuple[str, str], int] = {}
-        self._cipars: List[str] = []
-        self._cipar_index: Dict[str, int] = {}
-        self._cfpars: List[str] = []
-        self._cfpar_index: Dict[str, int] = {}
-        self._var_ctypes: Dict[Var, str] = {}
-        self._stored: set[str] = set()
+        if func.stage != STAGE_LOOP:
+            raise ValueError(f"emit_c expects a stage-III program, got {func.stage}")
+        self.func = func
+        self.flat = {fb.name: fb for fb in func.flat_buffers}
+        self.aux_names = {buf.name for buf in func.aux_buffers}
+        self.axes = {axis.name: axis for axis in func.axes}
+        self.bufs: List[str] = []
+        self.tabs: List[Tuple[str, str]] = []
+        self.ipar: List[int] = []
+        self.fpar: List[float] = []
+        self.prelude: set[str] = set()
+        self.functions: Dict[str, str] = {}  # text with placeholder names -> C name
+        self.definitions: List[str] = []
 
-    # -- registration ----------------------------------------------------------
-    def _bind_buffer(self, name: str) -> str:
-        if name in _C_RESERVED:
-            raise UnsupportedForC(f"buffer name {name!r} collides with a C keyword")
-        return super()._bind_buffer(name)
+    def operand(self, kind: str, name: str) -> str:
+        """The ``bufs[n]`` / ``tabs[n]`` slot of a value buffer or a table."""
+        block, item = (self.bufs, name) if kind == "buf" else (self.tabs, (kind, name))
+        if item not in block:
+            block.append(item)
+        return f"{'bufs' if kind == 'buf' else 'tabs'}[{block.index(item)}]"
 
-    def _buffer_ctype(self, name: str) -> str:
-        dtype = next(
-            (str(_np_dtype(fb.dtype)) for fb in self.func.flat_buffers if fb.name == name),
-            None,
-        )
-        ct = _BUFFER_CTYPES.get(dtype or "")
-        if ct is None:
-            raise UnsupportedForC(f"buffer {name!r} has unsupported dtype {dtype!r}")
-        return ct
-
-    def _tab(self, plan_code: str, ct: str) -> str:
-        key = (plan_code, ct)
-        slot = self._ctab_index.get(key)
-        if slot is None:
-            slot = len(self._ctabs)
-            self._ctabs.append(key)
-            self._ctab_index[key] = slot
-        return f"_t{slot}"
-
-    def _ipar(self, plan_code: str) -> str:
-        slot = self._cipar_index.get(plan_code)
-        if slot is None:
-            slot = len(self._cipars)
-            self._cipars.append(plan_code)
-            self._cipar_index[plan_code] = slot
-        return f"_ip{slot}"
-
-    def _fpar(self, plan_code: str) -> str:
-        slot = self._cfpar_index.get(plan_code)
-        if slot is None:
-            slot = len(self._cfpars)
-            self._cfpars.append(plan_code)
-            self._cfpar_index[plan_code] = slot
-        return f"_fp{slot}"
-
-    # -- zone probe ------------------------------------------------------------
-    def _expr_zone(self, expr: Expr) -> str:
-        """``_RUN`` iff the expression reads any value (non-auxiliary) buffer."""
-        if isinstance(expr, BufferLoad):
-            if expr.buffer.name not in self.aux_names:
-                return _RUN
-            return _PLAN if all(self._expr_zone(i) == _PLAN for i in expr.indices) else _RUN
-        if isinstance(expr, BinaryOp):
-            return _PLAN if (
-                self._expr_zone(expr.a) == _PLAN and self._expr_zone(expr.b) == _PLAN
-            ) else _RUN
-        if isinstance(expr, Not):
-            return self._expr_zone(expr.a)
-        if isinstance(expr, Select):
-            parts = (expr.condition, expr.true_value, expr.false_value)
-            return _PLAN if all(self._expr_zone(p) == _PLAN for p in parts) else _RUN
-        if isinstance(expr, Cast):
-            return self._expr_zone(expr.value)
-        if isinstance(expr, Call):
-            return _PLAN if all(self._expr_zone(a) == _PLAN for a in expr.args) else _RUN
-        return _PLAN  # literals and variables (loop/let vars are plan-bound)
-
-    # -- static dtype inference ------------------------------------------------
-    def _infer_ctype(self, expr: Expr) -> str:
-        """The NEP-50 ctype a plan-zone expression evaluates to."""
-        if isinstance(expr, IntImm):
-            return "ilit"
-        if isinstance(expr, FloatImm):
-            return "flit"
-        if isinstance(expr, Var):
-            return self._var_ctypes.get(expr, "i64")  # loop variables are int64
-        if isinstance(expr, BufferLoad):
-            return self._buffer_ctype(expr.buffer.name)
-        if isinstance(expr, BinaryOp):
-            kind = type(expr)
-            if kind in _CMP_C or kind in (And, Or):
-                return "u8"
-            a = self._infer_ctype(expr.a)
-            b = self._infer_ctype(expr.b)
-            ct = _promote(a, b)
-            if kind is Div and ct in ("i64", "ilit"):
-                return "f64"  # NumPy true-divide of integers yields float64
-            return ct
-        if isinstance(expr, Not):
-            return "u8"
-        if isinstance(expr, Select):
-            return _promote(
-                self._infer_ctype(expr.true_value), self._infer_ctype(expr.false_value)
-            )
-        if isinstance(expr, Cast):
-            if expr.dtype.startswith("int"):
-                inner = self._infer_ctype(expr.value)
-                return "ilit" if inner == "ilit" else "i64"
-            if expr.dtype.startswith("float"):
-                inner = self._infer_ctype(expr.value)
-                return "flit" if inner in ("ilit", "flit") else "f64"
-            return self._infer_ctype(expr.value)
-        if isinstance(expr, Call):
-            if expr.func in ("exp", "tanh", "sqrt", "log"):
-                inner = self._infer_ctype(expr.args[0])
-                return inner if inner in ("f32", "f64", "flit") else "f64"
-            if expr.func == "abs":
-                inner = self._infer_ctype(expr.args[0])
-                return inner if inner != "u8" else "i64"
-            return "i64"  # sparse position searches produce int64 lanes
-        raise UnsupportedForC(f"cannot type expression {type(expr).__name__}")
-
-    # -- statement walk --------------------------------------------------------
-    def _walk(self, stmt: Stmt, env: Dict[Var, Any], n_code: str, mode: str) -> None:
-        if isinstance(stmt, LetStmt) and mode == "compute":
-            if self._expr_zone(stmt.value) == _RUN:
-                raise UnsupportedForC("let binding depends on value data")
-            # The NumPy tier binds let values as lane arrays (np.full for
-            # scalars), so a weak literal becomes a strong f64/i64 array.
-            ct = self._infer_ctype(stmt.value)
-            self._var_ctypes[stmt.var] = _STRENGTHEN.get(ct, ct)
-        super()._walk(stmt, env, n_code, mode)
-
-    def _emit_store(self, store: Any, env: Dict[Var, Any], n_code: str) -> None:
-        if len(store.indices) != 1:
-            raise UnsupportedForC("stage-III stores must use a single flat index")
-        name = store.buffer.name
-        if name in self.aux_names:
-            raise UnsupportedForC(f"store to auxiliary buffer {name!r}")
-        size = self.flat_sizes.get(name)
-        if size is None:
-            raise UnsupportedForC(f"store to unknown flat buffer {name!r}")
-        buf_ct = self._buffer_ctype(name)
-        array = self._bind_buffer(name)
-        self._stored.add(name)
-
-        residual = self._store_forms.get(id(store))
-        value_expr = residual[1] if residual is not None else store.value
-        if self._expr_zone(store.indices[0]) == _RUN:
-            self._emit_run_index_store(
-                store, env, n_code, residual, value_expr, buf_ct, array, size
-            )
-            return
-        index = self._eval(store.indices[0], env, n_code)
-        cval = self._ceval(value_expr, env, n_code)
-
-        # Plan: one int64 scatter table per store, with every dropped lane
-        # (out of bounds, or structurally invalid through the index or the
-        # value) folded to -1 — the C loop's skip marker.  Mirrors the NumPy
-        # emitter's keep-filter exactly: same lanes survive, same order.
-        six = self._fresh("six")
-        self._line(
-            _PLAN,
-            f"{six} = {self._as_lanes(index, n_code)}.astype(np.int64, copy=False)",
-        )
-        bad = f"({six} < 0) | ({six} >= {size})"
-        for inv in [index.invalid] + cval.invalids:
-            if inv is not None:
-                if inv.zone == _RUN:
-                    raise UnsupportedForC("value-dependent structural-zero mask")
-                bad = f"({bad}) | {inv.code}"
-        st = self._fresh("st")
-        self._line(_PLAN, f"{st} = np.where({bad}, -1, {six})")
-        tab = self._tab(st, "i64")
-        count = self._ipar(f"int({n_code})")
-        assign = self._store_assign(residual, cval, buf_ct, array)
-
-        comment = repr(store).replace("*/", "* /").replace("\n", " ")
-        self.crun.append(
-            f"/* {comment} */\n"
-            f"for (int64_t _l = 0; _l < {count}; ++_l) {{\n"
-            f"    int64_t _si = {tab}[_l];\n"
-            f"    if (_si < 0) continue;\n"
-            f"    {assign}\n"
-            f"}}"
-        )
-
-    def _emit_run_index_store(
-        self,
-        store: Any,
-        env: Dict[Var, Any],
-        n_code: str,
-        residual: Any,
-        value_expr: Expr,
-        buf_ct: str,
-        array: str,
-        size: int,
-    ) -> None:
-        """Scatter through an index computed from value data (hyb rowmaps).
-
-        The index expression reads a rebindable buffer, so no plan-time
-        scatter table exists; the C loop evaluates it per lane instead.  The
-        NumPy tier's keep-filter becomes a bounds test plus an optional
-        structural-skip table, applied in lane order so duplicate targets
-        accumulate identically to ``np.add.at`` over the kept lanes.
-        """
-        cidx = self._ceval(store.indices[0], env, n_code)
-        if cidx.ctype not in ("i64", "ilit"):
-            raise UnsupportedForC("store index is not integer-typed")
-        cval = self._ceval(value_expr, env, n_code)
-        skips = []
-        for inv in cidx.invalids + cval.invalids:
-            if inv is None:
-                continue
-            if inv.zone == _RUN:
-                raise UnsupportedForC("value-dependent structural-zero mask")
-            skips.append(inv.code)
-        guard = ""
-        if skips:
-            bad = " | ".join(f"({code})" for code in skips)
-            badtab = self._tab(f"np.asarray({bad}, dtype=bool)", "u8")
-            guard = f"    if ({badtab}[_l]) continue;\n"
-        count = self._ipar(f"int({n_code})")
-        bound = self._ipar(f"int({size})")
-        assign = self._store_assign(residual, cval, buf_ct, array)
-
-        comment = repr(store).replace("*/", "* /").replace("\n", " ")
-        self.crun.append(
-            f"/* {comment} */\n"
-            f"for (int64_t _l = 0; _l < {count}; ++_l) {{\n"
-            f"{guard}"
-            f"    int64_t _si = (int64_t)({cidx.code});\n"
-            f"    if (_si < 0 || _si >= {bound}) continue;\n"
-            f"    {assign}\n"
-            f"}}"
-        )
-
-    def _store_assign(self, residual: Any, cval: _CVal, buf_ct: str, array: str) -> str:
-        """The per-lane assignment statement for a (possibly reducing) store."""
-        if residual is None:
-            return f"{array}[_si] = {self._coerce(cval, buf_ct)};"
-        op = "+" if residual[0] == "add" else "*"
-        # ``np.ufunc.at`` sees the value as an *array*: the NumPy tier
-        # expands a whole-scalar residual with np.full (strong f64/i64),
-        # resolves the loop at the promoted dtype and casts each result
-        # back — e.g. ``f32 *= 0.353..`` runs in float64 there.
-        val_ct = _STRENGTHEN.get(cval.ctype, cval.ctype)
-        promo = _promote(buf_ct, val_ct)
-        if promo == buf_ct:
-            return f"{array}[_si] {op}= {self._coerce(cval, buf_ct)};"
-        return (
-            f"{array}[_si] = ({_CDECL[buf_ct]})((({_CDECL[promo]}){array}[_si])"
-            f" {op} {self._coerce(cval, promo)});"
-        )
-
-    # -- C expression emission ---------------------------------------------------
-    def _ceval(self, expr: Expr, env: Dict[Var, Any], n_code: str) -> _CVal:
-        if isinstance(expr, IntImm):
-            return _CVal(str(int(expr.value)), "ilit")
-        if isinstance(expr, FloatImm):
-            value = float(expr.value)
-            if not math.isfinite(value):
-                raise UnsupportedForC("non-finite float literal")
-            return _CVal(repr(value), "flit")
-        if isinstance(expr, StringImm):
-            raise UnsupportedForC("string value in a compute expression")
-        if self._expr_zone(expr) == _PLAN:
-            return self._plan_ref(expr, env, n_code)
-        if isinstance(expr, BufferLoad):
-            return self._ceval_load(expr, env, n_code)
-        if isinstance(expr, BinaryOp):
-            return self._ceval_binary(expr, env, n_code)
-        if isinstance(expr, Not):
-            a = self._ceval(expr.a, env, n_code)
-            return _CVal(f"(!{a.code})", "u8", a.invalids)
-        if isinstance(expr, Select):
-            return self._ceval_select(expr, env, n_code)
-        if isinstance(expr, Cast):
-            return self._ceval_cast(expr, env, n_code)
-        if isinstance(expr, Call):
-            return self._ceval_call(expr, env, n_code)
-        raise UnsupportedForC(f"cannot emit C for {type(expr).__name__}")
-
-    def _plan_ref(self, expr: Expr, env: Dict[Var, Any], n_code: str) -> _CVal:
-        """Evaluate a pure-plan subtree in Python and surface it to C.
-
-        Lane arrays become typed tables; scalars travel through the
-        ``ipar``/``fpar`` blocks.  Weak Python scalars keep their weak ctype
-        (``ilit``/``flit``) so NEP-50 promotion against them matches NumPy;
-        the glue's marshalling asserts every table's dtype against the static
-        inference, so a mis-typed plan value degrades to a fallback instead
-        of a wrong answer.
-        """
-        val = self._eval(expr, env, n_code)
-        invalids = [val.invalid] if val.invalid is not None else []
-        ct = self._infer_ctype(expr)
-        if val.lanes:
-            if ct in ("ilit", "flit"):
-                raise UnsupportedForC("weak-typed lane array (internal)")
-            tab = self._tab(val.code, ct)
-            return _CVal(f"{tab}[_l]", ct, invalids)
-        if ct == "u8":
-            return _CVal(self._ipar(f"int(bool({val.code}))"), "u8", invalids)
-        if ct in ("i64", "ilit"):
-            return _CVal(self._ipar(f"int({val.code})"), ct, invalids)
-        if ct == "i32":
-            # The ipar block carries int64; the cast restores int32 semantics
-            # (a strong np.int32 scalar promotes like an int32 array).
-            return _CVal(f"((int32_t){self._ipar(f'int({val.code})')})", "i32", invalids)
-        if ct == "f32":
-            # float32 -> float64 -> float32 round-trips exactly; referencing
-            # the fpar slot through a float cast keeps f32 arithmetic.
-            return _CVal(f"((float){self._fpar(f'float({val.code})')})", "f32", invalids)
-        return _CVal(self._fpar(f"float({val.code})"), ct, invalids)  # f64 / flit
-
-    def _ceval_load(self, expr: BufferLoad, env: Dict[Var, Any], n_code: str) -> _CVal:
-        if len(expr.indices) != 1:
-            raise UnsupportedForC("stage-III loads must use a single flat index")
-        name = expr.buffer.name
-        size = self.flat_sizes.get(name)
-        if size is None:
-            raise UnsupportedForC(f"load from unknown flat buffer {name!r}")
-        ct = self._buffer_ctype(name)
-        array = self._bind_buffer(name)
-        index = self._eval(expr.indices[0], env, n_code)
-        if index.zone == _RUN:
-            raise UnsupportedForC("load index depends on value data")
-
-        if not index.lanes:
-            pos = self._fresh("npos")
-            self._line(index.zone, f"{pos} = int({index.code})")
-            guard = f"0 <= {pos} < {size}"
-            if index.invalid is not None:
-                guard = f"not bool({index.invalid.code}) and {guard}"
-            safe = self._fresh("npos")
-            self._line(index.zone, f"{safe} = {pos} if ({guard}) else -1")
-            ref = self._ipar(safe)
-            code = f"(({ref} >= 0) ? {array}[{ref}] : {_CZERO[ct]})"
-            return _CVal(code, ct)
-
-        gi = self._fresh("gi")
-        self._line(
-            index.zone, f"{gi} = {index.code}.astype(np.int64, copy=False)"
-        )
-        bad = f"({gi} < 0) | ({gi} >= {size})"
-        if index.invalid is not None:
-            bad = f"({bad}) | {index.invalid.code}"
-        gt = self._fresh("gt")
-        self._line(index.zone, f"{gt} = np.where({bad}, -1, {gi})")
-        tab = self._tab(gt, "i64")
-        # A load consumes the structural zero (it evaluates to 0), so the
-        # invalid mask does not propagate past it — same as the NumPy tier.
-        code = f"(({tab}[_l] >= 0) ? {array}[{tab}[_l]] : {_CZERO[ct]})"
-        return _CVal(code, ct)
-
-    def _ceval_binary(self, expr: BinaryOp, env: Dict[Var, Any], n_code: str) -> _CVal:
-        a = self._ceval(expr.a, env, n_code)
-        b = self._ceval(expr.b, env, n_code)
-        invalids = a.invalids + b.invalids
-        kind = type(expr)
-        infix = _INFIX_C.get(kind)
-        if infix is not None:
-            ct = _promote(a.ctype, b.ctype)
-            code = f"({self._coerce(a, ct)} {infix} {self._coerce(b, ct)})"
-            return _CVal(code, ct, invalids)
-        cmp = _CMP_C.get(kind)
-        if cmp is not None:
-            ct = _promote(a.ctype, b.ctype)
-            code = f"({self._coerce(a, ct)} {cmp} {self._coerce(b, ct)})"
-            return _CVal(code, "u8", invalids)
-        if kind in (And, Or):
-            op = "&&" if kind is And else "||"
-            return _CVal(f"({a.code} {op} {b.code})", "u8", invalids)
-        if kind in (Min, Max):
-            ct = _promote(a.ctype, b.ctype)
-            if ct in ("ilit", "flit"):
-                raise UnsupportedForC("weak-typed min/max (internal)")
-            helper = ("_min_" if kind is Min else "_max_") + ct
-            code = f"{helper}({self._coerce(a, ct)}, {self._coerce(b, ct)})"
-            return _CVal(code, ct, invalids)
-        if kind is Div:
-            ct = _promote(a.ctype, b.ctype)
-            if ct in ("i64", "ilit"):
-                ct = "f64"  # NumPy true divide: integer operands widen to f64
-            code = f"({self._coerce(a, ct)} / {self._coerce(b, ct)})"
-            return _CVal(code, ct, invalids)
-        raise UnsupportedForC(f"unsupported binary op {kind.__name__}")
-
-    def _ceval_select(self, expr: Select, env: Dict[Var, Any], n_code: str) -> _CVal:
-        cond = self._ceval(expr.condition, env, n_code)
-        true = self._ceval(expr.true_value, env, n_code)
-        false = self._ceval(expr.false_value, env, n_code)
-        if true.invalids or false.invalids:
-            # Branch-chosen invalid masks need per-lane selection; the NumPy
-            # tier handles it, so fall back rather than approximate.
-            raise UnsupportedForC("structural zero inside a select branch")
-        ct = _promote(true.ctype, false.ctype)
-        if ct in ("ilit", "flit"):
-            raise UnsupportedForC("weak-typed select (internal)")
-        code = f"({cond.code} ? {self._coerce(true, ct)} : {self._coerce(false, ct)})"
-        return _CVal(code, ct, cond.invalids)
-
-    def _ceval_cast(self, expr: Cast, env: Dict[Var, Any], n_code: str) -> _CVal:
-        value = self._ceval(expr.value, env, n_code)
-        if expr.dtype.startswith("int"):
-            if value.ctype == "ilit":
-                return value  # int(int) stays a weak Python scalar
-            if value.ctype == "flit":
-                raise UnsupportedForC("cast of a weak float to int")
-            return _CVal(f"((int64_t){value.code})", "i64", value.invalids)
-        if expr.dtype.startswith("float"):
-            if value.ctype == "flit":
-                return value  # float(float) stays a weak Python scalar
-            if value.ctype == "ilit":
-                raise UnsupportedForC("cast of a weak int to float")
-            return _CVal(f"((double){value.code})", "f64", value.invalids)
-        return value
-
-    def _ceval_call(self, call: Call, env: Dict[Var, Any], n_code: str) -> _CVal:
-        if call.func == "sqrt":
-            a = self._ceval(call.args[0], env, n_code)
-            if a.ctype == "f32":
-                return _CVal(f"sqrtf({a.code})", "f32", a.invalids)
-            return _CVal(f"sqrt({self._coerce(a, 'f64')})", "f64", a.invalids)
-        if call.func == "abs":
-            a = self._ceval(call.args[0], env, n_code)
-            if a.ctype == "f32":
-                return _CVal(f"fabsf({a.code})", "f32", a.invalids)
-            if a.ctype in ("f64", "flit"):
-                return _CVal(f"fabs({self._coerce(a, 'f64')})", "f64", a.invalids)
-            if a.ctype == "i32":
-                # The narrowing cast wraps abs(INT32_MIN) back to INT32_MIN,
-                # exactly like NumPy's int32 abs.
-                return _CVal(f"((int32_t)llabs({self._coerce(a, 'i64')}))", "i32", a.invalids)
-            return _CVal(f"llabs({self._coerce(a, 'i64')})", "i64", a.invalids)
-        # exp/tanh/log: NumPy's SIMD implementations are not bit-identical to
-        # libm, so these stay on the NumPy tier.  Position searches are
-        # plan-zone and never reach here.
-        raise UnsupportedForC(f"intrinsic {call.func!r} has no bit-exact C form")
-
-    def _coerce(self, val: _CVal, target: str) -> str:
-        src, code = val.ctype, val.code
-        if src == target:
-            return code
-        if target == "f64":
-            if src == "flit":
-                return code  # a weak float is already a double expression
-            return f"((double)({code}))"
-        if target == "f32":
-            # Weak Python scalars convert to float32 in one rounding step
-            # (int64->float / double->float), matching NEP-50 exactly.
-            return f"((float)({code}))"
-        if target == "i64":
-            # Float sources only occur at store boundaries, where NumPy's
-            # astype truncates toward zero — as does the C cast.
-            return f"((int64_t)({code}))"
-        if target == "i32":
-            return f"((int32_t)({code}))"
-        raise UnsupportedForC(f"cannot coerce {src!r} to {target!r}")
-
-    # -- assembly --------------------------------------------------------------
-    def emit(self) -> Tuple[str, str]:
+    def emit(self) -> Tuple[str, NativeBinding]:
         body = self.func.body
-        self.crun.append("/* ---- pass 1: reduction initialisation ---- */")
-        self._walk(body, {}, "1", "init")
-        self.crun.append("/* ---- pass 2: compute ---- */")
-        self._walk(body, {}, "1", "compute")
-        for line in self.run:
-            # The inherited plan machinery must never have produced Python
-            # run-zone code: everything per-call lives in the C body.
-            if line.lstrip() and not line.lstrip().startswith("#"):
-                raise UnsupportedForC("run-zone Python leaked into the C emitter")
-        plan_blocks, aliases = _cse_plan(self.plan)
-        return self._render_c(), self._render_glue(plan_blocks, aliases)
-
-    def _render_c(self) -> str:
-        lines: List[str] = [
-            f"/* Emitted C kernel for {self.func.name!r} (native stage-IV backend).",
-            " *",
-            f" * Generated by repro.core.codegen.emit_c v{NATIVE_VERSION}; do not edit.",
-            " * The per-call body: one flat loop per store, gathering through the",
-            " * plan-built index tables (tabs) with -1 marking dropped lanes.",
-            " * Sizes never appear here — every structure of this program family",
-            " * shares this source, so one compile serves the whole family.",
-            " */",
+        nests = body.stmts if isinstance(body, st.SeqStmt) else (body,)
+        run: List[str] = []
+        for mode in ("init", "compute"):  # the interpreter's two passes
+            calls = [call for nest in nests for call in _Nest(self, nest).emit(mode)]
+            if calls:
+                run += [f"/* {mode} pass */", *calls]
+        if self.prelude & {"_LD", "_IN2"}:
+            self.prelude.add("_IN")
+        lines = [
+            f"/* {self.func.name!r}: its stage-III loop nests in the interpreter's order, sizes in ipar.",
+            f" * Generated by repro.core.codegen.emit_c v{NATIVE_VERSION}; do not edit. */",
             "#include <stdint.h>",
-            "#include <stdlib.h>",
-            "#include <math.h>",
-            "",
-            _C_HELPERS,
-            "",
+            *(text for name, text in _PRELUDE.items() if name in self.prelude),
+            *self.definitions,
             "int run(void **bufs, void **tabs, const int64_t *ipar, const double *fpar)",
             "{",
-            "    (void) bufs; (void) tabs; (void) ipar; (void) fpar;",
+            *_indent([*run, "return 0;"]),
+            "}",
         ]
-        for slot, name in enumerate(self._val_used):
-            decl = _CDECL[self._buffer_ctype(name)]
-            const = "" if name in self._stored else "const "
-            lines.append(f"    {const}{decl} *{name} = ({const}{decl} *) bufs[{slot}];")
-        for slot, (_, ct) in enumerate(self._ctabs):
-            decl = _CDECL[ct]
-            lines.append(f"    const {decl} *_t{slot} = (const {decl} *) tabs[{slot}];")
-        for slot in range(len(self._cipars)):
-            lines.append(f"    const int64_t _ip{slot} = ipar[{slot}];")
-        for slot in range(len(self._cfpars)):
-            lines.append(f"    const double _fp{slot} = fpar[{slot}];")
-        lines.append("")
-        for block in self.crun:
-            lines.extend(_indent(block, 1))
-        lines.append("    return 0;")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def _render_glue(self, plan_blocks: List[str], aliases: Dict[str, str]) -> str:
-        def fix(code: str) -> str:
-            return _apply_aliases(code, aliases)
-
-        plan_text = "\n".join(plan_blocks)
-        helper_lines = ["np = helpers['np']"]
-        if "ragged_arange(" in plan_text:
-            helper_lines.append("ragged_arange = helpers['ragged_arange']")
-        if "coords_to_positions(" in plan_text:
-            helper_lines.append("coords_to_positions = helpers['coords_to_positions']")
-        helper_lines.append("_marshal = helpers['marshal']")
-        for name in self._aux_used:
-            helper_lines.append(f"{name} = aux[{name!r}]")
-
-        lines: List[str] = [
-            f'"""Native glue for {self.func.name!r} (stage-IV C backend).',
-            "",
-            f"Generated by repro.core.codegen.emit_c v{NATIVE_VERSION}; do not edit.",
-            "The make_kernel body is the plan: lane expansion and gather/scatter",
-            "tables fixed once from the structural data, then marshalled into the",
-            "compiled run() of the companion C module.",
-            '"""',
-            "",
-            f"MAX_LANES = {MAX_LANES}",
-            "",
-            "",
-            "def make_kernel(axes, aux, helpers, lib):",
-        ]
-        for text in helper_lines:
-            lines.extend(_indent(text, 1))
-        lines.append("    # ---- plan: computed once from structural data ----")
-        for text in plan_blocks:
-            lines.extend(_indent(text, 1))
-        lines.append("    _tabs = [")
-        for code, ct in self._ctabs:
-            lines.append(f"        _marshal({fix(code)}, {ct!r}),")
-        lines.append("    ]")
-        lines.append("    _ipar = np.asarray([")
-        for code in self._cipars:
-            lines.append(f"        {fix(code)},")
-        lines.append("    ], dtype=np.int64)")
-        lines.append("    _fpar = np.asarray([")
-        for code in self._cfpars:
-            lines.append(f"        {fix(code)},")
-        lines.append("    ], dtype=np.float64)")
-        lines.append(
-            "    return helpers['native_invoke']"
-            f"(lib, _tabs, _ipar, _fpar, {list(self._val_used)!r})"
-        )
-        return "\n".join(lines) + "\n"
+        blocks = (self.bufs, self.tabs, self.ipar, self.fpar)
+        return "\n".join(lines) + "\n", NativeBinding(*map(tuple, blocks))
 
 
-def emit_c_source(func: PrimFunc) -> Tuple[str, str]:
-    """Emit the native (C, glue) source pair for a stage-III program.
+_PLACEHOLDER = re.compile(r"__(\d+)__")
+
+
+class _Nest:
+    """Walks one top-level nest in one pass and prints it as a C function.
+
+    Every name taken from the program (buffers, tables, loop variables) is
+    printed as a placeholder and every scalar as ``ip[n]`` / ``fp[n]`` of the
+    nest's own segment, so the text depends on the structure alone; the first
+    nest to print a text lends the function its names.
+    """
+
+    def __init__(self, program: _CEmitter, nest: st.Stmt):
+        self.program = program
+        self.nest = nest
+        #: Buffers the nest stores to; loads from any other buffer are
+        #: invariant while it runs and may be materialised anywhere in it.
+        self.written = {s.buffer.name for s in st.collect_buffer_stores(nest)}
+        self._syms: Dict[Any, str] = {}
+        self._names: List[str] = []
+        self._params: List[Tuple[str, str]] = []  # (declaration, run()'s operand)
+        self._ipar: List[int] = []
+        self._fpar: List[float] = []
+        self._slots: Dict[Any, Tuple[str, Any]] = {}
+        self._counter = 0
+        self._info_memo: Dict[int, Tuple[Any, ...]] = {}
+        self._vars: Dict[ir.Var, Tuple[_CVal, _Scope]] = {}
+        #: The function-body scope, and the scope expressions are emitted for
+        #: (the innermost open one, or the target of a hoist in progress).
+        self._top = self._home = _Scope(0, [], {})
+        #: Where statements go, and the lines an expression needs in front of
+        #: it (for a hoisted one: its scope's).
+        self._sink = self._here = self._top.lines
+        #: Accesses ``(buffer, index key)`` the enclosing range test proved in
+        #: bounds (the unchecked body), and the log the checked walk of a loop
+        #: keeps for building that test (replaced once a nested loop is met).
+        self._proven: FrozenSet[Tuple[str, str]] = frozenset()
+        self._accesses: Optional[List[Tuple[str, ir.Expr]]] = None
+
+    def emit(self, mode: str) -> List[str]:
+        """Define the nest's function for *mode* (unless an identical one
+        exists); the call ``run`` makes, or nothing for an empty pass."""
+        self._walk(self.nest, mode)
+        if not self._top.lines:
+            return []
+        program = self.program
+        params, args = map(list, zip(*self._params)) if self._params else ([], [])
+        for block, local, param, base in (
+            (program.ipar, self._ipar, "const int64_t *ip", "ipar"),
+            (program.fpar, self._fpar, "const double *fp", "fpar"),
+        ):
+            if local:  # the nest's segment of the scalar block
+                params.append(param)
+                args.append(f"{base} + {len(block)}" if block else base)
+                block.extend(local)
+        text = "\n".join([f"({', '.join(params)})", "{", *_indent(self._top.lines), "}"])
+        name = program.functions.get(text)
+        if name is None:
+            name = program.functions[text] = f"_k{len(program.functions)}"
+            named = _PLACEHOLDER.sub(lambda m: self._names[int(m.group(1))], text)
+            program.definitions.append(f"static void {name}{named}")
+        return [f"{name}({', '.join(args)});"]
+
+    # -- registration ----------------------------------------------------------
+    def _fresh(self) -> str:
+        self._counter += 1
+        return f"_t{self._counter}"
+
+    def _sym(self, key: Any, name: str) -> str:
+        """The placeholder of a program name (*name* when it can be printed)."""
+        if key not in self._syms:
+            self._syms[key] = f"__{len(self._names)}__"
+            if name in _C_RESERVED or not name.isidentifier() or name.startswith("_"):
+                name = f"v{len(self._names)}"
+            while name in self._names:
+                name += "_"
+            self._names.append(name)
+        return self._syms[key]
+
+    def _slot(self, key: Any, value: Any, node: Any = None) -> str:
+        """The ``ip[n]`` / ``fp[n]`` reference carrying *value*: one slot per
+        role, never per value (equal sizes must not merge in the text)."""
+        if key not in self._slots:
+            block, name = (self._fpar, "fp") if isinstance(value, float) else (self._ipar, "ip")
+            self._slots[key] = (f"{name}[{len(block)}]", node)  # pins a literal keyed by id
+            block.append(value)
+        return self._slots[key][0]
+
+    def _use(self, helper: str) -> str:
+        self.program.prelude.add(helper)
+        return helper
+
+    def _operand(self, kind: str, name: str, label: str, decl: str) -> str:
+        new = (kind, name) not in self._syms
+        token = self._sym((kind, name), label)
+        if new:
+            const = "" if kind == "buf" and name in self.written else "const "
+            self._params.append((f"{const}{decl} *{token}", self.program.operand(kind, name)))
+        return token
+
+    def _buffer(self, name: str) -> Tuple[str, str, str]:
+        """``(placeholder, element ctype, size reference)`` of a flat buffer."""
+        flat = self.program.flat.get(name)
+        if flat is None:
+            raise UnsupportedForC(f"access to unknown flat buffer {name!r}")
+        ct = _BUFFER_CTYPES.get(str(np.dtype(_np_dtype(flat.dtype))))
+        if ct is None:
+            raise UnsupportedForC(f"buffer {name!r} has unsupported dtype {flat.dtype!r}")
+        kind = "aux" if name in self.program.aux_names else "buf"
+        size = self._slot(("size", name), int(flat.size))
+        return self._operand(kind, name, name, _CDECL[ct]), ct, size
+
+    def _table(self, kind: str, axis: str) -> str:
+        decl = "int32_t" if kind == "rowof" else "int64_t"
+        return self._operand(kind, axis, f"{axis}_{kind}", decl)
+
+    def _cname(self, var: ir.Var) -> str:
+        return self._sym(var, var.name.removesuffix("_it_p"))  # the lowering's suffix
+
+    # -- expression analysis ---------------------------------------------------
+    def _info(self, expr: ir.Expr, index_of: str = "") -> Tuple[str, bool, FrozenSet[ir.Var], bool]:
+        """``(structural key, pure, free variables, heavy)`` of an expression.
+
+        *Pure* means it loads from no written buffer, so its value depends on
+        its variables alone; *heavy* that the node itself (a load, a call, a
+        multiplication or division, a choice) is worth a temporary.  A literal
+        is keyed by node (sizes that happen to be equal must not change the
+        text), but a stride in an index of buffer *index_of* by value: a load
+        and a store of one element stay one expression.
+        """
+        memo = self._info_memo.get(id(expr))
+        if memo is not None:
+            return memo[1:]
+        if isinstance(expr, ir.Var):
+            info = (f"${id(expr)}", True, frozenset((expr,)), False)
+        elif isinstance(expr, (ir.IntImm, ir.FloatImm)):
+            stride = index_of and isinstance(expr, ir.IntImm)
+            key = f"{index_of}:{expr.value}" if stride else f"#{id(expr)}"
+            info = (repr(expr.value) if _spelled(expr) else key, True, frozenset(), False)
+        else:
+            load = expr.buffer.name if isinstance(expr, ir.BufferLoad) else ""
+            kids = [self._info(kid, load or index_of) for kid in ir.children(expr)]
+            pure = all(kid[1] for kid in kids)
+            if load:
+                head, pure = load, pure and load not in self.written
+            elif isinstance(expr, (ir.Call, ir.Cast)):
+                head = f"{getattr(expr, 'func', 'cast')}:{expr.dtype}"
+            else:
+                head = type(expr).__name__ if kids else repr(expr)
+            info = (
+                f"{head}({','.join(kid[0] for kid in kids)})",
+                pure,
+                frozenset().union(*(kid[2] for kid in kids)),
+                isinstance(expr, _HEAVY),
+            )
+        self._info_memo[id(expr)] = (expr, *info)  # the reference pins the id
+        return info
+
+    def _scope_of(self, free: FrozenSet[ir.Var]) -> _Scope:
+        """The shallowest open scope in which every variable of *free* is bound."""
+        scope = self._top
+        for var in free:
+            bound = self._vars.get(var)
+            if bound is None:
+                raise UnsupportedForC(f"unbound variable {var.name!r}")
+            if bound[1].depth > scope.depth:
+                scope = bound[1]
+        return scope
+
+    def _bind_temp(self, lines: List[str], val: _CVal) -> _CVal:
+        """*val* (and its validity condition) as named constants in *lines*."""
+        name, ok = val.code, val.ok
+        if not name.isidentifier():
+            name = self._fresh()
+            lines.append(f"const {_CDECL[val.ctype]} {name} = {_bare(val.code)};")
+        if ok is not None and not ok.isidentifier():
+            ok = self._fresh()
+            lines.append(f"const int {ok} = {_bare(val.ok)};")
+        return _CVal(name, val.ctype, ok)
+
+    # -- expression emission ---------------------------------------------------
+    def _eval(self, expr: ir.Expr) -> _CVal:
+        if isinstance(expr, (ir.IntImm, ir.FloatImm)):
+            cast, ct = (int, "ilit") if isinstance(expr, ir.IntImm) else (float, "flit")
+            value = cast(expr.value)
+            if not np.isfinite(value):
+                raise UnsupportedForC("non-finite float literal")
+            return _CVal(repr(value) if _spelled(expr) else self._slot(id(expr), value, expr), ct)
+        if isinstance(expr, ir.Var):
+            bound = self._vars.get(expr)
+            if bound is None:
+                raise UnsupportedForC(f"unbound variable {expr.name!r}")
+            return bound[0]
+        key, pure, free, heavy = self._info(expr)
+        scope = self._scope_of(free) if pure and heavy else self._home
+        hit = scope.temps.get(key)
+        if hit is None and scope.depth >= self._home.depth:
+            return self._emit(expr)
+        if hit is None:
+            # Bound further out: materialise it there, once.  That is in front of
+            # any range test in progress: it keeps its guards and is no part of it.
+            saved = self._home, self._here, self._proven, self._accesses
+            self._home, self._here = scope, scope.lines
+            self._proven, self._accesses = frozenset(), None
+            hit = scope.temps[key] = self._bind_temp(scope.lines, self._emit(expr))
+            self._home, self._here, self._proven, self._accesses = saved
+        return hit
+
+    def _emit(self, expr: ir.Expr) -> _CVal:
+        if isinstance(expr, ir.BufferLoad):
+            return self._emit_load(expr)
+        if isinstance(expr, ir.BinaryOp):
+            return self._emit_binary(expr)
+        if isinstance(expr, ir.Not):
+            a = self._eval(expr.a)
+            return _CVal(f"(!{self._truth(a)})", "u8", a.ok)
+        if isinstance(expr, ir.Select):
+            cond = self._eval(expr.condition)
+            true, false = self._eval(expr.true_value), self._eval(expr.false_value)
+            ct = _promote(true.ctype, false.ctype)
+            test = self._truth(cond)
+            chosen = None  # only the chosen branch can meet a structural zero
+            if true.ok is not None or false.ok is not None:
+                chosen = f"({test} ? {true.ok or 1} : {false.ok or 1})"
+            code = f"({test} ? {self._coerce(true, ct)} : {self._coerce(false, ct)})"
+            return _CVal(code, ct, _and(cond.ok, chosen))
+        if isinstance(expr, ir.Cast):
+            value = self._eval(expr.value)
+            if expr.dtype.startswith("int"):  # int(): a weak Python int
+                return _CVal(self._coerce(value, "i64"), "ilit", value.ok)
+            if expr.dtype.startswith("float"):  # float(): a weak Python float
+                return _CVal(self._coerce(value, "f64"), "flit", value.ok)
+            return value
+        if isinstance(expr, ir.Call):
+            return self._emit_call(expr)
+        raise UnsupportedForC(f"cannot emit C for {type(expr).__name__}")
+
+    def _index(self, expr: ir.Expr) -> _CVal:
+        """An expression the interpreter passes through ``int()``."""
+        val = self._eval(expr)
+        if val.ctype == "u8":
+            raise UnsupportedForC("boolean used as an index")
+        return _CVal(self._coerce(val, "i64"), "i64", val.ok)
+
+    def _emit_load(self, expr: ir.BufferLoad) -> _CVal:
+        if len(expr.indices) != 1:
+            raise UnsupportedForC("stage-III loads must use a single flat index")
+        array, ct, size = self._buffer(expr.buffer.name)
+        index = self._index(expr.indices[0])
+        guarded = f"{self._use('_LD')}({array}, {_bare(index.code)}, {size})"
+        if index.ok is not None:
+            code = f"({index.ok} ? {guarded} : 0)"  # a structural zero loads 0
+        else:
+            if self._accesses is not None:
+                self._accesses.append((expr.buffer.name, expr.indices[0]))
+            proven = (expr.buffer.name, self._info(expr.indices[0])[0]) in self._proven
+            code = f"{array}[{_bare(index.code)}]" if proven else guarded
+        if ct == "i32":
+            code, ct = f"(int64_t){code}", "i64"
+        return _CVal(code, ct)
+
+    def _emit_binary(self, expr: ir.BinaryOp) -> _CVal:
+        a, b = self._eval(expr.a), self._eval(expr.b)
+        ok = _and(a.ok, b.ok)
+        kind = type(expr)
+        if kind in (ir.And, ir.Or):
+            op = "&&" if kind is ir.And else "||"
+            return _CVal(f"({self._truth(a)} {op} {self._truth(b)})", "u8", ok)
+        ct = _promote(a.ctype, b.ctype)
+        ca, cb = self._coerce(a, ct), self._coerce(b, ct)
+        if isinstance(expr, ir.CompareOp):  # its op_name is the C operator
+            return _CVal(f"({ca} {expr.op_name} {cb})", "u8", ok)
+        if ct == "u8":
+            raise UnsupportedForC("boolean operand in arithmetic")
+        if kind in (ir.Add, ir.Sub, ir.Mul):
+            return _CVal(f"({ca} {expr.op_name} {cb})", ct, ok)
+        if kind in (ir.Min, ir.Max):
+            # Python's min/max: the second operand only when strictly better.
+            return _CVal(f"(({cb} {'<' if kind is ir.Min else '>'} {ca}) ? {cb} : {ca})", ct, ok)
+        if kind is ir.Div:
+            if ct in ("i64", "ilit"):  # true division of integers is a float
+                ct = "f64" if ct == "i64" else "flit"
+                ca, cb = self._coerce(a, ct), self._coerce(b, ct)
+            return _CVal(f"({ca} / {cb})", ct, ok)
+        if kind in (ir.FloorDiv, ir.FloorMod) and ct in ("i64", "ilit"):
+            helper = self._use("_fdiv" if kind is ir.FloorDiv else "_fmod")
+            return _CVal(f"{helper}({ca}, {cb})", ct, ok)
+        raise UnsupportedForC(f"unsupported binary op {kind.__name__} over {ct}")
+
+    def _emit_call(self, call: ir.Call) -> _CVal:
+        if call.func in (BINARY_SEARCH, ROW_UPPER_BOUND):
+            axis = self.program.axes.get(getattr(call.args[0], "value", None))
+            if axis is None:
+                raise UnsupportedForC(f"unknown axis in {call.func}")
+            args = [self._index(arg) for arg in call.args[1:]]
+            search = self._emit_row_search if call.func == ROW_UPPER_BOUND else self._emit_coord_search
+            return search(axis, *args)
+        if call.func in ("sqrt", "abs"):
+            a = self._eval(call.args[0])
+            if a.ctype == "u8":
+                raise UnsupportedForC(f"boolean operand of {call.func}")
+            self._use("libm")
+            if a.ctype == "f32":
+                return _CVal(f"{'sqrtf' if call.func == 'sqrt' else 'fabsf'}({a.code})", "f32", a.ok)
+            if call.func == "sqrt":  # np.sqrt of anything else is a float64
+                return _CVal(f"sqrt({self._coerce(a, 'f64')})", "f64", a.ok)
+            func = "fabs" if a.ctype in ("f64", "flit") else "llabs"
+            return _CVal(f"{func}({a.code})", a.ctype, a.ok)
+        # exp/tanh/log: NumPy's implementations are not bit-identical to
+        # libm's, so these stay on the NumPy tier.
+        raise UnsupportedForC(f"intrinsic {call.func!r} has no bit-exact C form")
+
+    def _emit_row_search(self, axis: Any, position: _CVal) -> _CVal:
+        """``searchsorted(indptr, p, side="right") - 1``: a table lookup."""
+        indptr = getattr(axis, "indptr", None)
+        if indptr is None or len(indptr) > 2**31:
+            raise UnsupportedForC(f"axis {axis.name!r} has no indptr for row search")
+        table = self._table("rowof", axis.name)
+        nnz = self._slot(("nnz", axis.name), int(indptr[-1]))
+        rows = self._slot(("rows", axis.name), len(indptr) - 1)
+        code = f"((int64_t){self._use('_ROW')}({table}, {position.code}, {nnz}, {rows}))"
+        return _CVal(code, "ilit", position.ok)  # the interpreter's is a Python int
+
+    def _emit_coord_search(self, axis: Any, parent: _CVal, coord: _CVal) -> _CVal:
+        """``axis.coordinate_to_position``: a lower-bound search of the parent's
+        row; the position when found, else a structural zero."""
+        if not isinstance(axis, SparseVariableAxis) or axis.indptr is None or axis.indices is None:
+            raise UnsupportedForC(f"coordinate search on axis {axis.name!r}")
+        indptr = self._table("indptr", axis.name)
+        rows = self._slot(("rows", axis.name), len(axis.indptr) - 1)
+        lo, hi = f"{indptr}[{parent.code}]", f"{indptr}[{parent.code} + 1]"
+        indices = self._table("indices", axis.name)
+        search = f"{self._use('_find')}({indices}, {lo}, {hi}, {coord.code})"
+        found = _CVal(f"({self._use('_IN')}({parent.code}, {rows}) ? {search} : -1)", "i64")
+        pos = self._bind_temp(self._here, found).code
+        return _CVal(pos, "ilit", _and(parent.ok, coord.ok, f"({pos} >= 0)"))
+
+    def _truth(self, val: _CVal) -> str:
+        return val.code if val.ctype == "u8" else f"({val.code} != 0)"
+
+    def _coerce(self, val: _CVal, target: str) -> str:
+        """*val* converted the way NumPy converts a scalar to *target*."""
+        strong = {"ilit": "i64", "flit": "f64"}
+        if strong.get(val.ctype, val.ctype) == strong.get(target, target):
+            return val.code
+        if val.code in ("0.0", "1.0") and target == "f32":
+            return val.code + "f"
+        return f"(({_CDECL[target]})({val.code}))"
+
+    # -- statement walk --------------------------------------------------------
+    def _walk(self, stmt: st.Stmt, mode: str) -> None:
+        """Emit *stmt* in the interpreter's *mode*: ``init`` (above the first
+        block), ``init_only`` (inside one) or ``compute``."""
+        if isinstance(stmt, st.SeqStmt):
+            for child in stmt.stmts:
+                self._walk(child, mode)
+        elif isinstance(stmt, st.ForLoop):
+            if mode == "compute" or _contains_init(stmt.body):
+                self._emit_loop(stmt, mode)
+        elif isinstance(stmt, st.Block):
+            if mode == "compute":
+                self._walk(stmt.body, mode)
+            else:
+                if stmt.init is not None:
+                    self._walk(stmt.init, "compute")
+                self._walk(stmt.body, "init_only")
+        elif mode == "init":
+            pass  # the init pass skips leaf statements above the first block
+        elif isinstance(stmt, st.IfThenElse):
+            if mode == "compute":
+                self._emit_if(stmt)
+            else:
+                # Both branches, unconditionally: inits are idempotent stores.
+                for branch in (stmt.then_case, stmt.else_case):
+                    if branch is not None:
+                        self._walk(branch, mode)
+        elif mode == "init_only":
+            pass
+        elif isinstance(stmt, st.BufferStore):
+            self._emit_store(stmt)
+        elif isinstance(stmt, st.LetStmt):
+            value = self._eval(stmt.value)
+            if value.ok is not None:
+                raise UnsupportedForC("structural zero inside a let binding")
+            name = self._cname(stmt.var)
+            head = f"const {_CDECL[value.ctype]} {name} = {_bare(value.code)};"
+            body = self._scoped(stmt.var, _CVal(name, value.ctype), stmt.body, mode)
+            self._sink.extend(_block("{", [head, *body]))
+        elif isinstance(stmt, st.AssertStmt):
+            self._walk(stmt.body, mode)
+        elif not isinstance(stmt, st.Evaluate):
+            raise UnsupportedForC(f"cannot emit statement of type {type(stmt).__name__}")
+
+    def _scoped(self, var: ir.Var, val: _CVal, body: st.Stmt, mode: str) -> List[str]:
+        """The lines of *body* walked in a new scope that binds *var*."""
+        saved = self._home, self._sink, self._here
+        scope = self._home = _Scope(self._home.depth + 1, [], {})
+        self._vars[var] = (val, scope)
+        self._sink = self._here = scope.lines
+        self._walk(body, mode)
+        self._home, self._sink, self._here = saved
+        del self._vars[var]
+        return scope.lines
+
+    def _branch(self, stmt: st.Stmt, mode: str) -> List[str]:
+        """The lines of *stmt* walked into a block of the current scope."""
+        saved = self._sink, self._here
+        self._sink = self._here = []
+        self._walk(stmt, mode)
+        lines = self._sink
+        self._sink, self._here = saved
+        return lines
+
+    def _emit_if(self, stmt: st.IfThenElse) -> None:
+        cond = self._eval(stmt.condition)
+        # A structural zero in the condition reads as false.
+        test = _bare(_and(cond.ok, self._truth(cond)))
+        text = [f"if ({test}) {{", *_indent(self._branch(stmt.then_case, "compute"))]
+        if stmt.else_case is not None:
+            text += ["} else {", *_indent(self._branch(stmt.else_case, "compute"))]
+        self._sink.extend([*text, "}"])
+
+    def _bound(self, expr: ir.Expr) -> _CVal:
+        val = self._index(expr)
+        if val.ok is not None:
+            raise UnsupportedForC("structural zero inside loop bounds")
+        return val
+
+    def _emit_loop(self, loop: st.ForLoop, mode: str) -> None:
+        start, extent = self._bound(loop.start), self._bound(loop.extent)
+        if isinstance(loop.extent, ir.IntImm):  # a size even when it is 0 or 1
+            extent = _CVal(self._slot(id(loop.extent), int(loop.extent.value), loop.extent), "i64")
+        if mode != "compute" and self._init_is_invariant(loop):
+            # The init statements do not index this (reduction) loop: once is
+            # the same as every iteration, and a zero-trip loop runs none.
+            self._sink.extend(_block(f"if ({extent.code} > 0) {{", self._branch(loop.body, mode)))
+            return
+        stop = _bare(extent.code) if start.code == "0" else f"{start.code} + {extent.code}"
+        var, end, first = self._cname(loop.loop_var), self._fresh(), _bare(start.code)
+        head = f"for (int64_t {var} = {first}, {end} = {stop}; {var} < {end}; ++{var}) {{"
+
+        def body() -> List[str]:
+            return _block(head, self._scoped(loop.loop_var, _CVal(var, "ilit"), loop.body, mode))
+
+        log: List[Tuple[str, ir.Expr]] = []
+        self._accesses = log
+        checked = body()
+        # Only an innermost loop is versioned: a nested one has replaced the log.
+        tests = self._range_tests(loop, stop, log) if self._accesses is log else {}
+        self._accesses = None
+        if not tests:
+            self._sink.extend(checked)
+            return
+        saved, self._proven = self._proven, frozenset(tests)
+        fast = body()
+        self._proven = saved
+        test = " && ".join(dict.fromkeys(tests.values()))
+        self._sink.extend([f"if ({test}) {{", *_indent(fast), "} else {", *_indent(checked), "}"])
+
+    def _init_is_invariant(self, loop: st.ForLoop) -> bool:
+        """Whether the init pass under *loop* is a set of plain stores that read
+        neither its variable nor anything they write (so once is the same)."""
+        inits = [block.init for block in st.find_blocks(loop.body) if block.init is not None]
+        if not all(isinstance(init, st.BufferStore) for init in inits):
+            return False
+        stored = {init.buffer.name for init in inits}
+        # Loop bounds inside the nest are evaluated too; taking every loop's
+        # (not only those above an init) errs towards not hoisting.
+        exprs = [e for nested in st.find_loops(loop.body) for e in (nested.start, nested.extent)]
+        exprs += [e for init in inits for e in (*init.indices, init.value)]
+        nodes = [node for expr in exprs for node in ir.post_order(expr)]
+        loads = {node.buffer.name for node in nodes if isinstance(node, ir.BufferLoad)}
+        return loop.loop_var not in nodes and not loads & stored
+
+    def _range_tests(
+        self, loop: st.ForLoop, stop: str, log: List[Tuple[str, ir.Expr]]
+    ) -> Dict[Tuple[str, str], str]:
+        """access -> C condition, per logged access of an innermost loop whose
+        index is affine in the loop variable: with both end points in range,
+        every iteration is."""
+        start, extent = self._info(loop.start), self._info(loop.extent)
+        if not (start[1] and extent[1]):
+            return {}  # the bounds read a written buffer: no test may leave the spot
+        last = ir.Var("last")
+        self._vars[last] = (_CVal(f"({stop} - 1)", "ilit"), self._scope_of(start[2] | extent[2]))
+        found: Dict[Tuple[str, str], Tuple[str, List[ir.Expr], _Scope]] = {}
+        for array, index in log:
+            access = (array, self._info(index)[0])
+            affine = None if access in found else _affine(index, loop.loop_var)
+            if affine is None:
+                continue
+            base, stride = affine
+            ends = [ir.simplify(ir.Add(base, ir.Mul(stride, at))) for at in (loop.start, last)]
+            infos = [self._info(end) for end in ends]
+            if not (infos[0][1] and infos[1][1]):
+                continue  # reads a buffer the loop may write
+            try:
+                scope = self._scope_of(infos[0][2] | infos[1][2])
+            except UnsupportedForC:
+                continue  # mentions a variable bound inside the loop
+            found[access] = (f"in:{array}:{infos[0][0]}:{infos[1][0]}", ends, scope)
+        tests: Dict[Tuple[str, str], str] = {}
+        if len(found) < 2:  # a lone guard is cheaper than a second loop
+            found = {}
+        for (array, index_key), (key, ends, scope) in found.items():
+            if key not in scope.temps:
+                first, final = self._index(ends[0]), self._index(ends[1])
+                if first.ok is not None or final.ok is not None:
+                    continue
+                size = self._buffer(array)[2]
+                ends_c = f"{_bare(first.code)}, {_bare(final.code)}"
+                test = _CVal(f"{self._use('_IN2')}({ends_c}, {size})", "u8")
+                # Hoisted like any other subexpression, out of the loops it
+                # does not vary in.
+                at_home = scope is self._home
+                scope.temps[key] = test if at_home else self._bind_temp(scope.lines, test)
+            tests[array, index_key] = scope.temps[key].code
+        del self._vars[last]
+        return tests
+
+    def _emit_store(self, store: st.BufferStore) -> None:
+        if len(store.indices) != 1:
+            raise UnsupportedForC("stage-III stores must use a single flat index")
+        if store.buffer.name in self.program.aux_names:
+            raise UnsupportedForC(f"store to auxiliary buffer {store.buffer.name!r}")
+        array, ct, size = self._buffer(store.buffer.name)
+        access = (store.buffer.name, self._info(store.indices[0], store.buffer.name)[0])
+        index = self._index(store.indices[0])
+        value = self._eval(store.value)
+        guard = _and(index.ok, value.ok)
+        target = index.code
+        if guard is None and self._accesses is not None:
+            self._accesses.append((store.buffer.name, store.indices[0]))
+        if guard is not None or access not in self._proven:
+            if "(" in _bare(target):  # more than names and operators: say it once
+                target = self._fresh()
+                self._sink.append(f"const int64_t {target} = {_bare(index.code)};")
+            guard = _and(guard, f"{self._use('_IN')}({_bare(target)}, {size})")
+        assign = f"{array}[{_bare(target)}] = {_bare(self._coerce(value, ct))};"
+        self._sink.append(assign if guard is None else f"if ({guard}) {assign}")
+
+
+def emit_c_source(func: PrimFunc) -> Tuple[str, NativeBinding]:
+    """Emit the native ``(C source, binding)`` pair for a stage-III program.
 
     Raises :class:`UnsupportedForC` (a subclass of
     :class:`~repro.core.codegen.emit_numpy.UnsupportedForEmission`) when the
@@ -824,9 +878,8 @@ def find_compiler() -> Optional[str]:
     """Path of the C compiler to use, or ``None`` when the tier is unavailable.
 
     ``$REPRO_NATIVE=off`` disables the tier; ``$CC`` (when set) names the
-    *only* candidate — pointing it at a non-existent path is the supported
-    way to simulate a machine without a compiler.  Deliberately not memoised
-    so tests (and the no-compiler CI lane) can flip the environment per test.
+    *only* candidate, so a non-existent path simulates a machine without a
+    compiler.  Not memoised: tests and the no-compiler CI lane flip it.
     """
     gate = os.environ.get(NATIVE_ENV_VAR)
     if gate is not None and gate.strip().lower() in _NATIVE_DISABLED_VALUES:
@@ -836,10 +889,7 @@ def find_compiler() -> Optional[str]:
     except ImportError:  # pragma: no cover - cffi is part of the baked image
         return None
     cc = os.environ.get("CC")
-    candidates = [cc] if cc else ["cc", "gcc", "clang"]
-    for candidate in candidates:
-        if not candidate:
-            continue
+    for candidate in [cc] if cc else ["cc", "gcc", "clang"]:
         path = shutil.which(candidate)
         if path:
             return path
@@ -861,43 +911,28 @@ def source_sha(c_source: str) -> str:
 
 
 # -- compilation + loading -----------------------------------------------------
-_FFI: Any = None
-_FFI_LOCK = threading.Lock()
-
 #: sha256(C source) -> dlopened library (or ``False`` after a failed build),
 #: so a hypothesis battery over many structures of one program family
 #: compiles exactly once per process.
 _LIB_MEMO: Dict[str, Any] = {}
 _MEMO_LOCK = threading.Lock()
 
-_SCRATCH: Optional[Path] = None
 
-
+@functools.lru_cache(maxsize=None)
 def _get_ffi() -> Any:
-    global _FFI
-    with _FFI_LOCK:
-        if _FFI is None:
-            import cffi
+    import cffi
 
-            ffi = cffi.FFI()
-            ffi.cdef(
-                "int run(void **bufs, void **tabs,"
-                " const int64_t *ipar, const double *fpar);"
-            )
-            _FFI = ffi
-        return _FFI
+    ffi = cffi.FFI()
+    ffi.cdef("int run(void **bufs, void **tabs, const int64_t *ipar, const double *fpar);")
+    return ffi
 
 
+@functools.lru_cache(maxsize=None)
 def _scratch_dir() -> Path:
     """Per-process directory for compiled artifacts with no disk cache."""
-    global _SCRATCH
-    with _MEMO_LOCK:
-        if _SCRATCH is None:
-            _SCRATCH = Path(tempfile.mkdtemp(prefix="repro-native-"))
-            import atexit
-
-            atexit.register(shutil.rmtree, str(_SCRATCH), True)
-        return _SCRATCH
+    path = Path(tempfile.mkdtemp(prefix="repro-native-"))
+    atexit.register(shutil.rmtree, str(path), True)
+    return path
 
 
 def compile_so(c_source: str, out_path: Path) -> None:
@@ -914,7 +949,7 @@ def compile_so(c_source: str, out_path: Path) -> None:
                 [compiler, *CFLAGS, str(src), "-o", str(obj), "-lm"],
                 capture_output=True,
                 text=True,
-                timeout=_COMPILE_TIMEOUT_S,
+                timeout=180.0,
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise NativeBuildError(f"C compiler failed to run: {exc}") from exc
@@ -929,17 +964,13 @@ def compile_so(c_source: str, out_path: Path) -> None:
         os.replace(tmp, out_path)
 
 
-def _dlopen(path: Path) -> Any:
-    return _get_ffi().dlopen(str(path))
-
-
 def _obtain_lib(sha: str, c_source: str, disk: Any, key: Optional[str], stats: Any) -> Any:
     """A dlopened library for *c_source*: disk-cached artifact or fresh build."""
     if disk is not None and key is not None:
         cached = disk.get_native(key, sha)
         if cached is not None:
             try:
-                lib = _dlopen(cached)
+                lib = _get_ffi().dlopen(str(cached))
             except OSError:
                 disk.discard_native(key)
             else:
@@ -954,81 +985,27 @@ def _obtain_lib(sha: str, c_source: str, disk: Any, key: Optional[str], stats: A
     compile_so(c_source, so_path)
     if disk is not None and key is not None:
         disk.publish_native(key, c_source, sha)
-    lib = _dlopen(so_path)
+    lib = _get_ffi().dlopen(str(so_path))
     if stats is not None:
         stats.native_rebuilds += 1
     return lib
 
 
-def _marshal(value: Any, ct: str) -> np.ndarray:
-    """Check a plan table against its statically inferred dtype and pack it.
-
-    A mismatch means the static inference in :class:`_CEmitter` disagrees
-    with what the plan actually computed; raising here turns that into a
-    fallback to the NumPy tier instead of a silently wrong answer.
-    """
-    arr = np.asarray(value)
-    if ct == "u8":
-        if arr.dtype != np.bool_:
-            raise NativeBuildError(f"plan table expected bool, got {arr.dtype}")
-        return np.ascontiguousarray(arr.astype(np.uint8))
-    expected = {"i64": np.int64, "i32": np.int32, "f64": np.float64, "f32": np.float32}[ct]
-    if arr.dtype != expected:
-        raise NativeBuildError(f"plan table expected {np.dtype(expected)}, got {arr.dtype}")
-    return np.ascontiguousarray(arr)
-
-
-def _native_invoke(
-    lib: Any,
-    tabs: List[np.ndarray],
-    ipar: np.ndarray,
-    fpar: np.ndarray,
-    bufnames: List[str],
-) -> Any:
-    """Bind the marshalled plan to the compiled library; return ``run(arrays)``."""
-    ffi = _get_ffi()
-    keepalive = (list(tabs), np.ascontiguousarray(ipar), np.ascontiguousarray(fpar))
-    tab_ptrs = ffi.new(
-        "void *[]", [ffi.cast("void *", t.ctypes.data) for t in keepalive[0]] or [ffi.NULL]
-    )
-    ipar_ptr = ffi.cast("int64_t *", keepalive[1].ctypes.data)
-    fpar_ptr = ffi.cast("double *", keepalive[2].ctypes.data)
-
-    def run(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        bufs = [arrays[name] for name in bufnames]
-        for buf in bufs:
-            if not buf.flags.c_contiguous:
-                raise NativeBuildError("native tier requires contiguous buffers")
-        buf_ptrs = ffi.new(
-            "void *[]", [ffi.cast("void *", b.ctypes.data) for b in bufs] or [ffi.NULL]
-        )
-        rc = lib.run(buf_ptrs, tab_ptrs, ipar_ptr, fpar_ptr)
-        if rc != 0:
-            raise RuntimeError(f"native kernel returned {rc}")
-        return arrays
-
-    run._keepalive = keepalive  # pin table/param storage for the library's lifetime
-    return run
-
-
 def load_native(
     func: PrimFunc,
     c_source: str,
-    glue_source: str,
+    binding: NativeBinding,
     disk: Any = None,
     key: Optional[str] = None,
     stats: Any = None,
 ) -> Any:
-    """Compile (or reuse) the native artifact and execute the glue plan.
+    """Compile (or reuse) the native artifact and bind the program's arrays.
 
-    Returns the ``run(arrays)`` closure of the native tier.  Any failure —
-    no compiler, a compile error, a plan that overflows ``MAX_LANES``, a
-    marshalling mismatch — raises, and the caller marks the native tier
-    unavailable for this kernel (deciding the fallback once).
-
-    ``disk``/``key`` select the persistent artifact store (shared across
-    processes; see :meth:`DiskKernelCache.get_native`); ``stats`` receives
-    ``native_hits`` / ``native_rebuilds``.
+    Returns the ``run(arrays)`` closure of the native tier.  A failure — no
+    compiler, a compile error, an artifact that does not load — raises, and
+    the caller decides the fallback for this kernel once.  ``disk``/``key``
+    select the persistent artifact store (:meth:`DiskKernelCache.get_native`);
+    ``stats`` receives ``native_hits`` / ``native_rebuilds``.
     """
     sha = source_sha(c_source)
     with _MEMO_LOCK:
@@ -1045,15 +1022,37 @@ def load_native(
         with _MEMO_LOCK:
             lib = _LIB_MEMO.setdefault(sha, lib)
 
-    namespace: Dict[str, Any] = {}
-    code = compile(glue_source, f"<native:{func.name}>", "exec")
-    exec(code, namespace)
-    helpers = {
-        "np": np,
-        "ragged_arange": ragged_arange,
-        "coords_to_positions": coords_to_positions,
-        "marshal": _marshal,
-        "native_invoke": _native_invoke,
-    }
+    aux = aux_arrays(func)
     axes = {axis.name: axis for axis in func.axes}
-    return namespace["make_kernel"](axes, aux_arrays(func), helpers, lib)
+    tabs = []
+    for kind, name in binding.tabs:
+        if kind == "aux":
+            tabs.append(aux[name])
+        elif kind == "rowof":
+            indptr = axes[name].indptr
+            rows = np.searchsorted(indptr, np.arange(indptr[-1]), side="right") - 1
+            tabs.append(rows.astype(np.int32))
+        else:
+            tabs.append(np.ascontiguousarray(getattr(axes[name], kind), dtype=np.int64))
+    ipar = np.asarray(binding.ipar, dtype=np.int64)
+    fpar = np.asarray(binding.fpar, dtype=np.float64)
+    ffi = _get_ffi()
+    tab_ptrs = ffi.new("void *[]", [ffi.cast("void *", t.ctypes.data) for t in tabs] or [ffi.NULL])
+    ipar_ptr = ffi.cast("int64_t *", ipar.ctypes.data)
+    fpar_ptr = ffi.cast("double *", fpar.ctypes.data)
+
+    def run(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        bufs = [arrays[name] for name in binding.bufs]
+        for buf in bufs:
+            if not buf.flags.c_contiguous:
+                raise NativeBuildError("native tier requires contiguous buffers")
+        buf_ptrs = ffi.new(
+            "void *[]", [ffi.cast("void *", b.ctypes.data) for b in bufs] or [ffi.NULL]
+        )
+        rc = lib.run(buf_ptrs, tab_ptrs, ipar_ptr, fpar_ptr)
+        if rc != 0:
+            raise RuntimeError(f"native kernel returned {rc}")
+        return arrays
+
+    run._keepalive = (tabs, ipar, fpar)  # the kernel reads them on every call
+    return run

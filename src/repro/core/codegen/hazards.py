@@ -1,9 +1,10 @@
 """Read-after-write hazard analysis for whole-array execution of stage-III nests.
 
-The compiled tiers (:mod:`~repro.core.codegen.emit_numpy`,
-:mod:`~repro.core.codegen.emit_c`) flatten every loop nest into *lanes* — one
-entry per iteration-space point, in serial loop order — evaluate each
-expression once over all lanes and turn each store into a single scatter.
+The emitted NumPy tier (:mod:`~repro.core.codegen.emit_numpy`) flattens every
+loop nest into *lanes* — one entry per iteration-space point, in serial loop
+order — evaluates each expression once over all lanes and turns each store
+into a single scatter (the native tier, :mod:`~repro.core.codegen.emit_c`,
+runs the nest in serial order and needs none of this).
 That is only equivalent to the element-by-element interpreter when no lane
 can observe a value another lane of the same nest wrote.
 :func:`analyze_hazards` proves exactly that, per top-level nest, and
@@ -12,9 +13,9 @@ classifies every store as a plain store or a reduction self-update
 order and therefore stay bit-identical to the serial loop).
 
 A program the analysis cannot prove safe raises
-:class:`UnsupportedForEmission`: it has no compiled tier, and
-:meth:`repro.core.codegen.build.Kernel.run` executes it on the scalar
-interpreter, so the analysis is never a correctness risk.
+:class:`UnsupportedForEmission`: it has no emitted kernel, and
+:meth:`repro.core.codegen.build.Kernel.run` executes it on the native tier or
+the scalar interpreter, so the analysis is never a correctness risk.
 
 The module also holds the two plan-time helpers emitted kernels call through
 their ``helpers`` namespace (:func:`coords_to_positions`,
@@ -65,7 +66,7 @@ StoreForm = Optional[Tuple[str, Expr]]
 
 
 class UnsupportedForEmission(Exception):
-    """The program has no compiled tier: the hazard analysis cannot prove it
+    """A compiled tier declines the program: the hazard analysis cannot prove it
     safe to batch, or it contains a construct an emitter cannot fix into code."""
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 #: Upper bound on the number of lanes a single loop nest may expand to before
-#: the compiled tiers (emitted and native kernels) bail out to the
-#: interpreter (guards against memory blowups).  Part of the structural
+#: the emitted NumPy tier bails out (guards against memory blowups; the native
+#: tier runs the nest as loops and has no such ceiling).  Part of the structural
 #: fingerprint: changing it changes which engine serves a cached kernel.
 MAX_LANES = 1 << 26
 

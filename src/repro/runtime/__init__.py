@@ -1,9 +1,10 @@
 """Runtime: NumPy-backed execution of lowered SparseTIR programs.
 
 Three execution tiers share identical semantics: the native kernels
-(:mod:`repro.core.codegen.emit_c`, C compiled once per program family), the
-emitted stage-IV kernels (:mod:`repro.core.codegen.emit_numpy`) whose lane
-plan is fixed into generated source, and the element-by-element
+(:mod:`repro.core.codegen.emit_c`, the loop nest as C, compiled once per
+program family), the emitted stage-IV kernels
+(:mod:`repro.core.codegen.emit_numpy`, a lane plan fixed into NumPy source)
+and the element-by-element
 :class:`Executor` (the numerical ground truth, and the fallback for programs
 no compiled tier accepts).  :class:`Session` is the compile-once/run-many
 entry point bundling format decomposition, kernel building (with structural

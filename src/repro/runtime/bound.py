@@ -46,8 +46,9 @@ class BoundKernel:
         The :class:`~repro.core.codegen.build.Kernel` to run.
     tier:
         ``"native"`` or ``"emitted"``, as resolved by
-        :meth:`Kernel.fast_tier`.  Both plans bake the auxiliary
-        (``indptr``/``indices``) buffers in, so none is ever marshalled.
+        :meth:`Kernel.fast_tier`.  Both bind the auxiliary
+        (``indptr``/``indices``) buffers at build time, so none is ever
+        marshalled.
     feeds:
         Flat buffer name -> key of :meth:`run`'s *inputs* to fill it from.
     outputs:

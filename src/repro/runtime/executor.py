@@ -72,9 +72,9 @@ def prepare_arrays(
     interpreter and the compiled tiers so every engine observes identical
     inputs.
 
-    Buffers named in *skip* are left out: the native and emitted plans bake
-    the auxiliary (``indptr``/``indices``) buffers in at build time, so
-    copying them per call would be wasted work.
+    Buffers named in *skip* are left out: the native and emitted tiers bind
+    the auxiliary (``indptr``/``indices``) buffers at build time, so copying
+    them per call would be wasted work.
     """
     buffers_by_name: Dict[str, SparseBuffer] = {
         buf.name: buf for buf in list(func.buffers) + list(func.aux_buffers)

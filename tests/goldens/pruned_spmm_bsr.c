@@ -1,58 +1,55 @@
-/* Emitted C kernel for 'pruned_spmm_bsr' (native stage-IV backend).
- *
- * Generated by repro.core.codegen.emit_c v1; do not edit.
- * The per-call body: one flat loop per store, gathering through the
- * plan-built index tables (tabs) with -1 marking dropped lanes.
- * Sizes never appear here — every structure of this program family
- * shares this source, so one compile serves the whole family.
- */
+/* 'pruned_spmm_bsr': its stage-III loop nests in the interpreter's order, sizes in ipar.
+ * Generated by repro.core.codegen.emit_c v2; do not edit. */
 #include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
-
-static inline double _min_f64(double a, double b) {
-    return (a != a) ? a : ((b != b) ? b : ((a < b) ? a : b));
+#define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
+#define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))
+#define _LD(b, i, n) (_IN(i, n) ? (b)[i] : 0)
+static void _k0(const int32_t *JB_indptr, float *Y, const int64_t *ip)
+{
+	for (int64_t ib = 0, _t1 = ip[0]; ib < _t1; ++ib) {
+		const int64_t _t4 = ib * ip[6];
+		if (((int64_t)_LD(JB_indptr, ib + 1, ip[1]) - (int64_t)_LD(JB_indptr, ib, ip[1])) > 0)
+			for (int64_t bi = 0, _t2 = ip[2]; bi < _t2; ++bi) {
+				const int64_t _t5 = (_t4 + bi) * ip[7];
+				if (ip[3] > 0)
+					for (int64_t k = 0, _t3 = ip[4]; k < _t3; ++k)
+						if (_IN(_t5 + k, ip[5])) Y[_t5 + k] = 0.0f;
+			}
+	}
 }
-static inline double _max_f64(double a, double b) {
-    return (a != a) ? a : ((b != b) ? b : ((a > b) ? a : b));
+static void _k1(const int32_t *JB_indptr, float *Y, const float *W, const float *X, const int32_t *JB_indices, const int32_t *JB_dense_indptr, const int64_t *ip)
+{
+	for (int64_t ib = 0, _t1 = ip[0]; ib < _t1; ++ib) {
+		const int64_t _t6 = ib * ip[6];
+		const int64_t _t8 = (int64_t)_LD(JB_indptr, ib, ip[1]);
+		const int64_t _t12 = (int64_t)_LD(JB_dense_indptr, ib, ip[13]);
+		for (int64_t jb = 0, _t2 = (int64_t)_LD(JB_indptr, ib + 1, ip[1]) - (int64_t)_LD(JB_indptr, ib, ip[1]); jb < _t2; ++jb) {
+			const int64_t _t9 = (_t8 + jb) * ip[9];
+			const int64_t _t13 = (int64_t)_LD(JB_indices, _t12 + jb, ip[12]) * ip[14];
+			for (int64_t bi = 0, _t3 = ip[2]; bi < _t3; ++bi) {
+				const int64_t _t7 = (_t6 + bi) * ip[7];
+				const int64_t _t10 = (_t9 + bi) * ip[10];
+				const int _t15 = _IN2(_t7, _t7 + (ip[4] - 1), ip[5]);
+				for (int64_t bj = 0, _t4 = ip[3]; bj < _t4; ++bj) {
+					const float _t11 = _LD(W, _t10 + bj, ip[8]);
+					const int64_t _t14 = (_t13 + bj) * ip[15];
+					if (_t15 && _IN2(_t14, _t14 + (ip[4] - 1), ip[11])) {
+						for (int64_t k = 0, _t5 = ip[4]; k < _t5; ++k)
+							Y[_t7 + k] = Y[_t7 + k] + (_t11 * X[_t14 + k]);
+					} else {
+						for (int64_t k = 0, _t5 = ip[4]; k < _t5; ++k)
+							if (_IN(_t7 + k, ip[5])) Y[_t7 + k] = _LD(Y, _t7 + k, ip[5]) + (_t11 * _LD(X, _t14 + k, ip[11]));
+					}
+				}
+			}
+		}
+	}
 }
-static inline float _min_f32(float a, float b) {
-    return (a != a) ? a : ((b != b) ? b : ((a < b) ? a : b));
-}
-static inline float _max_f32(float a, float b) {
-    return (a != a) ? a : ((b != b) ? b : ((a > b) ? a : b));
-}
-static inline int64_t _min_i64(int64_t a, int64_t b) { return (a < b) ? a : b; }
-static inline int64_t _max_i64(int64_t a, int64_t b) { return (a > b) ? a : b; }
-static inline int32_t _min_i32(int32_t a, int32_t b) { return (a < b) ? a : b; }
-static inline int32_t _max_i32(int32_t a, int32_t b) { return (a > b) ? a : b; }
-
 int run(void **bufs, void **tabs, const int64_t *ipar, const double *fpar)
 {
-    (void) bufs; (void) tabs; (void) ipar; (void) fpar;
-    float *Y = (float *) bufs[0];
-    const float *W = (const float *) bufs[1];
-    const float *X = (const float *) bufs[2];
-    const int64_t *_t0 = (const int64_t *) tabs[0];
-    const int64_t *_t1 = (const int64_t *) tabs[1];
-    const int64_t *_t2 = (const int64_t *) tabs[2];
-    const int64_t *_t3 = (const int64_t *) tabs[3];
-    const int64_t _ip0 = ipar[0];
-    const int64_t _ip1 = ipar[1];
-
-    /* ---- pass 1: reduction initialisation ---- */
-    /* Y[((((ib_it_p * 2) + bi_it_p) * 3) + k_it_p)] = 0.0 */
-    for (int64_t _l = 0; _l < _ip0; ++_l) {
-        int64_t _si = _t0[_l];
-        if (_si < 0) continue;
-        Y[_si] = ((float)(0.0));
-    }
-    /* ---- pass 2: compute ---- */
-    /* Y[((((ib_it_p * 2) + bi_it_p) * 3) + k_it_p)] = (Y[((((ib_it_p * 2) + bi_it_p) * 3) + k_it_p)] + (W[(((((JB_indptr[ib_it_p] + jb_it_p) * 2) + bi_it_p) * 2) + bj_it_p)] * X[((((JB_indices[(JB_dense_indptr[ib_it_p] + jb_it_p)] * 2) + bj_it_p) * 3) + k_it_p)])) */
-    for (int64_t _l = 0; _l < _ip1; ++_l) {
-        int64_t _si = _t3[_l];
-        if (_si < 0) continue;
-        Y[_si] += (((_t1[_l] >= 0) ? W[_t1[_l]] : 0.0f) * ((_t2[_l] >= 0) ? X[_t2[_l]] : 0.0f));
-    }
-    return 0;
+	/* init pass */
+	_k0(tabs[0], bufs[0], ipar);
+	/* compute pass */
+	_k1(tabs[0], bufs[0], bufs[1], bufs[2], tabs[1], tabs[2], ipar + 8);
+	return 0;
 }

@@ -1,60 +1,42 @@
-/* Emitted C kernel for 'sddmm' (native stage-IV backend).
- *
- * Generated by repro.core.codegen.emit_c v1; do not edit.
- * The per-call body: one flat loop per store, gathering through the
- * plan-built index tables (tabs) with -1 marking dropped lanes.
- * Sizes never appear here — every structure of this program family
- * shares this source, so one compile serves the whole family.
- */
+/* 'sddmm': its stage-III loop nests in the interpreter's order, sizes in ipar.
+ * Generated by repro.core.codegen.emit_c v2; do not edit. */
 #include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
-
-static inline double _min_f64(double a, double b) {
-    return (a != a) ? a : ((b != b) ? b : ((a < b) ? a : b));
+#define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
+#define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))
+#define _LD(b, i, n) (_IN(i, n) ? (b)[i] : 0)
+#define _ROW(t, p, nnz, rows) ((p) < 0 ? -1 : (p) >= (nnz) ? (rows) : (t)[p])
+static void _k0(float *OUT, const int32_t *J_indptr, const int32_t *J_rowof, const int64_t *ip)
+{
+	for (int64_t i_it_j_it_fused = 0, _t1 = ip[0]; i_it_j_it_fused < _t1; ++i_it_j_it_fused)
+		if (ip[1] > 0) {
+			const int64_t _t2 = (int64_t)_LD(J_indptr, (int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5]), ip[3]) + (i_it_j_it_fused - (int64_t)_LD(J_indptr, (int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5]), ip[3]));
+			if (_IN(_t2, ip[2])) OUT[_t2] = 0.0f;
+		}
 }
-static inline double _max_f64(double a, double b) {
-    return (a != a) ? a : ((b != b) ? b : ((a > b) ? a : b));
+static void _k1(float *OUT, const int32_t *J_indptr, const int32_t *J_rowof, const float *A, const float *X, const float *Y, const int32_t *J_indices, const int32_t *J_dense_indptr, const int64_t *ip)
+{
+	const int64_t _t8 = ip[13] * (ip[1] - 1);
+	for (int64_t i_it_j_it_fused = 0, _t1 = ip[0]; i_it_j_it_fused < _t1; ++i_it_j_it_fused) {
+		const int64_t _t3 = (int64_t)_LD(J_indptr, (int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5]), ip[3]);
+		const float _t4 = _LD(A, _t3 + (i_it_j_it_fused - _t3), ip[6]);
+		const int64_t _t5 = ((int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5])) * ip[8];
+		const int64_t _t6 = (int64_t)_LD(J_indices, (int64_t)_LD(J_dense_indptr, (int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5]), ip[12]) + (i_it_j_it_fused - _t3), ip[11]);
+		if (_IN2(_t3 + (i_it_j_it_fused - _t3), _t3 + (i_it_j_it_fused - _t3), ip[2]) && _IN2(_t5, _t5 + (ip[1] - 1), ip[7]) && _IN2(_t6, _t6 + _t8, ip[9])) {
+			for (int64_t k = 0, _t2 = ip[1]; k < _t2; ++k)
+				OUT[_t3 + (i_it_j_it_fused - _t3)] = OUT[_t3 + (i_it_j_it_fused - _t3)] + ((_t4 * X[_t5 + k]) * Y[(k * ip[10]) + _t6]);
+		} else {
+			for (int64_t k = 0, _t2 = ip[1]; k < _t2; ++k) {
+				const int64_t _t7 = _t3 + (i_it_j_it_fused - _t3);
+				if (_IN(_t7, ip[2])) OUT[_t7] = _LD(OUT, _t3 + (i_it_j_it_fused - _t3), ip[2]) + ((_t4 * _LD(X, _t5 + k, ip[7])) * _LD(Y, (k * ip[10]) + _t6, ip[9]));
+			}
+		}
+	}
 }
-static inline float _min_f32(float a, float b) {
-    return (a != a) ? a : ((b != b) ? b : ((a < b) ? a : b));
-}
-static inline float _max_f32(float a, float b) {
-    return (a != a) ? a : ((b != b) ? b : ((a > b) ? a : b));
-}
-static inline int64_t _min_i64(int64_t a, int64_t b) { return (a < b) ? a : b; }
-static inline int64_t _max_i64(int64_t a, int64_t b) { return (a > b) ? a : b; }
-static inline int32_t _min_i32(int32_t a, int32_t b) { return (a < b) ? a : b; }
-static inline int32_t _max_i32(int32_t a, int32_t b) { return (a > b) ? a : b; }
-
 int run(void **bufs, void **tabs, const int64_t *ipar, const double *fpar)
 {
-    (void) bufs; (void) tabs; (void) ipar; (void) fpar;
-    float *OUT = (float *) bufs[0];
-    const float *A = (const float *) bufs[1];
-    const float *X = (const float *) bufs[2];
-    const float *Y = (const float *) bufs[3];
-    const int64_t *_t0 = (const int64_t *) tabs[0];
-    const int64_t *_t1 = (const int64_t *) tabs[1];
-    const int64_t *_t2 = (const int64_t *) tabs[2];
-    const int64_t *_t3 = (const int64_t *) tabs[3];
-    const int64_t *_t4 = (const int64_t *) tabs[4];
-    const int64_t _ip0 = ipar[0];
-    const int64_t _ip1 = ipar[1];
-
-    /* ---- pass 1: reduction initialisation ---- */
-    /* OUT[(J_indptr[sparse_row_of_position('J', i_it_j_it_fused)] + (i_it_j_it_fused - J_indptr[sparse_row_of_position('J', i_it_j_it_fused)]))] = 0.0 */
-    for (int64_t _l = 0; _l < _ip0; ++_l) {
-        int64_t _si = _t0[_l];
-        if (_si < 0) continue;
-        OUT[_si] = ((float)(0.0));
-    }
-    /* ---- pass 2: compute ---- */
-    /* OUT[(J_indptr[sparse_row_of_position('J', i_it_j_it_fused)] + (i_it_j_it_fused - J_indptr[sparse_row_of_position('J', i_it_j_it_fused)]))] = (OUT[(J_indptr[sparse_row_of_position('J', i_it_j_it_fused)] + (i_it_j_it_fused - J_indptr[sparse_row_of_position('J', i_it_j_it_fused)]))] + ((A[(J_indptr[sparse_row_of_position('J', i_it_j_it_fused)] + (i_it_j_it_fused - J_indptr[sparse_row_of_position('J', i_it_j_it_fused)]))] * X[((sparse_row_of_position('J', i_it_j_it_fused) * 2) + k_it_p)]) * Y[((k_it_p * 4) + J_indices[(J_dense_indptr[sparse_row_of_position('J', i_it_j_it_fused)] + (i_it_j_it_fused - J_indptr[sparse_row_of_position('J', i_it_j_it_fused)]))])])) */
-    for (int64_t _l = 0; _l < _ip1; ++_l) {
-        int64_t _si = _t4[_l];
-        if (_si < 0) continue;
-        OUT[_si] += ((((_t1[_l] >= 0) ? A[_t1[_l]] : 0.0f) * ((_t2[_l] >= 0) ? X[_t2[_l]] : 0.0f)) * ((_t3[_l] >= 0) ? Y[_t3[_l]] : 0.0f));
-    }
-    return 0;
+	/* init pass */
+	_k0(bufs[0], tabs[0], tabs[1], ipar);
+	/* compute pass */
+	_k1(bufs[0], tabs[0], tabs[1], bufs[1], bufs[2], bufs[3], tabs[2], tabs[3], ipar + 6);
+	return 0;
 }

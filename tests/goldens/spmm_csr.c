@@ -1,58 +1,43 @@
-/* Emitted C kernel for 'spmm' (native stage-IV backend).
- *
- * Generated by repro.core.codegen.emit_c v1; do not edit.
- * The per-call body: one flat loop per store, gathering through the
- * plan-built index tables (tabs) with -1 marking dropped lanes.
- * Sizes never appear here — every structure of this program family
- * shares this source, so one compile serves the whole family.
- */
+/* 'spmm': its stage-III loop nests in the interpreter's order, sizes in ipar.
+ * Generated by repro.core.codegen.emit_c v2; do not edit. */
 #include <stdint.h>
-#include <stdlib.h>
-#include <math.h>
-
-static inline double _min_f64(double a, double b) {
-    return (a != a) ? a : ((b != b) ? b : ((a < b) ? a : b));
+#define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
+#define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))
+#define _LD(b, i, n) (_IN(i, n) ? (b)[i] : 0)
+static void _k0(const int32_t *J_indptr, float *C, const int64_t *ip)
+{
+	for (int64_t i = 0, _t1 = ip[0]; i < _t1; ++i) {
+		const int64_t _t3 = i * ip[4];
+		if (((int64_t)_LD(J_indptr, i + 1, ip[1]) - (int64_t)_LD(J_indptr, i, ip[1])) > 0)
+			for (int64_t k = 0, _t2 = ip[2]; k < _t2; ++k)
+				if (_IN(_t3 + k, ip[3])) C[_t3 + k] = 0.0f;
+	}
 }
-static inline double _max_f64(double a, double b) {
-    return (a != a) ? a : ((b != b) ? b : ((a > b) ? a : b));
+static void _k1(const int32_t *J_indptr, float *C, const float *A, const float *B, const int32_t *J_indices, const int32_t *J_dense_indptr, const int64_t *ip)
+{
+	for (int64_t i = 0, _t1 = ip[0]; i < _t1; ++i) {
+		const int64_t _t4 = i * ip[4];
+		const int64_t _t5 = (int64_t)_LD(J_indptr, i, ip[1]);
+		const int64_t _t7 = (int64_t)_LD(J_dense_indptr, i, ip[8]);
+		const int _t9 = _IN2(_t4, _t4 + (ip[2] - 1), ip[3]);
+		for (int64_t j = 0, _t2 = (int64_t)_LD(J_indptr, i + 1, ip[1]) - (int64_t)_LD(J_indptr, i, ip[1]); j < _t2; ++j) {
+			const float _t6 = _LD(A, _t5 + j, ip[5]);
+			const int64_t _t8 = (int64_t)_LD(J_indices, _t7 + j, ip[7]) * ip[9];
+			if (_t9 && _IN2(_t8, _t8 + (ip[2] - 1), ip[6])) {
+				for (int64_t k = 0, _t3 = ip[2]; k < _t3; ++k)
+					C[_t4 + k] = C[_t4 + k] + (_t6 * B[_t8 + k]);
+			} else {
+				for (int64_t k = 0, _t3 = ip[2]; k < _t3; ++k)
+					if (_IN(_t4 + k, ip[3])) C[_t4 + k] = _LD(C, _t4 + k, ip[3]) + (_t6 * _LD(B, _t8 + k, ip[6]));
+			}
+		}
+	}
 }
-static inline float _min_f32(float a, float b) {
-    return (a != a) ? a : ((b != b) ? b : ((a < b) ? a : b));
-}
-static inline float _max_f32(float a, float b) {
-    return (a != a) ? a : ((b != b) ? b : ((a > b) ? a : b));
-}
-static inline int64_t _min_i64(int64_t a, int64_t b) { return (a < b) ? a : b; }
-static inline int64_t _max_i64(int64_t a, int64_t b) { return (a > b) ? a : b; }
-static inline int32_t _min_i32(int32_t a, int32_t b) { return (a < b) ? a : b; }
-static inline int32_t _max_i32(int32_t a, int32_t b) { return (a > b) ? a : b; }
-
 int run(void **bufs, void **tabs, const int64_t *ipar, const double *fpar)
 {
-    (void) bufs; (void) tabs; (void) ipar; (void) fpar;
-    float *C = (float *) bufs[0];
-    const float *A = (const float *) bufs[1];
-    const float *B = (const float *) bufs[2];
-    const int64_t *_t0 = (const int64_t *) tabs[0];
-    const int64_t *_t1 = (const int64_t *) tabs[1];
-    const int64_t *_t2 = (const int64_t *) tabs[2];
-    const int64_t *_t3 = (const int64_t *) tabs[3];
-    const int64_t _ip0 = ipar[0];
-    const int64_t _ip1 = ipar[1];
-
-    /* ---- pass 1: reduction initialisation ---- */
-    /* C[((i_it_p * 3) + k_it_p)] = 0.0 */
-    for (int64_t _l = 0; _l < _ip0; ++_l) {
-        int64_t _si = _t0[_l];
-        if (_si < 0) continue;
-        C[_si] = ((float)(0.0));
-    }
-    /* ---- pass 2: compute ---- */
-    /* C[((i_it_p * 3) + k_it_p)] = (C[((i_it_p * 3) + k_it_p)] + (A[(J_indptr[i_it_p] + j_it_p)] * B[((J_indices[(J_dense_indptr[i_it_p] + j_it_p)] * 3) + k_it_p)])) */
-    for (int64_t _l = 0; _l < _ip1; ++_l) {
-        int64_t _si = _t3[_l];
-        if (_si < 0) continue;
-        C[_si] += (((_t1[_l] >= 0) ? A[_t1[_l]] : 0.0f) * ((_t2[_l] >= 0) ? B[_t2[_l]] : 0.0f));
-    }
-    return 0;
+	/* init pass */
+	_k0(tabs[0], bufs[0], ipar);
+	/* compute pass */
+	_k1(tabs[0], bufs[0], bufs[1], bufs[2], tabs[1], tabs[2], ipar + 5);
+	return 0;
 }

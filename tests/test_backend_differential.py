@@ -9,11 +9,13 @@ equality included).  Structural-zero paths (padded ELL slots, empty rows,
 empty relations, nnz=0 matrices) are exercised explicitly — they are where
 the tiers' masking strategies differ most.
 
-The native tier is compared against the *emitted* tier: both materialise
-whole-scalar reduction residuals at NumPy's ``np.full``/``ufunc.at``
-promotion semantics, so they agree bitwise by construction wherever the
-emitted tier agrees with the interpreter (which this battery also asserts),
-and the comparison stays transitive across all three tiers.
+Both compiled tiers are compared against the interpreter, the oracle: the
+native tier runs the loop nest in the interpreter's own order, the emitted
+tier batches it, and neither may differ from it by a bit.
+``TestNativeLoopNest`` pins the interpreter semantics the native walker
+reproduces by construction (dropped stores, zero loads, serial scatter
+order, nests the hazard analysis rejects) and that one program family costs
+one compilation.
 
 Every operator case also runs twice through one ``Session``: the second call
 is served by the memoised bound-kernel handle (the warm path) and must equal
@@ -24,7 +26,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.buffers import FlatBuffer
+from repro.core.codegen import emit_c
 from repro.core.codegen.build import build
+from repro.core.codegen.emit_c import toolchain_available
+from repro.core.codegen.emit_numpy import UnsupportedForEmission, emit_numpy_source
+from repro.core.codegen.hazards import analyze_hazards
+from repro.core.expr import Var
+from repro.core.program import STAGE_LOOP, PrimFunc
+from repro.core.stmt import BufferStore, ForLoop, SeqStmt
 from repro.formats.bsr import BSRMatrix
 from repro.formats.csf import CSFTensor
 from repro.formats.csr import CSRMatrix
@@ -53,8 +63,6 @@ def random_dense(rows, cols, density, dtype, seed):
 
 def assert_tiers_bit_exact(func, expect_emitted=True):
     """Run a program on all three tiers and compare every buffer bitwise."""
-    from repro.core.codegen.emit_c import toolchain_available
-
     kernel = build(func, cache=False)
     if expect_emitted:
         assert kernel.emitted_source() is not None, "program fell out of the emitter fragment"
@@ -76,11 +84,27 @@ def assert_tiers_bit_exact(func, expect_emitted=True):
             f"emitted diverges from interpreter on {name!r}"
         )
         if native is not None:
-            assert emitted[name].dtype == native[name].dtype, name
-            assert np.array_equal(emitted[name], native[name]), (
-                f"native diverges from emitted on {name!r}"
+            assert interpreted[name].dtype == native[name].dtype, name
+            assert np.array_equal(interpreted[name], native[name]), (
+                f"native diverges from interpreter on {name!r}"
             )
     return emitted
+
+
+def assert_native_equals_interpreter(func, bindings=None):
+    """Run *func* on the native tier and the interpreter; compare bitwise."""
+    kernel = build(func, cache=False)
+    expected = kernel.run(bindings, engine="interpret")
+    got = kernel.run(bindings, engine="native")
+    assert kernel.last_engine == "native"
+    for name, array in got.items():
+        assert array.dtype == expected[name].dtype, name
+        assert np.array_equal(array, expected[name]), f"native diverges on {name!r}"
+    return got
+
+
+def _loop_program(name, body, *buffers):
+    return PrimFunc(name, axes=[], buffers=[], body=body, stage=STAGE_LOOP, flat_buffers=list(buffers))
 
 
 def assert_warm_call_bit_exact(call, expect_handle=True):
@@ -380,36 +404,208 @@ class TestGraphChainDifferential:
         assert np.array_equal(fused.run()[out1.name], unfused.run()[out2.name])
 
 
-class TestFallbackConsistency:
-    def test_unsupported_program_rejected_by_both_fast_tiers(self):
-        """A program the hazard analysis rejects has no emitted and no native
-        kernel, and auto dispatch lands on the interpreter."""
-        from repro.core.buffers import FlatBuffer
-        from repro.core.codegen.emit_numpy import UnsupportedForEmission, emit_numpy_source
-        from repro.core.expr import Var
-        from repro.core.program import STAGE_LOOP, PrimFunc
-        from repro.core.stmt import BufferStore, ForLoop, SeqStmt
+needs_cc = pytest.mark.skipif(not toolchain_available(), reason="no C compiler available")
 
-        b = FlatBuffer("b", 4)
-        c = FlatBuffer("c", 4)
-        i = Var("i")
-        # c reads b while b is written in the same nest: a read-after-write
-        # hazard neither compiled tier may batch.
+
+def _hazard_program():
+    """c reads b while b is written in the same nest: a read-after-write
+    hazard the lane model may not batch."""
+    b, c, i = FlatBuffer("b", 4), FlatBuffer("c", 4), Var("i")
+    body = SeqStmt(
+        [
+            ForLoop(i, 0, 4, BufferStore(b, [i], c[i] + 1.0)),
+            ForLoop(i, 0, 4, BufferStore(c, [i], b[i] * 2.0)),
+        ]
+    )
+    return _loop_program("hazard", ForLoop(Var("j"), 0, 1, body), b, c)
+
+
+@needs_cc
+class TestNativeLoopNest:
+    """What the loop-nest walker gets from running in the interpreter's order."""
+
+    def test_empty_rows_leave_the_destination_untouched(self):
+        dense = np.zeros((5, 4), dtype=np.float32)
+        dense[1, 2], dense[3, 0], dense[3, 3] = 2.0, -1.5, 0.25
+        csr = CSRMatrix.from_dense(dense)
+        feats = np.arange(12, dtype=np.float32).reshape(4, 3)
+        stale = np.full(15, 123.0, dtype=np.float32)
+        out = assert_native_equals_interpreter(build_spmm_program(csr, 3, feats), {"C": stale})
+        assert np.all(out["C"].reshape(5, 3)[[0, 2, 4]] == 123.0)
+        assert np.array_equal(out["C"].reshape(5, 3)[[1, 3]], dense[[1, 3]] @ feats)
+
+    def test_padded_columns_load_zero(self):
+        """An ELL slot padded with column ``-1`` indexes in front of ``x``; the
+        load is 0, not ``x[-1]``, even when the padded value is not."""
+        col = FlatBuffer("col", 6, dtype="int32")
+        val, x, out = FlatBuffer("val", 6), FlatBuffer("x", 8), FlatBuffer("out", 3)
+        i, j, k = Var("i"), Var("j"), Var("k")
+        body = BufferStore(out, [i], out[i] + val[i * 2 + j] * x[col[i * 2 + j] * 2 + k])
+        nest = ForLoop(i, 0, 3, ForLoop(j, 0, 2, ForLoop(k, 0, 2, body)))
+        got = assert_native_equals_interpreter(
+            _loop_program("ell", nest, col, val, x, out),
+            {
+                "col": np.array([0, 3, 2, -1, -1, -1], dtype=np.int32),
+                "val": np.ones(6, dtype=np.float32),
+                "x": np.arange(1, 9, dtype=np.float32),
+            },
+        )
+        assert np.array_equal(got["out"], [1 + 2 + 7 + 8, 5 + 6, 0])
+
+    def test_padded_hyb_buckets(self):
+        dense = np.zeros((6, 7), dtype=np.float32)
+        dense[0, :5], dense[2, 1], dense[4, [0, 6]] = 1.5, -2.0, 3.0
+        hyb = HybFormat.from_csr(CSRMatrix.from_dense(dense), num_col_parts=2, num_buckets=2)
+        feats = np.random.default_rng(3).standard_normal((7, 4)).astype(np.float32)
+        assert_native_equals_interpreter(build_spmm_hyb_program(hyb, 4, feats))
+
+    def test_out_of_range_store_is_dropped(self):
+        x, out, i = FlatBuffer("x", 4), FlatBuffer("out", 4), Var("i")
+        nest = ForLoop(i, 0, 4, BufferStore(out, [i * 3 - 2], x[i] + 1.0))
+        got = assert_native_equals_interpreter(
+            _loop_program("scatter", nest, x, out), {"x": np.arange(4, dtype=np.float32)}
+        )
+        assert np.array_equal(got["out"], [0.0, 2.0, 0.0, 0.0])  # -2, 4 and 7 fall outside
+
+    def test_run_time_scatter_with_duplicates_accumulates_in_serial_order(self):
+        """The store index is value data (a hyb rowmap); float32 addition does
+        not commute across these magnitudes, so the order is observable."""
+        rowmap = FlatBuffer("rowmap", 6, dtype="int32")
+        x, acc, i = FlatBuffer("x", 6), FlatBuffer("acc", 3), Var("i")
+        nest = ForLoop(i, 0, 6, BufferStore(acc, [rowmap[i]], acc[rowmap[i]] + x[i]))
+        values = np.array([1e8, 1.0, 1.0, -1e8, 3.0, 1.0], dtype=np.float32)
+        got = assert_native_equals_interpreter(
+            _loop_program("rowmap_scatter", nest, rowmap, x, acc),
+            {"rowmap": np.array([0, 2, 0, 0, 2, 0], dtype=np.int32), "x": values},
+        )
+        serial = np.float32(0.0)
+        for v in values[[0, 2, 3, 5]]:
+            serial = np.float32(serial + v)
+        assert got["acc"][0] == serial == 1.0 and got["acc"][2] == 4.0
+
+    def test_nest_the_hazard_analysis_rejects_runs_native(self):
+        func = _hazard_program()
+        with pytest.raises(UnsupportedForEmission):
+            analyze_hazards(func)
+        got = assert_native_equals_interpreter(func)
+        assert np.array_equal(got["c"], np.full(4, 2.0, dtype=np.float32))
+        kernel = build(func, cache=False)
+        kernel.run()
+        assert kernel.last_engine == "native" and "native" not in kernel.declined
+
+    def test_names_c_cannot_print(self):
+        """Buffers and loop variables named like C keywords or like the
+        emitter's own parameters are renamed, not rejected."""
+        double, ip = FlatBuffer("double", 4), FlatBuffer("ip", 4)
+        v = Var("ip")
+        nest = ForLoop(v, 0, 4, BufferStore(ip, [v], double[v] * 2.0 + 1.0))
+        got = assert_native_equals_interpreter(
+            _loop_program("names", nest, double, ip), {"double": np.arange(4, dtype=np.float32)}
+        )
+        assert np.array_equal(got["ip"], [1.0, 3.0, 5.0, 7.0])
+
+    def test_value_dependent_bounds_and_let(self):
+        """Loop bounds and ``let`` values read from value buffers."""
+        from repro.core.stmt import LetStmt
+
+        n = FlatBuffer("n", 1, dtype="int32")
+        x, out = FlatBuffer("x", 6), FlatBuffer("out", 6)
+        i, t = Var("i"), Var("t")
+        nest = ForLoop(i, 1, n[0], LetStmt(t, x[i] * 2.0, BufferStore(out, [i - 1], t + x[i - 1])))
+        assert_native_equals_interpreter(
+            _loop_program("bounded", nest, n, x, out),
+            {"n": np.array([4], dtype=np.int32), "x": np.arange(6, dtype=np.float32)},
+        )
+
+    def test_searched_rows_and_positions_are_weak_ints(self):
+        """``sparse_row_of_position`` / ``sparse_coord_to_pos`` give Python
+        ints: float32 arithmetic on one stays float32 and rounds at every
+        step (widened to float64 it would round once, at the store)."""
+        from repro.core.axes import DenseFixedAxis, SparseVariableAxis
+        from repro.core.expr import Call, StringImm
+        from repro.core.stage2.lowering import BINARY_SEARCH, ROW_UPPER_BOUND
+
+        csr = CSRMatrix.from_dense(random_dense(40, 9, 0.5, np.float32, seed=7))
+        rows = DenseFixedAxis("I", csr.rows)
+        axis = SparseVariableAxis("J", rows, csr.cols, csr.nnz, csr.indptr, csr.indices)
+        x, by_row = FlatBuffer("x", csr.nnz), FlatBuffer("by_row", csr.nnz)
+        y, by_pos = FlatBuffer("y", csr.rows * csr.cols), FlatBuffer("by_pos", csr.rows * csr.cols)
+        p, i, c = Var("p"), Var("i"), Var("c")
+        row = Call(ROW_UPPER_BOUND, [StringImm("J"), p])
+        pos = Call(BINARY_SEARCH, [StringImm("J"), i, c])
         body = SeqStmt(
             [
-                ForLoop(i, 0, 4, BufferStore(b, [i], c[i] + 1.0)),
-                ForLoop(i, 0, 4, BufferStore(c, [i], b[i] * 2.0)),
+                ForLoop(p, 0, csr.nnz, BufferStore(by_row, [p], x[p] * row * x[p] + x[p])),
+                ForLoop(
+                    i, 0, csr.rows,
+                    ForLoop(c, 0, csr.cols, BufferStore(by_pos, [i * csr.cols + c], y[i * csr.cols + c] * pos * 0.3 + 1.0)),
+                ),
             ]
         )
-        # Single nest wrapping both loops -> hazard.
-        hazard = PrimFunc(
-            "hazard", axes=[], buffers=[],
-            body=ForLoop(Var("j"), 0, 1, body),
-            stage=STAGE_LOOP, flat_buffers=[b, c],
+        func = PrimFunc(
+            "searches", axes=[rows, axis], buffers=[], body=body, stage=STAGE_LOOP,
+            flat_buffers=[x, by_row, y, by_pos],
         )
+        rng = np.random.default_rng(11)
+        got = assert_native_equals_interpreter(
+            func,
+            {
+                "x": rng.standard_normal(csr.nnz).astype(np.float32),
+                "y": rng.standard_normal(csr.rows * csr.cols).astype(np.float32),
+            },
+        )
+        # An absent coordinate is a structural zero: its store is dropped.
+        assert np.array_equal(got["by_pos"].reshape(csr.rows, csr.cols) != 0, csr.to_dense() != 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rows=st.integers(2, 12),
+        cols=st.integers(2, 12),
+        feat=st.integers(2, 6),
+        density=st.floats(0.0, 0.7),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_family_compiles_once(self, compile_counter, rows, cols, feat, density, seed):
+        """Shapes, widths and structures of one program family share one
+        source, so the whole battery costs exactly one ``compile_so``."""
+        dense = random_dense(rows, cols, density, np.float32, seed)
+        feats = np.random.default_rng(seed).standard_normal((cols, feat)).astype(np.float32)
+        assert_native_equals_interpreter(build_spmm_program(CSRMatrix.from_dense(dense), feat, feats))
+        assert len(compile_counter) == 1
+
+
+@pytest.fixture(scope="class")
+def compile_counter():
+    """``compile_so`` invocations since the fixture started, with the
+    process-wide library memo emptied first."""
+    calls = []
+    real = emit_c.compile_so
+
+    def counting(c_source, out_path):
+        calls.append(out_path)
+        return real(c_source, out_path)
+
+    with emit_c._MEMO_LOCK:
+        saved = dict(emit_c._LIB_MEMO)
+        emit_c._LIB_MEMO.clear()
+    emit_c.compile_so = counting
+    yield calls
+    emit_c.compile_so = real
+    with emit_c._MEMO_LOCK:
+        emit_c._LIB_MEMO.update(saved)
+
+
+class TestFallbackConsistency:
+    def test_unsupported_program_rejected_by_both_fast_tiers(self):
+        """A program the hazard analysis rejects has no emitted kernel; the
+        native tier runs it as the loop nest it is, and without a toolchain
+        auto dispatch lands on the interpreter."""
+        hazard = _hazard_program()
         with pytest.raises(UnsupportedForEmission):
             emit_numpy_source(hazard)
         kernel = build(hazard, cache=False)
+        with pytest.raises(UnsupportedForEmission):
+            kernel.run(engine="emitted")
         out = kernel.run()
-        assert kernel.last_engine == "interpret"
+        assert kernel.last_engine == ("native" if toolchain_available() else "interpret")
         assert np.array_equal(out["c"], np.full(4, 2.0, dtype=np.float32))

@@ -76,7 +76,7 @@ def _build_once(csr, cache, feat=4, seed=0):
 class TestGoldenCSources:
     @pytest.mark.parametrize("name", ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr"])
     def test_emitted_c_matches_golden(self, name, request):
-        c_source, _glue = emit_c_source(canonical_lowered(name))
+        c_source, _binding = emit_c_source(canonical_lowered(name))
         path = GOLDEN_DIR / f"{name}.c"
         if request.config.getoption("--regen-golden"):
             GOLDEN_DIR.mkdir(exist_ok=True)
@@ -107,18 +107,42 @@ class TestGoldenCSources:
         assert emit_c_source(func) == emit_c_source(func)
 
     def test_source_header_names_version(self):
-        c_source, glue_source = emit_c_source(canonical_lowered("spmm_csr"))
+        c_source, binding = emit_c_source(canonical_lowered("spmm_csr"))
         assert f"emit_c v{NATIVE_VERSION}" in c_source
-        assert f"emit_c v{NATIVE_VERSION}" in glue_source
+        # The second element is a descriptor, not a module: names and scalars.
+        assert binding.bufs == ("C", "A", "B")
+        assert binding.tabs == (("aux", "J_indptr"), ("aux", "J_indices"), ("aux", "J_dense_indptr"))
+        assert all(isinstance(v, int) for v in binding.ipar) and binding.fpar == ()
 
     def test_c_source_is_size_free(self):
         """Two structures of one program family share one C source (and so
-        one compilation): sizes travel through tables and ``ipar``."""
+        one compilation) whatever their shape *and* feature width: every
+        size travels through ``ipar``."""
         a = CSRMatrix.random(rows=16, cols=12, density=0.3, seed=1)
         b = CSRMatrix.random(rows=64, cols=48, density=0.1, seed=2)
-        src_a, _ = emit_c_source(build(build_spmm_program(a, 4), cache=False).func)
-        src_b, _ = emit_c_source(build(build_spmm_program(b, 4), cache=False).func)
+        src_a, bind_a = emit_c_source(build(build_spmm_program(a, 4), cache=False).func)
+        src_b, bind_b = emit_c_source(build(build_spmm_program(b, 24), cache=False).func)
         assert src_a == src_b
+        assert bind_a.ipar != bind_b.ipar and len(bind_a.ipar) == len(bind_b.ipar)
+
+    def test_equal_sizes_do_not_change_the_text(self):
+        """Strides of different buffers that happen to be equal share neither
+        an ``ipar`` slot nor a hoisted temporary: the text is the same as
+        when they differ."""
+        from repro.core.buffers import FlatBuffer
+        from repro.core.expr import Var
+        from repro.core.program import STAGE_LOOP, PrimFunc
+        from repro.core.stmt import BufferStore, ForLoop
+
+        def source(x_width, y_width):
+            x, y, out = FlatBuffer("x", 64), FlatBuffer("y", 64), FlatBuffer("out", 64)
+            i, k = Var("i"), Var("k")
+            body = BufferStore(out, [i * 8 + k], out[i * 8 + k] + x[i * x_width + k] * y[i * y_width + k])
+            nest = ForLoop(i, 0, 4, ForLoop(k, 0, 4, body))
+            func = PrimFunc("widths", axes=[], buffers=[], body=nest, stage=STAGE_LOOP, flat_buffers=[x, y, out])
+            return emit_c_source(func)[0]
+
+        assert source(8, 8) == source(8, 12) == source(6, 12)
 
     @needs_cc
     @pytest.mark.parametrize("name", ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr"])
@@ -126,10 +150,10 @@ class TestGoldenCSources:
         """The committed goldens are live code: compile the .c file that is
         actually in the repository and compare against the interpreter."""
         func = canonical_lowered(name)
-        c_source, glue_source = emit_c_source(func)
+        _c_source, binding = emit_c_source(func)
         path = GOLDEN_DIR / f"{name}.c"
         assert path.exists()
-        runner = emit_c.load_native(func, path.read_text(), glue_source)
+        runner = emit_c.load_native(func, path.read_text(), binding)
         from repro.runtime.executor import prepare_arrays
 
         expected = build(func, cache=False).run(engine="interpret")

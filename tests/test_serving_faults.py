@@ -84,7 +84,9 @@ class TestThreadStampede:
         assert not errors, errors
         stats = session.cache.stats
         assert stats.lowerings == 1
-        assert stats.hits + stats.misses == threads_n
+        # Every call is a kernel-cache lookup, or (a thread scheduled after
+        # the first one finished) a hit on the handle that one memoised.
+        assert stats.hits + stats.misses + session.stats.handle_hits == threads_n
         assert stats.flight_builds == 1
 
 

@@ -7,7 +7,9 @@ serial loop order and reductions accumulate unbuffered, so even float32
 rounding agrees).  The remaining tests pin the read-after-write analysis of
 :mod:`repro.core.codegen.hazards` — what it accepts, what it rejects and with
 which message — and what a rejection means for ``Kernel.run``: ``"auto"``
-lands on the interpreter with the serial result, a strict engine raises.
+runs the nest on the native tier, which needs no such analysis (on the
+interpreter without a toolchain), with the serial result either way; strict
+``"emitted"`` raises.
 
 (The file keeps the name it had when a separate lane interpreter ran these
 programs, so the test ids stay comparable across revisions.)
@@ -43,9 +45,14 @@ def _assert_identical(interpreted, emitted):
         assert np.array_equal(interpreted[name], emitted[name]), name
 
 
+#: The tier "auto" reaches for a nest the hazard analysis rejects: the native
+#: walker runs it in the interpreter's own order, hazards and all.
+SERIAL_TIER = "native" if toolchain_available() else "interpret"
+
+
 def _assert_rejected(func, message):
-    """The analysis and the emitter reject *func*; "auto" lands on the
-    interpreter and a strict compiled engine raises."""
+    """The analysis and the NumPy emitter reject *func*; "auto" runs it
+    serially (``SERIAL_TIER``) and strict ``"emitted"`` raises."""
     with pytest.raises(UnsupportedForEmission, match=message):
         analyze_hazards(func)
     with pytest.raises(UnsupportedForEmission, match=message):
@@ -202,7 +209,7 @@ class TestBatchedEquivalence:
                         stage=STAGE_LOOP, flat_buffers=[b])
         kernel = _assert_rejected(func, "store residual reads buffers written")
         out = kernel.run({"b": np.full(5, 2.0, dtype=np.float32)})
-        assert kernel.last_engine == "interpret"
+        assert kernel.last_engine == SERIAL_TIER
         assert np.array_equal(out["b"], [2.0, 4.0, 8.0, 16.0, 32.0])
 
 
@@ -230,8 +237,8 @@ class TestEngineSemantics:
 
     def test_unsupported_statement_falls_back(self, matrices, rng):
         """A store whose value reads another buffer written in the same nest
-        is outside the fragment: a strict compiled engine raises, "auto" falls
-        back to the interpreter and still produces the right answer."""
+        is outside the lane fragment: strict ``"emitted"`` raises, "auto" runs
+        it serially and still produces the right answer."""
         from repro.core.buffers import FlatBuffer
         from repro.core.expr import Var
         from repro.core.program import STAGE_LOOP, PrimFunc
@@ -247,13 +254,13 @@ class TestEngineSemantics:
                         stage=STAGE_LOOP, flat_buffers=[a, b])
         kernel = _assert_rejected(func, "store value reads buffers written")
         out = kernel.run(engine="auto")
-        assert kernel.last_engine == "interpret"
+        assert kernel.last_engine == SERIAL_TIER
         assert np.allclose(out["b"], 2.0)
         assert np.array_equal(out["b"], Executor(func).run()["b"])
 
     def test_vectorized_stays_strict_after_auto_fallback(self, matrices, rng):
-        """Once "auto" has fallen back, demanding a compiled tier must still
-        raise instead of silently running the interpreter."""
+        """Once "auto" has skipped the emitted tier, demanding it must still
+        raise instead of silently running something else."""
         from repro.core.buffers import FlatBuffer
         from repro.core.expr import Var
         from repro.core.program import STAGE_LOOP, PrimFunc
@@ -269,8 +276,9 @@ class TestEngineSemantics:
                         stage=STAGE_LOOP, flat_buffers=[a, b])
         kernel = build(func, cache=False)
         kernel.run(engine="auto")
-        assert kernel.last_engine == "interpret"
-        for engine in ("native", "emitted"):
+        assert kernel.last_engine == SERIAL_TIER
+        unavailable = ("emitted",) if toolchain_available() else ("native", "emitted")
+        for engine in unavailable:
             with pytest.raises(UnsupportedForEmission):
                 kernel.run(engine=engine)
 
@@ -290,7 +298,7 @@ class TestEngineSemantics:
                         stage=STAGE_LOOP, flat_buffers=[b])
         kernel = _assert_rejected(func, "store residual reads buffers written")
         out = kernel.run({"b": np.ones(5, dtype=np.float32)})
-        assert kernel.last_engine == "interpret"
+        assert kernel.last_engine == SERIAL_TIER
         assert np.array_equal(out["b"], [1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_loop_bound_reading_written_buffer_rejected(self):
@@ -306,7 +314,7 @@ class TestEngineSemantics:
                         stage=STAGE_LOOP, flat_buffers=[n])
         kernel = _assert_rejected(func, "loop bounds, conditions or indices read buffers")
         out = kernel.run({"n": np.array([3], dtype=np.int32)})
-        assert kernel.last_engine == "interpret"
+        assert kernel.last_engine == SERIAL_TIER
         assert np.array_equal(out["n"], [0])
 
     def test_fast_path_is_used_by_default(self, matrices, rng):
@@ -326,8 +334,8 @@ class TestEngineSemantics:
             Session(engine=removed)
 
     def test_declined_names_the_reason_a_tier_was_skipped(self, matrices, rng):
-        """The only cliff left is compiled tier -> interpreter; the kernel
-        says which check caused it."""
+        """The kernel says which check made a tier decline: the hazard
+        analysis only ever declines the emitted tier."""
         from repro.core.buffers import FlatBuffer
         from repro.core.expr import Var
         from repro.core.program import STAGE_LOOP, PrimFunc
@@ -347,7 +355,8 @@ class TestEngineSemantics:
             "the same nest: ['b']"
         )
         no_cc = {} if toolchain_available() else {"native": "no toolchain"}
-        assert hazard.declined == {"native": reason, "emitted": reason, **no_cc}
+        assert hazard.declined == {"emitted": reason, **no_cc}
+        assert hazard.last_engine == SERIAL_TIER
 
         x = rng.standard_normal((matrices.cols, 2)).astype(np.float32)
         kernel = build(build_spmm_program(matrices, 2, x), cache=False)
