@@ -25,10 +25,7 @@ rounds* (alternate single runs, median per tier) and the reported ratio is
 the native column is recorded as ``null`` and the harness still passes
 (graceful fallback is part of the acceptance contract).  Every workload
 with a native run also asserts bit-exact (``np.array_equal``) agreement
-with the emitted tier — except scaled attention SDDMM, where the emitted
-tier itself is one ulp off the interpreter (ROADMAP item 5): there native
-is held to the interpreter when the shape is small enough to interpret and
-to one ulp of the emitted tier otherwise.
+with the emitted tier.
 """
 
 import json
@@ -131,27 +128,18 @@ def _time_tiers(kernel, lanes, repeats=3, rounds=9):
     return timings
 
 
-def _record(results, figure, workload, kernel, lanes, repeats=3, rounds=9, emitted_ulp=0):
+def _record(results, figure, workload, kernel, lanes, repeats=3, rounds=9):
     timings = _time_tiers(kernel, lanes, repeats, rounds)
     native_speedup = bit_exact = None
     if timings["native_s"] is not None:
         # Acceptance contract: the native tier is bit-exact with the
-        # emitted tier on every measured workload.  Where the emitted tier
-        # is itself *emitted_ulp* off the interpreter, native is held to
-        # that distance from it and bit-exact to the interpreter (when run).
+        # emitted tier on every measured workload.
         emitted_out = kernel.run(engine="emitted")
         native_out = kernel.run(engine="native")
-        exact_out = emitted_out
-        if emitted_ulp:
-            for name in emitted_out:
-                np.testing.assert_array_max_ulp(emitted_out[name], native_out[name], emitted_ulp)
-            interpreted = timings["interpreter_s"] is not None
-            exact_out = kernel.run(engine="interpret") if interpreted else None
-        if exact_out is not None:
-            for name in native_out:
-                assert exact_out[name].dtype == native_out[name].dtype, (workload, name)
-                assert np.array_equal(exact_out[name], native_out[name]), (workload, name)
-            bit_exact = True
+        for name in native_out:
+            assert emitted_out[name].dtype == native_out[name].dtype, (workload, name)
+            assert np.array_equal(emitted_out[name], native_out[name]), (workload, name)
+        bit_exact = True
         native_speedup = timings["emitted_paired_s"] / timings["native_s"]
     entry = {
         "figure": figure,
@@ -164,8 +152,7 @@ def _record(results, figure, workload, kernel, lanes, repeats=3, rounds=9, emitt
             else None
         ),
         "speedup_native_vs_emitted": native_speedup,
-        # True when measured (asserted above); null when the tier is absent
-        # or only the ulp bound could be checked.
+        # True when measured (asserted above); null when the tier is absent.
         "native_bit_exact": bit_exact,
     }
     results.append(entry)
@@ -211,7 +198,7 @@ def _run_suite(mode, shapes, output):
             build_batched_sddmm_program(mask, heads, feat, q, k, scale=1.0 / np.sqrt(feat))
         )
         _record(results, "fig16-attention", f"band-s{seq}-b{band}-h{heads}-f{feat}-sddmm",
-                kernel, heads * mask.nnz * feat, emitted_ulp=1)
+                kernel, heads * mask.nnz * feat)
         v = rng.standard_normal((heads, seq, feat)).astype(np.float32)
         kernel = session.build(build_batched_spmm_program(mask, heads, feat, v))
         _record(results, "fig16-attention", f"band-s{seq}-b{band}-h{heads}-f{feat}-spmm",

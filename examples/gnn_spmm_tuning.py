@@ -14,7 +14,7 @@ from repro.ops.spmm import spmm_csr_workload, spmm_hyb_workload, spmm_reference
 from repro.perf.device import V100
 from repro.perf.gpu_model import GPUModel
 from repro.runtime import Session
-from repro.tune import SpMMProblem, tune_spmm
+from repro.tune import SpMMProblem
 from repro.workloads.graphs import feature_matrix, synthetic_graph
 
 
@@ -25,19 +25,27 @@ def main() -> None:
     print(f"graph {graph.name}: {graph.num_nodes} nodes, {graph.num_edges} edges "
           f"(scale {graph.spec.scale:.2f} of the original)")
 
-    # Tune the composable format and schedule parameters (Section 2's tuner).
-    # The session memoises every candidate decomposition, so re-tuning (or
-    # building the tuned kernel below) never re-buckets the same structure.
+    # Tune the composable format and schedule parameters (Section 2's tuner):
+    # a predict-only pass (survivors=0) prices 40 sampled points of the joint
+    # csr / hyb(c, k) x schedule space with the GPU cost model.  The comparison
+    # below is about the composable format, so take the best hyb candidate.
     session = Session()
-    result = tune_spmm(csr, feat_size, V100, max_trials=40, session=session)
-    print(f"tuner evaluated {result.evaluated} configurations; best: {result.best_config} "
-          f"-> {result.best_cost:.1f} us")
+    search = session.autotune(
+        "spmm", SpMMProblem(csr, feat_size), device=V100,
+        strategy="random", max_trials=40, survivors=0,
+    )
+    best = min(
+        (h for h in search.history if h["config"]["format"] == "hyb"),
+        key=lambda h: h["predicted_us"],
+    )
+    print(f"tuner evaluated {search.evaluated} configurations; best hyb: {best['config']} "
+          f"-> {best['predicted_us']:.1f} us")
 
     model = GPUModel(V100)
     tuned_hyb = session.decompose_hyb(
         csr,
-        num_col_parts=result.best_config["num_col_parts"],
-        num_buckets=result.best_config["num_buckets"],
+        num_col_parts=best["config"]["num_col_parts"],
+        num_buckets=best["config"]["num_buckets"],
     )
     durations = {
         "cuSPARSE": model.estimate(cusparse.spmm_workload(csr, feat_size, V100)).duration_us,
@@ -50,7 +58,7 @@ def main() -> None:
         "SparseTIR(hyb)": model.estimate(
             spmm_hyb_workload(
                 tuned_hyb, feat_size, V100,
-                threads_per_block=result.best_config["threads_per_block"],
+                threads_per_block=best["config"]["threads_per_block"],
             )
         ).duration_us,
     }
@@ -69,18 +77,17 @@ def main() -> None:
         csr,
         features,
         format="hyb",
-        num_col_parts=result.best_config["num_col_parts"],
-        num_buckets=result.best_config["num_buckets"],
+        num_col_parts=best["config"]["num_col_parts"],
+        num_buckets=best["config"]["num_buckets"],
     )
     error = float(np.abs(out - spmm_reference(csr, features)).max())
     print(f"tuned hyb kernel executed; max |error| vs dense reference: {error:.2e}")
     print(f"session stats: {session.stats.as_dict()}")
 
-    # The workload-generic autoscheduler (docs/tuning.md) wraps the same
-    # search behind one API: phase 1 prunes the space with the GPU cost
-    # model, phase 2 measures the survivors' wallclock on the cached
-    # emitted-kernel tier, and the winner is remembered so tuned=True
-    # operator calls pick it up automatically.
+    # With survivors > 0 the same call goes on to phase 2 (docs/tuning.md):
+    # the best-predicted candidates are timed through the session's compiled
+    # kernels, and the winner is remembered so tuned=True operator calls
+    # pick it up automatically.
     auto = session.autotune(
         "spmm", SpMMProblem(csr, 16), max_trials=24, survivors=3, repeats=2
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -11,15 +11,75 @@ from ..stage2.lowering import lower_sparse_iterations
 from ..stage3.buffer_lowering import lower_sparse_buffers
 from .cache import CacheEntry, KernelCache, resolve_cache, structural_fingerprint
 from .cuda_like import emit_cuda_source
+from .emit_c import NativeBuildError, emit_c_source, load_native, toolchain_available
 from .emit_numpy import UnsupportedForEmission, compile_emitted, emit_numpy_source
 from .fusion import launch_count
 
-#: Execution tiers of :meth:`Kernel.run`, fastest first.
-ENGINES = ("native", "emitted", "interpret")
+
+class _Unavailable(Exception):
+    """A tier that cannot be tried on this machine; the message is the reason."""
 
 
 def _reason(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+    return str(exc) if isinstance(exc, _Unavailable) else f"{type(exc).__name__}: {exc}"
+
+
+# -- the compiled tiers --------------------------------------------------------
+# A tier is an ``emit(func, cache, key)`` that prints the program for its
+# target and a ``load(func, emitted, cache, key)`` that turns the print into a
+# ``run(arrays)`` closure.  ``cache``/``key`` name the kernel's artifact store
+# (both ``None`` for an uncached kernel): the emitted tier keeps its print
+# there (``<key>.py``), the native tier what the C compiler made of it
+# (``<key>.so``), so a later process loads either without redoing the work.
+
+
+def _emit_native(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str]) -> Any:
+    if not toolchain_available():
+        raise _Unavailable("no toolchain")
+    return emit_c_source(func)
+
+
+def _load_native(
+    func: PrimFunc, emitted: Any, cache: Optional[KernelCache], key: Optional[str]
+) -> Any:
+    c_source, binding = emitted
+    disk, stats = (cache.disk, cache.stats) if cache is not None else (None, None)
+    return load_native(func, c_source, binding, disk=disk, key=key, stats=stats)
+
+
+def _emit_numpy(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str]) -> str:
+    disk = cache.disk if cache is not None else None
+    source = disk.get_source(key) if disk is not None else None
+    if source is None:
+        source = emit_numpy_source(func)
+        if cache is not None:
+            cache.stats.emissions += 1
+        if disk is not None:
+            disk.put_source(key, source)
+            cache.stats.disk_errors = disk.stats.errors
+    return source
+
+
+#: tier -> (emit, load, what the two raise to decline), fastest first; the
+#: interpreter is what is left.  Native: outside the C fragment, no toolchain,
+#: a compile error, an artifact that does not load.  Emitted: outside the
+#: NumPy fragment, or the plan gave up on this structure while it ran (lane
+#: overflow and structural zeros raise ``ValueError``).
+_TIERS: Dict[str, Tuple[Callable[..., Any], Callable[..., Any], Tuple[type, ...]]] = {
+    "native": (
+        _emit_native,
+        _load_native,
+        (UnsupportedForEmission, _Unavailable, NativeBuildError, OSError),
+    ),
+    "emitted": (
+        _emit_numpy,
+        lambda func, source, cache, key: compile_emitted(source, func),
+        (UnsupportedForEmission, ValueError, MemoryError),
+    ),
+}
+
+#: Execution tiers of :meth:`Kernel.run`, fastest first.
+ENGINES = (*_TIERS, "interpret")
 
 
 class Kernel:
@@ -34,7 +94,9 @@ class Kernel:
       per structure, plan executed once per process), and the
       element-by-element interpreter — tried in that order under
       ``"auto"``, with automatic fallback whenever a tier rejects the
-      program (:attr:`declined` says why); every tier is bit-exact,
+      program (:attr:`declined` says why); every tier is bit-exact.  A
+      compiled tier is emitted, loaded and stored the first time it is asked
+      to serve — a kernel the native tier runs never prints NumPy source,
     * the emitted NumPy listing (:meth:`emitted_source`) and the pseudo-CUDA
       listing (:meth:`cuda_source`) produced by code generation, and
     * a hook for the GPU performance model (:meth:`profile`) which estimates
@@ -67,13 +129,12 @@ class Kernel:
         self.cache_hit: Optional[bool] = None
         self._source: Optional[str] = None
         self._aux_rebound = False
-        # The cache entry shares the emitted source and its compiled runner
-        # across every kernel built from the same structure; an uncached
-        # kernel gets a private entry on first use.  ``cache``/``key`` give
-        # the native tier access to the persistent artifact store (and the
-        # native hit/rebuild counters); an uncached kernel compiles into a
-        # process-local scratch directory instead.
-        self._entry = entry
+        # The cache entry shares the resolved tiers across every kernel built
+        # from the same structure; an uncached kernel has a private one.
+        # ``cache``/``key`` name the persistent artifact store (and the
+        # emission / native hit / rebuild counters); an uncached kernel
+        # compiles into a process-local scratch directory instead.
+        self._entry = entry if entry is not None else CacheEntry(lowered=func)
         self._cache = cache
         self._key = key
         self._aux_names = frozenset(buf.name for buf in func.aux_buffers)
@@ -103,12 +164,11 @@ class Kernel:
         keeps seeing every kernel execution.
         """
         if prepared:
-            runner = self._native_runner() if engine == "native" else self._emitted_runner()
             self.last_engine = engine
             self._aux_rebound = False
-            return runner(bindings)
+            return self._runner(engine)(bindings)
 
-        from ...runtime.executor import Executor
+        from ...runtime.executor import Executor, prepare_arrays
 
         merged: Dict[str, np.ndarray] = dict(self.defaults)
         if bindings:
@@ -116,42 +176,27 @@ class Kernel:
 
         if engine not in ("auto",) + ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
-        # The native and emitted runners bound the auxiliary (structural)
-        # arrays when they were built, so a binding that overrides one would
-        # be silently ignored; such runs drop to the interpreter.
+        # The compiled runners bound the auxiliary (structural) arrays when
+        # they were loaded and never take them per call, so a binding that
+        # overrides one would be silently ignored; such runs drop to the
+        # interpreter.
         aux_override = bool(bindings) and any(name in self._aux_names for name in bindings)
         self._aux_rebound = aux_override
-        if engine in ("auto", "native"):
-            runner = None if aux_override else self._native_runner()
+        for tier in _TIERS:
+            if engine not in ("auto", tier):
+                continue
+            runner = None if aux_override else self._runner(tier)
             if runner is not None:
-                result = runner(self._prepare(merged))
-                self.last_engine = "native"
+                result = runner(prepare_arrays(self.func, merged, skip=self._aux_names))
+                self.last_engine = tier
                 return result
-            if engine == "native":
+            if engine == tier:
                 raise UnsupportedForEmission(
-                    f"program {self.func.name!r} has no native kernel"
-                    + (" (auxiliary buffers rebound)" if aux_override else "")
-                )
-        if engine in ("auto", "emitted"):
-            runner = None if aux_override else self._emitted_runner()
-            if runner is not None:
-                result = runner(self._prepare(merged))
-                self.last_engine = "emitted"
-                return result
-            if engine == "emitted":
-                raise UnsupportedForEmission(
-                    f"program {self.func.name!r} has no emitted kernel"
+                    f"program {self.func.name!r} has no {tier} kernel"
                     + (" (auxiliary buffers rebound)" if aux_override else "")
                 )
         self.last_engine = "interpret"
         return Executor(self.func).run(merged)
-
-    def _prepare(self, merged: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Flat arrays for the native/emitted runners, which bound the
-        auxiliary buffers at build time and never take them per call."""
-        from ...runtime.executor import prepare_arrays
-
-        return prepare_arrays(self.func, merged, skip=self._aux_names)
 
     def fast_tier(self, engine: str = "auto") -> Optional[str]:
         """The compiled tier *engine* would dispatch to, or ``None``.
@@ -160,10 +205,9 @@ class Kernel:
         from that tier (compiling its runner now if needed); ``None`` when
         the run would reach the interpreter.
         """
-        if engine in ("auto", "native") and self._native_runner() is not None:
-            return "native"
-        if engine in ("auto", "emitted") and self._emitted_runner() is not None:
-            return "emitted"
+        for tier in _TIERS:
+            if engine in ("auto", tier) and self._runner(tier) is not None:
+                return tier
         return None
 
     @property
@@ -171,120 +215,57 @@ class Kernel:
         """Why a compiled tier did not serve this kernel: tier -> reason.
 
         Reasons are recorded once per cache entry, the first time a tier is
-        tried and declines (``"no toolchain"``, ``"UnsupportedForEmission:
+        asked for and declines (``"no toolchain"``, ``"UnsupportedForEmission:
         <message>"``, or the compile/plan error with its type); a tier that
-        was never tried or that works is absent.  When the last :meth:`run`
-        rebound an auxiliary buffer, both compiled tiers read
-        ``"aux rebound"`` for that run.
+        was never asked for — the emitted tier of a kernel the native tier
+        serves — or that works is absent.  When the last :meth:`run` rebound
+        an auxiliary buffer, both compiled tiers read ``"aux rebound"`` for
+        that run.
         """
         if self._aux_rebound:
-            return {"native": "aux rebound", "emitted": "aux rebound"}
-        return dict(self._entry.declined) if self._entry is not None else {}
+            return dict.fromkeys(_TIERS, "aux rebound")
+        return dict(self._entry.declined)
 
-    def _ensure_entry(self) -> CacheEntry:
-        """The shared cache entry, or a private one for an uncached kernel."""
+    def _tier(self, tier: str) -> Tuple[Any, Any]:
+        """The entry's ``(emitted, runner)`` slot for *tier*, resolved on first use.
+
+        Emit, then load — once per cache entry (shared by every kernel of the
+        same structure), under the entry lock.  Either step may decline:
+        the reason lands in ``declined[tier]``, the runner stays ``None`` and
+        the fallback to the next tier is decided for good.
+        """
         entry = self._entry
-        if entry is None:
-            entry = self._entry = CacheEntry(lowered=self.func)
-            try:
-                entry.source = emit_numpy_source(self.func)
-            except UnsupportedForEmission as exc:
-                entry.declined["emitted"] = _reason(exc)
-        return entry
+        slot = entry.tiers.get(tier)
+        if slot is None:
+            with entry.lock:
+                slot = entry.tiers.get(tier)
+                if slot is None:
+                    emit, load, declines = _TIERS[tier]
+                    emitted = runner = None
+                    try:
+                        emitted = emit(self.func, self._cache, self._key)
+                        runner = load(self.func, emitted, self._cache, self._key)
+                    except declines as exc:
+                        entry.declined[tier] = _reason(exc)
+                    slot = entry.tiers[tier] = (emitted, runner)
+        return slot
 
-    def _emitted_runner(self) -> Any:
-        """The compiled stage-IV runner, or ``None`` when unavailable.
-
-        Compilation happens at most once per cache entry (shared across every
-        kernel with the same structure) and is serialised by the entry lock;
-        a failed compile or plan (e.g. lane overflow) marks the entry so the
-        fallback decision is also made once.
-        """
-        entry = self._ensure_entry()
-        if entry.source is None:
-            if "emitted" not in entry.declined:
-                # A cached entry (memory or disk) stores only the absence of
-                # source; ask the emitter again for the reason.
-                try:
-                    emit_numpy_source(self.func)
-                except UnsupportedForEmission as exc:
-                    entry.declined["emitted"] = _reason(exc)
-            return None
-        if entry.runner is False:
-            return None
-        if entry.runner is not None:
-            return entry.runner
-        with entry.lock:
-            if entry.runner is None:
-                try:
-                    entry.runner = compile_emitted(entry.source, self.func)
-                except Exception as exc:
-                    entry.runner = False
-                    entry.declined["emitted"] = _reason(exc)
-        return entry.runner or None
-
-    def _native_runner(self) -> Any:
-        """The compiled native (C) runner, or ``None`` when unavailable.
-
-        Mirrors :meth:`_emitted_runner`: built at most once per cache entry
-        under the entry lock, with any failure — no toolchain, the program
-        outside the C emitter's fragment, a compile or load error — marking
-        the entry so the fallback to the emitted tier is decided once.
-        """
-        entry = self._ensure_entry()
-        if entry.native_runner is False:
-            return None
-        if entry.native_runner is not None:
-            return entry.native_runner
-        with entry.lock:
-            if entry.native_runner is None:
-                entry.native_runner = self._build_native(entry) or False
-        return entry.native_runner or None
-
-    def _native_sources(self, entry: CacheEntry) -> Any:
-        """The emitted ``(c_source, binding)`` pair, or ``False`` when the
-        program falls outside the C emitter's fragment (decided once)."""
-        from .emit_c import emit_c_source
-
-        if entry.native is None:
-            try:
-                entry.native = emit_c_source(self.func)
-            except UnsupportedForEmission as exc:
-                entry.native = False
-                entry.declined["native"] = _reason(exc)
-        return entry.native
-
-    def _build_native(self, entry: CacheEntry) -> Any:
-        from .emit_c import NativeBuildError, load_native, toolchain_available
-
-        if not toolchain_available():
-            entry.declined["native"] = "no toolchain"
-            return None
-        sources = self._native_sources(entry)
-        if sources is False:
-            return None
-        c_source, binding = sources
-        disk = self._cache.disk if self._cache is not None else None
-        stats = self._cache.stats if self._cache is not None else None
-        try:
-            return load_native(self.func, c_source, binding, disk=disk, key=self._key, stats=stats)
-        except (NativeBuildError, OSError, UnsupportedForEmission) as exc:
-            # A compile failure or an artifact that does not load: the
-            # emitted tier takes over.
-            entry.declined["native"] = _reason(exc)
-            return None
+    def _runner(self, tier: str) -> Any:
+        """The loaded ``run(arrays)`` closure of *tier*, or ``None``."""
+        return self._tier(tier)[1]
 
     def native_source(self) -> Optional[str]:
         """The C module emitted for this kernel's native tier (``None`` when
-        the program falls outside the C emitter's fragment)."""
-        sources = self._native_sources(self._ensure_entry())
-        return sources[0] if sources else None
+        the program falls outside the C emitter's fragment or there is no
+        toolchain to compile it; :attr:`declined` says which)."""
+        emitted = self._tier("native")[0]
+        return emitted[0] if emitted is not None else None
 
     # -- code generation ---------------------------------------------------------
     def emitted_source(self) -> Optional[str]:
         """The stage-IV NumPy module emitted for this kernel (``None`` when
         the program falls outside the emitter's fragment)."""
-        return self._ensure_entry().source
+        return self._tier("emitted")[0]
 
     def cuda_source(self) -> str:
         """The CUDA-like listing emitted for this kernel."""
@@ -370,9 +351,12 @@ def build(
             a :class:`~repro.core.codegen.cache.KernelCache` instance uses
             that cache, and ``False`` disables caching.  On a cache hit —
             from memory, or from the persistent on-disk layer in a fresh
-            process — lowering *and* stage-IV source emission are skipped
-            entirely and the value arrays of *func* are attached to the
-            cached loop nest as run-time defaults.
+            process — lowering is skipped entirely and the value arrays of
+            *func* are attached to the cached loop nest as run-time defaults.
+
+    Building stops at the loop nest.  Printing it for a target (C, NumPy),
+    compiling and loading are the tiers' business, done the first time the
+    returned kernel asks a tier to serve it (see :class:`Kernel`).
 
     Returns:
         A runnable :class:`Kernel` holding the stage-III program.
@@ -418,12 +402,7 @@ def build(
         func = _structural_copy(func)
         stage2 = None if stage2 is None else _structural_copy(stage2)
         cache_obj.stats.lowerings += 1
-        try:
-            source: Optional[str] = emit_numpy_source(func)
-            cache_obj.stats.emissions += 1
-        except UnsupportedForEmission:
-            source = None
-        entry = cache_obj.put(key, func, stage2=stage2, source=source)
+        entry = cache_obj.put(key, func, stage2=stage2)
         return _cached_kernel(entry, defaults, cache_obj, key, hit=False)
     finally:
         if flight is not None:

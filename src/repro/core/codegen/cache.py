@@ -16,12 +16,11 @@ graph.  This module provides
   the value arrays are rebound at execution time.  Value *dtypes* do
   participate — a float32 entry can never serve a float64 caller.
 * :class:`CacheEntry` — one cached compilation product: the lowered stage-III
-  program, its stage-II form, the emitted NumPy source (stage IV) and the
-  lazily compiled runner.
+  program, its stage-II form, and one lazily resolved slot per compiled tier.
 * :class:`KernelCache` — a thread-safe LRU map from fingerprint to
   :class:`CacheEntry`, with hit/miss statistics and an optional persistent
   :class:`DiskKernelCache` layer underneath, so a fresh process warm-starts
-  without re-lowering or re-emitting anything.
+  without re-lowering, re-emitting NumPy source or re-running the C compiler.
 * :class:`DiskKernelCache` — the fingerprint-keyed on-disk store under
   ``$REPRO_KERNEL_CACHE`` (or ``~/.cache/repro-kernels``): versioned,
   corruption-tolerant, written atomically (temp file + rename).
@@ -59,7 +58,9 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 FINGERPRINT_VERSION = 2
 
 #: Bumped whenever the persisted payload layout changes (directory ``v<N>``).
-DISK_SCHEMA_VERSION = 1
+#: v2: the pickle no longer carries the NumPy source; ``<fingerprint>.py`` is
+#: the stored source, written lazily and validated by its header line.
+DISK_SCHEMA_VERSION = 2
 
 #: Environment variable naming the on-disk cache root.  Unset disables the
 #: persistent layer; the values ``0`` / ``off`` / ``false`` disable it too.
@@ -139,9 +140,11 @@ class CacheStats:
 
     ``hits`` counts every lookup satisfied without lowering (from memory or
     from disk); ``disk_hits`` counts the subset that was loaded from the
-    persistent layer.  ``lowerings`` / ``emissions`` count the expensive
-    compilation passes actually executed, so a warm-started process can
-    assert both are zero.
+    persistent layer.  ``lowerings`` / ``emissions`` count the lowering
+    passes and NumPy-source emissions actually executed, so a warm-started
+    process can assert both are zero — and so can a cold one whose kernels
+    the native tier serves, since source is emitted only for a tier that is
+    asked to run.
     """
 
     hits: int = 0
@@ -184,58 +187,50 @@ class CacheStats:
 class CacheEntry:
     """One cached compilation product, shared by every build that hits it.
 
-    ``lowered`` and ``stage2`` are purely structural (value data detached);
-    ``source`` is the emitted stage-IV NumPy module text, or ``None`` when
-    the program falls outside the emitter's fragment.  ``runner`` caches the
-    compiled ``run(arrays)`` closure: ``None`` until first use, ``False``
-    after a failed compile/plan (so the fallback is decided once), and the
-    callable afterwards.  ``lock`` serialises that lazy compilation.
+    ``lowered`` and ``stage2`` are purely structural (value data detached).
 
-    The native tier mirrors that protocol: ``native`` holds the emitted
-    ``(c_source, binding)`` pair (``None`` unset, ``False`` outside the
-    C emitter's fragment) and ``native_runner`` the compiled-and-loaded
-    closure.  Both are per-process — only the shared object itself persists,
-    in the disk layer keyed by source hash, platform and ABI.
-
-    ``declined`` maps a compiled tier (``"native"`` / ``"emitted"``) to the
-    reason it will not serve this entry, written where the tier is marked
-    unavailable and read through :attr:`Kernel.declined`.
+    ``tiers`` holds one slot per compiled tier (``"native"`` / ``"emitted"``):
+    absent until :class:`Kernel` is first asked for that tier, then
+    ``(emitted, runner)`` for good — what the tier's emitter printed and the
+    loaded ``run(arrays)`` closure, either ``None`` when that step declined,
+    with the reason in ``declined[tier]``.  ``lock`` serialises the one
+    resolution, so threads racing on a first dispatch emit, compile and plan
+    once.  Slots are per-process; what persists is each tier's artifact in
+    the disk layer (``<fingerprint>.py``, ``<fingerprint>.so``).
     """
 
     lowered: PrimFunc
     stage2: Optional[PrimFunc] = None
-    source: Optional[str] = None
-    runner: Any = None
-    native: Any = None
-    native_runner: Any = None
+    tiers: Dict[str, Tuple[Any, Any]] = field(default_factory=dict, repr=False)
     declined: Dict[str, str] = field(default_factory=dict, repr=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 class DiskKernelCache:
-    """Fingerprint-keyed persistent store for lowered programs + emitted source.
+    """Fingerprint-keyed persistent store: lowered programs and tier artifacts.
 
-    Layout (all files live under ``<root>/v<DISK_SCHEMA_VERSION>/``):
+    Every file lives under ``<root>/v<DISK_SCHEMA_VERSION>/``, is named by
+    the structural fingerprint and has one writer, one reader and one check
+    (``docs/runtime.md``, "Disk layout", has the same as a table):
 
-    * ``<fingerprint>.pkl`` — the authoritative payload: a pickled dict with
-      the schema/emitter versions, program name, structural stage-III
-      program and emitted source;
-    * ``<fingerprint>.py`` — the emitted source as a readable Python file
-      (informational; never loaded back);
-    * ``<fingerprint>.json`` — human-readable metadata, plus the ``native``
-      validity record (see below);
-    * ``<fingerprint>.c`` / ``<fingerprint>.so`` — the native tier's emitted
-      C source and compiled shared object.  The ``.so`` is only ever loaded
-      when the json's ``native`` record matches the current native-emitter
-      version, the hash of the freshly re-emitted C source, and this
-      machine's platform + Python ABI tags — any skew is a miss that
-      recompiles and republishes, never an import of a stale artifact.
+    * ``.pkl`` — the lowered program: :meth:`put` when it is first lowered,
+      :meth:`get` on a memory miss, valid when schema, fingerprint and
+      payload types check out;
+    * ``.json`` — readable metadata from :meth:`put` plus the ``native``
+      validity record from :meth:`publish_native` (the only part read back);
+    * ``.py`` — the emitted NumPy source: :meth:`put_source` when the emitted
+      tier first emits, :meth:`get_source` when a later process first asks,
+      valid when its first line names this fingerprint and the hash of the
+      rest;
+    * ``.c`` / ``.so`` — the native tier's listing and shared object, written
+      when that tier is first asked for; :meth:`get_native` hands the ``.so``
+      out only when the json record matches the native-emitter version, the
+      hash of the re-emitted C source and this machine's platform + ABI tag.
 
-    Writes go through a temporary file in the same directory followed by an
-    atomic :func:`os.replace`, so concurrent writers can never leave a
-    half-written payload behind.  Reads treat *any* failure (truncated
-    pickle, version mismatch, unpicklable content) as a miss, recording it in
-    ``stats.errors`` and removing the offending entry best-effort.
+    So a fingerprint the native tier serves never has a ``.py``.  Writes are
+    atomic (temporary file + :func:`os.replace`); a file that fails its
+    check is a miss, counted in ``stats.errors`` and overwritten by the
+    rebuild — never an import of something stale.
     """
 
     def __init__(self, root: Union[str, Path, None] = None):
@@ -260,12 +255,11 @@ class DiskKernelCache:
         return cls(value)
 
     # -- paths -----------------------------------------------------------------
-    def _paths(self, key: str) -> Tuple[Path, Path, Path]:
-        base = self.dir / key
-        return base.with_suffix(".pkl"), base.with_suffix(".py"), base.with_suffix(".json")
+    def _path(self, key: str, suffix: str) -> Path:
+        return self.dir / f"{key}{suffix}"
 
     def __contains__(self, key: str) -> bool:
-        return self._paths(key)[0].exists()
+        return self._path(key, ".pkl").exists()
 
     def __len__(self) -> int:
         if not self.dir.is_dir():
@@ -275,9 +269,7 @@ class DiskKernelCache:
     # -- read ------------------------------------------------------------------
     def get(self, key: str) -> Optional[CacheEntry]:
         """Load one entry, or ``None`` on miss / corruption / version skew."""
-        from .emit_numpy import EMITTER_VERSION
-
-        pkl_path = self._paths(key)[0]
+        pkl_path = self._path(key, ".pkl")
         try:
             blob = pkl_path.read_bytes()
         except OSError:
@@ -297,62 +289,84 @@ class DiskKernelCache:
             stage2 = payload["stage2"]
             if stage2 is not None and not isinstance(stage2, PrimFunc):
                 raise TypeError("stage2 payload is not a PrimFunc")
-            source = payload["source"]
-            # Source emitted by a different emitter version is stale; the
-            # program itself is still keyed by a fingerprint that embeds the
-            # emitter version, so a skew here means a hand-edited entry.
-            if source is not None and payload["emitter_version"] != EMITTER_VERSION:
-                raise ValueError("emitter version skew")
         except Exception:
             self.stats.errors += 1
             self._discard(key)
             return None
         self.stats.hits += 1
-        return CacheEntry(lowered=lowered, stage2=stage2, source=source)
+        return CacheEntry(lowered=lowered, stage2=stage2)
 
     # -- write -----------------------------------------------------------------
-    def put(self, key: str, entry: CacheEntry, name: str = "") -> None:
+    def put(self, key: str, entry: CacheEntry) -> None:
         """Persist one entry; failures are swallowed (the cache is best-effort)."""
-        from .emit_numpy import EMITTER_VERSION
-
         payload = {
             "schema": DISK_SCHEMA_VERSION,
             "fingerprint": key,
-            "emitter_version": EMITTER_VERSION,
-            "name": name or entry.lowered.name,
+            "name": entry.lowered.name,
             "program": entry.lowered,
             "stage2": entry.stage2,
-            "source": entry.source,
         }
+        # Update the existing metadata, so a native validity record survives:
+        # the program and the compiled artifact are written by different paths.
         meta = {
+            **self._meta(key),
             "schema": DISK_SCHEMA_VERSION,
             "fingerprint": key,
             "fingerprint_version": FINGERPRINT_VERSION,
-            "emitter_version": EMITTER_VERSION,
-            "name": payload["name"],
-            "emitted": entry.source is not None,
+            "name": entry.lowered.name,
             "numpy": np.__version__,
         }
-        pkl_path, py_path, json_path = self._paths(key)
+        self._write(
+            (self._path(key, ".pkl"), pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)),
+            (self._path(key, ".json"), json.dumps(meta, indent=2).encode()),
+        )
+
+    def _meta(self, key: str) -> Dict[str, Any]:
+        """The json metadata of *key* (``{}`` when missing or unreadable)."""
         try:
-            # Preserve an existing native validity record: the numpy payload
-            # and the compiled artifact are written by different code paths.
-            existing = json.loads(json_path.read_text())
-            if isinstance(existing, dict) and "native" in existing:
-                meta["native"] = existing["native"]
+            meta = json.loads(self._path(key, ".json").read_text())
         except (OSError, ValueError):
-            pass
+            return {}
+        return meta if isinstance(meta, dict) else {}
+
+    def _write(self, *files: Tuple[Path, bytes]) -> None:
+        """Write *files* atomically, in order; a failure is counted, not raised."""
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
-            self._atomic_write(pkl_path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-            if entry.source is not None:
-                header = f"# fingerprint: {key}\n"
-                self._atomic_write(py_path, (header + entry.source).encode())
-            self._atomic_write(json_path, json.dumps(meta, indent=2).encode())
+            for path, data in files:
+                self._atomic_write(path, data)
         except OSError:
             self.stats.errors += 1
             return
         self.stats.writes += 1
+
+    # -- emitted NumPy source --------------------------------------------------
+    @staticmethod
+    def _source_header(key: str, source: str) -> str:
+        return f"# fingerprint: {key} sha256: {hashlib.sha256(source.encode()).hexdigest()}"
+
+    def get_source(self, key: str) -> Optional[str]:
+        """The stored NumPy source of *key*, or ``None`` on a miss.
+
+        A file whose first line does not name this fingerprint and the hash
+        of the rest — truncated, renamed, hand-edited, not text — is a miss
+        counted in ``stats.errors``; the re-emission overwrites it.
+        """
+        try:
+            header, _, source = self._path(key, ".py").read_text().partition("\n")
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            header, source = "", ""
+        if header != self._source_header(key, source):
+            self.stats.errors += 1
+            return None
+        return source
+
+    def put_source(self, key: str, source: str) -> None:
+        """Store freshly emitted NumPy source under its validity header."""
+        text = self._source_header(key, source) + "\n" + source
+        self._write((self._path(key, ".py"), text.encode()))
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
@@ -368,17 +382,13 @@ class DiskKernelCache:
             raise
 
     def _discard(self, key: str) -> None:
-        for path in self._paths(key) + self._native_paths(key):
+        for suffix in (".pkl", ".py", ".json", ".c", ".so"):
             try:
-                path.unlink()
+                self._path(key, suffix).unlink()
             except OSError:
                 pass
 
     # -- native artifacts ------------------------------------------------------
-    def _native_paths(self, key: str) -> Tuple[Path, Path]:
-        base = self.dir / key
-        return base.with_suffix(".c"), base.with_suffix(".so")
-
     def get_native(self, key: str, sha: str) -> Optional[Path]:
         """Path of a valid compiled artifact for *key*, or ``None`` on miss.
 
@@ -391,11 +401,9 @@ class DiskKernelCache:
         """
         from .emit_c import NATIVE_VERSION, native_tag
 
-        so_path = self._native_paths(key)[1]
-        json_path = self._paths(key)[2]
+        so_path = self._path(key, ".so")
         try:
-            meta = json.loads(json_path.read_text())
-            record = meta["native"]
+            record = self._meta(key)["native"]
             if record["native_version"] != NATIVE_VERSION:
                 raise ValueError("native emitter version skew")
             if record["source_sha256"] != sha:
@@ -415,7 +423,7 @@ class DiskKernelCache:
             self.dir.mkdir(parents=True, exist_ok=True)
         except OSError:
             return None
-        return self._native_paths(key)[1]
+        return self._path(key, ".so")
 
     def publish_native(self, key: str, c_source: str, sha: str) -> None:
         """Record a freshly compiled artifact's validity metadata.
@@ -428,43 +436,30 @@ class DiskKernelCache:
         """
         from .emit_c import NATIVE_VERSION, native_tag
 
-        c_path = self._native_paths(key)[0]
-        json_path = self._paths(key)[2]
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            header = f"/* fingerprint: {key} */\n"
-            self._atomic_write(c_path, (header + c_source).encode())
-            try:
-                meta = json.loads(json_path.read_text())
-                if not isinstance(meta, dict):
-                    meta = {}
-            except (OSError, ValueError):
-                meta = {}
-            meta["native"] = {
-                "native_version": NATIVE_VERSION,
-                "source_sha256": sha,
-                "tag": native_tag(),
-            }
-            self._atomic_write(json_path, json.dumps(meta, indent=2).encode())
-        except OSError:
-            self.stats.errors += 1
-            return
-        self.stats.writes += 1
+        meta = self._meta(key)
+        meta["native"] = {
+            "native_version": NATIVE_VERSION,
+            "source_sha256": sha,
+            "tag": native_tag(),
+        }
+        self._write(
+            (self._path(key, ".c"), f"/* fingerprint: {key} */\n{c_source}".encode()),
+            (self._path(key, ".json"), json.dumps(meta, indent=2).encode()),
+        )
 
     def discard_native(self, key: str) -> None:
         """Drop *key*'s native artifact (and its validity record) best-effort."""
-        for path in self._native_paths(key):
+        for suffix in (".c", ".so"):
             try:
-                path.unlink()
+                self._path(key, suffix).unlink()
             except OSError:
                 pass
-        json_path = self._paths(key)[2]
-        try:
-            meta = json.loads(json_path.read_text())
-            if isinstance(meta, dict) and meta.pop("native", None) is not None:
-                self._atomic_write(json_path, json.dumps(meta, indent=2).encode())
-        except (OSError, ValueError):
-            pass
+        meta = self._meta(key)
+        if meta.pop("native", None) is not None:
+            try:
+                self._atomic_write(self._path(key, ".json"), json.dumps(meta, indent=2).encode())
+            except OSError:
+                pass
 
     # -- single-flight locks ---------------------------------------------------
     def try_lock_flight(self, key: str) -> Any:
@@ -603,9 +598,9 @@ class KernelCache:
     """A thread-safe LRU cache from structural fingerprint to :class:`CacheEntry`.
 
     Entries hold the lowered stage-III program (plus its stage-II form, kept
-    for scheduling introspection, and the emitted stage-IV source); value
-    data is rebound per build, so one entry serves every workload that shares
-    the structure.
+    for scheduling introspection) and the compiled tiers resolved from it so
+    far; value data is rebound per build, so one entry serves every workload
+    that shares the structure.
 
     ``disk`` selects the persistent layer: the default ``"auto"`` resolves
     ``$REPRO_KERNEL_CACHE`` lazily on first use (no environment variable, no
@@ -683,18 +678,14 @@ class KernelCache:
             self.stats.misses += 1
             return None
 
-    def put(self, key: str, lowered: Any, stage2: Optional[PrimFunc] = None, source: Optional[str] = None) -> CacheEntry:
-        """Insert an entry (a :class:`CacheEntry` or a lowered program).
+    def put(self, key: str, lowered: PrimFunc, stage2: Optional[PrimFunc] = None) -> CacheEntry:
+        """Insert the entry of a freshly lowered program and return it.
 
         The disk write-through (pickling + atomic file writes) happens
-        outside the lock; entries are immutable once built, so concurrent
-        writers of the same key produce identical payloads.
+        outside the lock; the persisted programs are immutable once built, so
+        concurrent writers of the same key produce identical payloads.
         """
-        entry = (
-            lowered
-            if isinstance(lowered, CacheEntry)
-            else CacheEntry(lowered=lowered, stage2=stage2, source=source)
-        )
+        entry = CacheEntry(lowered=lowered, stage2=stage2)
         with self._lock:
             self._store(key, entry)
             disk = self.disk

@@ -87,7 +87,7 @@ from .hazards import UnsupportedForEmission, analyze_hazards, coords_to_position
 
 #: Bumped whenever the emitted-source contract changes; participates in the
 #: structural fingerprint so stale on-disk source can never be executed.
-EMITTER_VERSION = 3
+EMITTER_VERSION = 4
 
 _PLAN = "plan"
 _RUN = "run"
@@ -148,6 +148,7 @@ class _Emitter:
         self.func = func
         self.aux_names = {buf.name: buf for buf in func.aux_buffers}
         self.flat_sizes = {fb.name: fb.size for fb in func.flat_buffers}
+        self.flat_dtypes = {fb.name: np.dtype(_np_dtype(fb.dtype)).name for fb in func.flat_buffers}
         self.axes_by_name = {axis.name: axis for axis in func.axes}
         self.plan: List[str] = []
         self.run: List[str] = []
@@ -175,8 +176,17 @@ class _Emitter:
             self._val_used.append(name)
         return name
 
-    def _as_lanes(self, val: _Val, n_code: str) -> str:
-        return val.code if val.lanes else f"np.full({n_code}, {val.code})"
+    def _as_lanes(self, val: _Val, n_code: str, store_dtype: Optional[str] = None) -> str:
+        if val.lanes:
+            return val.code
+        if store_dtype is None:
+            return f"np.full({n_code}, {val.code})"
+        # A scalar stored to a buffer takes the type the interpreter's
+        # ``buffer[i] <op> scalar`` computes in (NEP-50: a Python literal is
+        # weak, a NumPy scalar promotes); a bare np.full would make a float
+        # literal float64 and round a float32 rescale twice.
+        dtype = f"np.result_type({store_dtype!r}, {val.code})"
+        return f"np.full({n_code}, {val.code}, dtype={dtype})"
 
     def _merge_invalid(self, *invalids: Optional[_Val]) -> Optional[_Val]:
         present = [inv for inv in invalids if inv is not None]
@@ -393,7 +403,7 @@ class _Emitter:
         vals = self._fresh("v")
         kept_vals = self._fresh("v")
         vals_zone = _max_zone(value.zone, index.zone)
-        self._line(value.zone, f"{vals} = {self._as_lanes(value, n_code)}")
+        self._line(value.zone, f"{vals} = {self._as_lanes(value, n_code, self.flat_dtypes[name])}")
         self._line(
             vals_zone, f"{kept_vals} = {vals} if {keep} is None else {vals}[{keep}]"
         )

@@ -13,11 +13,12 @@ Each :class:`~repro.graph.fusion.FusionGroup` becomes one prebuilt kernel:
   backend's horizontal-fusion pass launches the merged program as a single
   kernel.
 
-If emitting a merged program fails, the emitted tier declines it (no
-stage-IV source), or the merge would *demote* native-capable members to the
-emitted tier (see :meth:`CompiledGraph._fusion_demotes_tier`), the group
-falls back to node-by-node singleton kernels — bit-exact by construction,
-since fusion never alters any nest's computation or order.
+If emitting a merged program fails, no compiled tier accepts it, or the
+merge would *demote* native-capable members to the emitted tier (see
+:meth:`CompiledGraph._why_not_fused`), the group falls back to node-by-node
+singleton kernels — bit-exact by construction, since fusion never alters any
+nest's computation or order — and :attr:`CompiledGraph.declined_fusions`
+keeps the reason.
 
 At run time the executor walks the units in order, feeds each kernel the
 values its ``bindmap`` names, finalises outputs that later units (or the
@@ -35,6 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..core.codegen.emit_numpy import UnsupportedForEmission
 from ..core.script import EmitContext, ProgramBuilder
 from ..ops import registry
 from ..runtime.bound import BoundKernel
@@ -69,12 +71,14 @@ class CompiledGraph:
         self.fuse = fuse
         self._fingerprint: Optional[str] = None
         self.units: List[_ExecUnit] = []
+        #: Why a multi-node group was not fused: member kinds -> reason.
+        self.declined_fusions: Dict[Tuple[str, ...], str] = {}
         self._live = graph.liveness()
         index_of = {node.id: i for i, node in enumerate(graph.nodes)}
         for group in plan_groups(graph, fuse=fuse):
             unit = None
             if len(group) > 1:
-                unit = self._build_fused(group)
+                unit = self._build_fused(group, index_of)
             if unit is None:
                 for node in group.nodes:
                     self.units.append(self._build_single(node, index_of))
@@ -100,14 +104,14 @@ class CompiledGraph:
             fused=False,
         )
 
-    def _build_fused(self, group: FusionGroup) -> Optional[_ExecUnit]:
+    def _build_fused(self, group: FusionGroup, index_of: Dict[int, int]) -> Optional[_ExecUnit]:
         """One merged kernel for a multi-node group, or ``None`` to fall back."""
-        name = "fused_" + "_".join(node.spec.kind for node in group.nodes)
+        kinds = tuple(node.spec.kind for node in group.nodes)
+        ctx = EmitContext(ProgramBuilder("fused_" + "_".join(kinds)))
+        buffers: Dict[str, Any] = {}  # value name -> in-program buffer
+        bindmap: Dict[str, str] = {}
+        produced: List[Tuple[str, str, Any]] = []
         try:
-            ctx = EmitContext(ProgramBuilder(name))
-            buffers: Dict[str, Any] = {}  # value name -> in-program buffer
-            bindmap: Dict[str, str] = {}
-            produced: List[Tuple[str, str, Any]] = []
             for node in group.nodes:
                 ctx.ns = f"n{node.id}_"
                 bind: Dict[str, Any] = {}
@@ -126,18 +130,15 @@ class CompiledGraph:
                     buffers[ref.name] = result[logical]
                 buffers[node.output.name] = result["out"]
                 produced.append((node.output.name, result["out"].name, node.spec))
-            func = ctx.builder.finish()
-            kernel = self.session.build(func)
-        except Exception:
+            kernel = self.session.build(ctx.builder.finish())
+            reason = self._why_not_fused(group, kernel)
+        except (UnsupportedForEmission, ValueError) as exc:
+            # What emitting a member into the shared program and lowering
+            # the result raise; anything else is a bug and propagates.
+            reason = f"{type(exc).__name__}: {exc}"
+        if reason is not None:
+            self.declined_fusions[kinds] = reason
             return None
-        if kernel.emitted_source() is None:
-            # The merged program fell outside the emitted tier's fragment;
-            # running it interpreted would be slower than unfused emitted
-            # kernels, so decline the fusion entirely.
-            return None
-        if self._fusion_demotes_tier(group, kernel):
-            return None
-        index_of = {node.id: i for i, node in enumerate(self.graph.nodes)}
         return _ExecUnit(
             kernel=kernel,
             bindmap=bindmap,
@@ -147,27 +148,29 @@ class CompiledGraph:
             fused=True,
         )
 
-    def _fusion_demotes_tier(self, group: FusionGroup, kernel: Any) -> bool:
-        """Would merging drop native-capable members to the emitted tier?
+    def _why_not_fused(self, group: FusionGroup, kernel: Any) -> Optional[str]:
+        """Why the merged *kernel* should not replace its members, or ``None``.
 
         A merged program inherits the *weakest* member's dispatch tier: one
         node outside the C fragment (e.g. a softmax's ``exp``, kept off the
         native tier for bit-exactness) pins the whole launch to emitted
-        NumPy.  When a toolchain is present and at least one member's
-        standalone program compiles natively, the saved launch overhead is
-        dwarfed by the lost native speedup, so the planner declines the
-        merge and lets the members run node-at-a-time on their best tiers.
+        NumPy.  When at least one member's standalone program runs natively,
+        the saved launch overhead is dwarfed by the lost native speedup, so
+        the planner declines the merge and lets the members run
+        node-at-a-time on their best tiers.  Only a merge that survives that
+        asks for its NumPy source at all; without one it would run
+        interpreted, slower than its unfused members.
         """
-        from ..core.codegen.emit_c import toolchain_available
-
-        if not toolchain_available() or kernel.native_source() is not None:
-            return False
+        if kernel.fast_tier("native") is not None:
+            return None
         for node in group.nodes:
             func, _ = registry.build_spec_program(node.spec)
             # Cache hit for the fall-back singleton build of the same node.
-            if self.session.build(func).native_source() is not None:
-                return True
-        return False
+            if self.session.build(func).fast_tier("native") is not None:
+                return "would demote native members to emitted"
+        if kernel.fast_tier("emitted") is None:
+            return kernel.declined["emitted"]
+        return None
 
     # -- execution ---------------------------------------------------------------
     def _bound(self, unit: _ExecUnit) -> Optional[BoundKernel]:

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass
-class CacheStats:
+class AccessStats:
     """Result of one cache simulation."""
 
     accesses: int
@@ -65,14 +65,14 @@ class LRUCache:
         cache_set[line] = self._clock
         return False
 
-    def access_many(self, addresses: Iterable[int]) -> CacheStats:
+    def access_many(self, addresses: Iterable[int]) -> AccessStats:
         start_accesses, start_hits = self._accesses, self._hits
         for address in addresses:
             self.access(int(address))
-        return CacheStats(self._accesses - start_accesses, self._hits - start_hits)
+        return AccessStats(self._accesses - start_accesses, self._hits - start_hits)
 
-    def stats(self) -> CacheStats:
-        return CacheStats(self._accesses, self._hits)
+    def stats(self) -> AccessStats:
+        return AccessStats(self._accesses, self._hits)
 
     def reset(self) -> None:
         self._sets = [dict() for _ in range(self.num_sets)]
@@ -110,7 +110,7 @@ class CacheHierarchy:
             return True, None
         return False, self.l2.access(address)
 
-    def run_trace(self, addresses: Iterable[int], slots: Optional[Iterable[int]] = None) -> Dict[str, CacheStats]:
+    def run_trace(self, addresses: Iterable[int], slots: Optional[Iterable[int]] = None) -> Dict[str, AccessStats]:
         if slots is None:
             for address in addresses:
                 self.access(int(address))
@@ -119,10 +119,10 @@ class CacheHierarchy:
                 self.access(int(address), int(slot))
         return {"l1": self.l1_stats(), "l2": self.l2.stats()}
 
-    def l1_stats(self) -> CacheStats:
+    def l1_stats(self) -> AccessStats:
         accesses = sum(c.stats().accesses for c in self.l1)
         hits = sum(c.stats().hits for c in self.l1)
-        return CacheStats(accesses, hits)
+        return AccessStats(accesses, hits)
 
 
 def reuse_distance_hit_rate(unique_bytes: float, touched_bytes: float, cache_bytes: float) -> float:

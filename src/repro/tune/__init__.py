@@ -25,9 +25,6 @@ workload-generic **format autoscheduler**:
 * :mod:`~repro.tune.transfer` — the learned-cost-model layer over that
   corpus: residual-model training (``cost_model="learned"|"hybrid"``) and
   transfer tuning from the nearest already-tuned neighbour in feature space.
-
-The original SpMM-only :func:`tune_spmm` entry point is kept for the
-Figure 12/13 harnesses.
 """
 
 from .autoscheduler import COST_MODELS, DEFAULT_MAX_TRIALS, STRATEGIES, autotune
@@ -51,7 +48,7 @@ from .spaces import (
     register_workload,
     task_fingerprint,
 )
-from .tuner import TuningResult, grid_search, random_search, tune_spmm
+from .tuner import TuningResult
 
 __all__ = [
     "AttentionProblem",
@@ -74,13 +71,10 @@ __all__ = [
     "available_workloads",
     "config_key",
     "get_workload",
-    "grid_search",
     "plan_transfer",
-    "random_search",
     "register_workload",
     "resolve_record_store",
     "task_features",
     "task_fingerprint",
     "train_from_corpus",
-    "tune_spmm",
 ]

@@ -150,7 +150,6 @@ def _phase1_candidates(
     sees behavioural duplicates.
     """
     budget = max_trials if max_trials is not None else min(len(space), DEFAULT_MAX_TRIALS)
-    budget = max(1, budget)
     if strategy == "grid" or budget >= len(space):
         configs = list(space.configurations())
     elif strategy in ("random", "successive_halving"):
@@ -405,6 +404,8 @@ def autotune(
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     if cost_model not in COST_MODELS:
         raise ValueError(f"unknown cost_model {cost_model!r}; use one of {COST_MODELS}")
+    if max_trials is not None and max_trials <= 0:
+        raise ValueError("max_trials must be positive")
     store = resolve_record_store(records)
     fingerprint = task_fingerprint(spec, problem)
     space = spec.space(problem)

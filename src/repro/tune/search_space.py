@@ -57,8 +57,8 @@ class ParameterSpace:
 
         * ``sample(count, seed=...)`` returns a list of ``count`` *distinct*
           configurations; a ``count`` at or beyond the space size returns the
-          full enumeration (the guarantee :func:`~repro.tune.tuner.random_search`
-          relies on when its trial budget exceeds the space).
+          full enumeration (the guarantee the ``random`` strategy relies on
+          when its trial budget exceeds the space).
         * ``sample(rng)`` with a :class:`numpy.random.Generator` draws a
           single configuration from the given generator and returns it as a
           dict (the shape evolutionary mutation uses).
@@ -129,30 +129,3 @@ class ParameterSpace:
             c.name: (left if rng.integers(0, 2) == 0 else right)[c.name]
             for c in self.choices
         }
-
-
-def spmm_search_space() -> ParameterSpace:
-    """The SpMM tuning space of Section 4.2.1.
-
-    ``num_col_parts`` follows the paper's candidate set {1, 2, 4, 8, 16};
-    the bucket count is either the heuristic (None) or an explicit value;
-    schedule parameters cover the thread-block size used for the ELL buckets.
-    """
-    return ParameterSpace(
-        [
-            Choice("num_col_parts", (1, 2, 4, 8, 16)),
-            Choice("num_buckets", (None, 2, 3, 4, 5)),
-            Choice("threads_per_block", (64, 128, 256)),
-        ]
-    )
-
-
-def sddmm_search_space() -> ParameterSpace:
-    """The SDDMM tuning space: group size, vector width, edges per block."""
-    return ParameterSpace(
-        [
-            Choice("nnz_per_block", (16, 32, 64, 128)),
-            Choice("threads_per_block", (128, 256, 512)),
-            Choice("vector_width", (1, 2, 4)),
-        ]
-    )

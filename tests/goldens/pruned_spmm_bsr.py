@@ -1,6 +1,6 @@
 """Emitted NumPy kernel for 'pruned_spmm_bsr' (stage-IV source backend).
 
-Generated by repro.core.codegen.emit_numpy v3; do not edit.
+Generated by repro.core.codegen.emit_numpy v4; do not edit.
 The make_kernel body is the plan: lane expansion and gather/scatter
 indices fixed once from the structural data.  run() is the per-call
 gather / compute / scatter body over the value arrays.
@@ -79,7 +79,7 @@ def make_kernel(axes, aux, helpers):
     else:
         _keep44 = ~_bad43
         _ix45 = _ix41[_keep44]
-    _v46 = np.full(_n36, 0.0)
+    _v46 = np.full(_n36, 0.0, dtype=np.result_type('float32', 0.0))
     _v47 = _v46 if _keep44 is None else _v46[_keep44]
     _sl48 = slice(0, _ix45.size) if _keep44 is None and np.array_equal(_ix45, np.arange(_ix45.size)) else _ix45
     if _n3 > MAX_LANES:

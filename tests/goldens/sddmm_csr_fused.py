@@ -1,6 +1,6 @@
 """Emitted NumPy kernel for 'sddmm' (stage-IV source backend).
 
-Generated by repro.core.codegen.emit_numpy v3; do not edit.
+Generated by repro.core.codegen.emit_numpy v4; do not edit.
 The make_kernel body is the plan: lane expansion and gather/scatter
 indices fixed once from the structural data.  run() is the per-call
 gather / compute / scatter body over the value arrays.
@@ -45,7 +45,7 @@ def make_kernel(axes, aux, helpers):
     else:
         _keep25 = ~_bad24
         _ix26 = _ix22[_keep25]
-    _v27 = np.full(_n6, 0.0)
+    _v27 = np.full(_n6, 0.0, dtype=np.result_type('float32', 0.0))
     _v28 = _v27 if _keep25 is None else _v27[_keep25]
     _sl29 = slice(0, _ix26.size) if _keep25 is None and np.array_equal(_ix26, np.arange(_ix26.size)) else _ix26
     if _n3 > MAX_LANES:

@@ -1,6 +1,6 @@
 """Emitted NumPy kernel for 'spmm' (stage-IV source backend).
 
-Generated by repro.core.codegen.emit_numpy v3; do not edit.
+Generated by repro.core.codegen.emit_numpy v4; do not edit.
 The make_kernel body is the plan: lane expansion and gather/scatter
 indices fixed once from the structural data.  run() is the per-call
 gather / compute / scatter body over the value arrays.
@@ -64,7 +64,7 @@ def make_kernel(axes, aux, helpers):
     else:
         _keep31 = ~_bad30
         _ix32 = _ix28[_keep31]
-    _v33 = np.full(_n25, 0.0)
+    _v33 = np.full(_n25, 0.0, dtype=np.result_type('float32', 0.0))
     _v34 = _v33 if _keep31 is None else _v33[_keep31]
     _sl35 = slice(0, _ix32.size) if _keep31 is None and np.array_equal(_ix32, np.arange(_ix32.size)) else _ix32
     if _n3 > MAX_LANES:

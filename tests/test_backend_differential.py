@@ -264,7 +264,7 @@ class TestBlockAndBatchedDifferential:
         cols=st.integers(1, 7),
         feat=st.integers(1, 4),
         density=st.floats(0.0, 0.7),
-        scale=st.sampled_from([None, 0.5, 2.0]),
+        scale=st.sampled_from([None, 0.5, 2.0, 1 / np.sqrt(8)]),
         seed=st.integers(0, 2**16),
     )
     def test_batched_sddmm_with_scale(self, heads, rows, cols, feat, density, scale, seed):

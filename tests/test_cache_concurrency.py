@@ -12,7 +12,9 @@ import threading
 
 import numpy as np
 
+from repro.core.codegen.build import build
 from repro.core.codegen.cache import DiskKernelCache, KernelCache
+from repro.core.program import STAGE_LOOP
 from repro.formats.csr import CSRMatrix
 from repro.ops.spmm import build_spmm_program, spmm_reference
 from repro.runtime.session import Session
@@ -113,5 +115,28 @@ class TestDiskWriteThrough:
         assert not leftovers
         key = next(iter(disk.dir.glob("*.pkl"))).stem
         entry = disk.get(key)
-        assert entry is not None and entry.source is not None
+        assert entry is not None and entry.lowered.stage == STAGE_LOOP
         assert disk.stats.errors == 0
+
+
+class TestFirstDispatch:
+    def test_threads_racing_on_one_entry_emit_once(self, tmp_path):
+        """Eight kernels over one cache entry first-dispatch the emitted tier
+        together: the entry lock lets one of them emit, store and plan; the
+        rest reuse its runner."""
+        csr = CSRMatrix.random(rows=18, cols=14, density=0.3, seed=5)
+        feats = np.ones((14, 2), dtype=np.float32)
+        cache = KernelCache(disk=DiskKernelCache(tmp_path))
+        kernels = [build(build_spmm_program(csr, 2, feats), cache=cache) for _ in range(THREADS)]
+        assert cache.stats.lowerings == 1 and cache.stats.emissions == 0
+        outs = [None] * THREADS
+
+        def worker(tid):
+            outs[tid] = kernels[tid].run(engine="emitted")["C"]
+
+        _run_threads(worker)
+        assert cache.stats.emissions == 1
+        assert len({id(kernel._runner("emitted")) for kernel in kernels}) == 1
+        assert len(list(cache.disk.dir.glob("*.py"))) == 1
+        expected = kernels[0].run(engine="interpret")["C"]
+        assert all(np.array_equal(out, expected) for out in outs)

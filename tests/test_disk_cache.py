@@ -18,6 +18,7 @@ from repro.core.codegen.cache import (
     KernelCache,
     structural_fingerprint,
 )
+from repro.core.codegen.emit_c import toolchain_available
 from repro.formats.csr import CSRMatrix
 from repro.ops.spmm import build_spmm_program, spmm_reference
 from repro.runtime.session import Session
@@ -38,33 +39,41 @@ class TestRoundTrip:
     def test_fresh_cache_loads_from_disk(self, csr, tmp_path):
         warm = KernelCache(disk=DiskKernelCache(tmp_path))
         kernel, x = _build_once(csr, warm)
-        assert warm.stats.lowerings == 1 and warm.stats.emissions == 1
+        # Building lowers; NumPy source is emitted when that tier first runs.
+        assert warm.stats.lowerings == 1 and warm.stats.emissions == 0
+        kernel.run(engine="emitted")
+        assert warm.stats.emissions == 1
 
         cold = KernelCache(disk=DiskKernelCache(tmp_path))
         kernel2, x2 = _build_once(csr, cold, seed=1)
         assert cold.stats.disk_hits == 1 and cold.stats.hits == 1
-        assert cold.stats.lowerings == 0 and cold.stats.emissions == 0
         # stage-II introspection survives the disk round trip.
         assert kernel2.stage2 is not None and kernel2.stage2.stage == "stage-II"
         out = kernel2.run()["C"].reshape(csr.rows, 4)
         assert kernel2.last_engine in ("native", "emitted")
         assert np.allclose(out, spmm_reference(csr, x2), atol=1e-4)
+        # ... and so does the stored source: the emitted tier re-emits nothing.
+        assert np.array_equal(kernel2.run(engine="emitted")["C"].reshape(csr.rows, 4), out)
+        assert cold.stats.lowerings == 0 and cold.stats.emissions == 0
 
     def test_entry_files_and_metadata(self, csr, tmp_path):
         cache = KernelCache(disk=DiskKernelCache(tmp_path))
-        _build_once(csr, cache)
+        kernel, _ = _build_once(csr, cache)
         disk = cache.disk
         pkls = list(disk.dir.glob("*.pkl"))
         assert len(pkls) == 1
         key = pkls[0].stem
-        assert (disk.dir / f"{key}.py").exists()  # readable emitted source
         meta = json.loads((disk.dir / f"{key}.json").read_text())
         assert meta["schema"] == DISK_SCHEMA_VERSION
         assert meta["fingerprint"] == key
-        assert meta["emitted"] is True
+        # The pickle is the program alone; the source is its own file,
+        # written when the emitted tier is first asked for.
+        assert "source" not in pickle.loads(pkls[0].read_bytes())
+        assert not (disk.dir / f"{key}.py").exists()
+        source = kernel.emitted_source()
         listing = (disk.dir / f"{key}.py").read_text()
         assert listing.startswith(f"# fingerprint: {key}")
-        assert "def make_kernel" in listing
+        assert listing.partition("\n")[2] == source and "def make_kernel" in source
 
     def test_value_arrays_never_persisted(self, csr, tmp_path):
         """Disk entries are structural: no feature/weight data on disk."""
@@ -191,9 +200,13 @@ class TestColdProcessWarmStart:
             ][0].split()[1:]
             return [int(v) for v in stats]
 
+        # NumPy source is emitted for the kernels the emitted tier serves:
+        # both of them without a toolchain, neither with one.
+        kernels = 0 if toolchain_available() else 2
         lowerings, emissions, disk_hits, fast_runs, interpreted = run_once()
-        assert lowerings == 2 and emissions == 2 and disk_hits == 0
+        assert lowerings == 2 and emissions == kernels and disk_hits == 0
         assert fast_runs == 2 and interpreted == 0
+        assert len(list(tmp_path.glob("v*/*.py"))) == kernels
 
         lowerings, emissions, disk_hits, fast_runs, interpreted = run_once()
         assert lowerings == 0 and emissions == 0, "warm start recompiled something"

@@ -312,8 +312,9 @@ class TestArtifactCache:
         """
         cache = KernelCache(disk=DiskKernelCache(tmp_path))
         kernel, _ = _build_once(csr, cache)
-        c_source = kernel.native_source()
-        assert c_source is not None
+        # Not kernel.native_source(): asking the kernel resolves the whole
+        # tier, which would compile and dlopen the artifact at this path.
+        c_source, _binding = emit_c_source(kernel.func)
         key = next(cache.disk.dir.glob("*.pkl")).stem
         so_path = cache.disk.reserve_native(key)
         so_path.write_bytes(b"\x7fELF this is not a shared object")
@@ -409,8 +410,8 @@ class TestColdProcessNativeWarmStart:
 class TestNativeRunnerProtocol:
     def test_runner_built_once_and_reused(self, csr):
         kernel, _ = _build_once(csr, cache=False)
-        first = kernel._native_runner()
-        second = kernel._native_runner()
+        first = kernel._runner("native")
+        second = kernel._runner("native")
         assert first is not None and first is second
 
     def test_failed_build_decided_once(self, csr, monkeypatch):

@@ -117,8 +117,8 @@ class TestEmitterBehaviour:
         csr = canonical_csr()
         feats = np.ones((4, 3), dtype=np.float32)
         kernel = build(build_spmm_program(csr, 3, feats), cache=False)
-        first = kernel._emitted_runner()
-        second = kernel._emitted_runner()
+        first = kernel._runner("emitted")
+        second = kernel._runner("emitted")
         assert first is not None and first is second
 
     def test_emitted_tier_skipped_when_aux_buffers_rebound(self):
@@ -159,11 +159,13 @@ class TestEmitterBehaviour:
         cache = KernelCache(disk=None)
         csr = canonical_csr()
         feats = np.ones((4, 3), dtype=np.float32)
-        build(build_spmm_program(csr, 3, feats), cache=cache)
-        entry = next(iter(cache._entries.values()))
-        assert entry.source is not None and "def make_kernel" in entry.source
+        k1 = build(build_spmm_program(csr, 3, feats), cache=cache)
+        # Building emits nothing; the source is printed when first asked for.
+        assert cache.stats.emissions == 0
+        source = k1.emitted_source()
+        assert source is not None and "def make_kernel" in source
         assert cache.stats.emissions == 1
         # A cache hit reuses the emitted source without re-emitting.
         k2 = build(build_spmm_program(csr, 3, feats), cache=cache)
+        assert k2.emitted_source() is source
         assert cache.stats.emissions == 1
-        assert k2.emitted_source() is entry.source

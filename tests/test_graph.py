@@ -379,6 +379,14 @@ class TestAttentionChain:
         fused, unfused = g1.compile(fuse=True), g2.compile(fuse=False)
         assert fused.num_kernel_launches == 3
         assert fused.num_nodes_fused == 0
+        assert fused.declined_fusions == {
+            ("batched_sddmm", "edge_softmax", "batched_spmm_edges"):
+                "would demote native members to emitted"
+        }
+        assert unfused.declined_fusions == {}
+        # Planning asked no tier for NumPy source: the native tier declined
+        # the merge before the emitted tier was ever consulted.
+        assert session.cache.stats.emissions == 0
         rf = fused.run()[out1.name]
         assert np.array_equal(rf, unfused.run()[out2.name])
         np.testing.assert_allclose(rf, ref, rtol=1e-4, atol=1e-5)

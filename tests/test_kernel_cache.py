@@ -12,7 +12,7 @@ from repro.core.codegen.cache import (
 )
 from repro.formats import CSRMatrix
 from repro.ops.spmm import build_spmm_program, spmm_reference
-from repro.tune import tune_spmm
+from repro.tune import SpMMProblem
 from repro.perf.device import V100
 from repro.runtime import Session
 
@@ -193,10 +193,12 @@ class TestTunerReuse:
 
         graph = generate_adjacency(300, 2400, "powerlaw", seed=4)
         session = Session()
-        tune_spmm(graph, 32, V100, max_trials=12, seed=0, session=session)
+        tune = dict(device=V100, strategy="random", max_trials=12, seed=0,
+                    survivors=12, repeats=1, records=False)
+        session.autotune("spmm", SpMMProblem(graph, 32), **tune)
         first_misses = session.stats.format_cache_misses
-        assert first_misses <= 12
+        assert 0 < first_misses <= 12
         # A second tuning run over the same matrix re-uses every decomposition.
-        tune_spmm(graph, 64, V100, max_trials=12, seed=0, session=session)
+        session.autotune("spmm", SpMMProblem(graph, 32), force=True, **tune)
         assert session.stats.format_cache_misses == first_misses
         assert session.stats.format_cache_hits > 0

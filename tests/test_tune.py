@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.tune import Choice, ParameterSpace, grid_search, random_search, tune_spmm
-from repro.tune.search_space import config_key, sddmm_search_space, spmm_search_space
 from repro.perf.device import V100
+from repro.runtime import Session
+from repro.tune import Choice, ParameterSpace, SDDMMProblem, SpMMProblem, get_workload
+from repro.tune.search_space import config_key
 from repro.workloads.graphs import generate_adjacency
+
+
+def spmm_search_space() -> ParameterSpace:
+    """The registered SpMM space (it does not depend on the problem)."""
+    return get_workload("spmm").space(None)
 
 
 class TestParameterSpace:
@@ -31,8 +37,9 @@ class TestParameterSpace:
             Choice("empty", ())
 
     def test_predefined_spaces(self):
-        assert len(spmm_search_space()) == 5 * 5 * 3
-        assert len(sddmm_search_space()) == 4 * 3 * 3
+        graph = generate_adjacency(20, 60, "powerlaw", seed=0)
+        assert len(get_workload("spmm").space(SpMMProblem(graph, 8))) == 2 * 5 * 5 * 3
+        assert len(get_workload("sddmm").space(SDDMMProblem(graph, 8))) == 2 * 4 * 3 * 3
 
     def test_subspace_preserves_order_and_rejects_unknown(self):
         space = spmm_search_space()
@@ -79,41 +86,60 @@ class TestParameterSpace:
         assert space.contains(child)
 
 
+def _tune(graph, feat_size, session=None, **kwargs):
+    """Predict-only unless ``survivors`` says otherwise; nothing persisted."""
+    kwargs.setdefault("survivors", 0)
+    session = session if session is not None else Session(persistent=False)
+    return session.autotune(
+        "spmm", SpMMProblem(graph, feat_size), device=V100, records=False, **kwargs
+    )
+
+
+def _predicted(result):
+    return [h for h in result.history if h["phase"] == "predict"]
+
+
 class TestSearchDrivers:
-    def test_grid_search_finds_minimum(self):
-        space = ParameterSpace([Choice("x", (1, 2, 3, 4))])
-        result = grid_search(space, lambda config: (config["x"] - 3) ** 2)
-        assert result.best_config == {"x": 3}
-        assert result.best_cost == 0
-        assert result.evaluated == 4
-        assert len(result.history) == 4
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generate_adjacency(120, 700, "powerlaw", seed=5)
 
-    def test_random_search_respects_trial_budget(self):
-        space = ParameterSpace([Choice("x", tuple(range(20)))])
-        result = random_search(space, lambda c: c["x"], trials=5, seed=0)
-        assert result.evaluated == 5
-        assert result.best_cost == min(h["cost"] for h in result.history)
+    def test_grid_search_finds_minimum(self, graph):
+        result = _tune(graph, 16, strategy="grid")
+        spec = get_workload("spmm")
+        canonical = {config_key(spec.canonical(c)) for c in spmm_search_space().configurations()}
+        priced = _predicted(result)
+        assert result.evaluated == len(priced) == len(canonical)
+        assert result.best_cost == min(h["predicted_us"] for h in priced)
+        best = next(h for h in priced if h["predicted_us"] == result.best_cost)
+        assert spec.canonical(result.best_config) == spec.canonical(best["config"])
 
-    def test_random_search_trials_beyond_space_size_dedupe(self):
+    def test_random_search_respects_trial_budget(self, graph):
+        result = _tune(graph, 16, strategy="random", max_trials=5, seed=0)
+        assert 1 <= result.evaluated <= 5
+        assert result.best_cost == min(h["predicted_us"] for h in _predicted(result))
+
+    def test_random_search_trials_beyond_space_size_dedupe(self, graph):
         """A budget beyond the space never re-evaluates a configuration."""
         space = ParameterSpace([Choice("x", (1, 2, 3)), Choice("y", ("a", "b"))])
-        calls = []
-        result = random_search(space, lambda c: calls.append(dict(c)) or 0.0,
-                               trials=1000, seed=0)
-        assert result.evaluated == len(space) == 6
-        assert len(calls) == 6
-        assert len({config_key(c) for c in calls}) == 6
+        drawn = space.sample(1000, seed=0)
+        assert len(drawn) == len(space) == 6
+        assert len({config_key(c) for c in drawn}) == 6
+        # ... and the driver prices every behaviour of the space exactly once.
+        result = _tune(graph, 16, strategy="random", max_trials=1000)
+        spec = get_workload("spmm")
+        keys = [config_key(spec.canonical(h["config"])) for h in _predicted(result)]
+        assert result.evaluated == len(keys) == len(set(keys))
+        assert result.evaluated == _tune(graph, 16, strategy="grid").evaluated
 
     def test_random_search_never_repeats_within_budget(self):
         space = ParameterSpace([Choice("x", tuple(range(10)))])
-        result = random_search(space, lambda c: float(c["x"]), trials=8, seed=3)
-        seen = [config_key(h["config"]) for h in result.history]
-        assert len(seen) == len(set(seen)) == 8
+        drawn = [config_key(c) for c in space.sample(8, seed=3)]
+        assert len(drawn) == len(set(drawn)) == 8
 
-    def test_random_search_rejects_nonpositive_trials(self):
-        space = ParameterSpace([Choice("x", (1,))])
-        with pytest.raises(ValueError, match="trials must be positive"):
-            random_search(space, lambda c: 0.0, trials=0)
+    def test_random_search_rejects_nonpositive_trials(self, graph):
+        with pytest.raises(ValueError, match="max_trials must be positive"):
+            _tune(graph, 16, strategy="random", max_trials=0)
 
 
 class TestSpMMTuner:
@@ -122,7 +148,7 @@ class TestSpMMTuner:
         return generate_adjacency(1500, 18000, "powerlaw", seed=2)
 
     def test_tuner_returns_valid_configuration(self, graph):
-        result = tune_spmm(graph, 64, V100, max_trials=10)
+        result = _tune(graph, 64, strategy="random", max_trials=10)
         assert result.best_config["num_col_parts"] in (1, 2, 4, 8, 16)
         assert result.best_config["threads_per_block"] in (64, 128, 256)
         assert result.best_cost > 0
@@ -132,7 +158,7 @@ class TestSpMMTuner:
         from repro.ops.spmm import spmm_hyb_workload
         from repro.perf.gpu_model import GPUModel
 
-        result = tune_spmm(graph, 64, V100, max_trials=20, seed=3)
+        result = _tune(graph, 64, strategy="grid")
         model = GPUModel(V100)
         default = model.estimate(
             spmm_hyb_workload(HybFormat.from_csr(graph, num_col_parts=1), 64, V100)
@@ -142,37 +168,34 @@ class TestSpMMTuner:
 
 class TestWallclockObjective:
     def test_wallclock_tuning_executes_through_three_tier_runtime(self):
-        from repro.runtime import Session
-        from repro.tune.search_space import Choice, ParameterSpace
-
         graph = generate_adjacency(300, 2400, "powerlaw", seed=7)
         session = Session()
-        space = ParameterSpace(
-            [
-                Choice("num_col_parts", (1, 2)),
-                Choice("num_buckets", (2,)),
-                Choice("threads_per_block", (128,)),
-            ]
+        result = _tune(
+            graph, 16, session=session, strategy="random", max_trials=6, survivors=2, repeats=1
         )
-        result = tune_spmm(
-            graph, 16, V100, space=space, session=session, objective="wallclock"
-        )
-        assert result.evaluated == 2
-        assert result.best_cost > 0  # measured seconds, not model microseconds
+        assert result.measured_configs == 2 and result.timed_runs == 2
+        assert result.best_cost == result.best_measured_s > 0  # seconds, not model us
         # Every candidate executed on the runtime's fast tiers, compile-once:
         # one build per structure, warm-up + timed call per candidate.
         assert session.stats.fast_runs == session.stats.runs >= 4
         assert session.stats.kernel_cache_hits >= 2
 
     def test_default_wallclock_space_drops_schedule_only_parameters(self):
-        """threads_per_block does not change the NumPy execution, so the
-        default wallclock space must not time duplicate configurations."""
+        """threads_per_block does not change the NumPy execution, so phase 2
+        must not time two configurations that differ only in it."""
         graph = generate_adjacency(200, 1200, "powerlaw", seed=9)
-        result = tune_spmm(graph, 8, V100, max_trials=2, objective="wallclock")
-        assert "threads_per_block" not in result.best_config
-        assert {"num_col_parts", "num_buckets"} <= set(result.best_config)
+        result = _tune(graph, 8, strategy="grid", survivors=200, repeats=1)
+        spec = get_workload("spmm")
+        timed = [
+            config_key(spec.exec_config(h["config"]))
+            for h in result.history if h["phase"] == "measure"
+        ]
+        assert len(timed) == len(set(timed)) == result.measured_configs
+        assert all("threads_per_block" not in dict(key) for key in timed)
 
     def test_unknown_objective_rejected(self):
         graph = generate_adjacency(100, 500, "powerlaw", seed=1)
-        with pytest.raises(ValueError):
-            tune_spmm(graph, 8, V100, objective="guess")
+        with pytest.raises(ValueError, match="unknown cost_model"):
+            _tune(graph, 8, cost_model="guess")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            _tune(graph, 8, strategy="guess")

@@ -348,8 +348,10 @@ class TestEngineSemantics:
             PrimFunc("scan", axes=[], buffers=[], body=body, stage=STAGE_LOOP, flat_buffers=[b]),
             cache=False,
         )
-        assert hazard.declined == {}  # nothing tried yet
+        assert hazard.declined == {}  # nothing asked for yet
         hazard.run()
+        # Under "auto" the emitted tier is asked only once native declined.
+        assert hazard.emitted_source() is None
         reason = (
             "UnsupportedForEmission: store residual reads buffers written in "
             "the same nest: ['b']"
