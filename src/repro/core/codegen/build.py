@@ -176,24 +176,27 @@ class Kernel:
 
         if engine not in ("auto",) + ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
-        # The compiled runners bound the auxiliary (structural) arrays when
-        # they were loaded and never take them per call, so a binding that
-        # overrides one would be silently ignored; such runs drop to the
-        # interpreter.
-        aux_override = bool(bindings) and any(name in self._aux_names for name in bindings)
-        self._aux_rebound = aux_override
+        # An overridden auxiliary (structural) array is a per-call table feed
+        # on the native tier.  The emitted tier's lane plan is specific to the
+        # structure it was planned on, so there such a run drops a tier.
+        fed = self._aux_names.intersection(bindings or ())
+        self._aux_rebound = False
         for tier in _TIERS:
             if engine not in ("auto", tier):
                 continue
-            runner = None if aux_override else self._runner(tier)
+            if fed and tier != "native":
+                self._aux_rebound = True
+                runner = None
+            else:
+                runner = self._runner(tier)
             if runner is not None:
-                result = runner(prepare_arrays(self.func, merged, skip=self._aux_names))
+                result = runner(prepare_arrays(self.func, merged, skip=self._aux_names - fed))
                 self.last_engine = tier
                 return result
             if engine == tier:
                 raise UnsupportedForEmission(
                     f"program {self.func.name!r} has no {tier} kernel"
-                    + (" (auxiliary buffers rebound)" if aux_override else "")
+                    + (" (auxiliary buffers rebound)" if fed else "")
                 )
         self.last_engine = "interpret"
         return Executor(self.func).run(merged)
@@ -218,13 +221,17 @@ class Kernel:
         asked for and declines (``"no toolchain"``, ``"UnsupportedForEmission:
         <message>"``, or the compile/plan error with its type); a tier that
         was never asked for — the emitted tier of a kernel the native tier
-        serves — or that works is absent.  When the last :meth:`run` rebound
-        an auxiliary buffer, both compiled tiers read ``"aux rebound"`` for
-        that run.
+        serves — or that works is absent.  A :meth:`run` that rebinds an
+        auxiliary buffer feeds the native kernel that table for the call;
+        when it reaches the emitted tier, whose plan is fixed to the
+        structure it was made on, that tier reads ``"aux rebound"`` for that
+        run.  A rebound table of the wrong length is a ``ValueError`` on
+        every tier, never a decline.
         """
+        declined = dict(self._entry.declined)
         if self._aux_rebound:
-            return dict.fromkeys(_TIERS, "aux rebound")
-        return dict(self._entry.declined)
+            declined["emitted"] = "aux rebound"
+        return declined
 
     def _tier(self, tier: str) -> Tuple[Any, Any]:
         """The entry's ``(emitted, runner)`` slot for *tier*, resolved on first use.

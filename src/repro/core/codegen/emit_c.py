@@ -1006,6 +1006,15 @@ def load_native(
     the caller decides the fallback for this kernel once.  ``disk``/``key``
     select the persistent artifact store (:meth:`DiskKernelCache.get_native`);
     ``stats`` receives ``native_hits`` / ``native_rebuilds``.
+
+    ``run(arrays)`` takes the value buffers per call and, like them, any
+    auxiliary index table present in *arrays* under its buffer name: that
+    array replaces the table bound here for this call (same dtype, length and
+    contiguity, or ``ValueError``), and an axis table derived from it — the
+    int64 ``indptr``/``indices`` of a coordinate search, the per-position row
+    table — is re-derived from the fed array.  Nothing else changes: sizes
+    and bounds checks are the compiled ones, so one loaded kernel serves every
+    structure with its footprint.
     """
     sha = source_sha(c_source)
     with _MEMO_LOCK:
@@ -1024,20 +1033,34 @@ def load_native(
 
     aux = aux_arrays(func)
     axes = {axis.name: axis for axis in func.axes}
-    tabs = []
-    for kind, name in binding.tabs:
+    ffi = _get_ffi()
+
+    def table(kind: str, name: str, source: Optional[np.ndarray] = None) -> np.ndarray:
+        """One ``tabs[]`` entry, from the bound structure or from a fed *source*."""
         if kind == "aux":
-            tabs.append(aux[name])
-        elif kind == "rowof":
-            indptr = axes[name].indptr
-            rows = np.searchsorted(indptr, np.arange(indptr[-1]), side="right") - 1
-            tabs.append(rows.astype(np.int32))
-        else:
-            tabs.append(np.ascontiguousarray(getattr(axes[name], kind), dtype=np.int64))
+            return aux[name] if source is None else source
+        if kind != "rowof":
+            source = getattr(axes[name], kind) if source is None else source
+            return np.ascontiguousarray(source, dtype=np.int64)
+        indptr = axes[name].indptr
+        positions = np.arange(indptr[-1])  # the table keeps its bound length
+        rows = np.searchsorted(indptr if source is None else source, positions, side="right")
+        return (rows - 1).astype(np.int32)
+
+    def pointers(arrays: List[np.ndarray]) -> Any:
+        addresses = [ffi.cast("void *", array.ctypes.data) for array in arrays]
+        return ffi.new("void *[]", addresses or [ffi.NULL])
+
+    tabs = [table(kind, name) for kind, name in binding.tabs]
+    # The auxiliary buffer each table follows when that buffer is fed per call:
+    # itself, or the ``<axis>_indptr`` / ``<axis>_indices`` an axis table mirrors.
+    follows = [
+        name if kind == "aux" else f"{name}_{'indices' if kind == 'indices' else 'indptr'}"
+        for kind, name in binding.tabs
+    ]
     ipar = np.asarray(binding.ipar, dtype=np.int64)
     fpar = np.asarray(binding.fpar, dtype=np.float64)
-    ffi = _get_ffi()
-    tab_ptrs = ffi.new("void *[]", [ffi.cast("void *", t.ctypes.data) for t in tabs] or [ffi.NULL])
+    tab_ptrs = pointers(tabs)
     ipar_ptr = ffi.cast("int64_t *", ipar.ctypes.data)
     fpar_ptr = ffi.cast("double *", fpar.ctypes.data)
 
@@ -1046,10 +1069,27 @@ def load_native(
         for buf in bufs:
             if not buf.flags.c_contiguous:
                 raise NativeBuildError("native tier requires contiguous buffers")
-        buf_ptrs = ffi.new(
-            "void *[]", [ffi.cast("void *", b.ctypes.data) for b in bufs] or [ffi.NULL]
-        )
-        rc = lib.run(buf_ptrs, tab_ptrs, ipar_ptr, fpar_ptr)
+        fed = {name: arrays[name] for name in aux if name in arrays}
+        if not fed:
+            table_ptrs = tab_ptrs
+        else:
+            # Index tables fed for this call stand in for the bound ones.  The
+            # sizes in ``ipar`` stay as compiled, so a fed table must be laid
+            # out exactly like the one it replaces.
+            for name, given in fed.items():
+                bound = aux[name]
+                same = (given.dtype, given.shape) == (bound.dtype, bound.shape)
+                if not (same and given.flags.c_contiguous):
+                    raise ValueError(
+                        f"table {name!r} fed as {given.dtype}{list(given.shape)}, "
+                        f"bound as contiguous {bound.dtype}[{bound.size}]"
+                    )
+            fed_tabs = [
+                table(kind, name, fed[source]) if source in fed else bound
+                for (kind, name), source, bound in zip(binding.tabs, follows, tabs)
+            ]
+            table_ptrs = pointers(fed_tabs)
+        rc = lib.run(pointers(bufs), table_ptrs, ipar_ptr, fpar_ptr)
         if rc != 0:
             raise RuntimeError(f"native kernel returned {rc}")
         return arrays

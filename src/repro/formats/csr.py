@@ -23,6 +23,8 @@ import scipy.sparse as sp
 from ..core.axes import DenseFixedAxis, SparseVariableAxis
 from .delta import DeltaLog, MergedView, base_edge_keys, merge_delta
 
+RowPatch = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 #: Pending-delta fraction of the base nnz beyond which a mutation
 #: automatically re-compacts (keeps per-edit cost O(1/threshold) amortised).
 DEFAULT_COMPACT_THRESHOLD = 0.25
@@ -83,9 +85,14 @@ class CSRMatrix:
         self._epoch = 0
         self._mutations = 0
         self._merged: Optional[MergedView] = None
+        self._row_patch: Optional[RowPatch] = None
         self._base_keys: Optional[np.ndarray] = None
         self._base_view: Optional["CSRMatrix"] = None
         self._signature: Optional[Tuple[int, str]] = None
+        #: Names the frozen base arrays: shared with :meth:`base_view`, and
+        #: replaced only when :meth:`compact` replaces the arrays.  Caches of
+        #: work done on the base (bound kernels) key on its identity.
+        self.base_snapshot = object()
 
     # -- constructors ---------------------------------------------------------------
     @classmethod
@@ -166,11 +173,20 @@ class CSRMatrix:
 
     def _merged_view(self) -> MergedView:
         if self._merged is None:
-            self._merged = merge_delta(
-                self.shape, self._indptr, self._indices, self._data,
-                self._ensure_base_keys(), self._delta,
-            )
+            self._merged = merge_delta(self._delta)
         return self._merged
+
+    def row_patch(self) -> RowPatch:
+        """The rows a pending delta touched, as a CSR over the full row count.
+
+        ``(rows, indptr, indices, values)`` of
+        :meth:`~repro.formats.delta.DeltaLog.row_patch`, memoised per
+        :attr:`structure_epoch`: what the runtime recomputes on top of the
+        base plan, in ``O(touched rows)`` with no pass over the base.
+        """
+        if self._row_patch is None:
+            self._row_patch = self._delta.row_patch()
+        return self._row_patch
 
     def _ensure_base_keys(self) -> np.ndarray:
         if self._base_keys is None:
@@ -201,7 +217,7 @@ class CSRMatrix:
 
     @property
     def pending_delta(self) -> int:
-        """Number of pending edits (inserts + tombstones)."""
+        """Number of pending edits (inserted + dead entries)."""
         return self._delta.pending if self._delta is not None else 0
 
     @property
@@ -228,40 +244,34 @@ class CSRMatrix:
                 raise ValueError("values must match the number of edited edges")
         return rows, cols, values
 
-    def _base_positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Base storage position per ``(row, col)``, ``-1`` where absent."""
-        keys = self._ensure_base_keys()
-        if keys.size == 0:
-            return np.full(rows.size, -1, dtype=np.int64)
-        probe = rows * np.int64(self.cols) + cols
-        pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
-        return np.where(keys[pos] == probe, pos, -1)
-
-    def _ensure_delta(self) -> DeltaLog:
-        if self._delta is None:
-            self._delta = DeltaLog(len(self._indices))
-        return self._delta
+    def _open_delta(self) -> DeltaLog:
+        """The pending log, or a fresh one the caller adopts once its batch applied."""
+        if self._delta is not None:
+            return self._delta
+        return DeltaLog(
+            self.shape, self._indptr, self._indices, self._data, self._ensure_base_keys()
+        )
 
     def _bump(self, edits: int) -> None:
         self._epoch += 1
         self._mutations += edits
-        self._merged = None
+        self._merged = self._row_patch = None
         self._signature = None
-        if self._delta is not None and self._delta.empty:
-            # Edits cancelled out (insert then delete): back to the base.
+        if not self._delta.pending:
+            # Edits cancelled out (insert then delete): back to the base,
+            # whose view and snapshot identity stand.
             self._delta = None
-            self._base_view = None
-        elif self._delta is not None and self.drift_ratio >= self.compact_threshold:
+        elif self.drift_ratio >= self.compact_threshold:
             self.compact()
 
     def insert_edges(self, rows, cols, values=None) -> None:
-        """Insert (or upsert) edges through the delta log — O(1) each, amortised.
+        """Insert (or upsert) edges through the delta log, a batch at a time.
 
-        Inserting an edge that already exists replaces its value (the old
-        base entry is tombstoned, never rewritten in place).  The batch is
-        validated before any state changes, bumps
-        :attr:`structure_epoch` once, and may trigger automatic
-        re-compaction.
+        Inserting an edge that already exists replaces its value (the base
+        entry is superseded, never rewritten in place); naming an edge twice
+        in one batch keeps the last value.  The batch is validated before any
+        state changes, bumps :attr:`structure_epoch` once, and may trigger
+        automatic re-compaction.
 
         Args:
             rows: Row index (scalar or 1-D array) per inserted edge.
@@ -271,48 +281,26 @@ class CSRMatrix:
         rows, cols, values = self._edit_batch(rows, cols, values)
         if rows.size == 0:
             return
-        delta = self._ensure_delta()
-        positions = self._base_positions(rows, cols)
-        for row, col, value, pos in zip(rows, cols, values, positions):
-            if pos >= 0:
-                delta.kill(int(pos))
-            delta.record_insert(int(row), int(col), value)
+        delta = self._open_delta()
+        delta.upsert(rows * np.int64(self.cols) + cols, values)
+        self._delta = delta
         self._bump(int(rows.size))
 
     def delete_edges(self, rows, cols) -> None:
-        """Delete existing edges through the delta log — O(1) each, amortised.
+        """Delete existing edges through the delta log, a batch at a time.
 
         Raises:
             KeyError: If any addressed edge is not present in the effective
-                matrix (the batch is checked up front and applied atomically).
+                matrix, or is named twice (the batch is checked up front and
+                applied atomically: a rejected batch leaves the matrix exactly
+                as it found it).
         """
         rows, cols, _ = self._edit_batch(rows, cols)
         if rows.size == 0:
             return
-        # Plan against the current delta (if any) without creating one: a
-        # rejected batch must leave the matrix exactly as it found it.
-        inserts = self._delta.inserts if self._delta is not None else {}
-        tombstones = self._delta.tombstones if self._delta is not None else None
-        positions = self._base_positions(rows, cols)
-        plan = []
-        staged = set()
-        for row, col, pos in zip(rows, cols, positions):
-            key = (int(row), int(col))
-            if key in staged:
-                raise KeyError(f"edge {key} deleted twice in one batch")
-            if key in inserts:
-                plan.append((key, -1))
-            elif pos >= 0 and (tombstones is None or not tombstones[pos]):
-                plan.append((key, int(pos)))
-            else:
-                raise KeyError(f"edge {key} is not present")
-            staged.add(key)
-        delta = self._ensure_delta()
-        for key, pos in plan:
-            if pos < 0:
-                delta.discard_insert(*key)
-            else:
-                delta.kill(pos)
+        delta = self._open_delta()
+        delta.remove(rows * np.int64(self.cols) + cols)
+        self._delta = delta  # adopted only once the batch went through
         self._bump(int(rows.size))
 
     def compact(self) -> "CSRMatrix":
@@ -327,10 +315,10 @@ class CSRMatrix:
             self._indptr = merged.indptr
             self._indices = merged.indices
             self._data = merged.data
-            self._delta = None
-            self._merged = None
+            self._delta = self._merged = self._row_patch = None
             self._base_keys = None
             self._base_view = None
+            self.base_snapshot = object()
         return self
 
     def base_view(self) -> "CSRMatrix":
@@ -355,6 +343,7 @@ class CSRMatrix:
             view._data = self._data
             view._init_dynamic_state()
             view._base_keys = self._base_keys
+            view.base_snapshot = self.base_snapshot
             self._base_view = view
         return view
 
@@ -380,7 +369,7 @@ class CSRMatrix:
     def nnz(self) -> int:
         if self._delta is None:
             return int(len(self._indices))
-        return int(len(self._indices)) - self._delta.dead + len(self._delta.inserts)
+        return int(len(self._indices)) - self._delta.dead + self._delta.inserted
 
     @property
     def rows(self) -> int:

@@ -1,117 +1,160 @@
 """Edge-level delta logs: incremental structure updates for sparse matrices.
 
-Real traffic mutates sparsity patterns — edges arrive and expire in a
-streaming graph, pruning masks change between fine-tuning steps — but a
-canonical CSR buffer cannot absorb a single insertion without rewriting
-``O(nnz)`` memory.  This module provides the classic LSM-style answer: a
-small *delta log* riding on top of a frozen base snapshot.
+A canonical CSR buffer cannot absorb one insertion without rewriting
+``O(nnz)`` memory, so edits ride on a frozen base snapshot as a *row patch*,
+kept array-at-a-time (no per-edge Python anywhere):
 
-* **Inserts** are upserts recorded in an insertion dictionary keyed by
-  ``(row, col)`` — ``O(1)`` per edit.
-* **Deletes** tombstone base positions in a boolean mask (or simply drop a
-  not-yet-merged insert) — ``O(1)`` per edit after an ``O(log nnz)``
-  position lookup.
-* **Merging** (:func:`merge_delta`) produces the *effective* canonical
-  arrays — base minus tombstones plus inserts, globally sorted — in
-  ``O(nnz + d log d)`` for ``d`` pending edits.  The owner
-  (:class:`~repro.formats.csr.CSRMatrix`) re-compacts once the delta
-  exceeds a fixed fraction of the base, so a compaction's ``O(nnz)`` cost
-  amortises to ``O(1/threshold)`` per edit.
+* The log holds the **complete current content of every row an edit has
+  touched**, as parallel arrays sorted by ``row * cols + col``: key, value and
+  *origin* — the base position of an entry still exactly as the base stores
+  it, ``-1`` for one an edit wrote.  A row enters the log the first time it is
+  touched, bringing its base entries along; the base describes the others.
+* An edit batch is a handful of whole-array operations (sort, search, one
+  masked rewrite per array): ``O(b log b + P)`` for ``b`` edges and ``P``
+  logged entries, with no term in the base nnz.
+* The patch *is* the overlay's work list (:meth:`DeltaLog.row_patch`): the
+  touched rows as a CSR the base's own compiled kernel can run.  The global
+  view (:func:`merge_delta`, ``O(nnz)``) is only built for readers of
+  ``indptr``/``indices``/``data``, compaction and SDDMM's position maps.
 
-The log never mutates the base arrays: every kernel compiled against the
-base snapshot stays valid, which is what lets the runtime execute a
-mutated matrix as *base plan + delta overlay*
-(:mod:`repro.runtime.dynamic`) instead of re-lowering per edit.
-
-Example:
-
-    >>> log = DeltaLog(base_nnz=3)
-    >>> log.record_insert(0, 2, 1.5)
-    >>> log.kill(1)          # tombstone the base entry at position 1
-    >>> log.pending
-    2
-    >>> log.empty
-    False
+The base arrays are never written, so every kernel compiled against the
+snapshot stays valid (:mod:`repro.runtime.dynamic` runs *base plan + row
+patch*).  The owner (:class:`~repro.formats.csr.CSRMatrix`) re-compacts once
+:attr:`DeltaLog.pending` passes a fraction of the base nnz, which amortises
+compaction to ``O(1/threshold)`` per edit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from ..core.nputils import ragged_arange
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(position, found)`` of each key in a sorted, duplicate-free array."""
+    at = np.searchsorted(sorted_keys, keys)
+    if not sorted_keys.size:
+        return at, np.zeros(keys.size, dtype=bool)
+    return at, sorted_keys.take(at, mode="clip") == keys
+
+
+def _last_of_runs(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the last entry of every run of equal values in a sorted array."""
+    last = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
+    return last
+
 
 class DeltaLog:
-    """Pending edge edits against one frozen CSR snapshot.
+    """Pending edge edits against one frozen CSR snapshot (the parameters).
 
-    Attributes
-    ----------
-    inserts:
-        ``(row, col) -> value`` upserts not yet merged into the base.
-    tombstones:
-        Boolean mask over the base's nnz positions; ``True`` marks a base
-        entry as deleted (or superseded by an upsert of the same edge).
-    dead:
-        Number of ``True`` entries in ``tombstones`` (kept incrementally so
-        :attr:`pending` is O(1)).
+    ``keys`` / ``values`` / ``origin`` are the patch, ``touched`` marks the
+    rows it holds and ``pulled`` counts the base entries those rows held.
+    ``inserted`` (entries an edit wrote) and ``dead`` (base entries deleted or
+    superseded) count what the owner calls pending: an upsert of a base edge
+    is one of each, and deleting it again leaves the dead one.
     """
 
-    def __init__(self, base_nnz: int):
-        self.inserts: Dict[Tuple[int, int], float] = {}
-        self.tombstones = np.zeros(int(base_nnz), dtype=bool)
-        self.dead = 0
+    def __init__(self, shape, indptr, indices, data, base_keys):
+        self.shape = shape
+        self.indptr, self.indices, self.data, self.base_keys = indptr, indices, data, base_keys
+        self.keys = self.origin = np.zeros(0, dtype=np.int64)
+        self.values = np.zeros(0, dtype=data.dtype)
+        self.touched = np.zeros(shape[0], dtype=bool)
+        self.pulled = self.inserted = self.dead = 0
 
     @property
     def pending(self) -> int:
-        """Total pending edits (inserted edges + tombstoned base entries)."""
-        return len(self.inserts) + self.dead
+        """Total pending edits (inserted edges + dead base entries)."""
+        return self.inserted + self.dead
 
-    @property
-    def empty(self) -> bool:
-        return not self.inserts and self.dead == 0
+    def _pull(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Touch *rows*; the base entries of those new to the log, in key order."""
+        new = np.sort(rows[~self.touched[rows]])
+        new = new[_last_of_runs(new)]
+        self.touched[new] = True
+        counts = self.indptr[new + 1] - self.indptr[new]
+        positions = np.repeat(self.indptr[new], counts) + ragged_arange(counts)
+        self.pulled += positions.size
+        return self.base_keys[positions], self.data[positions], positions
 
-    def record_insert(self, row: int, col: int, value) -> None:
-        """Upsert one edge value into the log."""
-        self.inserts[(int(row), int(col))] = value
+    def _rewrite(self, drop: np.ndarray, at: np.ndarray, keys, values, origin) -> None:
+        """Drop the entries at positions *drop* and insert the given ones
+        before positions *at* (both ascending, of the log as it stands)."""
+        slots = at - np.searchsorted(drop, at) + np.arange(at.size)
+        old = np.ones(self.keys.size - drop.size + at.size, dtype=bool)
+        old[slots] = False
+        keep = np.ones(self.keys.size, dtype=bool)
+        keep[drop] = False
+        rewritten = []
+        for stays, comes in ((self.keys, keys), (self.values, values), (self.origin, origin)):
+            array = np.empty(old.size, dtype=stays.dtype)
+            array[slots] = comes
+            array[old] = stays[keep] if drop.size else stays
+            rewritten.append(array)
+        self.keys, self.values, self.origin = rewritten
+        intact = int(np.count_nonzero(self.origin >= 0))
+        self.inserted, self.dead = self.keys.size - intact, self.pulled - intact
 
-    def discard_insert(self, row: int, col: int) -> None:
-        """Drop a not-yet-merged insert (deleting an edge the log added)."""
-        del self.inserts[(int(row), int(col))]
+    def upsert(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Set the value of each edge; the last write of a key wins."""
+        pulled = self._pull(keys // self.shape[1])
+        # One sort settles duplicates inside the batch and against the rows
+        # it pulled in (which come first, so the batch overwrites them).
+        origin = np.concatenate([pulled[2], np.full(keys.size, -1)])
+        keys = np.concatenate([pulled[0], keys])
+        order = np.argsort(keys, kind="stable")
+        order = order[_last_of_runs(keys[order])]
+        keys, origin = keys[order], origin[order]
+        values = np.concatenate([pulled[1], values])[order]
+        at, logged = _lookup(self.keys, keys)
+        self.values[at[logged]] = values[logged]
+        self.origin[at[logged]] = -1
+        fresh = ~logged
+        self._rewrite(at[:0], at[fresh], keys[fresh], values[fresh], origin[fresh])
 
-    def kill(self, position: int) -> None:
-        """Tombstone one base position (idempotent)."""
-        if not self.tombstones[position]:
-            self.tombstones[position] = True
-            self.dead += 1
+    def remove(self, keys: np.ndarray) -> None:
+        """Delete present edges; a ``KeyError`` leaves the log as it was."""
+        cols = self.shape[1]
+        keys = np.sort(keys)
+        if not _last_of_runs(keys).all():
+            twice = keys[~_last_of_runs(keys)][0]
+            raise KeyError(f"edge {divmod(int(twice), cols)} deleted twice in one batch")
+        rows = keys // cols
+        at, logged = _lookup(self.keys, keys)
+        present = np.where(self.touched[rows], logged, _lookup(self.base_keys, keys)[1])
+        if not present.all():
+            raise KeyError(f"edge {divmod(int(keys[~present][0]), cols)} is not present")
+        # Rows new to the log come in without the entries the batch deletes.
+        pulled = self._pull(rows)
+        entering = [array[~_lookup(keys, pulled[0])[1]] for array in pulled]
+        self._rewrite(at[logged], np.searchsorted(self.keys, entering[0]), *entering)
+
+    def row_patch(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The touched rows as a CSR over the full row count: ``(rows, indptr,
+        indices, values)``.  Every row not in *rows* is empty in *indptr*;
+        ``indices`` / ``values`` hold the touched rows' content back to back."""
+        cols = self.shape[1]
+        entry_rows = self.keys // cols
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(entry_rows, minlength=self.shape[0]), out=indptr[1:])
+        return np.flatnonzero(self.touched), indptr, self.keys - entry_rows * cols, self.values
 
 
 @dataclass
 class MergedView:
     """The effective (canonical) arrays of a base snapshot plus its delta.
 
-    Besides the merged CSR triplet, the view keeps the provenance maps the
-    overlay executor needs: where each surviving base entry landed in the
-    merged order, where each inserted entry landed, and which rows changed
-    at all.
-
-    Attributes
-    ----------
-    indptr, indices, data:
-        Canonical CSR arrays of the merged matrix (globally sorted, no
-        duplicates, no tombstones).
-    kept_mask:
-        Boolean mask over base nnz: ``True`` where the base entry survived.
-    base_positions:
-        Merged position of each surviving base entry
-        (``len == kept_mask.sum()``).
-    delta_positions:
-        Merged position of each inserted entry, in sorted ``(row, col)``
-        order.
-    delta_rows:
-        Row of each inserted entry, aligned with ``delta_positions``.
-    affected_rows:
-        Sorted unique rows touched by any insert or tombstone.
+    ``indptr`` / ``indices`` / ``data`` are the merged CSR triplet (globally
+    sorted, no duplicates, nothing deleted).  The rest is the provenance the
+    SDDMM overlay needs: ``kept_mask`` marks the base entries that survived,
+    ``base_positions`` is the merged position of each of them,
+    ``delta_positions`` / ``delta_rows`` the merged position and row of each
+    inserted entry in sorted ``(row, col)`` order.
     """
 
     indptr: np.ndarray
@@ -121,91 +164,53 @@ class MergedView:
     base_positions: np.ndarray
     delta_positions: np.ndarray
     delta_rows: np.ndarray
-    affected_rows: np.ndarray
 
 
 def base_edge_keys(shape: Tuple[int, int], indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Flattened ``row * cols + col`` key per stored entry, in storage order.
 
-    For a canonically sorted CSR (rows ascending, columns strictly ascending
-    within each row) the keys are strictly increasing, which is what makes
-    ``searchsorted`` membership lookups and sorted merges valid.
-
-    Raises:
-        ValueError: If the storage order is not canonical (unsorted or
-            duplicate column indices within a row) — the delta path requires
-            a canonical base.
+    Strictly increasing for a canonical CSR, which is what makes
+    ``searchsorted`` lookups valid; a base that is not canonical (unsorted or
+    duplicate column indices within a row) raises ``ValueError``.
     """
-    rows = np.repeat(
-        np.arange(shape[0], dtype=np.int64), np.diff(np.asarray(indptr, dtype=np.int64))
-    )
+    rows = np.repeat(np.arange(shape[0], dtype=np.int64), np.diff(indptr))
     keys = rows * np.int64(shape[1]) + np.asarray(indices, dtype=np.int64)
     if keys.size > 1 and not np.all(np.diff(keys) > 0):
-        raise ValueError(
-            "incremental updates require a canonically sorted CSR base "
-            "(ascending, duplicate-free column indices per row)"
-        )
+        raise ValueError("incremental updates require a canonically sorted CSR base "
+                         "(ascending, duplicate-free column indices per row)")
     return keys
 
 
-def merge_delta(
-    shape: Tuple[int, int],
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    base_keys: np.ndarray,
-    log: DeltaLog,
-) -> MergedView:
-    """Merge one delta log into its base snapshot (``O(nnz + d log d)``).
+def merge_delta(log: DeltaLog) -> MergedView:
+    """Merge one delta log into its base snapshot (``O(nnz)``).
 
-    The log's invariant — an upserted base edge is always tombstoned before
-    its new value is recorded — guarantees the kept base keys and the insert
-    keys are disjoint, so a stable two-way sorted merge (positions from one
-    ``searchsorted``) reproduces the canonical order a cold rebuild from the
-    final edge set would produce.
+    Rows move as blocks — a touched row comes whole from the patch, any other
+    whole from the base — so the result is one gather from ``[base | patch]``
+    through a per-row offset; no search and no sort.  It is the canonical
+    order a cold rebuild from the final edge set would produce.
     """
-    num_rows, num_cols = int(shape[0]), int(shape[1])
-    keep = ~log.tombstones
-    kept_indices = indices[keep]
-    kept_data = data[keep]
-    kept_keys = base_keys[keep]
-    base_rows = np.repeat(np.arange(num_rows, dtype=np.int64), np.diff(indptr))
-
-    items = sorted(log.inserts.items())
-    count = len(items)
-    delta_rows = np.fromiter((key[0] for key, _ in items), np.int64, count)
-    delta_cols = np.fromiter((key[1] for key, _ in items), np.int64, count)
-    delta_vals = np.array([value for _, value in items], dtype=data.dtype)
-    delta_keys = delta_rows * np.int64(num_cols) + delta_cols
-
-    # Each sorted insert lands after the kept entries below it plus the
-    # inserts already placed before it.
-    delta_positions = np.searchsorted(kept_keys, delta_keys) + np.arange(count, dtype=np.int64)
-    total = int(kept_keys.size) + count
-    is_base = np.ones(total, dtype=bool)
-    is_base[delta_positions] = False
-
-    merged_indices = np.empty(total, dtype=np.int64)
-    merged_data = np.empty(total, dtype=data.dtype)
-    merged_rows = np.empty(total, dtype=np.int64)
-    merged_indices[is_base] = kept_indices
-    merged_indices[delta_positions] = delta_cols
-    merged_data[is_base] = kept_data
-    merged_data[delta_positions] = delta_vals
-    merged_rows[is_base] = base_rows[keep]
-    merged_rows[delta_positions] = delta_rows
-
-    merged_indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(merged_rows, minlength=num_rows), out=merged_indptr[1:])
-
-    affected = np.unique(np.concatenate([delta_rows, base_rows[log.tombstones]]))
+    _, patch_indptr, patch_indices, patch_values = log.row_patch()
+    nnz, touched = log.indices.size, log.touched
+    base_counts = np.diff(log.indptr)
+    counts = np.where(touched, np.diff(patch_indptr), base_counts)
+    indptr = np.zeros(log.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    source = np.where(touched, nnz + patch_indptr[:-1], log.indptr[:-1]) - indptr[:-1]
+    source = np.repeat(source, counts) + np.arange(indptr[-1])
+    # Where every entry of ``[base | patch]`` landed.  A base entry of a
+    # touched row survives where the patch still holds it intact.
+    target = np.empty(nnz + log.keys.size, dtype=np.int64)
+    target[source] = np.arange(source.size)
+    intact = log.origin >= 0
+    target[log.origin[intact]] = target[nnz:][intact]
+    kept = np.repeat(~touched, base_counts)
+    kept[log.origin[intact]] = True
     return MergedView(
-        indptr=merged_indptr,
-        indices=merged_indices,
-        data=merged_data,
-        kept_mask=keep,
-        base_positions=np.flatnonzero(is_base),
-        delta_positions=delta_positions,
-        delta_rows=delta_rows,
-        affected_rows=affected,
+        indptr=indptr,
+        indices=np.concatenate([log.indices, patch_indices])[source],
+        data=np.concatenate([log.data, patch_values])[source],
+        kept_mask=kept,
+        base_positions=target[:nnz][kept],
+        delta_positions=target[nnz:][~intact],
+        delta_rows=log.keys[~intact] // log.shape[1],
     )

@@ -5,10 +5,12 @@ still has to do*.  A :class:`BoundKernel` resolves, once, everything a warm
 call would otherwise re-derive — the dispatch tier, which flat buffers are
 per-call operands, which are constants, which the kernel overwrites — so
 that :meth:`BoundKernel.run` is left with handing arrays to the compiled
-runner and finalising its outputs.  ``Session`` memoises one per operator
-application (see ``docs/runtime.md``, "Warm path: bound kernels"), a
-:class:`~repro.graph.compile.CompiledGraph` holds one per unit, and the
-serving batcher inherits the session's.
+runner and finalising its outputs.  Index tables are operands like any other:
+bound with the kernel, and replaced for one call by a table fed under the
+same name (native tier; see :func:`~repro.core.codegen.emit_c.load_native`).
+``Session`` memoises one per operator application (see ``docs/runtime.md``,
+"Warm path: bound kernels"), a :class:`~repro.graph.compile.CompiledGraph`
+holds one per unit, and the serving batcher inherits the session's.
 
 A bound kernel keeps no mutable state between calls: operands and constants
 the kernel only reads are passed by reference, every buffer it writes is
@@ -47,10 +49,14 @@ class BoundKernel:
     tier:
         ``"native"`` or ``"emitted"``, as resolved by
         :meth:`Kernel.fast_tier`.  Both bind the auxiliary
-        (``indptr``/``indices``) buffers at build time, so none is ever
-        marshalled.
+        (``indptr``/``indices``) buffers at build time, so a call that feeds
+        none marshals none.
     feeds:
         Flat buffer name -> key of :meth:`run`'s *inputs* to fill it from.
+        A value buffer named here is required on every call; an auxiliary
+        buffer is an optional *table feed*, used on the native tier when the
+        call provides its key and ignored by the emitted tier, whose plan is
+        fixed to the bound structure (:attr:`feeds_tables` tells which).
     outputs:
         ``(result key, flat buffer name, spec)`` per array :meth:`run`
         returns; the spec finalises the raw buffer
@@ -78,6 +84,8 @@ class BoundKernel:
         self._shared: Dict[str, np.ndarray] = {}
         #: (buffer, inputs key, dtype, size, private) per per-call operand.
         self._feeds: List[Tuple[str, str, np.dtype, int, bool]] = []
+        #: The same per optional index-table feed (never private: only read).
+        self._tables: List[Tuple[str, str, np.dtype, int, bool]] = []
         #: (buffer, source, dtype, private) per constant converted each call:
         #: its source is not a flat array of the kernel dtype (so an in-place
         #: update of the source must be re-read), or the kernel overwrites it.
@@ -86,9 +94,11 @@ class BoundKernel:
         self._zeroed: List[Tuple[str, int, np.dtype]] = []
         for flat in func.flat_buffers:
             name = flat.name
-            if name in aux:
-                continue
             dtype = np.dtype(_np_dtype(flat.dtype))
+            if name in aux:
+                if name in feeds and tier == "native":
+                    self._tables.append((name, feeds[name], dtype, flat.size, False))
+                continue
             if name in feeds:
                 self._feeds.append((name, feeds[name], dtype, flat.size, name in stored))
                 continue
@@ -109,12 +119,21 @@ class BoundKernel:
         # Fed buffers never read their default again; holding the arrays of
         # the call that built the kernel would pin them for our lifetime.
         for name in feeds:
-            kernel.defaults.pop(name, None)
+            if name not in aux:  # a table feed is optional: its default stays
+                kernel.defaults.pop(name, None)
+
+    @property
+    def feeds_tables(self) -> bool:
+        """Whether :meth:`run` takes index tables per call (native tier only)."""
+        return bool(self._tables)
 
     def run(self, inputs: Mapping[str, Any]) -> Dict[str, np.ndarray]:
         """One call: marshal, execute on the bound tier, finalise."""
         arrays = dict(self._shared)
-        for name, key, dtype, size, private in self._feeds:
+        feeds = self._feeds
+        if self._tables:
+            feeds = feeds + [table for table in self._tables if table[1] in inputs]
+        for name, key, dtype, size, private in feeds:
             try:
                 value = inputs[key]
             except KeyError:

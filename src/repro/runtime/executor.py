@@ -277,8 +277,11 @@ class Executor:
         if call.func == ROW_UPPER_BOUND:
             axis_name = self._eval(call.args[0], env, arrays)
             position = int(self._eval(call.args[1], env, arrays))
-            axis = self.axes_by_name[axis_name]
-            indptr = getattr(axis, "indptr", None)
+            # The program's own ``<axis>_indptr`` buffer mirrors the axis array;
+            # read it, so a run that rebinds the buffer searches what it bound.
+            indptr = arrays.get(f"{axis_name}_indptr")
+            if indptr is None:
+                indptr = getattr(self.axes_by_name[axis_name], "indptr", None)
             if indptr is None:
                 raise ValueError(f"axis {axis_name!r} has no indptr for row search")
             return int(np.searchsorted(indptr, position, side="right") - 1)

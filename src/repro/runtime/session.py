@@ -135,9 +135,9 @@ class _Handle:
     """One memoised operator application: a bound kernel plus its guard."""
 
     bound: BoundKernel
-    #: The structure the call was made on, pinned so its ``id`` cannot be
-    #: reused while the handle is alive.
-    structure: Any
+    #: What the key names by ``id`` (:func:`_identity`), pinned so that id
+    #: cannot be reused while the handle is alive.
+    anchor: Any
     #: Its storage at bind time; ``compact()`` swaps these under an unchanged
     #: epoch, so a hit requires them to be the very same arrays.
     storage: Tuple[Any, Any]
@@ -146,14 +146,32 @@ class _Handle:
     #: Whether the kernel runs on a decomposition of the structure.
     derived_format: bool
 
-    def run(self, operands: Dict[str, np.ndarray]) -> np.ndarray:
-        if self.feeds_values:
-            operands["values"] = self.structure.data
+    def run(
+        self, structure: Any, operands: Dict[str, np.ndarray], tables: Optional[Dict[str, Any]]
+    ) -> np.ndarray:
+        if tables is not None:
+            operands.update(tables)
+        elif self.feeds_values:
+            operands["values"] = structure.data
         return self.bound.run(operands)["out"]
 
 
 def _storage(structure: Any) -> Tuple[Any, Any]:
     return getattr(structure, "indptr", None), getattr(structure, "indices", None)
+
+
+def _identity(structure: Any) -> Tuple[Any, Any]:
+    """``(anchor, epoch)`` a handle is keyed on (the anchor by ``id``).
+
+    A structure is its own anchor.  A CSR matrix answers with its base
+    snapshot instead, which is one identity — for the matrix while it is
+    clean, across edits that cancelled out, and for its ``base_view()`` during
+    an edit window — until ``compact()`` replaces the arrays.
+    """
+    snapshot = getattr(structure, "base_snapshot", None)
+    if snapshot is not None:
+        return snapshot, None
+    return structure, getattr(structure, "structure_epoch", None)
 
 
 class Session:
@@ -286,8 +304,13 @@ class Session:
         return result
 
     def _execute(
-        self, kind: str, structure: Any, operands: Dict[str, Any], **options: Any
-    ) -> np.ndarray:
+        self,
+        kind: str,
+        structure: Any,
+        operands: Dict[str, Any],
+        tables: Optional[Dict[str, Any]] = None,
+        **options: Any,
+    ) -> Optional[np.ndarray]:
         """Run one operator application: through its handle when warm.
 
         The single execution path behind every public operator method.  A
@@ -295,14 +318,21 @@ class Session:
         dtypes over an unchanged structure — is served by its memoised
         :class:`~repro.runtime.bound.BoundKernel`; anything else goes
         through :meth:`_execute_cold`.
+
+        *tables* (``indptr`` / ``indices`` / ``values`` laid out like the
+        structure's own) runs the same handle over another matrix of the
+        structure's footprint — the overlay's row patch.  Only a native
+        kernel takes tables per call; on any other tier the result is
+        ``None`` and nothing ran.
         """
         operands = {role: np.asarray(value) for role, value in operands.items()}
         if options.get("dtype") is not None:
             options["dtype"] = np.dtype(options["dtype"])  # one key per spelling
+        anchor, epoch = _identity(structure)
         key = (
             kind,
-            id(structure),
-            getattr(structure, "structure_epoch", None),
+            id(anchor),
+            epoch,
             tuple((value.shape, value.dtype) for value in operands.values()),
             tuple(options.values()),
             self._tuning_generation if options.get("tuned") else None,
@@ -315,6 +345,8 @@ class Session:
             ):
                 handle = None
             if handle is not None:
+                if tables is not None and not handle.bound.feeds_tables:
+                    return None
                 self._handles.move_to_end(key)
                 stats = self.stats
                 stats.handle_hits += 1
@@ -327,8 +359,8 @@ class Session:
                 else:
                     stats.emitted_runs += 1
         if handle is not None:
-            return handle.run(operands)
-        return self._execute_cold(key, kind, structure, storage, operands, options)
+            return handle.run(structure, operands, tables)
+        return self._execute_cold(key, kind, structure, storage, operands, options, tables)
 
     def _execute_cold(
         self,
@@ -338,7 +370,8 @@ class Session:
         storage: Tuple[Any, Any],
         operands: Dict[str, np.ndarray],
         options: Dict[str, Any],
-    ) -> np.ndarray:
+        tables: Optional[Dict[str, Any]],
+    ) -> Optional[np.ndarray]:
         """Resolve, build and run one application; bind its handle if possible.
 
         ``prepare`` resolves the :class:`~repro.ops.registry.OpSpec` (dtype,
@@ -349,6 +382,11 @@ class Session:
         *key*, and this first call already runs through the handle.  Not
         bindable: ``rgms`` / ``sparse_conv`` (weights are baked into
         per-relation buffers) and BSR operands ``prepare`` had to zero-pad.
+
+        A program that iterates the structure itself reads the structure's
+        value array and index tables under its own buffer names; those are
+        bound as feeds too (``values`` re-read on every call, ``indptr`` /
+        ``indices`` taken when a call provides them).
         """
         from ..ops import registry
 
@@ -361,17 +399,22 @@ class Session:
             role in names and spec.inputs[role].shape == value.shape
             for role, value in operands.items()
         ):
+            if tables is not None:
+                return None
             out = self.run_kernel(kernel)
             return registry.finalize(spec, out[names["out"]])
         feeds = {names[role]: role for role in operands}
         feeds_values = spec.structure is structure and "values" in names
         if feeds_values:
             feeds[names["values"]] = "values"
+            for aux in kernel.func.aux_buffers:
+                feeds[aux.name] = aux.name.rpartition("_")[2]  # J_indptr -> "indptr"
         # The spec only finalises from here on; its operand arrays must not
         # stay pinned by the handle.
         outputs = [("out", names["out"], replace(spec, inputs={}))]
         handle = _Handle(
-            BoundKernel(kernel, tier, feeds, outputs), structure, storage, feeds_values,
+            BoundKernel(kernel, tier, feeds, outputs), _identity(structure)[0], storage,
+            feeds_values,
             derived_format=spec.structure is not structure,
         )
         with self._lock:
@@ -379,8 +422,10 @@ class Session:
             self._handles[key] = handle
             while len(self._handles) > self.format_cache_capacity:
                 self._handles.popitem(last=False)
+        if tables is not None and not handle.bound.feeds_tables:
+            return None
         self.stats.count_run(tier)
-        return handle.run(operands)
+        return handle.run(structure, operands, tables)
 
     # -- graph capture -----------------------------------------------------------
     def graph(self):

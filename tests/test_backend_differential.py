@@ -609,3 +609,31 @@ class TestFallbackConsistency:
         out = kernel.run()
         assert kernel.last_engine == ("native" if toolchain_available() else "interpret")
         assert np.array_equal(out["c"], np.full(4, 2.0, dtype=np.float32))
+
+    def test_rebound_table_is_a_feed_on_native_and_a_decline_on_emitted(self):
+        """An overridden ``indptr``/``indices`` buffer is a per-call operand of
+        the native kernel; the emitted tier's plan is fixed to the structure it
+        was made on and says ``"aux rebound"``; every tier that serves the run
+        equals the interpreter on the rebound arrays."""
+        csr = CSRMatrix.from_dense(random_dense(7, 6, 0.4, np.float32, 3))
+        other = CSRMatrix.from_dense(np.roll(csr.to_dense(), 1, axis=0))
+        feats = np.random.default_rng(4).standard_normal((6, 3)).astype(np.float32)
+        kernel = build(build_spmm_program(csr, 3, feats), cache=False)
+        rebound = {
+            "J_indptr": other.indptr, "J_dense_indptr": other.indptr,
+            "J_indices": other.indices, "A": other.data,
+        }
+        oracle = kernel.run(rebound, engine="interpret")["C"]
+        plain = kernel.run()["C"].reshape(7, 3)
+        assert np.array_equal(oracle.reshape(7, 3), np.roll(plain, 1, axis=0))
+        out = kernel.run(rebound)
+        if toolchain_available():
+            assert kernel.last_engine == "native" and "native" not in kernel.declined
+            assert "emitted" not in kernel.declined  # never asked
+        else:
+            assert kernel.last_engine == "interpret"
+            assert kernel.declined == {"native": "no toolchain", "emitted": "aux rebound"}
+        assert np.array_equal(out["C"], oracle)
+        with pytest.raises(UnsupportedForEmission, match="auxiliary buffers rebound"):
+            kernel.run(rebound, engine="emitted")
+        assert kernel.declined["emitted"] == "aux rebound"

@@ -160,19 +160,48 @@ class TestInvalidation:
         assert np.array_equal(call(session), fresh(call))
 
     def test_base_view_handle_survives_edit_windows(self):
+        """The base snapshot is one identity: the clean matrix, its base view
+        during an edit window, the matrix again after a cancelling batch."""
         m = matrix()
         x = features(m)
         session = self._warm(m, x)
-        for index in range(3):
-            rows, cols = missing_edges(m, 1)
-            m.insert_edges(rows, cols)
-            session.spmm(m, x)
-            if index:
-                # Same frozen base since the first edit: the overlay's base
-                # call hits the handle bound on that first window.
-                assert session.stats.handle_hits == 1 + index
+        call = lambda s: s.spmm(m, x)  # noqa: E731
+        rows, cols = missing_edges(m, 1)
+        hits = session.stats.handle_hits
+        for step in ("edit", "cancel", "edit", "edit"):
+            if step == "cancel":
+                m.delete_edges(rows, cols)
+                assert not m.has_pending_delta
+            else:
+                rows, cols = missing_edges(m, 1)
+                m.insert_edges(rows, cols)
+            assert np.array_equal(call(session), fresh(call))
+            # A clean query is one handle hit; an overlay is two, the base
+            # plan and the row patch fed through the same bound kernel.
+            hits += 2 if m.has_pending_delta else 1
+            assert (session.stats.handle_misses, session.stats.handle_hits) == (1, hits)
+            assert len(session._handles) == 1
         assert session.stats.overlay_runs == 3
         assert session.cache.stats.lowerings == 1
+
+    def test_patch_runs_add_no_handles(self):
+        m = matrix(rows=30, cols=30)
+        x = features(m)
+        session = Session(persistent=False)
+        call = lambda s: s.spmm(m, x, format="hyb")  # noqa: E731
+        for window in range(20):
+            rows, cols = missing_edges(m, 2)
+            m.insert_edges(rows, cols, [1.5, -0.5])
+            m.delete_edges(rows[:1], cols[:1])
+            assert np.array_equal(call(session), fresh(call))
+            if window == 0:
+                # The hyb base plan, and the base snapshot's CSR kernel the
+                # patch runs through.
+                assert len(session._handles) == 2
+                lowerings = session.cache.stats.lowerings
+        assert len(session._handles) == 2
+        assert session.cache.stats.lowerings == lowerings
+        assert session.stats.handle_misses == 2
 
     def test_compaction_swaps_storage_under_an_unchanged_epoch(self):
         m = matrix()

@@ -186,13 +186,23 @@ class TestDeltaMechanics:
             base_edge_keys((1, 3), indptr, indices)
 
     def test_delta_log_counters(self):
-        log = DeltaLog(4)
-        assert log.empty and log.pending == 0
-        log.record_insert(0, 1, 2.0)
-        log.kill(3)
-        assert log.pending == 2 and log.dead == 1
-        log.discard_insert(0, 1)
-        assert log.pending == 1 and not log.empty
+        # Base: row 0 = {1, 2}, row 1 = {0}, row 2 = {3}; keys are row * 4 + col.
+        indptr = np.array([0, 2, 3, 4], dtype=np.int64)
+        indices = np.array([1, 2, 0, 3], dtype=np.int64)
+        data = np.arange(1.0, 5.0, dtype=np.float32)
+        log = DeltaLog((3, 4), indptr, indices, data, base_edge_keys((3, 4), indptr, indices))
+        assert log.pending == 0
+        log.upsert(np.array([3]), np.array([2.0], dtype=np.float32))  # new edge (0, 3)
+        log.remove(np.array([11]))  # base edge (2, 3)
+        assert log.pending == 2 and log.dead == 1 and log.inserted == 1
+        # Touched rows are logged whole; the untouched row is not.
+        assert log.touched.tolist() == [True, False, True]
+        assert log.keys.tolist() == [1, 2, 3] and log.origin.tolist() == [0, 1, -1]
+        log.remove(np.array([3]))
+        assert log.pending == 1
+        with pytest.raises(KeyError):
+            log.remove(np.array([4, 3]))  # (1, 0) is there, (0, 3) no longer
+        assert log.pending == 1 and log.touched.tolist() == [True, False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,51 @@ class TestNativeRunnerProtocol:
         assert len(calls) == 1
         assert np.allclose(out["C"].reshape(csr.rows, 4), spmm_reference(csr, x), atol=1e-4)
 
+    def _runner_and_arrays(self, csr):
+        kernel, x = _build_once(csr, cache=False)
+        source, binding = emit_c_source(kernel.func)
+        arrays = {
+            "A": csr.data.copy(), "B": x.reshape(-1).copy(),
+            "C": np.zeros(csr.rows * 4, dtype=np.float32),
+        }
+        return emit_c.load_native(kernel.func, source, binding), arrays
+
+    def test_fed_table_replaces_the_bound_one_for_one_call(self, csr):
+        """An index table present in the call's arrays is used like a value
+        buffer; the next call without it reads the bound table again."""
+        run, arrays = self._runner_and_arrays(csr)
+        zeros = lambda: np.zeros(csr.rows * 4, dtype=np.float32)  # noqa: E731
+        bound = run({**arrays, "C": zeros()})["C"]
+        no_rows = np.zeros(csr.rows + 1, dtype=np.int32)
+        assert bound.any() and not run({**arrays, "C": zeros(), "J_indptr": no_rows})["C"].any()
+        assert np.array_equal(run({**arrays, "C": zeros()})["C"], bound)
+
+    @pytest.mark.parametrize(
+        "make, said",
+        [
+            (lambda n: np.zeros(n, dtype=np.int64), "fed as int64[17]"),
+            (lambda n: np.zeros(n - 1, dtype=np.int32), "fed as int32[16]"),
+            (lambda n: np.zeros(2 * n, dtype=np.int32)[::2], "fed as int32[17]"),
+        ],
+        ids=["dtype", "length", "strided"],
+    )
+    def test_malformed_fed_table_is_a_value_error(self, csr, make, said):
+        """Sizes in ``ipar`` stay as compiled, so a table of another layout is
+        refused by name — never silently run, never a tier fallback."""
+        run, arrays = self._runner_and_arrays(csr)
+        with pytest.raises(ValueError) as error:
+            run({**arrays, "J_indptr": make(csr.rows + 1)})
+        assert f"table 'J_indptr' {said}, bound as contiguous int32[17]" in str(error.value)
+
+    def test_rebound_table_runs_native_and_wrong_length_raises(self, csr):
+        kernel, _ = _build_once(csr, cache=False)
+        plain = kernel.run()["C"]
+        fed = kernel.run({"J_indices": csr.indices.copy()})
+        assert kernel.last_engine == "native" and kernel.declined == {}
+        assert np.array_equal(fed["C"], plain)
+        with pytest.raises(ValueError, match="'J_indices' has .* elements, expected"):
+            kernel.run({"J_indices": csr.indices[:-1]})
+
     def test_session_counts_native_runs(self, csr):
         from repro.runtime.session import Session
 

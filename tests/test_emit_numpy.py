@@ -121,17 +121,24 @@ class TestEmitterBehaviour:
         second = kernel._runner("emitted")
         assert first is not None and first is second
 
-    def test_emitted_tier_skipped_when_aux_buffers_rebound(self):
-        """A binding that overrides structural data must bypass the baked plan."""
+    def test_emitted_tier_skipped_when_aux_buffers_rebound(self, monkeypatch):
+        """A binding that overrides structural data must bypass the baked plan:
+        the native kernel takes the table for the call, the emitted tier — whose
+        lane plan is fixed to the structure it was made on — declines."""
         csr = canonical_csr()
         feats = np.ones((4, 3), dtype=np.float32)
+        monkeypatch.setenv("REPRO_NATIVE", "0")
         kernel = build(build_spmm_program(csr, 3, feats), cache=False)
-        kernel.run()
-        assert kernel.last_engine in ("native", "emitted")
+        expected = kernel.run()["C"]
+        assert kernel.last_engine == "emitted"
         rebound = kernel.run({"J_indptr": csr.indptr.copy()})
         assert kernel.last_engine == "interpret"
-        assert kernel.declined == {"native": "aux rebound", "emitted": "aux rebound"}
-        assert np.array_equal(rebound["C"], kernel.run()["C"])
+        assert kernel.declined == {"native": "no toolchain", "emitted": "aux rebound"}
+        assert np.array_equal(rebound["C"], expected)
+        with pytest.raises(UnsupportedForEmission, match="auxiliary buffers rebound"):
+            kernel.run({"J_indptr": csr.indptr.copy()}, engine="emitted")
+        kernel.run()
+        assert kernel.last_engine == "emitted" and "emitted" not in kernel.declined
 
     def test_strict_engine_raises_for_unemittable_program(self):
         from repro.core.buffers import FlatBuffer
