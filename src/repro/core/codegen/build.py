@@ -227,8 +227,15 @@ class Kernel:
         structure it was made on, that tier reads ``"aux rebound"`` for that
         run.  A rebound table of the wrong length is a ``ValueError`` on
         every tier, never a decline.
+
+        Beside the tiers, ``"vectorize <loop>"`` names a loop a schedule asked
+        to vectorize that the native emitter kept serial, with what its
+        independence proof found (a reduction, a shifted read, ...).
         """
         declined = dict(self._entry.declined)
+        native = self._entry.tiers.get("native", (None,))[0]
+        if native is not None:
+            declined.update(native[1].serial)
         if self._aux_rebound:
             declined["emitted"] = "aux rebound"
         return declined

@@ -8,7 +8,11 @@ order: an init pass over every nest, then a compute pass; an out-of-bounds or
 structural-zero load evaluates to 0, such a store is dropped, a zero-trip
 reduction loop runs no init.  Execution order *is* the oracle's order, so
 bit-exactness holds by construction and the hazard analysis the lane model
-needs is no precondition here.
+needs is no precondition here.  The one place the order is relaxed is proven
+first: the unchecked body of an innermost loop whose iterations
+:func:`~repro.core.codegen.hazards.loop_independence` shows to touch distinct
+elements is printed under ``#pragma omp simd`` — each element still sees the
+serial sequence of operations, so the bits are the interpreter's.
 
 * :func:`emit_c_source` returns ``(c_source, binding)``.  ``run(bufs, tabs,
   ipar, fpar)`` reads the value buffers (``bufs``), the program's auxiliary
@@ -62,12 +66,12 @@ from .. import stmt as st
 from ..program import STAGE_LOOP, PrimFunc
 from ..stage2.lowering import BINARY_SEARCH, ROW_UPPER_BOUND
 from .emit_numpy import aux_arrays
-from .hazards import UnsupportedForEmission
+from .hazards import UnsupportedForEmission, affine_in, loop_independence
 
 #: Bumped whenever the native-source contract (C layout, binding protocol, or
 #: compile flags) changes; stale on-disk ``.so`` artifacts from an older
 #: version load as cache misses and are rebuilt, never imported.
-NATIVE_VERSION = 2
+NATIVE_VERSION = 3
 
 #: Environment variable disabling the native tier (``0`` / ``off`` / ``false``).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -77,6 +81,10 @@ _NATIVE_DISABLED_VALUES = {"0", "off", "false", "disabled", "none", "no"}
 #: Compile flags.  ``-ffp-contract=off`` is load-bearing: without it GCC fuses
 #: ``a*b + c`` into an FMA whose single rounding diverges from NumPy's two.
 #: ``-fwrapv`` makes signed int64 overflow wrap exactly like NumPy's.
+#: ``-fopenmp-simd`` honours ``#pragma omp simd`` (no OpenMP runtime is linked):
+#: at ``-O2`` GCC vectorises only the loops the emitter proved independent and
+#: marked, never the checked fallback bodies.  The rest slims the artifact — no
+#: symbol table, unwind tables or build id; nothing unwinds through a kernel.
 CFLAGS = (
     "-O2",
     "-fPIC",
@@ -84,6 +92,10 @@ CFLAGS = (
     "-fno-strict-aliasing",
     "-ffp-contract=off",
     "-fwrapv",
+    "-fopenmp-simd",
+    "-s",
+    "-fno-asynchronous-unwind-tables",
+    *(("-Wl,--build-id=none",) if sys.platform.startswith("linux") else ()),
 )
 
 
@@ -104,12 +116,15 @@ class NativeBinding(NamedTuple):
     its flat dtype, ``("indptr" | "indices", axis)`` that axis array (int64)
     and ``("rowof", axis)`` the row of every position of a variable axis
     (int32, one entry per *position*).  ``ipar`` / ``fpar`` are the scalars.
+    ``serial`` is not an operand: ``("vectorize <loop>", reason)`` per loop a
+    schedule asked to vectorize and the independence proof kept serial.
     """
 
     bufs: Tuple[str, ...]
     tabs: Tuple[Tuple[str, str], ...]
     ipar: Tuple[int, ...]
     fpar: Tuple[float, ...]
+    serial: Tuple[Tuple[str, str], ...] = ()
 
 
 # -- ctype lattice -------------------------------------------------------------
@@ -246,27 +261,6 @@ def _spelled(lit: ir.Expr) -> bool:  # 0, 1 and an integer -1 are printed, not p
     return lit.value in (0, 1) or (lit.value == -1 and isinstance(lit, ir.IntImm))
 
 
-def _mentions(expr: ir.Expr, var: ir.Var) -> bool:
-    return expr is var or any(_mentions(kid, var) for kid in ir.children(expr))
-
-
-def _affine(expr: ir.Expr, var: ir.Var) -> Optional[Tuple[ir.Expr, ir.Expr]]:
-    """``(base, stride)`` with ``expr == base + stride * var``, or ``None``."""
-    if expr is var:
-        return ir.IntImm(0), ir.IntImm(1)
-    if isinstance(expr, (ir.Add, ir.Sub, ir.Mul)):
-        a, b = _affine(expr.a, var), _affine(expr.b, var)
-        if a is None or b is None:
-            return None
-        if not isinstance(expr, ir.Mul):
-            return type(expr)(a[0], b[0]), type(expr)(a[1], b[1])
-        for (base, stride), other in ((a, b), (b, a)):
-            if isinstance(other[1], ir.IntImm) and other[1].value == 0:  # var-free factor
-                return ir.Mul(base, other[0]), ir.Mul(stride, other[0])
-        return None
-    return None if _mentions(expr, var) else (expr, ir.IntImm(0))
-
-
 class _CEmitter:
     """Prints a program as one C function per top-level nest and pass, called
     in the interpreter's order from ``run``.  Nests that differ only in their
@@ -287,6 +281,7 @@ class _CEmitter:
         self.prelude: set[str] = set()
         self.functions: Dict[str, str] = {}  # text with placeholder names -> C name
         self.definitions: List[str] = []
+        self.serial: Dict[str, str] = {}  # "vectorize <loop>" -> why it stayed serial
 
     def operand(self, kind: str, name: str) -> str:
         """The ``bufs[n]`` / ``tabs[n]`` slot of a value buffer or a table."""
@@ -316,7 +311,7 @@ class _CEmitter:
             *_indent([*run, "return 0;"]),
             "}",
         ]
-        blocks = (self.bufs, self.tabs, self.ipar, self.fpar)
+        blocks = (self.bufs, self.tabs, self.ipar, self.fpar, self.serial.items())
         return "\n".join(lines) + "\n", NativeBinding(*map(tuple, blocks))
 
 
@@ -759,22 +754,33 @@ class _Nest:
             return
         stop = _bare(extent.code) if start.code == "0" else f"{start.code} + {extent.code}"
         var, end, first = self._cname(loop.loop_var), self._fresh(), _bare(start.code)
-        head = f"for (int64_t {var} = {first}, {end} = {stop}; {var} < {end}; ++{var}) {{"
 
-        def body() -> List[str]:
+        def body(head: str) -> List[str]:
             return _block(head, self._scoped(loop.loop_var, _CVal(var, "ilit"), loop.body, mode))
 
+        plain = f"for (int64_t {var} = {first}, {end} = {stop}; {var} < {end}; ++{var}) {{"
         log: List[Tuple[str, ir.Expr]] = []
         self._accesses = log
-        checked = body()
+        checked = body(plain)
         # Only an innermost loop is versioned: a nested one has replaced the log.
         tests = self._range_tests(loop, stop, log) if self._accesses is log else {}
         self._accesses = None
+        # The unchecked body of a loop whose iterations are proven independent
+        # is a SIMD loop; a schedule's request for one that is not is recorded.
+        requested = loop.kind == st.LOOP_VECTORIZED and mode == "compute"
+        why = loop_independence(loop, self.written) if tests or requested else None
+        if requested and (why or not tests):
+            unmarked = "it has no unchecked body to mark (fewer than two range-tested operands)"
+            self.program.serial[f"vectorize {loop.loop_var.name}"] = why or unmarked
         if not tests:
             self._sink.extend(checked)
             return
         saved, self._proven = self._proven, frozenset(tests)
-        fast = body()
+        if why is None:  # OpenMP's canonical form: the bound in front of the loop
+            canonical = f"for (int64_t {var} = {first}; {var} < {end}; ++{var}) {{"
+            fast = [f"const int64_t {end} = {stop};", "#pragma omp simd", *body(canonical)]
+        else:
+            fast = body(plain)
         self._proven = saved
         test = " && ".join(dict.fromkeys(tests.values()))
         self._sink.extend([f"if ({test}) {{", *_indent(fast), "} else {", *_indent(checked), "}"])
@@ -808,7 +814,7 @@ class _Nest:
         found: Dict[Tuple[str, str], Tuple[str, List[ir.Expr], _Scope]] = {}
         for array, index in log:
             access = (array, self._info(index)[0])
-            affine = None if access in found else _affine(index, loop.loop_var)
+            affine = None if access in found else affine_in(index, loop.loop_var)
             if affine is None:
                 continue
             base, stride = affine
@@ -935,8 +941,22 @@ def _scratch_dir() -> Path:
     return path
 
 
+@functools.lru_cache(maxsize=None)
+def _compiler_id(compiler: str) -> str:
+    """First line of ``<compiler> --version`` (asked once, at the first failure)."""
+    try:
+        proc = subprocess.run([compiler, "--version"], capture_output=True, text=True, timeout=30.0)
+        return (proc.stdout or proc.stderr).strip().splitlines()[0]
+    except (OSError, subprocess.TimeoutExpired, IndexError):
+        return "version unknown"
+
+
 def compile_so(c_source: str, out_path: Path) -> None:
-    """Compile *c_source* into a shared object at *out_path* (atomically)."""
+    """Compile *c_source* into a shared object at *out_path* (atomically).
+
+    A failure says which compiler was run with which flags, so a toolchain
+    that rejects one of them is diagnosable from ``Kernel.declined["native"]``.
+    """
     compiler = find_compiler()
     if compiler is None:
         raise NativeBuildError("no C compiler available")
@@ -955,7 +975,8 @@ def compile_so(c_source: str, out_path: Path) -> None:
             raise NativeBuildError(f"C compiler failed to run: {exc}") from exc
         if proc.returncode != 0:
             raise NativeBuildError(
-                f"C compilation failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}"
+                f"C compilation failed (exit {proc.returncode}): {compiler} "
+                f"[{_compiler_id(compiler)}] {' '.join(CFLAGS)}\n{proc.stderr[-2000:]}"
             )
         out_path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(out_path.parent), suffix=".so.tmp")
@@ -1007,6 +1028,10 @@ def load_native(
     select the persistent artifact store (:meth:`DiskKernelCache.get_native`);
     ``stats`` receives ``native_hits`` / ``native_rebuilds``.
 
+    The C text asserts (``#pragma omp simd``) that differently named buffers
+    never overlap, so ``run(arrays)`` refuses with ``ValueError`` a buffer the
+    kernel stores to that shares memory with another operand of the call.
+
     ``run(arrays)`` takes the value buffers per call and, like them, any
     auxiliary index table present in *arrays* under its buffer name: that
     array replaces the table bound here for this call (same dtype, length and
@@ -1047,10 +1072,17 @@ def load_native(
         rows = np.searchsorted(indptr if source is None else source, positions, side="right")
         return (rows - 1).astype(np.int32)
 
-    def pointers(arrays: List[np.ndarray]) -> Any:
-        addresses = [ffi.cast("void *", array.ctypes.data) for array in arrays]
-        return ffi.new("void *[]", addresses or [ffi.NULL])
+    def pointers(arrays: List[np.ndarray]) -> Tuple[Any, List[int]]:
+        """The C pointer block of *arrays* (which the caller keeps alive), and
+        their addresses."""
+        block = ffi.new("void *[]", [ffi.from_buffer(array) for array in arrays] or [ffi.NULL])
+        return block, ffi.unpack(ffi.cast("intptr_t *", block), len(arrays))
 
+    stored = {store.buffer.name for store in st.collect_buffer_stores(func.body)}
+    stored_slots = frozenset(slot for slot, name in enumerate(binding.bufs) if name in stored)
+    tab_names = [name if kind == "aux" else f"{name}_{kind}" for kind, name in binding.tabs]
+    names = [*binding.bufs, *tab_names]
+    slots = range(len(names))
     tabs = [table(kind, name) for kind, name in binding.tabs]
     # The auxiliary buffer each table follows when that buffer is fed per call:
     # itself, or the ``<axis>_indptr`` / ``<axis>_indices`` an axis table mirrors.
@@ -1060,7 +1092,7 @@ def load_native(
     ]
     ipar = np.asarray(binding.ipar, dtype=np.int64)
     fpar = np.asarray(binding.fpar, dtype=np.float64)
-    tab_ptrs = pointers(tabs)
+    bound_tabs = (tabs, *pointers(tabs))
     ipar_ptr = ffi.cast("int64_t *", ipar.ctypes.data)
     fpar_ptr = ffi.cast("double *", fpar.ctypes.data)
 
@@ -1071,7 +1103,7 @@ def load_native(
                 raise NativeBuildError("native tier requires contiguous buffers")
         fed = {name: arrays[name] for name in aux if name in arrays}
         if not fed:
-            table_ptrs = tab_ptrs
+            call_tabs, tab_ptrs, tab_starts = bound_tabs
         else:
             # Index tables fed for this call stand in for the bound ones.  The
             # sizes in ``ipar`` stay as compiled, so a fed table must be laid
@@ -1084,12 +1116,28 @@ def load_native(
                         f"table {name!r} fed as {given.dtype}{list(given.shape)}, "
                         f"bound as contiguous {bound.dtype}[{bound.size}]"
                     )
-            fed_tabs = [
+            call_tabs = [
                 table(kind, name, fed[source]) if source in fed else bound
                 for (kind, name), source, bound in zip(binding.tabs, follows, tabs)
             ]
-            table_ptrs = pointers(fed_tabs)
-        rc = lib.run(pointers(bufs), table_ptrs, ipar_ptr, fpar_ptr)
+            tab_ptrs, tab_starts = pointers(call_tabs)
+        buf_ptrs, starts = pointers(bufs)
+        # The no-overlap contract the SIMD loops rest on: what the kernel stores
+        # to is disjoint from every other operand of the call.  One sweep in
+        # address order; ``holder`` is the operand reaching furthest so far.
+        given, starts = bufs + call_tabs, starts + tab_starts
+        reach = holder = -1
+        for slot in sorted(slots, key=starts.__getitem__):
+            start, size = starts[slot], given[slot].nbytes
+            if size and start < reach and (slot in stored_slots or holder in stored_slots):
+                target, other = (slot, holder) if slot in stored_slots else (holder, slot)
+                raise ValueError(
+                    f"buffer {names[target]!r} is stored to and shares memory with "
+                    f"{names[other]!r}: operands of a native kernel may not overlap"
+                )
+            if start + size > reach:
+                reach, holder = start + size, slot
+        rc = lib.run(buf_ptrs, tab_ptrs, ipar_ptr, fpar_ptr)
         if rc != 0:
             raise RuntimeError(f"native kernel returned {rc}")
         return arrays

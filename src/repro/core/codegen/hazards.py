@@ -1,4 +1,4 @@
-"""Read-after-write hazard analysis for whole-array execution of stage-III nests.
+"""Dependence analysis of stage-III nests: what may run out of serial order.
 
 The emitted NumPy tier (:mod:`~repro.core.codegen.emit_numpy`) flattens every
 loop nest into *lanes* — one entry per iteration-space point, in serial loop
@@ -17,6 +17,11 @@ A program the analysis cannot prove safe raises
 :meth:`repro.core.codegen.build.Kernel.run` executes it on the native tier or
 the scalar interpreter, so the analysis is never a correctness risk.
 
+The native tier asks the same question of one loop at a time:
+:func:`loop_independence` proves that the iterations of an innermost loop
+touch distinct elements, which is what lets :mod:`~repro.core.codegen.emit_c`
+print it under ``#pragma omp simd`` without changing a bit of the result.
+
 The module also holds the two plan-time helpers emitted kernels call through
 their ``helpers`` namespace (:func:`coords_to_positions`,
 :func:`sorted_axis_keys`).
@@ -24,7 +29,7 @@ their ``helpers`` namespace (:func:`coords_to_positions`,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +40,19 @@ from ..axes import (
     SparseFixedAxis,
     SparseVariableAxis,
 )
-from ..expr import Add, BufferLoad, Expr, Mul, post_order, structural_equal
+from ..expr import (
+    Add,
+    BufferLoad,
+    Expr,
+    IntImm,
+    Mul,
+    Sub,
+    Var,
+    children,
+    post_order,
+    simplify,
+    structural_equal,
+)
 from ..nputils import MAX_LANES
 from ..program import PrimFunc
 from ..stmt import (
@@ -50,12 +67,15 @@ from ..stmt import (
     Stmt,
     collect_buffer_loads,
     collect_buffer_stores,
+    find_loops,
     post_order_stmts,
 )
 
 __all__ = [
     "UnsupportedForEmission",
+    "affine_in",
     "analyze_hazards",
+    "loop_independence",
     "coords_to_positions",
     "sorted_axis_keys",
 ]
@@ -160,6 +180,73 @@ def _match_reduction(store: BufferStore) -> StoreForm:
             and structural_equal(load.indices[0], store.indices[0])
         ):
             return op, residual
+    return None
+
+
+def _mentions(expr: Expr, var: Var) -> bool:
+    return expr is var or any(_mentions(kid, var) for kid in children(expr))
+
+
+def affine_in(expr: Expr, var: Var) -> Optional[Tuple[Expr, Expr]]:
+    """``(base, stride)`` with ``expr == base + stride * var``, or ``None``."""
+    if expr is var:
+        return IntImm(0), IntImm(1)
+    if isinstance(expr, (Add, Sub, Mul)):
+        a, b = affine_in(expr.a, var), affine_in(expr.b, var)
+        if a is None or b is None:
+            return None
+        if not isinstance(expr, Mul):
+            return type(expr)(a[0], b[0]), type(expr)(a[1], b[1])
+        for (base, stride), other in ((a, b), (b, a)):
+            if isinstance(other[1], IntImm) and other[1].value == 0:  # var-free factor
+                return Mul(base, other[0]), Mul(stride, other[0])
+        return None
+    return None if _mentions(expr, var) else (expr, IntImm(0))
+
+
+def loop_independence(loop: ForLoop, written: AbstractSet[str]) -> Optional[str]:
+    """Why the iterations of *loop* may not run as SIMD lanes; ``None`` if they may.
+
+    *written* names the buffers the enclosing nest stores to (differently
+    named buffers never overlap; every other buffer is constant while the nest
+    runs).  The iterations are independent when *loop* is innermost and
+
+    * every store under it indexes ``base + var`` with ``base`` free of the
+      loop variable — iteration ``k`` owns element ``base + k`` and no other
+      (a reduction, whose store does not move, a strided or a data-dependent
+      scatter do not qualify) — and stores to one buffer share that index;
+    * every load of a written buffer is the accumulator of a self-update
+      (:func:`_match_reduction`): it reads exactly the element its own
+      iteration stores.  Any other read of a written buffer — a shifted
+      ``C[k - 1]``, a bound, a condition, a search argument, the value of
+      another store — could see a different iteration's store.
+
+    Lanes are then distinct elements and each element is computed by the serial
+    sequence of operations, so any interleaving gives the serial bits.
+    """
+    var = loop.loop_var
+    if find_loops(loop.body):
+        return f"{var.name!r} is not an innermost loop"
+    targets: Dict[str, Expr] = {}
+    accumulators = set()
+    for store in collect_buffer_stores(loop):
+        name = store.buffer.name
+        moved = affine_in(store.indices[0], var) if len(store.indices) == 1 else None
+        stride = None if moved is None else simplify(moved[1])
+        if not (isinstance(stride, IntImm) and stride.value == 1):
+            return f"the store to {name!r} does not move with {var.name!r} at unit stride"
+        if not structural_equal(targets.setdefault(name, store.indices[0]), store.indices[0]):
+            return f"stores to {name!r} at two different indices"
+        form = _match_reduction(store)
+        if form is not None:  # the operand of the update that is not its residual
+            value = store.value
+            accumulators.add(id(value.b if form[1] is value.a else value.a))
+    for load in collect_buffer_loads(loop):
+        if load.buffer.name in written and id(load) not in accumulators:
+            return (
+                f"reads {load.buffer.name!r}, which the nest writes, other than as "
+                "the accumulator of a self-update"
+            )
     return None
 
 

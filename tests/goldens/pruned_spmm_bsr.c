@@ -1,5 +1,5 @@
 /* 'pruned_spmm_bsr': its stage-III loop nests in the interpreter's order, sizes in ipar.
- * Generated by repro.core.codegen.emit_c v2; do not edit. */
+ * Generated by repro.core.codegen.emit_c v3; do not edit. */
 #include <stdint.h>
 #define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
 #define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))
@@ -34,7 +34,9 @@ static void _k1(const int32_t *JB_indptr, float *Y, const float *W, const float 
 					const float _t11 = _LD(W, _t10 + bj, ip[8]);
 					const int64_t _t14 = (_t13 + bj) * ip[15];
 					if (_t15 && _IN2(_t14, _t14 + (ip[4] - 1), ip[11])) {
-						for (int64_t k = 0, _t5 = ip[4]; k < _t5; ++k)
+						const int64_t _t5 = ip[4];
+						#pragma omp simd
+						for (int64_t k = 0; k < _t5; ++k)
 							Y[_t7 + k] = Y[_t7 + k] + (_t11 * X[_t14 + k]);
 					} else {
 						for (int64_t k = 0, _t5 = ip[4]; k < _t5; ++k)

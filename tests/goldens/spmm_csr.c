@@ -1,5 +1,5 @@
 /* 'spmm': its stage-III loop nests in the interpreter's order, sizes in ipar.
- * Generated by repro.core.codegen.emit_c v2; do not edit. */
+ * Generated by repro.core.codegen.emit_c v3; do not edit. */
 #include <stdint.h>
 #define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
 #define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))
@@ -24,7 +24,9 @@ static void _k1(const int32_t *J_indptr, float *C, const float *A, const float *
 			const float _t6 = _LD(A, _t5 + j, ip[5]);
 			const int64_t _t8 = (int64_t)_LD(J_indices, _t7 + j, ip[7]) * ip[9];
 			if (_t9 && _IN2(_t8, _t8 + (ip[2] - 1), ip[6])) {
-				for (int64_t k = 0, _t3 = ip[2]; k < _t3; ++k)
+				const int64_t _t3 = ip[2];
+				#pragma omp simd
+				for (int64_t k = 0; k < _t3; ++k)
 					C[_t4 + k] = C[_t4 + k] + (_t6 * B[_t8 + k]);
 			} else {
 				for (int64_t k = 0, _t3 = ip[2]; k < _t3; ++k)

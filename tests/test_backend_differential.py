@@ -17,6 +17,10 @@ reproduces by construction (dropped stores, zero loads, serial scatter
 order, nests the hazard analysis rejects) and that one program family costs
 one compilation.
 
+``TestIndependentFeatureLoops`` / ``TestLoopsThatStaySerial`` are the two
+sides of the native tier's SIMD marks: loops the independence proof accepts
+are run at every vector remainder, loops it must reject print no pragma.
+
 Every operator case also runs twice through one ``Session``: the second call
 is served by the memoised bound-kernel handle (the warm path) and must equal
 an interpreter session's result bit for bit.
@@ -31,15 +35,16 @@ from repro.core.codegen import emit_c
 from repro.core.codegen.build import build
 from repro.core.codegen.emit_c import toolchain_available
 from repro.core.codegen.emit_numpy import UnsupportedForEmission, emit_numpy_source
-from repro.core.codegen.hazards import analyze_hazards
+from repro.core.codegen.hazards import analyze_hazards, loop_independence
 from repro.core.expr import Var
 from repro.core.program import STAGE_LOOP, PrimFunc
-from repro.core.stmt import BufferStore, ForLoop, SeqStmt
+from repro.core.stmt import BufferStore, ForLoop, SeqStmt, collect_buffer_stores, find_loops
 from repro.formats.bsr import BSRMatrix
 from repro.formats.csf import CSFTensor
 from repro.formats.csr import CSRMatrix
 from repro.formats.hyb import HybFormat
 from repro.ops.batched import build_batched_sddmm_program, build_batched_spmm_program
+from repro.ops.elementwise import build_add_program, build_gemm_program, build_relu_program
 from repro.ops.pruned_spmm import build_pruned_spmm_bsr_program
 from repro.ops.rgms import build_rgms_program
 from repro.ops.sddmm import build_sddmm_program
@@ -402,6 +407,172 @@ class TestGraphChainDifferential:
         fused, unfused = g1.compile(fuse=True), g2.compile(fuse=False)
         assert fused.num_kernel_launches < unfused.num_kernel_launches
         assert np.array_equal(fused.run()[out1.name], unfused.run()[out2.name])
+
+
+#: One width per remainder of the 2-, 4- and 8-lane vector loops and their epilogues.
+WIDTHS = st.sampled_from([1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 24, 31, 33])
+
+SIMD = "#pragma omp simd"
+
+
+def lowered(func):
+    return build(func, cache=False).func
+
+
+class TestIndependentFeatureLoops:
+    """Loops the independence proof marks ``omp simd``: lanes are distinct
+    output elements, so every feature width — every vector remainder — must
+    stay bit-identical to the interpreter in float32 and float64."""
+
+    @settings(**SETTINGS)
+    @given(
+        rows=st.integers(1, 8), cols=st.integers(1, 8), feat=WIDTHS,
+        density=st.floats(0.1, 0.8), dtype=dtypes, seed=st.integers(0, 2**16),
+    )
+    def test_spmm(self, rows, cols, feat, density, dtype, seed):
+        csr = CSRMatrix.from_dense(random_dense(rows, cols, density, dtype, seed))
+        feats = np.random.default_rng(seed + 1).standard_normal((cols, feat)).astype(dtype)
+        func = build_spmm_program(csr, feat, feats, dtype=np.dtype(dtype).name)
+        assert emit_c.emit_c_source(lowered(func))[0].count(SIMD) == 1
+        assert_tiers_bit_exact(func)
+
+    @settings(**SETTINGS)
+    @given(
+        heads=st.integers(1, 2), rows=st.integers(1, 6), cols=st.integers(1, 6), feat=WIDTHS,
+        density=st.floats(0.1, 0.8), dtype=dtypes, seed=st.integers(0, 2**16),
+    )
+    def test_batched_spmm(self, heads, rows, cols, feat, density, dtype, seed):
+        csr = CSRMatrix.from_dense(random_dense(rows, cols, density, dtype, seed))
+        feats = np.random.default_rng(seed + 4).standard_normal((heads, cols, feat)).astype(dtype)
+        func = build_batched_spmm_program(csr, heads, feat, feats, dtype=np.dtype(dtype).name)
+        assert SIMD in emit_c.emit_c_source(lowered(func))[0]
+        assert_tiers_bit_exact(func)
+
+    @settings(**SETTINGS)
+    @given(
+        block_rows=st.integers(1, 3), block_cols=st.integers(1, 3),
+        block_size=st.sampled_from([1, 2, 4]), seq=WIDTHS,
+        density=st.floats(0.2, 1.0), seed=st.integers(0, 2**16),
+    )
+    def test_pruned_spmm_bsr(self, block_rows, block_cols, block_size, seq, density, seed):
+        rows, cols = block_rows * block_size, block_cols * block_size
+        bsr = BSRMatrix.from_dense(random_dense(rows, cols, density, np.float32, seed), block_size)
+        x = np.random.default_rng(seed + 3).standard_normal((cols, seq)).astype(np.float32)
+        func = build_pruned_spmm_bsr_program(bsr, seq, x)
+        assert emit_c.emit_c_source(lowered(func))[0].count(SIMD) == 1
+        assert_tiers_bit_exact(func)
+
+    @settings(**SETTINGS)
+    @given(
+        op=st.sampled_from(["gemm", "add", "relu"]), m=st.integers(1, 4), k=st.integers(1, 4),
+        n=WIDTHS, dtype=dtypes, seed=st.integers(0, 2**16),
+    )
+    def test_dense_ops(self, op, m, k, n, dtype, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, k if op == "gemm" else n)).astype(dtype)
+        b = rng.standard_normal((k if op == "gemm" else m, n)).astype(dtype)
+        name = np.dtype(dtype).name
+        if op == "gemm":
+            func = build_gemm_program(m, k, n, a, b, dtype=name)
+        elif op == "add":
+            func = build_add_program(m, n, a, b, dtype=name)
+        else:
+            func = build_relu_program(m, n, a, dtype=name)
+        assert emit_c.emit_c_source(lowered(func))[0].count(SIMD) == 1
+        assert_tiers_bit_exact(func)
+
+
+def serial_programs():
+    """name -> (program, bindings, what the proof must say): innermost loops
+    whose iterations are *not* independent.  Each would compute something else
+    if its iterations ran as lanes, so none may carry the mark."""
+    f32 = lambda *values: np.array(values, dtype=np.float32)  # noqa: E731
+    i, k = Var("i"), Var("k")
+    programs = {}
+
+    b, c = FlatBuffer("B", 9), FlatBuffer("C", 9)
+    nest = ForLoop(k, 1, 8, BufferStore(c, [k], c[k - 1] + b[k]))
+    programs["shifted_read"] = (
+        _loop_program("prefix_sum", nest, b, c),
+        {"B": np.arange(9, dtype=np.float32), "C": f32(1, 0, 0, 0, 0, 0, 0, 0, 0)},
+        "reads 'C'",
+    )
+
+    rowmap = FlatBuffer("rowmap", 6, dtype="int32")
+    x, acc = FlatBuffer("x", 6), FlatBuffer("acc", 3)
+    nest = ForLoop(i, 0, 6, BufferStore(acc, [rowmap[i]], acc[rowmap[i]] + x[i]))
+    programs["rowmap_scatter"] = (
+        _loop_program("rowmap_scatter", nest, rowmap, x, acc),
+        {"rowmap": np.array([0, 2, 0, 0, 2, 0], dtype=np.int32), "x": f32(1e8, 1, 1, -1e8, 3, 1)},
+        "store to 'acc' does not move",
+    )
+
+    x, out = FlatBuffer("x", 8), FlatBuffer("out", 16)
+    nest = ForLoop(k, 0, 8, BufferStore(out, [k * 2], out[k * 2] + x[k]))
+    programs["stride_2"] = (
+        _loop_program("stride_2", nest, x, out),
+        {"x": np.arange(8, dtype=np.float32)},
+        "store to 'out' does not move",
+    )
+
+    x, out = FlatBuffer("x", 12), FlatBuffer("out", 3)
+    nest = ForLoop(i, 0, 3, ForLoop(k, 0, 4, BufferStore(out, [i], out[i] + x[i * 4 + k])))
+    programs["stride_0"] = (
+        _loop_program("stride_0", nest, x, out),
+        {"x": f32(1e8, 1, -1e8, 1, 1, 2, 3, 4, 0.1, 0.2, 0.3, 0.4)},
+        "store to 'out' does not move",
+    )
+
+    x, a, b2 = FlatBuffer("x", 8), FlatBuffer("a", 9), FlatBuffer("b", 8)
+    body = SeqStmt([BufferStore(a, [k], x[k] + 1.0), BufferStore(b2, [k], a[k + 1] * 2.0)])
+    programs["two_stores"] = (
+        _loop_program("two_stores", ForLoop(k, 0, 8, body), x, a, b2),
+        {"x": np.arange(8, dtype=np.float32), "a": np.full(9, -5.0, dtype=np.float32)},
+        "reads 'a'",
+    )
+
+    m = FlatBuffer("m", 6, dtype="int32")
+    y = FlatBuffer("y", 5, dtype="int32")
+    nest = ForLoop(k, 0, m[0], BufferStore(m, [k + 1], m[k + 1] + y[k]))
+    programs["bound_loads_written"] = (
+        _loop_program("bound_loads_written", nest, m, y),
+        {"m": np.array([4, 1, 1, 1, 1, 1], dtype=np.int32), "y": np.arange(5, dtype=np.int32)},
+        "reads 'm'",
+    )
+    return programs
+
+
+class TestLoopsThatStaySerial:
+    """No pragma without a proof: each of these prints the C it printed before
+    the proof existed, and still equals the interpreter."""
+
+    @pytest.mark.parametrize("name", sorted(serial_programs()))
+    def test_hand_built_loop(self, name):
+        func, bindings, reason = serial_programs()[name]
+        loop = find_loops(func.body)[0]  # post order: the innermost one
+        written = {store.buffer.name for store in collect_buffer_stores(func.body)}
+        assert reason in loop_independence(loop, written)
+        assert "#pragma" not in emit_c.emit_c_source(func)[0]
+        if toolchain_available():
+            assert_native_equals_interpreter(func, bindings)
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    def test_sddmm_reduction_loop(self, fuse):
+        """``OUT[p] += X[i, k] * Y[k, j]``: the store does not move with ``k``."""
+        csr = CSRMatrix.from_dense(random_dense(6, 7, 0.5, np.float32, 9))
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((6, 17)).astype(np.float32)
+        y = rng.standard_normal((17, 7)).astype(np.float32)
+        func = build_sddmm_program(csr, 17, x, y, fuse_ij=fuse)
+        assert "#pragma" not in emit_c.emit_c_source(lowered(func))[0]
+        assert_tiers_bit_exact(func)
+
+    def test_an_outer_loop_is_never_independent(self):
+        """``C[i + k]`` moves with ``i`` at unit stride, yet rows overlap."""
+        x, c, i, k = FlatBuffer("x", 4), FlatBuffer("C", 8), Var("i"), Var("k")
+        outer = ForLoop(i, 0, 4, ForLoop(k, 0, 4, BufferStore(c, [i + k], c[i + k] + x[k])))
+        assert "not an innermost loop" in loop_independence(outer, {"C"})
+        assert loop_independence(outer.body, {"C"}) is None
 
 
 needs_cc = pytest.mark.skipif(not toolchain_available(), reason="no C compiler available")

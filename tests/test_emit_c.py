@@ -11,6 +11,7 @@ process reuses a warm native artifact with zero compilation.
 import difflib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,148 @@ class TestGoldenCSources:
         for key in expected:
             assert expected[key].dtype == got[key].dtype, key
             assert np.array_equal(expected[key], got[key]), key
+
+
+SIMD = "#pragma omp simd"
+
+
+def _spmm_stage2(csr, feat=4):
+    from repro.core.stage2.lowering import lower_sparse_iterations
+
+    return lower_sparse_iterations(build_spmm_program(csr, feat))
+
+
+class TestSimdMarks:
+    """Which loops carry ``#pragma omp simd``: exactly the unchecked bodies the
+    independence proof accepts, printed as canonical OpenMP loops."""
+
+    def test_csr_spmm_marks_its_feature_loop_once(self):
+        source, _ = emit_c_source(canonical_lowered("spmm_csr"))
+        assert source.count(SIMD) == 1
+        # Canonical form: the bound in front of the pragma, a plain header under it.
+        marked = re.search(
+            r"const int64_t (_t\d+) = ip\[\d+\];\n\t+#pragma omp simd\n"
+            r"\t+for \(int64_t k = 0; k < \1; \+\+k\)\n\t+C\[",
+            source,
+        )
+        assert marked, source
+        # The checked fallback keeps the serial header and carries no mark.
+        assert source.count("for (int64_t k = 0, _t") == 2
+
+    def test_goldens_carry_the_expected_marks(self):
+        counts = {
+            name: (GOLDEN_DIR / f"{name}.c").read_text().count(SIMD)
+            for name in ("spmm_csr", "pruned_spmm_bsr", "sddmm_csr_fused")
+        }
+        assert counts == {"spmm_csr": 1, "pruned_spmm_bsr": 1, "sddmm_csr_fused": 0}
+
+    def test_hyb_marks_one_loop_per_distinct_bucket_nest(self):
+        from repro.formats.hyb import HybFormat
+        from repro.ops.spmm import build_spmm_hyb_program
+
+        csr = CSRMatrix.random(rows=40, cols=30, density=0.2, seed=5)
+        hyb = HybFormat.from_csr(csr, num_col_parts=2, num_buckets=3)
+        source, _ = emit_c_source(build(build_spmm_hyb_program(hyb, 4), cache=False).func)
+        definitions, run = source.split("int run(")
+        nests = [text for text in definitions.split("static void ")[1:] if "rowmap" in text]
+        calls = len(re.findall(r"_k\d+\(", run)) - 1  # all but the zeroing nest
+        assert 1 <= len(nests) < calls == len(hyb.buckets)  # same-shape buckets share a function
+        assert all(text.count(SIMD) == 1 for text in nests)
+        assert source.count(SIMD) == len(nests)
+
+    def test_fused_rgcn_marks_every_member_kind(self):
+        from repro.formats.csf import CSFTensor
+        from repro.models.rgcn import RGCN
+        from repro.runtime.session import Session
+
+        rng = np.random.default_rng(0)
+        adjacency = CSFTensor.from_dense((rng.random((3, 25, 25)) < 0.15).astype(np.float32))
+        model = RGCN(adjacency, in_feats=4, hidden=5, num_classes=3)
+        feats = rng.standard_normal((25, 4)).astype(np.float32)
+        forward = model.compile(Session(persistent=False), feats, fuse=True)
+        (unit,) = forward.compiled.units
+        source, _ = emit_c_source(unit.kernel.func)
+        marked = re.findall(r"#pragma omp simd\n\t+for \(int64_t n\d+_(\w+) = 0;[^\n]*\n\t+(\S+)\[", source)
+        # rgms accumulates Y over l0, gemm C over j, add and relu store C over j.
+        stores = {re.sub(r"n\d+_", "", target) + ":" + var for var, target in marked}
+        assert stores == {"Y:l0", "C:j"} and len(marked) == 4
+        for line in source.split(SIMD)[1:]:
+            assert "_LD(" not in line.split(";", 2)[1]  # the marked body is the unchecked one
+
+    def test_flags_stay_at_o2_with_the_simd_door_open(self):
+        assert all(isinstance(flag, str) for flag in emit_c.CFLAGS)
+        assert "-O2" in emit_c.CFLAGS and "-ffp-contract=off" in emit_c.CFLAGS
+        assert "-fopenmp-simd" in emit_c.CFLAGS
+        assert not {"-O3", "-Ofast", "-ffast-math", "-fopenmp", "-march=native"} & set(emit_c.CFLAGS)
+
+    @needs_cc
+    @pytest.mark.parametrize("name", ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr"])
+    def test_the_compiler_vectorises_every_marked_loop(self, name, tmp_path):
+        """A pragma the compiler ignores must fail here, not ship as a comment:
+        compile the committed golden with the production flags and read GCC's
+        vectoriser report — one vectorised loop per mark, none elsewhere."""
+        version = subprocess.run(
+            [find_compiler(), "--version"], capture_output=True, text=True
+        ).stdout.lower()
+        if "clang" in version or "free software foundation" not in version:
+            pytest.skip("-fopt-info-vec-optimized is a GCC report")
+        path = GOLDEN_DIR / f"{name}.c"
+        proc = subprocess.run(
+            [
+                find_compiler(), *emit_c.CFLAGS, "-fopt-info-vec-optimized",
+                "-Werror=unknown-pragmas", str(path), "-o", str(tmp_path / "k.so"), "-lm",
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = path.read_text().splitlines()
+        marks = [n for n, line in enumerate(lines, 1) if line.strip() == SIMD]
+        report = re.findall(r":(\d+):\d+: optimized: loop vectorized", proc.stderr)
+        loops = sorted({int(n) for n in report})  # main loop and epilogue share a location
+        # GCC places a loop at its header or its first statement: the two lines under a mark.
+        assert len(loops) == len(marks), proc.stderr
+        assert all(mark < loop <= mark + 2 for mark, loop in zip(marks, loops)), proc.stderr
+
+
+class TestScheduleDoor:
+    """``Schedule.vectorize`` reaches the C through the proof, like every loop."""
+
+    def test_vectorize_on_the_feature_loop_prints_the_unscheduled_text(self, csr):
+        from repro.core.stage2.schedule import Schedule
+
+        plain = emit_c_source(build(_spmm_stage2(csr), cache=False).func)
+        schedule = Schedule(_spmm_stage2(csr))
+        schedule.vectorize(schedule.get_loops("spmm_compute")[-1])
+        scheduled = emit_c_source(build(schedule.func, cache=False).func)
+        assert scheduled == plain and plain[0].count(SIMD) == 1 and plain[1].serial == ()
+
+    def test_unroll_stays_unread(self, csr):
+        from repro.core.stage2.schedule import Schedule
+
+        schedule = Schedule(_spmm_stage2(csr))
+        schedule.unroll(schedule.get_loops("spmm_compute")[-1])
+        plain = emit_c_source(build(_spmm_stage2(csr), cache=False).func)
+        assert emit_c_source(build(schedule.func, cache=False).func) == plain
+
+    def test_vectorize_on_a_reduction_loop_stays_serial_and_says_why(self, csr):
+        from repro.core.stage2.lowering import lower_sparse_iterations
+        from repro.core.stage2.schedule import Schedule
+        from repro.ops.sddmm import build_sddmm_program
+
+        stage2 = lambda: lower_sparse_iterations(build_sddmm_program(csr, 5))  # noqa: E731
+        schedule = Schedule(stage2())
+        loop = schedule.vectorize(schedule.get_loops("sddmm_compute")[-1])
+        kernel = build(schedule.func, cache=False)
+        source, binding = emit_c_source(kernel.func)
+        assert "#pragma" not in source
+        assert source == emit_c_source(build(stage2(), cache=False).func)[0]
+        ((what, why),) = binding.serial
+        assert what == f"vectorize {loop.loop_var.name}" and "does not move" in why
+        if toolchain_available():
+            out = kernel.run()
+            assert kernel.last_engine == "native"
+            assert kernel.declined == {what: why}
+            assert np.array_equal(out["OUT"], kernel.run(engine="interpret")["OUT"])
 
 
 class TestUnsupportedConstructs:
@@ -431,12 +574,32 @@ class TestNativeRunnerProtocol:
         assert len(calls) == 1
         assert np.allclose(out["C"].reshape(csr.rows, 4), spmm_reference(csr, x), atol=1e-4)
 
-    def _runner_and_arrays(self, csr):
-        kernel, x = _build_once(csr, cache=False)
+    def test_a_rejected_flag_is_diagnosable_from_the_decline(self, csr, tmp_path, monkeypatch):
+        """A compiler that refuses a flag fails every native build; the decline
+        names the compiler, its version and the command line's flags."""
+        fake = tmp_path / "fakecc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            'if [ "$1" = --version ]; then echo "fakecc 0.1 (test)"; echo second line; exit 0; fi\n'
+            "echo \"fakecc: error: unrecognized command-line option '-fopenmp-simd'\" >&2\n"
+            "exit 1\n"
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv("CC", str(fake))
+        kernel, _ = _build_once(csr, cache=False)
+        kernel.run()
+        assert kernel.last_engine == "emitted"
+        reason = kernel.declined["native"]
+        assert reason.startswith("NativeBuildError: C compilation failed (exit 1)")
+        assert f"{fake} [fakecc 0.1 (test)] {' '.join(emit_c.CFLAGS)}" in reason
+        assert "unrecognized command-line option '-fopenmp-simd'" in reason
+
+    def _runner_and_arrays(self, csr, feat=4):
+        kernel, x = _build_once(csr, cache=False, feat=feat)
         source, binding = emit_c_source(kernel.func)
         arrays = {
             "A": csr.data.copy(), "B": x.reshape(-1).copy(),
-            "C": np.zeros(csr.rows * 4, dtype=np.float32),
+            "C": np.zeros(csr.rows * feat, dtype=np.float32),
         }
         return emit_c.load_native(kernel.func, source, binding), arrays
 
@@ -466,6 +629,42 @@ class TestNativeRunnerProtocol:
         with pytest.raises(ValueError) as error:
             run({**arrays, "J_indptr": make(csr.rows + 1)})
         assert f"table 'J_indptr' {said}, bound as contiguous int32[17]" in str(error.value)
+
+    def test_overlapping_operands_are_refused(self, csr):
+        """The SIMD marks assert that differently named buffers never overlap;
+        a stored buffer handed in under a second name is refused, never run."""
+        run, arrays = self._runner_and_arrays(csr)
+        expected = run({name: array.copy() for name, array in arrays.items()})["C"]
+        shared = np.zeros(max(arrays["B"].size, arrays["C"].size), dtype=np.float32)
+        shared[: arrays["B"].size] = arrays["B"]
+        aliased = {**arrays, "B": shared[: arrays["B"].size], "C": shared[: arrays["C"].size]}
+        with pytest.raises(ValueError, match="'C' is stored to and shares memory with 'B'"):
+            run(aliased)
+        assert np.array_equal(shared[: arrays["B"].size], arrays["B"])  # nothing ran
+        # A partial overlap and a fed index table count too; disjoint views of one
+        # allocation do not.
+        pool = np.zeros(2 * arrays["C"].size, dtype=np.float32)
+        with pytest.raises(ValueError, match="shares memory with 'A'"):
+            run({**arrays, "C": pool[: arrays["C"].size], "A": pool[4 : 4 + arrays["A"].size]})
+        table = np.zeros(arrays["C"].size, dtype=np.int32)
+        table[: csr.rows + 1] = csr.indptr
+        with pytest.raises(ValueError, match="shares memory with 'J_indptr'"):
+            run({**arrays, "C": table.view(np.float32), "J_indptr": table[: csr.rows + 1]})
+        halves = {**arrays, "C": pool[: arrays["C"].size], "A": pool[arrays["C"].size :][: arrays["A"].size]}
+        halves["A"][:] = arrays["A"]
+        assert np.array_equal(run(halves)["C"], expected)
+
+    def test_overlap_is_found_behind_an_operand_in_between(self, csr):
+        """Read-only operands may alias each other; a stored buffer inside one
+        of them is found even when another operand sits between the two."""
+        run, arrays = self._runner_and_arrays(csr, feat=1)
+        a, b, c = (arrays[name].size for name in "ABC")
+        assert a >= 2 * b + c
+        pool = np.zeros(a, dtype=np.float32)
+        inside = {"A": pool, "B": pool[:b], "C": pool[2 * b : 2 * b + c]}
+        with pytest.raises(ValueError, match="'C' is stored to and shares memory with 'A'"):
+            run(inside)
+        run({**inside, "C": np.zeros(c, dtype=np.float32)})  # A and B alias: both only read
 
     def test_rebound_table_runs_native_and_wrong_length_raises(self, csr):
         kernel, _ = _build_once(csr, cache=False)
