@@ -174,6 +174,15 @@ def _run_suite(mode, config, output):
         session = Session(persistent=False)
         fused = model.compile(session, x, fuse=True)
         unfused = model.compile(session, x, fuse=False)
+        (unit,) = fused.compiled.units
+        if unit.kernel.fast_tier() == "native":
+            # Contraction happened, not just a new text: of the unit's 4R + 3
+            # values per layer only the graph output is still an operand (the
+            # hidden layer is the kernel's own scratch, the rest are tiles) —
+            # 2R + 4 operands per layer where every value used to add one.
+            bufs = unit.kernel._tier("native")[0][1].bufs
+            assert [name for _value, name, _spec in unit.produced if name in bufs] == [unit.produced[-1][1]]
+            assert len(bufs) == len(unit.node_ids) + 1 < 2 * len(unit.node_ids)
         _record(results, "rgcn", f"{graph_name}-R{relations}-d{feat}",
                 fused.compiled, unfused.compiled,
                 fused.output_name, unfused.output_name, rounds, calls)

@@ -29,14 +29,17 @@ def _reason(exc: Exception) -> str:
 # target and a ``load(func, emitted, cache, key)`` that turns the print into a
 # ``run(arrays)`` closure.  ``cache``/``key`` name the kernel's artifact store
 # (both ``None`` for an uncached kernel): the emitted tier keeps its print
-# there (``<key>.py``), the native tier what the C compiler made of it
-# (``<key>.so``), so a later process loads either without redoing the work.
+# there (``<key>.py``), the native tier its print, the print's binding and what
+# the C compiler made of it (``<key>.c``, ``.json``, ``.so``), so a later
+# process loads either without redoing the work.
 
 
 def _emit_native(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str]) -> Any:
     if not toolchain_available():
         raise _Unavailable("no toolchain")
-    return emit_c_source(func)
+    disk = cache.disk if cache is not None else None
+    stored = disk.get_native_source(key) if disk is not None else None
+    return emit_c_source(func) if stored is None else stored
 
 
 def _load_native(
@@ -230,7 +233,10 @@ class Kernel:
 
         Beside the tiers, ``"vectorize <loop>"`` names a loop a schedule asked
         to vectorize that the native emitter kept serial, with what its
-        independence proof found (a reduction, a shifted read, ...).
+        independence proof found (a reduction, a shifted read, ...), and
+        ``"fuse <nest>"`` a nest that ended a fused region, with what the
+        region proof found (it gathers rows of a member's output, its row
+        extent differs, ...).
         """
         declined = dict(self._entry.declined)
         native = self._entry.tiers.get("native", (None,))[0]

@@ -223,9 +223,11 @@ class DiskKernelCache:
       valid when its first line names this fingerprint and the hash of the
       rest;
     * ``.c`` / ``.so`` — the native tier's listing and shared object, written
-      when that tier is first asked for; :meth:`get_native` hands the ``.so``
-      out only when the json record matches the native-emitter version, the
-      hash of the re-emitted C source and this machine's platform + ABI tag.
+      when that tier is first asked for, with the listing's binding in the json
+      record; :meth:`get_native_source` hands listing and binding to a later
+      process (so it prints no C), :meth:`get_native` the ``.so`` — each only
+      when the record matches the native-emitter version, the hash of the
+      listing and this machine's platform + ABI tag.
 
     So a fingerprint the native tier serves never has a ``.py``.  Writes are
     atomic (temporary file + :func:`os.replace`); a file that fails its
@@ -389,6 +391,50 @@ class DiskKernelCache:
                 pass
 
     # -- native artifacts ------------------------------------------------------
+    def _native_record(self, key: str) -> Dict[str, Any]:
+        """The json ``native`` record of *key*; raises unless it was written by
+        this native emitter version on this platform + Python ABI."""
+        from .emit_c import NATIVE_VERSION, native_tag
+
+        record = self._meta(key)["native"]
+        if record["native_version"] != NATIVE_VERSION:
+            raise ValueError("native emitter version skew")
+        if record["tag"] != native_tag():
+            raise ValueError("platform/ABI skew")
+        return record
+
+    def get_native_source(self, key: str) -> Optional[Tuple[str, Any]]:
+        """The stored ``(C source, binding)`` of *key*'s native tier, or ``None``.
+
+        What :func:`~repro.core.codegen.emit_c.emit_c_source` returned when the
+        artifact was published, so a warm process loads its kernels without
+        walking their loop nests again.  A record of another emitter version or
+        platform, a listing that does not hash to the recorded value or a
+        binding that does not read back is a miss that drops the artifact: the
+        caller re-emits, recompiles and overwrites.
+        """
+        from .emit_c import NativeBinding, source_sha
+
+        if "native" not in self._meta(key):
+            return None
+        try:
+            record = self._native_record(key)
+            header, _, c_source = self._path(key, ".c").read_text().partition("\n")
+            if header != f"/* fingerprint: {key} */" or source_sha(c_source) != record["source_sha256"]:
+                raise ValueError("native source hash mismatch")
+            stored = record["binding"]
+            binding = NativeBinding(
+                tuple(stored["bufs"]),
+                tuple((kind, name) for kind, name in stored["tabs"]),
+                tuple(int(value) for value in stored["ipar"]),
+                tuple(float(value) for value in stored["fpar"]),
+                tuple((what, why) for what, why in stored["serial"]),
+            )
+        except (OSError, ValueError, KeyError, TypeError):
+            self.discard_native(key)
+            return None
+        return c_source, binding
+
     def get_native(self, key: str, sha: str) -> Optional[Path]:
         """Path of a valid compiled artifact for *key*, or ``None`` on miss.
 
@@ -399,17 +445,10 @@ class DiskKernelCache:
         match the re-emitted source, a planted or truncated file — is a miss
         (the skewed artifact is dropped best-effort so it cannot be retried).
         """
-        from .emit_c import NATIVE_VERSION, native_tag
-
         so_path = self._path(key, ".so")
         try:
-            record = self._meta(key)["native"]
-            if record["native_version"] != NATIVE_VERSION:
-                raise ValueError("native emitter version skew")
-            if record["source_sha256"] != sha:
+            if self._native_record(key)["source_sha256"] != sha:
                 raise ValueError("native source hash mismatch")
-            if record["tag"] != native_tag():
-                raise ValueError("platform/ABI skew")
             if not so_path.exists():
                 raise FileNotFoundError(so_path)
         except (OSError, ValueError, KeyError, TypeError):
@@ -425,12 +464,12 @@ class DiskKernelCache:
             return None
         return self._path(key, ".so")
 
-    def publish_native(self, key: str, c_source: str, sha: str) -> None:
+    def publish_native(self, key: str, c_source: str, sha: str, binding: Any) -> None:
         """Record a freshly compiled artifact's validity metadata.
 
         Called after the ``.so`` landed (atomically) at the reserved path:
         writes the ``.c`` source alongside it and merges the ``native``
-        record into the json metadata.  The json is written last — a crash
+        record — validity and the source's binding — into the json metadata.  The json is written last — a crash
         between the ``.so`` and the json leaves an artifact that simply
         reads as a miss.  Failures are swallowed (the cache is best-effort).
         """
@@ -441,6 +480,7 @@ class DiskKernelCache:
             "native_version": NATIVE_VERSION,
             "source_sha256": sha,
             "tag": native_tag(),
+            "binding": binding._asdict(),
         }
         self._write(
             (self._path(key, ".c"), f"/* fingerprint: {key} */\n{c_source}".encode()),

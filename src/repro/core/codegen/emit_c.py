@@ -12,7 +12,12 @@ needs is no precondition here.  The one place the order is relaxed is proven
 first: the unchecked body of an innermost loop whose iterations
 :func:`~repro.core.codegen.hazards.loop_independence` shows to touch distinct
 elements is printed under ``#pragma omp simd`` — each element still sees the
-serial sequence of operations, so the bits are the interpreter's.
+serial sequence of operations, so the bits are the interpreter's.  The same
+argument carries a *fused region*: consecutive nests that
+:func:`~repro.core.codegen.hazards.fused_regions` proves row- and lane-aligned
+run as one loop over rows with every output element in a fixed-width register
+tile, and a ``local`` buffer only the region touches is that tile and nothing
+else (``docs/runtime.md``, "Fused regions and ``local`` buffers").
 
 * :func:`emit_c_source` returns ``(c_source, binding)``.  ``run(bufs, tabs,
   ipar, fpar)`` reads the value buffers (``bufs``), the program's auxiliary
@@ -44,6 +49,7 @@ emitted NumPy tier, so the native tier is never a correctness risk.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import functools
 import hashlib
 import os
@@ -55,7 +61,9 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import (
+    AbstractSet, Any, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -66,12 +74,20 @@ from .. import stmt as st
 from ..program import STAGE_LOOP, PrimFunc
 from ..stage2.lowering import BINARY_SEARCH, ROW_UPPER_BOUND
 from .emit_numpy import aux_arrays
-from .hazards import UnsupportedForEmission, affine_in, loop_independence
+from .hazards import (
+    RowNest, UnsupportedForEmission, affine_in, fused_regions, loop_independence, sizes_only,
+)
 
 #: Bumped whenever the native-source contract (C layout, binding protocol, or
 #: compile flags) changes; stale on-disk ``.so`` artifacts from an older
 #: version load as cache misses and are rebuilt, never imported.
-NATIVE_VERSION = 3
+NATIVE_VERSION = 4
+
+#: Bytes of one register tile of a fused region: eight float32 or four float64
+#: lanes, the two SSE registers GCC keeps an accumulator in at ``-O2`` (a wider
+#: tile spills; ``docs/runtime.md`` has the measurements).  A constant of the
+#: emitter, never a feature width: the text stays size-free.
+TILE_BYTES = 32
 
 #: Environment variable disabling the native tier (``0`` / ``off`` / ``false``).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -83,8 +99,15 @@ _NATIVE_DISABLED_VALUES = {"0", "off", "false", "disabled", "none", "no"}
 #: ``-fwrapv`` makes signed int64 overflow wrap exactly like NumPy's.
 #: ``-fopenmp-simd`` honours ``#pragma omp simd`` (no OpenMP runtime is linked):
 #: at ``-O2`` GCC vectorises only the loops the emitter proved independent and
-#: marked, never the checked fallback bodies.  The rest slims the artifact — no
-#: symbol table, unwind tables or build id; nothing unwinds through a kernel.
+#: marked, never the checked fallback bodies.  ``-fno-inline-small-functions``:
+#: a copy of a nest inlined into ``run`` (one call a launch) only costs compile
+#: time; what must be inlined is declared ``static inline``.  The rest slims
+#: the artifact — no symbol table, unwind tables or build id (nothing unwinds
+#: through a kernel), and code and read-only data share a page instead of being
+#: padded to one each — which leaves ``.text`` starting wherever the headers
+#: end, so ``-falign-functions=64`` pins every function to a cache line: where a
+#: hot loop falls within one moves a kernel by up to 20 % either way.
+_LINK_FLAGS = ("-Wl,--build-id=none", "-Wl,-z,noseparate-code") if sys.platform.startswith("linux") else ()
 CFLAGS = (
     "-O2",
     "-fPIC",
@@ -93,9 +116,11 @@ CFLAGS = (
     "-ffp-contract=off",
     "-fwrapv",
     "-fopenmp-simd",
+    "-fno-inline-small-functions",
+    "-falign-functions=64",
     "-s",
     "-fno-asynchronous-unwind-tables",
-    *(("-Wl,--build-id=none",) if sys.platform.startswith("linux") else ()),
+    *_LINK_FLAGS,
 )
 
 
@@ -111,13 +136,16 @@ class NativeBuildError(RuntimeError):
 class NativeBinding(NamedTuple):
     """What fills ``run(bufs, tabs, ipar, fpar)`` for one program: no code.
 
-    ``bufs`` names the value buffers in ``bufs[]`` order.  ``tabs`` lists
+    ``bufs`` names the value buffers in ``bufs[]`` order, behind one null slot
+    per ``local`` buffer the program stores to (:func:`local_buffers`: the
+    kernel's own scratch, which ``run`` allocates there).  ``tabs`` lists
     ``(kind, name)`` per table: ``("aux", buffer)`` is an auxiliary buffer in
     its flat dtype, ``("indptr" | "indices", axis)`` that axis array (int64)
     and ``("rowof", axis)`` the row of every position of a variable axis
     (int32, one entry per *position*).  ``ipar`` / ``fpar`` are the scalars.
     ``serial`` is not an operand: ``("vectorize <loop>", reason)`` per loop a
-    schedule asked to vectorize and the independence proof kept serial.
+    schedule asked to vectorize and the independence proof kept serial, and
+    ``("fuse <nest>", reason)`` per nest that ended a fused region.
     """
 
     bufs: Tuple[str, ...]
@@ -195,6 +223,14 @@ _C_RESERVED = {
 #: Includes, macros and helpers; a kernel's source carries the ones it uses.
 _PRELUDE = {
     "libm": "#include <math.h>\n#include <stdlib.h>",
+    # Zeroed scratch for the ``local`` buffers bufs[lo:hi], sizes in bytes.
+    "_alloc": (
+        "#include <stdlib.h>\n"
+        "static int _alloc(void **bufs, const int64_t *bytes, int lo, int hi) {\n"
+        "\tfor (int n = lo; n < hi; ++n)\n"
+        "\t\tif (!(bufs[n] = calloc(bytes[n] > 0 ? bytes[n] : 1, 1))) return 0;\n"
+        "\treturn 1;\n}"
+    ),
     "_IN": "#define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))",
     "_IN2": "#define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))",
     "_LD": "#define _LD(b, i, n) (_IN(i, n) ? (b)[i] : 0)",
@@ -261,11 +297,26 @@ def _spelled(lit: ir.Expr) -> bool:  # 0, 1 and an integer -1 are printed, not p
     return lit.value in (0, 1) or (lit.value == -1 and isinstance(lit, ir.IntImm))
 
 
+def local_buffers(func: PrimFunc) -> List[str]:
+    """The ``local`` value buffers *func* stores to.  On the native tier they
+    are the kernel's own scratch: zero at entry, allocated inside ``run`` (or
+    never, when a fused region keeps them in its tiles), no operand of the
+    call and not among its results."""
+    aux = {buf.name for buf in func.aux_buffers}
+    local = [flat.name for flat in func.flat_buffers if flat.scope == "local" and flat.name not in aux]
+    if not local:  # every eager program: no walk of the body
+        return local
+    stored = {store.buffer.name for store in st.collect_buffer_stores(func.body)}
+    return [name for name in local if name in stored]
+
+
 class _CEmitter:
     """Prints a program as one C function per top-level nest and pass, called
     in the interpreter's order from ``run``.  Nests that differ only in their
     operands and sizes (the buckets of a hyb matrix, the relations of a fused
-    RGCN layer) print the same text and share one function."""
+    RGCN layer) print the same text and share one function.  A fused region
+    is one more function in front of its members' calls: ``run`` makes those
+    only when the region's precondition fails."""
 
     def __init__(self, func: PrimFunc):
         if func.stage != STAGE_LOOP:
@@ -279,25 +330,78 @@ class _CEmitter:
         self.ipar: List[int] = []
         self.fpar: List[float] = []
         self.prelude: set[str] = set()
-        self.functions: Dict[str, str] = {}  # text with placeholder names -> C name
+        self.functions: Dict[Tuple[str, str], str] = {}  # (return type, text with placeholder names) -> C name
         self.definitions: List[str] = []
-        self.serial: Dict[str, str] = {}  # "vectorize <loop>" -> why it stayed serial
+        self.serial: Dict[str, str] = {}  # "vectorize <loop>" / "fuse <nest>" -> why not
+        self.loc: Dict[str, int] = {}  # local buffer -> its slot, in front of the operands'
 
     def operand(self, kind: str, name: str) -> str:
         """The ``bufs[n]`` / ``tabs[n]`` slot of a value buffer or a table."""
+        if kind == "buf" and name in self.loc:
+            return f"bufs[{self.loc[name]}]"
         block, item = (self.bufs, name) if kind == "buf" else (self.tabs, (kind, name))
         if item not in block:
             block.append(item)
-        return f"{'bufs' if kind == 'buf' else 'tabs'}[{block.index(item)}]"
+        offset = len(self.loc) if kind == "buf" else 0
+        return f"{'bufs' if kind == 'buf' else 'tabs'}[{offset + block.index(item)}]"
 
     def emit(self) -> Tuple[str, NativeBinding]:
         body = self.func.body
         nests = body.stmts if isinstance(body, st.SeqStmt) else (body,)
+        regions, declined = fused_regions(nests)
+        self.serial.update(declined)
+        regions = dict(regions)  # first nest -> members
+        home = {first + n: first for first, members in regions.items() for n in range(len(members))}
+        # A local buffer every access to which falls inside one region is
+        # contracted: it lives in that region's tiles, and in memory only on
+        # the region's fallback path.  The first slots of bufs[] are the local
+        # buffers': the others first (run() allocates them up front), then each
+        # region's own.
+        local = local_buffers(self.func)
+        where: Dict[str, set] = {name: set() for name in local}
+        for k, nest in enumerate(nests if local else ()):
+            for access in (*st.collect_buffer_stores(nest), *st.collect_buffer_loads(nest)):
+                if access.buffer.name in where:
+                    where[access.buffer.name].add(home.get(k, -1 - k))
+        contracted = {name: min(at) for name, at in where.items() if len(at) == 1 and min(at) >= 0}
+        order = [name for name in local if name not in contracted]
+        shared, spans = len(order), {}
+        for first in regions:
+            lo = len(order)
+            order += [name for name in local if contracted.get(name) == first]
+            spans[first] = (lo, len(order))
+        self.loc = {name: slot for slot, name in enumerate(order)}
+        self.ipar += [self.flat[name].nbytes() for name in order]  # what _alloc reads
         run: List[str] = []
+        joined: Dict[int, List[str]] = {}  # a member's init call: made beside its compute call
         for mode in ("init", "compute"):  # the interpreter's two passes
-            calls = [call for nest in nests for call in _Nest(self, nest).emit(mode)]
+            calls: List[str] = []
+            for k, nest in enumerate(nests):
+                first = home.get(k)
+                if first == k and mode == "compute":
+                    members = regions[first]
+                    kept = {name for name, at in contracted.items() if at == first}
+                    region = self._emit_region(f"_r{list(regions).index(first)}", members, kept)
+                    lo, hi = spans[first]
+                    fallback = ["++rc;", *([_ALLOC.format(lo, hi)] if hi > lo else [])]
+                call = _Nest(self, nest).emit(mode)
+                if first is None:
+                    calls += call
+                elif mode == "init":
+                    joined[k] = call
+                else:
+                    fallback += joined.pop(k, []) + call
+                    if k == first + len(members) - 1:
+                        calls += [f"if (!{region}) {{", *_indent(fallback), "}"]
             if calls:
                 run += [f"/* {mode} pass */", *calls]
+        tail = ["return 0;"]
+        if regions or order:  # the regions that ran as serial nests, or -1: out of memory
+            run = ["int rc = 0;", *([_ALLOC.format(0, shared)] if shared else []), *run]
+            tail = ["return rc;"]
+        if order:
+            self.prelude.add("_alloc")
+            tail = ["done:", f"for (int n = 0; n < {len(order)}; ++n) free(bufs[n]);", *tail]
         if self.prelude & {"_LD", "_IN2"}:
             self.prelude.add("_IN")
         lines = [
@@ -306,16 +410,110 @@ class _CEmitter:
             "#include <stdint.h>",
             *(text for name, text in _PRELUDE.items() if name in self.prelude),
             *self.definitions,
-            "int run(void **bufs, void **tabs, const int64_t *ipar, const double *fpar)",
+            f"int run(void **bufs, void **tabs, {_RUN_SCALARS})",
             "{",
-            *_indent([*run, "return 0;"]),
+            *_indent([*run, *tail]),
             "}",
         ]
         blocks = (self.bufs, self.tabs, self.ipar, self.fpar, self.serial.items())
         return "\n".join(lines) + "\n", NativeBinding(*map(tuple, blocks))
 
+    def _emit_region(self, label: str, members: Sequence[RowNest], contracted: AbstractSet[str]) -> str:
+        """Define the function *label* of a fused region; the call ``run`` tests.
+
+        One loop over rows, one over tiles of ``TILE_BYTES``; per tile every
+        member in program order (:meth:`_Nest.emit_member`) on tile arrays that
+        stand for the buffers the region writes.  A tile is filled from its
+        buffer first where a member may read what was there, and written back
+        last; a *contracted* buffer has no memory — its tile starts as zeros
+        and is never stored.  Each output element sees the serial sequence of
+        operations.  The function returns 0, having stored nothing, when a
+        member's range test fails or the lane extent is no multiple of the tile.
+        """
+        lead = members[0]
+        strides = {member.name: member.stride for member in members}
+        tiles = {name: f"t{n}" for n, name in enumerate(strides)}
+        dtype = np.dtype(_np_dtype(lead.dtype))
+        width = TILE_BYTES // dtype.itemsize
+        # A tile starts from its buffer's content unless the first member to
+        # touch the buffer overwrites every element whatever was there.
+        seen: set = set()
+        fresh = set()
+        for member in members:
+            reads = {loaded for loaded, _stride in member.loads}
+            if member.plain and member.name not in seen | reads:
+                fresh.add(member.name)
+            seen |= reads | {member.name}
+
+        def spill(name: str, way: str) -> RowNest:
+            """The member that fills the tile of buffer *name* from memory
+            (``"in"``) or with zeros, or writes it back (``"out"``)."""
+            flat, row, lane = self.flat[name], ir.Var("row"), ir.Var("lane")
+            index = ir.Add(ir.Mul(row, ir.IntImm(strides[name])), lane)
+            value: ir.Expr = ir.BufferLoad(flat, [index])
+            if way == "zero":
+                value = ir.FloatImm(0.0) if "float" in flat.dtype else ir.IntImm(0)
+            copy = st.ForLoop(lane, 0, lead.feature.extent, st.BufferStore(flat, [index], value))
+            nest = st.ForLoop(row, 0, lead.loop.extent, copy)
+            return RowNest(nest, copy, name, strides[name], flat.dtype, (), False, True, False)
+
+        ways = [(name, "zero" if name in contracted else "in") for name in strides if name not in fresh]
+        steps = [(spill(name, way), (name, way)) for name, way in ways]
+        steps += [(member, None) for member in members]
+        steps += [(spill(name, "out"), (name, "out")) for name in strides if name not in contracted]
+        calls, checks = [], []
+        for member, memory in steps:
+            call, check = _Nest(self, member.loop).emit_member(member, tiles, width, memory)
+            calls.append(f"{call};")
+            checks += [check] if check else []
+        rows, lanes = (f"ipar[{len(self.ipar) + n}]" for n in (0, 1))
+        self.ipar += [int(lead.loop.extent.value), int(lead.feature.extent.value)]
+        arrays = ", ".join(f"{tile}[{width}]" for tile in tiles.values())
+        body = [
+            f"if (!({' && '.join(dict.fromkeys([f'{lanes} % {width} == 0', *checks]))})) return 0;",
+            f"for (int64_t row = 0; row < {rows}; ++row)",
+            f"\tfor (int64_t start = 0; start < {lanes}; start += {width}) {{",
+            *_indent(_indent([f"{_CDECL[_BUFFER_CTYPES[str(dtype)]]} {arrays};", *calls])),
+            "\t}",
+            "return 1;",
+        ]
+        # It names its operands like run(), from run()'s blocks.
+        head = f"static int {label}(void **bufs, void **tabs, {_RUN_SCALARS})"
+        self.definitions.append("\n".join([head, "{", *_indent(body), "}"]))
+        return f"{label}(bufs, tabs, ipar, fpar)"
+
 
 _PLACEHOLDER = re.compile(r"__(\d+)__")
+_RUN_SCALARS = "const int64_t *ipar, const double *fpar"
+_ALLOC = "if (!_alloc(bufs, ipar, {}, {})) {{ rc = -1; goto done; }}"
+
+_Span = Tuple[ir.Expr, ir.Expr]  # the first and the last value a loop variable takes
+_Test = Tuple[str, List[ir.Expr], "_Scope"]  # a range test: its key, the two ends, where they are bound
+
+
+class _Region:
+    """What the walk of a member of a fused region knows beyond that of a nest."""
+
+    def __init__(
+        self, tiles: Mapping[str, str], feature: st.ForLoop, width: int, start: str,
+        whole: _Span, tile: _Span, memory: Optional[Tuple[str, str]],
+    ):
+        self.tiles = tiles  # buffer the region writes -> its tile array in the region's function
+        self.feature = feature  # the member's lane loop
+        self.width = width  # lanes of a tile
+        self.start = start  # placeholder of the first lane of the tile being computed
+        self.whole, self.tile = whole, tile  # a lane variable's span: over the region, over that tile
+        #: ``(buffer, "in" | "out")`` when the member fills the buffer's tile
+        #: from memory or writes it back: that access is the one to memory.
+        self.memory = memory
+        self.lane = ""  # C name of the lane loop being walked
+        #: Row and dense reduction variables in scope -> their span; the
+        #: accesses a test in front of the region proves in bounds, the scope
+        #: those tests are bound in (they read sizes only) and their names.
+        self.box: Dict[ir.Var, _Span] = {}
+        self.granted: set = set()
+        self.check = _Scope(0, [], {})
+        self.pre: List[str] = []
 
 
 class _Nest:
@@ -353,30 +551,145 @@ class _Nest:
         #: keeps for building that test (replaced once a nested loop is met).
         self._proven: FrozenSet[Tuple[str, str]] = frozenset()
         self._accesses: Optional[List[Tuple[str, ir.Expr]]] = None
+        self._scalars: Optional[List[Tuple[str, str]]] = None  # (declaration, run()'s argument)
+        self._region: Optional[_Region] = None  # set by emit_member only
 
     def emit(self, mode: str) -> List[str]:
         """Define the nest's function for *mode* (unless an identical one
         exists); the call ``run`` makes, or nothing for an empty pass."""
         self._walk(self.nest, mode)
-        if not self._top.lines:
-            return []
+        return [f"{self._define('void', self._top.lines)};"] if self._top.lines else []
+
+    def emit_member(
+        self, member: RowNest, tiles: Mapping[str, str], width: int, memory: Optional[Tuple[str, str]]
+    ) -> Tuple[str, Optional[str]]:
+        """Define a member of a fused region as a function of one row and one
+        tile: its init, then its reduction loops around a constant-trip lane
+        loop on the tile arrays (*tiles*: buffer the region writes -> that array
+        in the region's function).  Returns its call and the call of its range
+        test, a function of the sizes alone that the region makes in front of
+        its loops (``None`` when the member has nothing to test there).
+        """
+        row, start = self._sym(member.loop.loop_var, "row"), self._sym("start", "start")
+        self._params += [(f"int64_t {row}", "row"), (f"int64_t {start}", "start")]
+        rows, lanes = (
+            self._slot(id(loop.extent), int(loop.extent.value), loop.extent)
+            for loop in (member.loop, member.feature)
+        )
+        first, last = ir.Var("first"), ir.Var("last")
+        region = self._region = _Region(
+            tiles, member.feature, width, start,
+            (ir.IntImm(0), self._last(lanes, self._top)), (first, last), memory,
+        )
+        region.box[member.loop.loop_var] = (ir.IntImm(0), self._last(rows, self._top))
+        ends = {first: _CVal(start, "ilit"), last: _CVal(f"({start} + {width - 1})", "ilit")}
+        with self._open_scope({member.loop.loop_var: _CVal(row, "ilit"), **ends}) as lines:
+            if member.init:
+                self._walk(member.loop.body, "init")
+            self._walk(member.loop.body, "compute")
+        self._top.lines.extend(lines)
+        # Element-wise members are what the region wants inlined (CFLAGS leave
+        # that to the keyword); one with reduction loops is shared by its calls.
+        call = self._define("inline void" if member.plain else "void", self._top.lines)
+        if not region.pre:
+            return call, None
+        holds = " && ".join(dict.fromkeys(region.pre))
+        return call, self._define("int", [*region.check.lines, f"return {holds};"], operands=False)
+
+    def _tile(self, name: str, way: str) -> Optional[str]:
+        """The tile element standing for an access to buffer *name* at the
+        member's own element, inside a region that writes the buffer."""
+        region = self._region
+        if region is None or name not in region.tiles or region.memory == (name, way):
+            return None
+        key = ("tile", name)
+        if key not in self._syms:
+            # The region's tile array, by pointer.  ``restrict`` is what lets the
+            # compiler keep an accumulator in registers across the reduction
+            # loops, and true: nothing else in the member points into that array.
+            decl = "const {} *{}" if name not in self.written else "{} *restrict {}"
+            decl = decl.format(_CDECL[self._ctype(name)], self._sym(key, f"{name}_t"))
+            self._params.append((decl, region.tiles[name]))
+        return f"{self._syms[key]}[{region.lane}]"
+
+    def _emit_lanes(self, loop: st.ForLoop, mode: str) -> None:
+        """A lane loop of a region: a constant-trip SIMD loop over one tile.
+
+        An access that is affine in the lane, row and dense reduction
+        variables is tested once in front of the region, at the two corners of
+        that box; one whose index depends on data (a gathered row) per tile,
+        with the checked body beside the unchecked one.  A loop that only moves
+        a tile (or fills it with a constant) carries no pragma: the compiler
+        makes it one 32-byte move and would report no vectorised loop for it.
+        """
+        region = self._region
+        lane = region.lane = self._cname(loop.loop_var)
+        value = _CVal(f"({region.start} + {lane})", "ilit")
+        head = f"for (int64_t {lane} = 0; {lane} < {region.width}; ++{lane}) {{"
+
+        def body() -> List[str]:
+            return _block(head, self._scoped(loop.loop_var, value, loop.body, mode))
+
+        log: List[Tuple[str, ir.Expr]] = []
+        self._accesses = log
+        checked = body()
+        self._accesses = None
+        found: Dict[Tuple[str, str], _Test] = {}
+        for array, index in log:
+            key, _pure, free, _heavy = self._info(index)
+            if (array, key) in found or (array, key) in region.granted:
+                continue
+            box = {var: span for var, span in region.box.items() if var in free}
+            body_top, self._top = self._top, region.check
+            test = self._range_test(array, index, {loop.loop_var: region.whole, **box})
+            # Made in front of the region, a test may read nothing but sizes.
+            sizes = test is not None and test[2] is region.check and not any(
+                isinstance(node, ir.BufferLoad) for end in test[1] for node in ir.post_order(end)
+            )  # (its variables, the spans' last values, are sizes)
+            proved = self._emit_tests({(array, key): test}) if sizes else {}
+            self._top = body_top
+            if proved:
+                region.granted.add((array, key))
+                region.pre += proved.values()
+                continue
+            test = self._range_test(array, index, {loop.loop_var: region.tile})
+            if test is not None:
+                found[array, key] = test
+        tests = self._emit_tests(found)
+        saved, self._proven = self._proven, self._proven | region.granted | frozenset(tests)
+        stmt = loop.body
+        if isinstance(stmt, st.Block):
+            stmt = stmt.body if mode == "compute" else stmt.init
+        moves = isinstance(stmt, st.BufferStore) and isinstance(stmt.value, (ir.BufferLoad, ir.IntImm, ir.FloatImm))
+        fast = [*([] if moves else ["#pragma omp simd"]), *body()]
+        self._proven = saved
+        if tests:
+            holds = " && ".join(dict.fromkeys(tests.values()))
+            fast = [f"if ({holds}) {{", *_indent(fast), "} else {", *_indent(checked), "}"]
+        self._sink.extend(fast)
+
+    def _define(self, returns: str, lines: List[str], operands: bool = True) -> str:
+        """Define a function of body *lines* (unless an identical one exists)
+        over the nest's operands and scalars, or its scalars alone; its call."""
         program = self.program
-        params, args = map(list, zip(*self._params)) if self._params else ([], [])
-        for block, local, param, base in (
-            (program.ipar, self._ipar, "const int64_t *ip", "ipar"),
-            (program.fpar, self._fpar, "const double *fp", "fpar"),
-        ):
-            if local:  # the nest's segment of the scalar block
-                params.append(param)
-                args.append(f"{base} + {len(block)}" if block else base)
-                block.extend(local)
-        text = "\n".join([f"({', '.join(params)})", "{", *_indent(self._top.lines), "}"])
-        name = program.functions.get(text)
+        if self._scalars is None:  # the nest's segments of the scalar blocks
+            self._scalars = []
+            for block, local, param, base in (
+                (program.ipar, self._ipar, "const int64_t *ip", "ipar"),
+                (program.fpar, self._fpar, "const double *fp", "fpar"),
+            ):
+                if local:
+                    self._scalars.append((param, f"{base} + {len(block)}" if block else base))
+                    block.extend(local)
+        pairs = [*(self._params if operands else ()), *self._scalars]
+        params, args = [param for param, _arg in pairs], [arg for _param, arg in pairs]
+        text = "\n".join([f"({', '.join(params)})", "{", *_indent(lines), "}"])
+        name = program.functions.get((returns, text))
         if name is None:
-            name = program.functions[text] = f"_k{len(program.functions)}"
+            name = program.functions[returns, text] = f"_k{len(program.functions)}"
             named = _PLACEHOLDER.sub(lambda m: self._names[int(m.group(1))], text)
-            program.definitions.append(f"static void {name}{named}")
-        return [f"{name}({', '.join(args)});"]
+            program.definitions.append(f"static {returns} {name}{named}")
+        return f"{name}({', '.join(args)})"
 
     # -- registration ----------------------------------------------------------
     def _fresh(self) -> str:
@@ -415,16 +728,20 @@ class _Nest:
             self._params.append((f"{const}{decl} *{token}", self.program.operand(kind, name)))
         return token
 
-    def _buffer(self, name: str) -> Tuple[str, str, str]:
-        """``(placeholder, element ctype, size reference)`` of a flat buffer."""
+    def _ctype(self, name: str) -> str:
         flat = self.program.flat.get(name)
         if flat is None:
             raise UnsupportedForC(f"access to unknown flat buffer {name!r}")
         ct = _BUFFER_CTYPES.get(str(np.dtype(_np_dtype(flat.dtype))))
         if ct is None:
             raise UnsupportedForC(f"buffer {name!r} has unsupported dtype {flat.dtype!r}")
+        return ct
+
+    def _buffer(self, name: str) -> Tuple[str, str, str]:
+        """``(placeholder, element ctype, size reference)`` of a flat buffer."""
+        ct = self._ctype(name)
         kind = "aux" if name in self.program.aux_names else "buf"
-        size = self._slot(("size", name), int(flat.size))
+        size = self._slot(("size", name), int(self.program.flat[name].size))
         return self._operand(kind, name, name, _CDECL[ct]), ct, size
 
     def _table(self, kind: str, axis: str) -> str:
@@ -562,16 +879,20 @@ class _Nest:
     def _emit_load(self, expr: ir.BufferLoad) -> _CVal:
         if len(expr.indices) != 1:
             raise UnsupportedForC("stage-III loads must use a single flat index")
-        array, ct, size = self._buffer(expr.buffer.name)
-        index = self._index(expr.indices[0])
-        guarded = f"{self._use('_LD')}({array}, {_bare(index.code)}, {size})"
-        if index.ok is not None:
-            code = f"({index.ok} ? {guarded} : 0)"  # a structural zero loads 0
+        tile = self._tile(expr.buffer.name, "in")
+        if tile is not None:  # a region reads what it writes at the element it owns
+            code, ct = tile, self._ctype(expr.buffer.name)
         else:
-            if self._accesses is not None:
-                self._accesses.append((expr.buffer.name, expr.indices[0]))
-            proven = (expr.buffer.name, self._info(expr.indices[0])[0]) in self._proven
-            code = f"{array}[{_bare(index.code)}]" if proven else guarded
+            array, ct, size = self._buffer(expr.buffer.name)
+            index = self._index(expr.indices[0])
+            guarded = f"{self._use('_LD')}({array}, {_bare(index.code)}, {size})"
+            if index.ok is not None:
+                code = f"({index.ok} ? {guarded} : 0)"  # a structural zero loads 0
+            else:
+                if self._accesses is not None:
+                    self._accesses.append((expr.buffer.name, expr.indices[0]))
+                proven = (expr.buffer.name, self._info(expr.indices[0])[0]) in self._proven
+                code = f"{array}[{_bare(index.code)}]" if proven else guarded
         if ct == "i32":
             code, ct = f"(int64_t){code}", "i64"
         return _CVal(code, ct)
@@ -708,16 +1029,24 @@ class _Nest:
         elif not isinstance(stmt, st.Evaluate):
             raise UnsupportedForC(f"cannot emit statement of type {type(stmt).__name__}")
 
-    def _scoped(self, var: ir.Var, val: _CVal, body: st.Stmt, mode: str) -> List[str]:
-        """The lines of *body* walked in a new scope that binds *var*."""
+    @contextlib.contextmanager
+    def _open_scope(self, values: Mapping[ir.Var, _CVal]) -> Iterator[List[str]]:
+        """A new scope that binds *values*; yields the lines emitted in it."""
         saved = self._home, self._sink, self._here
         scope = self._home = _Scope(self._home.depth + 1, [], {})
-        self._vars[var] = (val, scope)
+        for var, val in values.items():
+            self._vars[var] = (val, scope)
         self._sink = self._here = scope.lines
-        self._walk(body, mode)
+        yield scope.lines
         self._home, self._sink, self._here = saved
-        del self._vars[var]
-        return scope.lines
+        for var in values:
+            del self._vars[var]
+
+    def _scoped(self, var: ir.Var, val: _CVal, body: st.Stmt, mode: str) -> List[str]:
+        """The lines of *body* walked in a new scope that binds *var*."""
+        with self._open_scope({var: val}) as lines:
+            self._walk(body, mode)
+        return lines
 
     def _branch(self, stmt: st.Stmt, mode: str) -> List[str]:
         """The lines of *stmt* walked into a block of the current scope."""
@@ -744,6 +1073,10 @@ class _Nest:
         return val
 
     def _emit_loop(self, loop: st.ForLoop, mode: str) -> None:
+        region = self._region
+        if region is not None and loop is region.feature:
+            self._emit_lanes(loop, mode)
+            return
         start, extent = self._bound(loop.start), self._bound(loop.extent)
         if isinstance(loop.extent, ir.IntImm):  # a size even when it is 0 or 1
             extent = _CVal(self._slot(id(loop.extent), int(loop.extent.value), loop.extent), "i64")
@@ -761,7 +1094,13 @@ class _Nest:
         plain = f"for (int64_t {var} = {first}, {end} = {stop}; {var} < {end}; ++{var}) {{"
         log: List[Tuple[str, ir.Expr]] = []
         self._accesses = log
+        if region is not None and sizes_only(loop.start, loop.extent):
+            # A dense reduction loop of a member: an index affine in it is
+            # tested at its two ends, in front of the region.
+            region.box[loop.loop_var] = (loop.start, self._last(stop, self._top))
         checked = body(plain)
+        if region is not None:
+            region.box.pop(loop.loop_var, None)
         # Only an innermost loop is versioned: a nested one has replaced the log.
         tests = self._range_tests(loop, stop, log) if self._accesses is log else {}
         self._accesses = None
@@ -809,27 +1148,51 @@ class _Nest:
         start, extent = self._info(loop.start), self._info(loop.extent)
         if not (start[1] and extent[1]):
             return {}  # the bounds read a written buffer: no test may leave the spot
-        last = ir.Var("last")
-        self._vars[last] = (_CVal(f"({stop} - 1)", "ilit"), self._scope_of(start[2] | extent[2]))
-        found: Dict[Tuple[str, str], Tuple[str, List[ir.Expr], _Scope]] = {}
+        spans = {loop.loop_var: (loop.start, self._last(stop, self._scope_of(start[2] | extent[2])))}
+        found: Dict[Tuple[str, str], _Test] = {}
         for array, index in log:
             access = (array, self._info(index)[0])
-            affine = None if access in found else affine_in(index, loop.loop_var)
-            if affine is None:
-                continue
-            base, stride = affine
-            ends = [ir.simplify(ir.Add(base, ir.Mul(stride, at))) for at in (loop.start, last)]
-            infos = [self._info(end) for end in ends]
-            if not (infos[0][1] and infos[1][1]):
-                continue  # reads a buffer the loop may write
-            try:
-                scope = self._scope_of(infos[0][2] | infos[1][2])
-            except UnsupportedForC:
-                continue  # mentions a variable bound inside the loop
-            found[access] = (f"in:{array}:{infos[0][0]}:{infos[1][0]}", ends, scope)
-        tests: Dict[Tuple[str, str], str] = {}
+            test = None if access in found else self._range_test(array, index, spans)
+            if test is not None:
+                found[access] = test
         if len(found) < 2:  # a lone guard is cheaper than a second loop
             found = {}
+        return self._emit_tests(found)
+
+    def _last(self, stop: str, scope: _Scope) -> ir.Var:
+        """A variable standing for the last value of a loop that ends at *stop*."""
+        last = ir.Var("last")
+        self._vars[last] = (_CVal(f"({stop} - 1)", "ilit"), scope)
+        return last
+
+    def _range_test(self, array: str, index: ir.Expr, spans: Mapping[ir.Var, _Span]) -> Optional[_Test]:
+        """``(key, ends, scope)`` of the test that proves *index* inside *array*
+        over *spans* (it is affine in each of those variables — several only
+        at non-negative constant strides — so it is in range everywhere when it
+        is with all of them at their first and at their last value), or
+        ``None``.  *scope* is where the ends are bound."""
+        ends = [index, index]
+        for var, span in spans.items():
+            for side, at in enumerate(span):
+                affine = affine_in(ends[side], var)
+                if affine is None:
+                    return None
+                stride = ir.simplify(affine[1])
+                if len(spans) > 1 and not (isinstance(stride, ir.IntImm) and stride.value >= 0):
+                    return None
+                ends[side] = ir.simplify(ir.Add(affine[0], ir.Mul(stride, at)))
+        infos = [self._info(end) for end in ends]
+        if not (infos[0][1] and infos[1][1]):
+            return None  # reads a buffer the loop may write
+        try:
+            scope = self._scope_of(infos[0][2] | infos[1][2])
+        except UnsupportedForC:
+            return None  # mentions a variable bound inside the loop
+        return f"in:{array}:{infos[0][0]}:{infos[1][0]}", ends, scope
+
+    def _emit_tests(self, found: Mapping[Tuple[str, str], _Test]) -> Dict[Tuple[str, str], str]:
+        """access -> the C condition of its range test, bound where its ends are."""
+        tests: Dict[Tuple[str, str], str] = {}
         for (array, index_key), (key, ends, scope) in found.items():
             if key not in scope.temps:
                 first, final = self._index(ends[0]), self._index(ends[1])
@@ -843,7 +1206,6 @@ class _Nest:
                 at_home = scope is self._home
                 scope.temps[key] = test if at_home else self._bind_temp(scope.lines, test)
             tests[array, index_key] = scope.temps[key].code
-        del self._vars[last]
         return tests
 
     def _emit_store(self, store: st.BufferStore) -> None:
@@ -851,6 +1213,12 @@ class _Nest:
             raise UnsupportedForC("stage-III stores must use a single flat index")
         if store.buffer.name in self.program.aux_names:
             raise UnsupportedForC(f"store to auxiliary buffer {store.buffer.name!r}")
+        tile = self._tile(store.buffer.name, "out")
+        if tile is not None:
+            value = self._eval(store.value)
+            assign = f"{tile} = {_bare(self._coerce(value, self._ctype(store.buffer.name)))};"
+            self._sink.append(assign if value.ok is None else f"if ({value.ok}) {assign}")
+            return
         array, ct, size = self._buffer(store.buffer.name)
         access = (store.buffer.name, self._info(store.indices[0], store.buffer.name)[0])
         index = self._index(store.indices[0])
@@ -942,11 +1310,14 @@ def _scratch_dir() -> Path:
 
 
 @functools.lru_cache(maxsize=None)
-def _compiler_id(compiler: str) -> str:
-    """First line of ``<compiler> --version`` (asked once, at the first failure)."""
+def _tool_id(compiler: str, linker: bool = False) -> str:
+    """What *compiler*, or the linker it drives, calls itself: the first line
+    of ``--version``, the last of ``-Wl,--version`` (asked once, at the first
+    failure)."""
     try:
-        proc = subprocess.run([compiler, "--version"], capture_output=True, text=True, timeout=30.0)
-        return (proc.stdout or proc.stderr).strip().splitlines()[0]
+        ask = "-Wl,--version" if linker else "--version"
+        proc = subprocess.run([compiler, ask], capture_output=True, text=True, timeout=30.0)
+        return (proc.stdout or proc.stderr).strip().splitlines()[-1 if linker else 0]
     except (OSError, subprocess.TimeoutExpired, IndexError):
         return "version unknown"
 
@@ -956,6 +1327,9 @@ def compile_so(c_source: str, out_path: Path) -> None:
 
     A failure says which compiler was run with which flags, so a toolchain
     that rejects one of them is diagnosable from ``Kernel.declined["native"]``.
+    A linker that does not know a link flag only warns that it ignores it;
+    that is a failure too, naming flag and linker: the artifact would be a
+    page larger than the size the flag exists for.
     """
     compiler = find_compiler()
     if compiler is None:
@@ -973,10 +1347,13 @@ def compile_so(c_source: str, out_path: Path) -> None:
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise NativeBuildError(f"C compiler failed to run: {exc}") from exc
-        if proc.returncode != 0:
+        ignored = [flag for flag in _LINK_FLAGS if flag.rsplit(",", 1)[-1].lstrip("-") in proc.stderr]
+        if proc.returncode != 0 or ignored:
+            what = f"C compilation failed (exit {proc.returncode})"
+            if proc.returncode == 0:
+                what = f"linker [{_tool_id(compiler, linker=True)}] does not take {' '.join(ignored)}"
             raise NativeBuildError(
-                f"C compilation failed (exit {proc.returncode}): {compiler} "
-                f"[{_compiler_id(compiler)}] {' '.join(CFLAGS)}\n{proc.stderr[-2000:]}"
+                f"{what}: {compiler} [{_tool_id(compiler)}] {' '.join(CFLAGS)}\n{proc.stderr[-2000:]}"
             )
         out_path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(out_path.parent), suffix=".so.tmp")
@@ -985,7 +1362,9 @@ def compile_so(c_source: str, out_path: Path) -> None:
         os.replace(tmp, out_path)
 
 
-def _obtain_lib(sha: str, c_source: str, disk: Any, key: Optional[str], stats: Any) -> Any:
+def _obtain_lib(
+    sha: str, c_source: str, binding: NativeBinding, disk: Any, key: Optional[str], stats: Any
+) -> Any:
     """A dlopened library for *c_source*: disk-cached artifact or fresh build."""
     if disk is not None and key is not None:
         cached = disk.get_native(key, sha)
@@ -1005,7 +1384,7 @@ def _obtain_lib(sha: str, c_source: str, disk: Any, key: Optional[str], stats: A
         so_path = _scratch_dir() / f"{sha[:32]}.so"
     compile_so(c_source, so_path)
     if disk is not None and key is not None:
-        disk.publish_native(key, c_source, sha)
+        disk.publish_native(key, c_source, sha, binding)
     lib = _get_ffi().dlopen(str(so_path))
     if stats is not None:
         stats.native_rebuilds += 1
@@ -1032,6 +1411,12 @@ def load_native(
     never overlap, so ``run(arrays)`` refuses with ``ValueError`` a buffer the
     kernel stores to that shares memory with another operand of the call.
 
+    A ``local`` buffer the program stores to (:func:`local_buffers`) is the
+    kernel's own: ``run(arrays)`` neither reads it from *arrays* nor returns it.
+    ``run.serial_regions`` says how many fused regions of the last call failed
+    their precondition and ran as their serial nests (a diagnostic, not
+    synchronised between concurrent calls).
+
     ``run(arrays)`` takes the value buffers per call and, like them, any
     auxiliary index table present in *arrays* under its buffer name: that
     array replaces the table bound here for this call (same dtype, length and
@@ -1048,7 +1433,7 @@ def load_native(
         raise NativeBuildError("native build previously failed for this source")
     if lib is None:
         try:
-            lib = _obtain_lib(sha, c_source, disk, key, stats)
+            lib = _obtain_lib(sha, c_source, binding, disk, key, stats)
         except NativeBuildError:
             with _MEMO_LOCK:
                 _LIB_MEMO[sha] = False
@@ -1072,14 +1457,16 @@ def load_native(
         rows = np.searchsorted(indptr if source is None else source, positions, side="right")
         return (rows - 1).astype(np.int32)
 
-    def pointers(arrays: List[np.ndarray]) -> Tuple[Any, List[int]]:
-        """The C pointer block of *arrays* (which the caller keeps alive), and
-        their addresses."""
-        block = ffi.new("void *[]", [ffi.from_buffer(array) for array in arrays] or [ffi.NULL])
-        return block, ffi.unpack(ffi.cast("intptr_t *", block), len(arrays))
+    def pointers(arrays: List[np.ndarray], nulls: int = 0) -> Tuple[Any, List[int]]:
+        """The C pointer block of *arrays* (which the caller keeps alive)
+        behind *nulls* empty slots, and the arrays' addresses."""
+        held = [ffi.NULL] * nulls + [ffi.from_buffer(array) for array in arrays]
+        block = ffi.new("void *[]", held or [ffi.NULL])
+        return block, ffi.unpack(ffi.cast("intptr_t *", block), len(held))[nulls:]
 
     stored = {store.buffer.name for store in st.collect_buffer_stores(func.body)}
     stored_slots = frozenset(slot for slot, name in enumerate(binding.bufs) if name in stored)
+    local = local_buffers(func)
     tab_names = [name if kind == "aux" else f"{name}_{kind}" for kind, name in binding.tabs]
     names = [*binding.bufs, *tab_names]
     slots = range(len(names))
@@ -1121,7 +1508,7 @@ def load_native(
                 for (kind, name), source, bound in zip(binding.tabs, follows, tabs)
             ]
             tab_ptrs, tab_starts = pointers(call_tabs)
-        buf_ptrs, starts = pointers(bufs)
+        buf_ptrs, starts = pointers(bufs, len(local))  # the kernel fills (and frees) its own slots
         # The no-overlap contract the SIMD loops rest on: what the kernel stores
         # to is disjoint from every other operand of the call.  One sweep in
         # address order; ``holder`` is the operand reaching furthest so far.
@@ -1137,9 +1524,11 @@ def load_native(
                 )
             if start + size > reach:
                 reach, holder = start + size, slot
-        rc = lib.run(buf_ptrs, tab_ptrs, ipar_ptr, fpar_ptr)
-        if rc != 0:
-            raise RuntimeError(f"native kernel returned {rc}")
+        run.serial_regions = lib.run(buf_ptrs, tab_ptrs, ipar_ptr, fpar_ptr)
+        if run.serial_regions < 0:
+            raise MemoryError(f"native kernel {func.name!r} could not allocate its local buffers")
+        for name in local:  # the kernel's own scratch: never the caller's arrays
+            arrays.pop(name, None)
         return arrays
 
     run._keepalive = (tabs, ipar, fpar)  # the kernel reads them on every call

@@ -21,6 +21,9 @@ The native tier asks the same question of one loop at a time:
 :func:`loop_independence` proves that the iterations of an innermost loop
 touch distinct elements, which is what lets :mod:`~repro.core.codegen.emit_c`
 print it under ``#pragma omp simd`` without changing a bit of the result.
+:func:`fused_regions` extends that proof across nests: consecutive top-level
+nests whose every dependence stays inside one output element ``(row, lane)``
+may share one row loop and keep that element in a register tile.
 
 The module also holds the two plan-time helpers emitted kernels call through
 their ``helpers`` namespace (:func:`coords_to_positions`,
@@ -29,7 +32,7 @@ their ``helpers`` namespace (:func:`coords_to_positions`,
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +70,7 @@ from ..stmt import (
     Stmt,
     collect_buffer_loads,
     collect_buffer_stores,
+    find_blocks,
     find_loops,
     post_order_stmts,
 )
@@ -75,6 +79,7 @@ __all__ = [
     "UnsupportedForEmission",
     "affine_in",
     "analyze_hazards",
+    "fused_regions",
     "loop_independence",
     "coords_to_positions",
     "sorted_axis_keys",
@@ -248,6 +253,186 @@ def loop_independence(loop: ForLoop, written: AbstractSet[str]) -> Optional[str]
                 "the accumulator of a self-update"
             )
     return None
+
+
+class RowNest(NamedTuple):
+    """A top-level nest in the shape a fused region takes:
+    ``for row: [reduction loops:] for lane: B[row * stride + lane] = ...``."""
+
+    loop: ForLoop  #: the outermost (row) loop: dense, from 0
+    feature: ForLoop  #: the innermost (lane) loop: dense, from 0, iterations independent
+    name: str  #: the buffer it stores to, at element ``(row, lane)``
+    stride: int  #: that buffer's row stride
+    dtype: str  #: and element type
+    #: ``(buffer, row stride)`` per load; the stride is ``None`` unless the load
+    #: reads exactly the element ``(row, lane)`` of a buffer with that stride.
+    loads: Tuple[Tuple[str, Optional[int]], ...]
+    init: bool  #: the store has a reduction init (run in the interpreter's first pass)
+    plain: bool  #: one unconditional store per element: no reduction loop, no init
+    dense_reduction: bool  #: a reduction loop with constant bounds encloses the lane loop
+
+
+def sizes_only(*exprs: Expr) -> bool:
+    """Whether the expressions read neither a variable nor a buffer."""
+    return not any(isinstance(node, (Var, BufferLoad)) for expr in exprs for node in post_order(expr))
+
+
+def _from_zero(loop: ForLoop) -> bool:
+    start, extent = loop.start, loop.extent
+    return isinstance(start, IntImm) and start.value == 0 and isinstance(extent, IntImm)
+
+
+def _lane(indices: Sequence[Expr], row: Var, lane: Var) -> Optional[int]:
+    """``stride`` when the index is exactly ``row * stride + lane`` (a
+    non-negative constant stride), else ``None``."""
+    by_row = affine_in(indices[0], row) if len(indices) == 1 else None
+    by_lane = None if by_row is None else affine_in(simplify(by_row[0]), lane)
+    if by_lane is None:
+        return None
+    stride, rest, unit = simplify(by_row[1]), simplify(by_lane[0]), simplify(by_lane[1])
+    exact = isinstance(rest, IntImm) and rest.value == 0 and isinstance(unit, IntImm) and unit.value == 1
+    return stride.value if exact and isinstance(stride, IntImm) and stride.value >= 0 else None
+
+
+def _row_nest(nest: Stmt) -> Union[RowNest, str]:
+    """*nest* as a :class:`RowNest`, or why it is none."""
+    if not (isinstance(nest, ForLoop) and _from_zero(nest)):
+        return "its outermost loop is not a dense loop from 0"
+    node, reductions = nest.body, []
+    while not (isinstance(node, ForLoop) and not find_loops(node.body)):
+        if isinstance(node, ForLoop):
+            reductions.append(node)
+        elif not (isinstance(node, Block) and node.init is None):
+            return "it is not a perfect loop nest around one innermost loop"
+        node = node.body
+    feature, body, init = node, node.body, None
+    if isinstance(body, Block):
+        body, init = body.body, body.init
+    if not (_from_zero(feature) and isinstance(body, BufferStore)):
+        return "its innermost loop is not a dense loop from 0 around one store"
+    name = body.buffer.name
+    if init is not None and not (
+        isinstance(init, BufferStore)
+        and init.buffer.name == name
+        and len(init.indices) == len(body.indices) == 1
+        and structural_equal(init.indices[0], body.indices[0])
+        and not collect_buffer_loads(init)
+    ):
+        return f"the init of {name!r} is not a constant stored to the element it accumulates"
+    why = loop_independence(feature, {name})
+    if why is not None:
+        return why
+    row, lane = nest.loop_var, feature.loop_var
+    stride = _lane(body.indices, row, lane)
+    if stride is None:
+        return f"the store to {name!r} is not at [row * stride + lane]"
+    return RowNest(
+        nest, feature, name, stride, body.buffer.dtype,
+        tuple((load.buffer.name, _lane(load.indices, row, lane)) for load in collect_buffer_loads(nest)),
+        init is not None, init is None and not reductions,
+        any(sizes_only(loop.start, loop.extent) for loop in reductions),
+    )
+
+
+def _joins(run: Sequence[RowNest], new: RowNest) -> Optional[str]:
+    """Why *new* may not join the members *run*, if it may not."""
+    written = {member.name: member.stride for member in run}
+    if run:
+        for what, mine, theirs in (
+            ("row", new.loop, run[0].loop), ("innermost", new.feature, run[0].feature)
+        ):
+            if mine.extent.value != theirs.extent.value:
+                return f"its {what} loop has extent {mine.extent.value}, the region's {theirs.extent.value}"
+        if new.dtype != run[0].dtype:
+            return f"it stores {new.dtype}, the region {run[0].dtype}"
+    if written.setdefault(new.name, new.stride) != new.stride:
+        return f"it stores {new.name!r} at another row stride than the region"
+    for member in (*run, new):
+        for name, stride in member.loads:
+            if name in written and stride != written[name]:
+                if member is new:
+                    return f"it reads {name!r}, which the region writes, other than at its own element"
+                return f"it writes {name!r}, which the region reads other than at that element"
+    return None
+
+
+def _label(nest: Stmt) -> str:
+    blocks = find_blocks(nest)
+    return blocks[0].name if blocks else getattr(getattr(nest, "loop_var", None), "name", "nest")
+
+
+def fused_regions(nests: Sequence[Stmt]) -> Tuple[List[Tuple[int, List[RowNest]]], Dict[str, str]]:
+    """The runs of consecutive top-level nests that may execute as one loop
+    over rows with their output elements in register tiles.
+
+    Returns ``(first nest index, members)`` per region, and ``"fuse <nest>"
+    -> reason`` for each nest that ended a run worth fusing.  A run's members
+    are :class:`RowNest` shaped, share row extent, lane extent and dtype, and
+    every load of a buffer any member stores — before or after it in program
+    order — reads the element ``(row, lane)`` the loading iteration owns.  So
+    all dependences run inside one element: any order of rows and lanes that
+    keeps each element's operations in program order computes the serial
+    bits.  A reduction init (the interpreter's first pass) may sit next to its
+    compute pass when no earlier nest touches the buffer and nothing else
+    initialises it; a nest where it may not is no member.
+
+    A run becomes a region only where fusing pays by a property of the
+    program: at least two nests, one of them with a dense reduction loop —
+    whose accumulator row the serial nest loads and stores once per reduction
+    step and whose init or element-wise consumer the region folds into the
+    tile.  (A lone sparse reduction re-runs its gather once per tile: slower.)
+    """
+    if len(nests) < 2:  # a lone nest (most eager operators): nothing to prove
+        return [], {}
+    forms: List[Union[RowNest, str]] = [_row_nest(nest) for nest in nests]
+    inits: Dict[str, int] = {}
+    for nest in nests:
+        for block in find_blocks(nest):
+            for store in collect_buffer_stores(block.init) if block.init is not None else ():
+                inits[store.buffer.name] = inits.get(store.buffer.name, 0) + 1
+    touched: set = set()
+    for k, (nest, form) in enumerate(zip(nests, forms)):
+        if isinstance(form, RowNest) and form.init and (form.name in touched or inits[form.name] > 1):
+            forms[k] = f"the init of {form.name!r} cannot move next to its compute pass"
+        touched.update(s.buffer.name for s in collect_buffer_stores(nest))
+        touched.update(load.buffer.name for load in collect_buffer_loads(nest))
+
+    regions: List[Tuple[int, List[RowNest]]] = []
+    declined: Dict[str, str] = {}
+    run: List[RowNest] = []
+
+    def pays() -> bool:
+        return any(member.dense_reduction for member in run)
+
+    def close(end: int) -> None:
+        if len(run) >= 2 and pays():
+            regions.append((end - len(run), list(run)))
+        run.clear()
+
+    for k, form in enumerate(forms):
+        why = form if isinstance(form, str) else _joins(run, form)
+        if why is None:
+            run.append(form)
+            continue
+        if run and pays():
+            declined[f"fuse {_label(nests[k])}"] = why
+        if isinstance(form, str):
+            close(k)
+            continue
+        # Plain stores at the end of the run that nothing in it reads (the init
+        # nest of the accumulator *form* updates) belong with what follows: cut
+        # the run in front of as many of them as *form* joins.
+        used = [name for member in run for name in (member.name, *dict(member.loads))]
+        carried: List[RowNest] = []
+        while run and run[-1].plain and used.count(run[-1].name) == 1:
+            carried.insert(0, run.pop())
+        while carried and _joins(carried, form):
+            run.append(carried.pop(0))
+        close(k - len(carried))
+        if _joins(carried, form) is None:  # alone, a nest may still read what it writes elsewhere
+            run.extend([*carried, form])
+    close(len(forms))
+    return regions, declined
 
 
 def _ambient_loads(stmt: Stmt) -> List[BufferLoad]:

@@ -130,6 +130,13 @@ class CompiledGraph:
                     buffers[ref.name] = result[logical]
                 buffers[node.output.name] = result["out"]
                 produced.append((node.output.name, result["out"].name, node.spec))
+            # A value whose last consumer is a member never leaves the kernel:
+            # declare it ``local``, the native tier's own scratch (a register
+            # tile where a fused region holds every access to it).
+            horizon = max(index_of[node.id] for node in group.nodes)
+            for value, _buffer, _spec in produced:
+                if self._live.get(value, -1) <= horizon:
+                    buffers[value].scope = "local"
             kernel = self.session.build(ctx.builder.finish())
             reason = self._why_not_fused(group, kernel)
         except (UnsupportedForEmission, ValueError) as exc:

@@ -3,7 +3,8 @@
 Building a kernel answers *what to run*; binding it answers *what each call
 still has to do*.  A :class:`BoundKernel` resolves, once, everything a warm
 call would otherwise re-derive — the dispatch tier, which flat buffers are
-per-call operands, which are constants, which the kernel overwrites — so
+per-call operands, which are constants, which the kernel overwrites, which it
+owns outright (``local`` buffers on the native tier) — so
 that :meth:`BoundKernel.run` is left with handing arrays to the compiled
 runner and finalising its outputs.  Index tables are operands like any other:
 bound with the kernel, and replaced for one call by a table fed under the
@@ -25,6 +26,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..core.buffers import _np_dtype
+from ..core.codegen.emit_c import local_buffers
 from ..core.stmt import collect_buffer_stores
 
 
@@ -80,6 +82,9 @@ class BoundKernel:
         aux = {buf.name for buf in func.aux_buffers}
         stored = {store.buffer.name for store in collect_buffer_stores(func.body)}
         backing = {buf.name: buf.data for buf in func.buffers if buf.data is not None}
+        # The native kernel owns its ``local`` buffers (scratch inside the C
+        # ``run``, or register tiles): no array is made for them here.
+        owned = set(local_buffers(func)) if tier == "native" else set()
         #: Arrays every call shares: constants the kernel only reads.
         self._shared: Dict[str, np.ndarray] = {}
         #: (buffer, inputs key, dtype, size, private) per per-call operand.
@@ -95,6 +100,8 @@ class BoundKernel:
         for flat in func.flat_buffers:
             name = flat.name
             dtype = np.dtype(_np_dtype(flat.dtype))
+            if name in owned:
+                continue
             if name in aux:
                 if name in feeds and tier == "native":
                     self._tables.append((name, feeds[name], dtype, flat.size, False))

@@ -1,5 +1,5 @@
 /* 'pruned_spmm_bsr': its stage-III loop nests in the interpreter's order, sizes in ipar.
- * Generated by repro.core.codegen.emit_c v3; do not edit. */
+ * Generated by repro.core.codegen.emit_c v4; do not edit. */
 #include <stdint.h>
 #define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
 #define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))

@@ -38,7 +38,7 @@ from repro.core.codegen.emit_numpy import UnsupportedForEmission, emit_numpy_sou
 from repro.core.codegen.hazards import analyze_hazards, loop_independence
 from repro.core.expr import Var
 from repro.core.program import STAGE_LOOP, PrimFunc
-from repro.core.stmt import BufferStore, ForLoop, SeqStmt, collect_buffer_stores, find_loops
+from repro.core.stmt import Block, BufferStore, ForLoop, SeqStmt, collect_buffer_stores, find_loops
 from repro.formats.bsr import BSRMatrix
 from repro.formats.csf import CSFTensor
 from repro.formats.csr import CSRMatrix
@@ -576,6 +576,235 @@ class TestLoopsThatStaySerial:
 
 
 needs_cc = pytest.mark.skipif(not toolchain_available(), reason="no C compiler available")
+
+
+#: Every remainder of the 32-byte tile (8 f32 / 4 f64 lanes) and a few whole tiles.
+REGION_WIDTHS = st.sampled_from([1, 3, 7, 8, 9, 15, 16, 17, 24, 32])
+
+
+def compiled_three_ways(capture):
+    """``capture(session) -> (builder, output refs)`` compiled fused and unfused
+    on the default engine and fused on the interpreter; returns the fused
+    :class:`CompiledGraph` and the three result dicts."""
+    results = []
+    for engine, fuse in (("auto", True), ("auto", False), ("interpret", True)):
+        builder, outputs = capture(Session(engine=engine, persistent=False))
+        compiled = builder.compile(fuse=fuse)
+        results.append((compiled, [compiled.run()[ref.name] for ref in outputs]))
+    (fused, got), (_unfused, node_by_node), (_oracle, expected) = results
+    for mine, theirs, oracle in zip(got, node_by_node, expected):
+        assert mine.dtype == theirs.dtype == oracle.dtype
+        assert np.array_equal(mine, oracle), "fused diverges from the interpreter"
+        assert np.array_equal(theirs, oracle), "node-by-node diverges from the interpreter"
+    return fused
+
+
+def native_unit(compiled):
+    """``(kernel, C source, runner)`` of a graph fused into one native unit."""
+    (unit,) = compiled.units
+    return unit.kernel, unit.kernel.native_source(), unit.kernel._runner("native")
+
+
+def regions_of(source):
+    return source.count("static int _r")
+
+
+class TestFusedRegions:
+    """Row-aligned nests of a fused kernel run as one loop over rows with their
+    accumulators in a register tile, and ``local`` intermediates never reach
+    memory: native fused == native unfused == interpreter, bit for bit, at
+    every tile remainder — and what may not join a region prints the serial
+    nest and says why."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        producer=st.sampled_from(["rgms", "spmm", "gemm"]),
+        width=REGION_WIDTHS,
+        wide=st.booleans(),
+        nodes=st.integers(2, 8),
+        depth=st.integers(1, 5),
+        chain=st.lists(st.sampled_from(["relu", "add_self", "add_first", "add_const"]), max_size=8),
+        density=st.sampled_from([0.0, 0.2, 0.6]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_producers_with_elementwise_chains(self, producer, width, wide, nodes, depth, chain, density, seed):
+        dtype = np.float64 if wide and producer != "rgms" else np.float32  # rgms is float32 only
+        rng = np.random.default_rng(seed)
+        dense = random_dense(3 * nodes, nodes, density, np.float32, seed).reshape(3, nodes, nodes)
+        dense[1] = 0.0  # an empty relation
+        dense[:, 0, :] = 0.0  # a row with no non-zero
+        adjacency, csr = CSFTensor.from_dense(dense), CSRMatrix.from_dense(dense[0].astype(dtype))
+        x = rng.standard_normal((nodes, depth)).astype(dtype)
+        wide_x = rng.standard_normal((nodes, width)).astype(dtype)
+        weights = rng.standard_normal((3, depth, width)).astype(dtype)
+        const = rng.standard_normal((nodes, width)).astype(dtype)
+
+        def capture(session):
+            g = session.graph()
+            if producer == "rgms":
+                out = g.rgms(adjacency, g.input("x", x), weights)
+            elif producer == "gemm":
+                out = g.gemm(g.input("x", x), weights[0])
+            else:
+                out = g.spmm(csr, g.input("x", wide_x))
+            first = out
+            for op in chain:
+                if op == "relu":
+                    out = g.relu(out)
+                else:
+                    out = g.add(out, {"add_self": out, "add_first": first, "add_const": const}[op])
+            g.output(out)
+            return g, [out]
+
+        fused = compiled_three_ways(capture)
+        if not toolchain_available() or len(fused.units) != 1:
+            return  # without a compiler `local` buffers are ordinary ones on the emitted tier
+        kernel, source, runner = native_unit(fused)
+        # A dense reduction (rgms's k, gemm's k) next to its init nest or a
+        # consumer is a region; a sparse one (spmm) never is.
+        expected = int((producer == "rgms" and dense.any()) or (producer == "gemm" and bool(chain)))
+        assert regions_of(source) == expected, kernel.declined
+        lanes = 32 // np.dtype(dtype).itemsize
+        assert runner.serial_regions == (expected if width % lanes else 0)
+
+    def test_a_consumer_that_gathers_rows_ends_the_region(self):
+        """RGCN's second layer reads rows of the first layer's output: two
+        regions, the hidden layer in memory between them (the kernel's own)."""
+        rng = np.random.default_rng(3)
+        adjacency = CSFTensor.from_dense((rng.random((2, 9, 9)) < 0.3).astype(np.float32))
+        x = rng.standard_normal((9, 8)).astype(np.float32)
+        w1, w2 = (rng.standard_normal((2, 8, 8)).astype(np.float32) for _ in range(2))
+
+        def capture(session):
+            g = session.graph()
+            hidden = g.relu(g.rgms(adjacency, g.input("x", x), w1))
+            out = g.rgms(adjacency, hidden, w2)
+            g.output(out)
+            return g, [out]
+
+        fused = compiled_three_ways(capture)
+        if toolchain_available():
+            kernel, source, runner = native_unit(fused)
+            assert regions_of(source) == 2 and runner.serial_regions == 0
+            (why,) = [why for what, why in kernel.declined.items() if what.startswith("fuse ")]
+            assert "which the region writes, other than at its own element" in why
+            # The serial nest of the gathering member is printed as before: its
+            # feature loop under the pragma, behind the range test.
+            assert source.count("#pragma omp simd") > regions_of(source)
+
+    def test_a_gemm_that_consumes_a_members_row_ends_the_region(self):
+        rng = np.random.default_rng(4)
+        adjacency = CSFTensor.from_dense((rng.random((1, 7, 7)) < 0.4).astype(np.float32))
+        x = rng.standard_normal((7, 8)).astype(np.float32)
+        w = rng.standard_normal((1, 8, 8)).astype(np.float32)
+        dense_w = rng.standard_normal((8, 8)).astype(np.float32)
+
+        def capture(session):
+            g = session.graph()
+            out = g.relu(g.gemm(g.rgms(adjacency, g.input("x", x), w), dense_w))
+            g.output(out)
+            return g, [out]
+
+        fused = compiled_three_ways(capture)
+        if toolchain_available():
+            kernel, source, _runner = native_unit(fused)
+            assert regions_of(source) == 2  # {init, rgms} and {gemm, relu}
+            assert any("gemm" in what and "other than at its own element" in why
+                       for what, why in kernel.declined.items())
+
+    def test_an_intermediate_that_is_a_graph_output_is_stored(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 5)).astype(np.float32)
+        w = rng.standard_normal((5, 16)).astype(np.float32)
+
+        def capture(session):
+            g = session.graph()
+            mid = g.gemm(g.input("x", x), w)
+            out = g.relu(g.add(mid, mid))
+            g.output(mid, out)
+            return g, [mid, out]
+
+        fused = compiled_three_ways(capture)
+        if toolchain_available():
+            kernel, source, runner = native_unit(fused)
+            binding = kernel._tier("native")[0][1]
+            flat = {fb.name: fb.scope for fb in kernel.func.flat_buffers}
+            (unit,) = fused.units
+            mid, summed, out = (name for _value, name, _spec in unit.produced)  # in node order
+            assert regions_of(source) == 1 and runner.serial_regions == 0
+            assert flat[mid] == flat[out] == "global" and flat[summed] == "local"
+            assert mid in binding.bufs and out in binding.bufs and summed not in binding.bufs
+
+    def test_nests_of_unequal_row_extent_are_two_regions(self):
+        rng = np.random.default_rng(6)
+        x, y = (rng.standard_normal((rows, 4)).astype(np.float32) for rows in (5, 7))
+        w = rng.standard_normal((4, 8)).astype(np.float32)
+
+        def capture(session):
+            g = session.graph()
+            a = g.relu(g.gemm(g.input("x", x), w))
+            b = g.relu(g.gemm(g.input("y", y), w))
+            g.output(a, b)
+            return g, [a, b]
+
+        fused = compiled_three_ways(capture)
+        if toolchain_available():
+            kernel, source, runner = native_unit(fused)
+            assert regions_of(source) == 2 and runner.serial_regions == 0
+            assert "its row loop has extent 7, the region's 5" in kernel.declined.values()
+
+    @needs_cc
+    @pytest.mark.parametrize("lanes", [8, 12])
+    def test_padded_ell_member_takes_the_checked_tile_body(self, lanes):
+        """``-1`` column padding makes the gathered row's index negative: that
+        guard depends on data, stays per tile, and its checked body loads 0."""
+        rows, cols, slots = 5, 6, 3
+        rng = np.random.default_rng(7)
+        indices = rng.integers(0, cols, (rows, slots)).astype(np.int32)
+        indices[:, 2], indices[3] = -1, -1
+        idx, a = FlatBuffer("idx", rows * slots, "int32"), FlatBuffer("a", rows * slots)
+        b, c = FlatBuffer("b", cols * lanes), FlatBuffer("c", rows * lanes, scope="local")
+        out = FlatBuffer("out", rows * lanes)
+        i, j, l = Var("i"), Var("j"), Var("l")
+        at = i * lanes + l
+        ell = BufferStore(c, [at], c[at] + a[i * slots + j] * b[idx[i * slots + j] * lanes + l])
+        nests = [
+            ForLoop(i, 0, rows, ForLoop(l, 0, lanes, BufferStore(c, [at], 0.0))),
+            ForLoop(i, 0, rows, ForLoop(j, 0, slots, ForLoop(l, 0, lanes, ell))),
+            ForLoop(i, 0, rows, ForLoop(l, 0, lanes, BufferStore(out, [at], c[at] + c[at]))),
+        ]
+        func = _loop_program("padded_ell", SeqStmt(nests), idx, a, b, c, out)
+        bindings = {
+            "idx": indices.reshape(-1), "a": rng.standard_normal(rows * slots).astype(np.float32),
+            "b": rng.standard_normal(cols * lanes).astype(np.float32),
+        }
+        source, binding = emit_c.emit_c_source(func)
+        assert regions_of(source) == 1 and "c" not in binding.bufs  # contracted
+        got = assert_native_equals_interpreter(func, bindings)
+        assert "c" not in got and got["out"].any()
+        kernel = build(func, cache=False)
+        kernel.run(bindings, engine="native")
+        assert kernel._runner("native").serial_regions == (0 if lanes == 8 else 1)
+
+    @needs_cc
+    def test_zero_trip_reduction_keeps_what_the_buffer_held(self):
+        """An init under a zero-trip reduction loop never runs: the region's
+        tile starts from the buffer's content, like the serial nest."""
+        rows, lanes = 4, 8
+        a, b = FlatBuffer("a", rows), FlatBuffer("b", lanes)
+        c, out = FlatBuffer("c", rows * lanes), FlatBuffer("out", rows * lanes)
+        i, k, l = Var("i"), Var("k"), Var("l")
+        at = i * lanes + l
+        update = BufferStore(c, [at], c[at] + a[i * 0 + k] * b[k * lanes + l])
+        gemm = ForLoop(i, 0, rows, ForLoop(k, 0, 0, ForLoop(l, 0, lanes, Block(
+            "gemm", update, init=BufferStore(c, [at], 0.0)))))
+        relu = ForLoop(i, 0, rows, ForLoop(l, 0, lanes, BufferStore(out, [at], c[at] * 2.0)))
+        func = _loop_program("zero_trip", SeqStmt([gemm, relu]), a, b, c, out)
+        held = np.arange(rows * lanes, dtype=np.float32)
+        source, _ = emit_c.emit_c_source(func)
+        assert regions_of(source) == 1
+        got = assert_native_equals_interpreter(func, {"c": held})
+        assert np.array_equal(got["c"], held) and np.array_equal(got["out"], held * 2)
 
 
 def _hazard_program():

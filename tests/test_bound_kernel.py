@@ -382,3 +382,75 @@ class TestBoundKernelDirect:
             bound.run({})
         with pytest.raises(ValueError, match="expected"):
             bound.run({"x": other[:-1]})
+
+
+class TestLocalBuffers:
+    """A fused unit's intermediates are ``local``: on the native tier the
+    kernel owns them (register tiles, or scratch inside the C ``run``), so
+    binding allocates, passes and returns nothing for them."""
+
+    def compiled_rgcn(self, session, width=8):
+        from repro.formats.csf import CSFTensor
+        from repro.models.rgcn import RGCN
+
+        rng = np.random.default_rng(0)
+        adjacency = CSFTensor.from_dense((rng.random((3, 30, 30)) < 0.15).astype(np.float32))
+        model = RGCN(adjacency, in_feats=width, hidden=width, num_classes=width)
+        feats = rng.standard_normal((30, width)).astype(np.float32)
+        return model, model.compile(session, feats, fuse=True), feats
+
+    def test_contracted_buffers_are_not_allocated_and_not_operands(self):
+        from repro.core.codegen.emit_c import local_buffers, toolchain_available
+
+        session = Session(persistent=False)
+        model, forward, feats = self.compiled_rgcn(session)
+        expected = fresh(lambda s: self.compiled_rgcn(s)[1](feats))
+        assert np.array_equal(forward(feats), expected)
+        (unit,) = forward.compiled.units
+        local = set(local_buffers(unit.kernel.func))
+        # Every value but the graph output is consumed inside the unit.
+        assert len(local) == len(unit.produced) - 1
+        zeroed = {name for name, _size, _dtype in unit.bound._zeroed}
+        if not toolchain_available():
+            assert unit.bound.tier == "emitted" and local <= zeroed  # ordinary buffers there
+            return
+        assert unit.bound.tier == "native" and not local & zeroed
+        binding = unit.kernel._tier("native")[0][1]
+        assert not local & set(binding.bufs)
+        # Only the hidden layer (gathered by the second layer) is in memory at
+        # all; the other intermediates exist as tiles of a region.
+        source = unit.kernel.native_source()
+        assert "_alloc(bufs, ipar, 0, 1)" in source and source.count("static int _r") == 2
+        assert unit.kernel._runner("native").serial_regions == 0
+
+    def test_concurrent_runs_share_nothing(self):
+        session = Session(persistent=False)
+        _model, forward, feats = self.compiled_rgcn(session, width=16)
+        threads, rounds = 4, 25
+        inputs = [feats * (tid + 1) for tid in range(threads)]
+        expected = [forward(x).copy() for x in inputs]  # also binds the unit
+        errors = []
+        barrier = threading.Barrier(threads)
+
+        def worker(tid):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(rounds):
+                    if not np.array_equal(forward(inputs[tid]), expected[tid]):
+                        errors.append((tid, "diverged"))
+                        return
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append((tid, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=worker, args=(tid,)) for tid in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert not errors, errors

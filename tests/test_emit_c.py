@@ -68,6 +68,33 @@ def csr():
     return CSRMatrix.random(rows=16, cols=12, density=0.3, seed=5)
 
 
+def fused_rgcn(width=8, nodes=6, classes=None, session=None):
+    """A two-relation, two-layer RGCN compiled into one fused unit; returns
+    ``(forward, features, the unit's kernel)``."""
+    from repro.formats.csf import CSFTensor
+    from repro.models.rgcn import RGCN
+    from repro.runtime.session import Session
+
+    rng = np.random.default_rng(nodes)
+    adjacency = CSFTensor.from_dense((rng.random((2, nodes, nodes)) < 0.4).astype(np.float32))
+    model = RGCN(adjacency, in_feats=width, hidden=width, num_classes=classes or width)
+    feats = rng.standard_normal((nodes, width)).astype(np.float32)
+    forward = model.compile(session or Session(persistent=False), feats, fuse=True)
+    (unit,) = forward.compiled.units
+    return forward, feats, unit.kernel
+
+
+GOLDENS = ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr", "rgcn_fused"]
+
+
+def golden_lowered(name):
+    return fused_rgcn()[2].func if name == "rgcn_fused" else canonical_lowered(name)
+
+
+def canonical_spmm(csr, feat=4):
+    return build(build_spmm_program(csr, feat), cache=False).func
+
+
 def _build_once(csr, cache, feat=4, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((csr.cols, feat)).astype(np.float32)
@@ -75,9 +102,9 @@ def _build_once(csr, cache, feat=4, seed=0):
 
 
 class TestGoldenCSources:
-    @pytest.mark.parametrize("name", ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr"])
+    @pytest.mark.parametrize("name", GOLDENS)
     def test_emitted_c_matches_golden(self, name, request):
-        c_source, _binding = emit_c_source(canonical_lowered(name))
+        c_source, _binding = emit_c_source(golden_lowered(name))
         path = GOLDEN_DIR / f"{name}.c"
         if request.config.getoption("--regen-golden"):
             GOLDEN_DIR.mkdir(exist_ok=True)
@@ -145,23 +172,57 @@ class TestGoldenCSources:
 
         assert source(8, 8) == source(8, 12) == source(6, 12)
 
+    def test_fused_regions_are_size_free_too(self, monkeypatch):
+        """The tile is 32 bytes whatever the feature width: fused RGCN at
+        widths 8 / 16 / 24 and two node counts is one text and one ``cc``."""
+        compiled = []
+        real = emit_c.compile_so
+        monkeypatch.setattr(emit_c, "compile_so", lambda src, out: (compiled.append(src), real(src, out)))
+        texts = set()
+        for width, nodes in ((8, 6), (16, 6), (24, 6), (16, 11)):
+            forward, feats, kernel = fused_rgcn(width, nodes)
+            texts.add(emit_c_source(kernel.func)[0])
+            if toolchain_available():
+                forward(feats)
+                assert kernel.last_engine == "native" and kernel._runner("native").serial_regions == 0
+        (text,) = texts
+        assert text == (GOLDEN_DIR / "rgcn_fused.c").read_text()
+        assert len(compiled) == (1 if toolchain_available() else 0)
+        # The width appears once in the emitter, as bytes; the text carries lanes.
+        source = Path(emit_c.__file__).read_text()
+        assert source.count("TILE_BYTES = 32") == 1 and emit_c.TILE_BYTES == 32
+        assert "float t0[8]" in text and "start += 8" in text
+
+    def test_a_width_that_is_no_multiple_of_the_tile_runs_the_serial_nests(self):
+        forward, feats, kernel = fused_rgcn(width=8, classes=5)
+        assert emit_c_source(kernel.func)[0] == (GOLDEN_DIR / "rgcn_fused.c").read_text()
+        if toolchain_available():
+            forward(feats)
+            assert kernel._runner("native").serial_regions == 1  # the second layer, 5 wide
+
     @needs_cc
-    @pytest.mark.parametrize("name", ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr"])
+    @pytest.mark.parametrize("name", GOLDENS)
     def test_golden_c_compiles_and_runs_bit_exact(self, name, tmp_path):
         """The committed goldens are live code: compile the .c file that is
         actually in the repository and compare against the interpreter."""
-        func = canonical_lowered(name)
+        from repro.runtime.executor import prepare_arrays
+
+        func, bindings = golden_lowered(name), {}
+        if name == "rgcn_fused":  # a cached lowering carries no values: bind weights and features
+            _forward, feats, kernel = fused_rgcn()
+            bindings = {**kernel.defaults, "n0_X": feats}
         _c_source, binding = emit_c_source(func)
         path = GOLDEN_DIR / f"{name}.c"
         assert path.exists()
         runner = emit_c.load_native(func, path.read_text(), binding)
-        from repro.runtime.executor import prepare_arrays
-
-        expected = build(func, cache=False).run(engine="interpret")
-        got = runner(prepare_arrays(func, {}))
-        for key in expected:
+        expected = build(func, cache=False).run(bindings, engine="interpret")
+        got = runner(prepare_arrays(func, bindings))
+        assert got and any(array.any() for array in got.values())
+        for key in got:  # every buffer but the kernel's own (``local``) ones
             assert expected[key].dtype == got[key].dtype, key
             assert np.array_equal(expected[key], got[key]), key
+        if name == "rgcn_fused":
+            assert runner.serial_regions == 0 and len(got) < len(expected)
 
 
 SIMD = "#pragma omp simd"
@@ -191,11 +252,13 @@ class TestSimdMarks:
         assert source.count("for (int64_t k = 0, _t") == 2
 
     def test_goldens_carry_the_expected_marks(self):
-        counts = {
-            name: (GOLDEN_DIR / f"{name}.c").read_text().count(SIMD)
-            for name in ("spmm_csr", "pruned_spmm_bsr", "sddmm_csr_fused")
-        }
-        assert counts == {"spmm_csr": 1, "pruned_spmm_bsr": 1, "sddmm_csr_fused": 0}
+        texts = {name: (GOLDEN_DIR / f"{name}.c").read_text() for name in GOLDENS}
+        marks = {name: text.count(SIMD) for name, text in texts.items()}
+        # rgcn_fused: the four serial nests (rgms, gemm, add, relu) and the same
+        # four as members of a region; tile moves and fills carry none.
+        assert marks == {"spmm_csr": 1, "pruned_spmm_bsr": 1, "sddmm_csr_fused": 0, "rgcn_fused": 8}
+        regions = {name: text.count("static int _r") for name, text in texts.items()}
+        assert regions == {"spmm_csr": 0, "pruned_spmm_bsr": 0, "sddmm_csr_fused": 0, "rgcn_fused": 2}
 
     def test_hyb_marks_one_loop_per_distinct_bucket_nest(self):
         from repro.formats.hyb import HybFormat
@@ -224,9 +287,11 @@ class TestSimdMarks:
         (unit,) = forward.compiled.units
         source, _ = emit_c_source(unit.kernel.func)
         marked = re.findall(r"#pragma omp simd\n\t+for \(int64_t n\d+_(\w+) = 0;[^\n]*\n\t+(\S+)\[", source)
-        # rgms accumulates Y over l0, gemm C over j, add and relu store C over j.
-        stores = {re.sub(r"n\d+_", "", target) + ":" + var for var, target in marked}
-        assert stores == {"Y:l0", "C:j"} and len(marked) == 4
+        # rgms accumulates Y over l0, gemm C over j, add and relu store C over j:
+        # once in the serial nest, once — on the tile — as a member of a region.
+        stores = [re.sub(r"n\d+_", "", target) + ":" + var for var, target in marked]
+        assert sorted(set(stores)) == ["C:j", "C_t:j", "Y:l0", "Y_t:l0"]
+        assert sum(not store.split(":")[0].endswith("_t") for store in stores) == 4
         for line in source.split(SIMD)[1:]:
             assert "_LD(" not in line.split(";", 2)[1]  # the marked body is the unchecked one
 
@@ -236,8 +301,20 @@ class TestSimdMarks:
         assert "-fopenmp-simd" in emit_c.CFLAGS
         assert not {"-O3", "-Ofast", "-ffast-math", "-fopenmp", "-march=native"} & set(emit_c.CFLAGS)
 
+    def test_inlining_is_by_keyword(self):
+        """No nest is copied into ``run``; of a region's members the
+        element-wise ones (a lone lane loop) are ``inline``, one with
+        reduction loops is a function its calls share."""
+        assert "-fno-inline-small-functions" in emit_c.CFLAGS
+        text = (GOLDEN_DIR / "rgcn_fused.c").read_text()
+        member = r"^static (inline )?void _k\d+\(int64_t row, int64_t start,[^\n]*\n\{\n(.*?)\n\}$"
+        members = re.findall(member, text, re.M | re.S)
+        assert {bool(inline) for inline, _body in members} == {True, False}
+        for inline, body in members:
+            assert bool(inline) == (body.count("for (") == 1), body
+
     @needs_cc
-    @pytest.mark.parametrize("name", ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr"])
+    @pytest.mark.parametrize("name", GOLDENS)
     def test_the_compiler_vectorises_every_marked_loop(self, name, tmp_path):
         """A pragma the compiler ignores must fail here, not ship as a comment:
         compile the committed golden with the production flags and read GCC's
@@ -406,6 +483,46 @@ class TestArtifactCache:
         cold = self._warm(csr, tmp_path, seed=1)
         assert cold.stats.native_hits == 1 and cold.stats.native_rebuilds == 0
 
+    def test_warm_cache_prints_no_c(self, csr, tmp_path, monkeypatch):
+        """The native record stores the listing's binding: a warm process loads
+        ``<fp>.c`` + binding and never walks the loop nest again."""
+        build_module = sys.modules["repro.core.codegen.build"]  # the package exports the function
+        self._warm(csr, tmp_path)
+        cache = KernelCache(disk=DiskKernelCache(tmp_path))
+        key, c_path, _so, json_path = self._key_and_paths(cache)
+        stored = json.loads(json_path.read_text())["native"]["binding"]
+        assert stored["bufs"] == ["C", "A", "B"] and stored["tabs"][0] == ["aux", "J_indptr"]
+
+        def refuse(func):
+            raise AssertionError("a warm start re-emitted the C source")
+
+        monkeypatch.setattr(build_module, "emit_c_source", refuse)
+        _forget_compiled_libs()
+        kernel, x = _build_once(csr, cache, seed=9)
+        out = kernel.run()
+        assert kernel.last_engine == "native" and cache.stats.native_hits == 1
+        assert np.allclose(out["C"].reshape(csr.rows, 4), spmm_reference(csr, x), atol=1e-4)
+        assert kernel.native_source() == c_path.read_text().split("*/\n", 1)[1]
+        binding = kernel._tier("native")[0][1]
+        assert binding == emit_c_source(kernel.func)[1]  # tuples all the way down
+
+    @pytest.mark.parametrize("damage", ["binding", "listing"])
+    def test_unreadable_record_is_a_miss_that_reemits_and_overwrites(self, csr, tmp_path, damage):
+        self._warm(csr, tmp_path)
+        cache = KernelCache(disk=DiskKernelCache(tmp_path))
+        key, c_path, _so, json_path = self._key_and_paths(cache)
+        if damage == "binding":
+            meta = json.loads(json_path.read_text())
+            meta["native"]["binding"] = {"bufs": ["C"]}
+            json_path.write_text(json.dumps(meta))
+        else:
+            c_path.write_text(c_path.read_text().replace("int run(", "int ran("))
+        assert cache.disk.get_native_source(key) is None
+        cold = self._warm(csr, tmp_path, seed=10)
+        assert cold.stats.native_rebuilds == 1
+        source, binding = cold.disk.get_native_source(key)
+        assert (source, binding) == emit_c_source(canonical_spmm(csr))
+
     def test_version_skew_is_a_miss_that_rebuilds(self, csr, tmp_path):
         """Acceptance regression: plant an artifact whose recorded emitter
         version is stale — it must rebuild, never import."""
@@ -457,11 +574,11 @@ class TestArtifactCache:
         kernel, _ = _build_once(csr, cache)
         # Not kernel.native_source(): asking the kernel resolves the whole
         # tier, which would compile and dlopen the artifact at this path.
-        c_source, _binding = emit_c_source(kernel.func)
+        c_source, binding = emit_c_source(kernel.func)
         key = next(cache.disk.dir.glob("*.pkl")).stem
         so_path = cache.disk.reserve_native(key)
         so_path.write_bytes(b"\x7fELF this is not a shared object")
-        cache.disk.publish_native(key, c_source, source_sha(c_source))
+        cache.disk.publish_native(key, c_source, source_sha(c_source), binding)
         assert json.loads((cache.disk.dir / f"{key}.json").read_text())["native"]
 
         cold = self._warm(csr, tmp_path, seed=5)
@@ -593,6 +710,46 @@ class TestNativeRunnerProtocol:
         assert reason.startswith("NativeBuildError: C compilation failed (exit 1)")
         assert f"{fake} [fakecc 0.1 (test)] {' '.join(emit_c.CFLAGS)}" in reason
         assert "unrecognized command-line option '-fopenmp-simd'" in reason
+
+    @pytest.mark.skipif(not emit_c._LINK_FLAGS, reason="no link flags on this platform")
+    def test_a_linker_that_ignores_a_link_flag_is_named(self, csr, tmp_path, monkeypatch):
+        """GNU ld only warns about a ``-z`` keyword it does not know and links
+        a page-padded object anyway: the build is refused, flag and linker named."""
+        fake = tmp_path / "fakecc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            'case "$1" in\n'
+            '  --version) echo "fakecc 0.1 (test)"; exit 0;;\n'
+            '  -Wl,--version) echo "collect2 version 0.1"; echo "OLD ld (binutils) 2.25"; exit 0;;\n'
+            "esac\n"
+            'echo "/usr/bin/ld: warning: -z noseparate-code ignored" >&2\n'
+            "exit 0\n"
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv("CC", str(fake))
+        kernel, _ = _build_once(csr, cache=False)
+        kernel.run()
+        assert kernel.last_engine == "emitted"
+        reason = kernel.declined["native"]
+        assert reason.startswith(
+            "NativeBuildError: linker [OLD ld (binutils) 2.25] does not take -Wl,-z,noseparate-code: "
+        )
+        assert f"{fake} [fakecc 0.1 (test)] {' '.join(emit_c.CFLAGS)}" in reason
+
+    def test_link_flags_slim_the_artifact(self, csr, tmp_path):
+        if not (toolchain_available() and emit_c._LINK_FLAGS):
+            pytest.skip("needs a toolchain on a platform with link flags")
+        source, _ = emit_c_source(canonical_lowered("spmm_csr"))
+        emit_c.compile_so(source, tmp_path / "k.so")
+        assert "-Wl,-z,noseparate-code" in emit_c.CFLAGS
+        assert (tmp_path / "k.so").stat().st_size < 8192  # code and data share a page
+        # ... so .text no longer starts on a page: every function is pinned to
+        # a cache line instead of landing wherever the headers end.
+        assert "-falign-functions=64" in emit_c.CFLAGS
+        symbols = subprocess.run(
+            ["nm", "-D", "--defined-only", str(tmp_path / "k.so")], capture_output=True, text=True
+        ).stdout.split()
+        assert int(symbols[symbols.index("run") - 2], 16) % 64 == 0
 
     def _runner_and_arrays(self, csr, feat=4):
         kernel, x = _build_once(csr, cache=False, feat=feat)
