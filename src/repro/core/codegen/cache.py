@@ -10,8 +10,10 @@ graph.  This module provides
 * :func:`structural_fingerprint` — a stable content hash of a program's
   structure: the printed program text (axes, buffers, iteration bodies, value
   dtypes), the per-axis structural data (``indptr`` / ``indices`` contents,
-  lengths, nnz), the flattened-buffer layout and the build/executor
-  configuration.  Buffer *values* are deliberately excluded: two programs
+  lengths, nnz), the flattened-buffer layout and the build
+  configuration — what lowering reads, and nothing of either emitter (a
+  stored tier artifact names the emitter that printed it).  Buffer *values*
+  are deliberately excluded: two programs
   with the same structure but different data lower to the same loop nest, and
   the value arrays are rebound at execution time.  Value *dtypes* do
   participate — a float32 entry can never serve a float64 caller.
@@ -55,7 +57,8 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 
 #: Bumped whenever the fingerprint recipe itself changes, so stale on-disk
 #: entries from an older scheme can never be confused for current ones.
-FINGERPRINT_VERSION = 2
+#: v3: the NumPy emitter's version and lane budget left the recipe.
+FINGERPRINT_VERSION = 3
 
 #: Bumped whenever the persisted payload layout changes (directory ``v<N>``).
 #: v2: the pickle no longer carries the NumPy source; ``<fingerprint>.py`` is
@@ -106,14 +109,13 @@ def structural_fingerprint(func: PrimFunc, config: Optional[Mapping[str, Any]] =
     """A stable hash of the program structure and build configuration.
 
     Two calls return the same fingerprint exactly when the programs lower to
-    the same stage-III loop nest *and* execute identically: the printed
-    program (iteration structure, buffer shapes and value dtypes), every
-    axis's structural arrays, the flat-buffer layout and the
-    executor-relevant configuration (lane budget, emitter version) must all
-    match.  Value data bound to buffers does not participate.
+    the same stage-III loop nest: the printed program (iteration structure,
+    buffer shapes and value dtypes), every axis's structural arrays, the
+    flat-buffer layout and *config* must all match.  Value data bound to
+    buffers does not participate, and neither does anything only an emitter
+    reads: bumping one re-prints that tier's artifact (see
+    :meth:`DiskKernelCache.get_source`) and re-lowers nothing.
     """
-    from .emit_numpy import EMITTER_VERSION
-
     digest = hashlib.sha256()
     digest.update(f"|fingerprint:v{FINGERPRINT_VERSION}".encode())
     digest.update(func.script().encode())
@@ -126,9 +128,6 @@ def structural_fingerprint(func: PrimFunc, config: Optional[Mapping[str, Any]] =
         digest.update(f"|buf:{buf.name}:{buf.dtype}:{buf.scope}".encode())
     for flat in func.flat_buffers:
         digest.update(f"|flat:{flat.name}:{flat.size}:{flat.dtype}:{flat.scope}".encode())
-    # Executor-relevant configuration: anything that changes what the cached
-    # compilation products (loop nest, emitted source) would look like.
-    digest.update(f"|exec:max_lanes={MAX_LANES}:emitter=v{EMITTER_VERSION}".encode())
     if config:
         digest.update(repr(sorted(config.items())).encode())
     return digest.hexdigest()
@@ -220,8 +219,8 @@ class DiskKernelCache:
       validity record from :meth:`publish_native` (the only part read back);
     * ``.py`` — the emitted NumPy source: :meth:`put_source` when the emitted
       tier first emits, :meth:`get_source` when a later process first asks,
-      valid when its first line names this fingerprint and the hash of the
-      rest;
+      valid when its first line names this fingerprint, this NumPy emitter
+      (version and lane budget) and the hash of the rest;
     * ``.c`` / ``.so`` — the native tier's listing and shared object, written
       when that tier is first asked for, with the listing's binding in the json
       record; :meth:`get_native_source` hands listing and binding to a later
@@ -345,14 +344,21 @@ class DiskKernelCache:
     # -- emitted NumPy source --------------------------------------------------
     @staticmethod
     def _source_header(key: str, source: str) -> str:
-        return f"# fingerprint: {key} sha256: {hashlib.sha256(source.encode()).hexdigest()}"
+        from .emit_numpy import EMITTER_VERSION
+
+        return (
+            f"# fingerprint: {key} emitter: v{EMITTER_VERSION} max_lanes: {MAX_LANES} "
+            f"sha256: {hashlib.sha256(source.encode()).hexdigest()}"
+        )
 
     def get_source(self, key: str) -> Optional[str]:
         """The stored NumPy source of *key*, or ``None`` on a miss.
 
-        A file whose first line does not name this fingerprint and the hash
-        of the rest — truncated, renamed, hand-edited, not text — is a miss
-        counted in ``stats.errors``; the re-emission overwrites it.
+        A file whose first line does not name this fingerprint, the emitter
+        version and lane budget of this process and the hash of the rest —
+        truncated, renamed, hand-edited, not text, printed by another
+        emitter — is a miss counted in ``stats.errors``; the re-emission
+        overwrites it.
         """
         try:
             header, _, source = self._path(key, ".py").read_text().partition("\n")

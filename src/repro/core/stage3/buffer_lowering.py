@@ -211,7 +211,9 @@ class _Flattener:
     def _flatten_region(self, region: BufferRegion) -> BufferRegion:
         try:
             index = self.flatten_access(region.buffer, region.indices)
-        except Exception:
+        except (ValueError, KeyError):
+            # No flattening rule for this access, or a buffer this program
+            # does not declare: the annotation keeps its position-space form.
             return region
         return BufferRegion(self._flat_of(region.buffer), [index])
 

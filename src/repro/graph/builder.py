@@ -1,9 +1,10 @@
 """Lazy capture front-end: records operator calls as graph nodes.
 
 ``session.graph()`` returns a :class:`GraphBuilder`.  Its operator methods
-take the same arguments as the eager ``Session`` ones — and resolve them
-through the same ``prepare_*`` functions, so dtype inference, tuned-override
-lookup and format decomposition happen at capture time — but instead of
+are generated from the same ``prepare_<op>`` functions as the eager
+``Session`` ones (:data:`repro.ops.registry.OPERATORS`) — same signatures,
+same documentation — and call them at capture time, so dtype inference,
+tuned-override lookup and format decomposition happen then; but instead of
 executing they append a :class:`~repro.graph.ir.GraphNode` and return a
 :class:`~repro.graph.ir.TensorRef` for chaining::
 
@@ -21,14 +22,12 @@ outputs).  Structural arguments — sparse matrices, weights of ``rgms`` /
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..ops import registry
 from .ir import DataflowGraph, GraphNode, TensorRef
-
-ArrayOrRef = Union[np.ndarray, TensorRef]
 
 
 class GraphBuilder:
@@ -87,57 +86,6 @@ class GraphBuilder:
         self._nodes.append(node)
         return node.output
 
-    # -- operator methods (mirror Session) ---------------------------------------
-    def spmm(self, csr: Any, features: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record ``A @ X`` (see :meth:`repro.runtime.session.Session.spmm`)."""
-        return self._record("spmm", csr, features, **kwargs)
-
-    def sddmm(self, csr: Any, x: ArrayOrRef, y: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record an SDDMM (see :meth:`Session.sddmm`)."""
-        return self._record("sddmm", csr, x, y, **kwargs)
-
-    def pruned_spmm(self, bsr: Any, x: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record a block-pruned SpMM (see :meth:`Session.pruned_spmm`)."""
-        return self._record("pruned_spmm", bsr, x, **kwargs)
-
-    def batched_spmm(self, csr: Any, features: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record a multi-head SpMM (see :meth:`Session.batched_spmm`)."""
-        return self._record("batched_spmm", csr, features, **kwargs)
-
-    def batched_sddmm(self, csr: Any, q: ArrayOrRef, k: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record a multi-head SDDMM (see :meth:`Session.batched_sddmm`)."""
-        return self._record("batched_sddmm", csr, q, k, **kwargs)
-
-    def rgms(self, adjacency: Any, x: ArrayOrRef, w: np.ndarray, **kwargs: Any) -> TensorRef:
-        """Record a relational gather-matmul-scatter (see :meth:`Session.rgms`)."""
-        return self._record("rgms", adjacency, x, w, **kwargs)
-
-    def sparse_conv(self, problem: Any, features: ArrayOrRef, weights: np.ndarray,
-                    **kwargs: Any) -> TensorRef:
-        """Record a sparse convolution (see :meth:`Session.sparse_conv`)."""
-        return self._record("sparse_conv", problem, features, weights, **kwargs)
-
-    def edge_softmax(self, csr: Any, scores: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record a row-wise edge softmax (see :meth:`Session.edge_softmax`)."""
-        return self._record("edge_softmax", csr, scores, **kwargs)
-
-    def batched_spmm_edges(self, csr: Any, edge_values: ArrayOrRef,
-                           features: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record an SpMM with per-head edge values (attention consumer)."""
-        return self._record("batched_spmm_edges", csr, edge_values, features, **kwargs)
-
-    def gemm(self, a: ArrayOrRef, b: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record a dense matmul."""
-        return self._record("gemm", a, b, **kwargs)
-
-    def add(self, a: ArrayOrRef, b: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record an element-wise add."""
-        return self._record("add", a, b, **kwargs)
-
-    def relu(self, a: ArrayOrRef, **kwargs: Any) -> TensorRef:
-        """Record an element-wise ReLU."""
-        return self._record("relu", a, **kwargs)
-
     # -- finishing ---------------------------------------------------------------
     def graph(self) -> DataflowGraph:
         """Close the capture and return the :class:`DataflowGraph`."""
@@ -159,3 +107,16 @@ class GraphBuilder:
         from .compile import CompiledGraph
 
         return CompiledGraph(self.session, self.graph(), fuse=fuse)
+
+
+def _capturing_method(name: str, prepare: Any) -> Any:
+    """``GraphBuilder.<name>``: *prepare*'s parameters and docstring, recorded."""
+
+    def method(self, *args: Any, **kwargs: Any) -> TensorRef:
+        return self._record(name, *args, **kwargs)
+
+    return registry.as_method(method, "GraphBuilder", prepare, returns="TensorRef")
+
+
+for _name, _prepare in registry.OPERATORS.items():
+    setattr(GraphBuilder, _name, _capturing_method(_name, _prepare))

@@ -9,8 +9,8 @@ per-node ``prepare_arrays`` copies, no Python dispatch between nodes.
 
 Grouping rule — a node joins the currently-open group exactly when:
 
-* the node's spec is ``fusable`` (its finalisation is a pure reshape and it
-  knows how to emit into a shared program);
+* the node's spec is ``fusable`` (it carries an ``emit`` into a shared
+  program, and its finalisation is a pure reshape);
 * its value dtype matches the group's (mixed-dtype groups would change
   cast-at-boundary semantics versus unfused execution).
 
@@ -44,11 +44,6 @@ class FusionGroup:
 
     nodes: List[GraphNode] = field(default_factory=list)
     dtype: Optional[str] = None
-
-    @property
-    def structure_key(self) -> Optional[str]:
-        """The first member's pattern hash (hashed on access, not on ``add``)."""
-        return self.nodes[0].spec.structure_key if self.nodes else None
 
     def can_accept(self, node: GraphNode) -> bool:
         spec = node.spec

@@ -68,29 +68,17 @@ def batched_spmm(
     block_size: int = 16,
     *,
     session=None,
-    tuned: bool = False,
-    dtype=None,
+    **options,
 ) -> np.ndarray:
-    """Execute the multi-head SpMM through the pipeline and NumPy runtime.
+    """Run the multi-head SpMM ``O[h] = A @ X[h]``; ``features`` is ``(heads, cols, feat)``.
 
-    Args:
-        csr: The shared attention mask (one sparsity structure for all heads).
-        features: Per-head dense operands of shape ``(heads, cols, feat)``.
-        format: ``"csr"`` (scalar program) or ``"bsr"`` (block program).
-        block_size: BSR block size when ``format="bsr"``.
-        dtype: Value dtype (``float32``/``float64``); ``None`` infers from
-            the operands (CSR format only — BSR computes in float32).
-        session: Optional explicit :class:`~repro.runtime.session.Session`.
-        tuned: Apply the ``attention`` tuning record for this mask/shape.
-
-    Returns:
-        The per-head products, shape ``(heads, rows, feat)``.
+    ``format`` is ``"csr"`` or ``"bsr"`` (with ``block_size``); options: see
+    ``Session.batched_spmm``.
     """
     from ..runtime.session import get_default_session
 
-    session = session or get_default_session()
-    return session.batched_spmm(
-        csr, features, format=format, block_size=block_size, dtype=dtype, tuned=tuned
+    return (session or get_default_session()).batched_spmm(
+        csr, features, format=format, block_size=block_size, **options
     )
 
 
@@ -103,33 +91,17 @@ def batched_sddmm(
     scale: Optional[float] = None,
     *,
     session=None,
-    tuned: bool = False,
-    dtype=None,
+    **options,
 ) -> np.ndarray:
-    """Execute the multi-head SDDMM through the pipeline and NumPy runtime.
+    """Run the multi-head SDDMM; ``q`` is ``(heads, rows, feat)``, ``k`` ``(heads, feat, cols)``.
 
-    Args:
-        csr: The shared attention mask.
-        q: Per-head queries of shape ``(heads, rows, feat)``.
-        k: Per-head keys of shape ``(heads, feat, cols)``.
-        format: ``"csr"`` (fused edge loop) or ``"bsr"`` (block program).
-        block_size: BSR block size when ``format="bsr"``.
-        scale: Optional post-scaling factor (e.g. ``1/sqrt(d)``) applied by a
-            separate pointwise iteration.
-        dtype: Value dtype (``float32``/``float64``); ``None`` infers from
-            the operands (CSR format only — BSR computes in float32).
-        session: Optional explicit :class:`~repro.runtime.session.Session`.
-        tuned: Apply the ``attention`` tuning record for this mask/shape.
-
-    Returns:
-        Per-head edge scores in CSR order, shape ``(heads, nnz)``.
+    ``format`` is ``"csr"`` or ``"bsr"`` (with ``block_size``), ``scale`` an
+    optional score scaling; options: see ``Session.batched_sddmm``.
     """
     from ..runtime.session import get_default_session
 
-    session = session or get_default_session()
-    return session.batched_sddmm(
-        csr, q, k, format=format, block_size=block_size, scale=scale,
-        dtype=dtype, tuned=tuned,
+    return (session or get_default_session()).batched_sddmm(
+        csr, q, k, format=format, block_size=block_size, scale=scale, **options
     )
 
 
@@ -186,47 +158,53 @@ def emit_batched_spmm(
     return {"out": c_buf, "features": b_buf, "values": a_buf}
 
 
+def emit_batched_spmm_bsr(
+    ctx: EmitContext,
+    bsr: BSRMatrix,
+    num_heads: int,
+    feat_size: int,
+    features: Optional[np.ndarray] = None,
+) -> Dict[str, SparseBuffer]:
+    """Append the BSR multi-head SpMM iteration; returns its buffers by role.
+
+    ``(IB, JB)`` walk the block structure, ``(BI, BJ)`` the dense interior of
+    each block, and the leading ``H`` axis batches the heads.
+    """
+    b = bsr.block_size
+    h_axis = ctx.dense_fixed("H", num_heads)
+    ib_axis, jb_axis = ctx.bsr_axes(bsr)
+    bi_axis = ctx.dense_fixed("BI", b)
+    bj_axis = ctx.dense_fixed("BJ", b)
+    k_axis = ctx.dense_fixed("K", feat_size)
+    i_dense = ctx.dense_fixed("I_", bsr.shape[0])
+    j_dense = ctx.dense_fixed("J_", bsr.shape[1])
+    a_buf = ctx.buffer("A", [ib_axis, jb_axis, bi_axis, bj_axis], data=bsr.data.reshape(-1))
+    b_buf = ctx.buffer(
+        "B", [h_axis, j_dense, k_axis],
+        data=None if features is None else np.asarray(features, dtype=np.float32).reshape(-1),
+    )
+    c_buf = ctx.buffer("C", [h_axis, i_dense, k_axis])
+    with ctx.sp_iter(
+        [h_axis, ib_axis, jb_axis, bi_axis, bj_axis, k_axis], "SSRSRS", "batched_spmm_bsr"
+    ) as (h, ib, jb, bi, bj, k):
+        ctx.init(c_buf[h, ib * b + bi, k], 0.0)
+        ctx.compute(
+            c_buf[h, ib * b + bi, k],
+            c_buf[h, ib * b + bi, k] + a_buf[ib, jb, bi, bj] * b_buf[h, jb * b + bj, k],
+        )
+    return {"out": c_buf, "features": b_buf}
+
+
 def build_batched_spmm_bsr_program(
     bsr: BSRMatrix,
     num_heads: int,
     feat_size: int,
     features: Optional[np.ndarray] = None,
 ) -> PrimFunc:
-    """The BSR multi-head SpMM program (the Tensor-Core variant of Figure 16).
-
-    ``(IB, JB)`` walk the block structure, ``(BI, BJ)`` the dense interior of
-    each block, and the leading ``H`` axis batches the heads.
-    """
-    b = bsr.block_size
-    builder = ProgramBuilder("batched_spmm_bsr")
-    h_axis = builder.dense_fixed("H", num_heads)
-    ib_axis = builder.dense_fixed("IB", bsr.block_rows)
-    jb_axis = builder.sparse_variable(
-        "JB", parent=ib_axis, length=bsr.block_cols, nnz=bsr.num_blocks,
-        indptr=bsr.indptr, indices=bsr.indices,
-    )
-    bi_axis = builder.dense_fixed("BI", b)
-    bj_axis = builder.dense_fixed("BJ", b)
-    k_axis = builder.dense_fixed("K", feat_size)
-    i_dense = builder.dense_fixed("I_", bsr.shape[0])
-    j_dense = builder.dense_fixed("J_", bsr.shape[1])
-    a_buf = builder.match_sparse_buffer(
-        "A", [ib_axis, jb_axis, bi_axis, bj_axis], data=bsr.data.reshape(-1)
-    )
-    b_buf = builder.match_sparse_buffer(
-        "B", [h_axis, j_dense, k_axis],
-        data=None if features is None else np.asarray(features, dtype=np.float32).reshape(-1),
-    )
-    c_buf = builder.match_sparse_buffer("C", [h_axis, i_dense, k_axis])
-    with builder.sp_iter(
-        [h_axis, ib_axis, jb_axis, bi_axis, bj_axis, k_axis], "SSRSRS", "batched_spmm_bsr"
-    ) as (h, ib, jb, bi, bj, k):
-        builder.init(c_buf[h, ib * b + bi, k], 0.0)
-        builder.compute(
-            c_buf[h, ib * b + bi, k],
-            c_buf[h, ib * b + bi, k] + a_buf[ib, jb, bi, bj] * b_buf[h, jb * b + bj, k],
-        )
-    return builder.finish()
+    """The BSR multi-head SpMM program (the Tensor-Core variant of Figure 16)."""
+    ctx = EmitContext(ProgramBuilder("batched_spmm_bsr"))
+    emit_batched_spmm_bsr(ctx, bsr, num_heads, feat_size, features)
+    return ctx.builder.finish()
 
 
 def build_batched_sddmm_program(
@@ -306,6 +284,57 @@ def emit_batched_sddmm(
     return {"out": out_buf, "q": q_buf, "k": k_buf, "values": a_buf}
 
 
+def emit_batched_sddmm_bsr(
+    ctx: EmitContext,
+    bsr: BSRMatrix,
+    num_heads: int,
+    feat_size: int,
+    q: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
+    scale: Optional[float] = None,
+) -> Dict[str, SparseBuffer]:
+    """Append the BSR batched SDDMM iterations; returns their buffers by role.
+
+    Every stored block is a small Q x K^T matmul.  The output buffer
+    ``OUT[H, IB, JB, BI, BJ]`` stores per-head block values in block order;
+    :func:`bsr_element_permutation` maps them back to the CSR element order
+    of the mask.
+    """
+    b = bsr.block_size
+    h_axis = ctx.dense_fixed("H", num_heads)
+    ib_axis, jb_axis = ctx.bsr_axes(bsr)
+    bi_axis = ctx.dense_fixed("BI", b)
+    bj_axis = ctx.dense_fixed("BJ", b)
+    k_axis = ctx.dense_fixed("K", feat_size)
+    i_dense = ctx.dense_fixed("I_", bsr.shape[0])
+    j_dense = ctx.dense_fixed("J_", bsr.shape[1])
+    a_buf = ctx.buffer("A", [ib_axis, jb_axis, bi_axis, bj_axis], data=bsr.data.reshape(-1))
+    out_buf = ctx.buffer("OUT", [h_axis, ib_axis, jb_axis, bi_axis, bj_axis])
+    q_buf = ctx.buffer(
+        "Q", [h_axis, i_dense, k_axis],
+        data=None if q is None else np.asarray(q, dtype=np.float32).reshape(-1),
+    )
+    k_buf = ctx.buffer(
+        "Kv", [h_axis, k_axis, j_dense],
+        data=None if k is None else np.asarray(k, dtype=np.float32).reshape(-1),
+    )
+    with ctx.sp_iter(
+        [h_axis, ib_axis, jb_axis, bi_axis, bj_axis, k_axis], "SSSSSR", "batched_sddmm_bsr"
+    ) as (h, ib, jb, bi, bj, kk):
+        ctx.init(out_buf[h, ib, jb, bi, bj], 0.0)
+        ctx.compute(
+            out_buf[h, ib, jb, bi, bj],
+            out_buf[h, ib, jb, bi, bj]
+            + a_buf[ib, jb, bi, bj] * q_buf[h, ib * b + bi, kk] * k_buf[h, kk, jb * b + bj],
+        )
+    if scale is not None:
+        with ctx.sp_iter(
+            [h_axis, ib_axis, jb_axis, bi_axis, bj_axis], "SSSSS", "scale_scores"
+        ) as (h, ib, jb, bi, bj):
+            ctx.compute(out_buf[h, ib, jb, bi, bj], out_buf[h, ib, jb, bi, bj] * float(scale))
+    return {"out": out_buf, "q": q_buf, "k": k_buf}
+
+
 def build_batched_sddmm_bsr_program(
     bsr: BSRMatrix,
     num_heads: int,
@@ -314,54 +343,10 @@ def build_batched_sddmm_bsr_program(
     k: Optional[np.ndarray] = None,
     scale: Optional[float] = None,
 ) -> PrimFunc:
-    """The BSR batched SDDMM: every stored block is a small Q x K^T matmul.
-
-    The output buffer ``OUT[H, IB, JB, BI, BJ]`` stores per-head block values
-    in block order; :func:`bsr_element_permutation` maps them back to the CSR
-    element order of the mask.
-    """
-    b = bsr.block_size
-    builder = ProgramBuilder("batched_sddmm_bsr")
-    h_axis = builder.dense_fixed("H", num_heads)
-    ib_axis = builder.dense_fixed("IB", bsr.block_rows)
-    jb_axis = builder.sparse_variable(
-        "JB", parent=ib_axis, length=bsr.block_cols, nnz=bsr.num_blocks,
-        indptr=bsr.indptr, indices=bsr.indices,
-    )
-    bi_axis = builder.dense_fixed("BI", b)
-    bj_axis = builder.dense_fixed("BJ", b)
-    k_axis = builder.dense_fixed("K", feat_size)
-    i_dense = builder.dense_fixed("I_", bsr.shape[0])
-    j_dense = builder.dense_fixed("J_", bsr.shape[1])
-    a_buf = builder.match_sparse_buffer(
-        "A", [ib_axis, jb_axis, bi_axis, bj_axis], data=bsr.data.reshape(-1)
-    )
-    out_buf = builder.match_sparse_buffer("OUT", [h_axis, ib_axis, jb_axis, bi_axis, bj_axis])
-    q_buf = builder.match_sparse_buffer(
-        "Q", [h_axis, i_dense, k_axis],
-        data=None if q is None else np.asarray(q, dtype=np.float32).reshape(-1),
-    )
-    k_buf = builder.match_sparse_buffer(
-        "Kv", [h_axis, k_axis, j_dense],
-        data=None if k is None else np.asarray(k, dtype=np.float32).reshape(-1),
-    )
-    with builder.sp_iter(
-        [h_axis, ib_axis, jb_axis, bi_axis, bj_axis, k_axis], "SSSSSR", "batched_sddmm_bsr"
-    ) as (h, ib, jb, bi, bj, kk):
-        builder.init(out_buf[h, ib, jb, bi, bj], 0.0)
-        builder.compute(
-            out_buf[h, ib, jb, bi, bj],
-            out_buf[h, ib, jb, bi, bj]
-            + a_buf[ib, jb, bi, bj] * q_buf[h, ib * b + bi, kk] * k_buf[h, kk, jb * b + bj],
-        )
-    if scale is not None:
-        with builder.sp_iter(
-            [h_axis, ib_axis, jb_axis, bi_axis, bj_axis], "SSSSS", "scale_scores"
-        ) as (h, ib, jb, bi, bj):
-            builder.compute(
-                out_buf[h, ib, jb, bi, bj], out_buf[h, ib, jb, bi, bj] * float(scale)
-            )
-    return builder.finish()
+    """The standalone BSR batched SDDMM program."""
+    ctx = EmitContext(ProgramBuilder("batched_sddmm_bsr"))
+    emit_batched_sddmm_bsr(ctx, bsr, num_heads, feat_size, q, k, scale=scale)
+    return ctx.builder.finish()
 
 
 def bsr_element_permutation(csr: CSRMatrix, bsr: BSRMatrix) -> np.ndarray:

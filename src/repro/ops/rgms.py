@@ -78,29 +78,15 @@ def rgms_two_stage_reference(adjacency: CSFTensor, x: np.ndarray, w: np.ndarray)
 # ---------------------------------------------------------------------------
 
 def rgms(
-    adjacency: CSFTensor,
-    x: np.ndarray,
-    w: np.ndarray,
-    *,
-    session=None,
-    tuned: bool = False,
+    adjacency: CSFTensor, x: np.ndarray, w: np.ndarray, *, session=None, **options
 ) -> np.ndarray:
-    """Execute the RGMS operator through the pipeline and NumPy runtime.
+    """Run RGMS over ``adjacency`` ``(R, n, n)``, ``x`` ``(n, d_in)``, ``w`` ``(R, d_in, d_out)``.
 
-    Args:
-        adjacency: The relational adjacency tensor, shape ``(R, n, n)``.
-        x: Node features of shape ``(n, d_in)``.
-        w: Per-relation weights of shape ``(R, d_in, d_out)``.
-        session: Optional explicit :class:`~repro.runtime.session.Session`.
-        tuned: Accepted for API uniformity across the tunable workloads.
-
-    Returns:
-        The aggregated node features, shape ``(n, d_out)``.
+    Options: see ``Session.rgms``.
     """
     from ..runtime.session import get_default_session
 
-    session = session or get_default_session()
-    return session.rgms(adjacency, x, w, tuned=tuned)
+    return (session or get_default_session()).rgms(adjacency, x, w, **options)
 
 
 def build_rgms_program(

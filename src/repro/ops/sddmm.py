@@ -62,19 +62,15 @@ def sddmm(
     fuse_ij: bool = True,
     *,
     session=None,
-    tuned: bool = False,
+    **options,
 ) -> np.ndarray:
-    """Execute the SDDMM through the compiler pipeline and NumPy runtime.
+    """Run the SDDMM of ``x`` ``(rows, feat)`` and ``y`` ``(feat, cols)`` at ``csr``'s non-zeros.
 
-    Returns the new edge values in CSR order.  Repeated calls with the same
-    sparsity structure hit the session's structural kernel cache.
-    ``tuned=True`` applies the autotuned loop structure recorded for this
-    structure.
+    ``fuse_ij`` iterates (row, edge) as one loop; options: see ``Session.sddmm``.
     """
     from ..runtime.session import get_default_session
 
-    session = session or get_default_session()
-    return session.sddmm(csr, x, y, fuse_ij=fuse_ij, tuned=tuned)
+    return (session or get_default_session()).sddmm(csr, x, y, fuse_ij=fuse_ij, **options)
 
 
 # ---------------------------------------------------------------------------

@@ -92,24 +92,16 @@ def sparse_conv(
     weights: np.ndarray,
     *,
     session=None,
-    tuned: bool = False,
+    **options,
 ) -> np.ndarray:
-    """Execute the sparse convolution through the pipeline and NumPy runtime.
+    """Run the sparse convolution of ``features`` ``(num_in_points, in_channels)``.
 
-    Args:
-        problem: The layer structure (kernel maps, point/channel counts).
-        features: Input voxel features of shape ``(num_in_points, in_channels)``.
-        weights: Kernel weights of shape ``(kernel_volume, in_channels, out_channels)``.
-        session: Optional explicit :class:`~repro.runtime.session.Session`.
-        tuned: Accepted for API uniformity across the tunable workloads.
-
-    Returns:
-        Output voxel features, shape ``(num_out_points, out_channels)``.
+    ``weights`` is ``(kernel_volume, in_channels, out_channels)``; options: see
+    ``Session.sparse_conv``.
     """
     from ..runtime.session import get_default_session
 
-    session = session or get_default_session()
-    return session.sparse_conv(problem, features, weights, tuned=tuned)
+    return (session or get_default_session()).sparse_conv(problem, features, weights, **options)
 
 
 def build_sparse_conv_program(

@@ -79,28 +79,18 @@ def spmm(
     num_buckets: Optional[int] = None,
     *,
     session=None,
-    tuned: bool = False,
+    **options,
 ) -> np.ndarray:
-    """Execute ``A @ X`` through the compiler pipeline and NumPy runtime.
+    """Run ``A @ X`` for ``features`` of shape ``(cols, feat)``.
 
-    Compiles the stage-I program (CSR, or composable ``hyb`` when
-    ``format="hyb"``), runs it on the fastest tier that accepts it (native,
-    then emitted, then the interpreter) and returns the dense
-    ``(rows, feat_size)`` result.  Repeated calls with the same sparsity
-    structure reuse the session's cached decomposition and lowered kernel.
-    ``tuned=True`` picks up the autotuned decomposition recorded for this
-    structure (see :meth:`repro.runtime.session.Session.autotune`).
+    ``format`` is ``"csr"`` or ``"hyb"`` (decomposed by ``num_col_parts`` /
+    ``num_buckets``); options: see ``Session.spmm``.
     """
     from ..runtime.session import get_default_session
 
-    session = session or get_default_session()
-    return session.spmm(
-        csr,
-        features,
-        format=format,
-        num_col_parts=num_col_parts,
-        num_buckets=num_buckets,
-        tuned=tuned,
+    return (session or get_default_session()).spmm(
+        csr, features, format=format, num_col_parts=num_col_parts,
+        num_buckets=num_buckets, **options,
     )
 
 

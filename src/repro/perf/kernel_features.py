@@ -189,7 +189,7 @@ def _estimate_extent(extent: Expr, data: Dict[str, np.ndarray]) -> float:
         b = _estimate_extent(extent.b, data)
         try:
             return float(max(type(extent).py_op(a, b), 1.0))
-        except Exception:
+        except (ZeroDivisionError, OverflowError):
             return max(a, b)
     if isinstance(extent, BufferLoad):
         name = getattr(extent.buffer, "name", "")

@@ -28,6 +28,7 @@ import numpy as np
 from ..core.buffers import _np_dtype
 from ..core.codegen.emit_c import local_buffers
 from ..core.stmt import collect_buffer_stores
+from ..ops.registry import finalize
 
 
 def _flat(value: Any, dtype: np.dtype, private: bool) -> np.ndarray:
@@ -72,12 +73,9 @@ class BoundKernel:
         feeds: Mapping[str, str],
         outputs: Sequence[Tuple[str, str, Any]],
     ):
-        from ..ops.registry import finalize  # deferred: registry imports this package
-
         self.kernel = kernel
         self.tier = tier
         self._outputs = list(outputs)
-        self._finalize = finalize
         func = kernel.func
         aux = {buf.name for buf in func.aux_buffers}
         stored = {store.buffer.name for store in collect_buffer_stores(func.body)}
@@ -156,7 +154,6 @@ class BoundKernel:
         for name, size, dtype in self._zeroed:
             arrays[name] = np.zeros(size, dtype=dtype)
         out = self.kernel.run(arrays, engine=self.tier, prepared=True)
-        finalize = self._finalize
         return {key: finalize(spec, out[name]) for key, name, spec in self._outputs}
 
     def __repr__(self) -> str:

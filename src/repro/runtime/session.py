@@ -21,12 +21,11 @@ A :class:`Session` bundles everything between "here is a sparse matrix" and
   :class:`~repro.runtime.bound.BoundKernel` per operator application and a
   warm call only hands its operands to the compiled runner.
 
-Operator-level helpers (:meth:`Session.spmm`, :meth:`Session.sddmm`,
-:meth:`Session.pruned_spmm`, :meth:`Session.batched_spmm`,
-:meth:`Session.batched_sddmm`, :meth:`Session.rgms`,
-:meth:`Session.sparse_conv`) wrap the stage-I program builders in
-:mod:`repro.ops` and return plain NumPy arrays — every workload family of the
-paper executes end-to-end through this one runtime.
+The operator methods (``Session.spmm``, ``Session.sddmm``, ... — one per
+entry of :data:`repro.ops.registry.OPERATORS`, generated from its
+``prepare_<op>``, which holds the signature and the documentation) return
+plain NumPy arrays — every workload family of the paper executes end-to-end
+through this one runtime.
 
 Example:
 
@@ -43,6 +42,7 @@ Example:
 
 from __future__ import annotations
 
+import inspect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -53,6 +53,8 @@ import numpy as np
 from ..core.codegen.build import ENGINES, Kernel, build
 from ..core.codegen.cache import KernelCache
 from ..core.program import PrimFunc
+from ..ops import registry
+from . import dynamic
 from .bound import BoundKernel
 from .keys import content_key
 
@@ -324,7 +326,17 @@ class Session:
         structure's footprint — the overlay's row patch.  Only a native
         kernel takes tables per call; on any other tier the result is
         ``None`` and nothing ran.
+
+        A structure with a pending delta detours to the operator's
+        ``overlay_<kind>`` in :mod:`repro.runtime.dynamic`, where there is one
+        (base plan + patch); the base snapshot it calls back with has none.
         """
+        if getattr(structure, "has_pending_delta", False):
+            # Looked up on the module per call, so a patched overlay (a tracer's
+            # span wrapper) is the one that runs.
+            overlay = getattr(dynamic, f"overlay_{kind}", None)
+            if overlay is not None:
+                return overlay(self, structure, **operands, **options)
         operands = {role: np.asarray(value) for role, value in operands.items()}
         if options.get("dtype") is not None:
             options["dtype"] = np.dtype(options["dtype"])  # one key per spelling
@@ -388,8 +400,6 @@ class Session:
         bound as feeds too (``values`` re-read on every call, ``indptr`` /
         ``indices`` taken when a call provides them).
         """
-        from ..ops import registry
-
         args = list(operands.values()) if structure is None else [structure, *operands.values()]
         spec = registry.prepare(self, kind, *args, **options)
         func, names = registry.build_spec_program(spec)
@@ -431,9 +441,8 @@ class Session:
     def graph(self):
         """Open a lazy capture scope: a :class:`~repro.graph.builder.GraphBuilder`.
 
-        The builder mirrors the operator methods (plus dense ``gemm`` /
-        ``add`` / ``relu`` and the attention ``edge_softmax`` /
-        ``batched_spmm_edges``) but records nodes instead of executing;
+        The builder has the same operator methods, with the same
+        signatures, but records nodes instead of executing;
         ``builder.compile()`` lowers the captured
         :class:`~repro.graph.ir.DataflowGraph` into an executable
         :class:`~repro.graph.compile.CompiledGraph` with cross-op fusion.
@@ -698,271 +707,45 @@ class Session:
         key = content_key("bsr", self._csr_memo_content(csr), block_size)
         return self._memoized_format(key, lambda: BSRMatrix.from_csr(csr, block_size))
 
-    # -- operators -------------------------------------------------------------
-    def spmm(
-        self,
-        csr,
-        features: np.ndarray,
-        format: str = "csr",
-        num_col_parts: int = 1,
-        num_buckets: Optional[int] = None,
-        dtype: Any = None,
-        tuned: bool = False,
-    ) -> np.ndarray:
-        """``A @ X`` through the full compile/execute pipeline.
-
-        A matrix with a pending delta
-        (:attr:`~repro.formats.csr.CSRMatrix.has_pending_delta`) executes
-        as base plan + overlay — the frozen base runs through its warm
-        cached kernel and only the delta's affected rows are recomputed —
-        bit-exact with a cold rebuild (see :mod:`repro.runtime.dynamic`).
-
-        Args:
-            csr: The sparse matrix (:class:`~repro.formats.csr.CSRMatrix`).
-            features: Dense operand of shape ``(cols, feat)``.
-            format: ``"csr"`` runs the Figure-3 CSR program; ``"hyb"``
-                decomposes into the composable ``hyb`` format first (cached)
-                and runs the per-bucket ELL programs.
-            num_col_parts: Column partitions of the ``hyb`` decomposition.
-            num_buckets: Bucket count of the ``hyb`` decomposition.
-            dtype: Value dtype to compute in (``float32``/``float64``).
-                ``None`` infers from the operands (float64 anywhere means a
-                float64 kernel); the dtype is part of the program structure,
-                so float32 and float64 callers never share a cached kernel.
-            tuned: Apply the autotuned decomposition recorded for this
-                structure (see :meth:`autotune`), overriding ``format`` /
-                ``num_col_parts`` / ``num_buckets``.  Without a record the
-                explicit parameters are used unchanged.
-
-        Returns:
-            The dense product, shape ``(rows, feat)`` in the resolved dtype.
-        """
-        if getattr(csr, "has_pending_delta", False):
-            from .dynamic import overlay_spmm
-
-            return overlay_spmm(
-                self, csr, features, format=format, num_col_parts=num_col_parts,
-                num_buckets=num_buckets, dtype=dtype, tuned=tuned,
-            )
-        return self._execute(
-            "spmm", csr, {"features": features}, format=format,
-            num_col_parts=num_col_parts, num_buckets=num_buckets, dtype=dtype, tuned=tuned,
-        )
-
-    def sddmm(
-        self,
-        csr,
-        x: np.ndarray,
-        y: np.ndarray,
-        fuse_ij: bool = True,
-        dtype: Any = None,
-        tuned: bool = False,
-    ) -> np.ndarray:
-        """Sampled dense-dense matmul at the non-zeros of ``csr``.
-
-        A matrix with a pending delta executes as base plan + edge overlay,
-        bit-exact with a cold rebuild (see :mod:`repro.runtime.dynamic`).
-
-        Args:
-            csr: The sampling structure (values scale each edge score).
-            x: Dense operand of shape ``(rows, feat)``.
-            y: Dense operand of shape ``(feat, cols)``.
-            fuse_ij: Iterate the (row, edge) axes as one fused loop.
-            dtype: Value dtype to compute in; ``None`` infers from the operands.
-            tuned: Apply the autotuned loop structure recorded for this
-                structure (overrides ``fuse_ij`` when a record exists).
-
-        Returns:
-            The new edge values in CSR order, shape ``(nnz,)``.
-        """
-        if getattr(csr, "has_pending_delta", False):
-            from .dynamic import overlay_sddmm
-
-            return overlay_sddmm(
-                self, csr, x, y, fuse_ij=fuse_ij, dtype=dtype, tuned=tuned
-            )
-        return self._execute(
-            "sddmm", csr, {"x": x, "y": y}, fuse_ij=fuse_ij, dtype=dtype, tuned=tuned
-        )
-
-    def pruned_spmm(self, bsr, x: np.ndarray) -> np.ndarray:
-        """``W @ X`` with a BSR (block-pruned) weight matrix.
-
-        Args:
-            bsr: The pruned weights (:class:`~repro.formats.bsr.BSRMatrix`).
-            x: Dense activation of shape ``(in_features, seq_len)``.
-
-        Returns:
-            The product, shape ``(out_features, seq_len)``.
-        """
-        return self._execute("pruned_spmm", bsr, {"x": x})
-
-    def batched_spmm(
-        self,
-        csr,
-        features: np.ndarray,
-        format: str = "csr",
-        block_size: int = 16,
-        dtype: Any = None,
-        tuned: bool = False,
-    ) -> np.ndarray:
-        """Multi-head SpMM ``O[h] = A @ X[h]`` with a shared sparse mask.
-
-        The head axis is a dense batch loop of the generated program, so the
-        compiled tiers flatten it into lanes alongside rows and features.
-
-        Args:
-            csr: The shared mask (:class:`~repro.formats.csr.CSRMatrix`).
-            features: Per-head operands, shape ``(heads, cols, feat)``.
-            format: ``"csr"`` for the scalar program, ``"bsr"`` for the
-                block program over the cached BSR decomposition.
-            block_size: BSR block size (``format="bsr"`` only).
-            dtype: Value dtype (``float32``/``float64``).  ``None`` keeps
-                the historical float32 default; an explicit ``float64``
-                (CSR format only) makes the whole kernel — and its cache
-                fingerprint — double precision, which is what lets the
-                serving batcher coalesce float64 requests bit-exactly.
-            tuned: Apply the ``attention`` tuning record for this mask and
-                shape (overrides ``format`` / ``block_size``).
-
-        Returns:
-            The per-head products, shape ``(heads, rows, feat)``.
-        """
-        return self._execute(
-            "batched_spmm", csr, {"features": features}, format=format,
-            block_size=block_size, dtype=dtype, tuned=tuned,
-        )
-
-    def batched_sddmm(
-        self,
-        csr,
-        q: np.ndarray,
-        k: np.ndarray,
-        format: str = "csr",
-        block_size: int = 16,
-        fuse_ij: bool = True,
-        scale: Optional[float] = None,
-        dtype: Any = None,
-        tuned: bool = False,
-    ) -> np.ndarray:
-        """Multi-head SDDMM ``S[h] = (Q[h] @ K[h]) * mask`` at the mask's nnz.
-
-        Args:
-            csr: The shared mask.
-            q: Per-head queries, shape ``(heads, rows, feat)``.
-            k: Per-head keys, shape ``(heads, feat, cols)``.
-            format: ``"csr"`` (fused edge loop) or ``"bsr"`` (per-block
-                matmuls over the cached BSR decomposition; requires a
-                block-aligned mask).
-            block_size: BSR block size (``format="bsr"`` only).
-            fuse_ij: Iterate the (row, edge) axes as one fused loop
-                (``format="csr"`` only).
-            scale: Optional score scaling (e.g. ``1/sqrt(d)``) applied by a
-                pointwise rescaling iteration inside the same kernel.
-            dtype: Value dtype (``float32``/``float64``).  ``None`` keeps
-                the historical float32 default; explicit ``float64`` is
-                CSR-format only (see :meth:`batched_spmm`).
-            tuned: Apply the ``attention`` tuning record for this mask and
-                shape (overrides ``format`` / ``block_size``).
-
-        Returns:
-            Per-head edge scores in CSR order, shape ``(heads, nnz)``.
-        """
-        return self._execute(
-            "batched_sddmm", csr, {"q": q, "k": k}, format=format, block_size=block_size,
-            fuse_ij=fuse_ij, scale=scale, dtype=dtype, tuned=tuned,
-        )
-
-    def rgms(self, adjacency, x: np.ndarray, w: np.ndarray, tuned: bool = False) -> np.ndarray:
-        """Relational gather-matmul-scatter over a CSF adjacency tensor.
-
-        One program per adjacency structure: the relation dimension unrolls
-        into per-relation sparse iterations that share the output buffer, so
-        repeated calls (RGCN layers, forward passes) reuse one cached build.
-
-        Args:
-            adjacency: :class:`~repro.formats.csf.CSFTensor` of shape
-                ``(R, n, n)``.
-            x: Node features, shape ``(n, d_in)``.
-            w: Per-relation weights, shape ``(R, d_in, d_out)``.
-            tuned: Accepted for API uniformity with the other workloads.
-                The RGMS tuning record picks between launch *strategies* in
-                the cost model; the runtime has a single fused program, so
-                no execution parameter changes.
-
-        Returns:
-            Aggregated features, shape ``(n, d_out)``.
-        """
-        return self._execute("rgms", adjacency, {"x": x, "w": w}, tuned=tuned)
-
-    def sparse_conv(
-        self, problem, features: np.ndarray, weights: np.ndarray, tuned: bool = False
-    ) -> np.ndarray:
-        """Fused gather-GEMM-scatter sparse convolution over kernel maps.
-
-        Args:
-            problem: :class:`~repro.ops.sparse_conv.SparseConvProblem`
-                describing the layer's ELL(1) kernel-map relations.
-            features: Input voxel features, ``(num_in_points, in_channels)``.
-            weights: Kernel weights,
-                ``(kernel_volume, in_channels, out_channels)``.
-            tuned: Accepted for API uniformity with the other workloads; the
-                sparse-conv record picks between launch strategies in the
-                cost model, the runtime has a single fused program.
-
-        Returns:
-            Output voxel features, ``(num_out_points, out_channels)``.
-        """
-        return self._execute(
-            "sparse_conv", problem, {"features": features, "weights": weights}, tuned=tuned
-        )
-
-    def edge_softmax(self, csr, scores: np.ndarray, dtype: Any = None) -> np.ndarray:
-        """Row-wise softmax over the stored edges, per head.
-
-        Args:
-            csr: The sparsity structure whose edges carry the scores.
-            scores: Per-head edge scores in CSR order, shape ``(heads, nnz)``.
-            dtype: Value dtype to compute in; ``None`` infers from ``scores``.
-
-        Returns:
-            The attention probabilities in CSR order, shape ``(heads, nnz)``.
-        """
-        return self._execute("edge_softmax", csr, {"scores": scores}, dtype=dtype)
-
-    def batched_spmm_edges(
-        self, csr, edge_values: np.ndarray, features: np.ndarray, dtype: Any = None
-    ) -> np.ndarray:
-        """Multi-head SpMM with per-head edge values (the attention consumer).
-
-        Args:
-            csr: The shared mask structure.
-            edge_values: Per-head edge values in CSR order, ``(heads, nnz)``.
-            features: Per-head dense operands, ``(heads, cols, feat)``.
-            dtype: Value dtype to compute in; ``None`` infers from operands.
-
-        Returns:
-            The per-head products, shape ``(heads, rows, feat)``.
-        """
-        return self._execute(
-            "batched_spmm_edges", csr, {"edge_values": edge_values, "features": features},
-            dtype=dtype,
-        )
-
-    def gemm(self, a: np.ndarray, b: np.ndarray, dtype: Any = None) -> np.ndarray:
-        """Dense ``A @ B`` through the generated-kernel pipeline."""
-        return self._execute("gemm", None, {"a": a, "b": b}, dtype=dtype)
-
-    def add(self, a: np.ndarray, b: np.ndarray, dtype: Any = None) -> np.ndarray:
-        """Element-wise ``A + B`` through the generated-kernel pipeline."""
-        return self._execute("add", None, {"a": a, "b": b}, dtype=dtype)
-
-    def relu(self, a: np.ndarray, dtype: Any = None) -> np.ndarray:
-        """Element-wise ``max(A, 0)`` through the generated-kernel pipeline."""
-        return self._execute("relu", None, {"a": a}, dtype=dtype)
-
     def __repr__(self) -> str:
         return f"Session(engine={self.engine!r}, stats={self.stats.as_dict()})"
+
+
+def _eager_method(name: str, prepare: Any) -> Any:
+    """``Session.<name>``: *prepare*'s parameters and docstring, run by ``_execute``.
+
+    The parameter annotated ``Structure`` (none for a dense operator) is what
+    the handle is keyed on, those annotated ``Operand`` are the per-call
+    arrays, and the rest — all defaulted — are the options, handed on in
+    signature order so every spelling of one application maps to one handle
+    key.  The split is compiled into the method here, once: a call is bound
+    by Python itself, with its ``TypeError`` for an unknown, duplicate or
+    missing argument.
+    """
+    params = list(inspect.signature(prepare).parameters.values())[1:]  # without ``session``
+    structure = [param.name for param in params if param.annotation == "Structure"]
+    operands = [param.name for param in params if param.annotation == "Operand"]
+    options = [param.name for param in params if param.default is not param.empty]
+    if [param.name for param in params] != structure[:1] + operands + options:
+        raise TypeError(f"prepare_{name}: expected (session, [structure], *operands, *options)")
+    header = ["self", *structure, *operands, *(f"{option}=None" for option in options)]
+    call = [
+        repr(name),
+        structure[0] if structure else "None",
+        "{%s}" % ", ".join(f"{role!r}: {role}" for role in operands),
+        *(f"{option}={option}" for option in options),
+    ]
+    source = f"def {name}({', '.join(header)}):\n    return self._execute({', '.join(call)})\n"
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, f"<generated Session.{name}>", "exec"), namespace)
+    method = namespace[name]
+    method.__defaults__ = prepare.__defaults__
+    method.__module__ = __name__
+    return registry.as_method(method, "Session", prepare, returns="np.ndarray")
+
+
+for _name, _prepare in registry.OPERATORS.items():
+    setattr(Session, _name, _eager_method(_name, _prepare))
 
 
 _DEFAULT_SESSION: Optional[Session] = None

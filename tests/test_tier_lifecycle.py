@@ -130,3 +130,48 @@ class TestStoredSource:
         third = _session(tmp_path)
         third.edge_softmax(csr, scores)
         assert third.cache.stats.emissions == 0 and third.cache.disk.stats.errors == 0
+
+
+class TestEmitterBump:
+    """The fingerprint hashes what lowering reads; the NumPy emitter's version
+    and lane budget are named by the stored source instead, so bumping them
+    re-prints ``.py`` files and re-lowers (and re-``cc``s) nothing."""
+
+    def _zoo(self, session, csr):
+        rng = np.random.default_rng(2)
+        f32 = lambda *shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
+        return [
+            session.spmm(csr, f32(csr.cols, 4)),
+            session.sddmm(csr, f32(csr.rows, 3), f32(3, csr.cols)),
+            session.edge_softmax(csr, _scores(csr)),
+        ]
+
+    def test_a_new_emitter_version_relowers_nothing(self, csr, tmp_path, monkeypatch):
+        from repro.core.codegen import emit_numpy
+
+        engine = "auto" if toolchain_available() else "emitted"
+        first = _session(tmp_path, engine=engine)
+        expected = self._zoo(first, csr)
+        assert first.cache.stats.lowerings == 3
+        before = {path: path.stat().st_mtime_ns for path in first.cache.disk.dir.iterdir()}
+        sources = {path: path.read_text() for path in _files(first, ".py")}
+        assert len(sources) == (1 if toolchain_available() else 3)
+
+        monkeypatch.setattr(emit_numpy, "EMITTER_VERSION", emit_numpy.EMITTER_VERSION + 1)
+        second = _session(tmp_path, engine=engine)
+        for out, want in zip(self._zoo(second, csr), expected):
+            assert np.array_equal(out, want)
+        stats = second.cache.stats
+        assert stats.lowerings == 0 and stats.disk_hits == 3
+        assert stats.native_rebuilds == 0
+        # Every stored source was printed by the other emitter: a miss each,
+        # re-emitted and overwritten under a header naming this one.
+        assert stats.emissions == len(sources) == second.cache.disk.stats.errors
+        after = {path: path.stat().st_mtime_ns for path in second.cache.disk.dir.iterdir()}
+        assert after.keys() == before.keys()
+        changed = {path for path in before if after[path] != before[path]}
+        assert changed == set(sources)
+        for path, old in sources.items():
+            header = path.read_text().partition("\n")[0]
+            assert f"emitter: v{emit_numpy.EMITTER_VERSION} " in header
+            assert header != old.partition("\n")[0]
