@@ -45,22 +45,6 @@ def devices():
     return [V100, RTX3070]
 
 
-@pytest.fixture
-def bench_output(request, tmp_path):
-    """Where a full-mode harness writes its ``BENCH_*.json``.
-
-    The committed file at the repository root only under ``--write-bench``;
-    otherwise a same-named file in a temporary directory, so a plain
-    ``pytest`` run leaves ``git status`` clean.
-    """
-    def resolve(committed: Path) -> Path:
-        if request.config.getoption("--write-bench"):
-            return committed
-        return tmp_path / committed.name
-
-    return resolve
-
-
 def print_speedup_table(
     title: str,
     rows: Sequence[str],

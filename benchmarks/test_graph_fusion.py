@@ -1,9 +1,9 @@
-"""Graph-level fusion wall-clock harness: fused vs unfused whole models.
+"""Graph-level fusion contract: fused and unfused whole models agree, in fewer launches.
 
-The other benchmark modules measure single operators (or drive the GPU
-performance model); this harness measures the *graph tentpole*: whole models
-captured as dataflow graphs and compiled once with ``fuse=True`` and once
-with ``fuse=False``.  Three model families cover the fusion patterns of the
+The other benchmark modules check single operators (or drive the GPU
+performance model); this one checks the *graph tier*: whole models captured as
+dataflow graphs and compiled once with ``fuse=True`` and once with
+``fuse=False``.  Three model families cover the fusion patterns of the
 paper's end-to-end workloads:
 
 * **attention** — the SDDMM -> masked-softmax -> SpMM chain over a fig-13
@@ -16,27 +16,17 @@ paper's end-to-end workloads:
   backbone, the launch-per-offset execution of a TorchSparse-style runtime
   (Figure 23).
 
-Methodology: fused and unfused graphs are measured in *interleaved paired
-rounds* (warm both, then alternate batches) and the reported ratio is
-``median(unfused) / median(fused)``.  Interleaving is deliberate: the two
-compiled graphs co-reside in one process, and allocator/cache state drifts
-over a run — back-to-back blocks of one variant pick up that drift as a
-spurious 10-30% bias in either direction, while alternating batches sample
-both variants under the same conditions.  Every workload also asserts the
-acceptance contract: strictly fewer kernel launches fused than unfused
+Every model must run in strictly fewer kernel launches fused than unfused
 (equal when the planner declines a tier-demoting merge, as for attention's
-softmax with a C toolchain present), and bit-exact (``np.array_equal``)
-agreement between the two executions.
+softmax with a C toolchain present) and produce ``np.array_equal`` outputs
+both ways; on the native tier RGCN's fused unit must also have contracted its
+intermediates out of the operand list.
 
-``test_graph_smoke`` runs scaled-down models for the CI ``graph-smoke`` lane
-(writes ``BENCH_graph.smoke.json``); ``test_graph_full`` runs the fig-13
-configurations above, records both absolute times and refreshes the
-committed ``BENCH_graph.json`` only under ``pytest --write-bench``.
+``test_graph_smoke`` runs scaled-down models, ``test_graph_full`` the fig-13
+configurations (``slow``).  Nothing here is timed: compiled forward passes
+next to their NumPy/SciPy reference are
+``python3 bench/run.py --workload graph-models``.
 """
-
-import json
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,19 +41,10 @@ from repro.workloads.attention import capture_sparse_attention
 from repro.workloads.graphs import synthetic_graph
 from repro.workloads.pointcloud import PointCloudConfig
 
-_ROOT = Path(__file__).resolve().parent.parent
-#: The committed perf-trajectory file; only the full-mode run writes it.
-OUTPUT = _ROOT / "BENCH_graph.json"
-#: Smoke runs write a sibling (gitignored) file so a local smoke run never
-#: clobbers the committed full-mode numbers; CI renames it before upload.
-SMOKE_OUTPUT = _ROOT / "BENCH_graph.smoke.json"
-
 SMOKE_CONFIG = {
     "attention": [("cora", 2, 4)],          # graph, heads, head_dim
     "rgcn": [("cora", 8, 8)],               # graph, relations, feat
     "minkowski": [(300, 2, 8)],             # points, layers, channels
-    "rounds": 5,
-    "calls": 1,
 }
 
 FULL_CONFIG = {
@@ -74,8 +55,6 @@ FULL_CONFIG = {
     "rgcn": [("cora", 64, 16), ("citeseer", 64, 16)],
     # Four submanifold conv layers at 8 channels over two scan densities.
     "minkowski": [(1000, 4, 8), (1500, 4, 8)],
-    "rounds": 9,
-    "calls": 2,
 }
 
 
@@ -94,62 +73,18 @@ def split_relations(csr: CSRMatrix, num_relations: int, seed: int = 0) -> CSFTen
     return CSFTensor((num_relations,) + coo.shape, slices)
 
 
-def _paired_seconds(fused_fn, unfused_fn, rounds, calls):
-    """Interleaved paired timing; returns (median fused, median unfused)."""
-    fused_fn()
-    unfused_fn()  # warm both: compile plans, fault in buffers
-    fused_times, unfused_times = [], []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fused_fn()
-        fused_times.append((time.perf_counter() - start) / calls)
-        start = time.perf_counter()
-        for _ in range(calls):
-            unfused_fn()
-        unfused_times.append((time.perf_counter() - start) / calls)
-    return float(np.median(fused_times)), float(np.median(unfused_times))
-
-
-def _record(results, family, workload, fused, unfused, fused_name, unfused_name,
-            rounds, calls):
-    exact = np.array_equal(fused.run()[fused_name], unfused.run()[unfused_name])
-    fused_s, unfused_s = _paired_seconds(
-        lambda: fused.run(), lambda: unfused.run(), rounds, calls
-    )
-    entry = {
-        "family": family,
-        "workload": workload,
-        "launches_fused": int(fused.num_kernel_launches),
-        "launches_unfused": int(unfused.num_kernel_launches),
-        "fused_s": fused_s,
-        "unfused_s": unfused_s,
-        "speedup_fused": unfused_s / fused_s,
-        "bit_exact": bool(exact),
-        # True when the planner kept the members as singletons because a
-        # merge would have demoted native-capable kernels to the emitted
-        # tier (e.g. attention's softmax pins the merged chain off the C
-        # fragment); such rows execute identically fused and unfused.
-        "fusion_declined": fused.num_nodes_fused == 0,
-    }
-    results.append(entry)
-    print(
-        f"{family:10s} {workload:28s} launches {entry['launches_fused']:3d} vs "
-        f"{entry['launches_unfused']:3d}   fused {fused_s * 1e3:8.2f} ms   "
-        f"x{entry['speedup_fused']:.2f} vs unfused   exact={exact}"
-        + ("   (fusion declined: tier demotion)" if entry["fusion_declined"] else "")
-    )
-    if entry["fusion_declined"]:
-        assert entry["launches_fused"] == entry["launches_unfused"]
+def _check(workload, fused, unfused, fused_name, unfused_name):
+    if fused.num_nodes_fused == 0:
+        # The planner kept the members as singletons because a merge would
+        # have demoted native-capable kernels to the emitted tier (attention's
+        # softmax pins the merged chain off the C fragment).
+        assert fused.num_kernel_launches == unfused.num_kernel_launches, workload
     else:
-        assert entry["launches_fused"] < entry["launches_unfused"]
-    assert entry["bit_exact"]
+        assert fused.num_kernel_launches < unfused.num_kernel_launches, workload
+    assert np.array_equal(fused.run()[fused_name], unfused.run()[unfused_name]), workload
 
 
-def _run_suite(mode, config, output):
-    results = []
-    rounds, calls = config["rounds"], config["calls"]
-
+def _run_suite(config):
     for graph_name, heads, head_dim in config["attention"]:
         mask = synthetic_graph(graph_name).csr
         rng = np.random.default_rng(3)
@@ -162,9 +97,8 @@ def _run_suite(mode, config, output):
         out1 = capture_sparse_attention(g1, mask, q, k, v)
         g2 = session.graph()
         out2 = capture_sparse_attention(g2, mask, q, k, v)
-        _record(results, "attention", f"{graph_name}-h{heads}-d{head_dim}",
-                g1.compile(fuse=True), g2.compile(fuse=False),
-                out1.name, out2.name, rounds, calls)
+        _check(f"attention-{graph_name}-h{heads}-d{head_dim}",
+               g1.compile(fuse=True), g2.compile(fuse=False), out1.name, out2.name)
 
     for graph_name, relations, feat in config["rgcn"]:
         adjacency = split_relations(synthetic_graph(graph_name).csr, relations, seed=5)
@@ -183,9 +117,8 @@ def _run_suite(mode, config, output):
             bufs = unit.kernel._tier("native")[0][1].bufs
             assert [name for _value, name, _spec in unit.produced if name in bufs] == [unit.produced[-1][1]]
             assert len(bufs) == len(unit.node_ids) + 1 < 2 * len(unit.node_ids)
-        _record(results, "rgcn", f"{graph_name}-R{relations}-d{feat}",
-                fused.compiled, unfused.compiled,
-                fused.output_name, unfused.output_name, rounds, calls)
+        _check(f"rgcn-{graph_name}-R{relations}-d{feat}",
+               fused.compiled, unfused.compiled, fused.output_name, unfused.output_name)
 
     for points, layers, channels in config["minkowski"]:
         plan = [(channels, channels)] * layers
@@ -195,52 +128,18 @@ def _run_suite(mode, config, output):
         session = Session(persistent=False)
         fused = model.compile(session, x, fuse=True)
         unfused = model.compile(session, x, fuse=False)
-        _record(results, "minkowski", f"pts{points}-L{layers}-c{channels}",
-                fused.compiled, unfused.compiled,
-                fused.output_name, unfused.output_name, rounds, calls)
-
-    speedups = [r["speedup_fused"] for r in results]
-    payload = {
-        "schema": 1,
-        "harness": "benchmarks/test_graph_fusion.py",
-        "mode": mode,
-        "numpy": np.__version__,
-        "methodology": "interleaved paired rounds; ratio = median(unfused)/median(fused)",
-        "results": results,
-        "summary": {
-            "geomean_fused_speedup": float(np.exp(np.mean(np.log(speedups)))),
-            "min_fused_speedup": float(min(speedups)),
-            "max_fused_speedup": float(max(speedups)),
-        },
-    }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {output} (geomean fused speedup: "
-          f"x{payload['summary']['geomean_fused_speedup']:.2f})")
-    return payload
+        _check(f"minkowski-pts{points}-L{layers}-c{channels}",
+               fused.compiled, unfused.compiled, fused.output_name, unfused.output_name)
 
 
 @pytest.mark.figure("graph-fusion")
 def test_graph_smoke():
-    """Scaled-down models for the CI ``graph-smoke`` job (artifact upload).
-
-    Smoke asserts the structural contract (fewer launches, bit-exact) but
-    not the speedup gate: at toy sizes the ratio is noise-dominated.
-    """
-    payload = _run_suite("smoke", SMOKE_CONFIG, SMOKE_OUTPUT)
-    assert SMOKE_OUTPUT.exists()
-    for row in payload["results"]:
-        assert row["fused_s"] > 0 and row["unfused_s"] > 0
+    """Scaled-down models: the CI ``contracts-smoke`` and ``backend-native`` lanes."""
+    _run_suite(SMOKE_CONFIG)
 
 
 @pytest.mark.slow
-@pytest.mark.bench  # also auto-applied by benchmarks/conftest.py; explicit here
 @pytest.mark.figure("graph-fusion")
-def test_graph_full(bench_output):
-    """Fig-13-graph configurations; the committed ``BENCH_graph.json`` comes
-    from this run under ``pytest --write-bench``.  ``_run_suite`` asserts
-    bit-exactness and fewer fused launches; both absolute times are
-    recorded.  The fused-vs-unfused ratio is not gated here — its
-    denominator, node-at-a-time execution, now runs through the same bound
-    kernels — the gated number is ``graph-models`` ``ref_ratio`` in
-    ``bench/``."""
-    _run_suite("full", FULL_CONFIG, bench_output(OUTPUT))
+def test_graph_full():
+    """Fig-13-graph configurations."""
+    _run_suite(FULL_CONFIG)

@@ -23,10 +23,3 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite the golden emitted-kernel sources under tests/goldens/",
     )
-    parser.addoption(
-        "--write-bench",
-        action="store_true",
-        default=False,
-        help="let the full-mode benchmark harnesses rewrite the committed "
-        "BENCH_*.json at the repository root (default: a temporary directory)",
-    )

@@ -115,7 +115,6 @@ class Kernel:
     def __init__(
         self,
         func: PrimFunc,
-        stage2: Optional[PrimFunc] = None,
         defaults: Optional[Mapping[str, np.ndarray]] = None,
         entry: Optional[CacheEntry] = None,
         cache: Optional[KernelCache] = None,
@@ -124,7 +123,6 @@ class Kernel:
         if func.stage != STAGE_LOOP:
             raise ValueError("Kernel requires a stage-III program; use build()")
         self.func = func
-        self.stage2 = stage2
         self.defaults: Dict[str, np.ndarray] = dict(defaults or {})
         self.last_engine: Optional[str] = None
         #: Whether :func:`build` found this kernel's entry in the cache
@@ -347,9 +345,7 @@ def _structural_copy(func: PrimFunc) -> PrimFunc:
 def _cached_kernel(
     entry: CacheEntry, defaults: Dict[str, np.ndarray], cache: KernelCache, key: str, hit: bool
 ) -> Kernel:
-    kernel = Kernel(
-        entry.lowered, stage2=entry.stage2, defaults=defaults, entry=entry, cache=cache, key=key
-    )
+    kernel = Kernel(entry.lowered, defaults=defaults, entry=entry, cache=cache, key=key)
     kernel.cache_hit = hit
     return kernel
 
@@ -401,11 +397,9 @@ def build(
             return _cached_kernel(flight.entry, defaults, cache_obj, key, hit=False)
 
     try:
-        stage2: Optional[PrimFunc] = None
         if func.stage == STAGE_COORDINATE:
             func = lower_sparse_iterations(func)
         if func.stage == STAGE_POSITION:
-            stage2 = func
             func = lower_sparse_buffers(func)
         if func.stage != STAGE_LOOP:
             raise ValueError(f"cannot build program at stage {func.stage}")
@@ -417,12 +411,11 @@ def build(
         # include their data so cache hits on later builds can rebind them.
         defaults.update(_collect_defaults(func))
         if cache_obj is None or key is None:
-            return Kernel(func, stage2=stage2, defaults=defaults)
+            return Kernel(func, defaults=defaults)
 
         func = _structural_copy(func)
-        stage2 = None if stage2 is None else _structural_copy(stage2)
         cache_obj.stats.lowerings += 1
-        entry = cache_obj.put(key, func, stage2=stage2)
+        entry = cache_obj.put(key, func)
         return _cached_kernel(entry, defaults, cache_obj, key, hit=False)
     finally:
         if flight is not None:

@@ -63,7 +63,9 @@ FINGERPRINT_VERSION = 3
 #: Bumped whenever the persisted payload layout changes (directory ``v<N>``).
 #: v2: the pickle no longer carries the NumPy source; ``<fingerprint>.py`` is
 #: the stored source, written lazily and validated by its header line.
-DISK_SCHEMA_VERSION = 2
+#: v3: the pickle no longer carries the stage-II program, whose body reached
+#: the first caller's operand arrays.
+DISK_SCHEMA_VERSION = 3
 
 #: Environment variable naming the on-disk cache root.  Unset disables the
 #: persistent layer; the values ``0`` / ``off`` / ``false`` disable it too.
@@ -186,7 +188,7 @@ class CacheStats:
 class CacheEntry:
     """One cached compilation product, shared by every build that hits it.
 
-    ``lowered`` and ``stage2`` are purely structural (value data detached).
+    ``lowered`` is purely structural (value data detached).
 
     ``tiers`` holds one slot per compiled tier (``"native"`` / ``"emitted"``):
     absent until :class:`Kernel` is first asked for that tier, then
@@ -199,7 +201,6 @@ class CacheEntry:
     """
 
     lowered: PrimFunc
-    stage2: Optional[PrimFunc] = None
     tiers: Dict[str, Tuple[Any, Any]] = field(default_factory=dict, repr=False)
     declined: Dict[str, str] = field(default_factory=dict, repr=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -287,15 +288,12 @@ class DiskKernelCache:
             lowered = payload["program"]
             if not isinstance(lowered, PrimFunc):
                 raise TypeError("program payload is not a PrimFunc")
-            stage2 = payload["stage2"]
-            if stage2 is not None and not isinstance(stage2, PrimFunc):
-                raise TypeError("stage2 payload is not a PrimFunc")
         except Exception:
             self.stats.errors += 1
             self._discard(key)
             return None
         self.stats.hits += 1
-        return CacheEntry(lowered=lowered, stage2=stage2)
+        return CacheEntry(lowered=lowered)
 
     # -- write -----------------------------------------------------------------
     def put(self, key: str, entry: CacheEntry) -> None:
@@ -305,7 +303,6 @@ class DiskKernelCache:
             "fingerprint": key,
             "name": entry.lowered.name,
             "program": entry.lowered,
-            "stage2": entry.stage2,
         }
         # Update the existing metadata, so a native validity record survives:
         # the program and the compiled artifact are written by different paths.
@@ -724,14 +721,14 @@ class KernelCache:
             self.stats.misses += 1
             return None
 
-    def put(self, key: str, lowered: PrimFunc, stage2: Optional[PrimFunc] = None) -> CacheEntry:
+    def put(self, key: str, lowered: PrimFunc) -> CacheEntry:
         """Insert the entry of a freshly lowered program and return it.
 
         The disk write-through (pickling + atomic file writes) happens
         outside the lock; the persisted programs are immutable once built, so
         concurrent writers of the same key produce identical payloads.
         """
-        entry = CacheEntry(lowered=lowered, stage2=stage2)
+        entry = CacheEntry(lowered=lowered)
         with self._lock:
             self._store(key, entry)
             disk = self.disk

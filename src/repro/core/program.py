@@ -55,9 +55,6 @@ class PrimFunc:
                 return buf
         raise KeyError(f"no buffer named {name!r} in {self.name!r}")
 
-    def has_buffer(self, name: str) -> bool:
-        return any(buf.name == name for buf in self.buffers + self.aux_buffers)
-
     def sparse_iterations(self) -> List[SparseIteration]:
         """All sparse iterations of a stage-I program, in program order."""
         return [s for s in post_order_stmts(self.body) if isinstance(s, SparseIteration)]
@@ -94,14 +91,6 @@ class PrimFunc:
             attrs=dict(self.attrs),
         )
         return func
-
-    def add_axis(self, axis: Axis) -> None:
-        if not any(existing is axis for existing in self.axes):
-            self.axes.append(axis)
-
-    def add_buffer(self, buffer: SparseBuffer) -> None:
-        if not any(existing is buffer for existing in self.buffers):
-            self.buffers.append(buffer)
 
     def replace_sparse_iteration(self, old: SparseIteration, new: Stmt) -> "PrimFunc":
         """Return a new PrimFunc with *old* replaced by *new* in the body."""

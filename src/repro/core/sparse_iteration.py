@@ -85,13 +85,6 @@ class SparseIteration(Stmt):
         """All axes with fused groups expanded, in order."""
         return tuple(flatten_axes(self.axes))
 
-    def axis_of(self, var: Var) -> Axis:
-        """Return the axis bound to an iterator variable."""
-        for axis, v in zip(self.flat_axes, self.iter_vars):
-            if v is var:
-                return axis
-        raise KeyError(f"{var!r} is not an iterator of sparse iteration {self.name!r}")
-
     def var_of(self, axis: Axis) -> Var:
         """Return the iterator variable bound to an axis."""
         for a, v in zip(self.flat_axes, self.iter_vars):
@@ -104,9 +97,6 @@ class SparseIteration(Stmt):
             if v is var:
                 return k
         raise KeyError(f"{var!r} is not an iterator of sparse iteration {self.name!r}")
-
-    def spatial_vars(self) -> List[Var]:
-        return [v for k, v in zip(self.kinds, self.iter_vars) if k == ITER_SPATIAL]
 
     def reduction_vars(self) -> List[Var]:
         return [v for k, v in zip(self.kinds, self.iter_vars) if k == ITER_REDUCTION]
@@ -142,8 +132,3 @@ def flatten_axes(axes: Sequence[AxisOrGroup]) -> List[Axis]:
         else:
             raise TypeError(f"expected Axis or FusedAxisGroup, got {type(item)}")
     return flat
-
-
-def fused_groups(axes: Sequence[AxisOrGroup]) -> List[Tuple[Axis, ...]]:
-    """Return the tuples of axes that are fused together."""
-    return [item.axes for item in axes if isinstance(item, FusedAxisGroup)]

@@ -72,12 +72,6 @@ class Schedule:
             raise ScheduleError(f"block {block.name!r} not found")
         return [node for node in path if isinstance(node, ForLoop)]
 
-    def get_loop(self, block: Union[str, Block], var_name: str) -> ForLoop:
-        for loop in self.get_loops(block):
-            if loop.loop_var.name == var_name:
-                return loop
-        raise ScheduleError(f"no loop named {var_name!r} around block")
-
     # -- loop transformations -----------------------------------------------------
     def split(self, loop: ForLoop, factor: int) -> Tuple[ForLoop, ForLoop]:
         """Split *loop* into (outer, inner) where the inner extent is *factor*."""

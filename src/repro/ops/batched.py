@@ -513,20 +513,6 @@ def emit_batched_spmm_edges(
     return {"out": c_buf, "edge_values": s_buf, "features": b_buf}
 
 
-def build_batched_spmm_edges_program(
-    csr: CSRMatrix,
-    num_heads: int,
-    feat_size: int,
-    edge_values: Optional[np.ndarray] = None,
-    features: Optional[np.ndarray] = None,
-    dtype: str = "float32",
-) -> PrimFunc:
-    """Standalone per-head-edge-value SpMM program."""
-    ctx = EmitContext(ProgramBuilder("batched_spmm_edges"))
-    emit_batched_spmm_edges(ctx, csr, num_heads, feat_size, edge_values, features, dtype=dtype)
-    return ctx.builder.finish()
-
-
 # ---------------------------------------------------------------------------
 # Workload models
 # ---------------------------------------------------------------------------

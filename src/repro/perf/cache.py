@@ -65,12 +65,6 @@ class LRUCache:
         cache_set[line] = self._clock
         return False
 
-    def access_many(self, addresses: Iterable[int]) -> AccessStats:
-        start_accesses, start_hits = self._accesses, self._hits
-        for address in addresses:
-            self.access(int(address))
-        return AccessStats(self._accesses - start_accesses, self._hits - start_hits)
-
     def stats(self) -> AccessStats:
         return AccessStats(self._accesses, self._hits)
 

@@ -121,7 +121,7 @@ class RidgeCostModel:
     fault battery pins.
     """
 
-    #: Process-wide count of ``fit`` invocations; the tune-smoke benchmark
+    #: Process-wide count of ``fit`` invocations; ``benchmarks/test_tuning.py``
     #: asserts replaying a tuned workload performs zero retraining.
     fit_count = 0
 

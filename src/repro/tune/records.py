@@ -132,6 +132,12 @@ class TuningRecord:
         )
 
 
+#: What ``json.loads`` and the two payload validators raise on a damaged or
+#: stale file.  Anything else is a bug in the store and propagates, so it
+#: cannot silently unlink a good record.
+_BAD_FILE = (ValueError, KeyError, TypeError, AttributeError)
+
+
 def _validate_corpus_payload(payload: Any, fingerprint: str) -> Dict[str, Any]:
     """Check one corpus payload's shape; raises on anything suspicious."""
     if not isinstance(payload, dict):
@@ -222,7 +228,7 @@ class TuningRecordStore:
             record = TuningRecord.from_json(json.loads(text))
             if record.fingerprint != fingerprint:
                 raise ValueError("fingerprint mismatch (renamed or corrupted record)")
-        except Exception:
+        except _BAD_FILE:
             self.stats.errors += 1
             try:
                 path.unlink()
@@ -286,7 +292,7 @@ class TuningRecordStore:
             payload = _validate_corpus_payload(json.loads(text), fingerprint)
             if feature_version is not None and payload["feature_version"] != feature_version:
                 raise ValueError("corpus feature-version skew")
-        except Exception:
+        except _BAD_FILE:
             self.stats.corpus_errors += 1
             try:
                 path.unlink()

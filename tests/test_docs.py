@@ -7,6 +7,7 @@ assertions that the docs cover the subsystems they promise, and one run of
 every script under ``examples/``.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -74,7 +75,7 @@ def test_tuning_guide_covers_autoscheduler_subsystems():
         "Session.autotune", "tuned=True", "TuningRecord", "WorkloadSpec",
         "ParameterSpace", "REPRO_TUNING_RECORDS", "successive_halving",
         "evolutionary", "spmm", "sddmm", "attention", "rgms", "sparse_conv",
-        "pruned_spmm", "BENCH_tuning.json", "--regen-golden",
+        "pruned_spmm", "benchmarks/test_tuning.py", "--regen-golden",
     ):
         assert needle in text, f"tuning.md does not mention {needle!r}"
 
@@ -102,6 +103,33 @@ def test_readme_coverage_matrix_lists_every_session_operator():
         assert f"Session.{method}" in text, (
             f"README coverage matrix is missing Session.{method}"
         )
+
+
+def test_retired_harness_outputs_are_not_named():
+    """Wall-clock numbers have one source, ``bench/``: the five root
+    ``BENCH_<area>.json`` files and the option that rewrote them are gone, and
+    nothing tracked may send a reader looking for them.  History is exempt
+    (``CHANGES.md``, ROADMAP's "Recent", the current ``ISSUE.md``), and so is
+    ``bench/`` itself, which ``BENCHMARK.json`` freezes."""
+    listed = subprocess.run(
+        ["git", "ls-files", "*.md", "*.yml", "*.py"],
+        cwd=REPO_ROOT, capture_output=True, text=True,
+    )
+    if listed.returncode != 0:
+        pytest.skip("not a git checkout")
+    frozen = tuple(json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["paths"])
+    retired = re.compile(r"BENCH_\S*|--write-bench")
+    offenders = []
+    for name in listed.stdout.split():
+        if name in ("CHANGES.md", "ISSUE.md", "tests/test_docs.py"):
+            continue
+        if name.split("/")[0] in frozen or not (REPO_ROOT / name).is_file():
+            continue
+        text = (REPO_ROOT / name).read_text(encoding="utf-8")
+        if name == "ROADMAP.md":
+            text = text.partition("\n## Recent")[0]
+        offenders += [f"{name}: {match.group()}" for match in retired.finditer(text)]
+    assert not offenders, offenders
 
 
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))

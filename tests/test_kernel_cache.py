@@ -1,10 +1,14 @@
 """Unit tests for the structural kernel cache."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import build
 from repro.core.codegen.cache import (
+    DiskKernelCache,
     KernelCache,
     global_kernel_cache,
     resolve_cache,
@@ -20,6 +24,21 @@ from repro.runtime import Session
 @pytest.fixture
 def csr():
     return CSRMatrix.random(rows=14, cols=11, density=0.3, seed=7)
+
+
+def _reachable_arrays(root):
+    """Every ndarray the garbage collector can reach from *root* (classes are
+    not followed: they lead to every module, not to anything an entry holds)."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return arrays
 
 
 class TestFingerprint:
@@ -86,8 +105,36 @@ class TestKernelCache:
         build(build_spmm_program(csr, 4, x), cache=cache)
         entry = next(iter(cache._entries.values()))
         assert all(buf.data is None for buf in entry.lowered.buffers)
-        assert entry.stage2 is not None
-        assert all(buf.data is None for buf in entry.stage2.buffers)
+        # ... and no other path from the entry (a loop-nest body, say) leads
+        # to the caller's operands either.
+        held = _reachable_arrays(entry)
+        assert held  # the structural indptr / indices tables stay
+        assert not any(np.shares_memory(a, x) or np.shares_memory(a, csr.data) for a in held)
+
+    def test_operands_die_with_the_caller_after_a_cold_build(self, rng):
+        """The build that fills the entry is the one that could pin its
+        operands: once the caller lets go, the cache must not keep them."""
+        csr = CSRMatrix.random(rows=14, cols=11, density=0.3, seed=7)
+        x = rng.standard_normal((csr.cols, 4)).astype(np.float32)
+        cache = KernelCache()
+        kernel = build(build_spmm_program(csr, 4, x), cache=cache)
+        assert kernel.cache_hit is False
+        operands = [weakref.ref(x), weakref.ref(csr.data)]
+        del kernel, x, csr
+        gc.collect()
+        assert len(cache) == 1
+        assert [ref() for ref in operands] == [None, None]
+
+    def test_persisted_entry_size_is_independent_of_operand_width(self, rng, tmp_path):
+        """What the disk layer pickles is the structure: 16x the feature
+        width over one matrix moves the ``.pkl`` by a few shape digits."""
+        csr = CSRMatrix.random(rows=200, cols=200, density=0.05, seed=7)
+        cache = KernelCache(disk=DiskKernelCache(tmp_path))
+        for feat in (4, 64):
+            x = rng.standard_normal((csr.cols, feat)).astype(np.float32)
+            build(build_spmm_program(csr, feat, x), cache=cache)
+        narrow, wide = sorted(p.stat().st_size for p in cache.disk.dir.glob("*.pkl"))
+        assert wide - narrow < 0.01 * narrow
 
     def test_different_sparsity_misses(self, csr, rng):
         cache = KernelCache()

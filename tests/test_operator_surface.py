@@ -175,20 +175,10 @@ class TestSpecsPinNoOperand:
 
     def test_operands_are_collectable_after_the_call(self, csr, rng):
         """A handle keeps its spec (to finalise) and the spec its callables;
-        neither may keep the arrays of the call that bound it.
-
-        The kernel cache is warmed by another session first: the entry of a
-        cold lowering still reaches that call's operands through its stage-II
-        body (``_structural_copy`` detaches the buffer list only) — the
-        cache's business, kept out of what this test can blame.
+        neither may keep the arrays of the call that bound it — and the call
+        is a cold one, so neither may the cache entry it lowered.
         """
-        from repro.core.codegen.cache import KernelCache
-
-        cache = KernelCache(disk=None)
-        warm = Session(cache=cache)
-        for op, structure, operands, options in self.cases(csr, np.random.default_rng(0)):
-            getattr(warm, op)(*structure, *operands, **options)
-        session = Session(cache=cache)
+        session = Session(persistent=False)
         cases = self.cases(csr, rng)
         while cases:
             op, structure, operands, options = cases.pop()
@@ -198,7 +188,7 @@ class TestSpecsPinNoOperand:
             gc.collect()
             assert all(ref() is None for ref in refs), op
         assert session.stats.handle_misses == 8  # every case above left a live handle
-        assert session.cache.stats.lowerings == 8  # ... all lowered by the warming session
+        assert session.cache.stats.lowerings == 8  # ... each lowered by the call that was checked
 
 
 class TestStandaloneKinds:
