@@ -5,15 +5,17 @@ A serving layer in front of :class:`~repro.runtime.session.Session` /
 
 * :class:`Server` — async front-end with a bounded request queue and a
   coalescing batcher thread: concurrent same-structure requests execute as
-  one ``batched_spmm`` / ``batched_sddmm`` launch, bit-exact with
-  sequential eager execution, with graceful degradation (eager, then
-  inline) when a batch fails or the queue saturates.
+  one launch (``spmm`` over their concatenated feature columns,
+  ``batched_sddmm``), bit-exact with sequential eager execution, with
+  graceful degradation (eager, then inline) when a batch fails or the
+  queue saturates.
 * :class:`WorkerPool` / :func:`spmm_sharded` — multi-process sharding of
   large workloads over contiguous column ranges (``num_col_parts`` as the
   shard key), with the persistent kernel cache as shared warm state: the
   single-flight guard makes N cold workers perform exactly one lowering
   per structure.
-* :class:`ServingStats` — per-tenant request/batch/cache/latency counters.
+* :class:`ServingStats` — per-tenant request/batch/cache counters, why
+  batches degraded, and latency split into its stages.
 """
 
 from .batching import (

@@ -2,22 +2,25 @@
 
 The serving front-end turns every incoming operator call into a
 :class:`ServeRequest` carrying a *serving fingerprint*: a content hash of
-everything that must be identical for two requests to share one batched
-kernel launch — the sparse structure (``indptr``/``indices``), the shared
-edge values (``data``), the feature width and the value dtype.  Requests
-with equal fingerprints multiply the *same* matrix, so ``N`` concurrent
-``spmm(A, x_i)`` calls collapse into one ``batched_spmm(A, stack(x_i))``
-whose head axis is the batch axis; the multi-head kernel accumulates every
-``(head, row, feat)`` lane in the same j-order as the single-head program,
-which is what makes coalesced results *bit-exact* with sequential eager
-execution (asserted by ``tests/test_serving_differential.py``).
+everything that must be identical for two requests to share one kernel
+launch — the sparse structure (``indptr``/``indices``), the shared edge
+values (``data``), the feature width and the value dtype.  Requests with
+equal fingerprints multiply the *same* matrix, so ``N`` concurrent
+``spmm(A, x_i)`` calls collapse into one ``spmm(A, [x_1 | ... | x_N])`` over
+the ``N * k`` concatenated feature columns: one pass over the index stream
+instead of ``N``, through the CSR kernel the session already holds.  Every
+output element still accumulates over ``j`` in CSR order, whatever its
+column, which is what makes coalesced results *bit-exact* with sequential
+eager execution (asserted by ``tests/test_serving_differential.py``).
+SDDMM has no feature axis to share; its groups run as one ``batched_sddmm``
+whose head axis is the batch axis.
 
 :func:`coalesce` groups a drained queue FIFO-by-fingerprint under two caps:
-``max_batch`` (head-axis length) and ``max_lanes`` (total ``nnz x feat``
-lanes per launch — beyond the cache working set, batching loses to eager,
-so the batcher refuses to build such launches).  :func:`run_group` executes
-one group and resolves its futures, degrading to per-request eager
-execution if the batched launch itself fails.
+``max_batch`` (requests per launch) and ``max_lanes`` (total ``nnz x feat``
+lanes per launch — it bounds the packed operand and result a launch
+allocates).  :func:`run_group` executes one group and resolves its futures,
+degrading to per-request eager execution if the coalesced launch itself
+fails, and stamps every request with where its time went.
 """
 
 from __future__ import annotations
@@ -31,14 +34,23 @@ import numpy as np
 
 from ..runtime.keys import content_key, resolve_dtype
 
-#: Default cap on the coalesced head axis.
+#: Default cap on the requests of one coalesced launch.
 DEFAULT_MAX_BATCH = 16
 
 #: Default cap on total lanes (``batch * nnz * feat``) per coalesced launch.
-#: Past roughly this working set the coalesced multi-head kernel stops
-#: beating sequential eager execution (cache-capacity crossover), so larger
-#: groups are chunked rather than batched blindly.
+#: A launch allocates its packed operand and result (``batch * feat`` columns
+#: over every row), so larger groups are chunked rather than batched blindly.
 DEFAULT_MAX_LANES = 1_500_000
+
+#: A packed launch carries a multiple of this many requests, the rest zero
+#: columns: every feature width is its own lowering, and a group that splits
+#: then meets ``max_batch / PACK_QUANTUM`` widths per structure and ``k``, not
+#: ``max_batch``.
+PACK_QUANTUM = 4
+
+
+class MalformedRequest(ValueError):
+    """A member of a coalesced group does not have the shape the group packs."""
 
 
 def _csr_content_key(csr) -> str:
@@ -74,6 +86,10 @@ class ServeRequest:
     used by the batcher's lane budget; ``future`` receives the result (or
     exception).  ``degraded`` is stamped by whichever fallback path executed
     the request (``"eager"`` / ``"inline"``), ``None`` for the happy path.
+    The ``*_at`` stamps (``time.monotonic()``) follow the request through the
+    server: created, taken off the queue by the batcher (for a request that
+    ran inline, the launch start), and the start and end of the launch that
+    answered it.
     """
 
     kind: str
@@ -84,6 +100,9 @@ class ServeRequest:
     lanes: int
     future: Future = field(default_factory=Future)
     submitted_at: float = field(default_factory=time.monotonic)
+    dequeued_at: Optional[float] = None
+    launch_started_at: Optional[float] = None
+    launch_ended_at: Optional[float] = None
     degraded: Optional[str] = None
 
 
@@ -97,9 +116,9 @@ def make_spmm_request(
 
     The dtype is resolved eagerly (float64 features select a float64
     kernel) so requests that would compile different programs never share a
-    fingerprint.  ``csr.data`` is part of the fingerprint: the batched
-    kernel shares one value array across the whole group, so only requests
-    against the *same* weighted matrix may coalesce.
+    fingerprint.  ``csr.data`` is part of the fingerprint: a coalesced launch
+    multiplies one matrix, so only requests against the *same* weighted
+    matrix may coalesce.
     """
     features = np.asarray(features)
     if features.ndim != 2:
@@ -223,25 +242,70 @@ def execute_eager(session, request: ServeRequest) -> Any:
     raise ValueError(f"unknown request kind {request.kind!r}")
 
 
+def _slots(array: np.ndarray, feat: int) -> np.ndarray:
+    """``(n, slots * feat)`` *array* as ``(n, slots)`` opaque ``feat``-wide items.
+
+    One request's columns are one item per row, so they move in or out of
+    the packed operand as a single strided copy of ``feat * itemsize``-byte
+    items.  The slice form ``wide[:, i*feat:(i+1)*feat] = x`` copies element
+    by element: 3-4x the time at ``feat = 4``, all a packed launch saves
+    (``docs/dead-ends.md``).
+    """
+    return array.view(np.dtype((np.void, feat * array.dtype.itemsize)))
+
+
+def _pack(group: List[ServeRequest], dtype: np.dtype) -> np.ndarray:
+    """``[x_1 | ... | x_N | 0]``: the group's features side by side, zero padded."""
+    cols = group[0].payload["csr"].shape[1]
+    feat = group[0].payload["features"].shape[1]
+    for index, request in enumerate(group):
+        found = request.payload["features"].shape
+        if found != (cols, feat) or feat == 0:
+            raise MalformedRequest(
+                f"request {index} of {len(group)} (tenant {request.tenant!r}): "
+                f"features have shape {found}, the group packs non-empty {(cols, feat)}"
+            )
+    size = len(group)
+    wide = np.empty((cols, -(-size // PACK_QUANTUM) * PACK_QUANTUM * feat), dtype=dtype)
+    slots = _slots(wide, feat)
+    for slot, request in enumerate(group):
+        features = np.ascontiguousarray(request.payload["features"], dtype=dtype)
+        slots[:, slot] = _slots(features, feat)[:, 0]
+    wide[:, size * feat:] = 0
+    return wide
+
+
+def _unpack(out: np.ndarray, size: int, feat: int) -> List[np.ndarray]:
+    """The first *size* ``feat``-wide column blocks of *out*, each an array of its own.
+
+    Owned, not views: a view would pin every batch-mate's answer for as long
+    as one caller keeps its own, and let callers see each other's memory.
+    """
+    slots = _slots(out, feat)
+    results = []
+    for slot in range(size):
+        result = np.empty((out.shape[0], feat), dtype=out.dtype)
+        _slots(result, feat)[:, 0] = slots[:, slot]
+        results.append(result)
+    return results
+
+
 def _execute_batched(session, group: List[ServeRequest]) -> List[np.ndarray]:
     """One coalesced launch for a same-fingerprint group of size > 1."""
     kind = group[0].kind
-    csr = group[0].payload["csr"]
-    dtype = group[0].payload["dtype"]
+    payload = group[0].payload
     if kind == "spmm":
-        stacked = np.stack([req.payload["features"] for req in group])
-        out = session.batched_spmm(csr, stacked, dtype=dtype)
-    elif kind == "sddmm":
-        q = np.stack([req.payload["x"] for req in group])
-        k = np.stack(
-            [np.ascontiguousarray(req.payload["y"]) for req in group]
-        )
-        out = session.batched_sddmm(csr, q, k, dtype=dtype)
-    else:  # pragma: no cover - coalesce() only batches spmm/sddmm
+        dtype = np.dtype(payload["dtype"])
+        # The packed operand is a temporary of the call: it is released before
+        # the results are allocated, so a launch peaks at two wide arrays.
+        out = session.spmm(payload["csr"], _pack(group, dtype), dtype=dtype)
+        return _unpack(out, len(group), payload["features"].shape[1])
+    if kind != "sddmm":  # pragma: no cover - coalesce() only batches spmm/sddmm
         raise ValueError(f"kind {kind!r} cannot be batched")
-    # Contiguous copies: handing out views of `out` would pin the whole
-    # batch array alive for as long as any single caller keeps its result.
-    return [np.ascontiguousarray(out[i]) for i in range(len(group))]
+    q = np.stack([req.payload["x"] for req in group])
+    k = np.stack([np.ascontiguousarray(req.payload["y"]) for req in group])
+    out = session.batched_sddmm(payload["csr"], q, k, dtype=payload["dtype"])
+    return [out[i].copy() for i in range(len(group))]
 
 
 def _resolve(request: ServeRequest, result: Any) -> None:
@@ -257,21 +321,23 @@ def _fail(request: ServeRequest, exc: BaseException) -> None:
 def run_group(session, group: List[ServeRequest], stats=None) -> None:
     """Execute one coalesced group and resolve its futures.
 
-    Groups of size > 1 run as a single batched launch; if that launch
+    Groups of size > 1 run as a single coalesced launch; if that launch
     raises, every member falls back to eager execution individually
-    (``degraded="eager"``), so one poisoned request cannot take down its
-    batch-mates.  Per-request latency, batch occupancy and the group's
-    kernel-cache attribution are recorded into *stats* when given.
+    (``degraded="eager"``, the exception's type kept as the reason), so one
+    poisoned request cannot take down its batch-mates.  Per-request latency
+    and its stages, batch occupancy and the group's kernel-cache attribution
+    are recorded into *stats* when given.
     """
     size = len(group)
     hits_before = session.stats.kernel_cache_hits
     results: Optional[List[Any]] = None
-    batch_error: Optional[BaseException] = None
+    reason: Optional[str] = None  # why the coalesced launch did not answer
+    started = time.monotonic()
     if size > 1:
         try:
             results = _execute_batched(session, group)
         except Exception as exc:  # degrade to per-request eager execution
-            batch_error = exc
+            reason = type(exc).__name__
             for request in group:
                 request.degraded = "eager"
     if results is None:
@@ -279,22 +345,34 @@ def run_group(session, group: List[ServeRequest], stats=None) -> None:
         for request in group:
             try:
                 results.append(execute_eager(session, request))
-            except Exception as exc:
+            except Exception as exc:  # delivered, typed, through the future
                 results.append(exc)
+    ended = time.monotonic()
     cache_hit = session.stats.kernel_cache_hits > hits_before
-    if stats is not None and size > 1 and batch_error is None:
+    if stats is not None and size > 1 and reason is None:
         stats.record_batch((req.tenant for req in group), size)
-    now = time.monotonic()
     for request, result in zip(group, results):
         failed = isinstance(result, BaseException)
+        if request.dequeued_at is None:  # ran inline: it never sat on the queue
+            request.dequeued_at = started
+        request.launch_started_at = started
+        request.launch_ended_at = ended
         if stats is not None:
+            now = time.monotonic()
             stats.record_request(
                 request.tenant,
                 now - request.submitted_at,
-                batch_size=size if batch_error is None else 1,
+                batch_size=size if reason is None else 1,
                 cache_hit=cache_hit,
                 degraded=request.degraded,
+                reason=reason,
                 error=failed,
+                stages=(
+                    request.dequeued_at - request.submitted_at,
+                    started - request.dequeued_at,
+                    ended - started,
+                    now - ended,
+                ),
             )
         if failed:
             _fail(request, result)

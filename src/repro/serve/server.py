@@ -3,12 +3,15 @@
 :class:`Server` accepts concurrent operator requests from any number of
 threads (or an asyncio event loop via the ``*_async`` helpers), parks them
 on a bounded queue, and drains the queue from a single daemon batcher
-thread.  Each drain *lingers* briefly (``linger_s``) so that a burst of
-same-fingerprint requests lands in one drain, then hands the batch to
-:func:`~repro.serve.batching.coalesce` / ``run_group``: same-structure
-requests execute as one ``batched_spmm`` / ``batched_sddmm`` launch, and
-every caller's :class:`~concurrent.futures.Future` resolves with a result
-bit-exact to sequential eager execution.
+thread.  A drain keeps taking requests while they keep arriving and ends
+once the queue has stayed empty for a *quiet gap* (:class:`Drain`; at most
+``linger_s`` after its first request), so a burst of same-fingerprint
+requests lands in one drain without sleeping on a queue that has gone
+quiet.  The batch goes to :func:`~repro.serve.batching.coalesce` /
+``run_group``: same-structure requests execute as one launch (``spmm`` over
+the concatenated feature columns, ``batched_sddmm``), and every caller's
+:class:`~concurrent.futures.Future` resolves with a result bit-exact to
+sequential eager execution.
 
 Degradation ladder (each rung stamped into :class:`ServingStats`):
 
@@ -30,7 +33,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +52,15 @@ from .stats import DEFAULT_RESERVOIR, ServingStats
 #: Queue sentinel that tells the batcher thread to exit.
 _SHUTDOWN = object()
 
+#: A queue counts as quiet once it stayed empty for this many inter-arrival
+#: times of the bursts seen so far.
+GAP_ARRIVALS = 4
+
+#: Floor of the quiet gap: Linux's default timer slack.  A timed wait on the
+#: queue is no more precise than this, so a shorter gap would measure the
+#: timer and not the queue.
+TIMER_SLACK_S = 5e-5
+
 
 class ServerSaturated(RuntimeError):
     """Raised (via the future) when the queue is full and saturation="reject"."""
@@ -58,8 +70,10 @@ class ServerSaturated(RuntimeError):
 class ServerConfig:
     """Tunables of the serving front-end.
 
-    ``linger_s`` trades latency for occupancy: the batcher waits this long
-    after the first dequeued request for more work to coalesce with.
+    ``linger_s`` trades latency for occupancy: it is the longest a drain
+    stays open after its first dequeued request for more work to coalesce
+    with (a drain whose queue goes quiet ends sooner, see :class:`Drain`;
+    ``0`` takes what is queued and never waits).
     ``saturation`` selects the full-queue policy: ``"inline"`` (default)
     executes on the caller's thread, ``"block"`` applies backpressure,
     ``"reject"`` fails the future with :class:`ServerSaturated`.
@@ -80,6 +94,88 @@ class ServerConfig:
             raise ValueError("queue_capacity must be positive")
 
 
+class Drain:
+    """The batcher's drain rule: when to stop waiting for a burst's next request.
+
+    A drain takes requests while they keep arriving and ends when the
+    *source* has stayed empty for :meth:`gap_s`, or ``linger_s`` after its
+    first request, whichever comes first; a non-empty source never waits.
+    The gap is ``GAP_ARRIVALS`` times the running inter-arrival time, read
+    off the ``submitted_at`` stamps of the drains that held more than one
+    request — so it follows the clients' pace, not the batcher's — floored
+    at ``TIMER_SLACK_S`` and capped by ``linger_s``; ``linger_s / 8`` until a
+    burst has been seen.  Arrivals spaced wider than the gap are served one
+    by one and teach it nothing: coalescing them costs each a wait of their
+    spacing.
+
+    *source* is the request queue (``get(timeout=)`` / ``get_nowait()``
+    raising :class:`queue.Empty`) and *clock* its time base; tests drive both.
+    """
+
+    def __init__(self, source, clock: Callable[[], float] = time.monotonic):
+        self._source = source
+        self._clock = clock
+        #: Running inter-arrival time inside multi-request drains (each drain's
+        #: median, exponentially weighted); ``None`` until one has been seen.
+        self.interarrival_s: Optional[float] = None
+
+    def gap_s(self, linger_s: float) -> float:
+        """How long an empty queue is waited on before the drain ends."""
+        if self.interarrival_s is None:
+            return linger_s / 8
+        return min(max(GAP_ARRIVALS * self.interarrival_s, TIMER_SLACK_S), linger_s)
+
+    def take(
+        self, first: ServeRequest, linger_s: float, limit: int
+    ) -> Tuple[List[ServeRequest], bool]:
+        """The drain that starts with *first* (stamping each request's
+        ``dequeued_at``), and whether it met the shutdown sentinel."""
+        now = self._clock()
+        first.dequeued_at = now
+        deadline = now + linger_s
+        gap = self.gap_s(linger_s)
+        batch = [first]
+        stop = False
+        while len(batch) < limit:
+            wait = min(gap, deadline - now)
+            try:
+                item = (
+                    self._source.get(timeout=wait) if wait > 0 else self._source.get_nowait()
+                )
+            except queue.Empty:
+                break
+            if item is _SHUTDOWN:
+                stop = True
+                break
+            now = self._clock()
+            item.dequeued_at = now
+            batch.append(item)
+        if len(batch) > 1:
+            self._learn(batch, linger_s)
+        return batch, stop
+
+    def _learn(self, batch: List[ServeRequest], linger_s: float) -> None:
+        """Fold the drain's median inter-arrival time into the running one.
+
+        Spacings longer than ``linger_s`` are between bursts, not inside one
+        (a backlog drained after a stall holds several): no drain would have
+        waited them out, so they say nothing about the gap.
+        """
+        stamps = [request.submitted_at for request in batch]
+        inside = sorted(
+            spacing
+            for spacing in (max(b - a, 0.0) for a, b in zip(stamps, stamps[1:]))
+            if spacing <= linger_s
+        )
+        if not inside:
+            return
+        sample = inside[len(inside) // 2]
+        if self.interarrival_s is None:
+            self.interarrival_s = sample
+        else:
+            self.interarrival_s += (sample - self.interarrival_s) / 4
+
+
 class Server:
     """Async request front-end over one :class:`~repro.runtime.session.Session`.
 
@@ -98,6 +194,7 @@ class Server:
         self.config = config or ServerConfig()
         self.stats = ServingStats(self.config.reservoir)
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.queue_capacity)
+        self._drain = Drain(self._queue)
         self._closed = False
         self._inflight = 0
         self._idle = threading.Condition()
@@ -247,25 +344,7 @@ class Server:
                 continue
             if first is _SHUTDOWN:
                 break
-            batch = [first]
-            # Linger: give a concurrent burst time to land in this drain so
-            # same-fingerprint requests coalesce instead of trickling
-            # through one-by-one.
-            deadline = time.monotonic() + cfg.linger_s
-            while len(batch) < cfg.queue_capacity:
-                remaining = deadline - time.monotonic()
-                try:
-                    item = (
-                        self._queue.get(timeout=remaining)
-                        if remaining > 0
-                        else self._queue.get_nowait()
-                    )
-                except queue.Empty:
-                    break
-                if item is _SHUTDOWN:
-                    stop = True
-                    break
-                batch.append(item)
+            batch, stop = self._drain.take(first, cfg.linger_s, cfg.queue_capacity)
             for group in coalesce(batch, cfg.max_batch, cfg.max_batch_lanes):
                 try:
                     run_group(self.session, group, self.stats)

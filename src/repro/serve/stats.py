@@ -2,8 +2,9 @@
 
 The serving runtime attributes every request to a *tenant* (an opaque
 string, default ``"default"``) and keeps one :class:`TenantStats` record per
-tenant: request and batch counters, degradation counters, kernel-cache
-attribution and a bounded latency reservoir from which p50/p99 are read.
+tenant: request and batch counters, degradation counters (with the reason a
+coalesced launch degraded), kernel-cache attribution and bounded reservoirs
+of request latency and of its four stages from which p50/p99 are read.
 :class:`ServingStats` is the thread-safe registry the server and the
 batching helpers write through; :meth:`ServingStats.snapshot` renders
 everything into plain dictionaries for logging or benchmark payloads.
@@ -12,12 +13,18 @@ everything into plain dictionaries for logging or benchmark payloads.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from collections import Counter
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 #: Default size of the per-tenant latency reservoir (ring buffer).
 DEFAULT_RESERVOIR = 4096
+
+#: The stages a request's latency splits into, in the order it crosses them:
+#: submitted -> dequeued by the batcher -> launch started -> launch ended ->
+#: its future resolved.  The four sum to the request's latency.
+STAGES = ("queue_wait", "linger", "launch", "resolve")
 
 
 class LatencyReservoir:
@@ -64,8 +71,10 @@ class TenantStats:
         "cache_hits",
         "degraded_eager",
         "degraded_inline",
+        "degraded_reasons",
         "errors",
         "latency",
+        "stages",
     )
 
     def __init__(self, reservoir: int = DEFAULT_RESERVOIR):
@@ -85,9 +94,14 @@ class TenantStats:
         #: Requests executed inline on the caller thread (queue saturated or
         #: worker unavailable).
         self.degraded_inline = 0
+        #: ``degraded_eager`` split by why the coalesced launch failed: the
+        #: type name of the exception it raised.
+        self.degraded_reasons: Counter = Counter()
         #: Requests that completed with an exception.
         self.errors = 0
         self.latency = LatencyReservoir(reservoir)
+        #: One reservoir per entry of :data:`STAGES`.
+        self.stages = {stage: LatencyReservoir(reservoir) for stage in STAGES}
 
     @property
     def mean_occupancy(self) -> Optional[float]:
@@ -104,6 +118,11 @@ class TenantStats:
         return self.latency.percentile(99)
 
     def as_dict(self) -> Dict[str, object]:
+        stages = {
+            f"{stage}_p{q}_s": samples.percentile(q)
+            for stage, samples in self.stages.items()
+            for q in (50, 99)
+        }
         return {
             "requests": self.requests,
             "batched_requests": self.batched_requests,
@@ -112,10 +131,12 @@ class TenantStats:
             "cache_hits": self.cache_hits,
             "degraded_eager": self.degraded_eager,
             "degraded_inline": self.degraded_inline,
+            "degraded_reasons": dict(self.degraded_reasons),
             "errors": self.errors,
             "latency_count": self.latency.count,
             "p50_s": self.p50,
             "p99_s": self.p99,
+            **stages,
         }
 
 
@@ -151,13 +172,17 @@ class ServingStats:
         batch_size: int = 1,
         cache_hit: bool = False,
         degraded: Optional[str] = None,
+        reason: Optional[str] = None,
         error: bool = False,
+        stages: Optional[Sequence[float]] = None,
     ) -> None:
         """Record one completed request.
 
         ``batch_size`` is the size of the coalesced group the request ran
         in (1 for eager/inline execution); ``degraded`` is ``None``,
-        ``"eager"`` or ``"inline"``.
+        ``"eager"`` or ``"inline"``, and ``reason`` says why a coalesced
+        launch degraded to eager.  ``stages`` are the seconds spent in each
+        of :data:`STAGES` (a request refused at the door has none).
         """
         with self._lock:
             stats = self._tenant(tenant)
@@ -168,11 +193,16 @@ class ServingStats:
                 stats.cache_hits += 1
             if degraded == "eager":
                 stats.degraded_eager += 1
+                if reason is not None:
+                    stats.degraded_reasons[reason] += 1
             elif degraded == "inline":
                 stats.degraded_inline += 1
             if error:
                 stats.errors += 1
             stats.latency.add(latency_s)
+            if stages is not None:
+                for samples, seconds in zip(stats.stages.values(), stages):
+                    samples.add(seconds)
 
     def record_batch(self, tenants, size: int) -> None:
         """Record one coalesced batch launch touching the given *tenants*.

@@ -9,15 +9,20 @@ that claim three ways:
   ``run_group`` directly (no threads, no timing) over both dtypes, empty
   batches and mixed-fingerprint interleavings;
 * property-based (hypothesis, marked ``slow``), over randomly drawn
-  structures, dtypes, widths and interleavings;
+  structures, dtypes, widths and interleavings, and over the packed launch's
+  own corners (odd widths, padded groups, strided inputs, empty rows);
 * end-to-end through a live :class:`~repro.serve.Server` — threaded
   submission, the asyncio front-end, and the saturation policies.
+
+The drain rule (:class:`~repro.serve.server.Drain`) is driven on a fake
+clock and a stub queue: which requests share a drain is a pure function of
+their arrival times, so no test of it sleeps.
 """
 
 import asyncio
 import queue
 import threading
-import time
+from collections import deque
 from concurrent.futures import wait
 
 import numpy as np
@@ -35,7 +40,9 @@ from repro.serve import (
     make_spmm_request,
     run_group,
 )
-from repro.serve.stats import ServingStats
+from repro.serve.batching import PACK_QUANTUM, MalformedRequest, ServeRequest
+from repro.serve.server import _SHUTDOWN, GAP_ARRIVALS, TIMER_SLACK_S, Drain
+from repro.serve.stats import STAGES, ServingStats
 
 
 def _random_csr(rows, cols, density, seed, rng_values=True):
@@ -177,7 +184,129 @@ class TestRunGroupDifferential:
             assert req.degraded == "eager"
         snap = stats.snapshot()["default"]
         assert snap["degraded_eager"] == 4
+        assert snap["degraded_reasons"] == {"MalformedRequest": 4}
         assert snap["errors"] == 1
+
+    @pytest.mark.parametrize(
+        "features",
+        [np.ones((7, 4), np.float32), np.ones((8, 5), np.float32), np.ones((8, 0), np.float32)],
+        ids=["rows", "width", "k0"],
+    )
+    def test_malformed_member_is_rejected_before_packing(self, features, rng):
+        """Wrong row count, a width that differs from the group's, k == 0: the
+        pack refuses by name instead of copying garbage, and the group degrades
+        to eager under that reason."""
+        from repro.serve.batching import _execute_batched
+
+        csr = _random_csr(10, 8, 0.3, seed=5)
+        group = [make_spmm_request(csr, rng.random((8, 4), dtype=np.float32)) for _ in range(3)]
+        if features.shape[1] == 0:
+            for request in group:
+                request.payload["features"] = features
+        else:
+            group[1].payload["features"] = features
+        group[1].tenant = "acme"
+        with pytest.raises(MalformedRequest, match=r"request \d of 3 \(tenant '\w+'\)"):
+            _execute_batched(Session(), group)
+        assert issubclass(MalformedRequest, ValueError)
+        stats = ServingStats()
+        run_group(Session(), group, stats)
+        assert all(request.degraded == "eager" for request in group)
+        assert sum(
+            snap["degraded_reasons"].get("MalformedRequest", 0)
+            for snap in stats.snapshot().values()
+        ) == 3
+
+    def test_failed_launch_is_counted_under_its_exception_type(self, rng, monkeypatch):
+        csr = _random_csr(10, 8, 0.3, seed=5)
+        feats = [rng.random((8, 4), dtype=np.float32) for _ in range(3)]
+        session, stats = Session(), ServingStats()
+        expected = [session.spmm(csr, x, dtype="float32") for x in feats]
+        eager = session.spmm
+
+        def wide_fails(matrix, features, **options):
+            if features.shape[1] != 4:
+                raise MemoryError("no room for the packed operand")
+            return eager(matrix, features, **options)
+
+        monkeypatch.setattr(session, "spmm", wide_fails, raising=False)
+        reqs = [make_spmm_request(csr, x) for x in feats]
+        run_group(session, reqs, stats)
+        for req, exp in zip(reqs, expected):
+            _assert_bit_exact(req.future.result(timeout=10), exp)
+        snap = stats.snapshot()["default"]
+        assert snap["degraded_reasons"] == {"MemoryError": 3}
+        assert snap["errors"] == 0 and snap["batches"] == 0
+
+    @pytest.mark.parametrize("kind", ["spmm", "sddmm"])
+    def test_coalesced_results_own_their_memory(self, kind, rng):
+        """One caller keeping one response must not pin its batch-mates', and
+        no two callers may see each other's memory."""
+        csr = _random_csr(16, 12, 0.25, seed=4)
+        if kind == "spmm":
+            reqs = [
+                make_spmm_request(csr, rng.random((12, 4), dtype=np.float32)) for _ in range(5)
+            ]
+        else:
+            reqs = [
+                make_sddmm_request(
+                    csr, rng.random((16, 4), dtype=np.float32), rng.random((4, 12), dtype=np.float32)
+                )
+                for _ in range(5)
+            ]
+        stats = ServingStats()
+        run_group(Session(), reqs, stats)
+        assert stats.snapshot()["default"]["batches"] == 1  # it did coalesce
+        results = [req.future.result(timeout=10) for req in reqs]
+        for i, result in enumerate(results):
+            assert result.base is None and result.flags.c_contiguous
+            for other in results[i + 1:]:
+                assert not np.shares_memory(result, other)
+
+    def test_repeated_width_is_a_handle_hit(self, rng):
+        """Group sizes round up to PACK_QUANTUM, so a second burst of a width
+        already seen — same size or one that pads to it — lowers nothing."""
+        csr = _random_csr(24, 20, 0.2, seed=3)
+        session = Session()
+
+        def burst(size):
+            feats = [rng.random((20, 4), dtype=np.float32) for _ in range(size)]
+            reqs = [make_spmm_request(csr, x) for x in feats]
+            before = (session.cache.stats.lowerings, session.stats.handle_hits)
+            run_group(session, reqs)
+            for req in reqs:
+                req.future.result(timeout=10)
+            return (
+                session.cache.stats.lowerings - before[0],
+                session.stats.handle_hits - before[1],
+            )
+
+        assert PACK_QUANTUM == 4
+        assert burst(7) == (1, 0)  # cold: the 8-request width is lowered once
+        assert burst(7) == (0, 1)
+        assert burst(5) == (0, 1)  # pads to the same width
+        assert burst(8) == (0, 1)
+        assert burst(9) == (1, 0)  # the next width
+
+    def test_stage_times_add_up_to_the_latency(self, rng):
+        csr = _random_csr(10, 8, 0.3, seed=5)
+        reqs = [make_spmm_request(csr, rng.random((8, 4), dtype=np.float32)) for _ in range(3)]
+        stats = ServingStats()
+        run_group(Session(), reqs, stats)
+        for req in reqs:
+            # Never queued (run_group called directly): dequeue == launch start.
+            assert req.submitted_at <= req.dequeued_at == req.launch_started_at
+            assert req.launch_started_at <= req.launch_ended_at
+        tenant = stats.tenant()
+        assert [tenant.stages[stage].count for stage in STAGES] == [3, 3, 3, 3]
+        snap = stats.snapshot()["default"]
+        assert {f"{stage}_p{q}_s" for stage in STAGES for q in (50, 99)} <= set(snap)
+        # One group, one launch: every request reads the same launch time, and
+        # the four stages of a request sum to its latency.
+        assert snap["launch_p50_s"] == snap["launch_p99_s"] > 0
+        assert snap["linger_p99_s"] == 0
+        total = sum(float(tenant.stages[stage]._buf[:3].sum()) for stage in STAGES)
+        assert total == pytest.approx(float(tenant.latency._buf[:3].sum()))
 
 
 @pytest.mark.slow
@@ -223,6 +352,199 @@ class TestPropertyDifferential:
 
         run()
 
+    def test_packed_launch_corners(self):
+        """The packed launch against ``Session.spmm``, request by request: any
+        group size (padded or not), widths whose items are not a power of two
+        bytes, both dtypes, inputs that are not C-contiguous, empty rows."""
+        from hypothesis import HealthCheck, given, settings
+        from hypothesis import strategies as st
+
+        @settings(
+            max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+        )
+        @given(
+            seed=st.integers(0, 2**16),
+            size=st.integers(2, 16),
+            feat=st.sampled_from([1, 2, 3, 4, 5, 8, 16]),
+            np_dtype=st.sampled_from([np.float32, np.float64]),
+            layouts=st.lists(
+                st.sampled_from(["c", "fortran", "sliced", "f64"]), min_size=1, max_size=4
+            ),
+        )
+        def run(seed, size, feat, np_dtype, layouts):
+            rng = np.random.default_rng(seed)
+            rows, cols = int(rng.integers(3, 20)), int(rng.integers(2, 16))
+            dense = (rng.random((rows, cols)) < 0.3) * rng.random((rows, cols))
+            dense[rng.integers(rows)] = 0.0  # a row with no non-zero
+            csr = CSRMatrix.from_dense(dense.astype(np.float32))
+            dtype = str(np.dtype(np_dtype))
+            feats = []
+            for i in range(size):
+                x = rng.standard_normal((cols, feat)).astype(np_dtype)
+                layout = layouts[i % len(layouts)]
+                if layout == "fortran":
+                    x = np.asfortranarray(x)
+                elif layout == "sliced":
+                    x = rng.standard_normal((cols, 2 * feat + 1)).astype(np_dtype)[:, 1::2]
+                elif layout == "f64":  # converted on the way into the pack
+                    x = x.astype(np.float64)
+                feats.append(x)
+            serve_session, eager_session = Session(), Session()
+            reqs = [make_spmm_request(csr, x, dtype=dtype) for x in feats]
+            stats = ServingStats()
+            (group,) = coalesce(reqs)
+            run_group(serve_session, group, stats)
+            snap = stats.snapshot()["default"]
+            assert snap["batches"] == 1 and snap["degraded_eager"] == 0
+            for req, x in zip(reqs, feats):
+                out = req.future.result(timeout=10)
+                _assert_bit_exact(out, eager_session.spmm(csr, x, dtype=dtype))
+                assert out.base is None
+
+        run()
+
+
+class _Arrivals:
+    """A stub request queue on a fake clock: request *i* arrives at ``times[i]``.
+
+    ``get(timeout)`` jumps the clock to the next arrival when it falls inside
+    the timeout and by the whole timeout when it does not, so a drain's
+    outcome is exact and nothing sleeps.  ``waits`` lists the timeouts asked
+    for on an empty queue.
+    """
+
+    def __init__(self, times=()):
+        self.now = 0.0
+        self.waits = []
+        self.pending = deque()
+        self.arrive(times)
+
+    def arrive(self, times):
+        self.pending.extend(
+            ServeRequest("call", "default", {}, "", False, 0, submitted_at=at)
+            for at in sorted(times)
+        )
+
+    def clock(self):
+        return self.now
+
+    def get(self, timeout):
+        if self.pending and self.pending[0] is _SHUTDOWN:
+            return self.pending.popleft()
+        if not self.pending or self.pending[0].submitted_at > self.now:
+            self.waits.append(timeout)
+        if self.pending and self.pending[0].submitted_at <= self.now + timeout:
+            self.now = max(self.now, self.pending[0].submitted_at)
+            return self.pending.popleft()
+        self.now += timeout
+        raise queue.Empty
+
+    def get_nowait(self):
+        if self.pending and self.pending[0].submitted_at <= self.now:
+            return self.pending.popleft()
+        raise queue.Empty
+
+    def serve(self, drain, linger_s):
+        """The batcher's outer loop: block for a first request, then drain.
+        Returns the drains as lists of arrival times."""
+        drains = []
+        while self.pending:
+            first = self.pending.popleft()
+            self.now = max(self.now, first.submitted_at)
+            batch, _ = drain.take(first, linger_s, limit=1024)
+            drains.append([request.submitted_at for request in batch])
+        return drains
+
+
+class TestDrain:
+    LINGER = 0.002
+
+    def _serve(self, times, linger_s=LINGER):
+        arrivals = _Arrivals(times)
+        drain = Drain(arrivals, arrivals.clock)
+        return arrivals.serve(drain, linger_s), arrivals, drain
+
+    def test_burst_lands_in_one_drain_and_is_not_slept_on(self):
+        times = [i * 30e-6 for i in range(16)]
+        drains, arrivals, drain = self._serve(times)
+        assert drains == [times]
+        # It launched one gap after the last arrival, not at the deadline.
+        assert arrivals.now == pytest.approx(times[-1] + self.LINGER / 8)
+        assert arrivals.now < self.LINGER / 2
+        assert drain.interarrival_s == pytest.approx(30e-6)
+
+    def test_requests_are_stamped_at_dequeue(self):
+        arrivals = _Arrivals([0.0, 1e-4])
+        requests = list(arrivals.pending)
+        arrivals.serve(Drain(arrivals, arrivals.clock), self.LINGER)
+        assert [request.dequeued_at for request in requests] == [0.0, 1e-4]
+
+    def test_lone_request_waits_the_gap_not_the_linger(self):
+        drains, arrivals, _ = self._serve([0.0])
+        assert drains == [[0.0]]
+        assert arrivals.now == pytest.approx(self.LINGER / 8)
+        assert arrivals.waits == [pytest.approx(self.LINGER / 8)]
+
+    def test_arrivals_wider_than_the_gap_split(self):
+        times = [0.0, 0.0005, 0.0010]  # inside linger_s, outside linger_s / 8
+        drains, _, drain = self._serve(times)
+        assert drains == [[t] for t in times]
+        assert drain.interarrival_s is None  # lone requests teach nothing
+
+    def test_arrivals_that_never_pause_are_cut_at_linger(self):
+        times = [i * 1e-4 for i in range(100)]  # always inside the gap
+        drains, _, _ = self._serve(times)
+        assert drains[0] == [t for t in times if t <= self.LINGER + 1e-12]
+        assert len(drains[0]) == 21
+        assert sum(len(d) for d in drains) == len(times)
+
+    def test_linger_zero_takes_what_is_queued(self):
+        arrivals = _Arrivals([0.0, 0.0, 0.0, 1e-6])
+        drains = arrivals.serve(Drain(arrivals, arrivals.clock), 0.0)
+        assert drains == [[0.0, 0.0, 0.0], [1e-6]]
+        assert arrivals.waits == []  # never a timed wait
+
+    def test_nonempty_queue_never_waits(self):
+        """A backlog (the batcher was busy) drains at once, and the spacing
+        between its bursts is not mistaken for the spacing inside one."""
+        arrivals = _Arrivals([0.0, 0.010, 0.020])
+        arrivals.now = 0.050
+        drain = Drain(arrivals, arrivals.clock)
+        first = arrivals.pending.popleft()
+        batch, stop = drain.take(first, self.LINGER, limit=1024)
+        assert len(batch) == 3 and not stop
+        assert arrivals.waits == [pytest.approx(self.LINGER / 8)]  # only once empty
+        assert drain.interarrival_s is None
+        assert drain.gap_s(self.LINGER) == self.LINGER / 8
+
+    def test_gap_follows_the_inter_arrival_time(self):
+        arrivals = _Arrivals()
+        drain = Drain(arrivals, arrivals.clock)
+
+        def bursts(count, spacing):
+            for _ in range(count):
+                start = arrivals.now + 1.0  # a long pause: each burst is its own drain
+                arrivals.arrive(start + i * spacing for i in range(8))
+                assert [len(d) for d in arrivals.serve(drain, self.LINGER)] == [8]
+
+        bursts(8, 50e-6)
+        assert drain.gap_s(self.LINGER) == pytest.approx(GAP_ARRIVALS * 50e-6)
+        bursts(24, 100e-6)  # clients slow down: the gap opens with them
+        assert drain.gap_s(self.LINGER) == pytest.approx(GAP_ARRIVALS * 100e-6, rel=0.01)
+        bursts(40, 5e-6)  # and speed up past what a timed wait resolves
+        assert drain.gap_s(self.LINGER) == TIMER_SLACK_S
+        # Capped by linger_s whatever was learned.
+        assert drain.gap_s(1e-5) == 1e-5
+
+    def test_limit_and_shutdown_end_a_drain(self):
+        arrivals = _Arrivals([0.0] * 5)
+        drain = Drain(arrivals, arrivals.clock)
+        batch, stop = drain.take(arrivals.pending.popleft(), self.LINGER, limit=3)
+        assert len(batch) == 3 and not stop
+        arrivals.pending.append(_SHUTDOWN)
+        batch, stop = drain.take(arrivals.pending.popleft(), self.LINGER, limit=1024)
+        assert len(batch) == 2 and stop
+
 
 class TestServerEndToEnd:
     def test_threaded_submission_bit_exact(self, rng):
@@ -253,6 +575,10 @@ class TestServerEndToEnd:
         assert sum(s["requests"] for s in snap.values()) == len(feats)
         # The burst coalesced: at least one multi-request batch launched.
         assert any(s["batches"] >= 1 for s in snap.values())
+        for tenant in snap.values():
+            # Every stage was timed, and no request sat out the 10 ms linger.
+            assert all(tenant[f"{stage}_p50_s"] >= 0 for stage in STAGES)
+            assert tenant["launch_p50_s"] > 0
 
     def test_asyncio_front_end(self, rng):
         csr = _random_csr(12, 10, 0.3, seed=7)
