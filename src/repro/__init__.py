@@ -18,8 +18,10 @@ Quick start::
     result = session.spmm(csr, feature_matrix(csr.cols, 32), format="hyb")
 """
 
-from . import core
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
 __all__ = ["core", "__version__"]
+
+__getattr__ = lazy_exports(globals(), {"core": None})

@@ -2,53 +2,39 @@
 three-stage compilation pipeline (coordinate space -> position space -> flat
 loops), plus composable transformations at each stage."""
 
-from .axes import (
-    Axis,
-    DenseFixedAxis,
-    DenseVariableAxis,
-    SparseFixedAxis,
-    SparseVariableAxis,
-    dense_fixed,
-    dense_variable,
-    sparse_fixed,
-    sparse_variable,
-)
-from .buffers import FlatBuffer, SparseBuffer, match_sparse_buffer
-from .codegen import Kernel, build
-from .program import STAGE_COORDINATE, STAGE_LOOP, STAGE_POSITION, PrimFunc
-from .script import ProgramBuilder
-from .sparse_iteration import SparseIteration, fuse
-from .stage1 import FormatRewriteRule, decompose_format, sparse_fuse, sparse_reorder
-from .stage2 import Schedule, lower_sparse_iterations
-from .stage3 import lower_sparse_buffers
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Axis",
-    "DenseFixedAxis",
-    "DenseVariableAxis",
-    "SparseFixedAxis",
-    "SparseVariableAxis",
-    "dense_fixed",
-    "dense_variable",
-    "sparse_fixed",
-    "sparse_variable",
-    "SparseBuffer",
-    "FlatBuffer",
-    "match_sparse_buffer",
-    "PrimFunc",
-    "STAGE_COORDINATE",
-    "STAGE_POSITION",
-    "STAGE_LOOP",
-    "ProgramBuilder",
-    "SparseIteration",
-    "fuse",
-    "FormatRewriteRule",
-    "decompose_format",
-    "sparse_reorder",
-    "sparse_fuse",
-    "Schedule",
-    "lower_sparse_iterations",
-    "lower_sparse_buffers",
-    "Kernel",
-    "build",
-]
+_EXPORTS = {
+    "Axis": ".axes",
+    "DenseFixedAxis": ".axes",
+    "DenseVariableAxis": ".axes",
+    "SparseFixedAxis": ".axes",
+    "SparseVariableAxis": ".axes",
+    "dense_fixed": ".axes",
+    "dense_variable": ".axes",
+    "sparse_fixed": ".axes",
+    "sparse_variable": ".axes",
+    "SparseBuffer": ".buffers",
+    "FlatBuffer": ".buffers",
+    "match_sparse_buffer": ".buffers",
+    "PrimFunc": ".program",
+    "STAGE_COORDINATE": ".program",
+    "STAGE_POSITION": ".program",
+    "STAGE_LOOP": ".program",
+    "ProgramBuilder": ".script",
+    "SparseIteration": ".sparse_iteration",
+    "fuse": ".sparse_iteration",
+    "FormatRewriteRule": ".stage1",
+    "decompose_format": ".stage1",
+    "sparse_reorder": ".stage1",
+    "sparse_fuse": ".stage1",
+    "Schedule": ".stage2",
+    "lower_sparse_iterations": ".stage2",
+    "lower_sparse_buffers": ".stage3",
+    "Kernel": ".codegen",
+    "build": ".codegen",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -1,16 +1,16 @@
 """Target-specific code generation (Section 3.5) and the stage-IV backend."""
 
-from .build import Kernel, build
-from .cuda_like import emit_cuda_source
-from .emit_numpy import UnsupportedForEmission, emit_numpy_source
-from .fusion import horizontal_fuse, launch_groups
+from ..._lazy import lazy_exports
+from .build import Kernel, build  # ``build`` the function shadows the submodule of that name
+from .native import UnsupportedForEmission
 
-__all__ = [
-    "Kernel",
-    "build",
-    "emit_cuda_source",
-    "emit_numpy_source",
-    "UnsupportedForEmission",
-    "horizontal_fuse",
-    "launch_groups",
-]
+_EXPORTS = {
+    "emit_cuda_source": ".cuda_like",
+    "emit_numpy_source": ".emit_numpy",
+    "horizontal_fuse": ".fusion",
+    "launch_groups": ".fusion",
+}
+
+__all__ = ["Kernel", "build", "UnsupportedForEmission", *_EXPORTS]
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

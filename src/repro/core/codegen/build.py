@@ -7,17 +7,19 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..program import STAGE_COORDINATE, STAGE_LOOP, STAGE_POSITION, PrimFunc
-from ..stage2.lowering import lower_sparse_iterations
-from ..stage3.buffer_lowering import lower_sparse_buffers
 from .cache import CacheEntry, KernelCache, resolve_cache, structural_fingerprint
-from .cuda_like import emit_cuda_source
-from .emit_c import NativeBuildError, emit_c_source, load_native, toolchain_available
-from .emit_numpy import UnsupportedForEmission, compile_emitted, emit_numpy_source
 from .fusion import launch_count
+from .native import NativeBuildError, UnsupportedForEmission, load_native, unavailable
+
+# This module is on the warm path (a cache hit, a kernel loaded from disk): it
+# imports the load side only.  The lowering passes and the emitters are
+# imported in the branch that needs them — a miss, a tier that has to print.
 
 
 class _Unavailable(Exception):
-    """A tier that cannot be tried on this machine; the message is the reason."""
+    """A tier known not to apply without trying it: not on this machine, or — a
+    decline an earlier process stored — not to this program.  The message is
+    the reason."""
 
 
 def _reason(exc: Exception) -> str:
@@ -30,37 +32,58 @@ def _reason(exc: Exception) -> str:
 # ``run(arrays)`` closure.  ``cache``/``key`` name the kernel's artifact store
 # (both ``None`` for an uncached kernel): the emitted tier keeps its print
 # there (``<key>.py``), the native tier its print, the print's binding and what
-# the C compiler made of it (``<key>.c``, ``.json``, ``.so``), so a later
-# process loads either without redoing the work.
+# the C compiler made of it (``<key>.c``, ``.json``, ``.so``) — or, for a
+# program outside the C fragment, that it is — so a later process loads either
+# without redoing the work.
+
+
+def emit_c_source(func: PrimFunc) -> Any:
+    """:func:`repro.core.codegen.emit_c.emit_c_source`, imported when a kernel
+    first has to be printed."""
+    from . import emit_c
+
+    return emit_c.emit_c_source(func)
 
 
 def _emit_native(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str]) -> Any:
-    if not toolchain_available():
-        raise _Unavailable("no toolchain")
+    why = unavailable()
+    if why is not None:
+        raise _Unavailable(why)
     disk = cache.disk if cache is not None else None
-    stored = disk.get_native_source(key) if disk is not None else None
-    return emit_c_source(func) if stored is None else stored
-
-
-def _load_native(
-    func: PrimFunc, emitted: Any, cache: Optional[KernelCache], key: Optional[str]
-) -> Any:
-    c_source, binding = emitted
-    disk, stats = (cache.disk, cache.stats) if cache is not None else (None, None)
-    return load_native(func, c_source, binding, disk=disk, key=key, stats=stats)
+    if disk is not None:
+        stored = disk.get_native_source(key)
+        if stored is not None:
+            return stored
+        declined = disk.get_native_decline(key)
+        if declined is not None:
+            raise _Unavailable(declined)
+    try:
+        return emit_c_source(func)
+    except UnsupportedForEmission as exc:
+        if disk is not None:  # a property of the program: the next process need not ask
+            disk.publish_native_decline(key, _reason(exc))
+        raise
 
 
 def _emit_numpy(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str]) -> str:
     disk = cache.disk if cache is not None else None
     source = disk.get_source(key) if disk is not None else None
     if source is None:
+        from .emit_numpy import emit_numpy_source
+
         source = emit_numpy_source(func)
         if cache is not None:
-            cache.stats.emissions += 1
+            cache.count("emissions")
         if disk is not None:
             disk.put_source(key, source)
             cache.stats.disk_errors = disk.stats.errors
     return source
+
+
+def _load_numpy(func: PrimFunc, source: str, cache: Optional[KernelCache], key: Optional[str]) -> Any:
+    from .emit_numpy import compile_emitted
+
+    return compile_emitted(source, func)
 
 
 #: tier -> (emit, load, what the two raise to decline), fastest first; the
@@ -71,14 +94,10 @@ def _emit_numpy(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str]
 _TIERS: Dict[str, Tuple[Callable[..., Any], Callable[..., Any], Tuple[type, ...]]] = {
     "native": (
         _emit_native,
-        _load_native,
+        lambda func, emitted, cache, key: load_native(func, *emitted, cache=cache, key=key),
         (UnsupportedForEmission, _Unavailable, NativeBuildError, OSError),
     ),
-    "emitted": (
-        _emit_numpy,
-        lambda func, source, cache, key: compile_emitted(source, func),
-        (UnsupportedForEmission, ValueError, MemoryError),
-    ),
+    "emitted": (_emit_numpy, _load_numpy, (UnsupportedForEmission, ValueError, MemoryError)),
 }
 
 #: Execution tiers of :meth:`Kernel.run`, fastest first.
@@ -288,6 +307,8 @@ class Kernel:
     def cuda_source(self) -> str:
         """The CUDA-like listing emitted for this kernel."""
         if self._source is None:
+            from .cuda_like import emit_cuda_source
+
             self._source = emit_cuda_source(self.func)
         return self._source
 
@@ -398,8 +419,12 @@ def build(
 
     try:
         if func.stage == STAGE_COORDINATE:
+            from ..stage2.lowering import lower_sparse_iterations
+
             func = lower_sparse_iterations(func)
         if func.stage == STAGE_POSITION:
+            from ..stage3.buffer_lowering import lower_sparse_buffers
+
             func = lower_sparse_buffers(func)
         if func.stage != STAGE_LOOP:
             raise ValueError(f"cannot build program at stage {func.stage}")
@@ -414,7 +439,7 @@ def build(
             return Kernel(func, defaults=defaults)
 
         func = _structural_copy(func)
-        cache_obj.stats.lowerings += 1
+        cache_obj.count("lowerings")
         entry = cache_obj.put(key, func)
         return _cached_kernel(entry, defaults, cache_obj, key, hit=False)
     finally:

@@ -49,6 +49,7 @@ import numpy as np
 
 from ..nputils import MAX_LANES
 from ..program import PrimFunc
+from .native import NATIVE_VERSION, NativeBinding, native_tag, source_sha
 
 try:  # POSIX advisory locks back the cross-process single-flight guard.
     import fcntl
@@ -394,12 +395,10 @@ class DiskKernelCache:
                 pass
 
     # -- native artifacts ------------------------------------------------------
-    def _native_record(self, key: str) -> Dict[str, Any]:
-        """The json ``native`` record of *key*; raises unless it was written by
+    @staticmethod
+    def _checked_native(record: Dict[str, Any]) -> Dict[str, Any]:
+        """*record* (a json ``native`` record); raises unless it was written by
         this native emitter version on this platform + Python ABI."""
-        from .emit_c import NATIVE_VERSION, native_tag
-
-        record = self._meta(key)["native"]
         if record["native_version"] != NATIVE_VERSION:
             raise ValueError("native emitter version skew")
         if record["tag"] != native_tag():
@@ -411,19 +410,21 @@ class DiskKernelCache:
 
         What :func:`~repro.core.codegen.emit_c.emit_c_source` returned when the
         artifact was published, so a warm process loads its kernels without
-        walking their loop nests again.  A record of another emitter version or
-        platform, a listing that does not hash to the recorded value or a
-        binding that does not read back is a miss that drops the artifact: the
-        caller re-emits, recompiles and overwrites.
+        walking their loop nests again.  The listing is ``<key>.c``, or that of
+        the fingerprint the record ``shares`` its text with (the binding is
+        always *key*'s own).  A record of another emitter version or
+        platform, a listing that is missing or does not hash to the recorded
+        value or a binding that does not read back is a miss that drops *key*'s
+        artifact: the caller re-emits, recompiles and overwrites.
         """
-        from .emit_c import NativeBinding, source_sha
-
-        if "native" not in self._meta(key):
+        record = self._meta(key).get("native")
+        if record is None or "native_declined" in record:
             return None
         try:
-            record = self._native_record(key)
-            header, _, c_source = self._path(key, ".c").read_text().partition("\n")
-            if header != f"/* fingerprint: {key} */" or source_sha(c_source) != record["source_sha256"]:
+            self._checked_native(record)
+            owner = record.get("shares", key)
+            header, _, c_source = self._path(owner, ".c").read_text().partition("\n")
+            if header != f"/* fingerprint: {owner} */" or source_sha(c_source) != record["source_sha256"]:
                 raise ValueError("native source hash mismatch")
             stored = record["binding"]
             binding = NativeBinding(
@@ -443,21 +444,32 @@ class DiskKernelCache:
 
         Valid means: the json metadata carries a ``native`` record whose
         emitter version, source hash, platform tag and Python ABI all match
-        this process, and the ``.so`` exists.  Anything else — missing or
+        this process, and the ``.so`` — *key*'s, or that of the fingerprint the
+        record ``shares`` its text with — exists.  Anything else — missing or
         unreadable metadata, version/platform/ABI skew, a hash that does not
         match the re-emitted source, a planted or truncated file — is a miss
         (the skewed artifact is dropped best-effort so it cannot be retried).
         """
-        so_path = self._path(key, ".so")
         try:
-            if self._native_record(key)["source_sha256"] != sha:
+            record = self._checked_native(self._meta(key)["native"])
+            if record["source_sha256"] != sha:
                 raise ValueError("native source hash mismatch")
+            so_path = self._path(record.get("shares", key), ".so")
             if not so_path.exists():
                 raise FileNotFoundError(so_path)
         except (OSError, ValueError, KeyError, TypeError):
             self.discard_native(key)
             return None
         return so_path
+
+    def get_native_decline(self, key: str) -> Optional[str]:
+        """Why this version of the native emitter declined *key*'s program, if a
+        process recorded that (:meth:`publish_native_decline`)."""
+        record = self._meta(key).get("native")
+        if not isinstance(record, dict) or record.get("native_version") != NATIVE_VERSION:
+            return None
+        reason = record.get("native_declined")
+        return reason if isinstance(reason, str) else None
 
     def reserve_native(self, key: str) -> Optional[Path]:
         """Where the compiler should place *key*'s ``.so`` (``None`` on error)."""
@@ -467,28 +479,50 @@ class DiskKernelCache:
             return None
         return self._path(key, ".so")
 
-    def publish_native(self, key: str, c_source: str, sha: str, binding: Any) -> None:
-        """Record a freshly compiled artifact's validity metadata.
+    def publish_native(
+        self, key: str, c_source: Optional[str], sha: str, binding: Any, shares: Optional[str] = None
+    ) -> None:
+        """Record *key*'s native validity metadata: every record is sufficient
+        on its own for the next process to load *key* without printing it.
 
-        Called after the ``.so`` landed (atomically) at the reserved path:
-        writes the ``.c`` source alongside it and merges the ``native``
-        record — validity and the source's binding — into the json metadata.  The json is written last — a crash
-        between the ``.so`` and the json leaves an artifact that simply
-        reads as a miss.  Failures are swallowed (the cache is best-effort).
+        With *c_source*: called after the ``.so`` landed (atomically) at the
+        reserved path; writes the ``.c`` source alongside it.  With *shares*
+        (and no *c_source*): the text is the one fingerprint *shares* already
+        stores, and no file is written a second time.  Either way the
+        ``native`` record — validity and the source's binding — is merged into
+        the json metadata, written last: a crash between the ``.so`` and the
+        json leaves an artifact that simply reads as a miss.  Failures are
+        swallowed (the cache is best-effort).
         """
-        from .emit_c import NATIVE_VERSION, native_tag
-
         meta = self._meta(key)
         meta["native"] = {
             "native_version": NATIVE_VERSION,
             "source_sha256": sha,
             "tag": native_tag(),
             "binding": binding._asdict(),
+            **({"shares": shares} if shares is not None else {}),
         }
-        self._write(
-            (self._path(key, ".c"), f"/* fingerprint: {key} */\n{c_source}".encode()),
-            (self._path(key, ".json"), json.dumps(meta, indent=2).encode()),
-        )
+        files = [(self._path(key, ".json"), json.dumps(meta, indent=2).encode())]
+        if c_source is not None:
+            files.insert(0, (self._path(key, ".c"), f"/* fingerprint: {key} */\n{c_source}".encode()))
+        self._write(*files)
+
+    def share_native(self, key: str, sha: str, binding: Any, so_path: Path) -> None:
+        """*key*'s text is the one already loaded from *so_path*: unless *key*
+        has a valid record, or the artifact lives outside this cache, record
+        *key*'s binding against the fingerprint that owns ``.c`` and ``.so``."""
+        owner = so_path.stem
+        if so_path.parent != self.dir or owner == key or self.get_native(key, sha) is not None:
+            return
+        self.publish_native(key, None, sha, binding, shares=owner)
+
+    def publish_native_decline(self, key: str, reason: str) -> None:
+        """Record that this version of the native emitter declines *key*'s
+        program (a property of the program, never of the machine), so a later
+        process goes straight to the next tier."""
+        meta = self._meta(key)
+        meta["native"] = {"native_version": NATIVE_VERSION, "native_declined": reason}
+        self._write((self._path(key, ".json"), json.dumps(meta, indent=2).encode()))
 
     def discard_native(self, key: str) -> None:
         """Drop *key*'s native artifact (and its validity record) best-effort."""
@@ -684,6 +718,12 @@ class KernelCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
+
+    def count(self, counter: str, by: int = 1) -> None:
+        """Add *by* to ``stats.<counter>`` under the cache lock: builds run on
+        whichever thread asks first, and a lost update breaks exact counts."""
+        with self._lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + by)
 
     def get(self, key: str) -> Optional[CacheEntry]:
         """Look up one fingerprint in memory, then on disk; ``None`` on miss.

@@ -34,9 +34,11 @@ else (``docs/runtime.md``, "Fused regions and ``local`` buffers").
   positive); the bounds guards of an innermost loop's operands are hoisted
   into one range test in front of it — an unchecked body when it holds, the
   checked body otherwise (which is how ELL/hyb ``-1`` padding keeps loading 0).
-* :func:`load_native` compiles the source with the system compiler (cffi in
-  ABI mode — no ``Python.h`` required), dlopens it, gathers the binding's
-  arrays and returns the ``run(arrays)`` closure of the native tier.
+* Compiling, loading and calling the text is :mod:`~repro.core.codegen.native`,
+  the load side, which never imports this module: a process that finds its
+  kernels built does not bring the printer.  The names that lived here before
+  that split (:func:`load_native`, :func:`compile_so`, ``CFLAGS``, ...) are
+  re-exported, and stay *assignable* here: see the end of this file.
 
 Arithmetic mirrors the interpreter's NumPy scalars (NEP-50 promotion with weak
 Python literals, ``-ffp-contract=off``), except that integers are evaluated in
@@ -48,19 +50,10 @@ emitted NumPy tier, so the native tier is never a correctness risk.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
-import functools
-import hashlib
-import os
 import re
-import platform as _platform
-import shutil
-import subprocess
 import sys
-import tempfile
-import threading
-from pathlib import Path
+import types
 from typing import (
     AbstractSet, Any, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -71,17 +64,28 @@ from ..axes import SparseVariableAxis
 from ..buffers import _np_dtype
 from .. import expr as ir
 from .. import stmt as st
+from ..expr import BINARY_SEARCH, ROW_UPPER_BOUND
 from ..program import STAGE_LOOP, PrimFunc
-from ..stage2.lowering import BINARY_SEARCH, ROW_UPPER_BOUND
-from .emit_numpy import aux_arrays
-from .hazards import (
-    RowNest, UnsupportedForEmission, affine_in, fused_regions, loop_independence, sizes_only,
+from . import native
+from .hazards import RowNest, affine_in, fused_regions, loop_independence, sizes_only
+from .native import (  # noqa: F401  (re-exported: they lived here before the load | emit split)
+    _LIB_MEMO,
+    _LINK_FLAGS,
+    _MEMO_LOCK,
+    CFLAGS,
+    NATIVE_ENV_VAR,
+    NATIVE_VERSION,
+    NativeBinding,
+    NativeBuildError,
+    UnsupportedForEmission,
+    compile_so,
+    find_compiler,
+    load_native,
+    local_buffers,
+    native_tag,
+    source_sha,
+    toolchain_available,
 )
-
-#: Bumped whenever the native-source contract (C layout, binding protocol, or
-#: compile flags) changes; stale on-disk ``.so`` artifacts from an older
-#: version load as cache misses and are rebuilt, never imported.
-NATIVE_VERSION = 4
 
 #: Bytes of one register tile of a fused region: eight float32 or four float64
 #: lanes, the two SSE registers GCC keeps an accumulator in at ``-O2`` (a wider
@@ -89,70 +93,10 @@ NATIVE_VERSION = 4
 #: emitter, never a feature width: the text stays size-free.
 TILE_BYTES = 32
 
-#: Environment variable disabling the native tier (``0`` / ``off`` / ``false``).
-NATIVE_ENV_VAR = "REPRO_NATIVE"
-
-_NATIVE_DISABLED_VALUES = {"0", "off", "false", "disabled", "none", "no"}
-
-#: Compile flags.  ``-ffp-contract=off`` is load-bearing: without it GCC fuses
-#: ``a*b + c`` into an FMA whose single rounding diverges from NumPy's two.
-#: ``-fwrapv`` makes signed int64 overflow wrap exactly like NumPy's.
-#: ``-fopenmp-simd`` honours ``#pragma omp simd`` (no OpenMP runtime is linked):
-#: at ``-O2`` GCC vectorises only the loops the emitter proved independent and
-#: marked, never the checked fallback bodies.  ``-fno-inline-small-functions``:
-#: a copy of a nest inlined into ``run`` (one call a launch) only costs compile
-#: time; what must be inlined is declared ``static inline``.  The rest slims
-#: the artifact — no symbol table, unwind tables or build id (nothing unwinds
-#: through a kernel), and code and read-only data share a page instead of being
-#: padded to one each — which leaves ``.text`` starting wherever the headers
-#: end, so ``-falign-functions=64`` pins every function to a cache line: where a
-#: hot loop falls within one moves a kernel by up to 20 % either way.
-_LINK_FLAGS = ("-Wl,--build-id=none", "-Wl,-z,noseparate-code") if sys.platform.startswith("linux") else ()
-CFLAGS = (
-    "-O2",
-    "-fPIC",
-    "-shared",
-    "-fno-strict-aliasing",
-    "-ffp-contract=off",
-    "-fwrapv",
-    "-fopenmp-simd",
-    "-fno-inline-small-functions",
-    "-falign-functions=64",
-    "-s",
-    "-fno-asynchronous-unwind-tables",
-    *_LINK_FLAGS,
-)
-
 
 class UnsupportedForC(UnsupportedForEmission):
     """The program contains a construct the C emitter cannot fix into code;
     callers treat the native tier as optional, like the emitted one."""
-
-
-class NativeBuildError(RuntimeError):
-    """Compiling or loading the native artifact failed (caller falls back)."""
-
-
-class NativeBinding(NamedTuple):
-    """What fills ``run(bufs, tabs, ipar, fpar)`` for one program: no code.
-
-    ``bufs`` names the value buffers in ``bufs[]`` order, behind one null slot
-    per ``local`` buffer the program stores to (:func:`local_buffers`: the
-    kernel's own scratch, which ``run`` allocates there).  ``tabs`` lists
-    ``(kind, name)`` per table: ``("aux", buffer)`` is an auxiliary buffer in
-    its flat dtype, ``("indptr" | "indices", axis)`` that axis array (int64)
-    and ``("rowof", axis)`` the row of every position of a variable axis
-    (int32, one entry per *position*).  ``ipar`` / ``fpar`` are the scalars.
-    ``serial`` is not an operand: ``("vectorize <loop>", reason)`` per loop a
-    schedule asked to vectorize and the independence proof kept serial, and
-    ``("fuse <nest>", reason)`` per nest that ended a fused region.
-    """
-
-    bufs: Tuple[str, ...]
-    tabs: Tuple[Tuple[str, str], ...]
-    ipar: Tuple[int, ...]
-    fpar: Tuple[float, ...]
-    serial: Tuple[Tuple[str, str], ...] = ()
 
 
 # -- ctype lattice -------------------------------------------------------------
@@ -295,19 +239,6 @@ def _contains_init(stmt: st.Stmt) -> bool:
 
 def _spelled(lit: ir.Expr) -> bool:  # 0, 1 and an integer -1 are printed, not passed in a slot
     return lit.value in (0, 1) or (lit.value == -1 and isinstance(lit, ir.IntImm))
-
-
-def local_buffers(func: PrimFunc) -> List[str]:
-    """The ``local`` value buffers *func* stores to.  On the native tier they
-    are the kernel's own scratch: zero at entry, allocated inside ``run`` (or
-    never, when a fused region keeps them in its tiles), no operand of the
-    call and not among its results."""
-    aux = {buf.name for buf in func.aux_buffers}
-    local = [flat.name for flat in func.flat_buffers if flat.scope == "local" and flat.name not in aux]
-    if not local:  # every eager program: no walk of the body
-        return local
-    stored = {store.buffer.name for store in st.collect_buffer_stores(func.body)}
-    return [name for name in local if name in stored]
 
 
 class _CEmitter:
@@ -1247,289 +1178,16 @@ def emit_c_source(func: PrimFunc) -> Tuple[str, NativeBinding]:
     return _CEmitter(func).emit()
 
 
-# -- toolchain ----------------------------------------------------------------
-def find_compiler() -> Optional[str]:
-    """Path of the C compiler to use, or ``None`` when the tier is unavailable.
+class _Reexporting(types.ModuleType):
+    """``compile_so`` is the one re-exported function the loader itself calls.
+    Replacing it on this module replaces it there, so a wrapper installed as
+    ``emit_c.compile_so`` (a test's counter, a tracer's span) still wraps the
+    compile step that runs."""
 
-    ``$REPRO_NATIVE=off`` disables the tier; ``$CC`` (when set) names the
-    *only* candidate, so a non-existent path simulates a machine without a
-    compiler.  Not memoised: tests and the no-compiler CI lane flip it.
-    """
-    gate = os.environ.get(NATIVE_ENV_VAR)
-    if gate is not None and gate.strip().lower() in _NATIVE_DISABLED_VALUES:
-        return None
-    try:
-        import cffi  # noqa: F401  (ships with the toolchain; never installed here)
-    except ImportError:  # pragma: no cover - cffi is part of the baked image
-        return None
-    cc = os.environ.get("CC")
-    for candidate in [cc] if cc else ["cc", "gcc", "clang"]:
-        path = shutil.which(candidate)
-        if path:
-            return path
-    return None
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "compile_so":
+            native.compile_so = value
+        super().__setattr__(name, value)
 
 
-def toolchain_available() -> bool:
-    """Whether the native tier can compile on this machine, right now."""
-    return find_compiler() is not None
-
-
-def native_tag() -> str:
-    """Platform + Python-ABI tag a compiled artifact is keyed by on disk."""
-    return f"{sys.platform}-{_platform.machine()}-{sys.implementation.cache_tag}"
-
-
-def source_sha(c_source: str) -> str:
-    return hashlib.sha256(c_source.encode()).hexdigest()
-
-
-# -- compilation + loading -----------------------------------------------------
-#: sha256(C source) -> dlopened library (or ``False`` after a failed build),
-#: so a hypothesis battery over many structures of one program family
-#: compiles exactly once per process.
-_LIB_MEMO: Dict[str, Any] = {}
-_MEMO_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=None)
-def _get_ffi() -> Any:
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef("int run(void **bufs, void **tabs, const int64_t *ipar, const double *fpar);")
-    return ffi
-
-
-@functools.lru_cache(maxsize=None)
-def _scratch_dir() -> Path:
-    """Per-process directory for compiled artifacts with no disk cache."""
-    path = Path(tempfile.mkdtemp(prefix="repro-native-"))
-    atexit.register(shutil.rmtree, str(path), True)
-    return path
-
-
-@functools.lru_cache(maxsize=None)
-def _tool_id(compiler: str, linker: bool = False) -> str:
-    """What *compiler*, or the linker it drives, calls itself: the first line
-    of ``--version``, the last of ``-Wl,--version`` (asked once, at the first
-    failure)."""
-    try:
-        ask = "-Wl,--version" if linker else "--version"
-        proc = subprocess.run([compiler, ask], capture_output=True, text=True, timeout=30.0)
-        return (proc.stdout or proc.stderr).strip().splitlines()[-1 if linker else 0]
-    except (OSError, subprocess.TimeoutExpired, IndexError):
-        return "version unknown"
-
-
-def compile_so(c_source: str, out_path: Path) -> None:
-    """Compile *c_source* into a shared object at *out_path* (atomically).
-
-    A failure says which compiler was run with which flags, so a toolchain
-    that rejects one of them is diagnosable from ``Kernel.declined["native"]``.
-    A linker that does not know a link flag only warns that it ignores it;
-    that is a failure too, naming flag and linker: the artifact would be a
-    page larger than the size the flag exists for.
-    """
-    compiler = find_compiler()
-    if compiler is None:
-        raise NativeBuildError("no C compiler available")
-    with tempfile.TemporaryDirectory(prefix="repro-cc-") as tmpdir:
-        src = Path(tmpdir) / "kernel.c"
-        obj = Path(tmpdir) / "kernel.so"
-        src.write_text(c_source)
-        try:
-            proc = subprocess.run(
-                [compiler, *CFLAGS, str(src), "-o", str(obj), "-lm"],
-                capture_output=True,
-                text=True,
-                timeout=180.0,
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise NativeBuildError(f"C compiler failed to run: {exc}") from exc
-        ignored = [flag for flag in _LINK_FLAGS if flag.rsplit(",", 1)[-1].lstrip("-") in proc.stderr]
-        if proc.returncode != 0 or ignored:
-            what = f"C compilation failed (exit {proc.returncode})"
-            if proc.returncode == 0:
-                what = f"linker [{_tool_id(compiler, linker=True)}] does not take {' '.join(ignored)}"
-            raise NativeBuildError(
-                f"{what}: {compiler} [{_tool_id(compiler)}] {' '.join(CFLAGS)}\n{proc.stderr[-2000:]}"
-            )
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(out_path.parent), suffix=".so.tmp")
-        os.close(fd)
-        shutil.copy(str(obj), tmp)
-        os.replace(tmp, out_path)
-
-
-def _obtain_lib(
-    sha: str, c_source: str, binding: NativeBinding, disk: Any, key: Optional[str], stats: Any
-) -> Any:
-    """A dlopened library for *c_source*: disk-cached artifact or fresh build."""
-    if disk is not None and key is not None:
-        cached = disk.get_native(key, sha)
-        if cached is not None:
-            try:
-                lib = _get_ffi().dlopen(str(cached))
-            except OSError:
-                disk.discard_native(key)
-            else:
-                if stats is not None:
-                    stats.native_hits += 1
-                return lib
-    so_path: Optional[Path] = None
-    if disk is not None and key is not None:
-        so_path = disk.reserve_native(key)
-    if so_path is None:
-        so_path = _scratch_dir() / f"{sha[:32]}.so"
-    compile_so(c_source, so_path)
-    if disk is not None and key is not None:
-        disk.publish_native(key, c_source, sha, binding)
-    lib = _get_ffi().dlopen(str(so_path))
-    if stats is not None:
-        stats.native_rebuilds += 1
-    return lib
-
-
-def load_native(
-    func: PrimFunc,
-    c_source: str,
-    binding: NativeBinding,
-    disk: Any = None,
-    key: Optional[str] = None,
-    stats: Any = None,
-) -> Any:
-    """Compile (or reuse) the native artifact and bind the program's arrays.
-
-    Returns the ``run(arrays)`` closure of the native tier.  A failure — no
-    compiler, a compile error, an artifact that does not load — raises, and
-    the caller decides the fallback for this kernel once.  ``disk``/``key``
-    select the persistent artifact store (:meth:`DiskKernelCache.get_native`);
-    ``stats`` receives ``native_hits`` / ``native_rebuilds``.
-
-    The C text asserts (``#pragma omp simd``) that differently named buffers
-    never overlap, so ``run(arrays)`` refuses with ``ValueError`` a buffer the
-    kernel stores to that shares memory with another operand of the call.
-
-    A ``local`` buffer the program stores to (:func:`local_buffers`) is the
-    kernel's own: ``run(arrays)`` neither reads it from *arrays* nor returns it.
-    ``run.serial_regions`` says how many fused regions of the last call failed
-    their precondition and ran as their serial nests (a diagnostic, not
-    synchronised between concurrent calls).
-
-    ``run(arrays)`` takes the value buffers per call and, like them, any
-    auxiliary index table present in *arrays* under its buffer name: that
-    array replaces the table bound here for this call (same dtype, length and
-    contiguity, or ``ValueError``), and an axis table derived from it — the
-    int64 ``indptr``/``indices`` of a coordinate search, the per-position row
-    table — is re-derived from the fed array.  Nothing else changes: sizes
-    and bounds checks are the compiled ones, so one loaded kernel serves every
-    structure with its footprint.
-    """
-    sha = source_sha(c_source)
-    with _MEMO_LOCK:
-        lib = _LIB_MEMO.get(sha)
-    if lib is False:
-        raise NativeBuildError("native build previously failed for this source")
-    if lib is None:
-        try:
-            lib = _obtain_lib(sha, c_source, binding, disk, key, stats)
-        except NativeBuildError:
-            with _MEMO_LOCK:
-                _LIB_MEMO[sha] = False
-            raise
-        with _MEMO_LOCK:
-            lib = _LIB_MEMO.setdefault(sha, lib)
-
-    aux = aux_arrays(func)
-    axes = {axis.name: axis for axis in func.axes}
-    ffi = _get_ffi()
-
-    def table(kind: str, name: str, source: Optional[np.ndarray] = None) -> np.ndarray:
-        """One ``tabs[]`` entry, from the bound structure or from a fed *source*."""
-        if kind == "aux":
-            return aux[name] if source is None else source
-        if kind != "rowof":
-            source = getattr(axes[name], kind) if source is None else source
-            return np.ascontiguousarray(source, dtype=np.int64)
-        indptr = axes[name].indptr
-        positions = np.arange(indptr[-1])  # the table keeps its bound length
-        rows = np.searchsorted(indptr if source is None else source, positions, side="right")
-        return (rows - 1).astype(np.int32)
-
-    def pointers(arrays: List[np.ndarray], nulls: int = 0) -> Tuple[Any, List[int]]:
-        """The C pointer block of *arrays* (which the caller keeps alive)
-        behind *nulls* empty slots, and the arrays' addresses."""
-        held = [ffi.NULL] * nulls + [ffi.from_buffer(array) for array in arrays]
-        block = ffi.new("void *[]", held or [ffi.NULL])
-        return block, ffi.unpack(ffi.cast("intptr_t *", block), len(held))[nulls:]
-
-    stored = {store.buffer.name for store in st.collect_buffer_stores(func.body)}
-    stored_slots = frozenset(slot for slot, name in enumerate(binding.bufs) if name in stored)
-    local = local_buffers(func)
-    tab_names = [name if kind == "aux" else f"{name}_{kind}" for kind, name in binding.tabs]
-    names = [*binding.bufs, *tab_names]
-    slots = range(len(names))
-    tabs = [table(kind, name) for kind, name in binding.tabs]
-    # The auxiliary buffer each table follows when that buffer is fed per call:
-    # itself, or the ``<axis>_indptr`` / ``<axis>_indices`` an axis table mirrors.
-    follows = [
-        name if kind == "aux" else f"{name}_{'indices' if kind == 'indices' else 'indptr'}"
-        for kind, name in binding.tabs
-    ]
-    ipar = np.asarray(binding.ipar, dtype=np.int64)
-    fpar = np.asarray(binding.fpar, dtype=np.float64)
-    bound_tabs = (tabs, *pointers(tabs))
-    ipar_ptr = ffi.cast("int64_t *", ipar.ctypes.data)
-    fpar_ptr = ffi.cast("double *", fpar.ctypes.data)
-
-    def run(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        bufs = [arrays[name] for name in binding.bufs]
-        for buf in bufs:
-            if not buf.flags.c_contiguous:
-                raise NativeBuildError("native tier requires contiguous buffers")
-        fed = {name: arrays[name] for name in aux if name in arrays}
-        if not fed:
-            call_tabs, tab_ptrs, tab_starts = bound_tabs
-        else:
-            # Index tables fed for this call stand in for the bound ones.  The
-            # sizes in ``ipar`` stay as compiled, so a fed table must be laid
-            # out exactly like the one it replaces.
-            for name, given in fed.items():
-                bound = aux[name]
-                same = (given.dtype, given.shape) == (bound.dtype, bound.shape)
-                if not (same and given.flags.c_contiguous):
-                    raise ValueError(
-                        f"table {name!r} fed as {given.dtype}{list(given.shape)}, "
-                        f"bound as contiguous {bound.dtype}[{bound.size}]"
-                    )
-            call_tabs = [
-                table(kind, name, fed[source]) if source in fed else bound
-                for (kind, name), source, bound in zip(binding.tabs, follows, tabs)
-            ]
-            tab_ptrs, tab_starts = pointers(call_tabs)
-        buf_ptrs, starts = pointers(bufs, len(local))  # the kernel fills (and frees) its own slots
-        # The no-overlap contract the SIMD loops rest on: what the kernel stores
-        # to is disjoint from every other operand of the call.  One sweep in
-        # address order; ``holder`` is the operand reaching furthest so far.
-        given, starts = bufs + call_tabs, starts + tab_starts
-        reach = holder = -1
-        for slot in sorted(slots, key=starts.__getitem__):
-            start, size = starts[slot], given[slot].nbytes
-            if size and start < reach and (slot in stored_slots or holder in stored_slots):
-                target, other = (slot, holder) if slot in stored_slots else (holder, slot)
-                raise ValueError(
-                    f"buffer {names[target]!r} is stored to and shares memory with "
-                    f"{names[other]!r}: operands of a native kernel may not overlap"
-                )
-            if start + size > reach:
-                reach, holder = start + size, slot
-        run.serial_regions = lib.run(buf_ptrs, tab_ptrs, ipar_ptr, fpar_ptr)
-        if run.serial_regions < 0:
-            raise MemoryError(f"native kernel {func.name!r} could not allocate its local buffers")
-        for name in local:  # the kernel's own scratch: never the caller's arrays
-            arrays.pop(name, None)
-        return arrays
-
-    run._keepalive = (tabs, ipar, fpar)  # the kernel reads them on every call
-    return run
+sys.modules[__name__].__class__ = _Reexporting

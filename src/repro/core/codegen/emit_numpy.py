@@ -41,6 +41,8 @@ import numpy as np
 
 from ..buffers import _np_dtype
 from ..expr import (
+    BINARY_SEARCH,
+    ROW_UPPER_BOUND,
     Add,
     And,
     BinaryOp,
@@ -71,7 +73,6 @@ from ..expr import (
 )
 from ..nputils import MAX_LANES, ragged_arange
 from ..program import STAGE_LOOP, PrimFunc
-from ..stage2.lowering import BINARY_SEARCH, ROW_UPPER_BOUND
 from ..stmt import (
     AssertStmt,
     Block,
@@ -83,7 +84,8 @@ from ..stmt import (
     SeqStmt,
     Stmt,
 )
-from .hazards import UnsupportedForEmission, analyze_hazards, coords_to_positions
+from .hazards import analyze_hazards, coords_to_positions
+from .native import UnsupportedForEmission, aux_arrays
 
 #: Bumped whenever the emitted-source contract changes; participates in the
 #: structural fingerprint so stale on-disk source can never be executed.
@@ -796,25 +798,6 @@ def emit_numpy_source(func: PrimFunc) -> str:
     emitter's fragment; callers fall back to the interpreter.
     """
     return _Emitter(func).emit()
-
-
-def aux_arrays(func: PrimFunc) -> Dict[str, np.ndarray]:
-    """The structural (auxiliary) flat arrays of a lowered program.
-
-    Prepared exactly like :func:`repro.runtime.executor.prepare_arrays` does
-    for the same buffers, so plan-time loads observe the bytes the
-    interpreter would.
-    """
-    dtypes = {fb.name: fb.dtype for fb in func.flat_buffers}
-    sizes = {fb.name: fb.size for fb in func.flat_buffers}
-    out: Dict[str, np.ndarray] = {}
-    for buf in func.aux_buffers:
-        dtype = _np_dtype(dtypes.get(buf.name, buf.dtype))
-        if buf.data is not None:
-            out[buf.name] = np.asarray(buf.data, dtype=dtype).reshape(-1).copy()
-        else:
-            out[buf.name] = np.zeros(sizes.get(buf.name, buf.flat_size()), dtype=dtype)
-    return out
 
 
 def compile_emitted(source: str, func: PrimFunc) -> Any:

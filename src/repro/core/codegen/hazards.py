@@ -74,6 +74,7 @@ from ..stmt import (
     find_loops,
     post_order_stmts,
 )
+from .native import UnsupportedForEmission
 
 __all__ = [
     "UnsupportedForEmission",
@@ -88,11 +89,6 @@ __all__ = [
 #: How a store updates its target: ``("add" | "mul", residual expression)``
 #: for a self-update ``B[e] = B[e] (+|*) r``, ``None`` for a plain store.
 StoreForm = Optional[Tuple[str, Expr]]
-
-
-class UnsupportedForEmission(Exception):
-    """A compiled tier declines the program: the hazard analysis cannot prove it
-    safe to batch, or it contains a construct an emitter cannot fix into code."""
 
 
 def analyze_hazards(func: PrimFunc) -> Dict[int, StoreForm]:

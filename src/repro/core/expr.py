@@ -289,6 +289,14 @@ class Cast(Expr):
         return f"cast[{self.dtype}]({self.value!r})"
 
 
+#: The two structural intrinsics sparse iteration lowering introduces, by
+#: :attr:`Call.func`: a coordinate -> position search of an axis row, and the
+#: row of a position of a fused axis.  Every backend interprets them, so they
+#: live beside :class:`Call` where all of them can reach.
+BINARY_SEARCH = "sparse_coord_to_pos"
+ROW_UPPER_BOUND = "sparse_row_of_position"
+
+
 class Call(Expr):
     """Call to a named intrinsic (``binary_search``, ``mma_sync``, ...)."""
 

@@ -23,6 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..axes import Axis, DenseFixedAxis, DenseVariableAxis, SparseFixedAxis, SparseVariableAxis
 from ..buffers import SparseBuffer
 from ..expr import (
+    BINARY_SEARCH,
+    ROW_UPPER_BOUND,
     Add,
     BinaryOp,
     BufferLoad,
@@ -51,10 +53,6 @@ from ..stmt import (
     collect_buffer_loads,
     collect_buffer_stores,
 )
-
-BINARY_SEARCH = "sparse_coord_to_pos"
-ROW_UPPER_BOUND = "sparse_row_of_position"
-
 
 class AuxBuffers:
     """Registry of auxiliary buffers materialised for axes."""

@@ -6,37 +6,29 @@ produce the SparseTIR axes that describe it so that programs over the format
 can be built and lowered through the compilation pipeline.
 """
 
-from .csr import CSRMatrix
-from .csc import CSCMatrix
-from .coo import COOMatrix
-from .bsr import BSRMatrix
-from .ell import ELLMatrix
-from .dia import DIAMatrix
-from .ragged import RaggedTensor
-from .csf import CSFTensor
-from .hyb import HybFormat, HybBucket
-from .dbsr import DBSRMatrix
-from .srbcrs import SRBCRSMatrix
-from .padding import padding_ratio_hyb, padding_ratio_percent
-from .conversion import CONVERSIONS, conversion_targets, convert, roundtrip_dense
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CONVERSIONS",
-    "conversion_targets",
-    "convert",
-    "roundtrip_dense",
-    "CSRMatrix",
-    "CSCMatrix",
-    "COOMatrix",
-    "BSRMatrix",
-    "ELLMatrix",
-    "DIAMatrix",
-    "RaggedTensor",
-    "CSFTensor",
-    "HybFormat",
-    "HybBucket",
-    "DBSRMatrix",
-    "SRBCRSMatrix",
-    "padding_ratio_hyb",
-    "padding_ratio_percent",
-]
+_EXPORTS = {
+    "CONVERSIONS": ".conversion",
+    "conversion_targets": ".conversion",
+    "convert": ".conversion",
+    "roundtrip_dense": ".conversion",
+    "CSRMatrix": ".csr",
+    "CSCMatrix": ".csc",
+    "COOMatrix": ".coo",
+    "BSRMatrix": ".bsr",
+    "ELLMatrix": ".ell",
+    "DIAMatrix": ".dia",
+    "RaggedTensor": ".ragged",
+    "CSFTensor": ".csf",
+    "HybFormat": ".hyb",
+    "HybBucket": ".hyb",
+    "DBSRMatrix": ".dbsr",
+    "SRBCRSMatrix": ".srbcrs",
+    "padding_ratio_hyb": ".padding",
+    "padding_ratio_percent": ".padding",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.codegen.emit_numpy import UnsupportedForEmission
+from ..core.codegen.native import UnsupportedForEmission
 from ..core.script import EmitContext, ProgramBuilder
 from ..ops import registry
 from ..runtime.bound import BoundKernel

@@ -10,6 +10,8 @@ experiment trains) plus an execution-time estimator that composes the
 operator workload models of :mod:`repro.ops` and :mod:`repro.baselines`.
 """
 
-from . import graphsage, minkowski, rgcn
+from .._lazy import lazy_exports
 
 __all__ = ["graphsage", "rgcn", "minkowski"]
+
+__getattr__ = lazy_exports(globals(), dict.fromkeys(__all__))

@@ -11,16 +11,13 @@ per-operator framework overhead that both systems share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from ..baselines import dgl
 from ..formats.csr import CSRMatrix
 from ..formats.hyb import HybFormat
 from ..ops.spmm import spmm_hyb_workload, spmm_reference
-from ..perf.device import DeviceSpec
-from ..perf.gpu_model import GPUModel
 from .shared import (
     CompiledForward,
     gemm_workload_for_model,
@@ -28,6 +25,9 @@ from .shared import (
     relu_grad,
     softmax_cross_entropy,
 )
+
+if TYPE_CHECKING:  # the simulated world is imported by the ``estimate_*`` functions that price with it
+    from ..perf.device import DeviceSpec
 
 
 @dataclass
@@ -185,6 +185,9 @@ def estimate_training_time(
     ``"sparsetir"`` uses the hyb SpMM kernels integrated into PyTorch (same
     dense GEMMs, same autograd overhead structure).
     """
+    from ..baselines import dgl
+    from ..perf.gpu_model import GPUModel
+
     in_feats, hidden, num_classes = feat_sizes
     model = GPUModel(device)
 

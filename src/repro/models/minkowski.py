@@ -10,21 +10,21 @@ versus TorchSparse's gather-GEMM-scatter execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from ..baselines import torchsparse
 from ..formats.csr import CSRMatrix
 from ..ops.sparse_conv import (
     SparseConvProblem,
     sparse_conv_fused_tc_workload,
     sparse_conv_reference,
 )
-from ..perf.device import DeviceSpec
-from ..perf.gpu_model import GPUModel
 from ..workloads.pointcloud import PointCloudConfig, sparse_conv_problem
 from .shared import CompiledForward, relu
+
+if TYPE_CHECKING:  # the simulated world is imported by the ``estimate_*`` functions that price with it
+    from ..perf.device import DeviceSpec
 
 
 def _gather_matrix(pairs: np.ndarray, num_in_points: int) -> CSRMatrix:
@@ -159,6 +159,9 @@ def estimate_layer_times(
     problem: SparseConvProblem, device: DeviceSpec
 ) -> Dict[str, float]:
     """Per-layer execution time (us) of SparseTIR(TC) and TorchSparse."""
+    from ..baselines import torchsparse
+    from ..perf.gpu_model import GPUModel
+
     model = GPUModel(device)
     ours = model.estimate(sparse_conv_fused_tc_workload(problem, device))
     baseline = model.estimate(torchsparse.sparse_conv_workload(problem, device))

@@ -13,11 +13,10 @@ reports both inference time and GPU memory footprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, TYPE_CHECKING
 
 import numpy as np
 
-from ..baselines import graphiler
 from ..formats.csf import CSFTensor
 from ..ops.rgms import (
     RGMSProblem,
@@ -26,10 +25,11 @@ from ..ops.rgms import (
     rgms_reference,
     rgms_two_stage_workload,
 )
-from ..perf.device import DeviceSpec
-from ..perf.gpu_model import GPUModel
-from ..perf.workload import KernelWorkload
 from .shared import CompiledForward, relu
+
+if TYPE_CHECKING:  # the simulated world is imported by the ``estimate_*`` functions that price with it
+    from ..perf.device import DeviceSpec
+    from ..perf.workload import KernelWorkload
 
 
 @dataclass
@@ -156,6 +156,8 @@ class RGCNEstimate:
 
 def rgcn_layer_workload(problem: RGMSProblem, system: str, device: DeviceSpec) -> KernelWorkload:
     """The kernel workload of one RGCN layer under the given system."""
+    from ..baselines import graphiler
+
     if system == "pyg":
         workload = rgms_two_stage_workload(
             problem, device, gemm_efficiency=0.8, scatter_efficiency=0.55,
@@ -198,6 +200,8 @@ def estimate_rgcn_inference(
     num_layers: int = 1,
 ) -> RGCNEstimate:
     """Estimate end-to-end RGCN inference (Figure 20 uses feature size 32)."""
+    from ..perf.gpu_model import GPUModel
+
     problem = RGMSProblem(adjacency, in_feats=feat_size, out_feats=feat_size)
     model = GPUModel(device)
     workload = rgcn_layer_workload(problem, system, device)

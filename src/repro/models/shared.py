@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from ..baselines.cublas import gemm_workload
-from ..perf.device import DeviceSpec
-from ..perf.workload import KernelWorkload
-
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # the simulated world is imported by the ``estimate_*`` functions that price with it
     from ..graph import CompiledGraph
+    from ..perf.device import DeviceSpec
+    from ..perf.workload import KernelWorkload
 
 
 @dataclass
@@ -68,6 +66,8 @@ def gemm_workload_for_model(
     m: int, k: int, n: int, device: DeviceSpec, dtype: str = "float32"
 ) -> KernelWorkload:
     """A dense (m x k) @ (k x n) GEMM as executed by the framework (cuBLAS)."""
+    from ..baselines.cublas import gemm_workload
+
     return gemm_workload(
         m, n, k, device, dtype=dtype, use_tensor_cores=dtype == "float16",
         name=f"gemm_{m}x{k}x{n}",

@@ -17,7 +17,7 @@ lanes by the compiled tiers), and :func:`batched_spmm` /
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from ..core.script import EmitContext, ProgramBuilder
 from ..core.sparse_iteration import fuse
 from ..formats.bsr import BSRMatrix
 from ..formats.csr import CSRMatrix
-from ..perf.device import DeviceSpec
-from ..perf.tensor_core import MMA_SHAPES
-from ..perf.workload import BlockGroup, KernelWorkload
 from .common import INDEX_BYTES, ceil_div, value_bytes
 from .sddmm import sddmm_reference
 from .spmm import spmm_reference
+
+if TYPE_CHECKING:  # the GPU model is imported by the ``*_workload`` functions that price with it
+    from ..perf.device import DeviceSpec
+    from ..perf.workload import KernelWorkload
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +533,9 @@ def batched_spmm_bsr_workload(
     multiplied on Tensor Cores with the corresponding feature tiles staged
     through shared memory.
     """
+    from ..perf.tensor_core import MMA_SHAPES
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes("float16")
     b = bsr.block_size
     lengths = bsr.block_row_lengths.astype(np.float64)
@@ -579,6 +583,8 @@ def batched_spmm_csr_workload(
     inflates index traffic and prevents MMA use — the reason the CSR variant
     is ~20x slower than the BSR variant in Figure 16.
     """
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes("float16")
     lengths = csr.row_lengths().astype(np.float64)
     flops = 2.0 * lengths * feat_size
@@ -616,6 +622,8 @@ def batched_sddmm_bsr_workload(
     mma_efficiency: float = 0.70,
 ) -> KernelWorkload:
     """Multi-head SDDMM on BSR: each stored block is a small Q x K^T matmul."""
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes("float16")
     b = bsr.block_size
     blocks_per_tb = max(1, 64 // b)
@@ -655,6 +663,8 @@ def batched_sddmm_csr_workload(
     name: str = "sparsetir_csr_sddmm",
 ) -> KernelWorkload:
     """Scalar multi-head SDDMM over the element-wise mask (no tensor cores)."""
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes("float16")
     nnz_per_block = 16
     num_tb = ceil_div(csr.nnz, nnz_per_block)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..perf.cache import reuse_distance_hit_rate
-from ..perf.device import DeviceSpec
+if TYPE_CHECKING:  # the GPU model is imported by the function that prices with it
+    from ..perf.device import DeviceSpec
+
 
 INDEX_BYTES = 4
 
@@ -25,6 +26,8 @@ def dense_reuse_miss_rate(
     The first touch of every unique byte always misses; re-accesses hit with
     a probability that depends on whether the working set fits in L2.
     """
+    from ..perf.cache import reuse_distance_hit_rate
+
     if touched_bytes <= 0:
         return 1.0
     hit_rate = reuse_distance_hit_rate(unique_bytes, touched_bytes, device.l2_bytes)

@@ -14,7 +14,7 @@ SparseTIR kernel strategies are modelled:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +24,11 @@ from ..core.script import EmitContext, ProgramBuilder
 from ..formats.bsr import BSRMatrix
 from ..formats.dbsr import DBSRMatrix
 from ..formats.srbcrs import SRBCRSMatrix
-from ..perf.device import DeviceSpec
-from ..perf.workload import BlockGroup, KernelWorkload
 from .common import INDEX_BYTES, dense_reuse_miss_rate, value_bytes
+
+if TYPE_CHECKING:  # the GPU model is imported by the ``*_workload`` functions that price with it
+    from ..perf.device import DeviceSpec
+    from ..perf.workload import KernelWorkload
 
 #: Bytes of fixed work a thread block performs even when its block row is
 #: empty (reading the row extent, exiting).
@@ -103,6 +105,8 @@ def pruned_spmm_bsr_workload(
     name: str = "sparsetir_pruned_bsr",
 ) -> KernelWorkload:
     """BSR SpMM with tensorized blocks; empty block rows are still visited."""
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes("float16")
     b = bsr.block_size
     lengths = bsr.block_row_lengths.astype(np.float64)
@@ -146,6 +150,8 @@ def pruned_spmm_dbsr_workload(
     name: str = "sparsetir_pruned_dbsr",
 ) -> KernelWorkload:
     """DBSR SpMM: only the non-empty block rows launch work."""
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes("float16")
     b = dbsr.block_size
     lengths = np.diff(dbsr.indptr).astype(np.float64)
@@ -189,6 +195,8 @@ def pruned_spmm_srbcrs_workload(
     name: str = "sparsetir_pruned_srbcrs",
 ) -> KernelWorkload:
     """SR-BCRS SpMM: each tile group feeds one m8n32k16 MMA pipeline."""
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes("float16")
     t, g = sr.tile_rows, sr.group_size
     groups_per_row = np.diff(sr.group_indptr).astype(np.float64)

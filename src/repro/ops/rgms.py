@@ -20,7 +20,7 @@ Two execution strategies are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +29,11 @@ from ..core.program import PrimFunc
 from ..core.script import EmitContext, ProgramBuilder
 from ..formats.csf import CSFTensor
 from ..formats.hyb import HybFormat
-from ..perf.device import DeviceSpec
-from ..perf.workload import BlockGroup, KernelWorkload
 from .common import INDEX_BYTES, ceil_div, dense_reuse_miss_rate, value_bytes
+
+if TYPE_CHECKING:  # the GPU model is imported by the ``*_workload`` functions that price with it
+    from ..perf.device import DeviceSpec
+    from ..perf.workload import KernelWorkload
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,8 @@ def rgms_fused_hyb_workload(
     to SRAM, multiplies on Tensor Cores (or CUDA cores when
     ``use_tensor_cores`` is off) and scatters to the output.
     """
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     dtype = "float16" if use_tensor_cores else "float32"
     vbytes = value_bytes(dtype)
     d_in, d_out = problem.in_feats, problem.out_feats
@@ -277,6 +281,8 @@ def rgms_naive_workload(
     One thread block per adjacency row per relation; per-block work follows
     the raw row lengths, so relation and degree imbalance hits the makespan.
     """
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes("float32")
     d_in, d_out = problem.in_feats, problem.out_feats
     weight_tile = d_in * d_out * vbytes
@@ -335,6 +341,8 @@ def rgms_two_stage_workload(
     SpMM per relation over ``T``.  The materialised intermediate dominates the
     GPU memory footprint (Figure 20, right).
     """
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = 4
     d_in, d_out = problem.in_feats, problem.out_feats
     n = problem.num_nodes

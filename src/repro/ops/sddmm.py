@@ -12,7 +12,7 @@ composable transformations.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -21,9 +21,11 @@ from ..core.program import PrimFunc
 from ..core.script import EmitContext, ProgramBuilder
 from ..core.sparse_iteration import fuse
 from ..formats.csr import CSRMatrix
-from ..perf.device import DeviceSpec
-from ..perf.workload import BlockGroup, KernelWorkload
 from .common import INDEX_BYTES, ceil_div, dense_reuse_miss_rate, value_bytes
+
+if TYPE_CHECKING:  # the GPU model is imported by the ``*_workload`` functions that price with it
+    from ..perf.device import DeviceSpec
+    from ..perf.workload import KernelWorkload
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,8 @@ def sddmm_workload(
     two-stage (rfactor) reduction that keeps all lanes busy for large feature
     sizes.
     """
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes(dtype)
     num_blocks = max(1, ceil_div(csr.nnz, nnz_per_block))
     flops = 2.0 * nnz_per_block * feat_size

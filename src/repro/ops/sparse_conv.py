@@ -17,16 +17,18 @@ while its gather/scatter traffic advantage is only linear in the channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from ..core.buffers import SparseBuffer
 from ..core.program import PrimFunc
 from ..core.script import EmitContext, ProgramBuilder
-from ..perf.device import DeviceSpec
-from ..perf.workload import BlockGroup, KernelWorkload
 from .common import INDEX_BYTES, ceil_div, value_bytes
+
+if TYPE_CHECKING:  # the GPU model is imported by the ``*_workload`` functions that price with it
+    from ..perf.device import DeviceSpec
+    from ..perf.workload import KernelWorkload
 
 
 @dataclass
@@ -199,6 +201,8 @@ def sparse_conv_fused_tc_workload(
     offset's weight matrix in shared memory, and never materialise the
     gathered/matmul intermediate in HBM.
     """
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     dtype = "float16"
     vbytes = value_bytes(dtype)
     cin, cout = problem.in_channels, problem.out_channels
@@ -252,6 +256,8 @@ def sparse_conv_gather_gemm_scatter_workload(
     materialised in HBM, so the operator pays their write+read traffic; the
     GEMM itself runs at high (cuBLAS) efficiency.
     """
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes("float16")
     cin, cout = problem.in_channels, problem.out_channels
     workload = KernelWorkload(name=name)

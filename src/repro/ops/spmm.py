@@ -16,7 +16,7 @@ Three layers are provided:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from ..core.program import PrimFunc
 from ..core.script import EmitContext, ProgramBuilder
 from ..formats.csr import CSRMatrix
 from ..formats.hyb import HybFormat
-from ..perf.device import DeviceSpec
-from ..perf.workload import BlockGroup, KernelWorkload
 from .common import (
     INDEX_BYTES,
     ceil_div,
@@ -34,6 +32,10 @@ from .common import (
     split_row_blocks,
     value_bytes,
 )
+
+if TYPE_CHECKING:  # the GPU model is imported by the ``*_workload`` functions that price with it
+    from ..perf.device import DeviceSpec
+    from ..perf.workload import KernelWorkload
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +230,8 @@ def spmm_csr_workload(
     ``hyb`` format removes.  ``max_nnz_per_block`` enables long-row splitting
     for baselines whose kernels bound the per-block work.
     """
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes(dtype)
     lengths = csr.row_lengths()
     per_block_nnz = split_row_blocks(lengths, rows_per_block, max_nnz_per_block)
@@ -285,6 +289,8 @@ def spmm_hyb_workload(
     partition's slice of ``X`` is what must stay cached) at the cost of
     updating the output once per partition.
     """
+    from ..perf.workload import BlockGroup, KernelWorkload
+
     vbytes = value_bytes(dtype)
     csr = hyb.source
     max_width = hyb.bucket_widths[-1]

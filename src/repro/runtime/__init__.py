@@ -11,14 +11,11 @@ entry point bundling format decomposition, kernel building (with structural
 and persistent caching) and engine selection.
 """
 
-from .executor import Executor, prepare_arrays, run_primfunc
+from .._lazy import lazy_exports
 from .session import Session, SessionStats, get_default_session
 
-__all__ = [
-    "Executor",
-    "prepare_arrays",
-    "run_primfunc",
-    "Session",
-    "SessionStats",
-    "get_default_session",
-]
+_EXPORTS = {"Executor": ".executor", "prepare_arrays": ".executor", "run_primfunc": ".executor"}
+
+__all__ = [*_EXPORTS, "Session", "SessionStats", "get_default_session"]
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..core.buffers import _np_dtype
-from ..core.codegen.emit_c import local_buffers
+from ..core.codegen.native import local_buffers
 from ..core.stmt import collect_buffer_stores
 from ..ops.registry import finalize
 

@@ -29,6 +29,8 @@ import numpy as np
 from ..core.axes import Axis
 from ..core.buffers import FlatBuffer, SparseBuffer, _np_dtype
 from ..core.expr import (
+    BINARY_SEARCH,
+    ROW_UPPER_BOUND,
     BinaryOp,
     BufferLoad,
     Call,
@@ -42,7 +44,6 @@ from ..core.expr import (
     Var,
 )
 from ..core.program import STAGE_LOOP, PrimFunc
-from ..core.stage2.lowering import BINARY_SEARCH, ROW_UPPER_BOUND
 from ..core.stmt import (
     AssertStmt,
     Block,

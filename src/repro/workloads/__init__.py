@@ -10,6 +10,8 @@ densities, voxel occupancy), and the Tables 1/2 benchmarks report the
 resulting statistics next to the paper's numbers.
 """
 
-from . import attention, graphs, hetero_graphs, pointcloud, pruning
+from .._lazy import lazy_exports
 
 __all__ = ["graphs", "hetero_graphs", "attention", "pruning", "pointcloud"]
+
+__getattr__ = lazy_exports(globals(), dict.fromkeys(__all__))

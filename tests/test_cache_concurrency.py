@@ -8,6 +8,7 @@ structures (racing on LRU bookkeeping and disk write-through) — and assert
 that every thread saw bit-correct results and the cache ended consistent.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -140,3 +141,28 @@ class TestFirstDispatch:
         assert len(list(cache.disk.dir.glob("*.py"))) == 1
         expected = kernels[0].run(engine="interpret")["C"]
         assert all(np.array_equal(out, expected) for out in outs)
+
+
+class TestCompileSideCounters:
+    def test_counters_bumped_from_many_threads_lose_no_update(self):
+        """``lowerings`` / ``emissions`` / ``native_hits`` / ``native_rebuilds``
+        are bumped on whichever thread builds, and tests and the benchmark's
+        traced pass assert exact values: they go through ``KernelCache.count``,
+        under the cache lock.  More threads than cores and a switch interval
+        short enough that an unlocked read-modify-write would drop counts."""
+        cache = KernelCache(disk=None)
+        per_thread = 4000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def worker(tid):
+                for n in range(per_thread):
+                    cache.count("emissions" if n % 2 else "lowerings")
+                    cache.count("native_hits", by=2)
+
+            _run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = cache.stats
+        assert stats.lowerings == stats.emissions == THREADS * per_thread // 2
+        assert stats.native_hits == 2 * THREADS * per_thread
