@@ -1,15 +1,19 @@
-"""Workload-construction helpers shared by the benchmark modules."""
+"""Workload-construction helpers shared by the benchmark modules.
+
+Every system's duration is priced on the *simulated V100* (or RTX 3070) of
+``repro.sim``; nothing here runs or times a kernel.
+"""
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.baselines import cusparse, dgl, dgsparse, sputnik, taco
 from repro.formats import CSRMatrix, HybFormat
-from repro.ops.sddmm import sddmm_workload
-from repro.ops.spmm import spmm_csr_workload, spmm_hyb_workload
-from repro.perf.device import DeviceSpec
-from repro.perf.gpu_model import GPUModel
+from repro.sim.baselines import cusparse, dgl, dgsparse, sputnik, taco
+from repro.sim.device import DeviceSpec
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops.sddmm import sddmm_workload
+from repro.sim.ops.spmm import spmm_csr_workload, spmm_hyb_workload
 
 #: Feature sizes swept in the SpMM / SDDMM figures.
 FEATURE_SIZES = (32, 64, 128, 256, 512)
@@ -54,7 +58,7 @@ def sddmm_system_durations(csr: CSRMatrix, feat_size: int, device: DeviceSpec) -
     return {
         "cuSPARSE": model.estimate(cusparse.sddmm_workload(csr, feat_size, device)).duration_us,
         "Sputnik": model.estimate(
-            __import__("repro.baselines.sputnik", fromlist=["x"]).sddmm_workload_graph(csr, feat_size, device)
+            sputnik.sddmm_workload_graph(csr, feat_size, device)
         ).duration_us,
         "DGL": model.estimate(dgl.sddmm_workload_featgraph(csr, feat_size, device)).duration_us,
         "dgSPARSE-csr": model.estimate(

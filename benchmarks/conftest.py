@@ -2,7 +2,8 @@
 
 Every benchmark module regenerates one table or figure of the paper's
 evaluation: it builds the corresponding workloads, evaluates the SparseTIR
-kernels and every baseline on the simulated devices, prints the same
+kernels and every baseline on the *simulated V100* / RTX 3070 of ``repro.sim``
+(no fig / table module runs or times a kernel), prints the same
 rows/series the paper reports (normalised speedups, hit rates, memory
 footprints) and records the end-to-end harness time with pytest-benchmark.
 """
@@ -16,7 +17,7 @@ import pytest
 # Allow `import bench_helpers` regardless of how pytest was invoked.
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.perf.device import RTX3070, V100
+from repro.sim.device import RTX3070, V100
 
 
 def pytest_configure(config):

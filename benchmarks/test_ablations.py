@@ -7,15 +7,19 @@
   ablation (naive vs hyb vs hyb+TC);
 * horizontal fusion on/off — the kernel-launch overhead the Section 3.5 pass
   removes.
+
+Every duration is a *simulated V100* (or RTX 3070) time from the analytic model of
+``repro.sim`` — no kernel is run or timed here.
 """
 
 import pytest
 
 from repro.formats.hyb import HybFormat
-from repro.ops.rgms import RGMSProblem, rgms_fused_hyb_workload, rgms_naive_workload
-from repro.ops.sddmm import sddmm_workload
-from repro.ops.spmm import spmm_csr_workload, spmm_hyb_workload
-from repro.perf.gpu_model import GPUModel
+from repro.ops.rgms import RGMSProblem
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops.rgms import rgms_fused_hyb_workload, rgms_naive_workload
+from repro.sim.ops.sddmm import sddmm_workload
+from repro.sim.ops.spmm import spmm_csr_workload, spmm_hyb_workload
 from repro.workloads.graphs import synthetic_graph
 from repro.workloads.hetero_graphs import synthetic_hetero_graph
 
@@ -33,7 +37,7 @@ def test_ablation_composable_formats_spmm(benchmark, device):
         }
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nablation (formats, {device.name}): no-hyb {result['no-hyb']:.1f} us, "
+    print(f"\nablation (formats, simulated {device.name}): no-hyb {result['no-hyb']:.1f} us, "
           f"hyb {result['hyb']:.1f} us -> {result['no-hyb'] / result['hyb']:.2f}x from decomposition")
     assert result["hyb"] < result["no-hyb"]
 
@@ -56,7 +60,7 @@ def test_ablation_composable_transformations_sddmm(benchmark, device):
         return {"plain": plain, "+vectorize": vectorised, "+rfactor": full}
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nablation (transforms, {device.name}): plain {result['plain']:.1f} us, "
+    print(f"\nablation (transforms, simulated {device.name}): plain {result['plain']:.1f} us, "
           f"+vectorize {result['+vectorize']:.1f} us, +rfactor {result['+rfactor']:.1f} us")
     assert result["+vectorize"] < result["plain"]
     assert result["+rfactor"] <= result["+vectorize"]
@@ -80,7 +84,7 @@ def test_ablation_rgms_formats_and_tensorisation(benchmark, device):
         }
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nablation (RGMS, {device.name}): naive {result['naive']:.1f} us, "
+    print(f"\nablation (RGMS, simulated {device.name}): naive {result['naive']:.1f} us, "
           f"hyb {result['hyb']:.1f} us, hyb+TC {result['hyb+TC']:.1f} us")
     assert result["hyb"] < result["naive"]
     assert result["hyb+TC"] < result["hyb"]
@@ -102,6 +106,6 @@ def test_ablation_horizontal_fusion(benchmark, device):
         return {"fused": fused, "unfused": unfused, "buckets": len(hyb.buckets)}
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nablation (horizontal fusion, {device.name}): {result['buckets']} bucket kernels, "
+    print(f"\nablation (horizontal fusion, simulated {device.name}): {result['buckets']} bucket kernels, "
           f"unfused {result['unfused']:.1f} us vs fused {result['fused']:.1f} us")
     assert result["fused"] < result["unfused"]

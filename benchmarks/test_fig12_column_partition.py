@@ -11,16 +11,19 @@ the size of the simulated L2 cache — the regime where column partitioning
 matters.  Hit rates come from the set-associative LRU cache simulator fed
 with a sampled trace of the kernel's X accesses; durations come from the
 performance model.
+
+Every duration is a *simulated V100* (or RTX 3070) time from the analytic model of
+``repro.sim`` — no kernel is run or timed here.
 """
 
 import numpy as np
 import pytest
 
 from repro.formats.hyb import HybFormat
-from repro.ops.spmm import spmm_hyb_workload
-from repro.perf.cache import CacheHierarchy
-from repro.perf.device import V100
-from repro.perf.gpu_model import GPUModel
+from repro.sim.cache import CacheHierarchy
+from repro.sim.device import V100
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops.spmm import spmm_hyb_workload
 from repro.workloads.graphs import generate_adjacency
 
 FEAT_SIZE = 128
@@ -71,7 +74,7 @@ def test_fig12_column_partitioning_cache_behaviour(benchmark):
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print("\n=== Figure 12: column partitions vs cache hit rate and duration (V100) ===")
+    print("\n=== Figure 12: column partitions vs cache hit rate and duration (simulated V100) ===")
     print(f"{'#partitions':>12}{'L1 hit %':>12}{'L2 hit %':>12}{'duration (us)':>16}{'paper L2 %':>12}")
     for parts in PARTITIONS:
         row = series[parts]

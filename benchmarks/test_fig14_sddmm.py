@@ -1,4 +1,8 @@
-"""Figure 14: SDDMM speedup over the DGL/FeatGraph baseline."""
+"""Figure 14: SDDMM speedup over the DGL/FeatGraph baseline.
+
+Every duration is a *simulated V100* (or RTX 3070) time from the analytic model of
+``repro.sim`` — no kernel is run or timed here.
+"""
 
 import pytest
 
@@ -34,7 +38,7 @@ def test_fig14_sddmm_speedup_vs_featgraph(benchmark, device):
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
     print_speedup_table(
-        f"Figure 14 ({device.name}): SDDMM geomean speedup vs DGL (FeatGraph)",
+        f"Figure 14 (simulated {device.name}): SDDMM geomean speedup vs DGL (FeatGraph)",
         list(graphs), SYSTEMS, table,
         note="paper reports 1.4-2.3x for SparseTIR on V100; vendor libraries near zero",
     )

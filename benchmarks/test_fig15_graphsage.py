@@ -1,8 +1,12 @@
-"""Figure 15: end-to-end GraphSAGE training speedup of PyTorch+SparseTIR vs DGL."""
+"""Figure 15: end-to-end GraphSAGE training speedup of PyTorch+SparseTIR vs DGL.
+
+Every duration is a *simulated V100* (or RTX 3070) time from the analytic model of
+``repro.sim`` — no kernel is run or timed here.
+"""
 
 import pytest
 
-from repro.models.graphsage import estimate_training_time
+from repro.sim.models.graphsage import estimate_training_time
 from repro.workloads.graphs import synthetic_graph
 
 #: Figure 15 uses all Table-1 graphs except ogbn-proteins (and Reddit only on V100).
@@ -36,7 +40,7 @@ def test_fig15_graphsage_training_speedup(benchmark, device):
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\n=== Figure 15 ({device.name}): GraphSAGE training, PyTorch+SparseTIR vs DGL ===")
+    print(f"\n=== Figure 15 (simulated {device.name}): GraphSAGE training, PyTorch+SparseTIR vs DGL ===")
     print(f"{'graph':<14}{'DGL (us/iter)':>16}{'SparseTIR (us)':>16}{'speedup':>10}{'paper':>8}")
     for name, row in results.items():
         paper = PAPER_SPEEDUP[device.name].get(name, float('nan'))

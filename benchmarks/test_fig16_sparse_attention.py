@@ -1,16 +1,20 @@
-"""Figure 16: sparse-attention SpMM/SDDMM speedup vs Triton block-sparse."""
+"""Figure 16: sparse-attention SpMM/SDDMM speedup vs Triton block-sparse.
+
+Every duration is a *simulated V100* (or RTX 3070) time from the analytic model of
+``repro.sim`` — no kernel is run or timed here.
+"""
 
 import pytest
 
-from repro.baselines import triton
 from repro.formats import BSRMatrix
-from repro.ops.batched import (
+from repro.sim.baselines import triton
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops.batched import (
     batched_sddmm_bsr_workload,
     batched_sddmm_csr_workload,
     batched_spmm_bsr_workload,
     batched_spmm_csr_workload,
 )
-from repro.perf.gpu_model import GPUModel
 from repro.workloads.attention import AttentionConfig, band_mask, butterfly_mask
 
 PAPER = {
@@ -57,7 +61,7 @@ def test_fig16_sparse_attention_operators(benchmark, device):
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\n=== Figure 16 ({device.name}): sparse attention speedup vs Triton ===")
+    print(f"\n=== Figure 16 (simulated {device.name}): sparse attention speedup vs Triton ===")
     print(f"{'pattern':<14}{'operator':<12}{'Triton':>8}{'TIR-CSR':>10}{'TIR-BSR':>10}{'paper BSR':>11}")
     for pattern, ops in table.items():
         for op_name, row in ops.items():

@@ -1,12 +1,16 @@
-"""Figure 17: SpMM on block-pruned (structured) BERT weights vs density."""
+"""Figure 17: SpMM on block-pruned (structured) BERT weights vs density.
+
+Every duration is a *simulated V100* (or RTX 3070) time from the analytic model of
+``repro.sim`` — no kernel is run or timed here.
+"""
 
 import pytest
 
-from repro.baselines import triton
-from repro.baselines.cublas import gemm_workload
 from repro.formats import BSRMatrix, DBSRMatrix
-from repro.ops.pruned_spmm import pruned_spmm_bsr_workload, pruned_spmm_dbsr_workload
-from repro.perf.gpu_model import GPUModel
+from repro.sim.baselines import triton
+from repro.sim.baselines.cublas import gemm_workload
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops.pruned_spmm import pruned_spmm_bsr_workload, pruned_spmm_dbsr_workload
 from repro.workloads.pruning import SEQUENCE_LENGTH, block_pruned_weight, density_sweep
 
 ROWS, COLS, BLOCK = 768, 768, 32
@@ -40,7 +44,7 @@ def test_fig17_block_pruned_spmm(benchmark, device):
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\n=== Figure 17 ({device.name}): block-pruned SpMM speedup vs cuBLAS ===")
+    print(f"\n=== Figure 17 (simulated {device.name}): block-pruned SpMM speedup vs cuBLAS ===")
     header = f"{'density':>10}" + "".join(f"{s:>18}" for s in SYSTEMS)
     print(header)
     for density in densities:

@@ -1,13 +1,17 @@
 """Figure 19: SpMM on unstructured (movement) pruned BERT weights vs density,
-plus the new-format density of SR-BCRS and BSR (right panel)."""
+plus the new-format density of SR-BCRS and BSR (right panel).
+
+Every duration is a *simulated V100* (or RTX 3070) time from the analytic model of
+``repro.sim`` — no kernel is run or timed here.
+"""
 
 import pytest
 
-from repro.baselines.cublas import gemm_workload
-from repro.baselines.cusparse import csrmm_pruned_workload
 from repro.formats import BSRMatrix, SRBCRSMatrix
-from repro.ops.pruned_spmm import pruned_spmm_bsr_workload, pruned_spmm_srbcrs_workload
-from repro.perf.gpu_model import GPUModel
+from repro.sim.baselines.cublas import gemm_workload
+from repro.sim.baselines.cusparse import csrmm_pruned_workload
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops.pruned_spmm import pruned_spmm_bsr_workload, pruned_spmm_srbcrs_workload
 from repro.workloads.pruning import SEQUENCE_LENGTH, density_sweep, unstructured_pruned_weight
 
 ROWS, COLS = 768, 768
@@ -47,7 +51,7 @@ def test_fig19_unstructured_pruned_spmm(benchmark, device):
 
     table, formats = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\n=== Figure 19 ({device.name}): unstructured pruned SpMM speedup vs cuBLAS ===")
+    print(f"\n=== Figure 19 (simulated {device.name}): unstructured pruned SpMM speedup vs cuBLAS ===")
     print(f"{'density':>10}" + "".join(f"{s:>20}" for s in SYSTEMS))
     for density in densities:
         row = table[density]

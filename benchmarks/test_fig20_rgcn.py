@@ -1,8 +1,12 @@
-"""Figure 20: end-to-end RGCN inference speedup vs Graphiler and memory footprint."""
+"""Figure 20: end-to-end RGCN inference speedup vs Graphiler and memory footprint.
+
+Every duration is a *simulated V100* (or RTX 3070) time from the analytic model of
+``repro.sim`` — no kernel is run or timed here.
+"""
 
 import pytest
 
-from repro.models.rgcn import RGCN_SYSTEMS, rgcn_speedup_table
+from repro.sim.models.rgcn import RGCN_SYSTEMS, rgcn_speedup_table
 from repro.workloads.hetero_graphs import available_hetero_graphs, synthetic_hetero_graph
 
 FEAT_SIZE = 32
@@ -24,7 +28,7 @@ def test_fig20_rgcn_inference(benchmark, device):
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\n=== Figure 20 ({device.name}): RGCN inference speedup vs Graphiler ===")
+    print(f"\n=== Figure 20 (simulated {device.name}): RGCN inference speedup vs Graphiler ===")
     print(f"{'graph':<12}" + "".join(f"{s:>18}" for s in RGCN_SYSTEMS) + f"{'paper hyb+TC':>14}")
     for name, estimates in table.items():
         base = estimates["graphiler"].duration_us
@@ -34,7 +38,7 @@ def test_fig20_rgcn_inference(benchmark, device):
         line += f"{PAPER_HYB_TC_SPEEDUP_V100.get(name, float('nan')):>14.1f}"
         print(line)
 
-    print("\n--- GPU memory footprint (MiB) ---")
+    print("\n--- simulated GPU memory footprint (MiB) ---")
     print(f"{'graph':<12}" + "".join(f"{s:>18}" for s in RGCN_SYSTEMS))
     for name, estimates in table.items():
         line = f"{name:<12}"

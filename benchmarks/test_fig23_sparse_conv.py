@@ -1,12 +1,16 @@
-"""Figure 23: sparse convolution speedup vs TorchSparse across channel sizes."""
+"""Figure 23: sparse convolution speedup vs TorchSparse across channel sizes.
+
+Every duration is a *simulated V100* (or RTX 3070) time from the analytic model of
+``repro.sim`` — no kernel is run or timed here.
+"""
 
 import math
 
 import pytest
 
-from repro.baselines import torchsparse
-from repro.ops.sparse_conv import sparse_conv_fused_tc_workload
-from repro.perf.gpu_model import GPUModel
+from repro.sim.baselines import torchsparse
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops.sparse_conv import sparse_conv_fused_tc_workload
 from repro.workloads.pointcloud import MINKOWSKINET_CHANNEL_SWEEP, PointCloudConfig, sparse_conv_problem
 
 #: Paper trend (V100): ~2-4x at 32 channels, crossing below 1x above ~128.
@@ -34,7 +38,7 @@ def test_fig23_sparse_convolution(benchmark, device):
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\n=== Figure 23 ({device.name}): sparse convolution speedup vs TorchSparse ===")
+    print(f"\n=== Figure 23 (simulated {device.name}): sparse convolution speedup vs TorchSparse ===")
     print(f"{'sqrt(Cin*Cout)':>15}{'SparseTIR (us)':>16}{'TorchSparse (us)':>18}{'speedup':>10}{'paper':>8}")
     for channels, row in sorted(series.items()):
         print(f"{channels:>15}{row['sparsetir_us']:>16.1f}{row['torchsparse_us']:>18.1f}"

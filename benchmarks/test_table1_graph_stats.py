@@ -1,4 +1,8 @@
-"""Table 1: statistics of the GNN graphs and the hyb %padding column."""
+"""Table 1: statistics of the GNN graphs and the hyb %padding column.
+
+Statistics of the generated structures only: nothing in this table is priced on
+the *simulated V100* of ``repro.sim`` (and nothing is timed).
+"""
 
 import pytest
 
@@ -18,7 +22,7 @@ def test_table1_graph_statistics(benchmark):
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
 
-    print("\n=== Table 1: graphs used in GNN experiments (synthetic, scaled) ===")
+    print("\n=== Table 1: graphs used in GNN experiments (synthetic, scaled; structure statistics, no simulated V100 time) ===")
     print(f"{'graph':<16}{'#nodes':>10}{'#edges':>12}{'%padding':>10}"
           f"{'paper nodes':>14}{'paper edges':>14}{'paper %pad':>12}{'scale':>8}")
     for graph, padding in rows:

@@ -1,4 +1,8 @@
-"""Table 2: statistics of the heterogeneous graphs and the hyb %padding column."""
+"""Table 2: statistics of the heterogeneous graphs and the hyb %padding column.
+
+Statistics of the generated structures only: nothing in this table is priced on
+the *simulated V100* of ``repro.sim`` (and nothing is timed).
+"""
 
 import pytest
 
@@ -29,7 +33,7 @@ def test_table2_heterogeneous_graph_statistics(benchmark):
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
 
-    print("\n=== Table 2: heterogeneous graphs used in RGCN (synthetic, scaled) ===")
+    print("\n=== Table 2: heterogeneous graphs used in RGCN (synthetic, scaled; structure statistics, no simulated V100 time) ===")
     print(f"{'graph':<14}{'#nodes':>9}{'#edges':>10}{'#etypes':>9}{'%padding':>10}"
           f"{'paper nodes':>13}{'paper edges':>13}{'paper %pad':>12}")
     for graph, padding in rows:

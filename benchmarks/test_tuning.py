@@ -26,8 +26,8 @@ eager-large`` (its hyb rows).
 
 import pytest
 
-from repro.perf.learned import RidgeCostModel
 from repro.runtime.session import Session
+from repro.sim.learned import RidgeCostModel
 from repro.tune import SpMMProblem, TuningRecordStore
 from repro.workloads.graphs import available_graphs, generate_adjacency, synthetic_graph
 

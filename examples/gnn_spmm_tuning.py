@@ -9,11 +9,12 @@ Run with:  python examples/gnn_spmm_tuning.py
 
 import numpy as np
 
-from repro.baselines import cusparse, dgsparse, sputnik, taco
-from repro.ops.spmm import spmm_csr_workload, spmm_hyb_workload, spmm_reference
-from repro.perf.device import V100
-from repro.perf.gpu_model import GPUModel
+from repro.ops.spmm import spmm_reference
 from repro.runtime import Session
+from repro.sim.baselines import cusparse, dgsparse, sputnik, taco
+from repro.sim.device import V100
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops.spmm import spmm_csr_workload, spmm_hyb_workload
 from repro.tune import SpMMProblem
 from repro.workloads.graphs import feature_matrix, synthetic_graph
 

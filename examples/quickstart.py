@@ -18,8 +18,8 @@ import numpy as np
 from repro.core import Schedule, lower_sparse_iterations
 from repro.formats import CSRMatrix
 from repro.ops.spmm import build_spmm_program, spmm_reference
-from repro.perf.device import V100
 from repro.runtime import Session
+from repro.sim import V100, cuda_source, profile_kernel
 
 
 def main() -> None:
@@ -63,10 +63,10 @@ def main() -> None:
 
     # 4. The CUDA-like listing produced by code generation.
     print("=== generated kernel (excerpt) ===")
-    print("\n".join(kernel.cuda_source().splitlines()[:16]))
+    print("\n".join(cuda_source(kernel).splitlines()[:16]))
 
     # 5. Performance estimate on a simulated V100.
-    report = kernel.profile(V100)
+    report = profile_kernel(kernel, V100)
     print(
         f"estimated duration on {report.device}: {report.duration_us:.1f} us "
         f"({report.total_flops / 1e6:.2f} MFLOP, {report.total_dram_bytes / 1e6:.2f} MB DRAM)"

@@ -11,9 +11,10 @@ Run with:  python examples/rgcn_inference.py
 
 import numpy as np
 
-from repro.models.rgcn import RGCN, RGCN_SYSTEMS, rgcn_speedup_table
+from repro.models.rgcn import RGCN
 from repro.ops.rgms import rgms_reference, rgms_two_stage_reference
-from repro.perf.device import V100
+from repro.sim.device import V100
+from repro.sim.models.rgcn import RGCN_SYSTEMS, rgcn_speedup_table
 from repro.workloads.hetero_graphs import synthetic_hetero_graph
 
 

@@ -12,18 +12,17 @@ Run with:  python examples/sparse_attention.py
 
 import numpy as np
 
-from repro.baselines import triton
 from repro.formats import BSRMatrix
-from repro.ops.batched import (
+from repro.ops.batched import batched_sddmm_reference, batched_spmm_reference
+from repro.runtime import Session
+from repro.sim.baselines import triton
+from repro.sim.device import V100
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops.batched import (
     batched_sddmm_bsr_workload,
-    batched_sddmm_reference,
     batched_spmm_bsr_workload,
     batched_spmm_csr_workload,
-    batched_spmm_reference,
 )
-from repro.perf.device import V100
-from repro.perf.gpu_model import GPUModel
-from repro.runtime import Session
 from repro.workloads.attention import AttentionConfig, band_mask, butterfly_mask
 
 

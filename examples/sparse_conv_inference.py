@@ -12,9 +12,10 @@ Run with:  python examples/sparse_conv_inference.py
 
 import numpy as np
 
-from repro.models.minkowski import MinkowskiBackbone, estimate_layer_times
-from repro.perf.device import V100
+from repro.models.minkowski import MinkowskiBackbone
 from repro.runtime import Session
+from repro.sim.device import V100
+from repro.sim.models.minkowski import estimate_layer_times
 from repro.workloads.pointcloud import PointCloudConfig
 
 

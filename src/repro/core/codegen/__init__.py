@@ -5,7 +5,6 @@ from .build import Kernel, build  # ``build`` the function shadows the submodule
 from .native import UnsupportedForEmission
 
 _EXPORTS = {
-    "emit_cuda_source": ".cuda_like",
     "emit_numpy_source": ".emit_numpy",
     "horizontal_fuse": ".fusion",
     "launch_groups": ".fusion",

@@ -76,7 +76,6 @@ def _emit_numpy(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str]
             cache.count("emissions")
         if disk is not None:
             disk.put_source(key, source)
-            cache.stats.disk_errors = disk.stats.errors
     return source
 
 
@@ -118,11 +117,12 @@ class Kernel:
       ``"auto"``, with automatic fallback whenever a tier rejects the
       program (:attr:`declined` says why); every tier is bit-exact.  A
       compiled tier is emitted, loaded and stored the first time it is asked
-      to serve — a kernel the native tier runs never prints NumPy source,
-    * the emitted NumPy listing (:meth:`emitted_source`) and the pseudo-CUDA
-      listing (:meth:`cuda_source`) produced by code generation, and
-    * a hook for the GPU performance model (:meth:`profile`) which estimates
-      execution time and memory behaviour on a simulated device.
+      to serve — a kernel the native tier runs never prints NumPy source, and
+    * the listings code generation produced (:meth:`native_source`,
+      :meth:`emitted_source`).
+
+    What the kernel would cost on a simulated device, and its pseudo-CUDA
+    listing, are :func:`repro.sim.profile_kernel` / :func:`repro.sim.cuda_source`.
 
     ``defaults`` carries the value arrays of the program the kernel was built
     from, keyed by buffer name.  They are merged under any explicit bindings
@@ -147,7 +147,6 @@ class Kernel:
         #: Whether :func:`build` found this kernel's entry in the cache
         #: (``None`` for an uncached build).
         self.cache_hit: Optional[bool] = None
-        self._source: Optional[str] = None
         self._aux_rebound = False
         # The cache entry shares the resolved tiers across every kernel built
         # from the same structure; an uncached kernel has a private one.
@@ -304,25 +303,10 @@ class Kernel:
         the program falls outside the emitter's fragment)."""
         return self._tier("emitted")[0]
 
-    def cuda_source(self) -> str:
-        """The CUDA-like listing emitted for this kernel."""
-        if self._source is None:
-            from .cuda_like import emit_cuda_source
-
-            self._source = emit_cuda_source(self.func)
-        return self._source
-
     @property
     def num_launches(self) -> int:
         """Number of device kernel launches (1 after horizontal fusion)."""
         return launch_count(self.func)
-
-    # -- performance ---------------------------------------------------------------
-    def profile(self, device, **kwargs):
-        """Estimate execution on a simulated device (see :mod:`repro.perf`)."""
-        from ...perf.gpu_model import profile_kernel
-
-        return profile_kernel(self, device, **kwargs)
 
     def __repr__(self) -> str:
         return f"Kernel({self.func.name!r}, launches={self.num_launches})"

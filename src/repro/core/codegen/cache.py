@@ -37,7 +37,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -47,6 +46,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from ..._files import atomic_write
 from ..nputils import MAX_LANES
 from ..program import PrimFunc
 from .native import NATIVE_VERSION, NativeBinding, native_tag, source_sha
@@ -137,6 +137,23 @@ def structural_fingerprint(func: PrimFunc, config: Optional[Mapping[str, Any]] =
 
 
 @dataclass
+class _DiskStats:
+    """Event counters of one :class:`DiskKernelCache`.  The disk layer is read
+    outside the memory cache's lock, by every thread that misses: events are
+    counted through :meth:`count`, under a lock of their own."""
+
+    hits: int = 0
+    misses: int = 0
+    errors: int = 0
+    writes: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def count(self, counter: str) -> None:
+        with self.lock:
+            setattr(self, counter, getattr(self, counter) + 1)
+
+
+@dataclass
 class CacheStats:
     """Hit/miss counters of one :class:`KernelCache`.
 
@@ -154,7 +171,6 @@ class CacheStats:
     evictions: int = 0
     disk_hits: int = 0
     disk_misses: int = 0
-    disk_errors: int = 0
     lowerings: int = 0
     emissions: int = 0
     #: Native (.so) artifacts loaded from disk without invoking the compiler.
@@ -168,6 +184,14 @@ class CacheStats:
     flight_shared: int = 0
     #: Flights that hit the wait deadline and degraded to a duplicate build.
     flight_timeouts: int = 0
+    #: The persistent layer's own counters (attached when it is resolved).
+    disk: Optional[_DiskStats] = field(default=None, repr=False)
+
+    @property
+    def disk_errors(self) -> int:
+        """Files of the persistent layer that failed their check or could not
+        be written: the disk layer's counter itself, whichever path counted."""
+        return self.disk.errors if self.disk is not None else 0
 
     @property
     def lookups(self) -> int:
@@ -276,7 +300,7 @@ class DiskKernelCache:
         try:
             blob = pkl_path.read_bytes()
         except OSError:
-            self.stats.misses += 1
+            self.stats.count("misses")
             return None
         try:
             payload = pickle.loads(blob)
@@ -290,10 +314,10 @@ class DiskKernelCache:
             if not isinstance(lowered, PrimFunc):
                 raise TypeError("program payload is not a PrimFunc")
         except Exception:
-            self.stats.errors += 1
+            self.stats.count("errors")
             self._discard(key)
             return None
-        self.stats.hits += 1
+        self.stats.count("hits")
         return CacheEntry(lowered=lowered)
 
     # -- write -----------------------------------------------------------------
@@ -333,11 +357,11 @@ class DiskKernelCache:
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
             for path, data in files:
-                self._atomic_write(path, data)
+                atomic_write(path, data)
         except OSError:
-            self.stats.errors += 1
+            self.stats.count("errors")
             return
-        self.stats.writes += 1
+        self.stats.count("writes")
 
     # -- emitted NumPy source --------------------------------------------------
     @staticmethod
@@ -365,7 +389,7 @@ class DiskKernelCache:
         except (OSError, ValueError):
             header, source = "", ""
         if header != self._source_header(key, source):
-            self.stats.errors += 1
+            self.stats.count("errors")
             return None
         return source
 
@@ -373,19 +397,6 @@ class DiskKernelCache:
         """Store freshly emitted NumPy source under its validity header."""
         text = self._source_header(key, source) + "\n" + source
         self._write((self._path(key, ".py"), text.encode()))
-
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def _discard(self, key: str) -> None:
         for suffix in (".pkl", ".py", ".json", ".c", ".so"):
@@ -534,7 +545,7 @@ class DiskKernelCache:
         meta = self._meta(key)
         if meta.pop("native", None) is not None:
             try:
-                self._atomic_write(self._path(key, ".json"), json.dumps(meta, indent=2).encode())
+                atomic_write(self._path(key, ".json"), json.dumps(meta, indent=2).encode())
             except OSError:
                 pass
 
@@ -597,14 +608,6 @@ class DiskKernelCache:
 
     def __repr__(self) -> str:
         return f"DiskKernelCache({str(self.root)!r}, entries={len(self)})"
-
-
-@dataclass
-class _DiskStats:
-    hits: int = 0
-    misses: int = 0
-    errors: int = 0
-    writes: int = 0
 
 
 #: Sentinel: resolve the disk layer from the environment on first use.
@@ -709,6 +712,8 @@ class KernelCache:
                 self._disk = None
             elif self._disk is not None and not isinstance(self._disk, DiskKernelCache):
                 self._disk = DiskKernelCache(self._disk)
+            if self._disk is not None:
+                self.stats.disk = self._disk.stats
             return self._disk
 
     def __len__(self) -> int:
@@ -744,7 +749,6 @@ class KernelCache:
                 return None
         loaded = disk.get(key)
         with self._lock:
-            self.stats.disk_errors = disk.stats.errors
             # Another thread may have stored the entry while we read disk;
             # prefer the shared one so its compiled runner is reused.
             entry = self._entries.get(key)
@@ -836,7 +840,7 @@ class KernelCache:
                 loaded = disk.get(key)
                 if loaded is not None:
                     disk.unlock_flight(handle)
-                    entry = self._adopt(key, loaded, disk)
+                    entry = self._adopt(key, loaded)
                     self._release_flight(key)
                     with self._lock:
                         self.stats.flight_shared += 1
@@ -854,16 +858,15 @@ class KernelCache:
             if key in disk:
                 loaded = disk.get(key)
                 if loaded is not None:
-                    entry = self._adopt(key, loaded, disk)
+                    entry = self._adopt(key, loaded)
                     self._release_flight(key)
                     with self._lock:
                         self.stats.flight_shared += 1
                     return BuildFlight(self, key, entry=entry)
 
-    def _adopt(self, key: str, loaded: CacheEntry, disk: DiskKernelCache) -> CacheEntry:
+    def _adopt(self, key: str, loaded: CacheEntry) -> CacheEntry:
         """Store a disk-loaded entry, preferring a concurrently stored one."""
         with self._lock:
-            self.stats.disk_errors = disk.stats.errors
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
@@ -883,7 +886,7 @@ class KernelCache:
         """Drop the in-memory entries and reset statistics (disk is kept)."""
         with self._lock:
             self._entries.clear()
-            self.stats = CacheStats()
+            self.stats = CacheStats(disk=self.stats.disk)
 
 
 #: Process-wide cache used by ``build()`` unless a caller supplies its own.

@@ -17,7 +17,7 @@ execution exact while modelling the performance effects the paper studies.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..expr import Add, Expr, FloorDiv, FloorMod, IntImm, LT, Mul, Var, simplify
 from ..program import PrimFunc, STAGE_LOOP, STAGE_POSITION
@@ -38,6 +38,17 @@ from ..stmt import (
 
 class ScheduleError(RuntimeError):
     """Raised when a schedule primitive is applied illegally."""
+
+
+#: Intrinsics available to :meth:`Schedule.tensorize`: name -> the warp-level
+#: MMA tile ``(m, n, k, input dtype)``.  The tensor-core model of
+#: :mod:`repro.sim.tensor_core` prices the same table.
+TENSOR_INTRINSICS: Dict[str, Tuple[int, int, int, str]] = {
+    "mma_m16n16k16": (16, 16, 16, "float16"),
+    "mma_m8n32k16": (8, 32, 16, "float16"),
+    "mma_m32n8k16": (32, 8, 16, "float16"),
+    "wmma_m16n16k16_f32": (16, 16, 16, "float32"),
+}
 
 
 class Schedule:
@@ -205,11 +216,9 @@ class Schedule:
 
     def tensorize(self, block: Union[str, Block], intrin: str) -> None:
         """Map the block's inner computation onto a Tensor Core MMA intrinsic."""
-        from ...perf.tensor_core import MMA_SHAPES
-
-        if intrin not in MMA_SHAPES:
+        if intrin not in TENSOR_INTRINSICS:
             raise ScheduleError(
-                f"unknown tensor intrinsic {intrin!r}; available: {sorted(MMA_SHAPES)}"
+                f"unknown tensor intrinsic {intrin!r}; available: {sorted(TENSOR_INTRINSICS)}"
             )
         blk = self.get_block(block) if isinstance(block, str) else self.get_block(block.name)
         blk.annotations["tensorize"] = intrin

@@ -6,8 +6,8 @@
   (Section 4.4.2, Figure 23).
 
 Each model provides a NumPy implementation (forward, and backward where the
-experiment trains) plus an execution-time estimator that composes the
-operator workload models of :mod:`repro.ops` and :mod:`repro.baselines`.
+experiment trains) and a ``compile`` onto the graph runtime.  The
+execution-time estimators of the figures are :mod:`repro.sim.models`.
 """
 
 from .._lazy import lazy_exports

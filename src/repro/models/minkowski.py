@@ -2,29 +2,21 @@
 
 The paper extracts every sparse-convolution operator of MinkowskiNet on
 SemanticKITTI.  This module stacks submanifold 3x3x3 sparse-convolution
-layers over a synthetic voxelised scan, provides a NumPy forward pass, and
-estimates per-layer execution time for SparseTIR's fused Tensor-Core kernel
-versus TorchSparse's gather-GEMM-scatter execution.
+layers over a synthetic voxelised scan and provides a NumPy forward pass;
+per-layer time on the simulated GPU is :mod:`repro.sim.models.minkowski`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..formats.csr import CSRMatrix
-from ..ops.sparse_conv import (
-    SparseConvProblem,
-    sparse_conv_fused_tc_workload,
-    sparse_conv_reference,
-)
+from ..ops.sparse_conv import SparseConvProblem, sparse_conv_reference
 from ..workloads.pointcloud import PointCloudConfig, sparse_conv_problem
 from .shared import CompiledForward, relu
-
-if TYPE_CHECKING:  # the simulated world is imported by the ``estimate_*`` functions that price with it
-    from ..perf.device import DeviceSpec
 
 
 def _gather_matrix(pairs: np.ndarray, num_in_points: int) -> CSRMatrix:
@@ -153,20 +145,3 @@ class MinkowskiBackbone:
                 out = g.relu(out)
         g.output(out)
         return CompiledForward(g.compile(fuse=fuse), "features", out.name)
-
-
-def estimate_layer_times(
-    problem: SparseConvProblem, device: DeviceSpec
-) -> Dict[str, float]:
-    """Per-layer execution time (us) of SparseTIR(TC) and TorchSparse."""
-    from ..baselines import torchsparse
-    from ..perf.gpu_model import GPUModel
-
-    model = GPUModel(device)
-    ours = model.estimate(sparse_conv_fused_tc_workload(problem, device))
-    baseline = model.estimate(torchsparse.sparse_conv_workload(problem, device))
-    return {
-        "sparsetir_tc_us": ours.duration_us,
-        "torchsparse_us": baseline.duration_us,
-        "speedup": baseline.duration_us / ours.duration_us,
-    }

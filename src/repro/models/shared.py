@@ -7,10 +7,8 @@ from typing import Optional, TYPE_CHECKING, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # the simulated world is imported by the ``estimate_*`` functions that price with it
+if TYPE_CHECKING:
     from ..graph import CompiledGraph
-    from ..perf.device import DeviceSpec
-    from ..perf.workload import KernelWorkload
 
 
 @dataclass
@@ -60,15 +58,3 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad.astype(np.float32)
-
-
-def gemm_workload_for_model(
-    m: int, k: int, n: int, device: DeviceSpec, dtype: str = "float32"
-) -> KernelWorkload:
-    """A dense (m x k) @ (k x n) GEMM as executed by the framework (cuBLAS)."""
-    from ..baselines.cublas import gemm_workload
-
-    return gemm_workload(
-        m, n, k, device, dtype=dtype, use_tensor_cores=dtype == "float16",
-        name=f"gemm_{m}x{k}x{n}",
-    )

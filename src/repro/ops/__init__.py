@@ -1,6 +1,6 @@
 """Sparse operators evaluated in the paper.
 
-Each operator module provides up to four layers:
+Each operator module provides up to three layers:
 
 * ``*_reference`` — NumPy ground-truth implementations used for correctness;
 * executable entry points (``spmm``, ``sddmm``, ``pruned_spmm``,
@@ -9,10 +9,11 @@ Each operator module provides up to four layers:
   :class:`~repro.runtime.session.Session` (compiled kernels, structural
   kernel cache) returning plain arrays;
 * ``build_*_program`` — SparseTIR stage-I programs compiled through the full
-  pipeline (used by tests and examples);
-* ``*_workload`` — analytic :class:`~repro.perf.workload.KernelWorkload`
-  descriptions of the scheduled GPU kernels, evaluated by the performance
-  model to regenerate the paper's figures.
+  pipeline (used by tests and examples).
+
+What the scheduled kernels cost on the simulated V100 — the ``*_workload``
+descriptions behind the paper's figures — lives in :mod:`repro.sim.ops`; no
+module here imports it.
 """
 
 from . import batched, pruned_spmm, rgms, sddmm, sparse_conv, spmm

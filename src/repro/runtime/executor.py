@@ -4,7 +4,7 @@ The interpreter provides the numerical ground truth used by the test suite:
 kernels lowered through the full pipeline are executed element by element and
 compared against dense NumPy references.  It deliberately favours clarity
 over speed; the evaluation-scale numbers come from the performance model in
-:mod:`repro.perf`, not from wall-clock interpretation.
+:mod:`repro.sim`, not from wall-clock interpretation.
 
 Semantics notes
 ---------------

@@ -19,28 +19,9 @@ each module and come from the baselines' papers or source code:
 * ``torchsparse``— TorchSparse gather-GEMM-scatter sparse convolution.
 """
 
-from . import (
-    cublas,
-    cusparse,
-    dgl,
-    dgsparse,
-    graphiler,
-    pyg,
-    sputnik,
-    taco,
-    torchsparse,
-    triton,
-)
+from . import cublas, cusparse, dgl, dgsparse, graphiler, pyg, sputnik, taco, torchsparse, triton
 
 __all__ = [
-    "cusparse",
-    "dgsparse",
-    "sputnik",
-    "taco",
-    "dgl",
-    "pyg",
-    "graphiler",
-    "triton",
-    "cublas",
+    "cusparse", "dgsparse", "sputnik", "taco", "dgl", "pyg", "graphiler", "triton", "cublas",
     "torchsparse",
 ]

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ops.common import ceil_div, value_bytes
-from ..perf.device import DeviceSpec
-from ..perf.workload import BlockGroup, KernelWorkload
+from ..common import ceil_div, value_bytes
+from ..device import DeviceSpec
+from ..workload import BlockGroup, KernelWorkload
 
 #: Sustained fraction of peak for a well-shaped half-precision GEMM.
 GEMM_TC_EFFICIENCY = 0.85

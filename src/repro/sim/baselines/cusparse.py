@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..formats.csr import CSRMatrix
-from ..ops.common import INDEX_BYTES, ceil_div, value_bytes
-from ..ops.sddmm import sddmm_reference
-from ..ops.spmm import spmm_csr_workload, spmm_reference
-from ..perf.device import DeviceSpec
-from ..perf.workload import BlockGroup, KernelWorkload
+from ...formats.csr import CSRMatrix
+from ...ops.sddmm import sddmm_reference
+from ...ops.spmm import spmm_reference
+from ..common import INDEX_BYTES, ceil_div, value_bytes
+from ..device import DeviceSpec
+from ..ops.spmm import spmm_csr_workload
+from ..workload import BlockGroup, KernelWorkload
 
 #: Relative efficiency of cuSPARSE's generic SpMM inner loop (no per-matrix
 #: tuning) compared with a hand-tuned kernel.

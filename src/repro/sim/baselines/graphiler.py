@@ -10,9 +10,10 @@ It is the normalisation baseline of Figure 20.
 
 from __future__ import annotations
 
-from ..ops.rgms import RGMSProblem, rgms_two_stage_workload
-from ..perf.device import DeviceSpec
-from ..perf.workload import KernelWorkload
+from ...ops.rgms import RGMSProblem
+from ..device import DeviceSpec
+from ..ops.rgms import rgms_two_stage_workload
+from ..workload import KernelWorkload
 
 #: Interpreting the compiled message-passing data-flow graph has a fixed
 #: per-forward-pass cost (graph walking, tensor bookkeeping) that dominates

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..formats.csr import CSRMatrix
-from ..ops.common import INDEX_BYTES, ceil_div, value_bytes
-from ..ops.spmm import spmm_reference
-from ..perf.device import DeviceSpec
-from ..perf.workload import BlockGroup, KernelWorkload
+from ...formats.csr import CSRMatrix
+from ...ops.spmm import spmm_reference
+from ..common import INDEX_BYTES, ceil_div, value_bytes
+from ..device import DeviceSpec
+from ..workload import BlockGroup, KernelWorkload
 
 #: Host-side overhead per launched operator (Python dispatch, autograd).
 FRAMEWORK_OVERHEAD_US = 40.0

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..formats.csr import CSRMatrix
-from ..ops.sddmm import sddmm_reference, sddmm_workload
-from ..ops.spmm import spmm_csr_workload, spmm_reference
-from ..perf.device import DeviceSpec
-from ..perf.workload import KernelWorkload
+from ...formats.csr import CSRMatrix
+from ...ops.sddmm import sddmm_reference
+from ...ops.spmm import spmm_reference
+from ..device import DeviceSpec
+from ..ops.sddmm import sddmm_workload
+from ..ops.spmm import spmm_csr_workload
+from ..workload import KernelWorkload
 
 
 def spmm(csr: CSRMatrix, features: np.ndarray) -> np.ndarray:

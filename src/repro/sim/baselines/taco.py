@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..formats.csr import CSRMatrix
-from ..ops.common import INDEX_BYTES, ceil_div, dense_reuse_miss_rate, value_bytes
-from ..ops.sddmm import sddmm_reference, sddmm_workload
-from ..ops.spmm import spmm_reference
-from ..perf.device import DeviceSpec
-from ..perf.workload import BlockGroup, KernelWorkload
+from ...formats.csr import CSRMatrix
+from ...ops.sddmm import sddmm_reference
+from ...ops.spmm import spmm_reference
+from ..common import INDEX_BYTES, ceil_div, dense_reuse_miss_rate, value_bytes
+from ..device import DeviceSpec
+from ..ops.sddmm import sddmm_workload
+from ..workload import BlockGroup, KernelWorkload
 
 
 def spmm(csr: CSRMatrix, features: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ the matmul dominate (Figure 23's crossover above ~128 channels).
 
 from __future__ import annotations
 
-from ..ops.sparse_conv import SparseConvProblem, sparse_conv_gather_gemm_scatter_workload
-from ..perf.device import DeviceSpec
-from ..perf.workload import KernelWorkload
+from ...ops.sparse_conv import SparseConvProblem
+from ..device import DeviceSpec
+from ..ops.sparse_conv import sparse_conv_gather_gemm_scatter_workload
+from ..workload import KernelWorkload
 
 GEMM_EFFICIENCY = 0.90
 

@@ -13,10 +13,10 @@ a comparison point of Figure 17.
 from __future__ import annotations
 
 
-from ..formats.bsr import BSRMatrix
+from ...formats.bsr import BSRMatrix
+from ..device import DeviceSpec
 from ..ops.batched import batched_sddmm_bsr_workload, batched_spmm_bsr_workload
-from ..perf.device import DeviceSpec
-from ..perf.workload import KernelWorkload
+from ..workload import KernelWorkload
 
 #: Sustained fraction of Tensor Core peak for Triton's generic block-sparse
 #: kernels on the evaluated shapes.

@@ -1,13 +1,13 @@
-"""Shared helpers for operator workload models and entry points."""
+"""Shared helpers of the operator and baseline workload models."""
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 import numpy as np
 
-if TYPE_CHECKING:  # the GPU model is imported by the function that prices with it
-    from ..perf.device import DeviceSpec
+from .cache import reuse_distance_hit_rate
+from .device import DeviceSpec
 
 
 INDEX_BYTES = 4
@@ -26,8 +26,6 @@ def dense_reuse_miss_rate(
     The first touch of every unique byte always misses; re-accesses hit with
     a probability that depends on whether the working set fits in L2.
     """
-    from ..perf.cache import reuse_distance_hit_rate
-
     if touched_bytes <= 0:
         return 1.0
     hit_rate = reuse_distance_hit_rate(unique_bytes, touched_bytes, device.l2_bytes)

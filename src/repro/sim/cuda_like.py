@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ..expr import BinaryOp, BufferLoad, Call, Cast, Expr, FloatImm, IntImm, Not, Select, StringImm, Var
-from ..program import PrimFunc
-from ..stmt import (
+from ..core.expr import BinaryOp, BufferLoad, Call, Cast, Expr, FloatImm, IntImm, Not, Select, StringImm, Var
+from ..core.codegen.fusion import launch_groups
+from ..core.stmt import (
     AssertStmt,
     Block,
     BufferStore,
@@ -30,7 +30,6 @@ from ..stmt import (
     LOOP_UNROLLED,
     LOOP_VECTORIZED,
 )
-from .fusion import launch_groups
 
 _INDENT = "  "
 
@@ -47,8 +46,9 @@ _CTYPE = {
 }
 
 
-def emit_cuda_source(func: PrimFunc) -> str:
-    """Emit a CUDA-like listing for a stage-III program."""
+def cuda_source(kernel) -> str:
+    """The CUDA-like listing of a compiled :class:`~repro.core.codegen.Kernel`."""
+    func = kernel.func
     groups = launch_groups(func)
     chunks: List[str] = [f"// generated by repro (SparseTIR reproduction) from {func.name}"]
     params = ", ".join(

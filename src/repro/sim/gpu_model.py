@@ -2,7 +2,7 @@
 
 The model is a load-balance-aware roofline:
 
-1. For every :class:`~repro.perf.workload.BlockGroup`, occupancy determines
+1. For every :class:`~repro.sim.workload.BlockGroup`, occupancy determines
    how many thread blocks run concurrently (limited by threads, shared
    memory, registers and the architectural block limit).
 2. Every block's duration is the maximum of its compute time (FLOPs over its
@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .device import DeviceSpec
+from .kernel_features import extract_workload
 from .workload import BlockGroup, KernelWorkload
 
 _VECTOR_EFFICIENCY = {1: 0.70, 2: 0.85, 4: 1.0, 8: 1.0}
@@ -284,7 +285,5 @@ def profile_kernel(kernel, device: DeviceSpec, feature_overrides: Optional[Dict]
     descriptions analytically — but gives schedule-sensitive estimates for
     kernels built through the public compilation pipeline.
     """
-    from .kernel_features import extract_workload
-
     workload = extract_workload(kernel, feature_overrides or {})
     return GPUModel(device).estimate(workload)

@@ -1,10 +1,10 @@
 """A learned cost model over the tuning-record measurement corpus.
 
-The analytic :func:`~repro.perf.gpu_model.estimate_us` prices phase-1
+The analytic :func:`~repro.sim.gpu_model.estimate_us` prices phase-1
 candidates from first principles; every phase-2 measurement the
 autoscheduler performs then tells us how far off that price was.  This
 module closes the loop: :func:`workload_features` turns a
-:class:`~repro.perf.workload.KernelWorkload` into a fixed-length,
+:class:`~repro.sim.workload.KernelWorkload` into a fixed-length,
 deterministic feature vector, and :class:`RidgeCostModel` fits a closed-form
 ridge regression (NumPy only — no external ML dependency) on the *residual*
 ``log(measured / predicted)`` over the accumulated corpus.  At prediction

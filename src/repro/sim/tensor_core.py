@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
+from ..core.stage2.schedule import TENSOR_INTRINSICS
 from .device import DeviceSpec
 
 
@@ -31,12 +32,9 @@ class MMAShape:
         return 2 * self.m * self.n * self.k
 
 
-#: Intrinsics available to ``Schedule.tensorize``.
+#: The intrinsics ``Schedule.tensorize`` accepts, as priceable tiles.
 MMA_SHAPES: Dict[str, MMAShape] = {
-    "mma_m16n16k16": MMAShape(16, 16, 16),
-    "mma_m8n32k16": MMAShape(8, 32, 16),
-    "mma_m32n8k16": MMAShape(32, 8, 16),
-    "wmma_m16n16k16_f32": MMAShape(16, 16, 16, dtype="float32"),
+    name: MMAShape(*tile) for name, tile in TENSOR_INTRINSICS.items()
 }
 
 

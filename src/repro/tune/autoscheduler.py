@@ -7,7 +7,7 @@ generalised over every registered workload family
 1. **Predict** — a search strategy (``grid``, ``random``, ``evolutionary`` or
    ``successive_halving``) walks the workload's
    :class:`~repro.tune.search_space.ParameterSpace`, pricing each candidate
-   decomposition with the :class:`~repro.perf.gpu_model.GPUModel` cost of its
+   decomposition with the :class:`~repro.sim.gpu_model.GPUModel` cost of its
    analytic kernel workload.  Candidates are deduplicated by their
    *canonical* form (model-inert parameters pinned), and infeasible
    configurations are discarded.
@@ -30,9 +30,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..perf.device import DeviceSpec, V100
-from ..perf.gpu_model import estimate_us
-from ..perf.learned import FEATURE_VERSION, RidgeCostModel, feature_list, workload_features
+from ..runtime.session import Session
+from ..sim.device import DeviceSpec, V100
+from ..sim.gpu_model import estimate_us
+from ..sim.learned import FEATURE_VERSION, RidgeCostModel, feature_list, workload_features
 from .records import TuningRecord, _jsonable_config, resolve_record_store
 from .search_space import ParameterSpace, config_key
 from .spaces import InfeasibleConfig, WorkloadSpec, get_workload, task_fingerprint
@@ -69,12 +70,16 @@ class _Predictor:
         spec: WorkloadSpec,
         problem: Any,
         device: DeviceSpec,
+        session: Any,
         model: Optional[RidgeCostModel] = None,
         collect_features: bool = False,
     ):
         self.spec = spec
         self.problem = problem
         self.device = device
+        #: Phase 1 decomposes hyb / BSR through the session phase 2 measures
+        #: with; ``memo`` holds the decompositions a session does not memoise.
+        self.session = session
         self.model = model
         self.collect_features = collect_features or model is not None
         self.memo: Dict = {}
@@ -83,6 +88,9 @@ class _Predictor:
         self.features: Dict[Tuple, List[float]] = {}
         self.history: List[Dict[str, Any]] = []
 
+    def _workload(self, config: Dict[str, Any]) -> Any:
+        return self.spec.predict(self.problem, config, self.device, self.session, self.memo)
+
     def cost(self, config: Dict[str, Any]) -> float:
         """Ranking score of *config*; ``inf`` when infeasible."""
         key = config_key(self.spec.canonical(config))
@@ -90,7 +98,7 @@ class _Predictor:
             return self.costs[key]
         features: Optional[List[float]] = None
         try:
-            workload = self.spec.predict(self.problem, config, self.device, self.memo)
+            workload = self._workload(config)
             analytic = float(estimate_us(workload, self.device))
             if self.collect_features:
                 features = feature_list(workload_features(workload, self.device))
@@ -125,7 +133,7 @@ class _Predictor:
         if key in self.features:
             return self.features[key]
         try:
-            workload = self.spec.predict(self.problem, config, self.device, self.memo)
+            workload = self._workload(config)
         except InfeasibleConfig:
             return None
         features = feature_list(workload_features(workload, self.device))
@@ -353,8 +361,9 @@ def autotune(
         problem: The workload's problem description (e.g.
             :class:`~repro.tune.spaces.SpMMProblem`).
         device: Device whose cost model prunes phase 1.
-        session: :class:`~repro.runtime.session.Session` to measure through;
-            ``None`` creates a private one.
+        session: :class:`~repro.runtime.session.Session` phase 1 decomposes
+            formats through and phase 2 measures through (one decomposition
+            serves both); ``None`` creates a private one.
         strategy: ``"grid"``, ``"random"``, ``"evolutionary"`` or
             ``"successive_halving"``.
         max_trials: Phase-1 cost-model evaluation budget (defaults to the
@@ -376,7 +385,7 @@ def autotune(
             a predict-only run would let the baseline win unmeasured).
         cost_model: Phase-1 ranking objective.  ``"analytic"`` uses the GPU
             model alone; ``"learned"`` multiplies it by the residual
-            correction of a :class:`~repro.perf.learned.RidgeCostModel`
+            correction of a :class:`~repro.sim.learned.RidgeCostModel`
             trained on the store's measurement corpus; ``"hybrid"`` applies
             the correction only once the model is *confident* (enough
             corpus samples, tight training residual) and then also halves
@@ -449,12 +458,16 @@ def autotune(
     # Feature vectors for unmeasured candidates are only needed when the
     # model ranks with them; the corpus write recomputes the few measured
     # ones on demand (``features_of``).
-    predictor = _Predictor(spec, problem, device, model=model if use_model else None)
+    if session is None:
+        session = Session()
+    predictor = _Predictor(spec, problem, device, session, model=model if use_model else None)
     ranked = _phase1_candidates(strategy, space, predictor, max_trials, seed)
 
     reference_features = None
     if store is not None:
-        reference_features = task_features(spec, problem, device, memo=predictor.memo)
+        reference_features = task_features(
+            spec, problem, device, session=session, memo=predictor.memo
+        )
 
     plan = None
     if transfer and store is not None:
@@ -466,6 +479,7 @@ def autotune(
             fingerprint,
             features=reference_features,
             max_distance=transfer_max_distance,
+            session=session,
             memo=predictor.memo,
         )
         if plan is not None:
@@ -502,10 +516,6 @@ def autotune(
 
     measured: List[Tuple[float, float, Dict[str, Any]]] = []
     if effective_survivors > 0:
-        if session is None:
-            from ..runtime.session import Session
-
-            session = Session()
         measured = _phase2_measure(
             spec,
             problem,
@@ -559,7 +569,7 @@ def autotune(
     )
     if store is not None:
         store.put(record)
-    if session is not None and hasattr(session, "_remember_tuning"):
+    if hasattr(session, "_remember_tuning"):
         session._remember_tuning(record)
 
     return TuningResult(

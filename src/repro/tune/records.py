@@ -24,7 +24,7 @@ Next to the per-fingerprint *record* the store also keeps a per-fingerprint
 *measurement corpus* under ``<root>/corpus-v<CORPUS_SCHEMA_VERSION>/``: every
 phase-2 (feature_vector, predicted_us, measured_s) triple the autoscheduler
 produces, with the same atomic-write/corruption-tolerant discipline.  The
-corpus is the training set of :class:`~repro.perf.learned.RidgeCostModel`
+corpus is the training set of :class:`~repro.sim.learned.RidgeCostModel`
 and the neighbour index of :mod:`~repro.tune.transfer`.
 """
 
@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
+
+from .._files import atomic_write
 
 #: Bumped whenever the persisted record layout changes.
 RECORD_SCHEMA_VERSION = 1
@@ -242,20 +243,9 @@ class TuningRecordStore:
     def _atomic_write_json(self, path: Path, payload: Dict[str, Any]) -> bool:
         """Write ``payload`` to ``path`` via tmp-file + ``os.replace``."""
         try:
+            data = json.dumps(payload, indent=2, sort_keys=True).encode()
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle, indent=2, sort_keys=True)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, data)
         except (OSError, TypeError, ValueError):
             return False
         return True

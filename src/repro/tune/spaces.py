@@ -9,8 +9,11 @@ the format zoo) contributes one :class:`WorkloadSpec` describing
   enumerating composable decompositions (formats, bucket counts, block
   shapes) joint with schedule parameters (threads per block, vector widths);
 * a **predict** function mapping a configuration to the analytic
-  :class:`~repro.perf.workload.KernelWorkload` the GPU cost model prices —
-  the cheap phase-1 objective that prunes the space;
+  :class:`~repro.sim.workload.KernelWorkload` the GPU cost model prices —
+  the cheap phase-1 objective that prunes the space.  It decomposes hyb / BSR
+  through the session phase 2 measures with, so a survivor's first run finds
+  its format memoised; what the session has no memo for (SR-BCRS) lives in
+  the ``memo`` dict of one search;
 * a **run** function executing one operator call through a
   :class:`~repro.runtime.session.Session` with the configuration's
   execution-relevant parameters applied — the phase-2 wallclock objective
@@ -34,13 +37,12 @@ from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..formats.bsr import BSRMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.dbsr import DBSRMatrix
-from ..formats.hyb import HybFormat
 from ..formats.srbcrs import SRBCRSMatrix
-from ..perf.device import DeviceSpec
-from ..perf.workload import KernelWorkload
+from ..sim import ops as sim_ops
+from ..sim.device import DeviceSpec
+from ..sim.workload import KernelWorkload
 from .search_space import Choice, ParameterSpace
 
 
@@ -128,7 +130,7 @@ class WorkloadSpec:
 
     name: str
     space: Callable[[Any], ParameterSpace]
-    predict: Callable[[Any, Dict[str, Any], DeviceSpec, Dict], KernelWorkload]
+    predict: Callable[[Any, Dict[str, Any], DeviceSpec, Any, Dict], KernelWorkload]
     make_inputs: Callable[[Any, np.random.Generator], Dict[str, np.ndarray]]
     run: Callable[[Any, Any, Dict[str, Any], Dict[str, np.ndarray]], np.ndarray]
     fingerprint_parts: Callable[[Any], Tuple]
@@ -191,31 +193,20 @@ def _spmm_canonical(config: Dict[str, Any]) -> Dict[str, Any]:
     return canonical
 
 
-def _spmm_hyb(problem: SpMMProblem, config: Dict[str, Any], memo: Dict) -> HybFormat:
-    key = ("hyb", config["num_col_parts"], config["num_buckets"])
-    if key not in memo:
-        memo[key] = HybFormat.from_csr(
-            problem.csr,
-            num_col_parts=config["num_col_parts"],
-            num_buckets=config["num_buckets"],
-        )
-    return memo[key]
-
-
 def _spmm_predict(
-    problem: SpMMProblem, config: Dict[str, Any], device: DeviceSpec, memo: Dict
+    problem: SpMMProblem, config: Dict[str, Any], device: DeviceSpec, session, memo: Dict
 ) -> KernelWorkload:
-    from ..ops.spmm import spmm_csr_workload, spmm_hyb_workload
-
     if config["format"] == "csr":
-        return spmm_csr_workload(
+        return sim_ops.spmm.spmm_csr_workload(
             problem.csr,
             problem.feat_size,
             device,
             threads_per_block=config["threads_per_block"],
         )
-    hyb = _spmm_hyb(problem, config, memo)
-    return spmm_hyb_workload(
+    hyb = session.decompose_hyb(
+        problem.csr, num_col_parts=config["num_col_parts"], num_buckets=config["num_buckets"]
+    )
+    return sim_ops.spmm.spmm_hyb_workload(
         hyb, problem.feat_size, device, threads_per_block=config["threads_per_block"]
     )
 
@@ -268,13 +259,11 @@ def _sddmm_space(problem: SDDMMProblem) -> ParameterSpace:
 
 
 def _sddmm_predict(
-    problem: SDDMMProblem, config: Dict[str, Any], device: DeviceSpec, memo: Dict
+    problem: SDDMMProblem, config: Dict[str, Any], device: DeviceSpec, session, memo: Dict
 ) -> KernelWorkload:
-    from ..ops.sddmm import sddmm_workload
-
     # The unfused (i, j) loop loses the balanced edge-slice mapping and with
     # it the two-stage reduction, which is how the model prices fuse_ij.
-    return sddmm_workload(
+    return sim_ops.sddmm.sddmm_workload(
         problem.csr,
         problem.feat_size,
         device,
@@ -329,32 +318,18 @@ def _attention_canonical(config: Dict[str, Any]) -> Dict[str, Any]:
     return canonical
 
 
-def _attention_bsr(problem: AttentionProblem, block_size: int, memo: Dict) -> BSRMatrix:
-    key = ("bsr", block_size)
-    if key not in memo:
-        memo[key] = BSRMatrix.from_csr(problem.csr, block_size)
-    return memo[key]
-
-
 def _attention_predict(
-    problem: AttentionProblem, config: Dict[str, Any], device: DeviceSpec, memo: Dict
+    problem: AttentionProblem, config: Dict[str, Any], device: DeviceSpec, session, memo: Dict
 ) -> KernelWorkload:
-    from ..ops.batched import (
-        batched_sddmm_bsr_workload,
-        batched_sddmm_csr_workload,
-        batched_spmm_bsr_workload,
-        batched_spmm_csr_workload,
-    )
-
     if config["format"] == "csr":
-        sddmm = batched_sddmm_csr_workload(
+        sddmm = sim_ops.batched.batched_sddmm_csr_workload(
             problem.csr, problem.feat_size, problem.num_heads, device
         )
-        spmm = batched_spmm_csr_workload(
+        spmm = sim_ops.batched.batched_spmm_csr_workload(
             problem.csr, problem.feat_size, problem.num_heads, device
         )
     else:
-        bsr = _attention_bsr(problem, config["block_size"], memo)
+        bsr = session.decompose_bsr(problem.csr, config["block_size"])
         if bsr.num_blocks == 0:
             raise InfeasibleConfig("empty block decomposition")
         if bsr.nnz_stored != problem.csr.nnz:
@@ -364,10 +339,10 @@ def _attention_predict(
             raise InfeasibleConfig(
                 f"mask is not block-aligned at block_size={config['block_size']}"
             )
-        sddmm = batched_sddmm_bsr_workload(
+        sddmm = sim_ops.batched.batched_sddmm_bsr_workload(
             bsr, problem.feat_size, problem.num_heads, device
         )
-        spmm = batched_spmm_bsr_workload(
+        spmm = sim_ops.batched.batched_spmm_bsr_workload(
             bsr, problem.feat_size, problem.num_heads, device
         )
     return sddmm.merged(spmm, name=f"attention_{config['format']}")
@@ -441,24 +416,18 @@ def _rgms_canonical(config: Dict[str, Any]) -> Dict[str, Any]:
     return canonical
 
 
-def _rgms_predict(problem, config: Dict[str, Any], device: DeviceSpec, memo: Dict):
-    from ..ops.rgms import (
-        rgms_fused_hyb_workload,
-        rgms_naive_workload,
-        rgms_two_stage_workload,
-    )
-
+def _rgms_predict(problem, config: Dict[str, Any], device: DeviceSpec, session, memo: Dict):
     if config["strategy"] == "fused_hyb":
         widths = tuple(2 ** i for i in range(config["num_buckets"]))
-        return rgms_fused_hyb_workload(
+        return sim_ops.rgms.rgms_fused_hyb_workload(
             problem,
             device,
             bucket_widths=widths,
             rows_per_block=config["rows_per_block"],
         )
     if config["strategy"] == "naive":
-        return rgms_naive_workload(problem, device)
-    return rgms_two_stage_workload(problem, device)
+        return sim_ops.rgms.rgms_naive_workload(problem, device)
+    return sim_ops.rgms.rgms_two_stage_workload(problem, device)
 
 
 def _rgms_inputs(problem, rng: np.random.Generator) -> Dict[str, np.ndarray]:
@@ -519,17 +488,14 @@ def _sparse_conv_canonical(config: Dict[str, Any]) -> Dict[str, Any]:
     return canonical
 
 
-def _sparse_conv_predict(problem, config: Dict[str, Any], device: DeviceSpec, memo: Dict):
-    from ..ops.sparse_conv import (
-        sparse_conv_fused_tc_workload,
-        sparse_conv_gather_gemm_scatter_workload,
-    )
-
+def _sparse_conv_predict(
+    problem, config: Dict[str, Any], device: DeviceSpec, session, memo: Dict
+):
     if config["strategy"] == "fused_tc":
-        return sparse_conv_fused_tc_workload(
+        return sim_ops.sparse_conv.sparse_conv_fused_tc_workload(
             problem, device, pairs_per_block=config["pairs_per_block"]
         )
-    return sparse_conv_gather_gemm_scatter_workload(problem, device)
+    return sim_ops.sparse_conv.sparse_conv_gather_gemm_scatter_workload(problem, device)
 
 
 def _sparse_conv_inputs(problem, rng: np.random.Generator) -> Dict[str, np.ndarray]:
@@ -600,29 +566,18 @@ def _pruned_canonical(config: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _pruned_predict(
-    problem: PrunedSpMMProblem, config: Dict[str, Any], device: DeviceSpec, memo: Dict
+    problem: PrunedSpMMProblem, config: Dict[str, Any], device: DeviceSpec, session, memo: Dict
 ) -> KernelWorkload:
-    from ..ops.pruned_spmm import (
-        pruned_spmm_bsr_workload,
-        pruned_spmm_dbsr_workload,
-        pruned_spmm_srbcrs_workload,
-    )
-
-    fmt = config["format"]
+    fmt, priced = config["format"], sim_ops.pruned_spmm
     if fmt == "srbcrs":
         key = ("srbcrs", config["tile_rows"], config["group_size"])
         if key not in memo:
-            memo[key] = SRBCRSMatrix(
-                problem.csr, config["tile_rows"], config["group_size"]
-            )
-        return pruned_spmm_srbcrs_workload(memo[key], problem.seq_len, device)
-    key = ("bsr", config["block_size"])
-    if key not in memo:
-        memo[key] = BSRMatrix.from_csr(problem.csr, config["block_size"])
-    bsr = memo[key]
+            memo[key] = SRBCRSMatrix(problem.csr, config["tile_rows"], config["group_size"])
+        return priced.pruned_spmm_srbcrs_workload(memo[key], problem.seq_len, device)
+    bsr = session.decompose_bsr(problem.csr, config["block_size"])
     if fmt == "bsr":
-        return pruned_spmm_bsr_workload(bsr, problem.seq_len, device)
-    return pruned_spmm_dbsr_workload(DBSRMatrix.from_bsr(bsr), problem.seq_len, device)
+        return priced.pruned_spmm_bsr_workload(bsr, problem.seq_len, device)
+    return priced.pruned_spmm_dbsr_workload(DBSRMatrix.from_bsr(bsr), problem.seq_len, device)
 
 
 def _pruned_inputs(

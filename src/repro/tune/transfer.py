@@ -4,7 +4,7 @@ Two capabilities build on the per-fingerprint corpus the
 :class:`~repro.tune.records.TuningRecordStore` accumulates:
 
 * :func:`train_from_corpus` fits a
-  :class:`~repro.perf.learned.RidgeCostModel` on every persisted
+  :class:`~repro.sim.learned.RidgeCostModel` on every persisted
   (feature_vector, predicted_us, measured_s) triple, giving
   :func:`~repro.tune.autoscheduler.autotune` its ``cost_model="learned"`` /
   ``"hybrid"`` phase-1 ranking.
@@ -26,8 +26,9 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..perf.device import DeviceSpec
-from ..perf.learned import FEATURE_VERSION, RidgeCostModel, feature_list, workload_features
+from ..runtime.session import Session
+from ..sim.device import DeviceSpec
+from ..sim.learned import FEATURE_VERSION, RidgeCostModel, feature_list, workload_features
 from .records import TuningRecordStore
 from .search_space import config_key
 from .spaces import InfeasibleConfig, WorkloadSpec
@@ -44,18 +45,22 @@ def task_features(
     spec: WorkloadSpec,
     problem: Any,
     device: DeviceSpec,
+    session: Any = None,
     memo: Optional[Dict] = None,
 ) -> Optional[np.ndarray]:
     """The reference feature vector of one tuning task.
 
     Uses the analytic workload of the first *feasible* configuration in the
     space's deterministic enumeration order, so the same task always maps to
-    the same vector regardless of search strategy or seed.
+    the same vector regardless of search strategy or seed.  *session* and
+    *memo* are where ``predict`` finds (and leaves) format decompositions;
+    both default to private ones.
     """
+    session = session if session is not None else Session()
     memo = memo if memo is not None else {}
     for config in spec.space(problem).configurations():
         try:
-            workload = spec.predict(problem, config, device, memo)
+            workload = spec.predict(problem, config, device, session, memo)
         except InfeasibleConfig:
             continue
         return workload_features(workload, device)
@@ -131,6 +136,7 @@ def plan_transfer(
     features: Optional[np.ndarray] = None,
     max_distance: float = DEFAULT_MAX_DISTANCE,
     max_seeds: int = DEFAULT_MAX_SEEDS,
+    session: Any = None,
     memo: Optional[Dict] = None,
 ) -> Optional[TransferPlan]:
     """Find the nearest corpus neighbour of a new task and collect its seeds.
@@ -144,7 +150,7 @@ def plan_transfer(
     if store is None:
         return None
     if features is None:
-        features = task_features(spec, problem, device, memo=memo)
+        features = task_features(spec, problem, device, session=session, memo=memo)
     if features is None:
         return None
 

@@ -207,6 +207,33 @@ class TestTwoPhaseDriver:
         }
         assert len(measured) == len(exec_configs)
 
+    def test_both_phases_share_one_decomposition(self, graph, session, monkeypatch):
+        """Phase 1 decomposes through the session phase 2 measures with: no
+        ``(c, k)`` is built twice, and every measured hyb survivor's first run
+        finds its format memoised."""
+        from repro.formats.hyb import HybFormat
+
+        built = []
+        real = HybFormat.from_csr.__func__
+
+        def counted(cls, csr, **params):
+            built.append(tuple(sorted(params.items())))
+            return real(cls, csr, **params)
+
+        monkeypatch.setattr(HybFormat, "from_csr", classmethod(counted))
+        result = autotune(
+            "spmm", SpMMProblem(graph, 8), strategy="grid",
+            survivors=6, repeats=1, session=session, records=False,
+        )
+        assert built and len(built) == len(set(built))
+        assert session.stats.format_cache_misses == len(built)
+        hyb_survivors = {
+            (h["config"]["num_col_parts"], h["config"]["num_buckets"])
+            for h in result.history
+            if h["phase"] == "measure" and h["config"]["format"] == "hyb"
+        }
+        assert hyb_survivors and session.stats.format_cache_hits >= len(hyb_survivors)
+
     def test_predict_only_run_never_touches_the_session(self, graph, session):
         autotune(
             "spmm", SpMMProblem(graph, 8), survivors=0, session=session, records=False

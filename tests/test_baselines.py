@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
+from repro.formats import BSRMatrix
+from repro.ops.rgms import RGMSProblem
+from repro.ops.spmm import spmm_reference
+from repro.sim.baselines import (
     cublas,
     cusparse,
     dgl,
@@ -15,11 +18,8 @@ from repro.baselines import (
     torchsparse,
     triton,
 )
-from repro.formats import BSRMatrix
-from repro.ops.rgms import RGMSProblem
-from repro.ops.spmm import spmm_reference
-from repro.perf.device import V100
-from repro.perf.gpu_model import GPUModel
+from repro.sim.device import V100
+from repro.sim.gpu_model import GPUModel
 from repro.workloads.attention import band_mask
 from repro.workloads.hetero_graphs import generate_relational_adjacency
 from repro.workloads.pointcloud import PointCloudConfig, sparse_conv_problem
@@ -109,7 +109,7 @@ class TestTensorCoreBaselines:
         assert workload.num_launches == 12
 
     def test_sparsetir_bsr_beats_triton(self, mask_bsr):
-        from repro.ops.batched import batched_spmm_bsr_workload
+        from repro.sim.ops.batched import batched_spmm_bsr_workload
 
         _, bsr = mask_bsr
         model = GPUModel(V100)

@@ -9,6 +9,7 @@ from repro.formats import ELLMatrix
 from repro.formats.conversion import ell_rewrite_rule
 from repro.core import decompose_format
 from repro.ops.spmm import build_spmm_program
+from repro.sim import V100, cuda_source, profile_kernel
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ def test_build_rejects_wrong_direction(spmm_program):
 
 def test_cuda_source_contains_kernel_and_params(spmm_program):
     _, func = spmm_program
-    source = build(func).cuda_source()
+    source = cuda_source(build(func))
     assert "__global__ void spmm_kernel_0" in source
     assert "float* __restrict__ A" in source
     assert "int* __restrict__ J_indptr" in source
@@ -49,7 +50,7 @@ def test_cuda_source_reflects_schedule_annotations(spmm_program):
     schedule.bind(loops[0], "blockIdx.x")
     schedule.vectorize(schedule.get_loops("spmm_compute")[-1])
     schedule.tensorize("spmm_compute", "mma_m16n16k16")
-    source = build(schedule.func).cuda_source()
+    source = cuda_source(build(schedule.func))
     assert "blockIdx.x" in source
     assert "vectorized" in source
     assert "tensorize" in source
@@ -64,7 +65,7 @@ def test_horizontal_fusion_reduces_launches(small_csr, rng):
     assert unfused.num_launches >= 2
     assert fused.num_launches == 1
     # Both produce one __global__ function per launch group in the listing.
-    assert unfused.cuda_source().count("__global__") == len(launch_groups(unfused.func))
+    assert cuda_source(unfused).count("__global__") == len(launch_groups(unfused.func))
 
 
 def test_fusion_helpers(spmm_program):
@@ -77,10 +78,8 @@ def test_fusion_helpers(spmm_program):
 
 
 def test_kernel_profile_returns_report(spmm_program):
-    from repro.perf.device import V100
-
     _, func = spmm_program
-    report = build(func).profile(V100)
+    report = profile_kernel(build(func), V100)
     assert report.duration_us > 0
     assert report.total_flops > 0
     assert report.device == "V100"

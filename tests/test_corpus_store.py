@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.perf.learned import FEATURE_VERSION, RidgeCostModel
+from repro.sim.learned import FEATURE_VERSION, RidgeCostModel
 from repro.tune import SpMMProblem, autotune
 from repro.tune.records import (
     CORPUS_MAX_ENTRIES,
@@ -162,7 +162,7 @@ class TestCorruptionTolerance:
 
 _WRITER_SCRIPT = """
 import sys
-from repro.perf.learned import FEATURE_VERSION
+from repro.sim.learned import FEATURE_VERSION
 from repro.tune.records import TuningRecordStore
 
 root, rounds = sys.argv[1], int(sys.argv[2])

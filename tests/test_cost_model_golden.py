@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from repro.formats.csr import CSRMatrix
-from repro.perf import V100, estimate_us
+from repro.runtime import Session
+from repro.sim import V100, estimate_us
 from repro.tune import get_workload
 from repro.tune.search_space import config_key
 from repro.tune.spaces import (
@@ -65,7 +66,7 @@ def _predicted_costs(figure):
     """Cost-model durations for every canonical candidate of one figure."""
     workload, problem = _problem(figure)
     spec = get_workload(workload)
-    memo = {}
+    session, memo = Session(), {}
     rows = []
     seen = set()
     for config in spec.space(problem).configurations():
@@ -76,7 +77,7 @@ def _predicted_costs(figure):
         seen.add(key)
         label = json.dumps(canonical, sort_keys=True)
         try:
-            duration = estimate_us(spec.predict(problem, canonical, V100, memo), V100)
+            duration = estimate_us(spec.predict(problem, canonical, V100, session, memo), V100)
         except InfeasibleConfig:
             continue
         rows.append({"config": label, "duration_us": duration})

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,41 @@ class TestCorruptionTolerance:
         moved.write_bytes(real.read_bytes())
         assert disk.get("c" * 8) is None
         assert disk.stats.errors == 3
+
+    def test_disk_errors_is_the_disk_layers_own_counter(self, csr, tmp_path):
+        """An error counted on a path that passes none of the cache's own
+        lookups (here: ``get_source`` and a failing write, called directly) is
+        visible through ``cache.stats`` — it reads the counter, it holds no copy."""
+        cache = KernelCache(disk=DiskKernelCache(tmp_path))
+        kernel, _ = _build_once(csr, cache)
+        assert cache.stats.disk_errors == 0
+        cache.disk.put_source(kernel._key, "print('x')")
+        path = cache.disk._path(kernel._key, ".py")
+        path.write_text(path.read_text()[:-3])
+        assert cache.disk.get_source(kernel._key) is None
+        assert cache.disk.stats.errors == 1 == cache.stats.disk_errors
+        cache.clear()
+        assert cache.stats.hits == 0 and cache.stats.disk_errors == 1
+
+    def test_disk_events_are_counted_under_a_lock(self, tmp_path):
+        """Serving reads the disk layer from several threads at once, outside
+        the memory cache's lock: no miss may be lost."""
+        disk = DiskKernelCache(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: [disk.get(f"{n:064d}") for n in range(300)])
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (disk.stats.misses, disk.stats.hits, disk.stats.errors) == (1200, 0, 0)
 
     def test_schema_version_skew_is_a_miss(self, csr, tmp_path):
         cache = KernelCache(disk=DiskKernelCache(tmp_path))

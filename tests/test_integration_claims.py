@@ -8,21 +8,21 @@ not the exact factors.
 
 import pytest
 
-from repro.baselines import cusparse, dgl, graphiler, torchsparse, triton
 from repro.formats import BSRMatrix, DBSRMatrix, HybFormat, SRBCRSMatrix
-from repro.models.rgcn import rgcn_speedup_table
-from repro.ops.batched import batched_sddmm_bsr_workload, batched_spmm_bsr_workload
-from repro.ops.sddmm import sddmm_workload
-from repro.ops.sparse_conv import sparse_conv_fused_tc_workload
-from repro.ops.spmm import spmm_csr_workload, spmm_hyb_workload
-from repro.perf.device import RTX3070, V100
-from repro.perf.gpu_model import GPUModel
+from repro.sim.baselines import cusparse, dgl, graphiler, torchsparse, triton
+from repro.sim.baselines.cublas import gemm_workload
+from repro.sim.device import RTX3070, V100
+from repro.sim.gpu_model import GPUModel
+from repro.sim.models.rgcn import rgcn_speedup_table
+from repro.sim.ops.batched import batched_sddmm_bsr_workload, batched_spmm_bsr_workload
+from repro.sim.ops.sddmm import sddmm_workload
+from repro.sim.ops.sparse_conv import sparse_conv_fused_tc_workload
+from repro.sim.ops.spmm import spmm_csr_workload, spmm_hyb_workload
 from repro.workloads.attention import band_mask
 from repro.workloads.graphs import generate_adjacency
 from repro.workloads.hetero_graphs import generate_relational_adjacency
 from repro.workloads.pointcloud import PointCloudConfig, sparse_conv_problem
 from repro.workloads.pruning import block_pruned_weight, unstructured_pruned_weight
-from repro.baselines.cublas import gemm_workload
 
 
 @pytest.fixture(scope="module", params=["V100", "RTX3070"])
@@ -95,7 +95,7 @@ class TestSparseAttentionClaims:
 class TestPrunedBertClaims:
     def test_dbsr_beats_bsr_when_block_rows_are_empty(self, device):
         """Figure 17: DBSR consistently outperforms BSR for block pruning."""
-        from repro.ops.pruned_spmm import pruned_spmm_bsr_workload, pruned_spmm_dbsr_workload
+        from repro.sim.ops.pruned_spmm import pruned_spmm_bsr_workload, pruned_spmm_dbsr_workload
 
         weight = block_pruned_weight(768, 768, 32, density=2 ** -5, seed=0)
         model = GPUModel(device)
@@ -107,7 +107,7 @@ class TestPrunedBertClaims:
 
     def test_sparse_kernels_beat_dense_gemm_only_at_low_density(self, device):
         """Figures 17/19: the dense GEMM wins at high density, sparse at low."""
-        from repro.ops.pruned_spmm import pruned_spmm_srbcrs_workload
+        from repro.sim.ops.pruned_spmm import pruned_spmm_srbcrs_workload
 
         model = GPUModel(device)
         dense_time = model.estimate(

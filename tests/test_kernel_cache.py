@@ -16,9 +16,9 @@ from repro.core.codegen.cache import (
 )
 from repro.formats import CSRMatrix
 from repro.ops.spmm import build_spmm_program, spmm_reference
-from repro.tune import SpMMProblem
-from repro.perf.device import V100
 from repro.runtime import Session
+from repro.sim.device import V100
+from repro.tune import SpMMProblem
 
 
 @pytest.fixture

@@ -5,15 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.perf.device import RTX3070, V100
-from repro.perf.learned import (
+from repro.sim.device import RTX3070, V100
+from repro.sim.learned import (
     FEATURE_NAMES,
     FEATURE_VERSION,
     RidgeCostModel,
     feature_list,
     workload_features,
 )
-from repro.perf.workload import BlockGroup, KernelWorkload
+from repro.sim.workload import BlockGroup, KernelWorkload
 
 
 def make_workload(num_blocks=256, flops=1e5, read_bytes=1e4, **group_kwargs):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.models import graphsage, minkowski, rgcn
 from repro.models.shared import relu, relu_grad, softmax, softmax_cross_entropy
-from repro.perf.device import V100
+from repro.sim.device import V100
+from repro.sim.models import graphsage as sim_graphsage, minkowski as sim_minkowski, rgcn as sim_rgcn
 from repro.workloads.graphs import generate_adjacency
 from repro.workloads.hetero_graphs import generate_relational_adjacency
 from repro.workloads.pointcloud import PointCloudConfig, sparse_conv_problem
@@ -62,16 +63,16 @@ class TestGraphSAGE:
         assert losses[-1] < losses[0]
 
     def test_training_time_estimate_structure(self, training_graph):
-        estimate = graphsage.estimate_training_time(training_graph, (32, 32, 8), V100, backend="dgl")
+        estimate = sim_graphsage.estimate_training_time(training_graph, (32, 32, 8), V100, backend="dgl")
         assert estimate.total_us == pytest.approx(
             estimate.spmm_us + estimate.gemm_us + estimate.overhead_us
         )
         with pytest.raises(ValueError):
-            graphsage.estimate_training_time(training_graph, (32, 32, 8), V100, backend="jax")
+            sim_graphsage.estimate_training_time(training_graph, (32, 32, 8), V100, backend="jax")
 
     def test_sparsetir_backend_speeds_up_training(self):
         graph = generate_adjacency(3000, 36000, "powerlaw", seed=9)
-        speedup = graphsage.end_to_end_speedup(graph, (64, 64, 16), V100)
+        speedup = sim_graphsage.end_to_end_speedup(graph, (64, 64, 16), V100)
         assert speedup > 1.0
         # End-to-end gains are bounded by Amdahl's law (dense GEMMs dominate
         # part of the iteration), as in Figure 15.
@@ -115,14 +116,14 @@ class TestRGCN:
         assert session.stats.kernel_cache_hits == 2
 
     def test_speedup_table_covers_all_systems(self, hetero):
-        table = rgcn.rgcn_speedup_table(hetero, 16, V100)
-        assert set(table) == set(rgcn.RGCN_SYSTEMS)
+        table = sim_rgcn.rgcn_speedup_table(hetero, 16, V100)
+        assert set(table) == set(sim_rgcn.RGCN_SYSTEMS)
         for estimate in table.values():
             assert estimate.duration_us > 0
             assert estimate.memory_footprint_gib >= 0
 
     def test_sparsetir_beats_frameworks_and_uses_less_memory(self, hetero):
-        table = rgcn.rgcn_speedup_table(hetero, 32, V100)
+        table = sim_rgcn.rgcn_speedup_table(hetero, 32, V100)
         assert table["sparsetir_hyb_tc"].duration_us < table["graphiler"].duration_us
         assert table["sparsetir_hyb_tc"].duration_us < table["dgl"].duration_us
         assert (
@@ -132,7 +133,7 @@ class TestRGCN:
 
     def test_unknown_system_rejected(self, hetero):
         with pytest.raises(ValueError):
-            rgcn.estimate_rgcn_inference(hetero, 16, V100, "tensorflow")
+            sim_rgcn.estimate_rgcn_inference(hetero, 16, V100, "tensorflow")
 
 
 class TestMinkowski:
@@ -169,7 +170,7 @@ class TestMinkowski:
         assert session.stats.fast_runs == 1
 
     def test_layer_time_estimates(self, conv_problem):
-        times = minkowski.estimate_layer_times(conv_problem, V100)
+        times = sim_minkowski.estimate_layer_times(conv_problem, V100)
         assert times["sparsetir_tc_us"] > 0
         assert times["torchsparse_us"] > 0
         assert times["speedup"] == pytest.approx(

@@ -6,8 +6,9 @@ import pytest
 from repro.core.codegen.build import build
 from repro.formats import BSRMatrix
 from repro.ops import batched, rgms, sparse_conv
-from repro.perf.device import V100
-from repro.perf.gpu_model import GPUModel
+from repro.sim.device import V100
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops import batched as sim_batched, rgms as sim_rgms, sparse_conv as sim_sparse_conv
 from repro.workloads.attention import band_mask
 from repro.workloads.hetero_graphs import generate_relational_adjacency
 from repro.workloads.pointcloud import sparse_conv_problem, PointCloudConfig
@@ -40,8 +41,8 @@ class TestRGMS:
 
     def test_fused_workload_has_no_intermediate(self, small_relational):
         problem = rgms.RGMSProblem(small_relational, 16, 16)
-        fused = rgms.rgms_fused_hyb_workload(problem, V100)
-        staged = rgms.rgms_two_stage_workload(problem, V100)
+        fused = sim_rgms.rgms_fused_hyb_workload(problem, V100)
+        staged = sim_rgms.rgms_two_stage_workload(problem, V100)
         assert staged.metadata["intermediate_bytes"] > 0
         assert fused.memory_footprint_bytes < staged.memory_footprint_bytes
 
@@ -53,19 +54,19 @@ class TestRGMS:
         )
         problem = rgms.RGMSProblem(adjacency, 32, 32)
         model = GPUModel(V100)
-        naive = model.estimate(rgms.rgms_naive_workload(problem, V100)).duration_us
+        naive = model.estimate(sim_rgms.rgms_naive_workload(problem, V100)).duration_us
         hyb = model.estimate(
-            rgms.rgms_fused_hyb_workload(problem, V100, use_tensor_cores=False)
+            sim_rgms.rgms_fused_hyb_workload(problem, V100, use_tensor_cores=False)
         ).duration_us
         hyb_tc = model.estimate(
-            rgms.rgms_fused_hyb_workload(problem, V100, use_tensor_cores=True)
+            sim_rgms.rgms_fused_hyb_workload(problem, V100, use_tensor_cores=True)
         ).duration_us
         assert hyb < naive
         assert hyb_tc < hyb
 
     def test_two_stage_launches_per_relation(self, small_relational):
         problem = rgms.RGMSProblem(small_relational, 8, 8)
-        workload = rgms.rgms_two_stage_workload(problem, V100)
+        workload = sim_rgms.rgms_two_stage_workload(problem, V100)
         active = sum(1 for m in small_relational.slices if m is not None and m.nnz)
         assert workload.num_launches == 1 + active
 
@@ -100,8 +101,8 @@ class TestSparseConv:
         assert sizes[center] == problem.num_in_points
 
     def test_workloads_materialisation_difference(self, small_conv_problem):
-        fused = sparse_conv.sparse_conv_fused_tc_workload(small_conv_problem, V100)
-        staged = sparse_conv.sparse_conv_gather_gemm_scatter_workload(small_conv_problem, V100)
+        fused = sim_sparse_conv.sparse_conv_fused_tc_workload(small_conv_problem, V100)
+        staged = sim_sparse_conv.sparse_conv_gather_gemm_scatter_workload(small_conv_problem, V100)
         assert staged.metadata["materialized_bytes"] > 0
         assert fused.memory_footprint_bytes < staged.memory_footprint_bytes
         assert staged.num_launches > fused.num_launches
@@ -129,14 +130,14 @@ class TestBatchedAttention:
     def test_bsr_tensor_cores_beat_scalar_csr(self, small_mask):
         bsr = BSRMatrix.from_csr(small_mask, 8)
         model = GPUModel(V100)
-        t_bsr = model.estimate(batched.batched_spmm_bsr_workload(bsr, 64, 12, V100)).duration_us
-        t_csr = model.estimate(batched.batched_spmm_csr_workload(small_mask, 64, 12, V100)).duration_us
+        t_bsr = model.estimate(sim_batched.batched_spmm_bsr_workload(bsr, 64, 12, V100)).duration_us
+        t_csr = model.estimate(sim_batched.batched_spmm_csr_workload(small_mask, 64, 12, V100)).duration_us
         assert t_bsr < t_csr
 
     def test_workload_scales_with_heads(self, small_mask):
         bsr = BSRMatrix.from_csr(small_mask, 8)
-        one = batched.batched_spmm_bsr_workload(bsr, 64, 1, V100)
-        many = batched.batched_spmm_bsr_workload(bsr, 64, 8, V100)
+        one = sim_batched.batched_spmm_bsr_workload(bsr, 64, 1, V100)
+        many = sim_batched.batched_spmm_bsr_workload(bsr, 64, 8, V100)
         assert many.total_blocks() == 8 * one.total_blocks()
         assert many.total_flops() == pytest.approx(8 * one.total_flops())
 

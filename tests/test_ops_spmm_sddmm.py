@@ -5,9 +5,10 @@ import pytest
 
 from repro.formats import HybFormat
 from repro.ops import sddmm, spmm
-from repro.ops.common import ceil_div, dense_reuse_miss_rate, split_row_blocks, value_bytes
-from repro.perf.device import V100
-from repro.perf.gpu_model import GPUModel
+from repro.sim.common import ceil_div, dense_reuse_miss_rate, split_row_blocks, value_bytes
+from repro.sim.device import V100
+from repro.sim.gpu_model import GPUModel
+from repro.sim.ops import sddmm as sim_sddmm, spmm as sim_spmm
 
 
 class TestCommonHelpers:
@@ -51,33 +52,33 @@ class TestSpMMReference:
         )
 
     def test_flops_counter(self, small_csr):
-        assert spmm.spmm_flops(small_csr, 16) == 2 * small_csr.nnz * 16
+        assert sim_spmm.spmm_flops(small_csr, 16) == 2 * small_csr.nnz * 16
 
 
 class TestSpMMWorkloads:
     def test_csr_workload_totals(self, small_csr):
-        workload = spmm.spmm_csr_workload(small_csr, 8, V100)
+        workload = sim_spmm.spmm_csr_workload(small_csr, 8, V100)
         assert workload.total_flops() == pytest.approx(2 * small_csr.nnz * 8)
         assert workload.total_blocks() == small_csr.rows
         assert workload.total_dram_bytes() > 0
 
     def test_hyb_workload_groups_per_bucket(self, small_csr):
         hyb = HybFormat.from_csr(small_csr, num_col_parts=2)
-        workload = spmm.spmm_hyb_workload(hyb, 8, V100)
+        workload = sim_spmm.spmm_hyb_workload(hyb, 8, V100)
         assert len(workload.groups) == len(hyb.buckets)
         assert workload.num_launches == 1  # horizontally fused
-        unfused = spmm.spmm_hyb_workload(hyb, 8, V100, horizontal_fusion=False)
+        unfused = sim_spmm.spmm_hyb_workload(hyb, 8, V100, horizontal_fusion=False)
         assert unfused.num_launches == len(hyb.buckets)
 
     def test_hyb_flops_include_padding(self, small_csr):
         hyb = HybFormat.from_csr(small_csr, num_col_parts=1)
-        workload = spmm.spmm_hyb_workload(hyb, 8, V100)
+        workload = sim_spmm.spmm_hyb_workload(hyb, 8, V100)
         assert workload.total_flops() >= 2 * small_csr.nnz * 8
 
     def test_larger_feature_size_costs_more(self, small_csr):
         model = GPUModel(V100)
-        t32 = model.estimate(spmm.spmm_csr_workload(small_csr, 32, V100)).duration_us
-        t256 = model.estimate(spmm.spmm_csr_workload(small_csr, 256, V100)).duration_us
+        t32 = model.estimate(sim_spmm.spmm_csr_workload(small_csr, 32, V100)).duration_us
+        t256 = model.estimate(sim_spmm.spmm_csr_workload(small_csr, 256, V100)).duration_us
         assert t256 > t32
 
     def test_choose_hyb_parameters(self, small_csr):
@@ -118,11 +119,11 @@ class TestSDDMM:
 
     def test_workload_two_stage_reduction_helps(self, small_csr):
         model = GPUModel(V100)
-        fast = model.estimate(sddmm.sddmm_workload(small_csr, 512, V100, two_stage_reduction=True))
-        slow = model.estimate(sddmm.sddmm_workload(small_csr, 512, V100, two_stage_reduction=False))
+        fast = model.estimate(sim_sddmm.sddmm_workload(small_csr, 512, V100, two_stage_reduction=True))
+        slow = model.estimate(sim_sddmm.sddmm_workload(small_csr, 512, V100, two_stage_reduction=False))
         assert fast.duration_us <= slow.duration_us
 
     def test_workload_totals(self, small_csr):
-        workload = sddmm.sddmm_workload(small_csr, 64, V100, nnz_per_block=16)
+        workload = sim_sddmm.sddmm_workload(small_csr, 64, V100, nnz_per_block=16)
         assert workload.total_blocks() == ceil_div(small_csr.nnz, 16)
-        assert workload.total_flops() >= sddmm.sddmm_flops(small_csr, 64)
+        assert workload.total_flops() >= sim_sddmm.sddmm_flops(small_csr, 64)

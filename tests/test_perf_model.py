@@ -7,12 +7,18 @@ import pytest
 
 from repro.core import Schedule, build, lower_sparse_iterations
 from repro.ops.spmm import build_spmm_program
-from repro.perf.cache import CacheHierarchy, LRUCache, reuse_distance_hit_rate
-from repro.perf.device import RTX3070, V100, device_by_name
-from repro.perf.gpu_model import GPUModel, PerfReport, profile_kernel
-from repro.perf.kernel_features import extract_workload
-from repro.perf.tensor_core import MMA_SHAPES, cuda_core_time_us, mma_tiles, padding_waste, tensor_core_time_us
-from repro.perf.workload import BlockGroup, KernelWorkload
+from repro.sim.cache import CacheHierarchy, LRUCache, reuse_distance_hit_rate
+from repro.sim.device import RTX3070, V100, device_by_name
+from repro.sim.gpu_model import GPUModel, PerfReport, profile_kernel
+from repro.sim.kernel_features import extract_workload
+from repro.sim.tensor_core import (
+    MMA_SHAPES,
+    cuda_core_time_us,
+    mma_tiles,
+    padding_waste,
+    tensor_core_time_us,
+)
+from repro.sim.workload import BlockGroup, KernelWorkload
 
 
 class TestDevice:

@@ -7,6 +7,7 @@ from repro.core import Schedule, build, lower_sparse_iterations
 from repro.core.stage2.schedule import ScheduleError
 from repro.core.stmt import LOOP_THREAD_BINDING, LOOP_UNROLLED, LOOP_VECTORIZED
 from repro.ops.spmm import build_spmm_program, spmm_reference
+from repro.sim import cuda_source
 
 
 @pytest.fixture
@@ -167,5 +168,5 @@ def test_composed_schedule_pipeline(scheduled_env):
     schedule.bind(outer, "threadIdx.x")
     schedule.vectorize(inner)
     run_and_check(schedule, csr, features, feat)
-    source = build(schedule.func).cuda_source()
+    source = cuda_source(build(schedule.func))
     assert "blockIdx.x" in source and "threadIdx.x" in source

@@ -11,8 +11,8 @@ confident transfer replaces phase 2 outright.
 import numpy as np
 import pytest
 
-from repro.perf.device import V100
-from repro.perf.learned import FEATURE_NAMES, feature_list
+from repro.sim.device import V100
+from repro.sim.learned import FEATURE_NAMES, feature_list
 from repro.tune import SpMMProblem, TuningRecord, TuningRecordStore, autotune, get_workload
 from repro.tune.transfer import (
     DEFAULT_MAX_SEEDS,

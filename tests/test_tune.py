@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.perf.device import V100
 from repro.runtime import Session
+from repro.sim.device import V100
 from repro.tune import Choice, ParameterSpace, SDDMMProblem, SpMMProblem, get_workload
 from repro.tune.search_space import config_key
 from repro.workloads.graphs import generate_adjacency
@@ -155,8 +155,8 @@ class TestSpMMTuner:
 
     def test_tuned_configuration_not_worse_than_default(self, graph):
         from repro.formats import HybFormat
-        from repro.ops.spmm import spmm_hyb_workload
-        from repro.perf.gpu_model import GPUModel
+        from repro.sim.ops.spmm import spmm_hyb_workload
+        from repro.sim.gpu_model import GPUModel
 
         result = _tune(graph, 64, strategy="grid")
         model = GPUModel(V100)

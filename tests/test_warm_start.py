@@ -33,11 +33,13 @@ needs_cc = pytest.mark.skipif(not toolchain_available(), reason="no C compiler a
 #: once a program the C emitter declines (softmax: ``exp``) runs, and brings
 #: ``hazards`` with it — the emitted tier's loader and the plan-time helper it
 #: hands every kernel (``coords_to_positions``) live in those two modules.
+#: ``repro.sim`` is the whole simulated world (GPU model, baselines, the CUDA
+#: listing): nothing that runs a program is on its side of the wall.
 COMPILE_ONLY = (
     "pycparser", "cffi", "cffi.cparser",
     "repro.core.codegen.emit_c", "repro.core.codegen.emit_numpy", "repro.core.codegen.hazards",
-    "repro.core.stage2.lowering", "repro.core.stage3.buffer_lowering", "repro.core.codegen.cuda_like",
-    "repro.perf", "repro.tune", "repro.baselines", "repro.runtime.executor",
+    "repro.core.stage2.lowering", "repro.core.stage3.buffer_lowering",
+    "repro.sim", "repro.tune", "repro.runtime.executor",
 )
 EMITTED_TIER = ("repro.core.codegen.emit_numpy", "repro.core.codegen.hazards")
 
@@ -45,6 +47,8 @@ EMITTED_TIER = ("repro.core.codegen.emit_numpy", "repro.core.codegen.hazards")
 #: second prints the first one's text) and an edge softmax through a ``Session``
 #: on the cache named by the environment; results to ``argv[1]``, the report —
 #: modules loaded after the SpMMs and after the softmax, counters — to stdout.
+#: Then the other two execution paths, a compiled graph and a served request,
+#: on a second session (the counters above are the eager path's).
 CHILD = """
 import json, sys
 import numpy as np
@@ -65,11 +69,20 @@ after_spmm = loaded()
 out["softmax"] = session.edge_softmax(first, gen.standard_normal((2, first.nnz)).astype(np.float32))
 np.savez(sys.argv[1], **out)
 stats = session.cache.stats
-print(json.dumps({
+report = {
     "after_spmm": after_spmm, "after_softmax": loaded(), "session": session.stats.as_dict(),
     "cache": {name: getattr(stats, name) for name in
               ("lowerings", "emissions", "native_hits", "native_rebuilds", "disk_hits", "disk_errors")},
-}))
+}
+from repro.serve import Server
+features = gen.standard_normal((20, 8)).astype(np.float32)
+with Server(Session()) as server:
+    g = server.session.graph()
+    g.output(g.relu(g.spmm(first, g.input("x", features))))
+    g.compile().run({})
+    server.spmm(second, features).result(timeout=60)
+report["after_graph_and_serve"] = loaded()
+print(json.dumps(report))
 """
 
 
@@ -99,6 +112,8 @@ class TestImportContract:
         assert warm["cache"]["disk_hits"] == 3 and warm["cache"]["disk_errors"] == 0
         assert [warm["cache"][name] for name in ("lowerings", "emissions", "native_rebuilds")] == [0, 0, 0]
         assert warm["session"]["interpreted_runs"] == 0
+        for report in (cold, warm):  # compiling or not, no path that runs a program prices one
+            assert held(report["after_graph_and_serve"], ("repro.sim",)) == []
         if toolchain_available():
             assert held(warm["after_spmm"], COMPILE_ONLY) == []
             assert held(warm["after_softmax"], COMPILE_ONLY) == list(EMITTED_TIER)
@@ -125,7 +140,7 @@ class TestImportContract:
                 assert np.array_equal(a[name], b[name]), name
 
     def test_the_load_side_imports_nothing_of_the_emit_side(self):
-        emit_side = ("emit_c", "emit_numpy", "hazards", "stage2", "stage3", "cuda_like")
+        emit_side = ("emit_c", "emit_numpy", "hazards", "stage2", "stage3")
         imported = []
         for node in ast.walk(ast.parse(Path(native.__file__).read_text())):
             if isinstance(node, ast.ImportFrom):
