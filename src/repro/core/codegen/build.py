@@ -31,10 +31,12 @@ def _reason(exc: Exception) -> str:
 # target and a ``load(func, emitted, cache, key)`` that turns the print into a
 # ``run(arrays)`` closure.  ``cache``/``key`` name the kernel's artifact store
 # (both ``None`` for an uncached kernel): the emitted tier keeps its print
-# there (``<key>.py``), the native tier its print, the print's binding and what
-# the C compiler made of it (``<key>.c``, ``.json``, ``.so``) — or, for a
-# program outside the C fragment, that it is — so a later process loads either
-# without redoing the work.
+# there (``<key>.py``), the native tier the print's binding and the name of what
+# the C compiler made of it (the json record; ``<artifact>.so``, one per text) —
+# or, for a program outside the C fragment, that it is — so a later process
+# loads either without redoing the work.  The native print is ``(c_source,
+# binding, artifact)``: a fresh text and no name yet, or no text and the name
+# the record gave.
 
 
 def emit_c_source(func: PrimFunc) -> Any:
@@ -51,18 +53,31 @@ def _emit_native(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str
         raise _Unavailable(why)
     disk = cache.disk if cache is not None else None
     if disk is not None:
-        stored = disk.get_native_source(key)
+        stored = disk.get_native(key)
         if stored is not None:
-            return stored
+            artifact, binding = stored
+            return None, binding, artifact
         declined = disk.get_native_decline(key)
         if declined is not None:
             raise _Unavailable(declined)
     try:
-        return emit_c_source(func)
+        return (*emit_c_source(func), None)
     except UnsupportedForEmission as exc:
         if disk is not None:  # a property of the program: the next process need not ask
             disk.publish_native_decline(key, _reason(exc))
         raise
+
+
+def _load_native(func: PrimFunc, emitted: Any, cache: Optional[KernelCache], key: Optional[str]) -> Any:
+    c_source, binding, artifact = emitted
+    try:
+        return load_native(func, c_source, binding, cache=cache, key=key, artifact=artifact)
+    except OSError:
+        if c_source is not None:
+            raise
+    # The shared object the record names is gone or does not load: an ordinary
+    # miss, which prints, compiles and rewrites the record.
+    return load_native(func, *emit_c_source(func), cache=cache, key=key)
 
 
 def _emit_numpy(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str]) -> str:
@@ -92,9 +107,7 @@ def _load_numpy(func: PrimFunc, source: str, cache: Optional[KernelCache], key: 
 #: overflow and structural zeros raise ``ValueError``).
 _TIERS: Dict[str, Tuple[Callable[..., Any], Callable[..., Any], Tuple[type, ...]]] = {
     "native": (
-        _emit_native,
-        lambda func, emitted, cache, key: load_native(func, *emitted, cache=cache, key=key),
-        (UnsupportedForEmission, _Unavailable, NativeBuildError, OSError),
+        _emit_native, _load_native, (UnsupportedForEmission, _Unavailable, NativeBuildError, OSError)
     ),
     "emitted": (_emit_numpy, _load_numpy, (UnsupportedForEmission, ValueError, MemoryError)),
 }
@@ -293,9 +306,12 @@ class Kernel:
     def native_source(self) -> Optional[str]:
         """The C module emitted for this kernel's native tier (``None`` when
         the program falls outside the C emitter's fragment or there is no
-        toolchain to compile it; :attr:`declined` says which)."""
+        toolchain to compile it; :attr:`declined` says which).  A kernel
+        loaded from the disk cache holds no text: it is printed anew here."""
         emitted = self._tier("native")[0]
-        return emitted[0] if emitted is not None else None
+        if emitted is None:
+            return None
+        return emitted[0] if emitted[0] is not None else emit_c_source(self.func)[0]
 
     # -- code generation ---------------------------------------------------------
     def emitted_source(self) -> Optional[str]:

@@ -46,10 +46,10 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..._files import atomic_write
+from ..._files import StoreStats, atomic_write, env_root
 from ..nputils import MAX_LANES
 from ..program import PrimFunc
-from .native import NATIVE_VERSION, NativeBinding, native_tag, source_sha
+from .native import NATIVE_VERSION, NativeBinding, native_tag
 
 try:  # POSIX advisory locks back the cross-process single-flight guard.
     import fcntl
@@ -66,16 +66,13 @@ FINGERPRINT_VERSION = 3
 #: the stored source, written lazily and validated by its header line.
 #: v3: the pickle no longer carries the stage-II program, whose body reached
 #: the first caller's operand arrays.
-DISK_SCHEMA_VERSION = 3
+#: v4: a shared object is ``<key>.so``, named by its C text; no ``.c`` is
+#: stored, and every native record is ``{native_version, tag, key, binding}``.
+DISK_SCHEMA_VERSION = 4
 
 #: Environment variable naming the on-disk cache root.  Unset disables the
 #: persistent layer; the values ``0`` / ``off`` / ``false`` disable it too.
 CACHE_ENV_VAR = "REPRO_KERNEL_CACHE"
-
-_DISABLED_ENV_VALUES = {"", "0", "off", "false", "disabled", "none"}
-
-#: Environment variable overriding the single-flight wait deadline (seconds).
-FLIGHT_TIMEOUT_ENV_VAR = "REPRO_FLIGHT_TIMEOUT"
 
 #: How long a builder waits for another builder's in-flight lowering of the
 #: same fingerprint before degrading to a duplicate lowering.  Generous: a
@@ -86,16 +83,6 @@ DEFAULT_FLIGHT_TIMEOUT = 120.0
 #: Poll interval while waiting on another *process's* flight (thread waiters
 #: block on an event instead and never poll).
 _FLIGHT_POLL_S = 0.01
-
-
-def _flight_timeout() -> float:
-    value = os.environ.get(FLIGHT_TIMEOUT_ENV_VAR)
-    if value:
-        try:
-            return max(0.0, float(value))
-        except ValueError:
-            pass
-    return DEFAULT_FLIGHT_TIMEOUT
 
 
 def _hash_array(digest: "hashlib._Hash", array: Optional[np.ndarray]) -> None:
@@ -137,23 +124,6 @@ def structural_fingerprint(func: PrimFunc, config: Optional[Mapping[str, Any]] =
 
 
 @dataclass
-class _DiskStats:
-    """Event counters of one :class:`DiskKernelCache`.  The disk layer is read
-    outside the memory cache's lock, by every thread that misses: events are
-    counted through :meth:`count`, under a lock of their own."""
-
-    hits: int = 0
-    misses: int = 0
-    errors: int = 0
-    writes: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    def count(self, counter: str) -> None:
-        with self.lock:
-            setattr(self, counter, getattr(self, counter) + 1)
-
-
-@dataclass
 class CacheStats:
     """Hit/miss counters of one :class:`KernelCache`.
 
@@ -185,7 +155,7 @@ class CacheStats:
     #: Flights that hit the wait deadline and degraded to a duplicate build.
     flight_timeouts: int = 0
     #: The persistent layer's own counters (attached when it is resolved).
-    disk: Optional[_DiskStats] = field(default=None, repr=False)
+    disk: Optional[StoreStats] = field(default=None, repr=False)
 
     @property
     def disk_errors(self) -> int:
@@ -222,7 +192,8 @@ class CacheEntry:
     with the reason in ``declined[tier]``.  ``lock`` serialises the one
     resolution, so threads racing on a first dispatch emit, compile and plan
     once.  Slots are per-process; what persists is each tier's artifact in
-    the disk layer (``<fingerprint>.py``, ``<fingerprint>.so``).
+    the disk layer (``<fingerprint>.py``; the ``<key>.so`` the json record
+    names).
     """
 
     lowered: PrimFunc
@@ -235,8 +206,9 @@ class DiskKernelCache:
     """Fingerprint-keyed persistent store: lowered programs and tier artifacts.
 
     Every file lives under ``<root>/v<DISK_SCHEMA_VERSION>/``, is named by
-    the structural fingerprint and has one writer, one reader and one check
-    (``docs/runtime.md``, "Disk layout", has the same as a table):
+    the structural fingerprint — but a shared object, named by its C text —
+    and has one writer, one reader and one check (``docs/runtime.md``, "Disk
+    layout", has the same as a table):
 
     * ``.pkl`` — the lowered program: :meth:`put` when it is first lowered,
       :meth:`get` on a memory miss, valid when schema, fingerprint and
@@ -247,12 +219,13 @@ class DiskKernelCache:
       tier first emits, :meth:`get_source` when a later process first asks,
       valid when its first line names this fingerprint, this NumPy emitter
       (version and lane budget) and the hash of the rest;
-    * ``.c`` / ``.so`` — the native tier's listing and shared object, written
-      when that tier is first asked for, with the listing's binding in the json
-      record; :meth:`get_native_source` hands listing and binding to a later
-      process (so it prints no C), :meth:`get_native` the ``.so`` — each only
-      when the record matches the native-emitter version, the hash of the
-      listing and this machine's platform + ABI tag.
+    * ``<key>.so`` — the native tier's shared object, compiled when a
+      fingerprint whose record names no loadable artifact first prints the
+      text; ``key`` is :func:`~repro.core.codegen.native.artifact_key` of the
+      text, so every fingerprint of one program family names the same file.
+      :meth:`get_native` hands a later process the record's key and binding
+      (it prints no C and hashes nothing) when the record was written by this
+      native-emitter version on this platform + ABI.
 
     So a fingerprint the native tier serves never has a ``.py``.  Writes are
     atomic (temporary file + :func:`os.replace`); a file that fails its
@@ -262,24 +235,18 @@ class DiskKernelCache:
 
     def __init__(self, root: Union[str, Path, None] = None):
         if root is None:
-            env = os.environ.get(CACHE_ENV_VAR)
-            if env is None or env.strip().lower() in _DISABLED_ENV_VALUES:
-                # Disable tokens name no directory; fall back to the default
-                # location (an explicit Session(persistent=True) asked for it).
-                root = "~/.cache/repro-kernels"
-            else:
-                root = env
+            # Disable tokens name no directory; fall back to the default
+            # location (an explicit Session(persistent=True) asked for it).
+            root = env_root(CACHE_ENV_VAR) or "~/.cache/repro-kernels"
         self.root = Path(root).expanduser()
         self.dir = self.root / f"v{DISK_SCHEMA_VERSION}"
-        self.stats = _DiskStats()
+        self.stats = StoreStats()
 
     @classmethod
     def from_env(cls) -> Optional["DiskKernelCache"]:
         """The cache named by ``$REPRO_KERNEL_CACHE``, or ``None`` if disabled."""
-        value = os.environ.get(CACHE_ENV_VAR)
-        if value is None or value.strip().lower() in _DISABLED_ENV_VALUES:
-            return None
-        return cls(value)
+        root = env_root(CACHE_ENV_VAR)
+        return None if root is None else cls(root)
 
     # -- paths -----------------------------------------------------------------
     def _path(self, key: str, suffix: str) -> Path:
@@ -329,8 +296,8 @@ class DiskKernelCache:
             "name": entry.lowered.name,
             "program": entry.lowered,
         }
-        # Update the existing metadata, so a native validity record survives:
-        # the program and the compiled artifact are written by different paths.
+        # Update the existing metadata, so a native record survives: the
+        # program and the compiled artifact are written by different paths.
         meta = {
             **self._meta(key),
             "schema": DISK_SCHEMA_VERSION,
@@ -399,45 +366,34 @@ class DiskKernelCache:
         self._write((self._path(key, ".py"), text.encode()))
 
     def _discard(self, key: str) -> None:
-        for suffix in (".pkl", ".py", ".json", ".c", ".so"):
+        for suffix in (".pkl", ".py", ".json"):
             try:
                 self._path(key, suffix).unlink()
             except OSError:
                 pass
 
     # -- native artifacts ------------------------------------------------------
-    @staticmethod
-    def _checked_native(record: Dict[str, Any]) -> Dict[str, Any]:
-        """*record* (a json ``native`` record); raises unless it was written by
-        this native emitter version on this platform + Python ABI."""
-        if record["native_version"] != NATIVE_VERSION:
-            raise ValueError("native emitter version skew")
-        if record["tag"] != native_tag():
-            raise ValueError("platform/ABI skew")
-        return record
+    def so_path(self, artifact: str) -> Path:
+        """Where the shared object of the C text *artifact* names lives."""
+        return self._path(artifact, ".so")
 
-    def get_native_source(self, key: str) -> Optional[Tuple[str, Any]]:
-        """The stored ``(C source, binding)`` of *key*'s native tier, or ``None``.
+    def get_native(self, key: str) -> Optional[Tuple[str, NativeBinding]]:
+        """``(artifact, binding)`` from *key*'s native record, or ``None``.
 
-        What :func:`~repro.core.codegen.emit_c.emit_c_source` returned when the
-        artifact was published, so a warm process loads its kernels without
-        walking their loop nests again.  The listing is ``<key>.c``, or that of
-        the fingerprint the record ``shares`` its text with (the binding is
-        always *key*'s own).  A record of another emitter version or
-        platform, a listing that is missing or does not hash to the recorded
-        value or a binding that does not read back is a miss that drops *key*'s
-        artifact: the caller re-emits, recompiles and overwrites.
+        What a later process needs to load *key*'s native tier without printing
+        it: the key of ``<artifact>.so`` and what fills the blocks of its
+        ``run``.  A record written by another native-emitter version or on
+        another platform + ABI, a declined program's, or one that does not
+        read back is a miss: the caller prints the program, and the record
+        is rewritten.
         """
         record = self._meta(key).get("native")
-        if record is None or "native_declined" in record:
-            return None
         try:
-            self._checked_native(record)
-            owner = record.get("shares", key)
-            header, _, c_source = self._path(owner, ".c").read_text().partition("\n")
-            if header != f"/* fingerprint: {owner} */" or source_sha(c_source) != record["source_sha256"]:
-                raise ValueError("native source hash mismatch")
-            stored = record["binding"]
+            if record["native_version"] != NATIVE_VERSION or record["tag"] != native_tag():
+                return None
+            artifact, stored = record["key"], record["binding"]
+            if not artifact.isalnum():  # a file name in this directory, nothing else
+                raise ValueError(f"artifact key {artifact!r}")
             binding = NativeBinding(
                 tuple(stored["bufs"]),
                 tuple((kind, name) for kind, name in stored["tabs"]),
@@ -445,33 +401,9 @@ class DiskKernelCache:
                 tuple(float(value) for value in stored["fpar"]),
                 tuple((what, why) for what, why in stored["serial"]),
             )
-        except (OSError, ValueError, KeyError, TypeError):
-            self.discard_native(key)
+        except (KeyError, TypeError, ValueError, AttributeError):
             return None
-        return c_source, binding
-
-    def get_native(self, key: str, sha: str) -> Optional[Path]:
-        """Path of a valid compiled artifact for *key*, or ``None`` on miss.
-
-        Valid means: the json metadata carries a ``native`` record whose
-        emitter version, source hash, platform tag and Python ABI all match
-        this process, and the ``.so`` — *key*'s, or that of the fingerprint the
-        record ``shares`` its text with — exists.  Anything else — missing or
-        unreadable metadata, version/platform/ABI skew, a hash that does not
-        match the re-emitted source, a planted or truncated file — is a miss
-        (the skewed artifact is dropped best-effort so it cannot be retried).
-        """
-        try:
-            record = self._checked_native(self._meta(key)["native"])
-            if record["source_sha256"] != sha:
-                raise ValueError("native source hash mismatch")
-            so_path = self._path(record.get("shares", key), ".so")
-            if not so_path.exists():
-                raise FileNotFoundError(so_path)
-        except (OSError, ValueError, KeyError, TypeError):
-            self.discard_native(key)
-            return None
-        return so_path
+        return artifact, binding
 
     def get_native_decline(self, key: str) -> Optional[str]:
         """Why this version of the native emitter declined *key*'s program, if a
@@ -482,72 +414,29 @@ class DiskKernelCache:
         reason = record.get("native_declined")
         return reason if isinstance(reason, str) else None
 
-    def reserve_native(self, key: str) -> Optional[Path]:
-        """Where the compiler should place *key*'s ``.so`` (``None`` on error)."""
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return None
-        return self._path(key, ".so")
-
-    def publish_native(
-        self, key: str, c_source: Optional[str], sha: str, binding: Any, shares: Optional[str] = None
-    ) -> None:
-        """Record *key*'s native validity metadata: every record is sufficient
-        on its own for the next process to load *key* without printing it.
-
-        With *c_source*: called after the ``.so`` landed (atomically) at the
-        reserved path; writes the ``.c`` source alongside it.  With *shares*
-        (and no *c_source*): the text is the one fingerprint *shares* already
-        stores, and no file is written a second time.  Either way the
-        ``native`` record — validity and the source's binding — is merged into
-        the json metadata, written last: a crash between the ``.so`` and the
-        json leaves an artifact that simply reads as a miss.  Failures are
-        swallowed (the cache is best-effort).
-        """
-        meta = self._meta(key)
-        meta["native"] = {
+    def publish_native(self, key: str, artifact: str, binding: NativeBinding) -> None:
+        """Record that *key*'s program prints the C text whose shared object is
+        ``<artifact>.so``, bound by *binding*: enough for the next process to
+        load it without printing.  Written after the ``.so`` landed, so a
+        crash in between leaves a record-less fingerprint, an ordinary miss."""
+        self._set_native(key, {
             "native_version": NATIVE_VERSION,
-            "source_sha256": sha,
             "tag": native_tag(),
+            "key": artifact,
             "binding": binding._asdict(),
-            **({"shares": shares} if shares is not None else {}),
-        }
-        files = [(self._path(key, ".json"), json.dumps(meta, indent=2).encode())]
-        if c_source is not None:
-            files.insert(0, (self._path(key, ".c"), f"/* fingerprint: {key} */\n{c_source}".encode()))
-        self._write(*files)
-
-    def share_native(self, key: str, sha: str, binding: Any, so_path: Path) -> None:
-        """*key*'s text is the one already loaded from *so_path*: unless *key*
-        has a valid record, or the artifact lives outside this cache, record
-        *key*'s binding against the fingerprint that owns ``.c`` and ``.so``."""
-        owner = so_path.stem
-        if so_path.parent != self.dir or owner == key or self.get_native(key, sha) is not None:
-            return
-        self.publish_native(key, None, sha, binding, shares=owner)
+        })
 
     def publish_native_decline(self, key: str, reason: str) -> None:
         """Record that this version of the native emitter declines *key*'s
         program (a property of the program, never of the machine), so a later
         process goes straight to the next tier."""
-        meta = self._meta(key)
-        meta["native"] = {"native_version": NATIVE_VERSION, "native_declined": reason}
-        self._write((self._path(key, ".json"), json.dumps(meta, indent=2).encode()))
+        self._set_native(key, {"native_version": NATIVE_VERSION, "native_declined": reason})
 
-    def discard_native(self, key: str) -> None:
-        """Drop *key*'s native artifact (and its validity record) best-effort."""
-        for suffix in (".c", ".so"):
-            try:
-                self._path(key, suffix).unlink()
-            except OSError:
-                pass
+    def _set_native(self, key: str, record: Dict[str, Any]) -> None:
+        """Merge *record* into *key*'s json metadata (best-effort)."""
         meta = self._meta(key)
-        if meta.pop("native", None) is not None:
-            try:
-                atomic_write(self._path(key, ".json"), json.dumps(meta, indent=2).encode())
-            except OSError:
-                pass
+        meta["native"] = record
+        self._write((self._path(key, ".json"), json.dumps(meta, indent=2).encode()))
 
     # -- single-flight locks ---------------------------------------------------
     def try_lock_flight(self, key: str) -> Any:
@@ -788,7 +677,7 @@ class KernelCache:
             self.stats.evictions += 1
 
     # -- single-flight ---------------------------------------------------------
-    def begin_flight(self, key: str, timeout: Optional[float] = None) -> BuildFlight:
+    def begin_flight(self, key: str, timeout: float = DEFAULT_FLIGHT_TIMEOUT) -> BuildFlight:
         """Claim the right to lower *key*, or wait for whoever already did.
 
         The cache-stampede guard: when N builders (threads of this process,
@@ -796,14 +685,12 @@ class KernelCache:
         fingerprint, exactly one becomes the *owner* and performs the
         lowering; the rest block here and receive the finished
         :class:`CacheEntry` through ``flight.entry``.  Waiting is bounded by
-        *timeout* (default ``$REPRO_FLIGHT_TIMEOUT`` or two minutes): a
+        *timeout* (default :data:`DEFAULT_FLIGHT_TIMEOUT`, two minutes): a
         wedged owner degrades waiters to duplicate lowerings, never a
         deadlock.  Call on a cache **miss** only — this method deliberately
         does not touch the hit/miss counters, so one ``get()`` per build
         remains the accounting invariant.
         """
-        if timeout is None:
-            timeout = _flight_timeout()
         deadline = time.monotonic() + timeout
         # Phase 1: in-process arbitration.  One thread registers the event
         # and proceeds to phase 2; the rest block on it.

@@ -24,9 +24,10 @@ else (``docs/runtime.md``, "Fused regions and ``local`` buffers").
   buffers and axis arrays in their own dtype (``tabs``) and every size — loop
   extents, buffer lengths, index-arithmetic constants — from ``ipar`` (float
   literals from ``fpar``).  The source contains **no sizes**: one compilation
-  (memoised by source hash) serves every structure, shape and feature width
-  of a program family.  ``binding`` (:class:`NativeBinding`) names the arrays
-  and scalars that fill the four blocks.
+  (one ``<key>.so``, named by :func:`artifact_key` of the text) serves every
+  structure, shape and feature width of a program family.  ``binding``
+  (:class:`NativeBinding`) names the arrays and scalars that fill the four
+  blocks.
 * Three rewrites keep the checked semantics off the hot path without changing
   what is computed: a subexpression that reads no written buffer is
   materialised once, at the depth of its deepest loop variable; a reduction
@@ -78,12 +79,12 @@ from .native import (  # noqa: F401  (re-exported: they lived here before the lo
     NativeBinding,
     NativeBuildError,
     UnsupportedForEmission,
+    artifact_key,
     compile_so,
     find_compiler,
     load_native,
     local_buffers,
     native_tag,
-    source_sha,
     toolchain_available,
 )
 

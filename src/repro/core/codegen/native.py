@@ -9,15 +9,17 @@ compiler (``tests/test_warm_start.py`` enforces both).
 * :class:`NativeBinding` — which arrays and scalars fill the four blocks of
   ``run(bufs, tabs, ipar, fpar)``; the emitter prints it beside the C text and
   the disk cache stores it in the json record.
-* :func:`load_native` compiles the text with the system compiler — unless the
-  library is already loaded (``_LIB_MEMO``, by source hash) or stored
-  (:meth:`DiskKernelCache.get_native`) — dlopens it, gathers the binding's
-  arrays and returns the ``run(arrays)`` closure of the native tier.  The one
-  foreign signature is built from ``_cffi_backend`` types directly (ABI mode,
-  no ``Python.h``, and no C parser imported to declare it).
+* :func:`load_native` dlopens the shared object of a text — already loaded
+  (``_LIB_MEMO``), stored in the disk cache as ``<key>.so``, or compiled now
+  with the system compiler — gathers the binding's arrays and returns the
+  ``run(arrays)`` closure of the native tier.  A warm process passes the key
+  a fingerprint's json record names and never sees the text.  The one foreign
+  signature is built from ``_cffi_backend`` types directly (ABI mode, no
+  ``Python.h``, and no C parser imported to declare it).
 * the toolchain probe (:func:`find_compiler`, :func:`unavailable`), the compile
-  step (:func:`compile_so`, :data:`CFLAGS`) and the keys an artifact is valid
-  under (:data:`NATIVE_VERSION`, :func:`native_tag`, :func:`source_sha`).
+  step (:func:`compile_so`, :data:`CFLAGS`) and the name of an artifact,
+  :func:`artifact_key` of what it is valid under (:data:`NATIVE_VERSION`,
+  :func:`native_tag`, the text).
 
 ``emit_c`` re-exports every name that used to live there.
 """
@@ -25,6 +27,7 @@ compiler (``tests/test_warm_start.py`` enforces both).
 from __future__ import annotations
 
 import atexit
+import contextlib
 import functools
 import hashlib
 import os
@@ -44,8 +47,8 @@ from ..program import PrimFunc
 from ..stmt import collect_buffer_stores
 
 #: Bumped whenever the native-source contract (C layout, binding protocol, or
-#: compile flags) changes; stale on-disk ``.so`` artifacts from an older
-#: version load as cache misses and are rebuilt, never imported.
+#: compile flags) changes; it is part of every artifact's name, and a record
+#: of an older version is a cache miss that rebuilds, never an import.
 NATIVE_VERSION = 4
 
 #: Environment variable disabling the native tier (``0`` / ``off`` / ``false``).
@@ -190,25 +193,23 @@ def native_tag() -> str:
     return f"{sys.platform}-{_platform.machine()}-{sys.implementation.cache_tag}"
 
 
-def source_sha(c_source: str) -> str:
-    return hashlib.sha256(c_source.encode()).hexdigest()
+def artifact_key(c_source: str) -> str:
+    """The name of *c_source*'s shared object: the sha256 of everything its
+    validity depends on — this native emitter, this platform + ABI, the text."""
+    return hashlib.sha256(f"{NATIVE_VERSION}|{native_tag()}|{c_source}".encode()).hexdigest()
 
 
 # -- compilation + loading -----------------------------------------------------
 class _Library(NamedTuple):
-    """One dlopened artifact: the handle that keeps it mapped, its ``run``
-    symbol and the file it was opened from (``<dir>/<key>.so`` when it lives
-    in a disk cache: the key whose ``.c`` / ``.so`` every other fingerprint of
-    the same text shares)."""
+    """One dlopened artifact: the handle that keeps it mapped and its ``run``."""
 
     handle: Any
     run: Any
-    path: Path
 
 
-#: sha256(C source) -> :class:`_Library` (or ``False`` after a failed build),
-#: so a hypothesis battery over many structures of one program family
-#: compiles exactly once per process.
+#: artifact key -> :class:`_Library` (or ``False`` after a failed build), so a
+#: hypothesis battery over many structures of one program family compiles
+#: exactly once per process.
 _LIB_MEMO: Dict[str, Any] = {}
 _MEMO_LOCK = threading.Lock()
 
@@ -238,7 +239,7 @@ class _Foreign:
     def dlopen(self, path: Path) -> _Library:
         """Map the shared object at *path* (``OSError`` when it does not load)."""
         handle = self._backend.load_library(str(path), 0)
-        return _Library(handle, handle.load_function(self._signature, "run"), path)
+        return _Library(handle, handle.load_function(self._signature, "run"))
 
     def pointers(self, arrays: List[np.ndarray], nulls: int = 0) -> Tuple[Any, List[int]]:
         """The C pointer block of *arrays* (which the caller keeps alive)
@@ -319,25 +320,24 @@ def compile_so(c_source: str, out_path: Path) -> None:
         os.replace(tmp, out_path)
 
 
-def _obtain_lib(sha: str, c_source: str, binding: NativeBinding, cache: Any, key: Optional[str]) -> _Library:
-    """The library of *c_source*: the disk-cached artifact or a fresh build."""
-    disk = cache.disk if cache is not None and key is not None else None
-    if disk is not None:
-        cached = disk.get_native(key, sha)
-        if cached is not None:
-            try:
-                lib = _get_ffi().dlopen(cached)
-            except OSError:
-                disk.discard_native(key)
-            else:
-                cache.count("native_hits")
-                return lib
-    so_path = disk.reserve_native(key) if disk is not None else None
-    if so_path is None:
-        so_path = _scratch_dir() / f"{sha[:32]}.so"
+def _obtain_lib(artifact: str, c_source: Optional[str], cache: Any, disk: Any) -> _Library:
+    """The library *artifact* names: the disk cache's ``<artifact>.so`` or, for
+    a fresh print (*c_source*), a new build of the text.  A stored object that
+    does not load is unlinked; without a text, a missing or unlinked object is
+    the caller's miss (``FileNotFoundError``)."""
+    so_path = disk.so_path(artifact) if disk is not None else _scratch_dir() / f"{artifact}.so"
+    if disk is not None and so_path.exists():
+        try:
+            lib = _get_ffi().dlopen(so_path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                so_path.unlink()
+        else:
+            cache.count("native_hits")
+            return lib
+    if c_source is None:
+        raise FileNotFoundError(f"{so_path} is missing or does not load")
     compile_so(c_source, so_path)
-    if disk is not None:
-        disk.publish_native(key, c_source, sha, binding)
     lib = _get_ffi().dlopen(so_path)
     if cache is not None:
         cache.count("native_rebuilds")
@@ -346,22 +346,27 @@ def _obtain_lib(sha: str, c_source: str, binding: NativeBinding, cache: Any, key
 
 def load_native(
     func: PrimFunc,
-    c_source: str,
+    c_source: Optional[str],
     binding: NativeBinding,
     cache: Any = None,
     key: Optional[str] = None,
+    artifact: Optional[str] = None,
 ) -> Any:
-    """Compile (or reuse) the native artifact and bind the program's arrays.
+    """Load (or compile) the native artifact and bind the program's arrays.
 
     Returns the ``run(arrays)`` closure of the native tier.  A failure — no
     compiler, a compile error, an artifact that does not load — raises, and
     the caller decides the fallback for this kernel once.  ``cache``/``key``
     name the :class:`~repro.core.codegen.cache.KernelCache` whose disk layer
-    stores the artifact (:meth:`DiskKernelCache.get_native`) and whose
-    ``native_hits`` / ``native_rebuilds`` count where it came from.  A text
-    this process has already loaded is not compiled or stored again: *key*'s
-    record then names the fingerprint whose ``.c`` / ``.so`` it shares, so the
-    next process reads ``(text, binding)`` for it too.
+    stores the artifact and whose ``native_hits`` / ``native_rebuilds`` count
+    where it came from.
+
+    Either *c_source* is a fresh print — its :func:`artifact_key` names the
+    shared object, which is compiled unless this process or the disk cache
+    already has it, and *key*'s json record is (re)written to name it — or it
+    is ``None`` and *artifact* is the key that record named: the warm path,
+    which reads and hashes no text, and raises ``OSError`` when that object
+    is gone or does not load.
 
     The C text asserts (``#pragma omp simd``) that differently named buffers
     never overlap, so ``run(arrays)`` refuses with ``ValueError`` a buffer the
@@ -383,22 +388,27 @@ def load_native(
     structure with its footprint.
     """
     ffi = _get_ffi()
-    sha = source_sha(c_source)
+    disk = cache.disk if cache is not None and key is not None else None
+    if artifact is None:
+        artifact = artifact_key(c_source)
     with _MEMO_LOCK:
-        lib = _LIB_MEMO.get(sha)
+        lib = _LIB_MEMO.get(artifact)
     if lib is False:
         raise NativeBuildError("native build previously failed for this source")
     if lib is None:
         try:
-            lib = _obtain_lib(sha, c_source, binding, cache, key)
+            lib = _obtain_lib(artifact, c_source, cache, disk)
         except NativeBuildError:
             with _MEMO_LOCK:
-                _LIB_MEMO[sha] = False
+                _LIB_MEMO[artifact] = False
             raise
         with _MEMO_LOCK:
-            lib = _LIB_MEMO.setdefault(sha, lib)
-    elif cache is not None and key is not None and cache.disk is not None:
-        cache.disk.share_native(key, sha, binding, lib.path)
+            lib = _LIB_MEMO.setdefault(artifact, lib)
+    # A fresh print is recorded, so the next process prints nothing — unless
+    # the library came from outside this directory (an uncached kernel's, or
+    # another cache's): a record names no object its directory lacks.
+    if c_source is not None and disk is not None and disk.so_path(artifact).exists():
+        disk.publish_native(key, artifact, binding)
     call, pointers = lib.run, ffi.pointers
 
     aux = aux_arrays(func)

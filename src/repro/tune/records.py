@@ -16,7 +16,10 @@ The on-disk store follows the same discipline as
   named ``<fingerprint>.json``;
 * writes go through a temporary file plus an atomic :func:`os.replace`;
 * reads treat any failure (truncated file, schema skew, fingerprint
-  mismatch) as a miss, count it in ``stats.errors`` and discard the entry;
+  mismatch) as a miss, count it in ``stats.errors`` and discard the entry
+  (one read-validate-discard helper, ``_read``; counters are bumped under a
+  lock, as the kernel store's are: a served session reads both stores from
+  several threads);
 * the root directory is ``$REPRO_TUNING_RECORDS`` (values ``0``/``off``/...
   disable the store) or ``~/.cache/repro-tuning`` when asked for explicitly.
 
@@ -31,12 +34,11 @@ and the neighbour index of :mod:`~repro.tune.transfer`.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
-from .._files import atomic_write
+from .._files import StoreStats, atomic_write, env_root
 
 #: Bumped whenever the persisted record layout changes.
 RECORD_SCHEMA_VERSION = 1
@@ -50,8 +52,6 @@ CORPUS_MAX_ENTRIES = 512
 #: Environment variable naming the on-disk record root.  Unset disables the
 #: persistent layer; the values ``0`` / ``off`` / ``false`` disable it too.
 RECORDS_ENV_VAR = "REPRO_TUNING_RECORDS"
-
-_DISABLED_ENV_VALUES = {"", "0", "off", "false", "disabled", "none"}
 
 
 def _jsonable_value(value: Any) -> Any:
@@ -171,11 +171,9 @@ def _validate_corpus_payload(payload: Any, fingerprint: str) -> Dict[str, Any]:
 
 
 @dataclass
-class _StoreStats:
-    hits: int = 0
-    misses: int = 0
-    errors: int = 0
-    writes: int = 0
+class _StoreStats(StoreStats):
+    """The record counters, and the measurement corpus's beside them."""
+
     corpus_hits: int = 0
     corpus_misses: int = 0
     corpus_errors: int = 0
@@ -187,11 +185,7 @@ class TuningRecordStore:
 
     def __init__(self, root: Union[str, Path, None] = None):
         if root is None:
-            env = os.environ.get(RECORDS_ENV_VAR)
-            if env is None or env.strip().lower() in _DISABLED_ENV_VALUES:
-                root = "~/.cache/repro-tuning"
-            else:
-                root = env
+            root = env_root(RECORDS_ENV_VAR) or "~/.cache/repro-tuning"
         self.root = Path(root).expanduser()
         self.dir = self.root / f"v{RECORD_SCHEMA_VERSION}"
         self.corpus_dir = self.root / f"corpus-v{CORPUS_SCHEMA_VERSION}"
@@ -200,10 +194,8 @@ class TuningRecordStore:
     @classmethod
     def from_env(cls) -> Optional["TuningRecordStore"]:
         """The store named by ``$REPRO_TUNING_RECORDS``, or ``None`` if disabled."""
-        value = os.environ.get(RECORDS_ENV_VAR)
-        if value is None or value.strip().lower() in _DISABLED_ENV_VALUES:
-            return None
-        return cls(value)
+        root = env_root(RECORDS_ENV_VAR)
+        return None if root is None else cls(root)
 
     def _path(self, fingerprint: str) -> Path:
         return self.dir / f"{fingerprint}.json"
@@ -217,27 +209,40 @@ class TuningRecordStore:
         return sum(1 for _ in self.dir.glob("*.json"))
 
     # -- read ------------------------------------------------------------------
-    def get(self, fingerprint: str) -> Optional[TuningRecord]:
-        """Load one record, or ``None`` on miss / corruption / schema skew."""
-        path = self._path(fingerprint)
+    def _read(self, path: Path, check: Callable[[Any], Any], kind: str = "") -> Any:
+        """What *check* makes of the json at *path*, or ``None``.
+
+        A missing file is a miss; one that does not parse or that *check*
+        rejects is an error, and is discarded so it cannot be read again.
+        *kind* prefixes the counters (``"corpus_"``).
+        """
         try:
             text = path.read_text()
         except OSError:
-            self.stats.misses += 1
+            self.stats.count(f"{kind}misses")
             return None
         try:
-            record = TuningRecord.from_json(json.loads(text))
-            if record.fingerprint != fingerprint:
-                raise ValueError("fingerprint mismatch (renamed or corrupted record)")
+            value = check(json.loads(text))
         except _BAD_FILE:
-            self.stats.errors += 1
+            self.stats.count(f"{kind}errors")
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        self.stats.hits += 1
-        return record
+        self.stats.count(f"{kind}hits")
+        return value
+
+    def get(self, fingerprint: str) -> Optional[TuningRecord]:
+        """Load one record, or ``None`` on miss / corruption / schema skew."""
+
+        def check(payload: Any) -> TuningRecord:
+            record = TuningRecord.from_json(payload)
+            if record.fingerprint != fingerprint:
+                raise ValueError("fingerprint mismatch (renamed or corrupted record)")
+            return record
+
+        return self._read(self._path(fingerprint), check)
 
     # -- write -----------------------------------------------------------------
     def _atomic_write_json(self, path: Path, payload: Dict[str, Any]) -> bool:
@@ -254,10 +259,8 @@ class TuningRecordStore:
         """Persist one record atomically; failures are swallowed (best-effort)."""
         # Best-effort: an unwritable directory or an unserialisable
         # config costs the persisted record, never the tuning result.
-        if self._atomic_write_json(self._path(record.fingerprint), record.to_json()):
-            self.stats.writes += 1
-        else:
-            self.stats.errors += 1
+        written = self._atomic_write_json(self._path(record.fingerprint), record.to_json())
+        self.stats.count("writes" if written else "errors")
 
     # -- measurement corpus ------------------------------------------------------
     def _corpus_path(self, fingerprint: str) -> Path:
@@ -272,25 +275,14 @@ class TuningRecordStore:
         ``feature_version`` is given) feature-layout skew all return ``None``;
         damaged or stale files are discarded so they cannot poison training.
         """
-        path = self._corpus_path(fingerprint)
-        try:
-            text = path.read_text()
-        except OSError:
-            self.stats.corpus_misses += 1
-            return None
-        try:
-            payload = _validate_corpus_payload(json.loads(text), fingerprint)
+
+        def check(payload: Any) -> Dict[str, Any]:
+            payload = _validate_corpus_payload(payload, fingerprint)
             if feature_version is not None and payload["feature_version"] != feature_version:
                 raise ValueError("corpus feature-version skew")
-        except _BAD_FILE:
-            self.stats.corpus_errors += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.corpus_hits += 1
-        return payload
+            return payload
+
+        return self._read(self._corpus_path(fingerprint), check, "corpus_")
 
     def add_corpus(
         self,
@@ -325,10 +317,8 @@ class TuningRecordStore:
             "task_features": _jsonable_value(task_features),
             "entries": merged,
         }
-        if self._atomic_write_json(self._corpus_path(fingerprint), payload):
-            self.stats.corpus_writes += 1
-        else:
-            self.stats.corpus_errors += 1
+        written = self._atomic_write_json(self._corpus_path(fingerprint), payload)
+        self.stats.count("corpus_writes" if written else "corpus_errors")
 
     def corpus_fingerprints(self) -> list:
         """Fingerprints with a corpus file, sorted for deterministic training."""

@@ -23,6 +23,7 @@ from repro.core.codegen.emit_c import toolchain_available
 from repro.formats.csr import CSRMatrix
 from repro.ops.spmm import build_spmm_program, spmm_reference
 from repro.runtime.session import Session
+from repro.tune.records import TuningRecord, TuningRecordStore
 
 
 @pytest.fixture
@@ -157,6 +158,35 @@ class TestCorruptionTolerance:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert (disk.stats.misses, disk.stats.hits, disk.stats.errors) == (1200, 0, 0)
+
+    def test_tuning_store_events_are_counted_under_a_lock(self, tmp_path):
+        """A served session with ``tuned=True`` reads the tuning store from the
+        batcher thread and inline threads alike: it counts like the kernel
+        store, so no record or corpus event may be lost either."""
+        store = TuningRecordStore(tmp_path)
+        store.put(TuningRecord(fingerprint="f" * 64, workload="spmm", config={"format": "csr"}))
+        start = threading.Barrier(4)
+
+        def reads():
+            start.wait()
+            for n in range(5000):
+                assert store.get("f" * 64) is not None
+                assert store.get_corpus(f"{n:064d}") is None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reads) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = store.stats
+        assert (stats.hits, stats.misses, stats.errors, stats.writes) == (20000, 0, 0, 1)
+        assert (stats.corpus_hits, stats.corpus_misses, stats.corpus_errors) == (0, 20000, 0)
 
     def test_schema_version_skew_is_a_miss(self, csr, tmp_path):
         cache = KernelCache(disk=DiskKernelCache(tmp_path))

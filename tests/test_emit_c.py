@@ -30,10 +30,10 @@ from repro.core.codegen.emit_c import (
     NATIVE_ENV_VAR,
     NATIVE_VERSION,
     UnsupportedForC,
+    artifact_key,
     emit_c_source,
     find_compiler,
     native_tag,
-    source_sha,
     toolchain_available,
 )
 from repro.formats.csr import CSRMatrix
@@ -450,6 +450,12 @@ def _forget_compiled_libs():
 
 @needs_cc
 class TestArtifactCache:
+    """A shared object is ``<key>.so``, ``key`` the :func:`artifact_key` of its
+    text; each fingerprint's json record names it.  Whatever does not check out
+    — a record of another emitter or machine, a key naming no loadable file —
+    is a miss that prints the program again: compiled only if the text's own
+    ``.so`` is missing too, and the record rewritten."""
+
     def _warm(self, csr, tmp_path, seed=0):
         _forget_compiled_libs()
         cache = KernelCache(disk=DiskKernelCache(tmp_path))
@@ -459,24 +465,41 @@ class TestArtifactCache:
         assert np.allclose(out["C"].reshape(csr.rows, 4), spmm_reference(csr, x), atol=1e-4)
         return cache
 
-    def _key_and_paths(self, cache):
+    def _paths(self, cache):
+        """``(fingerprint, its text's .so, its json)`` of the one stored program."""
         disk = cache.disk
-        pkl = next(disk.dir.glob("*.pkl"))
-        key = pkl.stem
-        base = disk.dir / key
-        return key, base.with_suffix(".c"), base.with_suffix(".so"), base.with_suffix(".json")
+        key = next(disk.dir.glob("*.pkl")).stem
+        json_path = disk.dir / f"{key}.json"
+        artifact = json.loads(json_path.read_text())["native"]["key"]
+        return key, disk.so_path(artifact), json_path
+
+    def _edit_record(self, json_path, **fields):
+        meta = json.loads(json_path.read_text())
+        meta["native"].update(fields)
+        json_path.write_text(json.dumps(meta))
+
+    def _plant_foreign(self, csr, tmp_path, **fields):
+        """Make the directory look written by another emitter or machine: the
+        record carries *fields* and names its own artifact; this process's
+        ``<key>.so`` is not there."""
+        self._warm(csr, tmp_path)
+        cache = KernelCache(disk=DiskKernelCache(tmp_path))
+        _key, so_path, json_path = self._paths(cache)
+        foreign = so_path.with_name("f" * 64 + ".so")
+        so_path.rename(foreign)
+        self._edit_record(json_path, key=foreign.stem, **fields)
+        return so_path, json_path, foreign
 
     def test_artifact_files_and_validity_record(self, csr, tmp_path):
         cache = self._warm(csr, tmp_path)
         assert cache.stats.native_rebuilds == 1 and cache.stats.native_hits == 0
-        key, c_path, so_path, json_path = self._key_and_paths(cache)
-        assert c_path.exists() and so_path.exists()
-        assert c_path.read_text().startswith(f"/* fingerprint: {key} */")
+        key, so_path, json_path = self._paths(cache)
+        assert so_path.exists() and [path.suffix for path in cache.disk.dir.glob("*.c")] == []
         record = json.loads(json_path.read_text())["native"]
-        assert record["native_version"] == NATIVE_VERSION
-        assert record["tag"] == native_tag()
-        sha = source_sha(c_path.read_text().split("*/\n", 1)[1])
-        assert record["source_sha256"] == sha
+        assert sorted(record) == ["binding", "key", "native_version", "tag"]
+        assert record["native_version"] == NATIVE_VERSION and record["tag"] == native_tag()
+        c_source, _binding = emit_c_source(canonical_spmm(csr))
+        assert record["key"] == artifact_key(c_source) == so_path.stem != key
 
     def test_warm_cache_loads_without_compiling(self, csr, tmp_path):
         self._warm(csr, tmp_path)
@@ -484,12 +507,13 @@ class TestArtifactCache:
         assert cold.stats.native_hits == 1 and cold.stats.native_rebuilds == 0
 
     def test_warm_cache_prints_no_c(self, csr, tmp_path, monkeypatch):
-        """The native record stores the listing's binding: a warm process loads
-        ``<fp>.c`` + binding and never walks the loop nest again."""
+        """The native record names the shared object and stores the listing's
+        binding: a warm process loads both and never walks the loop nest —
+        until it is asked for the listing, which it prints then."""
         build_module = sys.modules["repro.core.codegen.build"]  # the package exports the function
         self._warm(csr, tmp_path)
         cache = KernelCache(disk=DiskKernelCache(tmp_path))
-        key, c_path, _so, json_path = self._key_and_paths(cache)
+        _key, _so, json_path = self._paths(cache)
         stored = json.loads(json_path.read_text())["native"]["binding"]
         assert stored["bufs"] == ["C", "A", "B"] and stored["tabs"][0] == ["aux", "J_indptr"]
 
@@ -497,73 +521,74 @@ class TestArtifactCache:
             raise AssertionError("a warm start re-emitted the C source")
 
         monkeypatch.setattr(build_module, "emit_c_source", refuse)
+        monkeypatch.setattr(emit_c.native, "artifact_key", refuse)  # no C text is hashed either
         _forget_compiled_libs()
         kernel, x = _build_once(csr, cache, seed=9)
         out = kernel.run()
         assert kernel.last_engine == "native" and cache.stats.native_hits == 1
         assert np.allclose(out["C"].reshape(csr.rows, 4), spmm_reference(csr, x), atol=1e-4)
-        assert kernel.native_source() == c_path.read_text().split("*/\n", 1)[1]
-        binding = kernel._tier("native")[0][1]
-        assert binding == emit_c_source(kernel.func)[1]  # tuples all the way down
+        c_source, binding = emit_c_source(kernel.func)
+        assert kernel._tier("native")[0][1] == binding  # tuples all the way down
+        monkeypatch.undo()
+        assert kernel.native_source() == c_source
 
-    @pytest.mark.parametrize("damage", ["binding", "listing"])
+    @pytest.mark.parametrize("damage", ["binding", "key"])
     def test_unreadable_record_is_a_miss_that_reemits_and_overwrites(self, csr, tmp_path, damage):
         self._warm(csr, tmp_path)
         cache = KernelCache(disk=DiskKernelCache(tmp_path))
-        key, c_path, _so, json_path = self._key_and_paths(cache)
+        key, so_path, json_path = self._paths(cache)
         if damage == "binding":
-            meta = json.loads(json_path.read_text())
-            meta["native"]["binding"] = {"bufs": ["C"]}
-            json_path.write_text(json.dumps(meta))
-        else:
-            c_path.write_text(c_path.read_text().replace("int run(", "int ran("))
-        assert cache.disk.get_native_source(key) is None
+            self._edit_record(json_path, binding={"bufs": ["C"]})
+        else:  # no file name of this directory
+            self._edit_record(json_path, key="../" + so_path.stem)
+        assert cache.disk.get_native(key) is None
         cold = self._warm(csr, tmp_path, seed=10)
-        assert cold.stats.native_rebuilds == 1
-        source, binding = cold.disk.get_native_source(key)
-        assert (source, binding) == emit_c_source(canonical_spmm(csr))
+        # The text's own object is there: printed again, compiled never.
+        assert (cold.stats.native_hits, cold.stats.native_rebuilds) == (1, 0)
+        c_source, binding = emit_c_source(canonical_spmm(csr))
+        assert cold.disk.get_native(key) == (artifact_key(c_source), binding)
 
     def test_version_skew_is_a_miss_that_rebuilds(self, csr, tmp_path):
-        """Acceptance regression: plant an artifact whose recorded emitter
-        version is stale — it must rebuild, never import."""
-        self._warm(csr, tmp_path)
-        cache = KernelCache(disk=DiskKernelCache(tmp_path))
-        _key, _c, so_path, json_path = self._key_and_paths(cache)
-        mtime = so_path.stat().st_mtime_ns
-        meta = json.loads(json_path.read_text())
-        meta["native"]["native_version"] = NATIVE_VERSION - 1
-        json_path.write_text(json.dumps(meta))
-
+        """Acceptance regression: plant a record (and artifact) of a stale
+        emitter version — it must rebuild, never import."""
+        so_path, json_path, foreign = self._plant_foreign(
+            csr, tmp_path, native_version=NATIVE_VERSION - 1
+        )
         cold = self._warm(csr, tmp_path, seed=2)
         assert cold.stats.native_hits == 0 and cold.stats.native_rebuilds == 1
-        # The artifact was recompiled and republished with the current record.
-        assert so_path.stat().st_mtime_ns != mtime
+        # Compiled under this version's name and republished; the stale file
+        # is another version's and stays out of the way.
         record = json.loads(json_path.read_text())["native"]
-        assert record["native_version"] == NATIVE_VERSION
+        assert record["native_version"] == NATIVE_VERSION and record["key"] == so_path.stem
+        assert so_path.exists() and foreign.exists()
 
     def test_platform_tag_skew_is_a_miss(self, csr, tmp_path):
-        self._warm(csr, tmp_path)
-        cache = KernelCache(disk=DiskKernelCache(tmp_path))
-        _key, _c, _so, json_path = self._key_and_paths(cache)
-        meta = json.loads(json_path.read_text())
-        meta["native"]["tag"] = "win32-sparc-cpython-27"
-        json_path.write_text(json.dumps(meta))
+        so_path, json_path, _foreign = self._plant_foreign(csr, tmp_path, tag="win32-sparc-cpython-27")
         cold = self._warm(csr, tmp_path, seed=3)
         assert cold.stats.native_hits == 0 and cold.stats.native_rebuilds == 1
+        assert json.loads(json_path.read_text())["native"]["tag"] == native_tag()
 
     def test_source_hash_skew_is_a_miss(self, csr, tmp_path):
+        """A current record whose key names no file: the load misses, the
+        program is printed again, and the record names the text's object."""
         self._warm(csr, tmp_path)
         cache = KernelCache(disk=DiskKernelCache(tmp_path))
-        _key, _c, _so, json_path = self._key_and_paths(cache)
-        meta = json.loads(json_path.read_text())
-        meta["native"]["source_sha256"] = "0" * 64
-        json_path.write_text(json.dumps(meta))
+        key, so_path, json_path = self._paths(cache)
+        self._edit_record(json_path, key="0" * 64)
         cold = self._warm(csr, tmp_path, seed=4)
-        assert cold.stats.native_hits == 0 and cold.stats.native_rebuilds == 1
+        assert (cold.stats.native_hits, cold.stats.native_rebuilds) == (1, 0)
+        assert cold.disk.get_native(key)[0] == so_path.stem
 
-    def test_corrupt_so_with_valid_record_rebuilds(self, csr, tmp_path):
+    def _counted_prints(self, monkeypatch):
+        build_module = sys.modules["repro.core.codegen.build"]
+        printed, real = [], build_module.emit_c_source
+        monkeypatch.setattr(build_module, "emit_c_source", lambda func: printed.append(func.name) or real(func))
+        return printed
+
+    def test_corrupt_so_with_valid_record_rebuilds(self, csr, tmp_path, monkeypatch):
         """A truncated shared object behind a valid json record fails to
-        dlopen; the loader discards it and rebuilds rather than erroring.
+        dlopen: one print, one compile, the object replaced and the record
+        rewritten — never an error.
 
         The corrupt artifact is planted *without* ever loading its path in
         this process: ``dlopen`` dedupes loaded libraries by path name, so a
@@ -575,35 +600,41 @@ class TestArtifactCache:
         # Not kernel.native_source(): asking the kernel resolves the whole
         # tier, which would compile and dlopen the artifact at this path.
         c_source, binding = emit_c_source(kernel.func)
-        key = next(cache.disk.dir.glob("*.pkl")).stem
-        so_path = cache.disk.reserve_native(key)
-        so_path.write_bytes(b"\x7fELF this is not a shared object")
-        cache.disk.publish_native(key, c_source, source_sha(c_source), binding)
-        assert json.loads((cache.disk.dir / f"{key}.json").read_text())["native"]
+        key, artifact = kernel._key, artifact_key(c_source)
+        cache.disk.so_path(artifact).write_bytes(b"\x7fELF this is not a shared object")
+        cache.disk.publish_native(key, artifact, binding)
+        json_path = cache.disk.dir / f"{key}.json"
+        inode = json_path.stat().st_ino
 
+        printed = self._counted_prints(monkeypatch)
         cold = self._warm(csr, tmp_path, seed=5)
-        assert cold.stats.native_hits == 0 and cold.stats.native_rebuilds == 1
+        assert cold.stats.native_hits == 0 and cold.stats.native_rebuilds == 1 and printed == ["spmm"]
+        assert json_path.stat().st_ino != inode and cold.disk.get_native(key) == (artifact, binding)
         # ... and the republished artifact is valid again.
         warm = self._warm(csr, tmp_path, seed=6)
         assert warm.stats.native_hits == 1 and warm.stats.native_rebuilds == 0
 
-    def test_missing_so_with_record_is_a_miss(self, csr, tmp_path):
+    def test_missing_so_with_record_is_a_miss(self, csr, tmp_path, monkeypatch):
         self._warm(csr, tmp_path)
         cache = KernelCache(disk=DiskKernelCache(tmp_path))
-        key, _c, so_path, _json = self._key_and_paths(cache)
+        key, so_path, json_path = self._paths(cache)
         so_path.unlink()
-        assert cache.disk.get_native(key, "anything") is None
+        record, inode = cache.disk.get_native(key), json_path.stat().st_ino
+        printed = self._counted_prints(monkeypatch)
         cold = self._warm(csr, tmp_path, seed=7)
-        assert cold.stats.native_rebuilds == 1
+        assert (cold.stats.native_hits, cold.stats.native_rebuilds) == (0, 1) and printed == ["spmm"]
+        assert so_path.exists() and json_path.stat().st_ino != inode
+        assert cold.disk.get_native(key) == record
 
     def test_discard_native_keeps_numpy_payload(self, csr, tmp_path):
-        """Dropping the native artifact must not invalidate the (independent)
-        lowered-program + emitted-NumPy payload."""
+        """Dropping the native artifact and its record must not invalidate the
+        (independent) lowered-program + emitted-NumPy payload."""
         cache = self._warm(csr, tmp_path)
-        key, c_path, so_path, json_path = self._key_and_paths(cache)
-        cache.disk.discard_native(key)
-        assert not c_path.exists() and not so_path.exists()
-        assert "native" not in json.loads(json_path.read_text())
+        _key, so_path, json_path = self._paths(cache)
+        so_path.unlink()
+        meta = json.loads(json_path.read_text())
+        del meta["native"]
+        json_path.write_text(json.dumps(meta))
         _forget_compiled_libs()
         cold = KernelCache(disk=DiskKernelCache(tmp_path))
         kernel, _ = _build_once(csr, cold, seed=8)

@@ -7,11 +7,13 @@ serves, a later process reads it back instead of re-emitting, and a stored
 source that fails its header check is re-emitted rather than executed.
 """
 
+import json
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.codegen import native
 from repro.core.codegen.cache import DiskKernelCache, KernelCache
 from repro.core.codegen.emit_c import toolchain_available
 from repro.formats.csf import CSFTensor
@@ -52,20 +54,26 @@ def _scores(csr, seed=0):
 
 class TestWorkFollowsDispatch:
     @needs_cc
-    def test_native_served_kernels_never_emit_numpy(self, csr, tmp_path):
+    def test_native_served_kernels_never_emit_numpy(self, csr, tmp_path, monkeypatch):
+        monkeypatch.setattr(native, "_LIB_MEMO", {})  # no text loaded from another directory
         session = _session(tmp_path)
         _native_zoo(session, csr, np.random.default_rng(0))
         assert session.stats.native_runs == 5 and session.stats.emitted_runs == 0
         assert session.cache.stats.lowerings == 5
         assert session.cache.stats.emissions == 0
         assert _files(session, ".py") == []
-        # Each fingerprint left its program and metadata, plus the C listing
-        # and artifact unless this process had that source loaded already
-        # (one size-free source serves a whole program family).
+        # Each fingerprint left its program and its metadata, whose native
+        # record names a shared object by its text: one ``<key>.so`` per
+        # distinct text (a size-free source serves a whole program family),
+        # and no listing.
+        keys = set()
         for pkl in _files(session, ".pkl"):
             left = {p.suffix for p in pkl.parent.glob(f"{pkl.stem}.*")} - {".flight"}
-            assert left in ({".pkl", ".json"}, {".pkl", ".json", ".c", ".so"})
+            assert left == {".pkl", ".json"}
             assert "source" not in pickle.loads(pkl.read_bytes())
+            keys.add(json.loads(pkl.with_suffix(".json").read_text())["native"]["key"])
+        assert sorted(path.stem for path in _files(session, ".so")) == sorted(keys)
+        assert _files(session, ".c") == []
 
     @needs_cc
     def test_only_the_declined_kernel_emits(self, csr, tmp_path):

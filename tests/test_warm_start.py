@@ -1,10 +1,12 @@
 """A warm start loads kernels; it does not bring the compiler.
 
 The import contract is checked where it holds: in a fresh interpreter that
-finds every kernel in the disk cache.  The record tests below it check that a
-fingerprint's json record alone lets the next process skip the emitters — for a
-duplicate text (a second matrix of the same operator) and for a program the C
-emitter declines — and that records written before either existed still load.
+finds every kernel in the disk cache — it opens no ``.c`` and hashes no C text.
+The record tests below it check that a fingerprint's json record alone lets the
+next process skip the emitters — for every structure of a program family, which
+all name one ``<key>.so``, and for a program the C emitter declines — and that a
+shared object that is gone, or two processes racing on one text, cost at most
+one compile.
 """
 
 import ast
@@ -48,12 +50,20 @@ EMITTED_TIER = ("repro.core.codegen.emit_numpy", "repro.core.codegen.hazards")
 #: on the cache named by the environment; results to ``argv[1]``, the report —
 #: modules loaded after the SpMMs and after the softmax, counters — to stdout.
 #: Then the other two execution paths, a compiled graph and a served request,
-#: on a second session (the counters above are the eager path's).
+#: on a second session (the counters above are the eager path's).  Throughout,
+#: which ``.c`` files were opened and how many C texts were hashed; last, one
+#: kernel's listing, and whether asking for it brought the printer.
 CHILD = """
 import json, sys
+c_files = []
+sys.addaudithook(lambda event, args: event == "open" and str(args[0]).endswith(".c") and c_files.append(str(args[0])))
 import numpy as np
+from repro.core.codegen import native
 from repro.formats.csr import CSRMatrix
 from repro.runtime.session import Session
+
+hashed, artifact_key = [], native.artifact_key
+native.artifact_key = lambda text: hashed.append(len(text)) or artifact_key(text)
 
 def loaded():
     ours = ("repro", "cffi", "pycparser", "_cffi_backend")
@@ -82,6 +92,12 @@ with Server(Session()) as server:
     g.compile().run({})
     server.spmm(second, features).result(timeout=60)
 report["after_graph_and_serve"] = loaded()
+report["c_files"], report["c_hashed"] = c_files, len(hashed)
+from repro.ops.spmm import build_spmm_program
+kernel = session.build(build_spmm_program(first, 8, features))
+report["printer_before_listing"] = "repro.core.codegen.emit_c" in sys.modules
+report["listing"] = kernel.native_source()
+report["printer_after_listing"] = "repro.core.codegen.emit_c" in sys.modules
 print(json.dumps(report))
 """
 
@@ -119,6 +135,13 @@ class TestImportContract:
             assert held(warm["after_softmax"], COMPILE_ONLY) == list(EMITTED_TIER)
             # One text, one dlopen: the duplicate found its library loaded.
             assert (warm["session"]["native_runs"], warm["cache"]["native_hits"]) == (2, 1)
+            # A warm load reads records and opens objects: no listing, no hash of
+            # one (the cold process shows the hooks see both) ...
+            assert cold["c_files"] and cold["c_hashed"] > 0
+            assert (warm["c_files"], warm["c_hashed"]) == ([], 0)
+            # ... and a listing asked for is printed then, byte for byte the cold one.
+            assert not warm["printer_before_listing"] and warm["printer_after_listing"]
+            assert warm["listing"] == cold["listing"] and "int run(" in warm["listing"]
         else:
             # Every kernel is the emitted tier's: its loader, and nothing of the
             # native tier — not even the foreign-call layer.
@@ -210,6 +233,23 @@ def native_records(root):
     return records
 
 
+#: Runs in a fresh interpreter: one CSR SpMM per ``argv`` row count, all of one
+#: program family, on the cache named by the environment; prints
+#: ``[native_hits, native_rebuilds, native_runs]``.
+FAMILY = """
+import json, sys
+import numpy as np
+from repro.formats.csr import CSRMatrix
+from repro.runtime.session import Session
+session = Session()
+for rows in map(int, sys.argv[1:]):
+    matrix = CSRMatrix.random(rows=rows, cols=20, density=0.3, seed=rows)
+    session.spmm(matrix, np.ones((20, 8), dtype=np.float32))
+stats = session.cache.stats
+print(json.dumps([stats.native_hits, stats.native_rebuilds, session.stats.native_runs]))
+"""
+
+
 @needs_cc
 class TestRecords:
     def test_every_record_is_sufficient_on_its_own(self, tmp_path, printed):
@@ -218,15 +258,17 @@ class TestRecords:
         assert printed == ["spmm", "spmm", "edge_softmax"] and cache.stats.native_rebuilds == 1
         assert [kernel.last_engine for kernel in kernels] == ["native", "native", "emitted"]
         records = native_records(tmp_path)
-        owner, sharer, declined = (records[kernel._key] for kernel in kernels)
-        assert "shares" not in owner and sharer["shares"] == kernels[0]._key
-        assert sharer["source_sha256"] == owner["source_sha256"] and sharer["binding"] != owner["binding"]
+        first, second, declined = (records[kernel._key] for kernel in kernels)
+        # One record shape for every structure of the family: one key, two bindings.
+        assert sorted(first) == sorted(second) == ["binding", "key", "native_version", "tag"]
+        assert first["key"] == second["key"] and first["binding"] != second["binding"]
         reason = kernels[2].declined["native"]
         assert declined == {"native_version": NATIVE_VERSION, "native_declined": reason}
         assert declined["native_declined"].startswith("UnsupportedForC: ")
-        # One listing and one shared object for the two fingerprints of the text.
+        # One shared object for the two fingerprints of the text, named by it; no listing.
         stored = sorted(path.suffix for path in cache.disk.dir.iterdir())
-        assert [suffix for suffix in stored if suffix in (".c", ".so")] == [".c", ".so"]
+        assert [suffix for suffix in stored if suffix in (".c", ".so")] == [".so"]
+        assert cache.disk.so_path(first["key"]).exists()
 
         cache = fresh_process(tmp_path, printed)
         kernels, warm = run_all(cache)
@@ -238,11 +280,11 @@ class TestRecords:
         for a, b in zip(cold, warm):
             assert all(np.array_equal(a[name], b[name]) for name in a)
 
-    def test_records_written_before_either_kind_existed_load_and_are_completed_once(self, tmp_path, printed):
+    def test_a_fingerprint_without_a_record_is_completed_once(self, tmp_path, printed):
         cache = fresh_process(tmp_path, printed)
         kernels, cold = run_all(cache)
-        # What the parent commit left: a record where the compiler ran, nothing
-        # for the duplicate text, nothing for the declined program.
+        # A json without a native record (a crash between the object and the
+        # record): a second structure of the family, and the declined program.
         for kernel in kernels[1:]:
             path = cache.disk._path(kernel._key, ".json")
             meta = json.loads(path.read_text())
@@ -255,7 +297,7 @@ class TestRecords:
         assert printed == ["spmm", "edge_softmax"]  # exactly those two kinds, once
         assert cache.stats.lowerings == 0 and cache.stats.native_rebuilds == 0
         records = native_records(tmp_path)
-        assert records[kernels[1]._key]["shares"] == kernels[0]._key
+        assert records[kernels[1]._key]["key"] == records[kernels[0]._key]["key"]
         assert "native_declined" in records[kernels[2]._key]
         assert sorted(path.name for path in cache.disk.dir.iterdir() if path.suffix != ".json") == before
 
@@ -265,17 +307,41 @@ class TestRecords:
         for a, b, c in zip(cold, second, third):
             assert all(np.array_equal(a[name], b[name]) and np.array_equal(a[name], c[name]) for name in a)
 
-    def test_a_sharer_whose_owner_is_gone_is_an_ordinary_miss(self, tmp_path, printed):
+    def test_a_shared_object_that_is_gone_is_rebuilt_once(self, tmp_path, printed):
         cache = fresh_process(tmp_path, printed)
         kernels, cold = run_all(cache)
-        cache.disk.discard_native(kernels[0]._key)  # listing, shared object and record
+        (so_path,) = cache.disk.dir.glob("*.so")
+        so_path.unlink()
         cache = fresh_process(tmp_path, printed)
-        second = build(programs()[1], cache=cache)
-        out = second.run()
-        # It printed, compiled and now owns the text; nothing stale was loaded.
-        assert printed == ["spmm"] and second.last_engine == "native" and cache.stats.native_rebuilds == 1
-        assert "shares" not in native_records(tmp_path)[second._key]
-        assert all(np.array_equal(out[name], cold[1][name]) for name in out)
+        kernels, warm = run_all(cache)
+        # The first fingerprint of the text misses: it prints and compiles, and
+        # the second finds the rebuilt library; nothing stale was loaded.
+        assert printed == ["spmm"] and (cache.stats.native_hits, cache.stats.native_rebuilds) == (0, 1)
+        assert [kernel.last_engine for kernel in kernels] == ["native", "native", "emitted"]
+        assert so_path.exists() and len(list(cache.disk.dir.glob("*.so"))) == 1
+        for a, b in zip(cold, warm):
+            assert all(np.array_equal(a[name], b[name]) for name in a)
+
+    def test_two_processes_racing_on_one_text_leave_one_object(self, tmp_path):
+        environ = {**os.environ, CACHE_ENV_VAR: str(tmp_path), "PYTHONPATH": str(SRC)}
+
+        def start(*rows):
+            return subprocess.Popen(
+                [sys.executable, "-c", FAMILY, *map(str, rows)], env=environ,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+
+        def report(proc):
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err[-2000:]
+            return json.loads(out.strip().splitlines()[-1])
+
+        racers = [start(24), start(31)]  # two structures, one text, both cold
+        assert [report(proc)[2] for proc in racers] == [1, 1]
+        (so_path,) = DiskKernelCache(tmp_path).dir.glob("*.so")
+        assert {record["key"] for record in native_records(tmp_path).values()} == {so_path.stem}
+        # Whichever compile landed last is the file, and it loads.
+        assert report(start(24, 31)) == [1, 0, 2]
 
     def test_a_decline_of_another_emitter_version_is_ignored(self, tmp_path, printed):
         cache = fresh_process(tmp_path, printed)
