@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.codegen import UnsupportedForEmission
-from repro.core.codegen.emit_c import toolchain_available
+from repro.core.codegen.native import toolchain_available, unavailable
 from repro.ops.batched import build_batched_sddmm_program, build_batched_spmm_program
 from repro.ops.sddmm import build_sddmm_program
 from repro.ops.spmm import build_spmm_hyb_program, build_spmm_program
@@ -44,7 +44,7 @@ def _check_tiers(kernel, workload):
     if not toolchain_available():
         with pytest.raises(UnsupportedForEmission):
             kernel.run(engine="native")
-        assert kernel.declined["native"] == "no toolchain", workload
+        assert kernel.declined["native"] == unavailable(), workload
         assert kernel.fast_tier() == "emitted", workload
         return
     native = kernel.run(engine="native")

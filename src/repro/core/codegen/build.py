@@ -371,6 +371,25 @@ def _cached_kernel(
     return kernel
 
 
+def _lower(func: PrimFunc, horizontal_fusion: bool) -> PrimFunc:
+    """*func* lowered from its stage to stage III, horizontally fused if asked."""
+    if func.stage == STAGE_COORDINATE:
+        from ..stage2.lowering import lower_sparse_iterations
+
+        func = lower_sparse_iterations(func)
+    if func.stage == STAGE_POSITION:
+        from ..stage3.buffer_lowering import lower_sparse_buffers
+
+        func = lower_sparse_buffers(func)
+    if func.stage != STAGE_LOOP:
+        raise ValueError(f"cannot build program at stage {func.stage}")
+    if horizontal_fusion:
+        from .fusion import horizontal_fuse
+
+        func = horizontal_fuse(func)
+    return func
+
+
 def build(
     func: PrimFunc,
     horizontal_fusion: bool = True,
@@ -390,6 +409,8 @@ def build(
             from memory, or from the persistent on-disk layer in a fresh
             process — lowering is skipped entirely and the value arrays of
             *func* are attached to the cached loop nest as run-time defaults.
+            Threads building one cold structure at once lower it once;
+            processes sharing the disk layer do not wait for each other.
 
     Building stops at the loop nest.  Printing it for a target (C, NumPy),
     compiling and loading are the tiers' business, done the first time the
@@ -400,48 +421,24 @@ def build(
     """
     cache_obj = resolve_cache(cache)
     defaults = _collect_defaults(func)
-    key: Optional[str] = None
-    flight = None
-    if cache_obj is not None:
-        key = structural_fingerprint(func, {"horizontal_fusion": horizontal_fusion})
-        entry = cache_obj.get(key)
-        if entry is not None:
-            return _cached_kernel(entry, defaults, cache_obj, key, hit=True)
-        # Cache miss: claim the single-flight slot, so concurrent builders of
-        # the same structure — threads of this process, or cold processes
-        # sharing the persistent layer — perform exactly one lowering.  A
-        # waiter that receives the finished entry skips lowering entirely.
-        flight = cache_obj.begin_flight(key)
-        if flight.entry is not None:
-            flight.done()
-            # ``get()`` counted this lookup as a miss; stay consistent with it.
-            return _cached_kernel(flight.entry, defaults, cache_obj, key, hit=False)
-
-    try:
-        if func.stage == STAGE_COORDINATE:
-            from ..stage2.lowering import lower_sparse_iterations
-
-            func = lower_sparse_iterations(func)
-        if func.stage == STAGE_POSITION:
-            from ..stage3.buffer_lowering import lower_sparse_buffers
-
-            func = lower_sparse_buffers(func)
-        if func.stage != STAGE_LOOP:
-            raise ValueError(f"cannot build program at stage {func.stage}")
-        if horizontal_fusion:
-            from .fusion import horizontal_fuse
-
-            func = horizontal_fuse(func)
-        # Aux buffers (indptr/indices) are materialised during lowering;
-        # include their data so cache hits on later builds can rebind them.
-        defaults.update(_collect_defaults(func))
-        if cache_obj is None or key is None:
-            return Kernel(func, defaults=defaults)
-
-        func = _structural_copy(func)
-        cache_obj.count("lowerings")
-        entry = cache_obj.put(key, func)
-        return _cached_kernel(entry, defaults, cache_obj, key, hit=False)
-    finally:
-        if flight is not None:
-            flight.done()
+    if cache_obj is None:
+        lowered = _lower(func, horizontal_fusion)
+        defaults.update(_collect_defaults(lowered))
+        return Kernel(lowered, defaults=defaults)
+    key = structural_fingerprint(func, {"horizontal_fusion": horizontal_fusion})
+    entry = cache_obj.get(key)
+    if entry is not None:
+        return _cached_kernel(entry, defaults, cache_obj, key, hit=True)
+    # A miss: lower under the fingerprint's lock, so threads racing on one
+    # cold structure lower it once and the rest take the stored entry.
+    # Processes sharing the disk layer each lower for themselves.
+    with cache_obj.lowering(key) as entry:
+        if entry is None:
+            lowered = _lower(func, horizontal_fusion)
+            # Aux buffers (indptr/indices) are materialised during lowering;
+            # include their data so cache hits on later builds can rebind them.
+            defaults.update(_collect_defaults(lowered))
+            cache_obj.count("lowerings")
+            entry = cache_obj.put(key, _structural_copy(lowered))
+    # ``get()`` counted this lookup as a miss; a racing thread's entry stays one.
+    return _cached_kernel(entry, defaults, cache_obj, key, hit=False)

@@ -18,7 +18,7 @@ graph.  This module provides
   the value arrays are rebound at execution time.  Value *dtypes* do
   participate — a float32 entry can never serve a float64 caller.
 * :class:`CacheEntry` — one cached compilation product: the lowered stage-III
-  program, its stage-II form, and one lazily resolved slot per compiled tier.
+  program and one lazily resolved slot per compiled tier.
 * :class:`KernelCache` — a thread-safe LRU map from fingerprint to
   :class:`CacheEntry`, with hit/miss statistics and an optional persistent
   :class:`DiskKernelCache` layer underneath, so a fresh process warm-starts
@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import threading
-import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,11 +49,6 @@ from ..._files import StoreStats, atomic_write, env_root
 from ..nputils import MAX_LANES
 from ..program import PrimFunc
 from .native import NATIVE_VERSION, NativeBinding, native_tag
-
-try:  # POSIX advisory locks back the cross-process single-flight guard.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
 
 #: Bumped whenever the fingerprint recipe itself changes, so stale on-disk
 #: entries from an older scheme can never be confused for current ones.
@@ -73,16 +67,6 @@ DISK_SCHEMA_VERSION = 4
 #: Environment variable naming the on-disk cache root.  Unset disables the
 #: persistent layer; the values ``0`` / ``off`` / ``false`` disable it too.
 CACHE_ENV_VAR = "REPRO_KERNEL_CACHE"
-
-#: How long a builder waits for another builder's in-flight lowering of the
-#: same fingerprint before degrading to a duplicate lowering.  Generous: a
-#: lowering takes well under a second, so hitting this means the owner is
-#: wedged and duplicating its work is the safe way out.
-DEFAULT_FLIGHT_TIMEOUT = 120.0
-
-#: Poll interval while waiting on another *process's* flight (thread waiters
-#: block on an event instead and never poll).
-_FLIGHT_POLL_S = 0.01
 
 
 def _hash_array(digest: "hashlib._Hash", array: Optional[np.ndarray]) -> None:
@@ -129,11 +113,13 @@ class CacheStats:
 
     ``hits`` counts every lookup satisfied without lowering (from memory or
     from disk); ``disk_hits`` counts the subset that was loaded from the
-    persistent layer.  ``lowerings`` / ``emissions`` count the lowering
-    passes and NumPy-source emissions actually executed, so a warm-started
-    process can assert both are zero — and so can a cold one whose kernels
-    the native tier serves, since source is emitted only for a tier that is
-    asked to run.
+    persistent layer.  A miss that finds the entry a racing thread lowered
+    meanwhile stays a miss.  ``lowerings`` / ``emissions`` count the lowering
+    passes and NumPy-source emissions actually executed (threads racing on
+    one cold fingerprint lower it once), so a warm-started process can
+    assert both are zero — and so can a cold one whose kernels the native
+    tier serves, since source is emitted only for a tier that is asked to
+    run.
     """
 
     hits: int = 0
@@ -148,12 +134,6 @@ class CacheStats:
     #: Native artifacts built by actually running the C compiler (cold cache,
     #: version/platform skew, or corruption — skew always rebuilds).
     native_rebuilds: int = 0
-    #: Flights claimed as owner (the caller went on to lower the program).
-    flight_builds: int = 0
-    #: Flights resolved by another builder's entry (thread or process).
-    flight_shared: int = 0
-    #: Flights that hit the wait deadline and degraded to a duplicate build.
-    flight_timeouts: int = 0
     #: The persistent layer's own counters (attached when it is resolved).
     disk: Optional[StoreStats] = field(default=None, repr=False)
 
@@ -228,7 +208,8 @@ class DiskKernelCache:
       native-emitter version on this platform + ABI.
 
     So a fingerprint the native tier serves never has a ``.py``.  Writes are
-    atomic (temporary file + :func:`os.replace`); a file that fails its
+    atomic (temporary file + :func:`os.replace`), so processes sharing the
+    directory need no lock between them; a file that fails its
     check is a miss, counted in ``stats.errors`` and overwritten by the
     rebuild — never an import of something stale.
     """
@@ -438,58 +419,9 @@ class DiskKernelCache:
         meta["native"] = record
         self._write((self._path(key, ".json"), json.dumps(meta, indent=2).encode()))
 
-    # -- single-flight locks ---------------------------------------------------
-    def try_lock_flight(self, key: str) -> Any:
-        """Claim the cross-process build lock for *key*, or ``None`` if held.
-
-        The lock is an exclusive :func:`fcntl.flock` on ``<key>.flight`` in
-        the cache directory, so the kernel releases it automatically when the
-        holder exits or is killed — a crashed worker can never wedge other
-        processes.  Lock files are created once and never unlinked: removing
-        a file another process still holds open would let a later opener
-        acquire a *different* inode's lock and break mutual exclusion.
-
-        Returns an opaque handle for :meth:`unlock_flight`.  On platforms
-        without ``fcntl`` (or an unwritable cache directory) there is no
-        cross-process exclusion and the caller proceeds as owner — the worst
-        case is a duplicate lowering, never a deadlock.
-        """
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            fd = os.open(str(self.dir / f"{key}.flight"), os.O_RDWR | os.O_CREAT, 0o644)
-        except OSError:
-            return "no-lock"
-        if fcntl is None:  # pragma: no cover - non-POSIX platform
-            os.close(fd)
-            return "no-lock"
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            os.close(fd)
-            return None
-        return fd
-
-    def unlock_flight(self, handle: Any) -> None:
-        """Release a handle from :meth:`try_lock_flight` (no-op for ``"no-lock"``)."""
-        if not isinstance(handle, int):
-            return
-        try:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-        except OSError:  # pragma: no cover - release is best-effort
-            pass
-        try:
-            os.close(handle)
-        except OSError:  # pragma: no cover
-            pass
-
     def clear(self) -> None:
         if self.dir.is_dir():
             for path in self.dir.iterdir():
-                if path.suffix == ".flight":
-                    # Never unlink lock files: a concurrent holder's flock is
-                    # tied to the inode, and recreating the path would let a
-                    # second process believe it owns the same flight.
-                    continue
                 try:
                     path.unlink()
                 except OSError:
@@ -503,73 +435,12 @@ class DiskKernelCache:
 _DISK_FROM_ENV = "auto"
 
 
-class BuildFlight:
-    """One claimed single-flight slot for a fingerprint (see ``begin_flight``).
-
-    Exactly one of two states:
-
-    * ``entry`` is set — another builder (a thread of this process, or a
-      process sharing the disk cache) produced the entry while we waited;
-      use it and skip lowering entirely.
-    * ``entry`` is ``None`` (``owner`` is true) — the caller must lower the
-      program, ``put()`` it into the cache and then call :meth:`done`;
-      concurrent builders of the same fingerprint block until then.
-
-    :meth:`done` must always run (``try``/``finally`` around the build): it
-    wakes in-process waiters and releases the cross-process lock file.  It is
-    idempotent, and a no-op for entry-carrying flights.
-    """
-
-    __slots__ = ("_cache", "key", "entry", "_event_held", "_disk_handle")
-
-    def __init__(
-        self,
-        cache: "KernelCache",
-        key: str,
-        entry: Optional[CacheEntry] = None,
-        event_held: bool = False,
-        disk_handle: Any = None,
-    ):
-        self._cache = cache
-        self.key = key
-        self.entry = entry
-        self._event_held = event_held
-        self._disk_handle = disk_handle
-
-    @property
-    def owner(self) -> bool:
-        """Whether the caller is responsible for lowering (no entry supplied)."""
-        return self.entry is None
-
-    def done(self) -> None:
-        """Wake in-process waiters and release the cross-process lock."""
-        if self._event_held:
-            self._event_held = False
-            self._cache._release_flight(self.key)
-        if self._disk_handle is not None:
-            handle, self._disk_handle = self._disk_handle, None
-            disk = self._cache.disk
-            if disk is not None:
-                disk.unlock_flight(handle)
-
-    def __enter__(self) -> "BuildFlight":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.done()
-
-    def __repr__(self) -> str:
-        state = "owner" if self.owner else "shared"
-        return f"BuildFlight({self.key[:12]!r}..., {state})"
-
-
 class KernelCache:
     """A thread-safe LRU cache from structural fingerprint to :class:`CacheEntry`.
 
-    Entries hold the lowered stage-III program (plus its stage-II form, kept
-    for scheduling introspection) and the compiled tiers resolved from it so
-    far; value data is rebound per build, so one entry serves every workload
-    that shares the structure.
+    Entries hold the lowered stage-III program and the compiled tiers
+    resolved from it so far; value data is rebound per build, so one entry
+    serves every workload that shares the structure.
 
     ``disk`` selects the persistent layer: the default ``"auto"`` resolves
     ``$REPRO_KERNEL_CACHE`` lazily on first use (no environment variable, no
@@ -577,6 +448,10 @@ class KernelCache:
     :class:`DiskKernelCache` enables it explicitly.  Disk lookups satisfy
     misses of the in-memory layer and promote the entry; every store is
     written through.
+
+    Threads racing on one cold fingerprint lower it once (:meth:`lowering`).
+    Processes sharing a directory do not coordinate: each lowers for itself,
+    and the atomic writes and the text-named ``<key>.so`` keep them correct.
     """
 
     def __init__(self, capacity: int = 256, disk: Any = _DISK_FROM_ENV):
@@ -587,8 +462,8 @@ class KernelCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._disk = disk
-        #: fingerprint -> event set when that fingerprint's flight completes.
-        self._flights: Dict[str, threading.Event] = {}
+        #: fingerprint -> (its lowering lock, how many builders hold or await it).
+        self._lowerings: Dict[str, Tuple[threading.Lock, int]] = {}
 
     # -- persistent layer ------------------------------------------------------
     @property
@@ -676,98 +551,31 @@ class KernelCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    # -- single-flight ---------------------------------------------------------
-    def begin_flight(self, key: str, timeout: float = DEFAULT_FLIGHT_TIMEOUT) -> BuildFlight:
-        """Claim the right to lower *key*, or wait for whoever already did.
+    @contextmanager
+    def lowering(self, key: str) -> Iterator[Optional[CacheEntry]]:
+        """Hold *key*'s lowering lock after a missed :meth:`get`.
 
-        The cache-stampede guard: when N builders (threads of this process,
-        or cold processes sharing the disk layer) race to build the same
-        fingerprint, exactly one becomes the *owner* and performs the
-        lowering; the rest block here and receive the finished
-        :class:`CacheEntry` through ``flight.entry``.  Waiting is bounded by
-        *timeout* (default :data:`DEFAULT_FLIGHT_TIMEOUT`, two minutes): a
-        wedged owner degrades waiters to duplicate lowerings, never a
-        deadlock.  Call on a cache **miss** only — this method deliberately
-        does not touch the hit/miss counters, so one ``get()`` per build
-        remains the accounting invariant.
+        Yields the entry a builder that held the lock before this one stored,
+        or ``None``: then the caller lowers and calls :meth:`put` inside the
+        ``with``.  The re-check counts no hit or miss (the ``get`` did).  A
+        lowering that raises releases the lock like any other, so the next
+        builder lowers.  A lock lives only while a builder holds or awaits it.
         """
-        deadline = time.monotonic() + timeout
-        # Phase 1: in-process arbitration.  One thread registers the event
-        # and proceeds to phase 2; the rest block on it.
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    self.stats.flight_shared += 1
-                    return BuildFlight(self, key, entry=entry)
-                event = self._flights.get(key)
-                if event is None:
-                    self._flights[key] = threading.Event()
-                    break
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not event.wait(timeout=remaining):
-                with self._lock:
-                    self.stats.flight_timeouts += 1
-                    self.stats.flight_builds += 1
-                return BuildFlight(self, key)
-            # Event fired: loop to pick the entry up — or claim ownership if
-            # the previous owner failed and left no entry behind.
-        # Phase 2: cross-process arbitration through the disk layer.
-        disk = self.disk
-        if disk is None:
-            with self._lock:
-                self.stats.flight_builds += 1
-            return BuildFlight(self, key, event_held=True)
-        while True:
-            handle = disk.try_lock_flight(key)
-            if handle is not None:
-                # Lock acquired (or no locking available): another process
-                # may have finished while we contended — re-check disk once.
-                loaded = disk.get(key)
-                if loaded is not None:
-                    disk.unlock_flight(handle)
-                    entry = self._adopt(key, loaded)
-                    self._release_flight(key)
-                    with self._lock:
-                        self.stats.flight_shared += 1
-                    return BuildFlight(self, key, entry=entry)
-                with self._lock:
-                    self.stats.flight_builds += 1
-                return BuildFlight(self, key, event_held=True, disk_handle=handle)
-            # Another process owns the flight: poll for its published entry.
-            if time.monotonic() >= deadline:
-                with self._lock:
-                    self.stats.flight_timeouts += 1
-                    self.stats.flight_builds += 1
-                return BuildFlight(self, key, event_held=True)
-            time.sleep(_FLIGHT_POLL_S)
-            if key in disk:
-                loaded = disk.get(key)
-                if loaded is not None:
-                    entry = self._adopt(key, loaded)
-                    self._release_flight(key)
-                    with self._lock:
-                        self.stats.flight_shared += 1
-                    return BuildFlight(self, key, entry=entry)
-
-    def _adopt(self, key: str, loaded: CacheEntry) -> CacheEntry:
-        """Store a disk-loaded entry, preferring a concurrently stored one."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry
-            self.stats.disk_hits += 1
-            self._store(key, loaded)
-            return loaded
-
-    def _release_flight(self, key: str) -> None:
-        """Drop the in-process flight registration and wake its waiters."""
-        with self._lock:
-            event = self._flights.pop(key, None)
-        if event is not None:
-            event.set()
+            lock, users = self._lowerings.get(key, (threading.Lock(), 0))
+            self._lowerings[key] = (lock, users + 1)
+        try:
+            with lock:
+                with self._lock:
+                    entry = self._entries.get(key)
+                    if entry is not None:
+                        self._entries.move_to_end(key)
+                yield entry
+        finally:
+            with self._lock:
+                lock, users = self._lowerings.pop(key)
+                if users > 1:
+                    self._lowerings[key] = (lock, users - 1)
 
     def clear(self) -> None:
         """Drop the in-memory entries and reset statistics (disk is kept)."""

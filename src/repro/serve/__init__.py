@@ -12,8 +12,7 @@ A serving layer in front of :class:`~repro.runtime.session.Session` /
 * :class:`WorkerPool` / :func:`spmm_sharded` — multi-process sharding of
   large workloads over contiguous column ranges (``num_col_parts`` as the
   shard key), with the persistent kernel cache as shared warm state: the
-  single-flight guard makes N cold workers perform exactly one lowering
-  per structure.
+  workers share its artifacts, and each lowers a cold structure for itself.
 * :class:`ServingStats` — per-tenant request/batch/cache counters, why
   batches degraded, and latency split into its stages.
 """

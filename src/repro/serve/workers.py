@@ -12,9 +12,10 @@ bit-exact).
 Every worker builds its own :class:`~repro.runtime.session.Session` against
 a *shared* on-disk kernel cache directory, so the pool's warm state is the
 persistent :class:`~repro.core.codegen.cache.DiskKernelCache` +
-tuning-record store — and the single-flight guard in the cache guarantees
-that ``N`` cold workers lowering the same structure perform exactly one
-lowering between them (``tests/test_serving_faults.py``).
+tuning-record store.  Workers do not wait for each other: ``N`` cold workers
+of one structure may each lower it, and the atomic writes and the
+text-named shared object leave one set of files that every worker loads
+(``tests/test_serving_faults.py``).
 
 Fault handling: :meth:`WorkerPool.run_tasks` detects worker death while
 polling for results, resubmits the in-flight tasks once per death wave

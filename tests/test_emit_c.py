@@ -25,7 +25,7 @@ from repro.core.codegen.cache import (
     DiskKernelCache,
     KernelCache,
 )
-from repro.core.codegen import UnsupportedForEmission, emit_c
+from repro.core.codegen import UnsupportedForEmission, emit_c, native
 from repro.core.codegen.emit_c import (
     NATIVE_ENV_VAR,
     NATIVE_VERSION,
@@ -428,6 +428,29 @@ class TestToolchainGating:
         assert np.allclose(out["C"].reshape(csr.rows, 4), spmm_reference(csr, x), atol=1e-4)
         with pytest.raises(UnsupportedForEmission):
             kernel.run(engine="native")
+
+    @pytest.mark.skipif(find_compiler() is None, reason="no C compiler available")
+    def test_compiler_without_cffi_declines_to_emitted(self, monkeypatch, csr):
+        """A compiler but no ``_cffi_backend`` (the ``native`` extra is not
+        installed): the native tier declines with that reason, and the kernel
+        runs on the emitted tier, bit for bit with the interpreter."""
+        monkeypatch.setitem(sys.modules, "_cffi_backend", None)
+        native._get_ffi.cache_clear()
+        try:
+            why = native.unavailable()
+            assert why is not None and "_cffi_backend" in why
+            kernel, _ = _build_once(csr, cache=False)
+            out = kernel.run()
+            assert kernel.last_engine == "emitted"
+            assert kernel.declined["native"] == why
+            with pytest.raises(UnsupportedForEmission):
+                kernel.run(engine="native")
+            oracle = kernel.run(engine="interpret")
+            for name in out:
+                assert out[name].dtype == oracle[name].dtype, name
+                assert np.array_equal(out[name], oracle[name]), name
+        finally:
+            native._get_ffi.cache_clear()
 
     @needs_cc
     def test_gating_is_not_memoised(self, monkeypatch):

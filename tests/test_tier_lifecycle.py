@@ -68,7 +68,7 @@ class TestWorkFollowsDispatch:
         # and no listing.
         keys = set()
         for pkl in _files(session, ".pkl"):
-            left = {p.suffix for p in pkl.parent.glob(f"{pkl.stem}.*")} - {".flight"}
+            left = {p.suffix for p in pkl.parent.glob(f"{pkl.stem}.*")}
             assert left == {".pkl", ".json"}
             assert "source" not in pickle.loads(pkl.read_bytes())
             keys.add(json.loads(pkl.with_suffix(".json").read_text())["native"]["key"])
