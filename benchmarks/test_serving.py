@@ -1,9 +1,9 @@
 """Serving contract: a coalesced burst answers exactly what eager calls answer.
 
 A burst of same-structure requests through the coalescing
-:class:`~repro.serve.Server` is one ``batched_spmm`` launch per group (the
-batch axis is the multi-head axis of the generated kernel) where eager
-:meth:`Session.spmm` is one call per request.  Each workload offers one wave
+:class:`~repro.serve.Server` is one ``Session.spmm`` launch per group over
+the requests' packed feature columns, where eager :meth:`Session.spmm` is
+one call per request.  Each workload offers one wave
 of N requests over a fig-13 graph to a server and the same N to an eager
 session: every served result must be ``np.array_equal`` to its eager
 counterpart, and the server must actually have coalesced

@@ -18,9 +18,9 @@ Degradation ladder (each rung stamped into :class:`ServingStats`):
 1. **coalesced** — the happy path, one launch per same-fingerprint group;
 2. **eager** — a failed batched launch re-runs each member individually, so
    one poisoned request cannot fail its batch-mates;
-3. **inline** — a saturated queue (``saturation="inline"``, the default)
-   executes the request on the caller's thread instead of blocking or
-   dropping it; :meth:`Server.close` drains stragglers the same way.
+3. **inline** — a full queue executes the request on the caller's thread
+   instead of blocking or dropping it; :meth:`Server.close` drains
+   stragglers the same way.
 
 The server never wedges: every submitted request's future resolves with a
 result or an exception.
@@ -39,7 +39,6 @@ import numpy as np
 
 from .batching import (
     DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_LANES,
     ServeRequest,
     coalesce,
     make_call_request,
@@ -47,7 +46,7 @@ from .batching import (
     make_spmm_request,
     run_group,
 )
-from .stats import DEFAULT_RESERVOIR, ServingStats
+from .stats import ServingStats
 
 #: Queue sentinel that tells the batcher thread to exit.
 _SHUTDOWN = object()
@@ -62,10 +61,6 @@ GAP_ARRIVALS = 4
 TIMER_SLACK_S = 5e-5
 
 
-class ServerSaturated(RuntimeError):
-    """Raised (via the future) when the queue is full and saturation="reject"."""
-
-
 @dataclass
 class ServerConfig:
     """Tunables of the serving front-end.
@@ -73,23 +68,18 @@ class ServerConfig:
     ``linger_s`` trades latency for occupancy: it is the longest a drain
     stays open after its first dequeued request for more work to coalesce
     with (a drain whose queue goes quiet ends sooner, see :class:`Drain`;
-    ``0`` takes what is queued and never waits).
-    ``saturation`` selects the full-queue policy: ``"inline"`` (default)
-    executes on the caller's thread, ``"block"`` applies backpressure,
-    ``"reject"`` fails the future with :class:`ServerSaturated`.
+    ``0`` takes what is queued and never waits).  ``max_batch`` caps the
+    requests of one launch; a request that finds the queue full runs on
+    the caller's thread.
     """
 
     max_batch: int = DEFAULT_MAX_BATCH
-    max_batch_lanes: int = DEFAULT_MAX_LANES
     queue_capacity: int = 1024
     linger_s: float = 0.002
-    poll_s: float = 0.05
-    saturation: str = "inline"
-    reservoir: int = DEFAULT_RESERVOIR
 
     def __post_init__(self) -> None:
-        if self.saturation not in ("inline", "block", "reject"):
-            raise ValueError(f"unknown saturation policy {self.saturation!r}")
+        if self.max_batch <= 0:
+            raise ValueError("max_batch must be positive")
         if self.queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
 
@@ -192,7 +182,7 @@ class Server:
             session = Session()
         self.session = session
         self.config = config or ServerConfig()
-        self.stats = ServingStats(self.config.reservoir)
+        self.stats = ServingStats()
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.queue_capacity)
         self._drain = Drain(self._queue)
         self._closed = False
@@ -207,7 +197,7 @@ class Server:
     def submit(self, request: ServeRequest):
         """Enqueue a request; returns its :class:`~concurrent.futures.Future`.
 
-        Applies the configured saturation policy when the queue is full.
+        A full queue runs the request on the caller's thread.
         """
         if self._closed:
             raise RuntimeError("server is closed")
@@ -215,29 +205,7 @@ class Server:
         try:
             self._queue.put_nowait(request)
         except queue.Full:
-            policy = self.config.saturation
-            if policy == "block":
-                self._queue.put(request)
-            elif policy == "reject":
-                try:
-                    exc = ServerSaturated(
-                        f"queue full ({self.config.queue_capacity}); request rejected"
-                    )
-                    self.stats.record_request(
-                        request.tenant,
-                        time.monotonic() - request.submitted_at,
-                        error=True,
-                    )
-                    if request.future.set_running_or_notify_cancel():
-                        request.future.set_exception(exc)
-                finally:
-                    self._done(1)
-            else:  # inline: execute on the caller's thread
-                request.degraded = "inline"
-                try:
-                    run_group(self.session, [request], self.stats)
-                finally:
-                    self._done(1)
+            self._run_inline(request)
         return request.future
 
     def spmm(self, csr, features: np.ndarray, dtype: Any = None, tenant: str = "default"):
@@ -300,20 +268,18 @@ class Server:
         self._closed = True
         self._queue.put(_SHUTDOWN)
         self._thread.join(timeout=30.0)
-        # Safety net: anything still queued (e.g. enqueued by a "block"
-        # producer racing close) resolves inline so no future is orphaned.
+        # Safety net: anything still queued (a submit that raced close onto
+        # the queue behind the sentinel) resolves inline, so no future is
+        # orphaned.
         while True:
             try:
                 leftover = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if leftover is _SHUTDOWN:
-                continue
-            leftover.degraded = "inline"
-            try:
-                run_group(self.session, [leftover], self.stats)
-            finally:
-                self._done(1)
+            if leftover is not _SHUTDOWN:
+                self._run_inline(leftover)
+        if self._thread.is_alive():  # still in a launch: hand back its sentinel
+            self._queue.put_nowait(_SHUTDOWN)
 
     def __enter__(self) -> "Server":
         return self
@@ -322,6 +288,13 @@ class Server:
         self.close()
 
     # -- internals ------------------------------------------------------------
+    def _run_inline(self, request: ServeRequest) -> None:
+        request.degraded = "inline"
+        try:
+            run_group(self.session, [request], self.stats)
+        finally:
+            self._done(1)
+
     def _begin(self, n: int) -> None:
         with self._idle:
             self._inflight += n
@@ -336,16 +309,11 @@ class Server:
         cfg = self.config
         stop = False
         while not stop:
-            try:
-                first = self._queue.get(timeout=cfg.poll_s)
-            except queue.Empty:
-                if self._closed:
-                    break
-                continue
+            first = self._queue.get()
             if first is _SHUTDOWN:
                 break
             batch, stop = self._drain.take(first, cfg.linger_s, cfg.queue_capacity)
-            for group in coalesce(batch, cfg.max_batch, cfg.max_batch_lanes):
+            for group in coalesce(batch, cfg.max_batch):
                 try:
                     run_group(self.session, group, self.stats)
                 finally:

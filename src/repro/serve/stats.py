@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-#: Default size of the per-tenant latency reservoir (ring buffer).
+#: Size of each per-tenant latency reservoir (ring buffer).
 DEFAULT_RESERVOIR = 4096
 
 #: The stages a request's latency splits into, in the order it crosses them:
@@ -77,7 +77,7 @@ class TenantStats:
         "stages",
     )
 
-    def __init__(self, reservoir: int = DEFAULT_RESERVOIR):
+    def __init__(self):
         #: Requests completed (successfully or not) for this tenant.
         self.requests = 0
         #: Requests that executed inside a coalesced batch of size > 1.
@@ -91,17 +91,17 @@ class TenantStats:
         self.cache_hits = 0
         #: Requests that fell back from a failed batch to eager execution.
         self.degraded_eager = 0
-        #: Requests executed inline on the caller thread (queue saturated or
-        #: worker unavailable).
+        #: Requests executed inline on the caller thread (queue full, or
+        #: left on the queue by ``close()``).
         self.degraded_inline = 0
         #: ``degraded_eager`` split by why the coalesced launch failed: the
         #: type name of the exception it raised.
         self.degraded_reasons: Counter = Counter()
         #: Requests that completed with an exception.
         self.errors = 0
-        self.latency = LatencyReservoir(reservoir)
+        self.latency = LatencyReservoir()
         #: One reservoir per entry of :data:`STAGES`.
-        self.stages = {stage: LatencyReservoir(reservoir) for stage in STAGES}
+        self.stages = {stage: LatencyReservoir() for stage in STAGES}
 
     @property
     def mean_occupancy(self) -> Optional[float]:
@@ -148,15 +148,14 @@ class ServingStats:
     the same instance.
     """
 
-    def __init__(self, reservoir: int = DEFAULT_RESERVOIR):
+    def __init__(self):
         self._lock = threading.Lock()
-        self._reservoir = reservoir
         self._tenants: Dict[str, TenantStats] = {}
 
     def _tenant(self, tenant: str) -> TenantStats:
         stats = self._tenants.get(tenant)
         if stats is None:
-            stats = self._tenants[tenant] = TenantStats(self._reservoir)
+            stats = self._tenants[tenant] = TenantStats()
         return stats
 
     def tenant(self, tenant: str = "default") -> TenantStats:
@@ -174,7 +173,7 @@ class ServingStats:
         degraded: Optional[str] = None,
         reason: Optional[str] = None,
         error: bool = False,
-        stages: Optional[Sequence[float]] = None,
+        stages: Sequence[float],
     ) -> None:
         """Record one completed request.
 
@@ -182,7 +181,7 @@ class ServingStats:
         in (1 for eager/inline execution); ``degraded`` is ``None``,
         ``"eager"`` or ``"inline"``, and ``reason`` says why a coalesced
         launch degraded to eager.  ``stages`` are the seconds spent in each
-        of :data:`STAGES` (a request refused at the door has none).
+        of :data:`STAGES`.
         """
         with self._lock:
             stats = self._tenant(tenant)
@@ -200,9 +199,8 @@ class ServingStats:
             if error:
                 stats.errors += 1
             stats.latency.add(latency_s)
-            if stages is not None:
-                for samples, seconds in zip(stats.stages.values(), stages):
-                    samples.add(seconds)
+            for samples, seconds in zip(stats.stages.values(), stages):
+                samples.add(seconds)
 
     def record_batch(self, tenants, size: int) -> None:
         """Record one coalesced batch launch touching the given *tenants*.

@@ -1,7 +1,7 @@
 """Differential correctness of the serving batcher (coalesced vs eager).
 
 The serving runtime's central claim is that coalescing is *invisible*: N
-concurrent requests answered through one ``batched_spmm`` launch return
+concurrent requests answered through one packed ``spmm`` launch return
 bit-for-bit the same arrays as N sequential eager calls.  These tests check
 that claim three ways:
 
@@ -12,7 +12,7 @@ that claim three ways:
   structures, dtypes, widths and interleavings, and over the packed launch's
   own corners (odd widths, padded groups, strided inputs, empty rows);
 * end-to-end through a live :class:`~repro.serve.Server` — threaded
-  submission, the asyncio front-end, and the saturation policies.
+  submission, the asyncio front-end, and a full queue answered inline.
 
 The drain rule (:class:`~repro.serve.server.Drain`) is driven on a fake
 clock and a stub queue: which requests share a drain is a pure function of
@@ -33,7 +33,6 @@ from repro.runtime.session import Session
 from repro.serve import (
     Server,
     ServerConfig,
-    ServerSaturated,
     coalesce,
     make_call_request,
     make_sddmm_request,
@@ -601,9 +600,7 @@ class TestServerEndToEnd:
         can be saturated deterministically."""
         server = Server(
             session=Session(),
-            config=ServerConfig(
-                queue_capacity=capacity, linger_s=0.0, poll_s=0.01, saturation="inline"
-            ),
+            config=ServerConfig(queue_capacity=capacity, linger_s=0.0),
         )
         release = threading.Event()
         started = threading.Event()
@@ -633,22 +630,6 @@ class TestServerEndToEnd:
             server.close()
         assert server.snapshot()["default"]["degraded_inline"] == 1
 
-    def test_saturation_reject_fails_future(self, rng):
-        csr = _random_csr(10, 8, 0.3, seed=9)
-        x = rng.random((8, 2), dtype=np.float32)
-        server, release = self._blocked_server(capacity=1)
-        server.config.saturation = "reject"
-        try:
-            filler = server.spmm(csr, x)
-            rejected = server.spmm(csr, x)
-            with pytest.raises(ServerSaturated):
-                rejected.result(timeout=10)
-            release.set()
-            filler.result(timeout=30)
-        finally:
-            release.set()
-            server.close()
-
     def test_close_is_idempotent_and_rejects_new_work(self, rng):
         server = Server(session=Session())
         server.close()
@@ -665,4 +646,4 @@ class TestServerEndToEnd:
         with pytest.raises(ValueError):
             ServerConfig(queue_capacity=0)
         with pytest.raises(ValueError):
-            ServerConfig(saturation="drop")
+            ServerConfig(max_batch=0)

@@ -1,25 +1,25 @@
-"""Fault injection for the serving runtime: stampedes, death, corruption.
+"""Fault injection for the kernel caches a server runs on: stampedes, corruption.
 
 The claims under test:
 
 * **Single flight** — N threads of one process building one cold structure
   perform exactly *one* lowering between them, and a lowering that raises
-  frees the structure for the next builder.  Spawned worker processes
-  sharing a disk cache directory each lower for themselves, agree bit for
-  bit and leave one set of files.
-* **Worker death** — a worker killed mid-request is detected, its in-flight
-  tasks are resubmitted to survivors, and when nobody survives the pool
-  degrades to inline execution on the calling process.  The queue never
-  wedges: ``run_tasks`` always returns (or raises :class:`WorkerDied`).
+  frees the structure for the next builder.  Cold processes sharing a disk
+  cache directory each lower for themselves, agree bit for bit and leave one
+  set of files.
 * **Corruption** — a garbage payload in the shared disk cache is detected,
-  counted, and rebuilt around.
+  counted, and rebuilt around, in this process and in fresh ones.
 """
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.core.codegen.build import build
 from repro.core.codegen.cache import DiskKernelCache, KernelCache
@@ -27,8 +27,31 @@ from repro.core.codegen.native import toolchain_available
 from repro.formats.csr import CSRMatrix
 from repro.ops.spmm import build_spmm_program, spmm_reference
 from repro.runtime.session import Session
-from repro.serve import WorkerDied, WorkerPool, spmm_sharded
-from repro.serve.workers import _csr_payload
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Runs in a fresh interpreter: reads a CSR matrix and its features from the
+#: ``.npz`` ``argv[1]``, opens a session on the cache directory ``argv[2]``,
+#: sleeps until the instant ``argv[3]`` (``time.time()``; every child of a
+#: stampede gets the same one, so they all go at once), runs one SpMM, saves
+#: the answer to ``argv[4]`` and prints how many lowerings it ran.
+CHILD = """
+import json, sys, time
+import numpy as np
+from repro.formats.csr import CSRMatrix
+from repro.runtime.session import Session
+inputs, cache_dir, start, out = sys.argv[1:]
+arrays = np.load(inputs)
+csr = CSRMatrix(tuple(map(int, arrays["shape"])), arrays["indptr"], arrays["indices"], arrays["data"])
+session = Session(persistent=cache_dir, tuning_records=False)
+time.sleep(max(float(start) - time.time(), 0.0))
+np.save(out, session.spmm(csr, arrays["x"]))
+print(json.dumps({"lowerings": session.cache.stats.lowerings}))
+"""
+
+#: How far ahead of the launch a stampede's start barrier lies: long enough
+#: for every child to import the package cold.
+START_DELAY_S = 3.0
 
 
 def _csr(seed=0, rows=40, cols=32, density=0.2):
@@ -38,23 +61,31 @@ def _csr(seed=0, rows=40, cols=32, density=0.2):
     return CSRMatrix.from_dense(dense)
 
 
-def _sync_pool(pool, workers, deadline_s=30.0):
-    """Wait until every worker process has booted and served a ping.
-
-    Spawned workers import the package cold, so the first seconds of a
-    pool's life are racy: one fast worker could otherwise swallow several
-    tasks meant to land one-per-worker.  Rounds of held pings (``delay_s``)
-    are re-issued until one round comes back from *workers* distinct pids.
-    """
-    deadline = time.monotonic() + deadline_s
-    while time.monotonic() < deadline:
-        results = pool.run_tasks(
-            [{"kind": "ping", "delay_s": 0.3} for _ in range(workers)], timeout=30
+def _run_children(tmp_path, cache_dir, csr, x, children, start=0.0):
+    """Run *children* cold processes of :data:`CHILD` on one cache directory;
+    one report per child, its answer under ``"out"``."""
+    inputs = tmp_path / "inputs.npz"
+    np.savez(
+        inputs, shape=np.array(csr.shape), indptr=csr.indptr, indices=csr.indices,
+        data=csr.data, x=x,
+    )
+    environ = {**os.environ, "PYTHONPATH": str(SRC)}
+    outs = [tmp_path / f"out{child}.npy" for child in range(children)]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", CHILD, str(inputs), str(cache_dir), repr(start), str(out)],
+            env=environ, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
-        pids = {res["pid"] for res in results if res["ok"]}
-        if len(pids) == workers:
-            return pids
-    raise AssertionError(f"pool never reached {workers} live workers")
+        for out in outs
+    ]
+    reports = []
+    for proc, out in zip(procs, outs):
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr[-2000:]
+        report = json.loads(stdout.strip().splitlines()[-1])
+        report["out"] = np.load(out)
+        reports.append(report)
+    return reports
 
 
 class TestThreadStampede:
@@ -142,120 +173,26 @@ class TestThreadStampede:
 
 class TestProcessStampede:
     def test_cold_workers_agree_and_share_one_set_of_files(self, tmp_path):
-        """4 cold worker processes, one shared cache dir, simultaneous
-        release: each may lower for itself, but every answer is correct and
-        identical, and the directory holds one file of each kind."""
-        workers = 4
+        """4 cold processes, one shared cache dir, simultaneous release: each
+        may lower for itself, but every answer is correct and identical, and
+        the directory holds one file of each kind."""
         csr = _csr(seed=3)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((csr.cols, 4)).astype(np.float32)
-        with WorkerPool(workers, cache_dir=tmp_path) as pool:
-            pids = _sync_pool(pool, workers)
-            barrier = time.time() + 0.5
-            tasks = [
-                {
-                    "kind": "spmm",
-                    "csr": _csr_payload(csr),
-                    "features": x,
-                    "not_before": barrier,
-                }
-                for _ in range(workers)
-            ]
-            results = pool.run_tasks(tasks, timeout=120)
-        assert all(res["ok"] for res in results), results
-        assert {res["pid"] for res in results} == pids
-        assert len(pids) == workers
+        cache_dir = tmp_path / "cache"
+        results = _run_children(
+            tmp_path, cache_dir, csr, x, children=4, start=time.time() + START_DELAY_S
+        )
         assert all(res["lowerings"] <= 1 for res in results)
         baseline = results[0]["out"]
         for res in results[1:]:
             assert np.array_equal(res["out"], baseline)
         assert np.allclose(baseline, spmm_reference(csr, x), atol=1e-4)
-        # Atomic writes and a text-named shared object: however many workers
+        # Atomic writes and a text-named shared object: however many children
         # lowered and compiled, one program, one record, one artifact.
         artifact = ".so" if toolchain_available() else ".py"
-        files = sorted(path.suffix for path in DiskKernelCache(tmp_path).dir.iterdir())
+        files = sorted(path.suffix for path in DiskKernelCache(cache_dir).dir.iterdir())
         assert files == sorted([".pkl", ".json", artifact]), files
-
-
-class TestWorkerDeath:
-    def test_killed_worker_requests_are_retried(self, tmp_path):
-        """Kill one of two workers mid-request: both requests still complete
-        (the survivor picks up the resubmitted task) and nothing wedges."""
-        csr = _csr(seed=5)
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((csr.cols, 3)).astype(np.float32)
-        expected = spmm_reference(csr, x)
-        with WorkerPool(2, cache_dir=tmp_path) as pool:
-            _sync_pool(pool, 2)
-            victim = pool.processes[0]
-            killer = threading.Timer(0.5, victim.kill)
-            killer.start()
-            try:
-                tasks = [
-                    {
-                        "kind": "spmm",
-                        "csr": _csr_payload(csr),
-                        "features": x,
-                        "delay_s": 1.5,
-                    }
-                    for _ in range(2)
-                ]
-                results = pool.run_tasks(tasks, timeout=60)
-            finally:
-                killer.cancel()
-            assert not victim.is_alive()
-            assert pool.retries >= 1
-        assert all(res["ok"] for res in results), results
-        for res in results:
-            assert np.allclose(res["out"], expected, atol=1e-4)
-            assert res["pid"] != victim.pid  # the survivor answered both
-
-    def test_all_workers_dead_degrades_inline(self, tmp_path):
-        """Kill the whole pool mid-request: the fallback executes every task
-        inline on the calling process instead of wedging the queue."""
-        csr = _csr(seed=7)
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((csr.cols, 3)).astype(np.float32)
-        expected = spmm_reference(csr, x)
-        with WorkerPool(2, cache_dir=tmp_path) as pool:
-            _sync_pool(pool, 2)
-            for proc in pool.processes:
-                proc.kill()
-            for proc in pool.processes:
-                proc.join(timeout=10)
-            assert pool.alive() == 0
-            out = spmm_sharded(csr, x, num_col_parts=2, pool=pool, timeout=60)
-        assert np.allclose(out, expected, rtol=1e-5, atol=1e-6)
-
-    def test_all_workers_dead_without_fallback_raises(self, tmp_path):
-        with WorkerPool(1, cache_dir=tmp_path) as pool:
-            _sync_pool(pool, 1)
-            pool.processes[0].kill()
-            with pytest.raises(WorkerDied):
-                pool.run_tasks([{"kind": "ping"}], timeout=30)
-
-    def test_crash_task_kills_worker_but_not_pool(self, tmp_path):
-        """A task that hard-exits its worker is itself retried-then-degraded;
-        later tasks still run (on survivors or inline)."""
-        csr = _csr(seed=9)
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((csr.cols, 2)).astype(np.float32)
-        with WorkerPool(1, cache_dir=tmp_path) as pool:
-            _sync_pool(pool, 1)
-            fell_back = []
-
-            def fallback(task):
-                fell_back.append(task["kind"])
-                if task["kind"] == "crash":
-                    return None
-                raise AssertionError("only the crash task should degrade")
-
-            results = pool.run_tasks([{"kind": "crash"}], timeout=30, fallback=fallback)
-            assert results[0]["ok"] and results[0].get("degraded")
-            assert fell_back == ["crash"]
-            # The pool is dead but spmm_sharded still answers (inline path).
-            out = spmm_sharded(csr, x, num_col_parts=2, pool=pool, timeout=30)
-        assert np.allclose(out, spmm_reference(csr, x), rtol=1e-5, atol=1e-6)
 
 
 class TestDiskCorruption:
@@ -281,25 +218,17 @@ class TestDiskCorruption:
         assert rebuilt.cache.stats.lowerings == 0
 
     def test_corrupt_entry_in_worker_pool(self, tmp_path):
-        """Workers sharing a poisoned cache dir still answer correctly."""
+        """Cold processes sharing a poisoned cache dir still answer correctly."""
         csr = _csr(seed=13)
         rng = np.random.default_rng(14)
         x = rng.standard_normal((csr.cols, 3)).astype(np.float32)
-        warm = Session(persistent=tmp_path)
+        cache_dir = tmp_path / "cache"
+        warm = Session(persistent=cache_dir)
         expected = warm.spmm(csr, x)
         poisoned = list(warm.cache.disk.dir.glob("*.pkl"))
         assert poisoned
         for payload in poisoned:
             payload.write_bytes(b"\x00garbage\x00")
-        with WorkerPool(2, cache_dir=tmp_path) as pool:
-            _sync_pool(pool, 2)
-            results = pool.run_tasks(
-                [
-                    {"kind": "spmm", "csr": _csr_payload(csr), "features": x}
-                    for _ in range(2)
-                ],
-                timeout=60,
-            )
-        assert all(res["ok"] for res in results)
+        results = _run_children(tmp_path, cache_dir, csr, x, children=2)
         for res in results:
             assert np.array_equal(res["out"], expected)
