@@ -1,22 +1,16 @@
-"""Autoscheduler contract: the default is in the race, hybrid measures less, records replay.
+"""Autoscheduler contract: the default is in the race, and records replay.
 
 Drives :meth:`Session.autotune` over the fig-13 SpMM benchmark graphs.  For
 every graph the test
 
-1. autotunes the ``spmm`` workload with the two-phase driver under the
-   **analytic** cost model, forcing the *current default* hyb configuration
-   (``hyb(1, heuristic)``) into the measured set, so the tuned winner is
-   **at least as fast as the default by construction** (both are timed in
-   the same session, the winner is the minimum) — and feeding the
-   measurement corpus as a side effect;
-2. re-tunes the same task with ``cost_model="hybrid"``: the residual model
-   trained on the pass-1 corpus re-ranks phase 1 and halves the phase-2
-   survivor budget, so the hybrid pass must spend **strictly fewer
-   wallclock measurements** with the default still in its measured set;
-3. re-opens the record store in a fresh :class:`Session` and verifies the
-   persisted :class:`TuningRecord` replays with zero model evaluations,
-   zero re-measurement, and — with the corpus sitting right there — zero
-   cost-model retraining.
+1. autotunes the ``spmm`` workload with the two-phase driver, forcing the
+   *current default* hyb configuration (``hyb(1, heuristic)``) into the
+   measured set, so the tuned winner is **at least as fast as the default
+   by construction** (both are timed in the same session, the winner is the
+   minimum);
+2. re-opens the record store in a fresh :class:`Session` and verifies the
+   persisted :class:`TuningRecord` replays the same winner with zero model
+   evaluations and zero re-measurement.
 
 ``test_tuning_smoke`` runs one small graph, ``test_tuning_full`` (``slow``)
 sweeps every fig-13 graph.  The only clock here is the tuner's own; what a
@@ -27,7 +21,6 @@ eager-large`` (its hyb rows).
 import pytest
 
 from repro.runtime.session import Session
-from repro.sim.learned import RidgeCostModel
 from repro.tune import SpMMProblem, TuningRecordStore
 from repro.workloads.graphs import available_graphs, generate_adjacency, synthetic_graph
 
@@ -59,34 +52,19 @@ def _check_default_in_race(result):
 def _tune_one(csr, feat_size, store, max_trials, survivors):
     session = Session(persistent=False, tuning_records=store)
     problem = SpMMProblem(csr, feat_size)
-    shared = dict(
-        max_trials=max_trials, survivors=survivors, seed=0, include=[dict(DEFAULT_HYB)]
+    result = session.autotune(
+        "spmm", problem, max_trials=max_trials, survivors=survivors, seed=0,
+        include=[dict(DEFAULT_HYB)],
     )
-    # Pass A: the analytic cost model, feeding the measurement corpus.
-    result = session.autotune("spmm", problem, **shared)
     _check_default_in_race(result)
 
-    # Pass B: the hybrid model trained on that corpus re-ranks phase 1 and
-    # halves the phase-2 budget — fewer measurements, same guarantee.
-    hybrid = session.autotune(
-        "spmm", problem, force=True, cost_model="hybrid", corpus_min_samples=3, **shared
-    )
-    _check_default_in_race(hybrid)
-    assert hybrid.record.metadata["corpus_samples"] >= 3
-    assert hybrid.timed_runs < result.timed_runs, (
-        "the confident hybrid model must spend fewer wallclock measurements"
-    )
-
     # A fresh process/session replays the persisted record with zero
-    # re-measurement — and, even asked for the learned ranking with a
-    # populated corpus on disk, zero cost-model retraining.
+    # re-measurement.
     fresh = Session(persistent=False, tuning_records=store)
-    fits_before = RidgeCostModel.fit_count
-    replay = fresh.autotune("spmm", problem, cost_model="hybrid")
+    replay = fresh.autotune("spmm", problem)
     assert replay.replayed and replay.evaluated == 0
-    assert RidgeCostModel.fit_count == fits_before, "replay must not retrain"
     assert fresh.stats.runs == 0
-    assert replay.best_config == hybrid.best_config
+    assert replay.best_config == result.best_config
 
 
 @pytest.mark.figure("tuning")

@@ -469,15 +469,10 @@ class Session:
         persistence layer; the winning
         :class:`~repro.tune.records.TuningRecord` is remembered in-session,
         so subsequent operator calls with ``tuned=True`` pick the tuned
-        decomposition up automatically.
-
-        The session's record store also accumulates the phase-2 measurement
-        corpus, so ``cost_model="hybrid"`` (rank phase 1 with the
-        corpus-trained residual model once it is confident, spending fewer
-        wallclock measurements) and ``transfer=True`` (seed a new workload
-        from its nearest already-tuned neighbour in feature space, skipping
-        phase 2 entirely under high confidence) work per session out of the
-        box — see :mod:`repro.tune.transfer` and ``docs/tuning.md``.
+        decomposition up automatically.  Phase 1 prices candidates on the
+        analytic model and phase 2 times the best ``survivors`` of them on
+        this session's tiers; a smaller ``survivors`` spends fewer timed
+        runs (see ``docs/tuning.md``).
 
         Args:
             workload: Registered workload family (``"spmm"``, ``"sddmm"``,
@@ -486,11 +481,10 @@ class Session:
             problem: The family's problem description (e.g.
                 :class:`~repro.tune.spaces.SpMMProblem`).
             **kwargs: Forwarded to the driver (strategy, max_trials,
-                survivors, repeats, seed, device, force, cost_model,
-                transfer, ...).
+                survivors, repeats, seed, device, force, records, include).
 
         Returns:
-            The :class:`~repro.tune.tuner.TuningResult`.
+            The :class:`~repro.tune.autoscheduler.TuningResult`.
         """
         from ..tune.autoscheduler import autotune
 
@@ -517,7 +511,7 @@ class Session:
         Each drift-triggered task re-tunes with the keyword arguments of its
         original :meth:`autotune` call (strategy, trial budget, seed, ...),
         overridden by any *kwargs* given here.  Returns the list of
-        :class:`~repro.tune.tuner.TuningResult` objects.
+        :class:`~repro.tune.autoscheduler.TuningResult` objects.
         """
         pending, self.retune_pending = self.retune_pending, []
         results = []

@@ -10,9 +10,8 @@ and execution features); the :class:`~repro.sim.gpu_model.GPUModel` estimates
 execution time from occupancy, whole-device roofline costs, a
 load-balance-aware critical-path bound on the heaviest block, tensor-core
 throughput and kernel-launch overhead.  A set-associative cache simulator
-provides the L1/L2 hit rates reported in Figure 12, :mod:`~repro.sim.learned`
-layers a corpus-trained residual corrector on top of the analytic estimate,
-and :func:`cuda_source` / :func:`profile_kernel` read a compiled kernel's IR.
+provides the L1/L2 hit rates reported in Figure 12, and :func:`cuda_source` /
+:func:`profile_kernel` read a compiled kernel's IR.
 
 The dependency runs one way: ``repro.sim`` imports ``ops``, ``formats``,
 ``models`` and ``core``; of the code that *runs* programs only ``repro.tune``
@@ -23,7 +22,6 @@ imports it (phase 1 of the autoscheduler is the simulated ranking), and
 from .cuda_like import cuda_source
 from .device import RTX3070, V100, DeviceSpec
 from .gpu_model import GPUModel, PerfReport, estimate_us, profile_kernel
-from .learned import FEATURE_NAMES, FEATURE_VERSION, RidgeCostModel, workload_features
 from .workload import BlockGroup, KernelWorkload
 
 __all__ = [
@@ -37,8 +35,4 @@ __all__ = [
     "cuda_source",
     "KernelWorkload",
     "BlockGroup",
-    "FEATURE_NAMES",
-    "FEATURE_VERSION",
-    "RidgeCostModel",
-    "workload_features",
 ]

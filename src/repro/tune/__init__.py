@@ -15,26 +15,21 @@ workload-generic **format autoscheduler**:
   hook;
 * :mod:`~repro.tune.autoscheduler` — the two-phase driver
   (:func:`autotune`): predicted-cost pruning with the GPU model, then
-  wallclock measurement of the survivors through the cached emitted-kernel
-  runtime, under grid / random / evolutionary / successive-halving
-  strategies;
+  wallclock measurement of the survivors on whichever tier the session
+  serves (native when a C toolchain is present), under grid / random /
+  evolutionary / successive-halving strategies;
 * :mod:`~repro.tune.records` — persistent :class:`TuningRecord` storage
   keyed by structural fingerprint, so the search cost is paid once per
-  sparsity structure, exactly as the paper argues — plus the per-fingerprint
-  *measurement corpus* every phase-2 run feeds;
-* :mod:`~repro.tune.transfer` — the learned-cost-model layer over that
-  corpus: residual-model training (``cost_model="learned"|"hybrid"``) and
-  transfer tuning from the nearest already-tuned neighbour in feature space.
+  sparsity structure, exactly as the paper argues.
 """
 
-from .autoscheduler import COST_MODELS, DEFAULT_MAX_TRIALS, STRATEGIES, autotune
+from .autoscheduler import DEFAULT_MAX_TRIALS, STRATEGIES, TuningResult, autotune
 from .records import (
     RECORDS_ENV_VAR,
     TuningRecord,
     TuningRecordStore,
     resolve_record_store,
 )
-from .transfer import TransferPlan, plan_transfer, task_features, train_from_corpus
 from .search_space import Choice, ParameterSpace, config_key
 from .spaces import (
     AttentionProblem,
@@ -48,11 +43,9 @@ from .spaces import (
     register_workload,
     task_fingerprint,
 )
-from .tuner import TuningResult
 
 __all__ = [
     "AttentionProblem",
-    "COST_MODELS",
     "Choice",
     "DEFAULT_MAX_TRIALS",
     "InfeasibleConfig",
@@ -62,7 +55,6 @@ __all__ = [
     "SDDMMProblem",
     "SpMMProblem",
     "STRATEGIES",
-    "TransferPlan",
     "TuningRecord",
     "TuningRecordStore",
     "TuningResult",
@@ -71,10 +63,7 @@ __all__ = [
     "available_workloads",
     "config_key",
     "get_workload",
-    "plan_transfer",
     "register_workload",
     "resolve_record_store",
-    "task_features",
     "task_fingerprint",
-    "train_from_corpus",
 ]

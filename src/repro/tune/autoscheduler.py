@@ -13,9 +13,10 @@ generalised over every registered workload family
    configurations are discarded.
 2. **Measure** — the best-predicted candidates with *distinct execution
    behaviour* run through a :class:`~repro.runtime.session.Session`:
-   the first (untimed) call compiles and caches the emitted stage-IV kernel,
-   subsequent calls time the run-many path only.  ``successive_halving``
-   re-measures shrinking survivor sets with doubling repeat counts.
+   the first (untimed) call builds the kernel on whichever tier the session
+   serves (native when a C toolchain is present), subsequent calls time the
+   run-many path only.  ``successive_halving`` re-measures shrinking
+   survivor sets with doubling repeat counts.
 
 The winning configuration is persisted as a
 :class:`~repro.tune.records.TuningRecord` keyed by the structural task
@@ -26,6 +27,7 @@ decision without re-measuring anything (``TuningResult.replayed``).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,22 +35,50 @@ import numpy as np
 from ..runtime.session import Session
 from ..sim.device import DeviceSpec, V100
 from ..sim.gpu_model import estimate_us
-from ..sim.learned import FEATURE_VERSION, RidgeCostModel, feature_list, workload_features
-from .records import TuningRecord, _jsonable_config, resolve_record_store
+from .records import TuningRecord, resolve_record_store
 from .search_space import ParameterSpace, config_key
 from .spaces import InfeasibleConfig, WorkloadSpec, get_workload, task_fingerprint
-from .transfer import DEFAULT_MAX_DISTANCE, plan_transfer, task_features, train_from_corpus
-from .tuner import TuningResult
 
 STRATEGIES = ("grid", "random", "evolutionary", "successive_halving")
 
-#: Phase-1 ranking objectives: the analytic GPU model alone, the
-#: corpus-trained residual model alone, or the residual model only once it
-#: is confident (enough samples, tight residual) — the safe default upgrade.
-COST_MODELS = ("analytic", "learned", "hybrid")
-
 #: Default cap on phase-1 cost-model evaluations for the sampling strategies.
 DEFAULT_MAX_TRIALS = 64
+
+
+@dataclass
+class TuningResult:
+    """Outcome of one :func:`autotune` run.
+
+    The winning configuration and its cost, the search history, the workload
+    family and task fingerprint, the phase-wise best costs
+    (``best_predicted_us`` from the GPU cost model, ``best_measured_s`` from
+    wallclock measurement through the runtime), whether the result was
+    **replayed** from a persisted :class:`~repro.tune.records.TuningRecord`
+    with zero new work, and the record itself.
+    """
+
+    best_config: Dict[str, Any]
+    best_cost: float
+    evaluated: int
+    history: List[Dict[str, Any]] = field(default_factory=list)
+    workload: str = ""
+    fingerprint: str = ""
+    strategy: str = ""
+    best_predicted_us: Optional[float] = None
+    best_measured_s: Optional[float] = None
+    replayed: bool = False
+    record: Any = None
+    #: Distinct configurations that reached wallclock measurement, and the
+    #: total number of timed runs spent on them (0 when replayed).
+    measured_configs: int = 0
+    timed_runs: int = 0
+
+    def __repr__(self) -> str:
+        cost = "None" if self.best_cost is None else f"{self.best_cost:.3g}"
+        return (
+            f"TuningResult(best_cost={cost}, evaluated={self.evaluated}, "
+            f"replayed={self.replayed}, best_config={self.best_config})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -56,89 +86,40 @@ DEFAULT_MAX_TRIALS = 64
 # ---------------------------------------------------------------------------
 
 class _Predictor:
-    """Memoised cost-model objective over canonical configurations.
+    """Memoised cost-model objective over canonical configurations."""
 
-    ``cost`` returns the phase-1 *ranking score*: the analytic estimate, or —
-    when a corpus-trained :class:`RidgeCostModel` is attached — the analytic
-    estimate times the learned residual correction.  The raw analytic price
-    and the feature vector of every priced configuration stay available for
-    the tuning record and the measurement corpus.
-    """
-
-    def __init__(
-        self,
-        spec: WorkloadSpec,
-        problem: Any,
-        device: DeviceSpec,
-        session: Any,
-        model: Optional[RidgeCostModel] = None,
-        collect_features: bool = False,
-    ):
+    def __init__(self, spec: WorkloadSpec, problem: Any, device: DeviceSpec, session: Any):
         self.spec = spec
         self.problem = problem
         self.device = device
         #: Phase 1 decomposes hyb / BSR through the session phase 2 measures
         #: with; ``memo`` holds the decompositions a session does not memoise.
         self.session = session
-        self.model = model
-        self.collect_features = collect_features or model is not None
         self.memo: Dict = {}
         self.costs: Dict[Tuple, float] = {}
-        self.analytic: Dict[Tuple, float] = {}
-        self.features: Dict[Tuple, List[float]] = {}
         self.history: List[Dict[str, Any]] = []
 
-    def _workload(self, config: Dict[str, Any]) -> Any:
-        return self.spec.predict(self.problem, config, self.device, self.session, self.memo)
-
     def cost(self, config: Dict[str, Any]) -> float:
-        """Ranking score of *config*; ``inf`` when infeasible."""
+        """Analytic price of *config* in model microseconds; ``inf`` when infeasible."""
         key = config_key(self.spec.canonical(config))
         if key in self.costs:
             return self.costs[key]
-        features: Optional[List[float]] = None
         try:
-            workload = self._workload(config)
-            analytic = float(estimate_us(workload, self.device))
-            if self.collect_features:
-                features = feature_list(workload_features(workload, self.device))
-                self.features[key] = features
+            workload = self.spec.predict(
+                self.problem, config, self.device, self.session, self.memo
+            )
+            cost = float(estimate_us(workload, self.device))
         except InfeasibleConfig:
-            analytic = float("inf")
-        score = analytic
-        if self.model is not None and features is not None and analytic != float("inf"):
-            score = float(self.model.predict_us(features, analytic))
-        self.costs[key] = score
-        self.analytic[key] = analytic
-        entry = {
-            "phase": "predict",
-            "config": dict(config),
-            "predicted_us": None if analytic == float("inf") else analytic,
-        }
-        if self.model is not None:
-            entry["score"] = None if score == float("inf") else score
-        self.history.append(entry)
-        return score
-
-    def analytic_us(self, config: Dict[str, Any]) -> float:
-        """The uncorrected analytic estimate of *config*."""
-        key = config_key(self.spec.canonical(config))
-        if key not in self.analytic:
-            self.cost(config)
-        return self.analytic[key]
-
-    def features_of(self, config: Dict[str, Any]) -> Optional[List[float]]:
-        """The feature vector of *config* (``None`` when infeasible)."""
-        key = config_key(self.spec.canonical(config))
-        if key in self.features:
-            return self.features[key]
-        try:
-            workload = self._workload(config)
-        except InfeasibleConfig:
-            return None
-        features = feature_list(workload_features(workload, self.device))
-        self.features[key] = features
-        return features
+            cost = float("inf")
+        self.costs[key] = cost
+        self.history.append(
+            {
+                "phase": "predict",
+                "config": dict(config),
+                "predicted_us": None if cost == float("inf") else cost,
+            }
+        )
+        return cost
 
     @property
     def evaluated(self) -> int:
@@ -322,7 +303,7 @@ def _phase2_measure(
                 {
                     "phase": "measure",
                     "config": dict(config),
-                    "predicted_us": predictor.analytic_us(config),
+                    "predicted_us": predictor.cost(config),
                     "measured_s": best,
                     "repeats": round_repeats,
                 }
@@ -348,10 +329,6 @@ def autotune(
     records: Any = None,
     force: bool = False,
     include: Optional[List[Dict[str, Any]]] = None,
-    cost_model: str = "analytic",
-    transfer: bool = False,
-    transfer_max_distance: float = DEFAULT_MAX_DISTANCE,
-    corpus_min_samples: int = 8,
 ) -> TuningResult:
     """Search the workload's decomposition space and persist the winner.
 
@@ -369,8 +346,8 @@ def autotune(
         max_trials: Phase-1 cost-model evaluation budget (defaults to the
             whole space for ``grid``, else ``min(|space|, 64)``).
         survivors: How many best-predicted candidates reach wallclock
-            measurement.  ``0`` makes the run predict-only (deterministic:
-            same seed, same history).
+            measurement; lower it to spend fewer timed runs.  ``0`` makes
+            the run predict-only (deterministic: same seed, same history).
         repeats: Timed runs per surviving candidate (best-of).
         seed: Seed for sampling, evolution and measurement inputs.
         records: Persistent record store selector — ``None`` resolves
@@ -383,36 +360,15 @@ def autotune(
             must be a member of the workload's space; infeasible baselines
             are skipped.  Requires ``survivors > 0`` (forcing baselines into
             a predict-only run would let the baseline win unmeasured).
-        cost_model: Phase-1 ranking objective.  ``"analytic"`` uses the GPU
-            model alone; ``"learned"`` multiplies it by the residual
-            correction of a :class:`~repro.sim.learned.RidgeCostModel`
-            trained on the store's measurement corpus; ``"hybrid"`` applies
-            the correction only once the model is *confident* (enough
-            corpus samples, tight training residual) and then also halves
-            the phase-2 survivor budget — fewer wallclock measurements for
-            the same search quality.  Without a record store both learned
-            modes silently degrade to the analytic ranking.
-        transfer: Seed phase 1 from the winning configurations of the
-            nearest corpus neighbour in feature space (a structurally
-            similar, already-tuned task).  Combined with a confident
-            learned model (and no ``include`` baselines) the neighbour's
-            knowledge replaces phase 2 entirely: the run is predict-only
-            and ``result.transferred_from`` names the source fingerprint.
-        transfer_max_distance: Relative feature-space distance bound for a
-            corpus entry to count as a near neighbour.
-        corpus_min_samples: Minimum corpus triples before a learned model
-            is trained at all (also its confidence floor).
 
     Returns:
-        A :class:`~repro.tune.tuner.TuningResult`; ``result.replayed`` is
-        True when a persisted record satisfied the call with zero model
-        evaluations and zero measurements.
+        A :class:`TuningResult`; ``result.replayed`` is True when a
+        persisted record satisfied the call with zero model evaluations and
+        zero measurements.
     """
     spec = get_workload(workload)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
-    if cost_model not in COST_MODELS:
-        raise ValueError(f"unknown cost_model {cost_model!r}; use one of {COST_MODELS}")
     if max_trials is not None and max_trials <= 0:
         raise ValueError("max_trials must be positive")
     store = resolve_record_store(records)
@@ -440,7 +396,6 @@ def autotune(
                 best_measured_s=record.measured_s,
                 replayed=True,
                 record=record,
-                cost_model=cost_model,
             )
 
     if include and survivors <= 0:
@@ -448,51 +403,10 @@ def autotune(
             "include= forces baselines into the measured set; it requires survivors > 0"
         )
 
-    model: Optional[RidgeCostModel] = None
-    if cost_model in ("learned", "hybrid") and store is not None:
-        model = train_from_corpus(
-            store, workload=workload, min_samples=corpus_min_samples
-        )
-    use_model = model is not None and (cost_model == "learned" or model.confident)
-
-    # Feature vectors for unmeasured candidates are only needed when the
-    # model ranks with them; the corpus write recomputes the few measured
-    # ones on demand (``features_of``).
     if session is None:
         session = Session()
-    predictor = _Predictor(spec, problem, device, session, model=model if use_model else None)
+    predictor = _Predictor(spec, problem, device, session)
     ranked = _phase1_candidates(strategy, space, predictor, max_trials, seed)
-
-    reference_features = None
-    if store is not None:
-        reference_features = task_features(
-            spec, problem, device, session=session, memo=predictor.memo
-        )
-
-    plan = None
-    if transfer and store is not None:
-        plan = plan_transfer(
-            store,
-            spec,
-            problem,
-            device,
-            fingerprint,
-            features=reference_features,
-            max_distance=transfer_max_distance,
-            session=session,
-            memo=predictor.memo,
-        )
-        if plan is not None:
-            # Seed phase 1 with the neighbour's winners: price them and merge
-            # them into the ranked list even when sampling missed them.
-            seen = {config_key(spec.canonical(config)) for _, config in ranked}
-            for config in plan.seed_configs:
-                cost = predictor.cost(config)
-                key = config_key(spec.canonical(config))
-                if cost != float("inf") and key not in seen:
-                    seen.add(key)
-                    ranked.append((cost, config))
-            ranked.sort(key=lambda item: item[0])
 
     forced: List[Tuple[float, Dict[str, Any]]] = []
     for config in include or []:
@@ -504,24 +418,14 @@ def autotune(
     if not ranked and not forced:
         raise ValueError(f"no feasible configuration for workload {workload!r}")
 
-    # A confident learned model needs fewer wallclock samples: halve the
-    # survivor budget, and with a transferred seed set skip phase 2 outright.
-    effective_survivors = survivors
-    confident = use_model and model is not None and model.confident
-    if confident and survivors > 1:
-        effective_survivors = max(1, survivors // 2)
-    transferred = bool(plan is not None and confident and not include and survivors > 0)
-    if transferred:
-        effective_survivors = 0
-
     measured: List[Tuple[float, float, Dict[str, Any]]] = []
-    if effective_survivors > 0:
+    if survivors > 0:
         measured = _phase2_measure(
             spec,
             problem,
             session,
             ranked,
-            effective_survivors,
+            survivors,
             repeats,
             halving=(strategy == "successive_halving"),
             seed=seed,
@@ -540,22 +444,9 @@ def autotune(
         _, best_config = ranked[0]
         best_cost = predictor.cost(best_config)
         best_measured = None
-    best_predicted = predictor.analytic_us(best_config)
+    best_predicted = predictor.cost(best_config)
+    measures = [entry for entry in predictor.history if entry["phase"] == "measure"]
 
-    measured_configs, timed_runs = _persist_corpus(
-        store, spec, predictor, fingerprint, workload, reference_features
-    )
-
-    metadata: Dict[str, Any] = {
-        "device": device.name,
-        "space_size": len(space),
-        "cost_model": cost_model,
-        "corpus_samples": model.n_samples if model is not None else 0,
-    }
-    if plan is not None:
-        metadata["transfer_from"] = plan.source_fingerprint
-        metadata["transfer_distance"] = plan.distance
-        metadata["transferred"] = transferred
     record = TuningRecord(
         fingerprint=fingerprint,
         workload=workload,
@@ -565,7 +456,7 @@ def autotune(
         evaluated=predictor.evaluated,
         strategy=strategy,
         seed=seed,
-        metadata=metadata,
+        metadata={"device": device.name, "space_size": len(space)},
     )
     if store is not None:
         store.put(record)
@@ -584,56 +475,7 @@ def autotune(
         best_measured_s=best_measured,
         replayed=False,
         record=record,
-        cost_model=cost_model,
-        transferred_from=plan.source_fingerprint if transferred else None,
-        transfer_distance=plan.distance if transferred else None,
-        measured_configs=measured_configs,
-        timed_runs=timed_runs,
+        measured_configs=len({config_key(spec.canonical(e["config"])) for e in measures}),
+        timed_runs=sum(e["repeats"] for e in measures),
     )
 
-
-def _persist_corpus(
-    store: Any,
-    spec: WorkloadSpec,
-    predictor: _Predictor,
-    fingerprint: str,
-    workload: str,
-    reference_features: Any,
-) -> Tuple[int, int]:
-    """Persist this run's phase-2 triples; returns (measured configs, timed runs).
-
-    Every measured configuration contributes its best wallclock together
-    with its feature vector and analytic price — the training data of the
-    learned cost model.  The counts are returned for the
-    :class:`TuningResult` regardless of whether a store is attached.
-    """
-    best_by_config: Dict[str, Dict[str, Any]] = {}
-    timed_runs = 0
-    for entry in predictor.history:
-        if entry.get("phase") != "measure":
-            continue
-        timed_runs += int(entry.get("repeats", 1))
-        config = entry["config"]
-        features = predictor.features_of(config)
-        if features is None:
-            continue
-        key = repr(config_key(spec.canonical(config)))
-        previous = best_by_config.get(key)
-        if previous is None or entry["measured_s"] < previous["measured_s"]:
-            best_by_config[key] = {
-                "features": features,
-                "predicted_us": entry["predicted_us"],
-                "measured_s": entry["measured_s"],
-                "config": _jsonable_config(config),
-            }
-    if store is not None and best_by_config:
-        store.add_corpus(
-            fingerprint,
-            workload,
-            [best_by_config[key] for key in sorted(best_by_config)],
-            task_features=(
-                feature_list(reference_features) if reference_features is not None else None
-            ),
-            feature_version=FEATURE_VERSION,
-        )
-    return len(best_by_config), timed_runs

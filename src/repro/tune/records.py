@@ -17,18 +17,13 @@ The on-disk store follows the same discipline as
 * writes go through a temporary file plus an atomic :func:`os.replace`;
 * reads treat any failure (truncated file, schema skew, fingerprint
   mismatch) as a miss, count it in ``stats.errors`` and discard the entry
-  (one read-validate-discard helper, ``_read``; counters are bumped under a
-  lock, as the kernel store's are: a served session reads both stores from
-  several threads);
+  (counters are bumped under a lock, as the kernel store's are: a served
+  session reads both stores from several threads);
 * the root directory is ``$REPRO_TUNING_RECORDS`` (values ``0``/``off``/...
   disable the store) or ``~/.cache/repro-tuning`` when asked for explicitly.
 
-Next to the per-fingerprint *record* the store also keeps a per-fingerprint
-*measurement corpus* under ``<root>/corpus-v<CORPUS_SCHEMA_VERSION>/``: every
-phase-2 (feature_vector, predicted_us, measured_s) triple the autoscheduler
-produces, with the same atomic-write/corruption-tolerant discipline.  The
-corpus is the training set of :class:`~repro.sim.learned.RidgeCostModel`
-and the neighbour index of :mod:`~repro.tune.transfer`.
+The store reads and clears ``v<RECORD_SCHEMA_VERSION>/`` only; any other
+directory under the root (a ``corpus-v1/`` an older release wrote) is ignored.
 """
 
 from __future__ import annotations
@@ -36,18 +31,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from .._files import StoreStats, atomic_write, env_root
 
 #: Bumped whenever the persisted record layout changes.
 RECORD_SCHEMA_VERSION = 1
-
-#: Bumped whenever the persisted corpus layout changes.
-CORPUS_SCHEMA_VERSION = 1
-
-#: Per-fingerprint cap on persisted measurement triples (oldest dropped).
-CORPUS_MAX_ENTRIES = 512
 
 #: Environment variable naming the on-disk record root.  Unset disables the
 #: persistent layer; the values ``0`` / ``off`` / ``false`` disable it too.
@@ -133,51 +122,10 @@ class TuningRecord:
         )
 
 
-#: What ``json.loads`` and the two payload validators raise on a damaged or
-#: stale file.  Anything else is a bug in the store and propagates, so it
-#: cannot silently unlink a good record.
+#: What ``json.loads`` and the record validator raise on a damaged or stale
+#: file.  Anything else is a bug in the store and propagates, so it cannot
+#: silently unlink a good record.
 _BAD_FILE = (ValueError, KeyError, TypeError, AttributeError)
-
-
-def _validate_corpus_payload(payload: Any, fingerprint: str) -> Dict[str, Any]:
-    """Check one corpus payload's shape; raises on anything suspicious."""
-    if not isinstance(payload, dict):
-        raise TypeError("corpus payload is not a dict")
-    if payload.get("schema") != CORPUS_SCHEMA_VERSION:
-        raise ValueError(
-            f"corpus schema {payload.get('schema')} != {CORPUS_SCHEMA_VERSION}"
-        )
-    if payload.get("fingerprint") != fingerprint:
-        raise ValueError("corpus fingerprint mismatch (renamed or corrupted file)")
-    if not isinstance(payload.get("workload"), str):
-        raise TypeError("corpus workload is not a string")
-    if not isinstance(payload.get("feature_version"), int):
-        raise TypeError("corpus feature_version is not an int")
-    entries = payload.get("entries")
-    if not isinstance(entries, list):
-        raise TypeError("corpus entries is not a list")
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise TypeError("corpus entry is not a dict")
-        features = entry.get("features")
-        if not isinstance(features, list) or not all(
-            isinstance(v, (int, float)) for v in features
-        ):
-            raise TypeError("corpus entry features is not a numeric list")
-        for key in ("predicted_us", "measured_s"):
-            if not isinstance(entry.get(key), (int, float)):
-                raise TypeError(f"corpus entry {key} is not numeric")
-    return payload
-
-
-@dataclass
-class _StoreStats(StoreStats):
-    """The record counters, and the measurement corpus's beside them."""
-
-    corpus_hits: int = 0
-    corpus_misses: int = 0
-    corpus_errors: int = 0
-    corpus_writes: int = 0
 
 
 class TuningRecordStore:
@@ -188,8 +136,7 @@ class TuningRecordStore:
             root = env_root(RECORDS_ENV_VAR) or "~/.cache/repro-tuning"
         self.root = Path(root).expanduser()
         self.dir = self.root / f"v{RECORD_SCHEMA_VERSION}"
-        self.corpus_dir = self.root / f"corpus-v{CORPUS_SCHEMA_VERSION}"
-        self.stats = _StoreStats()
+        self.stats = StoreStats()
 
     @classmethod
     def from_env(cls) -> Optional["TuningRecordStore"]:
@@ -208,135 +155,54 @@ class TuningRecordStore:
             return 0
         return sum(1 for _ in self.dir.glob("*.json"))
 
-    # -- read ------------------------------------------------------------------
-    def _read(self, path: Path, check: Callable[[Any], Any], kind: str = "") -> Any:
-        """What *check* makes of the json at *path*, or ``None``.
+    def get(self, fingerprint: str) -> Optional[TuningRecord]:
+        """Load one record, or ``None`` on miss / corruption / schema skew.
 
-        A missing file is a miss; one that does not parse or that *check*
-        rejects is an error, and is discarded so it cannot be read again.
-        *kind* prefixes the counters (``"corpus_"``).
+        A missing file is a miss; one that does not parse, or whose schema or
+        fingerprint does not match, is an error and is discarded so it cannot
+        be read again.
         """
+        path = self._path(fingerprint)
         try:
             text = path.read_text()
         except OSError:
-            self.stats.count(f"{kind}misses")
+            self.stats.count("misses")
             return None
         try:
-            value = check(json.loads(text))
+            record = TuningRecord.from_json(json.loads(text))
+            if record.fingerprint != fingerprint:
+                raise ValueError("fingerprint mismatch (renamed or corrupted record)")
         except _BAD_FILE:
-            self.stats.count(f"{kind}errors")
+            self.stats.count("errors")
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        self.stats.count(f"{kind}hits")
-        return value
-
-    def get(self, fingerprint: str) -> Optional[TuningRecord]:
-        """Load one record, or ``None`` on miss / corruption / schema skew."""
-
-        def check(payload: Any) -> TuningRecord:
-            record = TuningRecord.from_json(payload)
-            if record.fingerprint != fingerprint:
-                raise ValueError("fingerprint mismatch (renamed or corrupted record)")
-            return record
-
-        return self._read(self._path(fingerprint), check)
-
-    # -- write -----------------------------------------------------------------
-    def _atomic_write_json(self, path: Path, payload: Dict[str, Any]) -> bool:
-        """Write ``payload`` to ``path`` via tmp-file + ``os.replace``."""
-        try:
-            data = json.dumps(payload, indent=2, sort_keys=True).encode()
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write(path, data)
-        except (OSError, TypeError, ValueError):
-            return False
-        return True
+        self.stats.count("hits")
+        return record
 
     def put(self, record: TuningRecord) -> None:
         """Persist one record atomically; failures are swallowed (best-effort)."""
         # Best-effort: an unwritable directory or an unserialisable
         # config costs the persisted record, never the tuning result.
-        written = self._atomic_write_json(self._path(record.fingerprint), record.to_json())
-        self.stats.count("writes" if written else "errors")
-
-    # -- measurement corpus ------------------------------------------------------
-    def _corpus_path(self, fingerprint: str) -> Path:
-        return self.corpus_dir / f"{fingerprint}.json"
-
-    def get_corpus(
-        self, fingerprint: str, feature_version: Optional[int] = None
-    ) -> Optional[Dict[str, Any]]:
-        """Load one fingerprint's corpus payload, or ``None``.
-
-        Misses, truncated/corrupt files, schema skew and (when
-        ``feature_version`` is given) feature-layout skew all return ``None``;
-        damaged or stale files are discarded so they cannot poison training.
-        """
-
-        def check(payload: Any) -> Dict[str, Any]:
-            payload = _validate_corpus_payload(payload, fingerprint)
-            if feature_version is not None and payload["feature_version"] != feature_version:
-                raise ValueError("corpus feature-version skew")
-            return payload
-
-        return self._read(self._corpus_path(fingerprint), check, "corpus_")
-
-    def add_corpus(
-        self,
-        fingerprint: str,
-        workload: str,
-        entries: Any,
-        task_features: Any = None,
-        feature_version: int = 0,
-        cap: int = CORPUS_MAX_ENTRIES,
-    ) -> None:
-        """Append measurement triples to one fingerprint's corpus (best-effort).
-
-        Each entry is ``{"features", "predicted_us", "measured_s", "config"}``.
-        The merged list keeps the most recent ``cap`` entries; a payload whose
-        workload or feature version no longer matches is reset rather than
-        mixed.
-        """
-        existing = self.get_corpus(fingerprint, feature_version)
-        if existing is not None and existing["workload"] != workload:
-            existing = None
-        merged = list(existing["entries"]) if existing else []
-        merged.extend(_jsonable_value(entry) for entry in entries)
-        if cap > 0:
-            merged = merged[-cap:]
-        if task_features is None and existing is not None:
-            task_features = existing.get("task_features")
-        payload = {
-            "schema": CORPUS_SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "workload": workload,
-            "feature_version": feature_version,
-            "task_features": _jsonable_value(task_features),
-            "entries": merged,
-        }
-        written = self._atomic_write_json(self._corpus_path(fingerprint), payload)
-        self.stats.count("corpus_writes" if written else "corpus_errors")
-
-    def corpus_fingerprints(self) -> list:
-        """Fingerprints with a corpus file, sorted for deterministic training."""
-        if not self.corpus_dir.is_dir():
-            return []
-        return sorted(path.stem for path in self.corpus_dir.glob("*.json"))
-
-    def corpus_size(self) -> int:
-        return len(self.corpus_fingerprints())
+        path = self._path(record.fingerprint)
+        try:
+            data = json.dumps(record.to_json(), indent=2, sort_keys=True).encode()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write(path, data)
+        except (OSError, TypeError, ValueError):
+            self.stats.count("errors")
+            return
+        self.stats.count("writes")
 
     def clear(self) -> None:
-        for directory in (self.dir, self.corpus_dir):
-            if directory.is_dir():
-                for path in directory.iterdir():
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
+        if self.dir.is_dir():
+            for path in self.dir.iterdir():
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
 
     def __repr__(self) -> str:
         return f"TuningRecordStore({str(self.root)!r}, records={len(self)})"

@@ -128,6 +128,7 @@ class TestStrategies:
             records=False,
         )
         assert 0 < result.evaluated <= 9
+        assert result.measured_configs == result.timed_runs == 0  # predict-only
 
     def test_evolutionary_beats_or_matches_first_random_draw(self, graph):
         problem = SpMMProblem(graph, 8)

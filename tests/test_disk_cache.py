@@ -162,7 +162,7 @@ class TestCorruptionTolerance:
     def test_tuning_store_events_are_counted_under_a_lock(self, tmp_path):
         """A served session with ``tuned=True`` reads the tuning store from the
         batcher thread and inline threads alike: it counts like the kernel
-        store, so no record or corpus event may be lost either."""
+        store, so no record event may be lost either."""
         store = TuningRecordStore(tmp_path)
         store.put(TuningRecord(fingerprint="f" * 64, workload="spmm", config={"format": "csr"}))
         start = threading.Barrier(4)
@@ -171,7 +171,7 @@ class TestCorruptionTolerance:
             start.wait()
             for n in range(5000):
                 assert store.get("f" * 64) is not None
-                assert store.get_corpus(f"{n:064d}") is None
+                assert store.get(f"{n:064d}") is None
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -185,8 +185,7 @@ class TestCorruptionTolerance:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         stats = store.stats
-        assert (stats.hits, stats.misses, stats.errors, stats.writes) == (20000, 0, 0, 1)
-        assert (stats.corpus_hits, stats.corpus_misses, stats.corpus_errors) == (0, 20000, 0)
+        assert (stats.hits, stats.misses, stats.errors, stats.writes) == (20000, 20000, 0, 1)
 
     def test_schema_version_skew_is_a_miss(self, csr, tmp_path):
         cache = KernelCache(disk=DiskKernelCache(tmp_path))

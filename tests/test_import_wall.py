@@ -18,7 +18,7 @@ EXCEPTIONS = {
     "tune": (
         "phase 1 of the autoscheduler *is* the simulated ranking: it prices every "
         "candidate decomposition on the V100 model before phase 2 times the survivors "
-        "(ROADMAP item 5(b), a HostSpec, removes this exception)"
+        "(ROADMAP item 6(b), a HostSpec, removes this exception)"
     ),
 }
 

@@ -195,7 +195,5 @@ class TestWallclockObjective:
 
     def test_unknown_objective_rejected(self):
         graph = generate_adjacency(100, 500, "powerlaw", seed=1)
-        with pytest.raises(ValueError, match="unknown cost_model"):
-            _tune(graph, 8, cost_model="guess")
         with pytest.raises(ValueError, match="unknown strategy"):
             _tune(graph, 8, strategy="guess")

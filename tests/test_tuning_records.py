@@ -1,9 +1,15 @@
 """The persistent tuning-record store: round trips, corruption, environment."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.runtime.session import Session
+from repro.tune import SpMMProblem, get_workload, task_fingerprint
 from repro.tune.records import (
     RECORD_SCHEMA_VERSION,
     RECORDS_ENV_VAR,
@@ -11,6 +17,7 @@ from repro.tune.records import (
     TuningRecordStore,
     resolve_record_store,
 )
+from repro.workloads.graphs import generate_adjacency
 
 
 @pytest.fixture
@@ -141,3 +148,90 @@ class TestEnvironmentControl:
         assert resolve_record_store(None).root == tmp_path / "env"
         # False wins over the environment.
         assert resolve_record_store(False) is None
+
+
+_WRITER_SCRIPT = """
+import sys
+from repro.tune.records import TuningRecord, TuningRecordStore
+
+root, rounds = sys.argv[1], int(sys.argv[2])
+store = TuningRecordStore(root)
+for i in range(rounds):
+    store.put(TuningRecord("c" * 16, "spmm", {"format": "csr"}, evaluated=i + 1))
+print("DONE", store.stats.writes)
+"""
+
+
+class TestAtomicWrites:
+    def test_concurrent_reader_never_sees_partial_state(self, tmp_path):
+        """A reader polling while another process rewrites a record sees
+        either a miss or a whole record — never a torn file."""
+        rounds = 40
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _WRITER_SCRIPT, str(tmp_path), str(rounds)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        reader = TuningRecordStore(tmp_path)
+        observed = []
+        try:
+            while proc.poll() is None:
+                record = reader.get("c" * 16)
+                if record is not None:
+                    observed.append(record.evaluated)
+        finally:
+            stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        assert f"DONE {rounds}" in stdout
+        # get() validates the whole payload and discards a file it rejects,
+        # so a torn read would show as an error and a missing later record.
+        assert reader.stats.errors == 0
+        assert observed and observed == sorted(observed)
+        final = TuningRecordStore(tmp_path).get("c" * 16)
+        assert final is not None and final.evaluated == rounds
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestOlderStore:
+    def test_store_with_learned_metadata_and_corpus_replays(self, tmp_path):
+        """A root written before the learned cost model was removed: its record
+        carries that model's metadata and a ``corpus-v1/`` sits beside it."""
+        problem = SpMMProblem(generate_adjacency(120, 700, "powerlaw", seed=5), 8)
+        spec = get_workload("spmm")
+        fingerprint = task_fingerprint(spec, problem)
+        config = {"format": "hyb", "num_col_parts": 1, "num_buckets": None,
+                  "threads_per_block": 128}
+        assert spec.space(problem).contains(config)
+        record = {
+            "schema": 1, "fingerprint": fingerprint, "workload": "spmm",
+            "config": config, "predicted_us": 12.5, "measured_s": 0.0003,
+            "evaluated": 24, "strategy": "evolutionary", "seed": 0,
+            "metadata": {
+                "device": "V100", "space_size": 96, "cost_model": "hybrid",
+                "corpus_samples": 12, "transfer_from": "a" * 64,
+                "transfer_distance": 0.05, "transferred": False,
+            },
+        }
+        corpus = {
+            "schema": 1, "fingerprint": fingerprint, "workload": "spmm",
+            "feature_version": 1, "task_features": [1.0] * 18,
+            "entries": [{"features": [0.5] * 18, "predicted_us": 12.5,
+                         "measured_s": 0.0003, "config": config}],
+        }
+        for directory, payload in (("v1", record), ("corpus-v1", corpus)):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / f"{fingerprint}.json").write_text(json.dumps(payload))
+
+        store = TuningRecordStore(tmp_path)
+        session = Session(persistent=False, tuning_records=store)
+        result = session.autotune("spmm", problem)
+        assert result.replayed and result.evaluated == 0
+        assert result.timed_runs == 0 and session.stats.runs == 0
+        assert result.best_config == config and result.best_measured_s == 0.0003
+        assert result.record.metadata["cost_model"] == "hybrid"
+        assert len(store) == 1
+        store.clear()
+        assert list(store.dir.iterdir()) == []
+        assert (tmp_path / "corpus-v1" / f"{fingerprint}.json").exists()
