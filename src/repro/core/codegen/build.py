@@ -9,7 +9,7 @@ import numpy as np
 from ..program import STAGE_COORDINATE, STAGE_LOOP, STAGE_POSITION, PrimFunc
 from .cache import CacheEntry, KernelCache, resolve_cache, structural_fingerprint
 from .fusion import launch_count
-from .native import NativeBuildError, UnsupportedForEmission, load_native, unavailable
+from .native import NativeBuildError, TableInvalid, UnsupportedForEmission, load_native, unavailable
 
 # This module is on the warm path (a cache hit, a kernel loaded from disk): it
 # imports the load side only.  The lowering passes and the emitters are
@@ -23,7 +23,7 @@ class _Unavailable(Exception):
 
 
 def _reason(exc: Exception) -> str:
-    return str(exc) if isinstance(exc, _Unavailable) else f"{type(exc).__name__}: {exc}"
+    return str(exc) if isinstance(exc, (_Unavailable, TableInvalid)) else f"{type(exc).__name__}: {exc}"
 
 
 # -- the compiled tiers --------------------------------------------------------
@@ -102,12 +102,14 @@ def _load_numpy(func: PrimFunc, source: str, cache: Optional[KernelCache], key: 
 
 #: tier -> (emit, load, what the two raise to decline), fastest first; the
 #: interpreter is what is left.  Native: outside the C fragment, no toolchain,
-#: a compile error, an artifact that does not load.  Emitted: outside the
+#: a compile error, an artifact that does not load, a bound index table that
+#: breaks a fact the text relies on (``TABLE_INVALID``).  Emitted: outside the
 #: NumPy fragment, or the plan gave up on this structure while it ran (lane
 #: overflow and structural zeros raise ``ValueError``).
 _TIERS: Dict[str, Tuple[Callable[..., Any], Callable[..., Any], Tuple[type, ...]]] = {
     "native": (
-        _emit_native, _load_native, (UnsupportedForEmission, _Unavailable, NativeBuildError, OSError)
+        _emit_native, _load_native,
+        (UnsupportedForEmission, _Unavailable, NativeBuildError, OSError, TableInvalid),
     ),
     "emitted": (_emit_numpy, _load_numpy, (UnsupportedForEmission, ValueError, MemoryError)),
 }

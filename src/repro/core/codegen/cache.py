@@ -381,6 +381,7 @@ class DiskKernelCache:
                 tuple(int(value) for value in stored["ipar"]),
                 tuple(float(value) for value in stored["fpar"]),
                 tuple((what, why) for what, why in stored["serial"]),
+                tuple((kind, name, int(bound), link) for kind, name, bound, link in stored["facts"]),
             )
         except (KeyError, TypeError, ValueError, AttributeError):
             return None

@@ -28,13 +28,19 @@ else (``docs/runtime.md``, "Fused regions and ``local`` buffers").
   structure, shape and feature width of a program family.  ``binding``
   (:class:`NativeBinding`) names the arrays and scalars that fill the four
   blocks.
-* Three rewrites keep the checked semantics off the hot path without changing
-  what is computed: a subexpression that reads no written buffer is
-  materialised once, at the depth of its deepest loop variable; a reduction
-  loop the init statements do not index runs them once (if its trip count is
-  positive); the bounds guards of an innermost loop's operands are hoisted
-  into one range test in front of it — an unchecked body when it holds, the
-  checked body otherwise (which is how ELL/hyb ``-1`` padding keeps loading 0).
+* An access the index tables' facts prove in bounds is printed unchecked:
+  positions of a variable axis lie below its ``indptr[-1]``, coordinates read
+  from ``indices`` below the column count, dense affine indices within their
+  extents.  The facts used travel in ``binding.facts`` and ``load_native``
+  checks them once per binding (``docs/runtime.md``, "Binding contract").
+* Three rewrites keep the checked semantics of every other access off the hot
+  path without changing what is computed: a subexpression that reads no
+  written buffer is materialised once, at the depth of its deepest loop
+  variable; a reduction loop the init statements do not index runs them once
+  (if its trip count is positive); the bounds guards of an innermost loop's
+  operands are hoisted into one range test in front of it — an unchecked body
+  when it holds, the checked body otherwise (which is how ELL/hyb ``-1``
+  padding keeps loading 0).
 * Compiling, loading and calling the text is :mod:`~repro.core.codegen.native`,
   the load side, which never imports this module: a process that finds its
   kernels built does not bring the printer.  The names that lived here before
@@ -61,7 +67,7 @@ from typing import (
 
 import numpy as np
 
-from ..axes import SparseVariableAxis
+from ..axes import DenseVariableAxis, SparseVariableAxis
 from ..buffers import _np_dtype
 from .. import expr as ir
 from .. import stmt as st
@@ -242,6 +248,10 @@ def _spelled(lit: ir.Expr) -> bool:  # 0, 1 and an integer -1 are printed, not p
     return lit.value in (0, 1) or (lit.value == -1 and isinstance(lit, ir.IntImm))
 
 
+def _is_one(expr: ir.Expr) -> bool:
+    return isinstance(expr, ir.IntImm) and expr.value == 1
+
+
 class _CEmitter:
     """Prints a program as one C function per top-level nest and pass, called
     in the interpreter's order from ``run``.  Nests that differ only in their
@@ -266,6 +276,54 @@ class _CEmitter:
         self.definitions: List[str] = []
         self.serial: Dict[str, str] = {}  # "vectorize <loop>" / "fuse <nest>" -> why not
         self.loc: Dict[str, int] = {}  # local buffer -> its slot, in front of the operands'
+        # The index tables whose invariants the binding checks: indptr table ->
+        # (its class, the position count it bounds), where the tables of one
+        # class (``J_indptr``, ``J_dense_indptr``) hold the same array; and
+        # indices table of a sparse variable axis -> (its class, column count).
+        # ELL / hyb tables pad with -1 and have no entry: loads through them
+        # keep their range tests.
+        variable = {a.name: a for a in func.axes if isinstance(a, (SparseVariableAxis, DenseVariableAxis))}
+        self.indptr_of: Dict[str, Tuple[str, int]] = {}
+        self.indices_of: Dict[str, Tuple[str, int]] = {}
+        for name in variable:
+            owner = name[: -len("_dense")] if name.endswith("_dense") and name[:-6] in variable else name
+            table, home = f"{name}_indptr", f"{owner}_indptr"
+            if table in self.aux_names:
+                cls = home if home in self.aux_names else table
+                self.indptr_of[table] = (cls, int(variable[owner].nnz_total()))
+        for name, axis in variable.items():
+            table, home = f"{name}_indices", self.indptr_of.get(f"{name}_indptr")
+            if isinstance(axis, SparseVariableAxis) and table in self.aux_names and home is not None:
+                self.indices_of[table] = (home[0], axis.length)
+        #: The facts a proof used, by ``(kind, table)``: ``(kind, table, bound,
+        #: link)`` (see :class:`NativeBinding`), checked by ``load_native``.
+        self.facts: Dict[Tuple[str, str], Tuple[str, str, int, str]] = {}
+
+    def use_indptr(self, table: str) -> Tuple[str, int]:
+        """``(class, position count)`` of an indptr table, whose facts the
+        binding now checks (with its class's own table, which it must equal)."""
+        cls, nnz = self.indptr_of[table]
+        self.facts.setdefault(("indptr", cls), ("indptr", cls, nnz, ""))
+        if table != cls:
+            self.facts.setdefault(("indptr", table), ("indptr", table, nnz, cls))
+        return cls, nnz
+
+    def use_indices(self, table: str, everywhere: bool) -> int:
+        """The column count of an indices table, whose values the binding now
+        checks: below its class's ``indptr[-1]``, or *everywhere*."""
+        cls, cols = self.indices_of[table]
+        self.use_indptr(cls)
+        held = self.facts.get(("indices", table))
+        if held is None or (everywhere and held[3]):
+            self.facts["indices", table] = ("indices", table, cols, "" if everywhere else cls)
+        return cols
+
+    def use_rows(self, table: str) -> int:
+        """The row count of an indptr table the binding now checks to run
+        from exactly 0 to its position count: every position then has a row."""
+        _cls, nnz = self.use_indptr(table)
+        self.facts.setdefault(("rows", table), ("rows", table, nnz, ""))
+        return self.flat[table].size - 1
 
     def operand(self, kind: str, name: str) -> str:
         """The ``bufs[n]`` / ``tabs[n]`` slot of a value buffer or a table."""
@@ -347,7 +405,7 @@ class _CEmitter:
             *_indent([*run, *tail]),
             "}",
         ]
-        blocks = (self.bufs, self.tabs, self.ipar, self.fpar, self.serial.items())
+        blocks = (self.bufs, self.tabs, self.ipar, self.fpar, self.serial.items(), self.facts.values())
         return "\n".join(lines) + "\n", NativeBinding(*map(tuple, blocks))
 
     def _emit_region(self, label: str, members: Sequence[RowNest], contracted: AbstractSet[str]) -> str:
@@ -422,6 +480,26 @@ _ALLOC = "if (!_alloc(bufs, ipar, {}, {})) {{ rc = -1; goto done; }}"
 _Span = Tuple[ir.Expr, ir.Expr]  # the first and the last value a loop variable takes
 _Test = Tuple[str, List[ir.Expr], "_Scope"]  # a range test: its key, the two ends, where they are bound
 
+#: Past this magnitude an interval end is no proof: int64 arithmetic could wrap.
+_FINITE = 2**62
+
+
+class _Rng(NamedTuple):
+    """What the binding's facts prove about an integer expression: each value
+    it takes lies in ``[lo, hi]``, and where ``lo > hi`` the code is never
+    reached.  ``tag`` marks the two halves of a position of a variable axis
+    and the position itself: ``("start", class, x)`` is ``indptr[x]``,
+    ``("step", class, x)`` a loop variable below ``indptr[x + 1] - indptr[x]``
+    and ``("pos", class)`` their sum, which lies in ``[0, indptr[-1])``."""
+
+    lo: int
+    hi: int
+    tag: Optional[Tuple[str, ...]] = None
+
+    @property
+    def empty(self) -> bool:
+        return self.lo > self.hi
+
 
 class _Region:
     """What the walk of a member of a fused region knows beyond that of a nest."""
@@ -485,6 +563,12 @@ class _Nest:
         self._accesses: Optional[List[Tuple[str, ir.Expr]]] = None
         self._scalars: Optional[List[Tuple[str, str]]] = None  # (declaration, run()'s argument)
         self._region: Optional[_Region] = None  # set by emit_member only
+        #: What the binding's facts prove of each variable in scope.
+        self._ranges: Dict[ir.Var, _Rng] = {}
+        #: Walking a reduction's init: its stores keep their guards.
+        self._init = False
+        #: Accesses printed without a guard on the binding's facts, so far.
+        self._unguarded = 0
 
     def emit(self, mode: str) -> List[str]:
         """Define the nest's function for *mode* (unless an identical one
@@ -515,7 +599,8 @@ class _Nest:
         )
         region.box[member.loop.loop_var] = (ir.IntImm(0), self._last(rows, self._top))
         ends = {first: _CVal(start, "ilit"), last: _CVal(f"({start} + {width - 1})", "ilit")}
-        with self._open_scope({member.loop.loop_var: _CVal(row, "ilit"), **ends}) as lines:
+        ranges = {member.loop.loop_var: self._loop_range(member.loop)}
+        with self._open_scope({member.loop.loop_var: _CVal(row, "ilit"), **ends}, ranges) as lines:
             if member.init:
                 self._walk(member.loop.body, "init")
             self._walk(member.loop.body, "compute")
@@ -559,8 +644,10 @@ class _Nest:
         value = _CVal(f"({region.start} + {lane})", "ilit")
         head = f"for (int64_t {lane} = 0; {lane} < {region.width}; ++{lane}) {{"
 
+        lanes = self._loop_range(loop)  # the region runs only when the tiles cover them exactly
+
         def body() -> List[str]:
-            return _block(head, self._scoped(loop.loop_var, value, loop.body, mode))
+            return _block(head, self._scoped(loop.loop_var, value, loop.body, mode, lanes))
 
         log: List[Tuple[str, ir.Expr]] = []
         self._accesses = log
@@ -722,6 +809,133 @@ class _Nest:
         self._info_memo[id(expr)] = (expr, *info)  # the reference pins the id
         return info
 
+    # -- what the binding's facts prove ----------------------------------------
+    def _in_bounds(self, name: str, index: ir.Expr) -> bool:
+        """Whether every value *index* takes addresses an element of buffer
+        *name*, given the index tables' facts (``load_native`` checks them
+        once per binding, and per call for a fed table).  The facts a failed
+        proof consulted are not required of the binding."""
+        facts = dict(self.program.facts)
+        at = self._range(index)
+        if at is None or not (at.empty or (at.lo >= 0 and at.hi < self.program.flat[name].size)):
+            self.program.facts = facts
+            return False
+        self._unguarded += 1
+        return True
+
+    def _range(self, expr: ir.Expr) -> Optional[_Rng]:
+        """The values an integer expression takes, as far as the loops in scope
+        and the index tables' facts prove them (``None``: nothing proven)."""
+        if isinstance(expr, ir.IntImm):
+            return _Rng(int(expr.value), int(expr.value))
+        if isinstance(expr, ir.Var):
+            return self._ranges.get(expr)
+        if isinstance(expr, ir.Cast):
+            return self._range(expr.value) if expr.dtype.startswith("int") else None
+        if isinstance(expr, ir.BufferLoad):
+            return self._table_range(expr)
+        if isinstance(expr, ir.Call) and expr.func == ROW_UPPER_BOUND:
+            return self._row_range(expr)
+        if not isinstance(expr, (ir.Add, ir.Sub, ir.Mul, ir.Min, ir.Max)):
+            return None
+        if isinstance(expr, ir.Add):
+            for x, rest in ((expr.a, expr.b), (expr.b, expr.a)):
+                if isinstance(rest, ir.Sub) and self._same(x, rest.b):
+                    return self._range(rest.a)  # x + (y - x) is y, wrapping or not
+        a, b = self._range(expr.a), self._range(expr.b)
+        if a is None or b is None:
+            return None
+        if a.empty or b.empty:
+            return _Rng(1, 0)
+        if isinstance(expr, ir.Add):
+            halves = {a.tag[0], b.tag[0]} if a.tag and b.tag else set()
+            if halves == {"start", "step"} and a.tag[1:] == b.tag[1:]:
+                # indptr[x] + j, j < indptr[x + 1] - indptr[x]: in [0, indptr[-1])
+                nnz = self.program.indptr_of[a.tag[1]][1]
+                return _Rng(0, nnz - 1, ("pos", a.tag[1]))
+            lo, hi = a.lo + b.lo, a.hi + b.hi
+        elif isinstance(expr, ir.Sub):
+            lo, hi = a.lo - b.hi, a.hi - b.lo
+        elif isinstance(expr, ir.Mul):
+            corners = [x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+            lo, hi = min(corners), max(corners)
+        else:
+            pick = min if isinstance(expr, ir.Min) else max
+            lo, hi = pick(a.lo, b.lo), pick(a.hi, b.hi)
+        return _Rng(lo, hi) if -_FINITE < lo and hi < _FINITE else None
+
+    def _table_range(self, load: ir.BufferLoad) -> Optional[_Rng]:
+        """The values a load of an index table reads: an element that passed
+        the table's check or, through a failed guard, 0."""
+        program, name = self.program, load.buffer.name
+        if name in program.indptr_of:
+            cls, nnz = program.use_indptr(name)
+            return _Rng(0, nnz, ("start", cls, self._info(load.indices[0])[0]))
+        if name not in program.indices_of:
+            return None
+        at = self._range(load.indices[0])
+        if at is not None and at.tag == ("pos", program.indices_of[name][0]):
+            return _Rng(0, program.use_indices(name, everywhere=False) - 1)
+        return _Rng(0, max(program.use_indices(name, everywhere=True) - 1, 0))
+
+    def _row_range(self, call: ir.Call) -> Optional[_Rng]:
+        """The row a position's search finds (``_ROW``): the per-position
+        table is derived from the axis's indptr, so a position below its count
+        lies in a row when the table runs from 0 to that count."""
+        program, table = self.program, f"{getattr(call.args[0], 'value', '')}_indptr"
+        at = self._range(call.args[1])
+        if table not in program.indptr_of or at is None:
+            return None
+        if at.empty:
+            return at
+        if at.lo < 0 or at.hi >= program.indptr_of[table][1]:
+            return None
+        return _Rng(0, program.use_rows(table) - 1)
+
+    def _same(self, a: ir.Expr, b: ir.Expr) -> bool:
+        """Whether *a* and *b* take the same value wherever both are evaluated:
+        one pure expression, or loads at one index of two tables of a class."""
+        ka, kb = self._info(a), self._info(b)
+        if ka[0] == kb[0]:
+            return ka[1]
+        indptr = self.program.indptr_of
+        if not (isinstance(a, ir.BufferLoad) and isinstance(b, ir.BufferLoad)):
+            return False
+        if a.buffer.name not in indptr or b.buffer.name not in indptr:
+            return False
+        at, bt = self._info(a.indices[0]), self._info(b.indices[0])
+        if not (at[1] and at[0] == bt[0] and indptr[a.buffer.name][0] == indptr[b.buffer.name][0]):
+            return False
+        self.program.use_indptr(a.buffer.name)
+        self.program.use_indptr(b.buffer.name)
+        return True
+
+    def _loop_range(self, loop: st.ForLoop) -> Optional[_Rng]:
+        """The values *loop*'s variable takes.  A loop from 0 to
+        ``indptr[x + 1] - indptr[x]`` walks the positions of row ``x``."""
+        start, extent, indptr = loop.start, loop.extent, self.program.indptr_of
+        if isinstance(start, ir.IntImm) and start.value == 0 and isinstance(extent, ir.Sub):
+            end, begin = extent.a, extent.b
+            if (
+                isinstance(end, ir.BufferLoad) and isinstance(begin, ir.BufferLoad)
+                and end.buffer.name in indptr and begin.buffer.name in indptr
+                and indptr[end.buffer.name][0] == indptr[begin.buffer.name][0]
+            ):
+                nxt, row = end.indices[0], self._info(begin.indices[0])
+                succ = isinstance(nxt, ir.Add) and any(  # nxt is row + 1
+                    _is_one(y) and self._info(x)[0] == row[0] for x, y in ((nxt.a, nxt.b), (nxt.b, nxt.a))
+                )
+                if row[1] and succ:
+                    self.program.use_indptr(begin.buffer.name)
+                    cls, nnz = self.program.use_indptr(end.buffer.name)
+                    return _Rng(0, nnz - 1, ("step", cls, row[0]))
+        first, count = self._range(start), self._range(extent)
+        if first is None or count is None:
+            return None
+        if first.empty or count.empty:
+            return _Rng(1, 0)
+        return _Rng(first.lo, first.hi + count.hi - 1)
+
     def _scope_of(self, free: FrozenSet[ir.Var]) -> _Scope:
         """The shallowest open scope in which every variable of *free* is bound."""
         scope = self._top
@@ -817,14 +1031,16 @@ class _Nest:
         else:
             array, ct, size = self._buffer(expr.buffer.name)
             index = self._index(expr.indices[0])
-            guarded = f"{self._use('_LD')}({array}, {_bare(index.code)}, {size})"
-            if index.ok is not None:
-                code = f"({index.ok} ? {guarded} : 0)"  # a structural zero loads 0
+            plain = f"{array}[{_bare(index.code)}]"
+            if index.ok is not None:  # a structural zero loads 0
+                code = f"({index.ok} ? {self._use('_LD')}({array}, {_bare(index.code)}, {size}) : 0)"
+            elif self._in_bounds(expr.buffer.name, expr.indices[0]):
+                code = plain
             else:
                 if self._accesses is not None:
                     self._accesses.append((expr.buffer.name, expr.indices[0]))
                 proven = (expr.buffer.name, self._info(expr.indices[0])[0]) in self._proven
-                code = f"{array}[{_bare(index.code)}]" if proven else guarded
+                code = plain if proven else f"{self._use('_LD')}({array}, {_bare(index.code)}, {size})"
         if ct == "i32":
             code, ct = f"(int64_t){code}", "i64"
         return _CVal(code, ct)
@@ -932,7 +1148,9 @@ class _Nest:
                 self._walk(stmt.body, mode)
             else:
                 if stmt.init is not None:
+                    saved, self._init = self._init, True
                     self._walk(stmt.init, "compute")
+                    self._init = saved
                 self._walk(stmt.body, "init_only")
         elif mode == "init":
             pass  # the init pass skips leaf statements above the first block
@@ -954,7 +1172,7 @@ class _Nest:
                 raise UnsupportedForC("structural zero inside a let binding")
             name = self._cname(stmt.var)
             head = f"const {_CDECL[value.ctype]} {name} = {_bare(value.code)};"
-            body = self._scoped(stmt.var, _CVal(name, value.ctype), stmt.body, mode)
+            body = self._scoped(stmt.var, _CVal(name, value.ctype), stmt.body, mode, self._range(stmt.value))
             self._sink.extend(_block("{", [head, *body]))
         elif isinstance(stmt, st.AssertStmt):
             self._walk(stmt.body, mode)
@@ -962,21 +1180,28 @@ class _Nest:
             raise UnsupportedForC(f"cannot emit statement of type {type(stmt).__name__}")
 
     @contextlib.contextmanager
-    def _open_scope(self, values: Mapping[ir.Var, _CVal]) -> Iterator[List[str]]:
-        """A new scope that binds *values*; yields the lines emitted in it."""
+    def _open_scope(
+        self, values: Mapping[ir.Var, _CVal], ranges: Optional[Mapping[ir.Var, Optional[_Rng]]] = None
+    ) -> Iterator[List[str]]:
+        """A new scope that binds *values* (the values each takes: *ranges*);
+        yields the lines emitted in it."""
         saved = self._home, self._sink, self._here
         scope = self._home = _Scope(self._home.depth + 1, [], {})
         for var, val in values.items():
             self._vars[var] = (val, scope)
+        self._ranges.update((var, rng) for var, rng in (ranges or {}).items() if rng is not None)
         self._sink = self._here = scope.lines
         yield scope.lines
         self._home, self._sink, self._here = saved
         for var in values:
             del self._vars[var]
+            self._ranges.pop(var, None)
 
-    def _scoped(self, var: ir.Var, val: _CVal, body: st.Stmt, mode: str) -> List[str]:
+    def _scoped(
+        self, var: ir.Var, val: _CVal, body: st.Stmt, mode: str, rng: Optional[_Rng] = None
+    ) -> List[str]:
         """The lines of *body* walked in a new scope that binds *var*."""
-        with self._open_scope({var: val}) as lines:
+        with self._open_scope({var: val}, {var: rng}) as lines:
             self._walk(body, mode)
         return lines
 
@@ -1020,12 +1245,14 @@ class _Nest:
         stop = _bare(extent.code) if start.code == "0" else f"{start.code} + {extent.code}"
         var, end, first = self._cname(loop.loop_var), self._fresh(), _bare(start.code)
 
+        rng = self._loop_range(loop)
+
         def body(head: str) -> List[str]:
-            return _block(head, self._scoped(loop.loop_var, _CVal(var, "ilit"), loop.body, mode))
+            return _block(head, self._scoped(loop.loop_var, _CVal(var, "ilit"), loop.body, mode, rng))
 
         plain = f"for (int64_t {var} = {first}, {end} = {stop}; {var} < {end}; ++{var}) {{"
         log: List[Tuple[str, ir.Expr]] = []
-        self._accesses = log
+        self._accesses, unguarded = log, self._unguarded
         if region is not None and sizes_only(loop.start, loop.extent):
             # A dense reduction loop of a member: an index affine in it is
             # tested at its two ends, in front of the region.
@@ -1034,21 +1261,29 @@ class _Nest:
         if region is not None:
             region.box.pop(loop.loop_var, None)
         # Only an innermost loop is versioned: a nested one has replaced the log.
-        tests = self._range_tests(loop, stop, log) if self._accesses is log else {}
+        innermost = self._accesses is log
+        tests = self._range_tests(loop, stop, log) if innermost else {}
         self._accesses = None
+        # Every access of the body in bounds by the binding's facts: the body
+        # printed is already the unchecked one.
+        bare = innermost and not log and self._unguarded > unguarded
         # The unchecked body of a loop whose iterations are proven independent
         # is a SIMD loop; a schedule's request for one that is not is recorded.
         requested = loop.kind == st.LOOP_VECTORIZED and mode == "compute"
-        why = loop_independence(loop, self.written) if tests or requested else None
-        if requested and (why or not tests):
+        why = loop_independence(loop, self.written) if tests or bare or requested else None
+        if requested and (why or not (tests or bare)):
             unmarked = "it has no unchecked body to mark (fewer than two range-tested operands)"
             self.program.serial[f"vectorize {loop.loop_var.name}"] = why or unmarked
+        # OpenMP's canonical form: the bound in front of the loop.
+        canonical = f"for (int64_t {var} = {first}; {var} < {end}; ++{var}) {{"
+        if bare and why is None:
+            self._sink.extend([f"const int64_t {end} = {stop};", "#pragma omp simd", *body(canonical)])
+            return
         if not tests:
             self._sink.extend(checked)
             return
         saved, self._proven = self._proven, frozenset(tests)
-        if why is None:  # OpenMP's canonical form: the bound in front of the loop
-            canonical = f"for (int64_t {var} = {first}; {var} < {end}; ++{var}) {{"
+        if why is None:
             fast = [f"const int64_t {end} = {stop};", "#pragma omp simd", *body(canonical)]
         else:
             fast = body(plain)
@@ -1157,6 +1392,13 @@ class _Nest:
         value = self._eval(store.value)
         guard = _and(index.ok, value.ok)
         target = index.code
+        # A reduction's init, a fill and a copy keep their guards: unguarded, GCC
+        # makes such a loop a call to memset / memcpy, which every artifact
+        # would then import.
+        fill = self._init or isinstance(store.value, (ir.IntImm, ir.FloatImm, ir.BufferLoad))
+        if guard is None and not fill and self._in_bounds(store.buffer.name, store.indices[0]):
+            self._sink.append(f"{array}[{_bare(target)}] = {_bare(self._coerce(value, ct))};")
+            return
         if guard is None and self._accesses is not None:
             self._accesses.append((store.buffer.name, store.indices[0]))
         if guard is not None or access not in self._proven:

@@ -84,7 +84,7 @@ from ..stmt import (
     SeqStmt,
     Stmt,
 )
-from .hazards import analyze_hazards, coords_to_positions
+from .hazards import analyze_hazards, coords_to_positions, rows_of_positions
 from .native import UnsupportedForEmission, aux_arrays
 
 #: Bumped whenever the emitted-source contract changes; participates in the
@@ -624,9 +624,7 @@ class _Emitter:
             rows = self._fresh("row")
             self._line(
                 _PLAN,
-                f"{rows} = (np.searchsorted(axes[{axis_name!r}].indptr, "
-                f"{self._as_lanes(position, n_code)}, side='right') - 1)"
-                f".astype(np.int64, copy=False)",
+                f"{rows} = rows_of_positions(axes[{axis_name!r}].indptr, {self._as_lanes(position, n_code)})",
             )
             return _Val(rows, _PLAN, True, position.invalid)
         if call.func in _UNARY_CALLS:
@@ -659,8 +657,9 @@ class _Emitter:
         helper_lines = ["np = helpers['np']"]
         if "ragged_arange(" in plan_text:
             helper_lines.append("ragged_arange = helpers['ragged_arange']")
-        if "coords_to_positions(" in plan_text:
-            helper_lines.append("coords_to_positions = helpers['coords_to_positions']")
+        for helper in ("coords_to_positions", "rows_of_positions"):
+            if f"{helper}(" in plan_text:
+                helper_lines.append(f"{helper} = helpers[{helper!r}]")
         for name in self._aux_used:
             helper_lines.append(f"{name} = aux[{name!r}]")
 
@@ -815,6 +814,7 @@ def compile_emitted(source: str, func: PrimFunc) -> Any:
         "np": np,
         "ragged_arange": ragged_arange,
         "coords_to_positions": coords_to_positions,
+        "rows_of_positions": rows_of_positions,
     }
     axes = {axis.name: axis for axis in func.axes}
     return make_kernel(axes, aux_arrays(func), helpers)

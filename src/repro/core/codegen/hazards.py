@@ -83,6 +83,7 @@ __all__ = [
     "fused_regions",
     "loop_independence",
     "coords_to_positions",
+    "rows_of_positions",
     "sorted_axis_keys",
 ]
 
@@ -498,6 +499,19 @@ def sorted_axis_keys(axis: SparseVariableAxis) -> Tuple[np.ndarray, np.ndarray, 
     row_of = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
     keys = indices + row_of * stride
     return keys, indptr.astype(np.int64, copy=False), stride
+
+
+def rows_of_positions(indptr: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Vectorized ``sparse_row_of_position``: ``searchsorted(indptr, p,
+    side="right") - 1`` per position, at plan time.
+
+    A search has a defined answer only over a sorted *indptr*: over a
+    decreasing one NumPy's vectorised and scalar searches part ways, so the
+    plan gives up (``ValueError``) and the interpreter, the oracle, runs.
+    """
+    if indptr.size > 1 and bool((indptr[1:] < indptr[:-1]).any()):
+        raise ValueError("row search over a decreasing indptr")
+    return (np.searchsorted(indptr, positions, side="right") - 1).astype(np.int64, copy=False)
 
 
 def coords_to_positions(axis: Axis, parent: np.ndarray, coord: np.ndarray) -> np.ndarray:

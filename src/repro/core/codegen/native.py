@@ -49,7 +49,7 @@ from ..stmt import collect_buffer_stores
 #: Bumped whenever the native-source contract (C layout, binding protocol, or
 #: compile flags) changes; it is part of every artifact's name, and a record
 #: of an older version is a cache miss that rebuilds, never an import.
-NATIVE_VERSION = 4
+NATIVE_VERSION = 5
 
 #: Environment variable disabling the native tier (``0`` / ``off`` / ``false``).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -95,6 +95,46 @@ class NativeBuildError(RuntimeError):
     """Compiling or loading the native artifact failed (caller falls back)."""
 
 
+#: The reason a binding whose tables break a fact of its text is declined with.
+TABLE_INVALID = "TABLE_INVALID"
+
+
+class TableInvalid(Exception):
+    """A bound index table breaks a fact the native text relies on: the tier
+    declines this binding and the kernel runs on the next one."""
+
+
+def check_tables(
+    facts: Tuple[Tuple[str, str, int, str], ...], tables: Dict[str, np.ndarray], sizes: Dict[str, int]
+) -> Optional[str]:
+    """Why *tables* (buffer name -> array) break one of *facts*
+    (:class:`NativeBinding`), or ``None``.  *sizes* are the lengths the text
+    was printed for.  O(length) NumPy per table; an ``indices`` fact bounded by
+    an ``indptr`` reads only the prefix that bounds."""
+    for kind, name, bound, link in facts:
+        table = tables[name]
+        if table.size != sizes[name]:
+            return f"{name!r} has {table.size} entries, the kernel was printed for {sizes[name]}"
+        if kind == "indptr":
+            if table.size and (table[0] < 0 or table[-1] > bound):
+                return f"{name!r} runs from {table[0]} to {table[-1]}, outside [0, {bound}]"
+            if table.size > 1 and bool((table[1:] < table[:-1]).any()):
+                return f"{name!r} decreases"
+            if link and table is not tables[link] and not np.array_equal(table, tables[link]):
+                return f"{name!r} differs from {link!r}"
+        elif kind == "rows":
+            if not (table.size and table[0] == 0 and table[-1] == bound):
+                return f"{name!r} does not run from 0 to {bound}"
+        else:
+            end = (int(tables[link][-1]) if tables[link].size else 0) if link else table.size
+            if end > table.size:
+                return f"{link!r} ends at {end}, past the {table.size} entries of {name!r}"
+            head = table[:end]
+            if head.size and (head.min() < 0 or head.max() >= bound):
+                return f"{name!r} holds {head.min()}..{head.max()}, outside [0, {bound})"
+    return None
+
+
 class NativeBinding(NamedTuple):
     """What fills ``run(bufs, tabs, ipar, fpar)`` for one program: no code.
 
@@ -108,6 +148,16 @@ class NativeBinding(NamedTuple):
     ``serial`` is not an operand: ``("vectorize <loop>", reason)`` per loop a
     schedule asked to vectorize and the independence proof kept serial, and
     ``("fuse <nest>", reason)`` per nest that ended a fused region.
+
+    ``facts`` are what the text takes for granted of its index tables, where
+    it loads and stores without a range test (:func:`check_tables`, per
+    binding and per fed table): ``("indptr", table, nnz, "")`` — the table is
+    non-decreasing from ``table[0] >= 0`` to ``table[-1] <= nnz`` — or
+    ``("indptr", table, nnz, other)``, the same and equal to table *other*;
+    ``("indices", table, cols, indptr)`` — ``table[:indptr[-1]]`` lies in
+    ``[0, cols)`` — or ``("indices", table, cols, "")``, all of it;
+    ``("rows", table, nnz, "")`` — the table runs from exactly 0 to ``nnz``,
+    so the row search of every position below ``nnz`` finds a row.
     """
 
     bufs: Tuple[str, ...]
@@ -115,6 +165,7 @@ class NativeBinding(NamedTuple):
     ipar: Tuple[int, ...]
     fpar: Tuple[float, ...]
     serial: Tuple[Tuple[str, str], ...] = ()
+    facts: Tuple[Tuple[str, str, int, str], ...] = ()
 
 
 def local_buffers(func: PrimFunc) -> List[str]:
@@ -372,6 +423,10 @@ def load_native(
     never overlap, so ``run(arrays)`` refuses with ``ValueError`` a buffer the
     kernel stores to that shares memory with another operand of the call.
 
+    The binding's index tables are checked against its ``facts`` first
+    (:func:`check_tables`): a table that breaks one raises
+    :class:`TableInvalid`, before anything is compiled.
+
     A ``local`` buffer the program stores to (:func:`local_buffers`) is the
     kernel's own: ``run(arrays)`` neither reads it from *arrays* nor returns it.
     ``run.serial_regions`` says how many fused regions of the last call failed
@@ -383,10 +438,18 @@ def load_native(
     array replaces the table bound here for this call (same dtype, length and
     contiguity, or ``ValueError``), and an axis table derived from it — the
     int64 ``indptr``/``indices`` of a coordinate search, the per-position row
-    table — is re-derived from the fed array.  Nothing else changes: sizes
-    and bounds checks are the compiled ones, so one loaded kernel serves every
-    structure with its footprint.
+    table — is re-derived from the fed array, and so is an indptr table of the
+    fed table's class (``J_dense_indptr`` follows ``J_indptr``).  A fed table
+    is checked against the facts that name it, per call (``ValueError`` when
+    it breaks one).  Nothing else changes: sizes and bounds checks are the
+    compiled ones, so one loaded kernel serves every structure with its
+    footprint.
     """
+    aux = aux_arrays(func)
+    sizes = {flat.name: flat.size for flat in func.flat_buffers}
+    why = check_tables(binding.facts, aux, sizes)
+    if why is not None:
+        raise TableInvalid(f"{TABLE_INVALID}: {why}")
     ffi = _get_ffi()
     disk = cache.disk if cache is not None and key is not None else None
     if artifact is None:
@@ -410,8 +473,6 @@ def load_native(
     if c_source is not None and disk is not None and disk.so_path(artifact).exists():
         disk.publish_native(key, artifact, binding)
     call, pointers = lib.run, ffi.pointers
-
-    aux = aux_arrays(func)
     axes = {axis.name: axis for axis in func.axes}
 
     def table(kind: str, name: str, source: Optional[np.ndarray] = None) -> np.ndarray:
@@ -423,7 +484,9 @@ def load_native(
             return np.ascontiguousarray(source, dtype=np.int64)
         indptr = axes[name].indptr
         positions = np.arange(indptr[-1])  # the table keeps its bound length
-        rows = np.searchsorted(indptr if source is None else source, positions, side="right")
+        if source is None:  # the checked table, where the program binds one
+            source = aux.get(f"{name}_indptr", indptr)
+        rows = np.searchsorted(source, positions, side="right")
         return (rows - 1).astype(np.int32)
 
     stored = {store.buffer.name for store in collect_buffer_stores(func.body)}
@@ -464,6 +527,14 @@ def load_native(
                         f"table {name!r} fed as {given.dtype}{list(given.shape)}, "
                         f"bound as contiguous {bound.dtype}[{bound.size}]"
                     )
+            for kind, name, _bound, link in binding.facts:
+                if kind == "indptr" and link in fed and name not in fed:
+                    fed[name] = fed[link]  # one array by construction: it follows its class's table
+            touched = tuple(fact for fact in binding.facts if fact[1] in fed or fact[3] in fed)
+            if touched:
+                why = check_tables(touched, {**aux, **fed}, sizes)
+                if why is not None:
+                    raise ValueError(f"fed table breaks the kernel's facts: {why}")
             call_tabs = [
                 table(kind, name, fed[source]) if source in fed else bound
                 for (kind, name), source, bound in zip(binding.tabs, follows, tabs)

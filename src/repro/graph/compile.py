@@ -74,6 +74,9 @@ class CompiledGraph:
         #: Why a multi-node group was not fused: member kinds -> reason.
         self.declined_fusions: Dict[Tuple[str, ...], str] = {}
         self._live = graph.liveness()
+        #: node id -> its standalone program's names and kernel, built once for
+        #: both the fusion decision and a node-by-node fallback.
+        self._standalone: Dict[int, Tuple[Dict[str, str], Any]] = {}
         index_of = {node.id: i for i, node in enumerate(graph.nodes)}
         for group in plan_groups(graph, fuse=fuse):
             unit = None
@@ -89,12 +92,19 @@ class CompiledGraph:
             session.stats.graph_nodes_unfused += self.num_nodes_unfused
 
     # -- lowering ----------------------------------------------------------------
+    def _standalone_kernel(self, node: GraphNode) -> Tuple[Dict[str, str], Any]:
+        """``(buffer names, kernel)`` of *node*'s own program, built once."""
+        built = self._standalone.get(node.id)
+        if built is None:
+            func, names = registry.build_spec_program(node.spec)
+            built = self._standalone[node.id] = (names, self.session.build(func))
+        return built
+
     def _build_single(self, node: GraphNode, index_of: Dict[int, int]) -> _ExecUnit:
-        func, names = registry.build_spec_program(node.spec)
+        names, kernel = self._standalone_kernel(node)
         bindmap = {
             names[logical]: ref.name for logical, ref in node.input_refs().items()
         }
-        kernel = self.session.build(func)
         return _ExecUnit(
             kernel=kernel,
             bindmap=bindmap,
@@ -171,9 +181,8 @@ class CompiledGraph:
         if kernel.fast_tier("native") is not None:
             return None
         for node in group.nodes:
-            func, _ = registry.build_spec_program(node.spec)
-            # Cache hit for the fall-back singleton build of the same node.
-            if self.session.build(func).fast_tier("native") is not None:
+            # The same kernel serves the node if the group falls back.
+            if self._standalone_kernel(node)[1].fast_tier("native") is not None:
                 return "would demote native members to emitted"
         if kernel.fast_tier("emitted") is None:
             return kernel.declined["emitted"]

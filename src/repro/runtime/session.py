@@ -274,6 +274,20 @@ class Session:
         #: Drift-triggered re-tunes awaiting :meth:`retune` (when
         #: ``auto_retune`` is off).
         self.retune_pending: list = []
+        #: Kernel-cache hits per calling thread (:meth:`thread_cache_hits`).
+        self._thread_hits = threading.local()
+
+    def thread_cache_hits(self) -> int:
+        """Kernel-cache hits of the calls this thread made through the session.
+
+        ``stats.kernel_cache_hits`` counts every thread's; a caller that wants
+        to know whether *its own* calls hit reads this before and after them.
+        """
+        return getattr(self._thread_hits, "count", 0)
+
+    def _count_thread_hit(self) -> None:
+        local = self._thread_hits
+        local.count = getattr(local, "count", 0) + 1
 
     # -- compilation -----------------------------------------------------------
     def build(self, func: PrimFunc, horizontal_fusion: bool = True) -> Kernel:
@@ -285,6 +299,8 @@ class Session:
                 self.stats.kernel_cache_hits += 1
             elif kernel.cache_hit is False:
                 self.stats.kernel_cache_misses += 1
+        if kernel.cache_hit:
+            self._count_thread_hit()
         return kernel
 
     def run(
@@ -371,6 +387,7 @@ class Session:
                 else:
                     stats.emitted_runs += 1
         if handle is not None:
+            self._count_thread_hit()
             return handle.run(structure, operands, tables)
         return self._execute_cold(key, kind, structure, storage, operands, options, tables)
 

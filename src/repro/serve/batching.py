@@ -326,10 +326,12 @@ def run_group(session, group: List[ServeRequest], stats=None) -> None:
     (``degraded="eager"``, the exception's type kept as the reason), so one
     poisoned request cannot take down its batch-mates.  Per-request latency
     and its stages, batch occupancy and the group's kernel-cache attribution
-    are recorded into *stats* when given.
+    are recorded into *stats* when given.  A group's cache hit is its own
+    calls' (:meth:`~repro.runtime.session.Session.thread_cache_hits`): the
+    batcher and a caller answered inline run groups at the same time.
     """
     size = len(group)
-    hits_before = session.stats.kernel_cache_hits
+    hits_before = session.thread_cache_hits()
     results: Optional[List[Any]] = None
     reason: Optional[str] = None  # why the coalesced launch did not answer
     started = time.monotonic()
@@ -348,7 +350,7 @@ def run_group(session, group: List[ServeRequest], stats=None) -> None:
             except Exception as exc:  # delivered, typed, through the future
                 results.append(exc)
     ended = time.monotonic()
-    cache_hit = session.stats.kernel_cache_hits > hits_before
+    cache_hit = session.thread_cache_hits() > hits_before
     if stats is not None and size > 1 and reason is None:
         stats.record_batch((req.tenant for req in group), size)
     for request, result in zip(group, results):

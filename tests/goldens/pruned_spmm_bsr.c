@@ -1,14 +1,12 @@
 /* 'pruned_spmm_bsr': its stage-III loop nests in the interpreter's order, sizes in ipar.
- * Generated by repro.core.codegen.emit_c v4; do not edit. */
+ * Generated by repro.core.codegen.emit_c v5; do not edit. */
 #include <stdint.h>
 #define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
-#define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))
-#define _LD(b, i, n) (_IN(i, n) ? (b)[i] : 0)
 static void _k0(const int32_t *JB_indptr, float *Y, const int64_t *ip)
 {
 	for (int64_t ib = 0, _t1 = ip[0]; ib < _t1; ++ib) {
 		const int64_t _t4 = ib * ip[6];
-		if (((int64_t)_LD(JB_indptr, ib + 1, ip[1]) - (int64_t)_LD(JB_indptr, ib, ip[1])) > 0)
+		if (((int64_t)JB_indptr[ib + 1] - (int64_t)JB_indptr[ib]) > 0)
 			for (int64_t bi = 0, _t2 = ip[2]; bi < _t2; ++bi) {
 				const int64_t _t5 = (_t4 + bi) * ip[7];
 				if (ip[3] > 0)
@@ -21,27 +19,21 @@ static void _k1(const int32_t *JB_indptr, float *Y, const float *W, const float 
 {
 	for (int64_t ib = 0, _t1 = ip[0]; ib < _t1; ++ib) {
 		const int64_t _t6 = ib * ip[6];
-		const int64_t _t8 = (int64_t)_LD(JB_indptr, ib, ip[1]);
-		const int64_t _t12 = (int64_t)_LD(JB_dense_indptr, ib, ip[13]);
-		for (int64_t jb = 0, _t2 = (int64_t)_LD(JB_indptr, ib + 1, ip[1]) - (int64_t)_LD(JB_indptr, ib, ip[1]); jb < _t2; ++jb) {
+		const int64_t _t8 = (int64_t)JB_indptr[ib];
+		const int64_t _t12 = (int64_t)JB_dense_indptr[ib];
+		for (int64_t jb = 0, _t2 = (int64_t)JB_indptr[ib + 1] - (int64_t)JB_indptr[ib]; jb < _t2; ++jb) {
 			const int64_t _t9 = (_t8 + jb) * ip[9];
-			const int64_t _t13 = (int64_t)_LD(JB_indices, _t12 + jb, ip[12]) * ip[14];
+			const int64_t _t13 = (int64_t)JB_indices[_t12 + jb] * ip[14];
 			for (int64_t bi = 0, _t3 = ip[2]; bi < _t3; ++bi) {
 				const int64_t _t7 = (_t6 + bi) * ip[7];
 				const int64_t _t10 = (_t9 + bi) * ip[10];
-				const int _t15 = _IN2(_t7, _t7 + (ip[4] - 1), ip[5]);
 				for (int64_t bj = 0, _t4 = ip[3]; bj < _t4; ++bj) {
-					const float _t11 = _LD(W, _t10 + bj, ip[8]);
+					const float _t11 = W[_t10 + bj];
 					const int64_t _t14 = (_t13 + bj) * ip[15];
-					if (_t15 && _IN2(_t14, _t14 + (ip[4] - 1), ip[11])) {
-						const int64_t _t5 = ip[4];
-						#pragma omp simd
-						for (int64_t k = 0; k < _t5; ++k)
-							Y[_t7 + k] = Y[_t7 + k] + (_t11 * X[_t14 + k]);
-					} else {
-						for (int64_t k = 0, _t5 = ip[4]; k < _t5; ++k)
-							if (_IN(_t7 + k, ip[5])) Y[_t7 + k] = _LD(Y, _t7 + k, ip[5]) + (_t11 * _LD(X, _t14 + k, ip[11]));
-					}
+					const int64_t _t5 = ip[4];
+					#pragma omp simd
+					for (int64_t k = 0; k < _t5; ++k)
+						Y[_t7 + k] = Y[_t7 + k] + (_t11 * X[_t14 + k]);
 				}
 			}
 		}

@@ -1,35 +1,25 @@
 /* 'sddmm': its stage-III loop nests in the interpreter's order, sizes in ipar.
- * Generated by repro.core.codegen.emit_c v4; do not edit. */
+ * Generated by repro.core.codegen.emit_c v5; do not edit. */
 #include <stdint.h>
 #define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
-#define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))
-#define _LD(b, i, n) (_IN(i, n) ? (b)[i] : 0)
 #define _ROW(t, p, nnz, rows) ((p) < 0 ? -1 : (p) >= (nnz) ? (rows) : (t)[p])
 static void _k0(float *OUT, const int32_t *J_indptr, const int32_t *J_rowof, const int64_t *ip)
 {
 	for (int64_t i_it_j_it_fused = 0, _t1 = ip[0]; i_it_j_it_fused < _t1; ++i_it_j_it_fused)
 		if (ip[1] > 0) {
-			const int64_t _t2 = (int64_t)_LD(J_indptr, (int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5]), ip[3]) + (i_it_j_it_fused - (int64_t)_LD(J_indptr, (int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5]), ip[3]));
+			const int64_t _t2 = (int64_t)J_indptr[(int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5])] + (i_it_j_it_fused - (int64_t)J_indptr[(int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5])]);
 			if (_IN(_t2, ip[2])) OUT[_t2] = 0.0f;
 		}
 }
 static void _k1(float *OUT, const int32_t *J_indptr, const int32_t *J_rowof, const float *A, const float *X, const float *Y, const int32_t *J_indices, const int32_t *J_dense_indptr, const int64_t *ip)
 {
-	const int64_t _t8 = ip[13] * (ip[1] - 1);
 	for (int64_t i_it_j_it_fused = 0, _t1 = ip[0]; i_it_j_it_fused < _t1; ++i_it_j_it_fused) {
-		const int64_t _t3 = (int64_t)_LD(J_indptr, (int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5]), ip[3]);
-		const float _t4 = _LD(A, _t3 + (i_it_j_it_fused - _t3), ip[6]);
+		const int64_t _t3 = (int64_t)J_indptr[(int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5])];
+		const float _t4 = A[_t3 + (i_it_j_it_fused - _t3)];
 		const int64_t _t5 = ((int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5])) * ip[8];
-		const int64_t _t6 = (int64_t)_LD(J_indices, (int64_t)_LD(J_dense_indptr, (int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5]), ip[12]) + (i_it_j_it_fused - _t3), ip[11]);
-		if (_IN2(_t3 + (i_it_j_it_fused - _t3), _t3 + (i_it_j_it_fused - _t3), ip[2]) && _IN2(_t5, _t5 + (ip[1] - 1), ip[7]) && _IN2(_t6, _t6 + _t8, ip[9])) {
-			for (int64_t k = 0, _t2 = ip[1]; k < _t2; ++k)
-				OUT[_t3 + (i_it_j_it_fused - _t3)] = OUT[_t3 + (i_it_j_it_fused - _t3)] + ((_t4 * X[_t5 + k]) * Y[(k * ip[10]) + _t6]);
-		} else {
-			for (int64_t k = 0, _t2 = ip[1]; k < _t2; ++k) {
-				const int64_t _t7 = _t3 + (i_it_j_it_fused - _t3);
-				if (_IN(_t7, ip[2])) OUT[_t7] = _LD(OUT, _t3 + (i_it_j_it_fused - _t3), ip[2]) + ((_t4 * _LD(X, _t5 + k, ip[7])) * _LD(Y, (k * ip[10]) + _t6, ip[9]));
-			}
-		}
+		const int64_t _t6 = (int64_t)J_indices[(int64_t)J_dense_indptr[(int64_t)_ROW(J_rowof, i_it_j_it_fused, ip[4], ip[5])] + (i_it_j_it_fused - _t3)];
+		for (int64_t k = 0, _t2 = ip[1]; k < _t2; ++k)
+			OUT[_t3 + (i_it_j_it_fused - _t3)] = OUT[_t3 + (i_it_j_it_fused - _t3)] + ((_t4 * X[_t5 + k]) * Y[(k * ip[10]) + _t6]);
 	}
 }
 int run(void **bufs, void **tabs, const int64_t *ipar, const double *fpar)

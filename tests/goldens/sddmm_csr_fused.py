@@ -11,6 +11,7 @@ MAX_LANES = 67108864
 
 def make_kernel(axes, aux, helpers):
     np = helpers['np']
+    rows_of_positions = helpers['rows_of_positions']
     J_indptr = aux['J_indptr']
     J_indices = aux['J_indices']
     J_dense_indptr = aux['J_dense_indptr']
@@ -26,7 +27,7 @@ def make_kernel(axes, aux, helpers):
         raise ValueError('loop nest expands past MAX_LANES')
     _i_it_j_it_fused7 = np.repeat(_i_it_j_it_fused1, _cnt5)
     _k_it_p4 = np.tile(np.arange(int(0), int(0) + _cnt5, dtype=np.int64), _n3)
-    _row8 = (np.searchsorted(axes['J'].indptr, _i_it_j_it_fused7, side='right') - 1).astype(np.int64, copy=False)
+    _row8 = rows_of_positions(axes['J'].indptr, _i_it_j_it_fused7)
     _ix9 = _row8.astype(np.int64, copy=False)
     _bad10 = (_ix9 < 0) | (_ix9 >= 5)
     _anybad11 = bool(_bad10.any())

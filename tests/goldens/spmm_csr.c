@@ -1,14 +1,12 @@
 /* 'spmm': its stage-III loop nests in the interpreter's order, sizes in ipar.
- * Generated by repro.core.codegen.emit_c v4; do not edit. */
+ * Generated by repro.core.codegen.emit_c v5; do not edit. */
 #include <stdint.h>
 #define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
-#define _IN2(i, j, n) (_IN(i, n) && _IN(j, n))
-#define _LD(b, i, n) (_IN(i, n) ? (b)[i] : 0)
 static void _k0(const int32_t *J_indptr, float *C, const int64_t *ip)
 {
 	for (int64_t i = 0, _t1 = ip[0]; i < _t1; ++i) {
 		const int64_t _t3 = i * ip[4];
-		if (((int64_t)_LD(J_indptr, i + 1, ip[1]) - (int64_t)_LD(J_indptr, i, ip[1])) > 0)
+		if (((int64_t)J_indptr[i + 1] - (int64_t)J_indptr[i]) > 0)
 			for (int64_t k = 0, _t2 = ip[2]; k < _t2; ++k)
 				if (_IN(_t3 + k, ip[3])) C[_t3 + k] = 0.0f;
 	}
@@ -17,21 +15,15 @@ static void _k1(const int32_t *J_indptr, float *C, const float *A, const float *
 {
 	for (int64_t i = 0, _t1 = ip[0]; i < _t1; ++i) {
 		const int64_t _t4 = i * ip[4];
-		const int64_t _t5 = (int64_t)_LD(J_indptr, i, ip[1]);
-		const int64_t _t7 = (int64_t)_LD(J_dense_indptr, i, ip[8]);
-		const int _t9 = _IN2(_t4, _t4 + (ip[2] - 1), ip[3]);
-		for (int64_t j = 0, _t2 = (int64_t)_LD(J_indptr, i + 1, ip[1]) - (int64_t)_LD(J_indptr, i, ip[1]); j < _t2; ++j) {
-			const float _t6 = _LD(A, _t5 + j, ip[5]);
-			const int64_t _t8 = (int64_t)_LD(J_indices, _t7 + j, ip[7]) * ip[9];
-			if (_t9 && _IN2(_t8, _t8 + (ip[2] - 1), ip[6])) {
-				const int64_t _t3 = ip[2];
-				#pragma omp simd
-				for (int64_t k = 0; k < _t3; ++k)
-					C[_t4 + k] = C[_t4 + k] + (_t6 * B[_t8 + k]);
-			} else {
-				for (int64_t k = 0, _t3 = ip[2]; k < _t3; ++k)
-					if (_IN(_t4 + k, ip[3])) C[_t4 + k] = _LD(C, _t4 + k, ip[3]) + (_t6 * _LD(B, _t8 + k, ip[6]));
-			}
+		const int64_t _t5 = (int64_t)J_indptr[i];
+		const int64_t _t7 = (int64_t)J_dense_indptr[i];
+		for (int64_t j = 0, _t2 = (int64_t)J_indptr[i + 1] - (int64_t)J_indptr[i]; j < _t2; ++j) {
+			const float _t6 = A[_t5 + j];
+			const int64_t _t8 = (int64_t)J_indices[_t7 + j] * ip[9];
+			const int64_t _t3 = ip[2];
+			#pragma omp simd
+			for (int64_t k = 0; k < _t3; ++k)
+				C[_t4 + k] = C[_t4 + k] + (_t6 * B[_t8 + k]);
 		}
 	}
 }

@@ -248,8 +248,10 @@ class TestSimdMarks:
             source,
         )
         assert marked, source
-        # The checked fallback keeps the serial header and carries no mark.
-        assert source.count("for (int64_t k = 0, _t") == 2
+        # No checked copy beside it: the binding's table checks prove every
+        # access, so the one serial header left is the init pass's zero fill.
+        assert source.count("for (int64_t k = 0, _t") == 1
+        assert "_LD(" not in source and "_IN2(" not in source
 
     def test_goldens_carry_the_expected_marks(self):
         texts = {name: (GOLDEN_DIR / f"{name}.c").read_text() for name in GOLDENS}
@@ -340,6 +342,46 @@ class TestSimdMarks:
         # GCC places a loop at its header or its first statement: the two lines under a mark.
         assert len(loops) == len(marks), proc.stderr
         assert all(mark < loop <= mark + 2 for mark, loop in zip(marks, loops)), proc.stderr
+
+
+def _strong_imports(path):
+    """The non-weak undefined dynamic symbols of the shared object at *path*,
+    read with ``nm`` or, failing that, ``readelf`` (``None``: neither runs)."""
+    import shutil
+
+    if shutil.which("nm"):
+        out = subprocess.run(["nm", "-D", "--undefined-only", str(path)], capture_output=True, text=True)
+        rows = [line.split() for line in out.stdout.splitlines()]
+        return {row[-1].split("@")[0] for row in rows if row and row[-2] == "U"}
+    if shutil.which("readelf"):
+        out = subprocess.run(["readelf", "--dyn-syms", "-W", str(path)], capture_output=True, text=True)
+        rows = [line.split() for line in out.stdout.splitlines()]
+        # Num: Value Size Type Bind Vis Ndx Name
+        return {row[7].split("@")[0] for row in rows if len(row) >= 8 and row[6] == "UND" and row[4] != "WEAK"}
+    return None
+
+
+class TestArtifactImports:
+    @needs_cc
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_a_kernel_imports_no_memory_routine(self, name, tmp_path):
+        """An unguarded fill or copy loop is one GCC turns into ``memset`` /
+        ``memcpy``: every artifact would import it and grow by a PLT entry and
+        its relocations (+232 B of a 5,576 B ``.so``).  A kernel may import the
+        allocator its ``local`` buffers use, nothing else."""
+        version = subprocess.run([find_compiler(), "--version"], capture_output=True, text=True).stdout
+        if "free software foundation" not in version.lower():
+            pytest.skip("loop distribution into memory routines is GCC's")
+        so = tmp_path / "k.so"
+        proc = subprocess.run(
+            [find_compiler(), *emit_c.CFLAGS, str(GOLDEN_DIR / f"{name}.c"), "-o", str(so), "-lm"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imports = _strong_imports(so)
+        if imports is None:
+            pytest.skip("neither nm nor readelf is on PATH")
+        assert imports <= {"calloc", "free"}, imports
 
 
 class TestScheduleDoor:

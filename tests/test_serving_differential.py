@@ -216,6 +216,36 @@ class TestRunGroupDifferential:
             for snap in stats.snapshot().values()
         ) == 3
 
+    def test_concurrent_groups_attribute_their_own_cache_hits(self, rng, monkeypatch):
+        """A full queue runs a group inline on the caller's thread while the
+        batcher runs another: a warm group's hit that lands while a cold group
+        runs is the warm group's, not the cold one's."""
+        session, stats = Session(), ServingStats()
+        warm_csr, cold_csr = _random_csr(12, 8, 0.3, seed=1), _random_csr(12, 8, 0.3, seed=2)
+        x = rng.random((8, 4), dtype=np.float32)
+        session.spmm(warm_csr, x)
+        cold_started, warm_done = threading.Event(), threading.Event()
+        execute = session._execute
+
+        def ordered(kind, structure, *args, **kwargs):
+            if structure is cold_csr:  # the warm group runs inside the cold one
+                cold_started.set()
+                assert warm_done.wait(10)
+            return execute(kind, structure, *args, **kwargs)
+
+        monkeypatch.setattr(session, "_execute", ordered)
+        cold = make_spmm_request(cold_csr, x, tenant="cold")
+        warm = make_spmm_request(warm_csr, x, tenant="warm")
+        inline = threading.Thread(target=run_group, args=(session, [cold], stats))
+        inline.start()
+        assert cold_started.wait(10)
+        run_group(session, [warm], stats)
+        warm_done.set()
+        inline.join(10)
+        snap = stats.snapshot()
+        assert (snap["cold"]["cache_hits"], snap["warm"]["cache_hits"]) == (0, 1)
+        assert cold.future.result(timeout=10).shape == warm.future.result(timeout=10).shape
+
     def test_failed_launch_is_counted_under_its_exception_type(self, rng, monkeypatch):
         csr = _random_csr(10, 8, 0.3, seed=5)
         feats = [rng.random((8, 4), dtype=np.float32) for _ in range(3)]
