@@ -135,6 +135,23 @@ def check_tables(
     return None
 
 
+def _rows_of_positions(indptr: np.ndarray, size: int) -> np.ndarray:
+    """``searchsorted(indptr, p, side="right") - 1`` for every position
+    ``p < size``, as int32: the row table of a fused loop's row search.  A
+    non-decreasing *indptr* inside ``[0, size]`` (what its facts hold) takes
+    one ``np.repeat``; anything else the search itself."""
+    counts = np.diff(indptr)
+    first, last = (int(indptr[0]), int(indptr[-1])) if indptr.size else (-1, -1)
+    if not (0 <= first <= last <= size) or bool((counts < 0).any()):
+        positions = np.arange(size)
+        return (np.searchsorted(indptr, positions, side="right") - 1).astype(np.int32)
+    rows = np.empty(size, dtype=np.int32)
+    rows[:first] = -1
+    rows[first:last] = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    rows[last:] = counts.size
+    return rows
+
+
 class NativeBinding(NamedTuple):
     """What fills ``run(bufs, tabs, ipar, fpar)`` for one program: no code.
 
@@ -482,12 +499,10 @@ def load_native(
         if kind != "rowof":
             source = getattr(axes[name], kind) if source is None else source
             return np.ascontiguousarray(source, dtype=np.int64)
-        indptr = axes[name].indptr
-        positions = np.arange(indptr[-1])  # the table keeps its bound length
+        size = int(axes[name].indptr[-1])  # the table keeps its bound length
         if source is None:  # the checked table, where the program binds one
-            source = aux.get(f"{name}_indptr", indptr)
-        rows = np.searchsorted(source, positions, side="right")
-        return (rows - 1).astype(np.int32)
+            source = aux.get(f"{name}_indptr", axes[name].indptr)
+        return _rows_of_positions(source, size)
 
     stored = {store.buffer.name for store in collect_buffer_stores(func.body)}
     stored_slots = frozenset(slot for slot, name in enumerate(binding.bufs) if name in stored)

@@ -1,33 +1,50 @@
-"""Compressed Sparse Row (CSR) matrices, with incremental structure updates.
+"""Compressed Sparse Row (CSR) matrices, editable a batch at a time.
 
-A :class:`CSRMatrix` is canonically frozen — kernels, caches and
-fingerprints all hash its ``indptr``/``indices`` content — but it is not
-*immutable*: :meth:`CSRMatrix.insert_edges` and
-:meth:`CSRMatrix.delete_edges` apply O(delta) edits through a
-:class:`~repro.formats.delta.DeltaLog` riding on the frozen base arrays,
-and every mutation bumps a monotonic :attr:`CSRMatrix.structure_epoch`.
-The public ``indptr``/``indices``/``data`` views always expose the
-*effective* (base + delta) arrays, so all consumers see the updated
-matrix; re-compaction into a fresh base happens automatically once the
-delta exceeds :attr:`CSRMatrix.compact_threshold` of the base nnz (see
-``docs/dynamic.md`` for the amortised bounds).
+The public ``indptr``/``indices``/``data`` of a :class:`CSRMatrix` are
+canonical (ascending, duplicate-free columns per row) and exact
+(``indptr[-1] == len(indices)``); kernels, caches and fingerprints hash that
+content.  :meth:`CSRMatrix.insert_edges` and :meth:`CSRMatrix.delete_edges`
+apply one batch to the matrix's sorted ``row * cols + col`` keys in O(nnz)
+NumPy — the way a user of SciPy edits an edge list — and bump the monotonic
+:attr:`CSRMatrix.structure_epoch` once.  Every batch makes fresh arrays and
+writes none in place, so a reader still holding the previous ones (a serving
+thread) keeps a consistent matrix.
+
+An edited matrix keeps its values, and the int32 tables kernels take, padded
+to a :attr:`CSRMatrix.capacity` with slack beyond nnz (:data:`SLACK`): the
+runtime binds a kernel to the capacity once and feeds it the current tables
+on every call, so an edit that stays within the capacity needs no new kernel
+(see ``docs/dynamic.md``).  A matrix that was never edited has no slack.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..core.axes import DenseFixedAxis, SparseVariableAxis
-from .delta import DeltaLog, MergedView, base_edge_keys, merge_delta
 
-RowPatch = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Spare positions a batch that outgrows the capacity leaves beyond the new
+#: nnz, as ``(fraction of nnz, minimum)``: edits that stay within them feed
+#: the kernel already bound to the capacity.
+SLACK = (0.125, 16)
 
-#: Pending-delta fraction of the base nnz beyond which a mutation
-#: automatically re-compacts (keeps per-edit cost O(1/threshold) amortised).
-DEFAULT_COMPACT_THRESHOLD = 0.25
+
+def _last_of_runs(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the last entry of every run of equal values in a sorted array."""
+    last = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
+    return last
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(position, found)`` of each key in a sorted, duplicate-free array."""
+    at = np.searchsorted(sorted_keys, keys)
+    if not sorted_keys.size:
+        return at, np.zeros(keys.size, dtype=bool)
+    return at, sorted_keys.take(at, mode="clip") == keys
 
 
 class CSRMatrix:
@@ -52,7 +69,6 @@ class CSRMatrix:
         indices: np.ndarray,
         data: Optional[np.ndarray] = None,
         dtype: str = "float32",
-        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
     ):
         self.shape = (int(shape[0]), int(shape[1]))
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -74,25 +90,17 @@ class CSRMatrix:
         data = np.asarray(data).astype(value_dtype, copy=False)
         if data.shape[0] != len(indices):
             raise ValueError("data length must equal number of non-zeros")
-        self.compact_threshold = float(compact_threshold)
         self._indptr = indptr
         self._indices = indices
-        self._data = data
-        self._init_dynamic_state()
-
-    def _init_dynamic_state(self) -> None:
-        self._delta: Optional[DeltaLog] = None
+        #: ``data`` is ``_values[:nnz]``: the values padded to the capacity.
+        self._data = self._values = data
         self._epoch = 0
         self._mutations = 0
-        self._merged: Optional[MergedView] = None
-        self._row_patch: Optional[RowPatch] = None
-        self._base_keys: Optional[np.ndarray] = None
-        self._base_view: Optional["CSRMatrix"] = None
+        #: Sorted ``row * cols + col`` per stored entry, made on the first edit.
+        self._keys: Optional[np.ndarray] = None
+        #: ``(epoch, int32 indptr, int32 indices padded to the capacity)``.
+        self._tables: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
         self._signature: Optional[Tuple[int, str]] = None
-        #: Names the frozen base arrays: shared with :meth:`base_view`, and
-        #: replaced only when :meth:`compact` replaces the arrays.  Caches of
-        #: work done on the base (bound kernels) key on its identity.
-        self.base_snapshot = object()
 
     # -- constructors ---------------------------------------------------------------
     @classmethod
@@ -155,53 +163,46 @@ class CSRMatrix:
                            data_rvs=lambda size: rng.standard_normal(size).astype(value_dtype))
         return cls.from_scipy(matrix, dtype=dtype)
 
-    # -- storage views --------------------------------------------------------------
-    # The public triplet always reflects the *effective* matrix: the frozen
-    # base arrays when no delta is pending, else the (cached) merged arrays.
-
+    # -- storage --------------------------------------------------------------------
     @property
     def indptr(self) -> np.ndarray:
-        return self._indptr if self._delta is None else self._merged_view().indptr
+        return self._indptr
 
     @property
     def indices(self) -> np.ndarray:
-        return self._indices if self._delta is None else self._merged_view().indices
+        return self._indices
 
     @property
     def data(self) -> np.ndarray:
-        return self._data if self._delta is None else self._merged_view().data
+        return self._data
 
-    def _merged_view(self) -> MergedView:
-        if self._merged is None:
-            self._merged = merge_delta(self._delta)
-        return self._merged
+    @property
+    def capacity(self) -> int:
+        """Positions the value storage and kernel tables hold (``>= nnz``)."""
+        return len(self._values)
 
-    def row_patch(self) -> RowPatch:
-        """The rows a pending delta touched, as a CSR over the full row count.
+    def tables(self, size: int) -> Dict[str, np.ndarray]:
+        """The tables a kernel bound to *size* positions is fed (``nnz <= size
+        <= capacity``): int32 ``indptr``, int32 ``indices`` and the
+        ``values``, the last two padded to *size*.  The int32 copies are made
+        once per epoch; a write into :attr:`data` shows in ``values``."""
+        memo = self._tables
+        if memo is None or memo[0] != self._epoch:
+            indices = np.zeros(self.capacity, dtype=np.int32)
+            indices[: self.nnz] = self._indices
+            memo = self._tables = (self._epoch, self._indptr.astype(np.int32), indices)
+        return {"indptr": memo[1], "indices": memo[2][:size], "values": self._values[:size]}
 
-        ``(rows, indptr, indices, values)`` of
-        :meth:`~repro.formats.delta.DeltaLog.row_patch`, memoised per
-        :attr:`structure_epoch`: what the runtime recomputes on top of the
-        base plan, in ``O(touched rows)`` with no pass over the base.
-        """
-        if self._row_patch is None:
-            self._row_patch = self._delta.row_patch()
-        return self._row_patch
-
-    def _ensure_base_keys(self) -> np.ndarray:
-        if self._base_keys is None:
-            self._base_keys = base_edge_keys(self.shape, self._indptr, self._indices)
-        return self._base_keys
-
-    # -- incremental updates --------------------------------------------------------
+    # -- edits --------------------------------------------------------------------
     @property
     def structure_epoch(self) -> int:
-        """Monotonic counter bumped by every mutating call.
+        """Monotonic counter bumped by every edit batch.
 
         Caches that memoise by object identity must key by
         ``(id(matrix), matrix.structure_epoch)`` — an unchanged epoch
-        guarantees unchanged structure *and* values.  Re-compaction does not
-        bump the epoch: it rewrites the storage, not the content.
+        guarantees unchanged structure *and* values (up to in-place writes
+        into :attr:`data`).  :meth:`compact` does not bump it: it rewrites
+        the storage, not the content.
         """
         return self._epoch
 
@@ -211,19 +212,10 @@ class CSRMatrix:
         return self._mutations
 
     @property
-    def has_pending_delta(self) -> bool:
-        """Whether edits are pending against the frozen base snapshot."""
-        return self._delta is not None
-
-    @property
     def pending_delta(self) -> int:
-        """Number of pending edits (inserted + dead entries)."""
-        return self._delta.pending if self._delta is not None else 0
-
-    @property
-    def drift_ratio(self) -> float:
-        """Pending edits as a fraction of the base nnz."""
-        return self.pending_delta / max(len(self._indices), 1)
+        """Edits not yet folded into the arrays: always 0, since every batch
+        rebuilds them (kept for readers of the former edit log's counter)."""
+        return 0
 
     def _edit_batch(self, rows, cols, values=None):
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
@@ -244,34 +236,37 @@ class CSRMatrix:
                 raise ValueError("values must match the number of edited edges")
         return rows, cols, values
 
-    def _open_delta(self) -> DeltaLog:
-        """The pending log, or a fresh one the caller adopts once its batch applied."""
-        if self._delta is not None:
-            return self._delta
-        return DeltaLog(
-            self.shape, self._indptr, self._indices, self._data, self._ensure_base_keys()
-        )
+    def _edit_keys(self) -> np.ndarray:
+        keys = self._keys
+        if keys is None:
+            rows = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self._indptr))
+            keys = rows * np.int64(self.cols) + self._indices
+            if keys.size > 1 and not bool((keys[1:] > keys[:-1]).all()):
+                raise ValueError("editing requires a canonical CSR "
+                                 "(ascending, duplicate-free column indices per row)")
+            self._keys = keys
+        return keys
 
-    def _bump(self, edits: int) -> None:
+    def _row_shift(self, keys: np.ndarray) -> np.ndarray:
+        """Per ``indptr`` entry, how many of the sorted *keys* lie in earlier rows."""
+        shift = np.zeros(self.rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // self.cols, minlength=self.rows), out=shift[1:])
+        return shift
+
+    def _adopt(self, keys, indptr, indices, values, nnz: int, edits: int) -> None:
+        self._keys, self._indptr, self._indices = keys, indptr, indices
+        self._values, self._data = values, values[:nnz]
         self._epoch += 1
         self._mutations += edits
-        self._merged = self._row_patch = None
-        self._signature = None
-        if not self._delta.pending:
-            # Edits cancelled out (insert then delete): back to the base,
-            # whose view and snapshot identity stand.
-            self._delta = None
-        elif self.drift_ratio >= self.compact_threshold:
-            self.compact()
 
     def insert_edges(self, rows, cols, values=None) -> None:
-        """Insert (or upsert) edges through the delta log, a batch at a time.
+        """Insert (or upsert) edges, a batch at a time.
 
-        Inserting an edge that already exists replaces its value (the base
-        entry is superseded, never rewritten in place); naming an edge twice
-        in one batch keeps the last value.  The batch is validated before any
-        state changes, bumps :attr:`structure_epoch` once, and may trigger
-        automatic re-compaction.
+        Inserting an edge that already exists replaces its value; naming an
+        edge twice in one batch keeps the last value.  The batch is validated
+        before any state changes and bumps :attr:`structure_epoch` once.  It
+        costs O(nnz) (plus a sort of the batch) and makes fresh arrays: a
+        batch that outgrows the :attr:`capacity` grows it by :data:`SLACK`.
 
         Args:
             rows: Row index (scalar or 1-D array) per inserted edge.
@@ -281,74 +276,69 @@ class CSRMatrix:
         rows, cols, values = self._edit_batch(rows, cols, values)
         if rows.size == 0:
             return
-        delta = self._open_delta()
-        delta.upsert(rows * np.int64(self.cols) + cols, values)
-        self._delta = delta
-        self._bump(int(rows.size))
+        keys = self._edit_keys()
+        batch = rows * np.int64(self.cols) + cols
+        order = np.argsort(batch, kind="stable")
+        last = _last_of_runs(batch[order])
+        batch, values = batch[order][last], values[order][last]
+        at, found = _lookup(keys, batch)
+        fresh = ~found
+        at_fresh, new = at[fresh], batch[fresh]
+        nnz = keys.size + new.size
+        size = self.capacity
+        if nnz > size:
+            size = nnz + max(int(nnz * SLACK[0]), SLACK[1])
+        merged = np.insert(keys, at_fresh, new)
+        padded = np.zeros(size, dtype=self._values.dtype)
+        padded[:nnz] = np.insert(self._data, at_fresh, values[fresh])
+        padded[np.searchsorted(merged, batch[found])] = values[found]
+        self._adopt(
+            merged, self._indptr + self._row_shift(new),
+            np.insert(self._indices, at_fresh, new % self.cols), padded, nnz, int(rows.size),
+        )
 
     def delete_edges(self, rows, cols) -> None:
-        """Delete existing edges through the delta log, a batch at a time.
+        """Delete existing edges, a batch at a time (O(nnz), fresh arrays).
 
         Raises:
-            KeyError: If any addressed edge is not present in the effective
-                matrix, or is named twice (the batch is checked up front and
-                applied atomically: a rejected batch leaves the matrix exactly
-                as it found it).
+            KeyError: If any addressed edge is not present, or is named twice
+                (the batch is checked up front and applied atomically: a
+                rejected batch leaves the matrix exactly as it found it).
         """
         rows, cols, _ = self._edit_batch(rows, cols)
         if rows.size == 0:
             return
-        delta = self._open_delta()
-        delta.remove(rows * np.int64(self.cols) + cols)
-        self._delta = delta  # adopted only once the batch went through
-        self._bump(int(rows.size))
+        keys = self._edit_keys()
+        batch = np.sort(rows * np.int64(self.cols) + cols)
+        twice = ~_last_of_runs(batch)
+        if twice.any():
+            edge = divmod(int(batch[twice][0]), self.cols)
+            raise KeyError(f"edge {edge} deleted twice in one batch")
+        at, present = _lookup(keys, batch)
+        if not present.all():
+            raise KeyError(f"edge {divmod(int(batch[~present][0]), self.cols)} is not present")
+        nnz = keys.size - batch.size
+        padded = np.zeros(self.capacity, dtype=self._values.dtype)
+        padded[:nnz] = np.delete(self._data, at)
+        self._adopt(
+            np.delete(keys, at), self._indptr - self._row_shift(batch),
+            np.delete(self._indices, at), padded, nnz, int(rows.size),
+        )
 
     def compact(self) -> "CSRMatrix":
-        """Fold the pending delta into a fresh canonical base (O(nnz)).
+        """Trim the slack: the capacity becomes nnz (a fresh value array).
 
-        The effective content is unchanged, so :attr:`structure_epoch` is
-        *not* bumped — content-keyed memos stay valid across compaction.
-        Returns ``self`` for chaining.
+        The content is unchanged, so :attr:`structure_epoch` is *not*
+        bumped — content-keyed memos stay valid.  A kernel bound to the old
+        capacity is bound anew on the next call.  Returns ``self``.
         """
-        if self._delta is not None:
-            merged = self._merged_view()
-            self._indptr = merged.indptr
-            self._indices = merged.indices
-            self._data = merged.data
-            self._delta = self._merged = self._row_patch = None
-            self._base_keys = None
-            self._base_view = None
-            self.base_snapshot = object()
+        if self.capacity != self.nnz:
+            self._values = self._data = self._data.copy()
+            self._tables = None
         return self
 
-    def base_view(self) -> "CSRMatrix":
-        """A frozen :class:`CSRMatrix` sharing this matrix's base arrays.
-
-        The runtime executes a mutated matrix as *base plan + overlay*: the
-        base view keeps its object identity (and arrays) across an update
-        window, so kernels and fingerprints computed against it stay warm
-        until :meth:`compact` replaces the base.  With no pending delta the
-        matrix is its own base.
-        """
-        if self._delta is None:
-            return self
-        view = self._base_view
-        if view is None:
-            view = CSRMatrix.__new__(CSRMatrix)
-            view.shape = self.shape
-            view.dtype = self.dtype
-            view.compact_threshold = self.compact_threshold
-            view._indptr = self._indptr
-            view._indices = self._indices
-            view._data = self._data
-            view._init_dynamic_state()
-            view._base_keys = self._base_keys
-            view.base_snapshot = self.base_snapshot
-            self._base_view = view
-        return view
-
     def content_signature(self) -> str:
-        """Content hash of the effective arrays, memoised per epoch.
+        """Content hash of ``indptr`` / ``indices`` / ``data``, memoised per epoch.
 
         Stale-proof replacement for caching a content hash on the object:
         the memo is keyed by :attr:`structure_epoch`, so a mutated matrix
@@ -367,9 +357,7 @@ class CSRMatrix:
     # -- basic properties -----------------------------------------------------------
     @property
     def nnz(self) -> int:
-        if self._delta is None:
-            return int(len(self._indices))
-        return int(len(self._indices)) - self._delta.dead + self._delta.inserted
+        return int(len(self._indices))
 
     @property
     def rows(self) -> int:

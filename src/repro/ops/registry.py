@@ -182,11 +182,10 @@ def prepare_spmm(
 ) -> OpSpec:
     """``A @ X`` through the full compile/execute pipeline.
 
-    A matrix with a pending delta
-    (:attr:`~repro.formats.csr.CSRMatrix.has_pending_delta`) executes
-    as base plan + overlay — the frozen base runs through its warm
-    cached kernel and only the delta's affected rows are recomputed —
-    bit-exact with a cold rebuild (see :mod:`repro.runtime.dynamic`).
+    A matrix that has been edited
+    (:meth:`~repro.formats.csr.CSRMatrix.insert_edges`) feeds its current
+    tables to the kernel bound to its capacity, so an edit compiles
+    nothing, bit-exact with a cold rebuild (see ``docs/dynamic.md``).
 
     Args:
         csr: The sparse matrix (:class:`~repro.formats.csr.CSRMatrix`).
@@ -255,8 +254,9 @@ def prepare_sddmm(
 ) -> OpSpec:
     """Sampled dense-dense matmul at the non-zeros of ``csr``.
 
-    A matrix with a pending delta executes as base plan + edge overlay,
-    bit-exact with a cold rebuild (see :mod:`repro.runtime.dynamic`).
+    A matrix that has been edited feeds its current tables to the kernel
+    bound to its capacity (the fused loop: to its nnz), bit-exact with a
+    cold rebuild (see ``docs/dynamic.md``).
 
     Args:
         csr: The sampling structure (values scale each edge score).

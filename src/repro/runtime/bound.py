@@ -34,12 +34,13 @@ from ..ops.registry import finalize
 def _flat(value: Any, dtype: np.dtype, private: bool) -> np.ndarray:
     """*value* as a flat C-contiguous array of *dtype*.
 
-    The same memory when it already is one, unless *private* asks for a copy
-    the kernel may overwrite.
+    The same array when it already is one (so two feeds of one table stay
+    one object), unless *private* asks for a copy the kernel may overwrite.
     """
     if private:
         return np.array(value, dtype=dtype, order="C").reshape(-1)
-    return np.ascontiguousarray(value, dtype=dtype).reshape(-1)
+    array = np.ascontiguousarray(value, dtype=dtype)
+    return array if array.ndim == 1 else array.reshape(-1)
 
 
 class BoundKernel:

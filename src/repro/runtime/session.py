@@ -52,9 +52,11 @@ import numpy as np
 
 from ..core.codegen.build import ENGINES, Kernel, build
 from ..core.codegen.cache import KernelCache
+from ..core.codegen.native import toolchain_available
 from ..core.program import PrimFunc
+from ..core.sparse_iteration import FusedAxisGroup, SparseIteration
+from ..core.stmt import SeqStmt
 from ..ops import registry
-from . import dynamic
 from .bound import BoundKernel
 from .keys import content_key
 
@@ -72,8 +74,10 @@ class SessionStats:
     ``builds`` / ``kernel_cache_hits`` count kernels obtained / obtained
     without lowering; a bound-kernel handle hit is both (and one
     ``handle_hits``; on a derived format also one ``format_cache_hits``).
-    Serving runs one session from several threads, so every increment
-    happens under :attr:`lock`.
+    ``table_rebinds`` counts handles of an edited CSR matrix bound anew
+    because the matrix outgrew the capacity (or, fused SDDMM, the nnz) their
+    kernel was bound to.  Serving runs one session from several threads, so
+    every increment happens under :attr:`lock`.
     """
 
     builds: int = 0
@@ -86,7 +90,7 @@ class SessionStats:
     interpreted_runs: int = 0
     graph_nodes_fused: int = 0
     graph_nodes_unfused: int = 0
-    overlay_runs: int = 0
+    table_rebinds: int = 0
     stale_plan_reuses: int = 0
     retunes_triggered: int = 0
     handle_hits: int = 0
@@ -120,7 +124,7 @@ class SessionStats:
             "interpreted_runs": self.interpreted_runs,
             "graph_nodes_fused": self.graph_nodes_fused,
             "graph_nodes_unfused": self.graph_nodes_unfused,
-            "overlay_runs": self.overlay_runs,
+            "table_rebinds": self.table_rebinds,
             "stale_plan_reuses": self.stale_plan_reuses,
             "retunes_triggered": self.retunes_triggered,
             "handle_hits": self.handle_hits,
@@ -137,43 +141,79 @@ class _Handle:
     """One memoised operator application: a bound kernel plus its guard."""
 
     bound: BoundKernel
-    #: What the key names by ``id`` (:func:`_identity`), pinned so that id
-    #: cannot be reused while the handle is alive.
+    #: The structure the key names by ``id``, pinned so that id cannot be
+    #: reused while the handle is alive.
     anchor: Any
-    #: Its storage at bind time; ``compact()`` swaps these under an unchanged
-    #: epoch, so a hit requires them to be the very same arrays.
+    #: Its storage at bind time (keyed by epoch: a hit requires the very
+    #: same arrays).
     storage: Tuple[Any, Any]
     #: Whether the structure's value array is a per-call operand.
     feeds_values: bool
     #: Whether the kernel runs on a decomposition of the structure.
     derived_format: bool
+    #: Of an edited matrix (keyed without its epoch): ``(attribute, value)``
+    #: the matrix must still show — ``capacity`` or ``nnz`` for a kernel fed
+    #: its tables, ``structure_epoch`` for one bound to its content.
+    guard: Optional[Tuple[str, Any]] = None
+    #: Positions the fed tables are padded to (``None``: nothing fed).
+    size: Optional[int] = None
+    #: Whether the result has one entry per position, cut to the nnz.
+    per_edge: bool = False
+
+    def fits(self, structure: Any, storage: Tuple[Any, Any]) -> bool:
+        if self.guard is None:
+            return self.storage[0] is storage[0] and self.storage[1] is storage[1]
+        return getattr(structure, self.guard[0]) == self.guard[1]
 
     def run(
         self, structure: Any, operands: Dict[str, np.ndarray], tables: Optional[Dict[str, Any]]
     ) -> np.ndarray:
         if tables is not None:
             operands.update(tables)
+        elif self.size is not None:
+            operands.update(structure.tables(self.size))
         elif self.feeds_values:
             operands["values"] = structure.data
-        return self.bound.run(operands)["out"]
+        out = self.bound.run(operands)["out"]
+        return out[..., : structure.nnz] if self.per_edge else out
 
 
 def _storage(structure: Any) -> Tuple[Any, Any]:
     return getattr(structure, "indptr", None), getattr(structure, "indices", None)
 
 
-def _identity(structure: Any) -> Tuple[Any, Any]:
-    """``(anchor, epoch)`` a handle is keyed on (the anchor by ``id``).
+#: The epoch slot of a handle key for a CSR matrix that has been edited.
+_EDITED = "edited"
 
-    A structure is its own anchor.  A CSR matrix answers with its base
-    snapshot instead, which is one identity — for the matrix while it is
-    clean, across edits that cancelled out, and for its ``base_view()`` during
-    an edit window — until ``compact()`` replaces the arrays.
-    """
-    snapshot = getattr(structure, "base_snapshot", None)
-    if snapshot is not None:
-        return snapshot, None
-    return structure, getattr(structure, "structure_epoch", None)
+#: Operators whose program over a CSR matrix reads, per edge, only the
+#: matrix's own tables and values — an edited matrix feeds them per call —
+#: and whether their result has one entry per edge.
+_TABLE_FED = {"spmm": False, "sddmm": True}
+
+
+def _fuses_positions(func: PrimFunc) -> bool:
+    """Whether *func* iterates a fused axis group: one loop over every bound
+    position, whose row search needs tables ending exactly at the bound."""
+    body = func.body
+    return any(
+        isinstance(group, FusedAxisGroup)
+        for stmt in (body.stmts if isinstance(body, SeqStmt) else (body,))
+        if isinstance(stmt, SparseIteration)
+        for group in stmt.axes
+    )
+
+
+def _footprint(csr: Any, size: int) -> Any:
+    """A matrix of *csr*'s shape and dtype with *size* positions, all in its
+    last row: what a kernel fed *csr*'s tables is bound to.  Only its sizes
+    reach the kernel — every call feeds the current tables — so every matrix
+    of one shape and size shares one lowering."""
+    indptr = np.zeros(csr.rows + 1, dtype=np.int64)
+    indptr[-1] = size
+    return type(csr)(
+        csr.shape, indptr, np.zeros(size, dtype=np.int64),
+        np.zeros(size, dtype=csr.dtype), dtype=csr.dtype,
+    )
 
 
 class Session:
@@ -337,30 +377,24 @@ class Session:
         :class:`~repro.runtime.bound.BoundKernel`; anything else goes
         through :meth:`_execute_cold`.
 
+        A CSR matrix that has been edited keys its handles without its
+        epoch: a handle bound to its capacity is fed the current tables on
+        every call, and is bound anew (``stats.table_rebinds``) once the
+        matrix outgrows it (see :meth:`_execute_cold`).
+
         *tables* (``indptr`` / ``indices`` / ``values`` laid out like the
         structure's own) runs the same handle over another matrix of the
-        structure's footprint — the overlay's row patch.  Only a native
-        kernel takes tables per call; on any other tier the result is
-        ``None`` and nothing ran.
-
-        A structure with a pending delta detours to the operator's
-        ``overlay_<kind>`` in :mod:`repro.runtime.dynamic`, where there is one
-        (base plan + patch); the base snapshot it calls back with has none.
+        structure's footprint.  Only a native kernel takes tables per call;
+        on any other tier the result is ``None`` and nothing ran.
         """
-        if getattr(structure, "has_pending_delta", False):
-            # Looked up on the module per call, so a patched overlay (a tracer's
-            # span wrapper) is the one that runs.
-            overlay = getattr(dynamic, f"overlay_{kind}", None)
-            if overlay is not None:
-                return overlay(self, structure, **operands, **options)
         operands = {role: np.asarray(value) for role, value in operands.items()}
         if options.get("dtype") is not None:
             options["dtype"] = np.dtype(options["dtype"])  # one key per spelling
-        anchor, epoch = _identity(structure)
+        epoch = getattr(structure, "structure_epoch", None)
         key = (
             kind,
-            id(anchor),
-            epoch,
+            id(structure),
+            _EDITED if epoch else epoch,  # an edited matrix: its handles check a guard
             tuple((value.shape, value.dtype) for value in operands.values()),
             tuple(options.values()),
             self._tuning_generation if options.get("tuned") else None,
@@ -368,9 +402,7 @@ class Session:
         storage = _storage(structure)
         with self._lock:
             handle = self._handles.get(key)
-            if handle is not None and (
-                handle.storage[0] is not storage[0] or handle.storage[1] is not storage[1]
-            ):
+            if handle is not None and not handle.fits(structure, storage):
                 handle = None
             if handle is not None:
                 if tables is not None and not handle.bound.feeds_tables:
@@ -416,11 +448,39 @@ class Session:
         value array and index tables under its own buffer names; those are
         bound as feeds too (``values`` re-read on every call, ``indptr`` /
         ``indices`` taken when a call provides them).
+
+        An edited CSR matrix whose SpMM / SDDMM program a native kernel can
+        serve binds that kernel to a placeholder of its :attr:`capacity`
+        (:func:`_footprint`) and feeds it :meth:`CSRMatrix.tables` on every
+        call; a fused row search binds to the exact nnz instead.  Otherwise —
+        a decomposition, no toolchain — the kernel is bound to the matrix's
+        content and its handle holds for that epoch only.
         """
         args = list(operands.values()) if structure is None else [structure, *operands.values()]
         spec = registry.prepare(self, kind, *args, **options)
         func, names = registry.build_spec_program(spec)
-        kernel = self.build(func)
+        guard, size, kernel = None, None, None
+        if key[2] == _EDITED:
+            guard = ("structure_epoch", structure.structure_epoch)
+            if (
+                spec.structure is structure and kind in _TABLE_FED
+                and self.engine in ("auto", "native") and toolchain_available()
+            ):
+                fused = _fuses_positions(func)
+                size = structure.nnz if fused else structure.capacity
+                if not options.get("tuned"):  # a tuned plan is resolved per epoch
+                    guard = ("nnz" if fused else "capacity", size)
+                shape = spec.out_shape[:-1] + (size,) if _TABLE_FED[kind] else spec.out_shape
+                fed = replace(spec, structure=_footprint(structure, size), out_shape=shape)
+                fed_func, fed_names = registry.build_spec_program(fed)
+                kernel = self.build(fed_func)
+                if kernel.fast_tier(self.engine) == "native":
+                    spec, func, names = fed, fed_func, fed_names
+                else:  # the placeholder's content must never run
+                    kernel, size = None, None
+                    guard = ("structure_epoch", structure.structure_epoch)
+        if kernel is None:
+            kernel = self.build(func)
         tier = kernel.fast_tier(self.engine)
         if tier is None or not all(
             role in names and spec.inputs[role].shape == value.shape
@@ -431,7 +491,8 @@ class Session:
             out = self.run_kernel(kernel)
             return registry.finalize(spec, out[names["out"]])
         feeds = {names[role]: role for role in operands}
-        feeds_values = spec.structure is structure and "values" in names
+        iterates = size is not None or spec.structure is structure
+        feeds_values = iterates and "values" in names
         if feeds_values:
             feeds[names["values"]] = "values"
             for aux in kernel.func.aux_buffers:
@@ -440,11 +501,15 @@ class Session:
         # stay pinned by the handle.
         outputs = [("out", names["out"], replace(spec, inputs={}))]
         handle = _Handle(
-            BoundKernel(kernel, tier, feeds, outputs), _identity(structure)[0], storage,
-            feeds_values,
-            derived_format=spec.structure is not structure,
+            BoundKernel(kernel, tier, feeds, outputs), structure, storage, feeds_values,
+            derived_format=not iterates, guard=guard, size=size,
+            per_edge=size is not None and _TABLE_FED[kind],
         )
         with self._lock:
+            stale = self._handles.get(key)
+            if stale is not None and stale.guard and stale.guard[0] in ("capacity", "nnz"):
+                if not stale.fits(structure, storage):  # outgrown, not raced
+                    self.stats.table_rebinds += 1
             self.stats.handle_misses += 1
             self._handles[key] = handle
             while len(self._handles) > self.format_cache_capacity:

@@ -29,9 +29,7 @@ build_module = sys.modules["repro.core.codegen.build"]
 
 
 def matrix(seed=0, rows=12, cols=10, dtype="float32"):
-    m = CSRMatrix.random(rows, cols, density=0.3, seed=seed, dtype=dtype)
-    m.compact_threshold = 10.0  # compaction only when a test asks for it
-    return m
+    return CSRMatrix.random(rows, cols, density=0.3, seed=seed, dtype=dtype)
 
 
 def features(m, width=4, dtype=np.float32, seed=1):
@@ -159,52 +157,51 @@ class TestInvalidation:
         m.delete_edges(rows[:1], cols[:1])
         assert np.array_equal(call(session), fresh(call))
 
-    def test_base_view_handle_survives_edit_windows(self):
-        """The base snapshot is one identity: the clean matrix, its base view
-        during an edit window, the matrix again after a cancelling batch."""
+    def test_edited_matrix_handle_survives_edit_windows(self):
+        """The first edit binds the handle an edited matrix keeps: fed its
+        current tables on every later call (native), or bound anew per
+        epoch where no kernel takes tables."""
         m = matrix()
         x = features(m)
         session = self._warm(m, x)
         call = lambda s: s.spmm(m, x)  # noqa: E731
         rows, cols = missing_edges(m, 1)
-        hits = session.stats.handle_hits
-        (handle,) = session._handles.values()
-        for step in ("edit", "cancel", "edit", "edit"):
-            if step == "cancel":
+        for step, kind in enumerate(("edit", "cancel", "edit", "edit")):
+            if kind == "cancel":
                 m.delete_edges(rows, cols)
-                assert not m.has_pending_delta
             else:
                 rows, cols = missing_edges(m, 1)
                 m.insert_edges(rows, cols)
             assert np.array_equal(call(session), fresh(call))
-            # A clean query is one handle hit; an overlay is two, the base
-            # plan and the row patch fed through the same bound kernel — when
-            # that kernel takes tables per call (native).  Otherwise the patch
-            # is replayed in NumPy and the handle is not asked.
-            hits += 1 + (m.has_pending_delta and handle.bound.feeds_tables)
-            assert (session.stats.handle_misses, session.stats.handle_hits) == (1, hits)
-            assert len(session._handles) == 1
-        assert session.stats.overlay_runs == 3
-        assert session.cache.stats.lowerings == 1
+            (handle,) = [h for h in session._handles.values() if h.guard is not None]
+            feeds = handle.size is not None
+            assert feeds == (handle.bound.tier == "native")
+            # The clean matrix's handle, and the edited matrix's one: bound
+            # once where it is fed, once per epoch where it is not.
+            assert len(session._handles) == 2
+            assert session.stats.handle_misses == 2 + (0 if feeds else step)
+        if feeds:  # the clean matrix's kernel and the one bound to the capacity
+            assert session.cache.stats.lowerings == 2
+        assert session.stats.table_rebinds == 0
 
-    def test_patch_runs_add_no_handles(self):
+    def test_edit_windows_add_no_handles(self):
+        """A decomposition of an edited matrix is bound per structure; the
+        CSR handle is fed within its capacity.  Either replaces its handle."""
         m = matrix(rows=30, cols=30)
         x = features(m)
         session = Session(persistent=False)
-        call = lambda s: s.spmm(m, x, format="hyb")  # noqa: E731
         for window in range(20):
             rows, cols = missing_edges(m, 2)
             m.insert_edges(rows, cols, [1.5, -0.5])
             m.delete_edges(rows[:1], cols[:1])
-            assert np.array_equal(call(session), fresh(call))
-            if window == 0:
-                # The hyb base plan, and the base snapshot's CSR kernel the
-                # patch runs through.
-                assert len(session._handles) == 2
-                lowerings = session.cache.stats.lowerings
-        assert len(session._handles) == 2
-        assert session.cache.stats.lowerings == lowerings
-        assert session.stats.handle_misses == 2
+            for fmt in ("csr", "hyb"):
+                call = lambda s: s.spmm(m, x, format=fmt)  # noqa: E731
+                assert np.array_equal(call(session), fresh(call))
+            assert len(session._handles) == 2
+        (handle,) = [h for h in session._handles.values() if not h.derived_format]
+        fed = handle.size is not None
+        assert session.stats.handle_misses == 20 + (1 if fed else 20)
+        assert session.stats.table_rebinds == 0
 
     def test_compaction_swaps_storage_under_an_unchanged_epoch(self):
         m = matrix()
@@ -213,12 +210,16 @@ class TestInvalidation:
         rows, cols = missing_edges(m, 2)
         m.insert_edges(rows, cols, [3.0, 4.0])
         session.spmm(m, x)
-        epoch, old_indices = m.structure_epoch, m.base_view().indices
+        epoch, old_data, capacity = m.structure_epoch, m.data, m.capacity
         m.compact()
-        assert m.structure_epoch == epoch and m.indices is not old_indices
+        assert m.structure_epoch == epoch and m.data is not old_data
+        assert m.capacity == m.nnz < capacity
         call = lambda s: s.spmm(m, x)  # noqa: E731
         assert np.array_equal(call(session), fresh(call))
         assert np.array_equal(call(session), fresh(call))
+        # A handle fed the tables was bound to the old capacity: bound anew once.
+        (handle,) = [h for h in session._handles.values() if h.guard is not None]
+        assert session.stats.table_rebinds == (handle.size is not None)
 
     def test_same_key_with_swapped_storage_is_a_miss(self):
         """The guard itself: epoch and id unchanged, arrays replaced."""

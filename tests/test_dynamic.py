@@ -1,9 +1,9 @@
-"""Dynamic sparsity: incremental structure updates, epochs and overlays.
+"""Dynamic sparsity: edit batches, epochs, and kernels fed the current tables.
 
-Covers the epoch-versioned delta machinery end to end:
+Covers the rebuild-and-feed design end to end:
 
-* delta-log mechanics — O(delta) inserts/deletes/upserts, atomic batches,
-  automatic re-compaction, epoch/mutation accounting;
+* edit mechanics — inserts/deletes/upserts that rebuild fresh arrays, atomic
+  batches, capacity and slack, epoch/mutation accounting;
 * the dtype bugfix sweep — ``CSRMatrix``/``ELLMatrix``/``HybFormat`` honor
   their value dtype instead of silently materialising float32;
 * the stale-memo bugfix — serve fingerprints, session task fingerprints and
@@ -14,8 +14,16 @@ Covers the epoch-versioned delta machinery end to end:
 * a hypothesis edit-script conformance suite: any interleaving of
   insert/delete/compact is bit-exact with a cold rebuild from the final
   edge set, through ``Session.spmm`` (csr + hyb), ``Session.sddmm`` and the
-  BSR decomposition.
+  BSR decomposition;
+* a hypothesis battery over edit windows on one warm session: SpMM and
+  SDDMM (fused and unfused) bit-exact against a cold rebuild after every
+  window, and — where a native kernel takes tables — no lowering unless the
+  capacity changed or a fused SDDMM's nnz did, one ``table_rebinds`` per
+  such handle.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,8 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formats.bsr import BSRMatrix
+from repro.core.codegen.emit_c import toolchain_available
 from repro.formats.csr import CSRMatrix
-from repro.formats.delta import DeltaLog, base_edge_keys
 from repro.formats.ell import ELLMatrix
 from repro.formats.hyb import HybFormat
 from repro.ops.spmm import choose_hyb_parameters
@@ -36,19 +44,19 @@ from repro.workloads.graphs import synthetic_graph
 RNG = np.random.default_rng
 
 
-def small_matrix(dtype="float32", compact_threshold=10.0, seed=0, rows=6, cols=7):
-    """A small random matrix whose auto-compaction is effectively disabled."""
-    m = CSRMatrix.random(rows, cols, density=0.3, seed=seed, dtype=dtype)
-    m.compact_threshold = compact_threshold
-    return m
+NATIVE = toolchain_available()
 
 
-def csr_from_edges(shape, edges, dtype, compact_threshold=10.0):
+def small_matrix(dtype="float32", seed=0, rows=6, cols=7):
+    return CSRMatrix.random(rows, cols, density=0.3, seed=seed, dtype=dtype)
+
+
+def csr_from_edges(shape, edges, dtype):
     """Cold-build a canonical CSRMatrix from an explicit ``{(r, c): v}`` map.
 
     Built directly (not via ``to_dense``/scipy canonicalisation) so edges
     whose value happens to be exactly zero survive — the delta log stores
-    them, and the cold comparator must too.
+    them, and an edit batch does too.
     """
     items = sorted(edges.items())
     rows = np.array([r for (r, _), _ in items], dtype=np.int64)
@@ -56,8 +64,7 @@ def csr_from_edges(shape, edges, dtype, compact_threshold=10.0):
     vals = np.array([v for _, v in items], dtype=np.dtype(dtype))
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return CSRMatrix(shape, indptr, cols, vals, dtype=dtype,
-                     compact_threshold=compact_threshold)
+    return CSRMatrix(shape, indptr, cols, vals, dtype=dtype)
 
 
 def edge_map(csr):
@@ -71,7 +78,7 @@ def edge_map(csr):
 
 
 # ---------------------------------------------------------------------------
-# Delta-log mechanics
+# Edit mechanics
 # ---------------------------------------------------------------------------
 
 
@@ -85,9 +92,9 @@ class TestDeltaMechanics:
         m.insert_edges(rows, cols, [1.5, -2.5])
         assert m.structure_epoch == 1
         assert m.mutation_count == 2
-        assert m.has_pending_delta
-        assert m.pending_delta == 2
+        assert m.pending_delta == 0  # the batch rebuilt the arrays
         assert m.nnz == base_nnz + 2
+        assert m.indptr[-1] == len(m.indices) == len(m.data) == m.nnz <= m.capacity
         dense = m.to_dense()
         assert dense[missing[0]] == np.float32(1.5)
         assert dense[missing[1]] == np.float32(-2.5)
@@ -98,7 +105,7 @@ class TestDeltaMechanics:
         col = int(m.indices[m.indptr[row]])
         nnz = m.nnz
         m.insert_edges([row], [col], [9.0])
-        assert m.nnz == nnz  # tombstone + insert cancel out in the count
+        assert m.nnz == nnz  # a new value, no new entry
         assert m.to_dense()[row, col] == np.float32(9.0)
         assert m.structure_epoch == 1
 
@@ -122,8 +129,7 @@ class TestDeltaMechanics:
             m.delete_edges([row, missing[0]], [col, missing[1]])
         # Nothing applied: the first (valid) delete rolled back with the batch.
         assert edge_map(m) == before
-        assert m.structure_epoch == 0
-        assert not m.has_pending_delta
+        assert (m.structure_epoch, m.mutation_count, m.nnz) == (0, 0, len(before))
 
     def test_double_delete_in_one_batch_rejected(self):
         m = small_matrix()
@@ -135,24 +141,31 @@ class TestDeltaMechanics:
 
     def test_insert_then_delete_collapses_delta(self):
         m = small_matrix()
-        missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))[0]
+        before = edge_map(m)
+        missing = sorted(set(np.ndindex(m.shape)) - set(before))[0]
         m.insert_edges([missing[0]], [missing[1]], [3.0])
-        assert m.has_pending_delta
+        assert m.nnz == len(before) + 1
         m.delete_edges([missing[0]], [missing[1]])
-        assert not m.has_pending_delta  # edits cancelled -> back to plain base
+        assert edge_map(m) == before  # edits cancelled: the original content
         assert m.structure_epoch == 2  # but the epoch still advanced twice
 
-    def test_auto_compaction_at_threshold(self):
-        m = small_matrix(compact_threshold=0.25)
-        base_nnz = len(m._indices)
+    def test_growth_past_the_capacity_leaves_slack(self):
+        m = small_matrix()
+        nnz = m.nnz
+        assert m.capacity == nnz  # never edited: no slack
         missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))
-        budget = int(np.ceil(0.25 * base_nnz))
-        rows = [r for r, _ in missing[:budget]]
-        cols = [c for _, c in missing[:budget]]
+        m.insert_edges([missing[0][0]], [missing[0][1]])
+        capacity = m.capacity
+        assert capacity > m.nnz == nnz + 1  # outgrown: the slack comes with it
+        spare = capacity - m.nnz
+        rows = [r for r, _ in missing[1: 1 + spare]]
+        cols = [c for _, c in missing[1: 1 + spare]]
         m.insert_edges(rows, cols)
-        assert not m.has_pending_delta  # drift hit the threshold -> compacted
-        assert m.nnz == base_nnz + budget
-        assert m.drift_ratio == 0.0
+        assert m.capacity == capacity == m.nnz  # filled, not grown
+        m.insert_edges([missing[1 + spare][0]], [missing[1 + spare][1]])
+        assert m.capacity > m.nnz == capacity + 1
+        m.delete_edges([missing[0][0]], [missing[0][1]])
+        assert m.capacity > m.nnz == capacity  # deletes never shrink it
 
     def test_compact_preserves_epoch_and_content(self):
         m = small_matrix()
@@ -161,48 +174,56 @@ class TestDeltaMechanics:
         before = edge_map(m)
         epoch = m.structure_epoch
         signature = m.content_signature()
-        m.compact()
-        assert not m.has_pending_delta
+        assert m.capacity > m.nnz
+        assert m.compact() is m
+        assert m.capacity == m.nnz  # the slack is trimmed
         assert m.structure_epoch == epoch  # storage rewrite, not a mutation
         assert edge_map(m) == before
         assert m.content_signature() == signature
 
-    def test_base_view_identity_stable_across_window(self):
+    def test_batches_make_fresh_arrays(self):
+        """A reader holding the previous arrays keeps a consistent matrix."""
         m = small_matrix()
-        missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))[:3]
-        m.insert_edges([missing[0][0]], [missing[0][1]])
-        view = m.base_view()
-        assert view is not m
-        assert view.indptr is m._indptr  # shares the frozen base arrays
-        m.insert_edges([missing[1][0]], [missing[1][1]])
-        assert m.base_view() is view  # same object while the base stands
+        missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))[:2]
+        m.insert_edges([missing[0][0]], [missing[0][1]], [2.0])
+        held = (m.indptr, m.indices, m.data)
+        copies = [array.copy() for array in held]
+        m.insert_edges([missing[1][0]], [missing[1][1]], [3.0])
+        row = int(np.flatnonzero(np.diff(m.indptr))[0])
+        m.insert_edges([row], [int(m.indices[m.indptr[row]])], [9.0])  # value only
+        m.delete_edges([missing[0][0]], [missing[0][1]])
         m.compact()
-        assert m.base_view() is m  # no pending delta: the matrix is its base
+        for old, copy, new in zip(held, copies, (m.indptr, m.indices, m.data)):
+            assert np.array_equal(old, copy) and old is not new
 
-    def test_base_edge_keys_requires_canonical(self):
+    def test_editing_requires_a_canonical_matrix(self):
         indptr = np.array([0, 2], dtype=np.int64)
         indices = np.array([2, 1], dtype=np.int64)  # out of order
-        with pytest.raises(ValueError):
-            base_edge_keys((1, 3), indptr, indices)
+        m = CSRMatrix((1, 3), indptr, indices)
+        with pytest.raises(ValueError, match="canonical"):
+            m.insert_edges([0], [0])
+        assert (m.structure_epoch, m.nnz) == (0, 2)
 
-    def test_delta_log_counters(self):
-        # Base: row 0 = {1, 2}, row 1 = {0}, row 2 = {3}; keys are row * 4 + col.
+    def test_edit_counters(self):
+        # Row 0 = {1, 2}, row 1 = {0}, row 2 = {3}.
         indptr = np.array([0, 2, 3, 4], dtype=np.int64)
         indices = np.array([1, 2, 0, 3], dtype=np.int64)
         data = np.arange(1.0, 5.0, dtype=np.float32)
-        log = DeltaLog((3, 4), indptr, indices, data, base_edge_keys((3, 4), indptr, indices))
-        assert log.pending == 0
-        log.upsert(np.array([3]), np.array([2.0], dtype=np.float32))  # new edge (0, 3)
-        log.remove(np.array([11]))  # base edge (2, 3)
-        assert log.pending == 2 and log.dead == 1 and log.inserted == 1
-        # Touched rows are logged whole; the untouched row is not.
-        assert log.touched.tolist() == [True, False, True]
-        assert log.keys.tolist() == [1, 2, 3] and log.origin.tolist() == [0, 1, -1]
-        log.remove(np.array([3]))
-        assert log.pending == 1
+        m = CSRMatrix((3, 4), indptr, indices, data)
+        m.insert_edges([0], [3], [2.0])  # new edge (0, 3)
+        m.delete_edges([2], [3])  # edge (2, 3)
+        assert (m.nnz, m.structure_epoch, m.mutation_count, m.pending_delta) == (4, 2, 2, 0)
+        assert m.indptr.tolist() == [0, 3, 4, 4] and m.indices.tolist() == [1, 2, 3, 0]
+        assert m.data.tolist() == [1.0, 2.0, 2.0, 3.0]
+        tables = m.tables(m.capacity)
+        assert tables["indptr"].dtype == tables["indices"].dtype == np.int32
+        assert tables["indices"][:4].tolist() == [1, 2, 3, 0]
+        assert len(tables["indices"]) == len(tables["values"]) == m.capacity
+        m.delete_edges([0], [3])
         with pytest.raises(KeyError):
-            log.remove(np.array([4, 3]))  # (1, 0) is there, (0, 3) no longer
-        assert log.pending == 1 and log.touched.tolist() == [True, False, True]
+            m.delete_edges([1, 0], [0, 3])  # (1, 0) is there, (0, 3) no longer
+        assert (m.nnz, m.structure_epoch, m.mutation_count) == (3, 3, 3)
+        assert edge_map(m) == {(0, 1): 1.0, (0, 2): 2.0, (1, 0): 3.0}
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +260,6 @@ class TestDtypeHonored:
 
     def test_mutations_store_values_in_matrix_dtype(self):
         m = CSRMatrix.from_dense(np.eye(3), dtype="float64")
-        m.compact_threshold = 10.0
         delicate = 1.0 + 2.0 ** -40
         m.insert_edges([0], [1], [delicate])
         assert m.data.dtype == np.float64
@@ -347,7 +367,7 @@ class TestHybHeuristic:
 
 
 # ---------------------------------------------------------------------------
-# Tentpole: overlay execution keeps warm kernels; drift triggers re-tune
+# Tentpole: an edited matrix feeds its tables to the kernel already bound
 # ---------------------------------------------------------------------------
 
 
@@ -356,20 +376,25 @@ class TestOverlayExecution:
         session = Session(persistent=False)
         m = small_matrix()
         x = RNG(0).standard_normal((m.cols, 4)).astype(np.float32)
-        session.spmm(m, x)  # cold: compiles the base kernel
-        misses = session.stats.kernel_cache_misses
+        session.spmm(m, x)  # cold: compiles the kernel
         session.spmm(m, x)
-        assert session.stats.kernel_cache_hits >= 1
-        missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))[0]
-        m.insert_edges([missing[0]], [missing[1]], [2.0])
-        out = session.spmm(m, x)
-        # The mutated matrix executed as base plan + overlay: the warm base
-        # kernel was reused, nothing recompiled.
-        assert session.stats.kernel_cache_misses == misses
-        assert session.stats.overlay_runs == 1
-        cold = Session(persistent=False)
-        expected = cold.spmm(csr_from_edges(m.shape, edge_map(m), m.dtype), x)
-        np.testing.assert_array_equal(out, expected)
+        assert session.stats.handle_hits == 1
+        missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))[:2]
+        for window, (row, col) in enumerate(missing):
+            m.insert_edges([row], [col], [2.0])
+            out = session.spmm(m, x)
+            misses = session.stats.kernel_cache_misses
+            assert np.array_equal(session.spmm(m, x), out)  # same epoch: a hit
+            assert session.stats.kernel_cache_misses == misses
+            cold = Session(persistent=False)
+            expected = cold.spmm(csr_from_edges(m.shape, edge_map(m), m.dtype), x)
+            np.testing.assert_array_equal(out, expected)
+            if window == 0:
+                first_bind = session.stats.kernel_cache_misses
+        # Within the capacity the second edit fed the kernel the first bound;
+        # without a native kernel each epoch binds the emitted tier anew.
+        assert session.stats.kernel_cache_misses == first_bind + (not NATIVE)
+        assert session.stats.table_rebinds == 0
 
     def test_overlay_sddmm_matches_cold(self):
         session = Session(persistent=False)
@@ -377,17 +402,25 @@ class TestOverlayExecution:
         x = RNG(1).standard_normal((m.rows, 3)).astype(np.float32)
         y = RNG(2).standard_normal((3, m.cols)).astype(np.float32)
         session.sddmm(m, x, y)
-        misses = session.stats.kernel_cache_misses
         missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))[:2]
         m.insert_edges([r for r, _ in missing], [c for _, c in missing], [1.0, -1.0])
-        row = int(np.flatnonzero(np.diff(m._indptr))[0])
-        m.delete_edges([row], [int(m._indices[m._indptr[row]])])
-        out = session.sddmm(m, x, y)
-        assert session.stats.kernel_cache_misses == misses
-        assert session.stats.overlay_runs == 1
-        cold = Session(persistent=False)
-        expected = cold.sddmm(csr_from_edges(m.shape, edge_map(m), m.dtype), x, y)
-        np.testing.assert_array_equal(out, expected)
+        row = int(np.flatnonzero(np.diff(m.indptr))[0])
+        stored = int(m.indices[m.indptr[row]])
+        m.delete_edges([row], [stored])
+        cold = lambda: Session(persistent=False).sddmm(  # noqa: E731
+            csr_from_edges(m.shape, edge_map(m), m.dtype), x, y
+        )
+        np.testing.assert_array_equal(session.sddmm(m, x, y), cold())
+        lowerings = session.cache.stats.lowerings
+        m.insert_edges([missing[0][0]], [missing[0][1]], [5.0])  # value only: same nnz
+        np.testing.assert_array_equal(session.sddmm(m, x, y), cold())
+        # The fused row search is bound to the exact nnz: a new value keeps
+        # it (no toolchain: a new value of one structure reuses its lowering),
+        # a new nnz binds it anew.
+        assert session.cache.stats.lowerings == lowerings
+        m.insert_edges([row], [stored], [0.5])
+        np.testing.assert_array_equal(session.sddmm(m, x, y), cold())
+        assert session.stats.table_rebinds == int(NATIVE)
 
 
 class TestDriftRetune:
@@ -529,7 +562,6 @@ class TestEditScriptConformance:
     def test_spmm_csr_matches_cold_rebuild(self, script):
         rows, cols, dtype, seed, density, ops = script
         m = CSRMatrix.random(rows, cols, density, seed=seed, dtype=dtype)
-        m.compact_threshold = 10.0
         model = edge_map(m)
         apply_script(m, model, ops)
         cold_csr = csr_from_edges(m.shape, model, dtype)
@@ -544,7 +576,6 @@ class TestEditScriptConformance:
     def test_spmm_hyb_matches_cold_rebuild(self, script):
         rows, cols, dtype, seed, density, ops = script
         m = CSRMatrix.random(rows, cols, density, seed=seed, dtype=dtype)
-        m.compact_threshold = 10.0
         model = edge_map(m)
         apply_script(m, model, ops)
         cold_csr = csr_from_edges(m.shape, model, dtype)
@@ -560,7 +591,6 @@ class TestEditScriptConformance:
     def test_sddmm_matches_cold_rebuild(self, script):
         rows, cols, dtype, seed, density, ops = script
         m = CSRMatrix.random(rows, cols, density, seed=seed, dtype=dtype)
-        m.compact_threshold = 10.0
         model = edge_map(m)
         apply_script(m, model, ops)
         cold_csr = csr_from_edges(m.shape, model, dtype)
@@ -577,7 +607,6 @@ class TestEditScriptConformance:
     def test_compacted_storage_is_canonical(self, script):
         rows, cols, dtype, seed, density, ops = script
         m = CSRMatrix.random(rows, cols, density, seed=seed, dtype=dtype)
-        m.compact_threshold = 10.0
         model = edge_map(m)
         apply_script(m, model, ops)
         m.compact()
@@ -591,3 +620,195 @@ class TestEditScriptConformance:
                 BSRMatrix.from_csr(m, 2).to_dense(),
                 BSRMatrix.from_csr(cold_csr, 2).to_dense(),
             )
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis: edit windows on one warm session, against cold rebuilds
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def edit_windows(draw):
+    """A random matrix plus windows of edits, each followed by the queries.
+
+    A window holds upserts (fresh or stored coordinates: value-only writes
+    among them), deletes of stored edges, an insert batch that the next
+    batch deletes again (they cancel out), a batch large enough to outgrow
+    the capacity, or ``compact()``.
+    """
+    rows = draw(st.integers(2, 9))
+    cols = draw(st.integers(2, 9))
+    dtype = draw(st.sampled_from(["float32", "float64"]))
+    seed = draw(st.integers(0, 2 ** 16))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    coords = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    windows = []
+    for _ in range(draw(st.integers(1, 5))):
+        ops = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["upsert", "delete", "cancel", "grow", "compact"]))
+            if kind == "compact":
+                ops.append(("compact", [], []))
+                continue
+            size = rows * cols if kind == "grow" else draw(st.integers(1, 4))
+            picked = draw(st.lists(coords, min_size=1, max_size=size, unique=True))
+            values = [draw(st.sampled_from([0.0, 1.0, -1.5, 0.25, 3.75])) for _ in picked]
+            ops.append((kind, picked, values))
+        windows.append(ops)
+    return rows, cols, dtype, seed, density, windows
+
+
+def apply_window(matrix, model, ops):
+    """Apply one window to the matrix and to the ``{(r, c): v}`` model."""
+    value_dtype = np.dtype(matrix.dtype)
+    for kind, coords, values in ops:
+        if kind == "compact":
+            matrix.compact()
+            continue
+        if kind == "delete":
+            coords = [rc for rc in coords if rc in model]
+            if coords:
+                matrix.delete_edges([r for r, _ in coords], [c for _, c in coords])
+            for rc in coords:
+                del model[rc]
+            continue
+        if kind == "cancel":
+            coords = [rc for rc in coords if rc not in model]
+            values = values[: len(coords)]
+        matrix.insert_edges([r for r, _ in coords], [c for _, c in coords], values)
+        if kind == "cancel":
+            matrix.delete_edges([r for r, _ in coords], [c for _, c in coords])
+            continue
+        model.update((rc, value_dtype.type(v)) for rc, v in zip(coords, values))
+
+
+class TestRebuildAndFeed:
+    """Edit windows through one warm session, bit-exact with cold rebuilds.
+
+    Where a native kernel takes tables (the lane with a toolchain) a window
+    lowers nothing unless the matrix's capacity changed (the SpMM and
+    unfused SDDMM handles are bound to it) or its nnz did (the fused SDDMM
+    handle is bound to that), and ``table_rebinds`` counts exactly those
+    handles.  Without one every edited epoch binds the emitted tier anew.
+    """
+
+    @given(edit_windows())
+    @settings(max_examples=20, deadline=None)
+    def test_windows_match_cold_rebuilds(self, script):
+        rows, cols, dtype, seed, density, windows = script
+        m = CSRMatrix.random(rows, cols, density, seed=seed, dtype=dtype)
+        model = edge_map(m)
+        rng = RNG(seed)
+        x = rng.standard_normal((cols, 3)).astype(dtype)
+        p = rng.standard_normal((rows, 2)).astype(dtype)
+        q = rng.standard_normal((2, cols)).astype(dtype)
+        session = Session(persistent=False)
+        bound = None  # (capacity, nnz) the edited matrix's handles were bound to
+        for ops in windows:
+            apply_window(m, model, ops)
+            lowerings = session.cache.stats.lowerings
+            rebinds = session.stats.table_rebinds
+            got = (
+                session.spmm(m, x), session.sddmm(m, p, q),
+                session.sddmm(m, p, q, fuse_ij=False),
+            )
+            cold_csr = csr_from_edges(m.shape, model, dtype)
+            cold = Session(persistent=False)
+            expected = (
+                cold.spmm(cold_csr, x), cold.sddmm(cold_csr, p, q),
+                cold.sddmm(cold_csr, p, q, fuse_ij=False),
+            )
+            for ours, theirs in zip(got, expected):
+                np.testing.assert_array_equal(ours, theirs)
+            if not NATIVE or m.structure_epoch == 0:
+                continue
+            now = (m.capacity, m.nnz)
+            if bound is None:  # the first edited window binds its handles
+                bound = now
+                continue
+            events = 2 * (now[0] != bound[0]) + (now[1] != bound[1])
+            assert session.stats.table_rebinds - rebinds == events
+            if not events:
+                assert session.cache.stats.lowerings == lowerings
+            bound = now
+
+    def test_threads_query_an_edited_matrix(self):
+        """Serving threads share one edited matrix's handle and its per-epoch
+        tables, made by whichever thread asks first."""
+        m = small_matrix(rows=40, cols=32, seed=4)
+        x = RNG(5).standard_normal((m.cols, 8)).astype(np.float32)
+        session = Session(persistent=False)
+        missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))
+        workers, calls = 6, 10  # more workers than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for window in range(4):
+                row, col = missing[window]
+                m.insert_edges([row], [col], [float(window)])
+                expected = Session(persistent=False).spmm(m, x)
+                results = [[] for _ in range(workers)]
+                start = threading.Barrier(workers)
+
+                def worker(k):
+                    start.wait(timeout=30)
+                    for _ in range(calls):
+                        results[k].append(session.spmm(m, x))
+
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for outs in results:
+                    assert len(outs) == calls
+                    assert all(np.array_equal(out, expected) for out in outs)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(not NATIVE, reason="only a native kernel takes tables per call")
+    def test_a_matrix_never_edited_feeds_nothing(self, monkeypatch):
+        """No table feed and no per-call fact check until the first edit."""
+        from repro.core.codegen import native
+
+        checks = []
+        real = native.check_tables
+        monkeypatch.setattr(
+            native, "check_tables", lambda *args: checks.append(1) or real(*args)
+        )
+        m = small_matrix(rows=8, cols=8, seed=2)
+        x = RNG(3).standard_normal((m.cols, 4)).astype(np.float32)
+        session = Session(persistent=False)
+        session.spmm(m, x)  # binds: the bound tables are checked once
+        bound = len(checks)
+        for _ in range(3):
+            session.spmm(m, x)
+        assert len(checks) == bound
+        (handle,) = session._handles.values()
+        assert (handle.guard, handle.size) == (None, None)
+        missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))[0]
+        m.insert_edges([missing[0]], [missing[1]])
+        session.spmm(m, x)
+        edited = len(checks)
+        session.spmm(m, x)
+        assert len(checks) == edited + 1  # the fed tables, on every call
+
+    @pytest.mark.skipif(not NATIVE, reason="only a native kernel takes tables per call")
+    def test_fused_sddmm_refuses_a_table_that_ends_below_its_bound(self):
+        m = small_matrix(rows=8, cols=8, seed=3)
+        missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))[:2]
+        m.insert_edges([r for r, _ in missing], [c for _, c in missing])
+        x = RNG(4).standard_normal((m.rows, 3)).astype(np.float32)
+        y = RNG(5).standard_normal((3, m.cols)).astype(np.float32)
+        session = Session(persistent=False)
+        expected = session.sddmm(m, x, y)
+        tables = m.tables(m.nnz)
+        short = tables["indptr"].copy()
+        short[-1] -= 1  # one position fewer than the kernel was bound to
+        options = dict(fuse_ij=True, dtype=None, tuned=False)
+        with pytest.raises(ValueError, match="fed table breaks the kernel's facts"):
+            session._execute(
+                "sddmm", m, {"x": x, "y": y}, tables={**tables, "indptr": short}, **options
+            )
+        np.testing.assert_array_equal(session.sddmm(m, x, y), expected)

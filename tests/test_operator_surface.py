@@ -88,12 +88,27 @@ class TestGeneratedSurface:
             assert method.__doc__ == doc
 
 
+#: Span targets whose code was deleted on purpose (edits rebuild the CSR
+#: tables, so there is no edit log to merge and no overlay).  ``bench/`` lists
+#: a target that no longer resolves as ``missing:<target>``, which is no
+#: failure; each one named here must really be gone.
+RETIRED_SPAN_TARGETS = {
+    "repro.formats.delta:merge_delta",
+    "repro.runtime.dynamic:overlay_spmm",
+    "repro.runtime.dynamic:overlay_sddmm",
+}
+
+
 def test_every_benchmark_span_target_still_resolves():
     """``bench/tracing.py:_resolve``: a module attribute, or ``vars(Class)[name]``."""
     spans = runpy.run_path(str(ROOT / "bench" / "layers.py"))["SPANS"]
     assert len(spans) > 40
     for _span, _layer, target in spans:
         module_name, _, path = target.partition(":")
+        if target in RETIRED_SPAN_TARGETS:
+            with pytest.raises(ImportError):
+                importlib.import_module(module_name)
+            continue
         owner = importlib.import_module(module_name)
         *parents, leaf = path.split(".")
         for name in parents:

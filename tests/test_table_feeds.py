@@ -3,21 +3,21 @@
 A native kernel's C text holds no sizes and reads ``indptr``/``indices``
 through pointers, so the tables are operands like the value buffers: bound
 when the kernel is loaded, replaced for one call by an array fed under the
-same buffer name (same dtype, length and contiguity).  The dynamic overlay is
-built on that — the rows an edit touched are recomputed by a second call of
-the base snapshot's own kernel — so this battery pins
+same buffer name (same dtype, length and contiguity).  An edited matrix is
+built on that — its kernel is bound to the matrix's capacity and every call
+feeds it the current tables — so this battery pins
 
 * the feed itself: a kernel built on one structure and fed another's tables
   is ``np.array_equal`` to the interpreter on a fresh build of the other
-  (SpMM f32/f64, SDDMM fused and unfused), a padded patch equals a cold
-  rebuild of its rows, threads feeding different tables through one bound
-  kernel agree with their serial results (the layout contract of a fed
+  (SpMM f32/f64, SDDMM fused and unfused), tables padded below the bound
+  size equal a cold rebuild, threads feeding different tables through one
+  bound kernel agree with their serial results (the layout contract of a fed
   table — a malformed one is a ``ValueError``, never a fallback — is pinned
   next to the runner, in ``tests/test_emit_c.py``);
 * the fallback: without a toolchain the same calls stay exact (the emitted
-  tier declines a rebound table, the overlay replays the patch in NumPy);
-* edit-batch semantics of the array-at-a-time delta log against a
-  dict-based reference model.
+  tier declines a rebound table; an edited matrix binds the emitted tier to
+  its content, once per epoch);
+* edit-batch semantics against a dict-based reference model.
 
 Runs in both backend CI lanes (with a C compiler and with ``CC`` pointing
 nowhere).
@@ -35,7 +35,6 @@ from repro.core.codegen.emit_c import toolchain_available
 from repro.formats.csr import CSRMatrix
 from repro.ops.sddmm import build_sddmm_program
 from repro.ops.spmm import build_spmm_program
-from repro.runtime import dynamic
 from repro.runtime.session import Session
 
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -51,9 +50,7 @@ def random_csr(rows, cols, nnz, seed, dtype="float32"):
     flat = np.sort(rng.choice(rows * cols, size=nnz, replace=False))
     indptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(flat // cols, minlength=rows), out=indptr[1:])
-    csr = CSRMatrix((rows, cols), indptr, flat % cols, rng.standard_normal(nnz), dtype=dtype)
-    csr.compact_threshold = 10.0  # compaction only when a test asks for it
-    return csr
+    return CSRMatrix((rows, cols), indptr, flat % cols, rng.standard_normal(nnz), dtype=dtype)
 
 
 def table_feeds(kernel, csr):
@@ -125,14 +122,22 @@ class TestFedTables:
         lengths[patched] = np.diff(donor.indptr)[patched]
         chosen = np.repeat(np.isin(np.arange(rows), patched), np.diff(donor.indptr))
         indptr = np.concatenate([[0], np.cumsum(lengths)])
-        patch = (patched, indptr, donor.indices[chosen], donor.data[chosen])
+        indices, values = donor.indices[chosen], donor.data[chosen]
         x = np.random.default_rng(seed + 3).standard_normal((cols, feat)).astype(np.float32)
         session = Session(persistent=False)
         session.spmm(base, x)
-        got = dynamic._patched_rows(session, base, patch, x, None)
-        cold = CSRMatrix((rows, cols), indptr, patch[2], patch[3])
-        assert np.array_equal(got, Session(persistent=False).spmm(cold, x)[patched])
+        tables = {
+            "indptr": indptr.astype(np.int32),
+            "indices": np.pad(indices, (0, nnz - indices.size)).astype(np.int32),
+            "values": np.pad(values, (0, nnz - values.size)),
+        }
+        got = session._execute("spmm", base, {"features": x}, tables=tables, **CSR_OPTIONS)
         assert len(session._handles) == 1 and session.stats.handle_misses == 1
+        if not NATIVE:  # nothing takes a table: the call says so and runs nothing
+            assert got is None
+            return
+        cold = CSRMatrix((rows, cols), indptr, indices, values)
+        assert np.array_equal(got, Session(persistent=False).spmm(cold, x))
 
     @pytest.mark.skipif(not NATIVE, reason="only a native kernel takes tables per call")
     def test_threads_feed_one_bound_kernel(self):
@@ -176,7 +181,7 @@ class TestFedTables:
 
     def test_tables_through_a_session_without_a_native_kernel(self, monkeypatch):
         """No toolchain: nothing takes a table, ``_execute`` says so and runs
-        nothing, and the overlay on top of it stays exact."""
+        nothing, and an edited matrix binds the emitted tier to its content."""
         monkeypatch.setenv("REPRO_NATIVE", "0")
         m = random_csr(12, 9, 40, 3)
         x = np.random.default_rng(4).standard_normal((9, 3)).astype(np.float32)
@@ -193,7 +198,7 @@ class TestFedTables:
 
 
 # ---------------------------------------------------------------------------
-# Edit-batch semantics of the array-at-a-time delta log
+# Edit-batch semantics
 # ---------------------------------------------------------------------------
 
 
@@ -220,11 +225,11 @@ class TestEditBatchSemantics:
         free = next(rc for rc in np.ndindex(m.shape) if rc not in model_of(m))
         nnz = m.nnz
         m.insert_edges([free[0]] * 3, [free[1]] * 3, [1.0, 2.0, 3.0])
-        assert (m.nnz, m.pending_delta, m.mutation_count) == (nnz + 1, 1, 3)
+        assert (m.nnz, m.structure_epoch, m.mutation_count) == (nnz + 1, 1, 3)
         assert m.to_dense()[free] == np.float32(3.0)
         stored = next(iter(model_of(random_csr(5, 6, 8, 1))))
         m.insert_edges([stored[0]] * 2, [stored[1]] * 2, [7.0, 9.0])
-        assert (m.nnz, m.pending_delta) == (nnz + 1, 3)  # one tombstone, one insert
+        assert (m.nnz, m.structure_epoch, m.mutation_count) == (nnz + 1, 2, 5)  # a new value
         assert m.to_dense()[stored] == np.float32(9.0)
 
     def test_upsert_then_delete_across_batches(self):
@@ -233,10 +238,10 @@ class TestEditBatchSemantics:
         nnz = m.nnz
         m.insert_edges([stored[0]], [stored[1]], [4.0])
         m.delete_edges([stored[0]], [stored[1]])
-        assert (m.nnz, m.pending_delta) == (nnz - 1, 1)  # the base entry stays dead
+        assert (m.nnz, m.structure_epoch) == (nnz - 1, 2)
         assert m.to_dense()[stored] == 0.0
         m.insert_edges([stored[0]], [stored[1]], [5.0])
-        assert (m.nnz, m.pending_delta) == (nnz, 2)
+        assert (m.nnz, m.structure_epoch) == (nnz, 3)
         assert m.compact().to_dense()[stored] == np.float32(5.0)
 
     @pytest.mark.parametrize("pending", [False, True])
@@ -246,7 +251,7 @@ class TestEditBatchSemantics:
         free = next(rc for rc in np.ndindex(m.shape) if rc not in model_of(m))
         if pending:
             m.insert_edges([stored[0][0]], [stored[0][1]], [2.0])
-        before = (m.structure_epoch, m.pending_delta, m.nnz, m.has_pending_delta)
+        before = (m.structure_epoch, m.mutation_count, m.nnz, m.capacity, m.indices)
         content = model_of(m)
         for rows, cols in (
             ([stored[1][0], free[0]], [stored[1][1], free[1]]),  # one edge absent
@@ -254,22 +259,25 @@ class TestEditBatchSemantics:
         ):
             with pytest.raises(KeyError):
                 m.delete_edges(rows, cols)
-            assert (m.structure_epoch, m.pending_delta, m.nnz, m.has_pending_delta) == before
+            after = (m.structure_epoch, m.mutation_count, m.nnz, m.capacity, m.indices)
+            assert after[:4] == before[:4] and after[4] is before[4]
             assert model_of(m) == content
 
     def test_empty_batches_are_no_ops(self):
         m = random_csr(5, 6, 8, 4)
         m.insert_edges([], [], [])
         m.delete_edges([], [])
-        assert (m.structure_epoch, m.mutation_count, m.has_pending_delta) == (0, 0, False)
+        assert (m.structure_epoch, m.mutation_count, m.capacity) == (0, 0, m.nnz)
 
     @pytest.mark.parametrize("batch", [1, 10_000])
-    @pytest.mark.parametrize("threshold", [0.25, 10.0])
-    def test_batches_agree_with_a_dict_model(self, batch, threshold):
+    @pytest.mark.parametrize("compact_at", [0.25, 10.0])
+    def test_batches_agree_with_a_dict_model(self, batch, compact_at):
+        """``compact()`` runs once the edits since the last one reach
+        *compact_at* of nnz (10.0: never)."""
         rng = np.random.default_rng(batch)
         m = random_csr(200, 150, 9_000, 5)
-        m.compact_threshold = threshold
         model = model_of(m)
+        since = 0
         for round_ in range(3):
             # Inserts draw coordinates with replacement: duplicates inside the
             # batch, upserts of stored edges and fresh edges all occur.
@@ -285,6 +293,10 @@ class TestEditBatchSemantics:
                 del model[edge]
             assert m.structure_epoch == 2 * (round_ + 1)
             assert_matches_model(m, model)
+            since += batch + len(gone)
+            if since >= compact_at * m.nnz:
+                since = 0
+                assert_matches_model(m.compact(), model)
         assert_matches_model(m.compact(), model)
 
 
@@ -307,50 +319,76 @@ class TestEditBatchSemantics:
                 for k in picks:
                     del model[present[k]]
                 assert_matches_model(m, model)
-                log = m._delta
-                if log is not None:  # sorted, and every logged entry sits in a touched row
-                    assert (np.diff(log.keys) > 0).all() and log.touched[log.keys // m.cols].all()
+                tables = m.tables(m.capacity)  # the kernels' copy of the same
+                assert np.array_equal(tables["indptr"], m.indptr)
+                assert np.array_equal(tables["indices"][: m.nnz], m.indices)
+                assert np.array_equal(tables["values"][: m.nnz], m.data)
 
 
 class TestOverlayStaysInTheDelta:
-    def test_spmm_window_never_merges_globally(self, monkeypatch):
-        from repro.formats import csr as csr_module
+    """Edit windows run on the kernels already bound.  (The class keeps the
+    name it had when an edit log patched a base kernel, so the test ids stay
+    comparable across revisions.)"""
 
-        merges = []
-        real = csr_module.merge_delta
-        monkeypatch.setattr(csr_module, "merge_delta", lambda log: merges.append(1) or real(log))
+    def test_spmm_windows_feed_one_bound_kernel(self):
         m = random_csr(30, 20, 120, 6)
         x = np.random.default_rng(7).standard_normal((20, 4)).astype(np.float32)
         session = Session(persistent=False)
-        session.spmm(m, x)
-        for window in range(3):
+        for window in range(4):
             m.insert_edges([window, window + 1], [0, 1], [1.5, 2.5])
             m.delete_edges([window], [0])
             out = session.spmm(m, x)
-        assert merges == []
-        indices = m.indices  # a reader of the effective arrays: the one merge
-        assert len(merges) == 1 and m.indptr[-1] == len(indices) == m.nnz
-        assert len(merges) == 1  # memoised for the epoch
-        assert np.array_equal(out, Session(persistent=False).spmm(m, x))
+            assert np.array_equal(out, Session(persistent=False).spmm(m, x))
+        # One handle, bound in the first window; each later window is a hit
+        # that fed the current tables (natively) or bound its epoch (not).
+        hits = 3 if NATIVE else 0
+        assert (session.stats.handle_misses, session.stats.handle_hits) == (4 - hits, hits)
+        assert len(session._handles) == 1 and session.stats.table_rebinds == 0
 
     def test_edit_windows_add_no_cache_artifacts(self, tmp_path):
-        """The patch reuses the base's kernel: no fingerprint, pickle, ``.c``
-        or ``.so`` appears after the first window (either lane)."""
+        """Within the capacity a window adds no fingerprint, pickle or
+        ``.so`` after the first: SpMM and unfused SDDMM are bound to the
+        capacity (outgrowing it binds both anew), fused SDDMM to the nnz (a
+        window that keeps it adds none, one that changes it lowers once, for
+        the same ``.so``).  Without a toolchain every edited epoch lowers
+        anew."""
         m = random_csr(40, 30, 300, 8)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((30, 4)).astype(np.float32)
         p = rng.standard_normal((40, 4)).astype(np.float32)
         q = rng.standard_normal((4, 30)).astype(np.float32)
         session = Session(persistent=tmp_path)
-        files = None
-        for window in range(20):
-            free = [rc for rc in np.ndindex(m.shape) if rc not in model_of(m)][:3]
-            m.insert_edges([r for r, _ in free], [c for _, c in free], rng.standard_normal(3))
-            m.delete_edges([free[0][0]], [free[0][1]])
+        files, capacities = None, []
+
+        def count():
+            return sum(1 for path in tmp_path.rglob("*") if path.is_file())
+
+        for window in range(10):
+            free = [rc for rc in np.ndindex(m.shape) if rc not in model_of(m)][:6]
+            m.insert_edges([r for r, _ in free], [c for _, c in free], rng.standard_normal(6))
+            m.delete_edges([free[0][0]], [free[0][1]])  # nnz grows by 5
             fresh = Session(persistent=False)
             assert np.array_equal(session.spmm(m, x), fresh.spmm(m, x))
-            assert np.array_equal(session.sddmm(m, p, q), fresh.sddmm(m, p, q))
-            count = sum(1 for path in tmp_path.rglob("*") if path.is_file())
-            files = count if files is None else files
-            assert count == files, f"window {window} added cache files"
-        assert m.has_pending_delta and session.cache.stats.lowerings == 2
+            assert np.array_equal(
+                session.sddmm(m, p, q, fuse_ij=False), fresh.sddmm(m, p, q, fuse_ij=False)
+            )
+            if NATIVE and capacities and m.capacity == capacities[-1]:
+                assert count() == files, f"window {window} added cache files"
+            elif m.capacity not in capacities:  # the first window, or outgrown
+                capacities.append(m.capacity)
+                files = count()
+        assert len(capacities) == 2  # the last windows outgrew the first slack
+        assert session.cache.stats.lowerings == (2 * len(capacities) if NATIVE else 20)
+        assert session.stats.table_rebinds == (2 if NATIVE else 0)
+        fused = lambda s: s.sddmm(m, p, q)  # noqa: E731
+        assert np.array_equal(fused(session), fused(Session(persistent=False)))
+        files, lowerings = count(), session.cache.stats.lowerings
+        for window in range(5):  # value-only upserts and cancelling batches: nnz stays
+            stored = next(iter(model_of(m)))
+            m.insert_edges([stored[0]], [stored[1]], [float(window)])
+            free = next(rc for rc in np.ndindex(m.shape) if rc not in model_of(m))
+            m.insert_edges([free[0]], [free[1]])
+            m.delete_edges([free[0]], [free[1]])
+            assert np.array_equal(fused(session), fused(Session(persistent=False)))
+        if NATIVE:
+            assert (count(), session.cache.stats.lowerings) == (files, lowerings)
