@@ -315,6 +315,29 @@ class Kernel:
             return None
         return emitted[0] if emitted[0] is not None else emit_c_source(self.func)[0]
 
+    def planned_on(self, aux: Dict[str, np.ndarray], axes: Dict[str, Any]) -> Optional["Kernel"]:
+        """This kernel with its emitted plan made on other index tables: a
+        kernel for another structure of the same footprint, with no lowering.
+
+        *aux* holds flat tables by buffer name, laid out like the bound ones;
+        *axes* the axes, by name, whose arrays the plan's searches read.  The
+        result runs on the emitted tier only (its plan is that structure's,
+        so it takes no fed tables either); ``None`` when the emitted tier
+        does not serve this kernel or its plan gives up on those tables.
+        """
+        source = self.emitted_source()
+        if source is None:
+            return None
+        from .emit_numpy import compile_emitted
+
+        try:
+            runner = compile_emitted(source, self.func, aux, axes)
+        except (ValueError, MemoryError):  # the plan gave up on that structure
+            return None
+        entry = CacheEntry(lowered=self.func, declined=dict(self._entry.declined))
+        entry.tiers.update(native=(None, None), emitted=(source, runner))
+        return Kernel(self.func, self.defaults, entry=entry)
+
     # -- code generation ---------------------------------------------------------
     def emitted_source(self) -> Optional[str]:
         """The stage-IV NumPy module emitted for this kernel (``None`` when

@@ -799,8 +799,17 @@ def emit_numpy_source(func: PrimFunc) -> str:
     return _Emitter(func).emit()
 
 
-def compile_emitted(source: str, func: PrimFunc) -> Any:
+def compile_emitted(
+    source: str,
+    func: PrimFunc,
+    aux: Optional[Dict[str, np.ndarray]] = None,
+    axes: Optional[Dict[str, Any]] = None,
+) -> Any:
     """Compile emitted source and execute its plan; return the run closure.
+
+    The plan reads *func*'s own index tables and axes unless *aux* (flat
+    tables by buffer name, laid out like *func*'s) and *axes* (by name) are
+    given: then it is the plan of that other structure of *func*'s footprint.
 
     Any exception (lane overflow in the plan, a stale hand-edited source)
     propagates to the caller, which treats the emitted tier as unavailable
@@ -816,5 +825,6 @@ def compile_emitted(source: str, func: PrimFunc) -> Any:
         "coords_to_positions": coords_to_positions,
         "rows_of_positions": rows_of_positions,
     }
-    axes = {axis.name: axis for axis in func.axes}
-    return make_kernel(axes, aux_arrays(func), helpers)
+    if axes is None:
+        axes = {axis.name: axis for axis in func.axes}
+    return make_kernel(axes, aux_arrays(func) if aux is None else aux, helpers)

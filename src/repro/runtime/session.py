@@ -42,6 +42,7 @@ Example:
 
 from __future__ import annotations
 
+import copy
 import inspect
 import threading
 from collections import OrderedDict
@@ -52,7 +53,7 @@ import numpy as np
 
 from ..core.codegen.build import ENGINES, Kernel, build
 from ..core.codegen.cache import KernelCache
-from ..core.codegen.native import toolchain_available
+from ..core.buffers import _np_dtype
 from ..core.program import PrimFunc
 from ..core.sparse_iteration import FusedAxisGroup, SparseIteration
 from ..core.stmt import SeqStmt
@@ -151,19 +152,27 @@ class _Handle:
     feeds_values: bool
     #: Whether the kernel runs on a decomposition of the structure.
     derived_format: bool
-    #: Of an edited matrix (keyed without its epoch): ``(attribute, value)``
-    #: the matrix must still show — ``capacity`` or ``nnz`` for a kernel fed
-    #: its tables, ``structure_epoch`` for one bound to its content.
-    guard: Optional[Tuple[str, Any]] = None
-    #: Positions the fed tables are padded to (``None``: nothing fed).
+    #: Of an edited matrix (keyed without its epoch), the guards a hit needs:
+    #: the epoch its kernel is fixed to (a decomposition, a tuned plan, an
+    #: emitted plan), and the positions its fed tables are padded to —
+    #: ``size``, which must still equal the matrix's ``sized_by`` attribute
+    #: (``"capacity"``, or ``"nnz"`` for a fused row search).
+    epoch: Optional[int] = None
     size: Optional[int] = None
+    sized_by: str = "capacity"
     #: Whether the result has one entry per position, cut to the nnz.
     per_edge: bool = False
 
+    def outgrown(self, structure: Any) -> bool:
+        """Whether the matrix left the positions the tables are padded to."""
+        return self.size is not None and getattr(structure, self.sized_by) != self.size
+
     def fits(self, structure: Any, storage: Tuple[Any, Any]) -> bool:
-        if self.guard is None:
+        if self.epoch is None and self.size is None:
             return self.storage[0] is storage[0] and self.storage[1] is storage[1]
-        return getattr(structure, self.guard[0]) == self.guard[1]
+        if self.epoch is not None and structure.structure_epoch != self.epoch:
+            return False
+        return not self.outgrown(structure)
 
     def run(
         self, structure: Any, operands: Dict[str, np.ndarray], tables: Optional[Dict[str, Any]]
@@ -203,11 +212,33 @@ def _fuses_positions(func: PrimFunc) -> bool:
     )
 
 
+def _plan_tables(func: PrimFunc, csr: Any, size: int) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """*csr*'s tables as :meth:`Kernel.planned_on` takes them for *func*, a
+    program over a footprint of *size* positions: the flat index tables, and
+    copies of the axes whose ``indptr`` / ``indices`` the plan searches."""
+    tables = csr.tables(size)
+    dtypes = {flat.name: _np_dtype(flat.dtype) for flat in func.flat_buffers}
+    aux = {
+        buf.name: np.asarray(tables[buf.name.rpartition("_")[2]], dtype=dtypes[buf.name])
+        for buf in func.aux_buffers
+    }
+    axes = {}
+    for axis in func.axes:
+        if getattr(axis, "indptr", None) is not None:
+            axis = copy.copy(axis)
+            axis.indptr = csr.indptr
+            if getattr(axis, "indices", None) is not None:
+                axis.indices = tables["indices"].astype(np.int64)
+        axes[axis.name] = axis
+    return aux, axes
+
+
 def _footprint(csr: Any, size: int) -> Any:
     """A matrix of *csr*'s shape and dtype with *size* positions, all in its
-    last row: what a kernel fed *csr*'s tables is bound to.  Only its sizes
-    reach the kernel — every call feeds the current tables — so every matrix
-    of one shape and size shares one lowering."""
+    last row: what the kernel of an edited *csr* is built for.  Only its
+    sizes reach a run — a native kernel is fed *csr*'s current tables on
+    every call, an emitted one is planned on them — so every matrix of one
+    shape and size shares one lowering."""
     indptr = np.zeros(csr.rows + 1, dtype=np.int64)
     indptr[-1] = size
     return type(csr)(
@@ -449,36 +480,39 @@ class Session:
         bound as feeds too (``values`` re-read on every call, ``indptr`` /
         ``indices`` taken when a call provides them).
 
-        An edited CSR matrix whose SpMM / SDDMM program a native kernel can
-        serve binds that kernel to a placeholder of its :attr:`capacity`
-        (:func:`_footprint`) and feeds it :meth:`CSRMatrix.tables` on every
-        call; a fused row search binds to the exact nnz instead.  Otherwise —
-        a decomposition, no toolchain — the kernel is bound to the matrix's
-        content and its handle holds for that epoch only.
+        An edited CSR matrix builds its SpMM / SDDMM program for a
+        placeholder of its :attr:`capacity` (:func:`_footprint`; a fused row
+        search: of its exact nnz).  A native kernel is fed
+        :meth:`CSRMatrix.tables` on every call, until the matrix outgrows
+        that size; an emitted one is planned on them
+        (:meth:`Kernel.planned_on`) and holds for the epoch.  Anything else —
+        a decomposition, another operator — is bound to the matrix's content
+        for the epoch.
         """
         args = list(operands.values()) if structure is None else [structure, *operands.values()]
         spec = registry.prepare(self, kind, *args, **options)
         func, names = registry.build_spec_program(spec)
-        guard, size, kernel = None, None, None
-        if key[2] == _EDITED:
-            guard = ("structure_epoch", structure.structure_epoch)
-            if (
-                spec.structure is structure and kind in _TABLE_FED
-                and self.engine in ("auto", "native") and toolchain_available()
-            ):
-                fused = _fuses_positions(func)
-                size = structure.nnz if fused else structure.capacity
-                if not options.get("tuned"):  # a tuned plan is resolved per epoch
-                    guard = ("nnz" if fused else "capacity", size)
-                shape = spec.out_shape[:-1] + (size,) if _TABLE_FED[kind] else spec.out_shape
-                fed = replace(spec, structure=_footprint(structure, size), out_shape=shape)
-                fed_func, fed_names = registry.build_spec_program(fed)
-                kernel = self.build(fed_func)
-                if kernel.fast_tier(self.engine) == "native":
-                    spec, func, names = fed, fed_func, fed_names
-                else:  # the placeholder's content must never run
-                    kernel, size = None, None
-                    guard = ("structure_epoch", structure.structure_epoch)
+        edited = key[2] == _EDITED
+        epoch = structure.structure_epoch if edited else None
+        size, sized_by, kernel = None, "capacity", None
+        feedable = spec.structure is structure and kind in _TABLE_FED
+        if edited and feedable and self.engine != "interpret":
+            if _fuses_positions(func):  # its row search needs tables that end at the bound
+                sized_by = "nnz"
+            size = getattr(structure, sized_by)
+            shape = spec.out_shape[:-1] + (size,) if _TABLE_FED[kind] else spec.out_shape
+            fed = replace(spec, structure=_footprint(structure, size), out_shape=shape)
+            fed_func, fed_names = registry.build_spec_program(fed)
+            kernel = self.build(fed_func)
+            tier = kernel.fast_tier(self.engine)
+            if tier == "emitted":  # its plan is fixed: made on this epoch's tables
+                kernel = kernel.planned_on(*_plan_tables(kernel.func, structure, size))
+            elif tier == "native" and not options.get("tuned"):  # a tuned plan: per epoch
+                epoch = None
+            if kernel is None or tier is None:  # the placeholder must never run
+                kernel, size = None, None
+            else:
+                spec, func, names = fed, fed_func, fed_names
         if kernel is None:
             kernel = self.build(func)
         tier = kernel.fast_tier(self.engine)
@@ -502,14 +536,13 @@ class Session:
         outputs = [("out", names["out"], replace(spec, inputs={}))]
         handle = _Handle(
             BoundKernel(kernel, tier, feeds, outputs), structure, storage, feeds_values,
-            derived_format=not iterates, guard=guard, size=size,
+            derived_format=not iterates, epoch=epoch, size=size, sized_by=sized_by,
             per_edge=size is not None and _TABLE_FED[kind],
         )
         with self._lock:
             stale = self._handles.get(key)
-            if stale is not None and stale.guard and stale.guard[0] in ("capacity", "nnz"):
-                if not stale.fits(structure, storage):  # outgrown, not raced
-                    self.stats.table_rebinds += 1
+            if stale is not None and stale.outgrown(structure):
+                self.stats.table_rebinds += 1
             self.stats.handle_misses += 1
             self._handles[key] = handle
             while len(self._handles) > self.format_cache_capacity:

@@ -159,8 +159,8 @@ class TestInvalidation:
 
     def test_edited_matrix_handle_survives_edit_windows(self):
         """The first edit binds the handle an edited matrix keeps: fed its
-        current tables on every later call (native), or bound anew per
-        epoch where no kernel takes tables."""
+        current tables on every later call (native), or planned anew per
+        epoch where no kernel takes tables (emitted)."""
         m = matrix()
         x = features(m)
         session = self._warm(m, x)
@@ -173,15 +173,16 @@ class TestInvalidation:
                 rows, cols = missing_edges(m, 1)
                 m.insert_edges(rows, cols)
             assert np.array_equal(call(session), fresh(call))
-            (handle,) = [h for h in session._handles.values() if h.guard is not None]
-            feeds = handle.size is not None
+            (handle,) = [h for h in session._handles.values() if h.size is not None]
+            feeds = handle.epoch is None  # fed the tables of every epoch
             assert feeds == (handle.bound.tier == "native")
             # The clean matrix's handle, and the edited matrix's one: bound
-            # once where it is fed, once per epoch where it is not.
+            # once where it is fed, once per epoch where its plan is fixed.
             assert len(session._handles) == 2
             assert session.stats.handle_misses == 2 + (0 if feeds else step)
-        if feeds:  # the clean matrix's kernel and the one bound to the capacity
-            assert session.cache.stats.lowerings == 2
+        # The clean matrix's kernel and the one bound to the capacity: an
+        # emitted plan is made anew per epoch from the same lowering.
+        assert session.cache.stats.lowerings == 2
         assert session.stats.table_rebinds == 0
 
     def test_edit_windows_add_no_handles(self):
@@ -199,7 +200,7 @@ class TestInvalidation:
                 assert np.array_equal(call(session), fresh(call))
             assert len(session._handles) == 2
         (handle,) = [h for h in session._handles.values() if not h.derived_format]
-        fed = handle.size is not None
+        fed = handle.epoch is None
         assert session.stats.handle_misses == 20 + (1 if fed else 20)
         assert session.stats.table_rebinds == 0
 
@@ -217,9 +218,8 @@ class TestInvalidation:
         call = lambda s: s.spmm(m, x)  # noqa: E731
         assert np.array_equal(call(session), fresh(call))
         assert np.array_equal(call(session), fresh(call))
-        # A handle fed the tables was bound to the old capacity: bound anew once.
-        (handle,) = [h for h in session._handles.values() if h.guard is not None]
-        assert session.stats.table_rebinds == (handle.size is not None)
+        # The handle was bound to the old capacity: bound anew once.
+        assert session.stats.table_rebinds == 1
 
     def test_same_key_with_swapped_storage_is_a_miss(self):
         """The guard itself: epoch and id unchanged, arrays replaced."""

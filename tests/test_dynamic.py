@@ -17,9 +17,8 @@ Covers the rebuild-and-feed design end to end:
   BSR decomposition;
 * a hypothesis battery over edit windows on one warm session: SpMM and
   SDDMM (fused and unfused) bit-exact against a cold rebuild after every
-  window, and — where a native kernel takes tables — no lowering unless the
-  capacity changed or a fused SDDMM's nnz did, one ``table_rebinds`` per
-  such handle.
+  window, and no lowering unless the capacity changed or a fused SDDMM's
+  nnz did, one ``table_rebinds`` per such handle.
 """
 
 import sys
@@ -391,9 +390,9 @@ class TestOverlayExecution:
             np.testing.assert_array_equal(out, expected)
             if window == 0:
                 first_bind = session.stats.kernel_cache_misses
-        # Within the capacity the second edit fed the kernel the first bound;
-        # without a native kernel each epoch binds the emitted tier anew.
-        assert session.stats.kernel_cache_misses == first_bind + (not NATIVE)
+        # Within the capacity the second edit fed the kernel the first bound
+        # (native), or planned the emitted tier anew from the same lowering.
+        assert session.stats.kernel_cache_misses == first_bind
         assert session.stats.table_rebinds == 0
 
     def test_overlay_sddmm_matches_cold(self):
@@ -415,12 +414,11 @@ class TestOverlayExecution:
         m.insert_edges([missing[0][0]], [missing[0][1]], [5.0])  # value only: same nnz
         np.testing.assert_array_equal(session.sddmm(m, x, y), cold())
         # The fused row search is bound to the exact nnz: a new value keeps
-        # it (no toolchain: a new value of one structure reuses its lowering),
-        # a new nnz binds it anew.
+        # it, a new nnz binds it anew.
         assert session.cache.stats.lowerings == lowerings
         m.insert_edges([row], [stored], [0.5])
         np.testing.assert_array_equal(session.sddmm(m, x, y), cold())
-        assert session.stats.table_rebinds == int(NATIVE)
+        assert session.stats.table_rebinds == 1
 
 
 class TestDriftRetune:
@@ -685,11 +683,11 @@ def apply_window(matrix, model, ops):
 class TestRebuildAndFeed:
     """Edit windows through one warm session, bit-exact with cold rebuilds.
 
-    Where a native kernel takes tables (the lane with a toolchain) a window
-    lowers nothing unless the matrix's capacity changed (the SpMM and
-    unfused SDDMM handles are bound to it) or its nnz did (the fused SDDMM
-    handle is bound to that), and ``table_rebinds`` counts exactly those
-    handles.  Without one every edited epoch binds the emitted tier anew.
+    A window lowers nothing unless the matrix's capacity changed (the SpMM
+    and unfused SDDMM handles are bound to it) or its nnz did (the fused
+    SDDMM handle is bound to that), and ``table_rebinds`` counts exactly
+    those handles — in both lanes: a native kernel is fed the tables, an
+    emitted one is planned anew per epoch from the same lowering.
     """
 
     @given(edit_windows())
@@ -720,7 +718,7 @@ class TestRebuildAndFeed:
             )
             for ours, theirs in zip(got, expected):
                 np.testing.assert_array_equal(ours, theirs)
-            if not NATIVE or m.structure_epoch == 0:
+            if m.structure_epoch == 0:
                 continue
             now = (m.capacity, m.nnz)
             if bound is None:  # the first edited window binds its handles
@@ -731,6 +729,33 @@ class TestRebuildAndFeed:
             if not events:
                 assert session.cache.stats.lowerings == lowerings
             bound = now
+
+    def test_emitted_tier_plans_each_epoch_without_lowering(self):
+        """The emitted tier takes no fed tables: each epoch plans the
+        footprint's emitted text anew on the matrix's tables."""
+        m = small_matrix(rows=9, cols=8, seed=6)
+        rng = RNG(7)
+        x = rng.standard_normal((m.cols, 3)).astype(np.float32)
+        p = rng.standard_normal((m.rows, 2)).astype(np.float32)
+        q = rng.standard_normal((2, m.cols)).astype(np.float32)
+        session = Session(persistent=False, engine="emitted")
+        missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))
+        for window in range(4):
+            m.insert_edges([missing[window][0]], [missing[window][1]], [float(window)])
+            m.delete_edges([missing[window][0]], [missing[window][1]])
+            m.insert_edges([missing[window][0]], [missing[window][1]], [2.0])
+            cold_csr = csr_from_edges(m.shape, edge_map(m), m.dtype)
+            cold = Session(persistent=False, engine="emitted")
+            for call in (
+                lambda s, a: s.spmm(a, x), lambda s, a: s.sddmm(a, p, q, fuse_ij=False),
+            ):
+                np.testing.assert_array_equal(call(session, m), call(cold, cold_csr))
+            if window == 0:
+                lowerings = session.cache.stats.lowerings
+        # One lowering per operator for the capacity, one plan per epoch.
+        assert session.cache.stats.lowerings == lowerings
+        assert session.stats.handle_misses == 2 * 4
+        assert session.stats.interpreted_runs == 0
 
     def test_threads_query_an_edited_matrix(self):
         """Serving threads share one edited matrix's handle and its per-epoch
@@ -786,7 +811,7 @@ class TestRebuildAndFeed:
             session.spmm(m, x)
         assert len(checks) == bound
         (handle,) = session._handles.values()
-        assert (handle.guard, handle.size) == (None, None)
+        assert (handle.epoch, handle.size) == (None, None)  # keyed by epoch 0
         missing = sorted(set(np.ndindex(m.shape)) - set(edge_map(m)))[0]
         m.insert_edges([missing[0]], [missing[1]])
         session.spmm(m, x)
