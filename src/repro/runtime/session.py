@@ -51,9 +51,9 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..core.buffers import _np_dtype
 from ..core.codegen.build import ENGINES, Kernel, build
 from ..core.codegen.cache import KernelCache
-from ..core.buffers import _np_dtype
 from ..core.program import PrimFunc
 from ..core.sparse_iteration import FusedAxisGroup, SparseIteration
 from ..core.stmt import SeqStmt

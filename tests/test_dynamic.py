@@ -29,8 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formats.bsr import BSRMatrix
 from repro.core.codegen.emit_c import toolchain_available
+from repro.formats.bsr import BSRMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.ell import ELLMatrix
 from repro.formats.hyb import HybFormat
