@@ -178,7 +178,7 @@ class Kernel:
         self,
         bindings: Optional[Mapping[str, np.ndarray]] = None,
         engine: str = "auto",
-        prepared: bool = False,
+        prepared: Any = None,
     ) -> Dict[str, np.ndarray]:
         """Execute the kernel and return every buffer's flat array.
 
@@ -190,17 +190,17 @@ class Kernel:
         ``"interpret"`` forces the scalar interpreter.  ``last_engine``
         records the tier that served the run.
 
-        ``prepared=True`` is the warm path of a
-        :class:`~repro.runtime.bound.BoundKernel`: *bindings* already is the
-        complete flat-array dict and *engine* the tier :meth:`fast_tier`
-        resolved at bind time, so nothing is merged or marshalled here.  It
-        stays inside :meth:`run` so that whatever wraps or times this method
-        keeps seeing every kernel execution.
+        *prepared* is the warm path of a
+        :class:`~repro.runtime.bound.BoundKernel`: the call it bound to the
+        tier :meth:`fast_tier` resolved (*engine*), which takes *bindings* as
+        they are, so nothing is merged or marshalled here.  It stays inside
+        :meth:`run` so that whatever wraps or times this method keeps seeing
+        every kernel execution.
         """
-        if prepared:
+        if prepared is not None:
             self.last_engine = engine
             self._aux_rebound = False
-            return self._runner(engine)(bindings)
+            return prepared(bindings)
 
         from ...runtime.executor import Executor, prepare_arrays
 

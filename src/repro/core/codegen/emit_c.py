@@ -74,7 +74,7 @@ from .. import stmt as st
 from ..expr import BINARY_SEARCH, ROW_UPPER_BOUND
 from ..program import STAGE_LOOP, PrimFunc
 from . import native
-from .hazards import RowNest, affine_in, fused_regions, loop_independence, sizes_only
+from .hazards import RowNest, affine_in, fused_regions, loop_independence, row_tile, sizes_only
 from .native import (  # noqa: F401  (re-exported: they lived here before the load | emit split)
     _LIB_MEMO,
     _LINK_FLAGS,
@@ -99,6 +99,12 @@ from .native import (  # noqa: F401  (re-exported: they lived here before the lo
 #: tile spills; ``docs/runtime.md`` has the measurements).  A constant of the
 #: emitter, never a feature width: the text stays size-free.
 TILE_BYTES = 32
+
+#: Rows of a row tile: the compute pass of a nest :func:`row_tile` accepts runs
+#: this many rows per reduction step, so each step's operand row is loaded once
+#: per tile instead of once per row (8 rows measured no faster at ``-O2``;
+#: ``docs/dead-ends.md``).
+TILE_ROWS = 4
 
 
 class UnsupportedForC(UnsupportedForEmission):
@@ -374,7 +380,7 @@ class _CEmitter:
                     region = self._emit_region(f"_r{list(regions).index(first)}", members, kept)
                     lo, hi = spans[first]
                     fallback = ["++rc;", *([_ALLOC.format(lo, hi)] if hi > lo else [])]
-                call = _Nest(self, nest).emit(mode)
+                call = _Nest(self, nest).emit(mode, always=first is None)
                 if first is None:
                     calls += call
                 elif mode == "init":
@@ -569,12 +575,55 @@ class _Nest:
         self._init = False
         #: Accesses printed without a guard on the binding's facts, so far.
         self._unguarded = 0
+        #: Innermost loops printed as an unchecked SIMD loop, so far; and the
+        #: lane loop of a row tile, whose independence is its rows' and lanes'.
+        self._simd: List[st.ForLoop] = []
+        self._jam: Optional[st.ForLoop] = None
 
-    def emit(self, mode: str) -> List[str]:
+    def emit(self, mode: str, always: bool = False) -> List[str]:
         """Define the nest's function for *mode* (unless an identical one
-        exists); the call ``run`` makes, or nothing for an empty pass."""
-        self._walk(self.nest, mode)
+        exists); the call ``run`` makes, or nothing for an empty pass.  The
+        compute pass of a nest ``run`` *always* calls is printed in row tiles
+        where :func:`row_tile` allows it (:meth:`_emit_row_tile`)."""
+        tile = row_tile(self.nest) if always and mode == "compute" else None
+        if tile is None or not self._emit_row_tile(*tile):
+            self._walk(self.nest, mode)
         return [f"{self._define('void', self._top.lines)};"] if self._top.lines else []
+
+    def _emit_row_tile(self, form: RowNest, reduction: st.ForLoop) -> bool:
+        """The compute pass of *form* as ``TILE_ROWS`` rows per iteration of
+        its row loop, whose one *reduction* loop steps every row of the tile
+        in one SIMD lane loop (an unroll-and-jam); the rows left over run the
+        nest's own body.  Each element sees the serial sequence of operations
+        (:func:`row_tile`), so the bits are the interpreter's.  Prints nothing
+        and returns ``False`` unless the lane loop prints as an unchecked SIMD
+        loop, which the tile's lane loop then is too: its rows' accesses are
+        the same, at rows of the same range.
+        """
+        nest, row, lanes = form.loop, form.loop.loop_var, form.feature
+        var, rng = self._cname(row), self._loop_range(nest)
+        rows = self._slot(id(nest.extent), int(nest.extent.value), nest.extent)
+        simd = len(self._simd)
+        rest = self._scoped(row, _CVal(var, "ilit"), nest.body, "compute", rng)
+        if lanes not in self._simd[simd:]:
+            return False
+        store = lanes.body.body if isinstance(lanes.body, st.Block) else lanes.body
+        copies = [ir.Var(f"{row.name}{r}") for r in range(TILE_ROWS)]
+        self._jam = st.ForLoop(
+            lanes.loop_var, lanes.start, lanes.extent,
+            st.SeqStmt([st.substitute_stmt(store, {row: copy}) for copy in copies]),
+        )
+        step = st.ForLoop(reduction.loop_var, reduction.start, reduction.extent, self._jam)
+        values = {copy: _CVal(f"({var} + {r})" if r else var, "ilit") for r, copy in enumerate(copies)}
+        with self._open_scope(values, dict.fromkeys(copies, rng)) as tile:
+            self._emit_loop(step, "compute")
+        self._jam, last = None, self._fresh()
+        self._sink.extend([
+            f"int64_t {var} = 0;",
+            *_block(f"for (const int64_t {last} = {rows} - {TILE_ROWS - 1}; {var} < {last}; {var} += {TILE_ROWS}) {{", tile),
+            *_block(f"for (; {var} < {rows}; ++{var}) {{", rest),
+        ])
+        return True
 
     def emit_member(
         self, member: RowNest, tiles: Mapping[str, str], width: int, memory: Optional[Tuple[str, str]]
@@ -1270,13 +1319,16 @@ class _Nest:
         # The unchecked body of a loop whose iterations are proven independent
         # is a SIMD loop; a schedule's request for one that is not is recorded.
         requested = loop.kind == st.LOOP_VECTORIZED and mode == "compute"
-        why = loop_independence(loop, self.written) if tests or bare or requested else None
+        why = None
+        if loop is not self._jam and (tests or bare or requested):
+            why = loop_independence(loop, self.written)
         if requested and (why or not (tests or bare)):
             unmarked = "it has no unchecked body to mark (fewer than two range-tested operands)"
             self.program.serial[f"vectorize {loop.loop_var.name}"] = why or unmarked
         # OpenMP's canonical form: the bound in front of the loop.
         canonical = f"for (int64_t {var} = {first}; {var} < {end}; ++{var}) {{"
         if bare and why is None:
+            self._simd.append(loop)
             self._sink.extend([f"const int64_t {end} = {stop};", "#pragma omp simd", *body(canonical)])
             return
         if not tests:

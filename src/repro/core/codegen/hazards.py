@@ -331,6 +331,25 @@ def _row_nest(nest: Stmt) -> Union[RowNest, str]:
     )
 
 
+def row_tile(nest: Stmt) -> Optional[Tuple[RowNest, ForLoop]]:
+    """``(form, reduction)`` when the rows of *nest* may run interleaved in
+    the compute pass, one reduction step of every row of a tile at a time.
+
+    *nest* is a :class:`RowNest` around exactly one reduction loop, whose
+    bounds are sizes (the same for every row), and it reads the buffer it
+    stores to only at the element ``(row, lane)`` the iteration owns; its
+    lane extent is at most its row stride, so rows own disjoint elements.
+    Every element then still sees the serial sequence of operations.
+    """
+    form = _row_nest(nest)
+    if isinstance(form, str) or _joins((), form) is not None or form.feature.extent.value > form.stride:
+        return None
+    reductions = [loop for loop in find_loops(nest.body) if loop is not form.feature]
+    if len(reductions) != 1 or not sizes_only(reductions[0].start, reductions[0].extent):
+        return None
+    return form, reductions[0]
+
+
 def _joins(run: Sequence[RowNest], new: RowNest) -> Optional[str]:
     """Why *new* may not join the members *run*, if it may not."""
     written = {member.name: member.stride for member in run}

@@ -12,7 +12,9 @@ compiler (``tests/test_warm_start.py`` enforces both).
 * :func:`load_native` dlopens the shared object of a text — already loaded
   (``_LIB_MEMO``), stored in the disk cache as ``<key>.so``, or compiled now
   with the system compiler — gathers the binding's arrays and returns the
-  ``run(arrays)`` closure of the native tier.  A warm process passes the key
+  :class:`NativeRunner` of the native tier: ``runner(arrays)``, and
+  ``runner.bind(...)`` for a caller whose calls share what it marshals once
+  (a :class:`~repro.runtime.bound.BoundKernel`).  A warm process passes the key
   a fingerprint's json record names and never sees the text.  The one foreign
   signature is built from ``_cffi_backend`` types directly (ABI mode, no
   ``Python.h``, and no C parser imported to declare it).
@@ -38,7 +40,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import AbstractSet, Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from ..stmt import collect_buffer_stores
 #: Bumped whenever the native-source contract (C layout, binding protocol, or
 #: compile flags) changes; it is part of every artifact's name, and a record
 #: of an older version is a cache miss that rebuilds, never an import.
-NATIVE_VERSION = 5
+NATIVE_VERSION = 6
 
 #: Environment variable disabling the native tier (``0`` / ``off`` / ``false``).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -295,9 +297,14 @@ class _Foreign:
         primitive, pointer = backend.new_primitive_type, backend.new_pointer_type
         void_p = pointer(backend.new_void_type())
         self._backend = backend
-        self._null = backend.cast(void_p, 0)
-        self._block = backend.new_array_type(pointer(void_p), None)  # void *[]
-        self._bytes = backend.new_array_type(pointer(primitive("char")), None)  # from_buffer's view
+        self.null = backend.cast(void_p, 0)
+        #: ``view(array)``: a pointer to a C-contiguous *array*'s memory that
+        #: keeps it alive (anything else raises ``BufferError``); ``block(views)``:
+        #: a ``void *[]`` of them, which the caller keeps alive.  Bound to their
+        #: types here: a warm call makes one of each per operand and per call.
+        bytes_ = backend.new_array_type(pointer(primitive("char")), None)
+        self.view = functools.partial(backend.from_buffer, bytes_)
+        self.block = functools.partial(backend.newp, backend.new_array_type(pointer(void_p), None))
         self._address = pointer(primitive("intptr_t"))
         int64_p, double_p = pointer(primitive("int64_t")), pointer(primitive("double"))
         self._scalars = {"int64": int64_p, "float64": double_p}  # by dtype name: ipar, fpar
@@ -312,10 +319,9 @@ class _Foreign:
     def pointers(self, arrays: List[np.ndarray], nulls: int = 0) -> Tuple[Any, List[int]]:
         """The C pointer block of *arrays* (which the caller keeps alive)
         behind *nulls* empty slots, and the arrays' addresses."""
-        backend = self._backend
-        held = [self._null] * nulls + [backend.from_buffer(self._bytes, array, False) for array in arrays]
-        block = backend.newp(self._block, held or [self._null])
-        return block, backend.unpack(backend.cast(self._address, block), len(held))[nulls:]
+        held = [self.null] * nulls + [self.view(array) for array in arrays]
+        block = self.block(held or [self.null])
+        return block, self._backend.unpack(self._backend.cast(self._address, block), len(held))[nulls:]
 
     def scalars(self, block: np.ndarray) -> Any:
         """``ipar`` / ``fpar`` as the pointer ``run`` takes (the caller keeps *block* alive)."""
@@ -419,10 +425,10 @@ def load_native(
     cache: Any = None,
     key: Optional[str] = None,
     artifact: Optional[str] = None,
-) -> Any:
+) -> "NativeRunner":
     """Load (or compile) the native artifact and bind the program's arrays.
 
-    Returns the ``run(arrays)`` closure of the native tier.  A failure — no
+    Returns the :class:`NativeRunner` of the native tier.  A failure — no
     compiler, a compile error, an artifact that does not load — raises, and
     the caller decides the fallback for this kernel once.  ``cache``/``key``
     name the :class:`~repro.core.codegen.cache.KernelCache` whose disk layer
@@ -438,7 +444,8 @@ def load_native(
 
     The C text asserts (``#pragma omp simd``) that differently named buffers
     never overlap, so ``run(arrays)`` refuses with ``ValueError`` a buffer the
-    kernel stores to that shares memory with another operand of the call.
+    kernel stores to that shares memory with another operand of the call.  A
+    call made through :meth:`NativeRunner.bind` holds that by construction.
 
     The binding's index tables are checked against its ``facts`` first
     (:func:`check_tables`): a table that breaks one raises
@@ -446,9 +453,6 @@ def load_native(
 
     A ``local`` buffer the program stores to (:func:`local_buffers`) is the
     kernel's own: ``run(arrays)`` neither reads it from *arrays* nor returns it.
-    ``run.serial_regions`` says how many fused regions of the last call failed
-    their precondition and ran as their serial nests (a diagnostic, not
-    synchronised between concurrent calls).
 
     ``run(arrays)`` takes the value buffers per call and, like them, any
     auxiliary index table present in *arrays* under its buffer name: that
@@ -456,18 +460,18 @@ def load_native(
     contiguity, or ``ValueError``), and an axis table derived from it — the
     int64 ``indptr``/``indices`` of a coordinate search, the per-position row
     table — is re-derived from the fed array, and so is an indptr table of the
-    fed table's class (``J_dense_indptr`` follows ``J_indptr``).  A fed table
-    is checked against the facts that name it, per call (``ValueError`` when
-    it breaks one).  Nothing else changes: sizes and bounds checks are the
-    compiled ones, so one loaded kernel serves every structure with its
-    footprint.
+    fed table's class (``J_dense_indptr`` follows ``J_indptr``).  A row table
+    fed under its own name (``J_rowof``, :attr:`NativeRunner.derived`) is
+    taken instead of re-derived.  A fed table is checked against the facts
+    that name it, per call (``ValueError`` when it breaks one).  Nothing else
+    changes: sizes and bounds checks are the compiled ones, so one loaded
+    kernel serves every structure with its footprint.
     """
     aux = aux_arrays(func)
     sizes = {flat.name: flat.size for flat in func.flat_buffers}
     why = check_tables(binding.facts, aux, sizes)
     if why is not None:
         raise TableInvalid(f"{TABLE_INVALID}: {why}")
-    ffi = _get_ffi()
     disk = cache.disk if cache is not None and key is not None else None
     if artifact is None:
         artifact = artifact_key(c_source)
@@ -489,94 +493,178 @@ def load_native(
     # another cache's): a record names no object its directory lacks.
     if c_source is not None and disk is not None and disk.so_path(artifact).exists():
         disk.publish_native(key, artifact, binding)
-    call, pointers = lib.run, ffi.pointers
-    axes = {axis.name: axis for axis in func.axes}
+    return NativeRunner(func, lib, binding, aux, sizes)
 
-    def table(kind: str, name: str, source: Optional[np.ndarray] = None) -> np.ndarray:
+
+class NativeRunner:
+    """The loaded native tier of one program.
+
+    ``runner(arrays)`` runs it on a dict of flat arrays (:func:`load_native`
+    says what it takes and checks); :meth:`bind` marshals, once, what a
+    caller's every call shares, and returns the call that marshals the rest.
+    ``serial_regions`` says how many fused regions of the last call failed
+    their precondition and ran as their serial nests (a diagnostic, not
+    synchronised between concurrent calls).
+    """
+
+    def __init__(
+        self, func: PrimFunc, lib: _Library, binding: NativeBinding,
+        aux: Dict[str, np.ndarray], sizes: Dict[str, int],
+    ):
+        ffi = self._ffi = _get_ffi()
+        self.name, self.binding, self.serial_regions = func.name, binding, 0
+        self._lib, self._aux, self._sizes = lib, aux, sizes  # the library stays mapped
+        self._axes = {axis.name: axis for axis in func.axes}
+        stored = {store.buffer.name for store in collect_buffer_stores(func.body)}
+        #: The value buffers of ``bufs[]`` the kernel stores to.
+        self.stored = frozenset(name for name in binding.bufs if name in stored)
+        self._local = local_buffers(func)
+        tabs = [self._table(kind, name) for kind, name in binding.tabs]
+        names = [name if kind == "aux" else f"{name}_{kind}" for kind, name in binding.tabs]
+        self._names = [*binding.bufs, *names]
+        #: Tables a call may feed beside the auxiliary buffers: the per-position
+        #: row table of a row search, by its ``tabs[]`` name (``J_rowof``).
+        self.derived = {
+            name: table for (kind, _axis), name, table in zip(binding.tabs, names, tabs) if kind == "rowof"
+        }
+        self._feedable = [*aux, *self.derived]
+        # The auxiliary buffer each table follows when that buffer is fed per
+        # call: itself, or the ``<axis>_indptr`` / ``<axis>_indices`` an axis
+        # table mirrors; a fed row table is taken as it is.
+        self._follows = [
+            name if kind == "aux" else f"{name}_{'indices' if kind == 'indices' else 'indptr'}"
+            for kind, name in binding.tabs
+        ]
+        self._ipar = np.asarray(binding.ipar, dtype=np.int64)
+        self._fpar = np.asarray(binding.fpar, dtype=np.float64)
+        self._scalars = (ffi.scalars(self._ipar), ffi.scalars(self._fpar))
+        self._tabs = (tabs, *ffi.pointers(tabs))
+
+    def _table(self, kind: str, name: str, source: Optional[np.ndarray] = None) -> np.ndarray:
         """One ``tabs[]`` entry, from the bound structure or from a fed *source*."""
         if kind == "aux":
-            return aux[name] if source is None else source
+            return self._aux[name] if source is None else source
+        axis = self._axes[name]
         if kind != "rowof":
-            source = getattr(axes[name], kind) if source is None else source
+            source = getattr(axis, kind) if source is None else source
             return np.ascontiguousarray(source, dtype=np.int64)
-        size = int(axes[name].indptr[-1])  # the table keeps its bound length
+        size = int(axis.indptr[-1])  # the table keeps its bound length
         if source is None:  # the checked table, where the program binds one
-            source = aux.get(f"{name}_indptr", axes[name].indptr)
+            source = self._aux.get(f"{name}_indptr", axis.indptr)
         return _rows_of_positions(source, size)
 
-    stored = {store.buffer.name for store in collect_buffer_stores(func.body)}
-    stored_slots = frozenset(slot for slot, name in enumerate(binding.bufs) if name in stored)
-    local = local_buffers(func)
-    tab_names = [name if kind == "aux" else f"{name}_{kind}" for kind, name in binding.tabs]
-    names = [*binding.bufs, *tab_names]
-    slots = range(len(names))
-    tabs = [table(kind, name) for kind, name in binding.tabs]
-    # The auxiliary buffer each table follows when that buffer is fed per call:
-    # itself, or the ``<axis>_indptr`` / ``<axis>_indices`` an axis table mirrors.
-    follows = [
-        name if kind == "aux" else f"{name}_{'indices' if kind == 'indices' else 'indptr'}"
-        for kind, name in binding.tabs
-    ]
-    ipar = np.asarray(binding.ipar, dtype=np.int64)
-    fpar = np.asarray(binding.fpar, dtype=np.float64)
-    bound_tabs = (tabs, *pointers(tabs))
-    ipar_ptr, fpar_ptr = ffi.scalars(ipar), ffi.scalars(fpar)
+    def _fed_tables(self, fed: Dict[str, np.ndarray]) -> Tuple[List[np.ndarray], Any, List[int]]:
+        """The ``tabs[]`` arrays, pointer block and addresses of a call that
+        feeds the tables *fed* (by name), after checking them.
 
-    def run(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        bufs = [arrays[name] for name in binding.bufs]
+        A fed table must be laid out exactly like the one it replaces (the
+        sizes in ``ipar`` stay as compiled) and keep the facts that name it;
+        a fed row table must name a row for every position, where the text
+        takes that for granted."""
+        binding, derived = self.binding, self.derived
+        for name, given in fed.items():
+            bound = self._aux[name] if name in self._aux else derived[name]
+            same = (given.dtype, given.shape) == (bound.dtype, bound.shape)
+            if not (same and given.flags.c_contiguous):
+                raise ValueError(
+                    f"table {name!r} fed as {given.dtype}{list(given.shape)}, "
+                    f"bound as contiguous {bound.dtype}[{bound.size}]"
+                )
+        fed = dict(fed)
+        for kind, name, _bound, link in binding.facts:
+            if kind == "indptr" and link in fed and name not in fed:
+                fed[name] = fed[link]  # one array by construction: it follows its class's table
+        touched = tuple(fact for fact in binding.facts if fact[1] in fed or fact[3] in fed)
+        if touched:
+            why = check_tables(touched, {**self._aux, **fed}, self._sizes)
+            if why is not None:
+                raise ValueError(f"fed table breaks the kernel's facts: {why}")
+        for (kind, axis), name in zip(binding.tabs, self._names[len(binding.bufs):]):
+            given = fed.get(name) if kind == "rowof" else None
+            if given is not None and given.size and ("rows", f"{axis}_indptr") in {f[:2] for f in binding.facts}:
+                rows = self._sizes[f"{axis}_indptr"] - 1
+                if given.min() < 0 or given.max() >= rows:
+                    raise ValueError(f"fed table breaks the kernel's facts: {name!r} holds a row outside [0, {rows})")
+        tabs = [
+            fed[name] if name in fed else self._table(kind, axis, fed[source]) if source in fed else bound
+            for (kind, axis), name, source, bound in zip(
+                binding.tabs, self._names[len(binding.bufs):], self._follows, self._tabs[0]
+            )
+        ]
+        return (tabs, *self._ffi.pointers(tabs))
+
+    def _invoke(self, bufs: Any, tabs: Any) -> None:
+        self.serial_regions = rc = self._lib.run(bufs, tabs, *self._scalars)
+        if rc < 0:
+            raise MemoryError(f"native kernel {self.name!r} could not allocate its local buffers")
+
+    def __call__(self, arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Run on *arrays*, every value buffer of ``bufs[]`` by name (and any
+        table fed for this call), checking that no operand the kernel stores
+        to shares memory with another; returns *arrays* without the kernel's
+        own ``local`` buffers."""
+        bufs = [arrays[name] for name in self.binding.bufs]
         for buf in bufs:
             if not buf.flags.c_contiguous:
                 raise NativeBuildError("native tier requires contiguous buffers")
-        fed = {name: arrays[name] for name in aux if name in arrays}
-        if not fed:
-            call_tabs, tab_ptrs, tab_starts = bound_tabs
-        else:
-            # Index tables fed for this call stand in for the bound ones.  The
-            # sizes in ``ipar`` stay as compiled, so a fed table must be laid
-            # out exactly like the one it replaces.
-            for name, given in fed.items():
-                bound = aux[name]
-                same = (given.dtype, given.shape) == (bound.dtype, bound.shape)
-                if not (same and given.flags.c_contiguous):
-                    raise ValueError(
-                        f"table {name!r} fed as {given.dtype}{list(given.shape)}, "
-                        f"bound as contiguous {bound.dtype}[{bound.size}]"
-                    )
-            for kind, name, _bound, link in binding.facts:
-                if kind == "indptr" and link in fed and name not in fed:
-                    fed[name] = fed[link]  # one array by construction: it follows its class's table
-            touched = tuple(fact for fact in binding.facts if fact[1] in fed or fact[3] in fed)
-            if touched:
-                why = check_tables(touched, {**aux, **fed}, sizes)
-                if why is not None:
-                    raise ValueError(f"fed table breaks the kernel's facts: {why}")
-            call_tabs = [
-                table(kind, name, fed[source]) if source in fed else bound
-                for (kind, name), source, bound in zip(binding.tabs, follows, tabs)
-            ]
-            tab_ptrs, tab_starts = pointers(call_tabs)
-        buf_ptrs, starts = pointers(bufs, len(local))  # the kernel fills (and frees) its own slots
+        fed = {name: arrays[name] for name in self._feedable if name in arrays}
+        tabs, tab_ptrs, tab_starts = self._fed_tables(fed) if fed else self._tabs
+        buf_ptrs, starts = self._ffi.pointers(bufs, len(self._local))  # the kernel fills its own slots
         # The no-overlap contract the SIMD loops rest on: what the kernel stores
         # to is disjoint from every other operand of the call.  One sweep in
         # address order; ``holder`` is the operand reaching furthest so far.
-        given, starts = bufs + call_tabs, starts + tab_starts
+        names, given, starts = self._names, bufs + tabs, starts + tab_starts
+        stored = {slot for slot, name in enumerate(self.binding.bufs) if name in self.stored}
         reach = holder = -1
-        for slot in sorted(slots, key=starts.__getitem__):
+        for slot in sorted(range(len(names)), key=starts.__getitem__):
             start, size = starts[slot], given[slot].nbytes
-            if size and start < reach and (slot in stored_slots or holder in stored_slots):
-                target, other = (slot, holder) if slot in stored_slots else (holder, slot)
+            if size and start < reach and (slot in stored or holder in stored):
+                target, other = (slot, holder) if slot in stored else (holder, slot)
                 raise ValueError(
                     f"buffer {names[target]!r} is stored to and shares memory with "
                     f"{names[other]!r}: operands of a native kernel may not overlap"
                 )
             if start + size > reach:
                 reach, holder = start + size, slot
-        run.serial_regions = call(buf_ptrs, tab_ptrs, ipar_ptr, fpar_ptr)
-        if run.serial_regions < 0:
-            raise MemoryError(f"native kernel {func.name!r} could not allocate its local buffers")
-        for name in local:  # the kernel's own scratch: never the caller's arrays
+        self._invoke(buf_ptrs, tab_ptrs)
+        for name in self._local:  # the kernel's own scratch: never the caller's arrays
             arrays.pop(name, None)
         return arrays
 
-    run._keepalive = (lib, tabs, ipar, fpar)  # mapped, and read, on every call
-    return run
+    def bind(self, shared: Mapping[str, np.ndarray], allocated: AbstractSet[str]) -> Callable[..., Any]:
+        """Marshal, once, what every call of one caller shares.
+
+        *shared* holds C-contiguous arrays the kernel only reads, by buffer
+        name, for every call; *allocated* names the buffers the caller
+        allocates anew for each call.  Every buffer the kernel stores to must
+        be among them (or be the kernel's own ``local`` scratch): then no
+        stored operand can share memory with another, by construction, and a
+        call makes no address sweep.  ``ValueError`` otherwise.
+
+        Returns ``call(arrays, fed=None)``: *arrays* holds every other value
+        buffer of ``bufs[]`` by name (C-contiguous); *fed*, tables fed for
+        this call, checked as :func:`load_native` says.  The call runs the
+        kernel and returns *arrays*.
+        """
+        loose = sorted(self.stored - set(allocated))
+        if loose:
+            raise ValueError(
+                f"buffer {loose[0]!r} is stored to but not allocated per call: a bound "
+                "native call may not store into memory it does not own"
+            )
+        ffi, nulls = self._ffi, len(self._local)
+        views = [ffi.null] * nulls + [
+            ffi.view(shared[name]) if name in shared else None for name in self.binding.bufs
+        ] or [ffi.null]  # each keeps its array alive
+        slots = [(nulls + n, name) for n, name in enumerate(self.binding.bufs) if name not in shared]
+        view, block, invoke, tabs = ffi.view, ffi.block, self._invoke, self._tabs
+
+        def call(arrays: Dict[str, np.ndarray], fed: Optional[Dict[str, np.ndarray]] = None) -> Dict[str, np.ndarray]:
+            held = views.copy()
+            for slot, name in slots:
+                held[slot] = view(arrays[name])
+            checked = self._fed_tables(fed) if fed else tabs  # held until the kernel returns
+            invoke(block(held), checked[1])
+            return arrays
+
+        return call

@@ -100,6 +100,8 @@ class CSRMatrix:
         self._keys: Optional[np.ndarray] = None
         #: ``(epoch, int32 indptr, int32 indices padded to the capacity)``.
         self._tables: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        #: ``(epoch, int32 row of every stored position)``.
+        self._rows: Optional[Tuple[int, np.ndarray]] = None
         self._signature: Optional[Tuple[int, str]] = None
 
     # -- constructors ---------------------------------------------------------------
@@ -192,6 +194,16 @@ class CSRMatrix:
             indices[: self.nnz] = self._indices
             memo = self._tables = (self._epoch, self._indptr.astype(np.int32), indices)
         return {"indptr": memo[1], "indices": memo[2][:size], "values": self._values[:size]}
+
+    def position_rows(self) -> np.ndarray:
+        """The row of every stored position (int32, nnz entries): the table a
+        kernel's row search over the positions reads, fed beside
+        :meth:`tables`.  Made once per epoch."""
+        memo = self._rows
+        if memo is None or memo[0] != self._epoch:
+            rows = np.repeat(np.arange(self.rows, dtype=np.int32), np.diff(self._indptr))
+            memo = self._rows = (self._epoch, rows)
+        return memo[1]
 
     # -- edits --------------------------------------------------------------------
     @property

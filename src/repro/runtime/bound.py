@@ -21,6 +21,7 @@ array it returns never aliases storage a later call will touch.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -127,6 +128,23 @@ class BoundKernel:
         for name in feeds:
             if name not in aux:  # a table feed is optional: its default stays
                 kernel.defaults.pop(name, None)
+        runner = kernel._runner(tier)
+        if tier != "native":
+            #: What a call starts from, and the runner it hands the rest to.
+            self._given, self._call = self._shared, runner
+            return
+        # The native call is marshalled here, once: the shared constants'
+        # pointers, the bound tables, ipar / fpar.  Every buffer the kernel
+        # stores to is allocated per call (a private copy or a fresh zero
+        # array), which ``bind`` asserts: no call can store into an operand.
+        for name, key in feeds.items():
+            table = runner.derived.get(name)  # a row table the call may feed
+            if table is not None:
+                self._tables.append((name, key, table.dtype, table.size, False))
+        allocated = {feed[0] for feed in self._feeds if feed[4]}
+        allocated.update(name for name, _source, _dtype, private in self._converted if private)
+        allocated.update(name for name, _size, _dtype in self._zeroed)
+        self._given, self._call = {}, runner.bind(self._shared, allocated)
 
     @property
     def feeds_tables(self) -> bool:
@@ -134,10 +152,11 @@ class BoundKernel:
         return bool(self._tables)
 
     def run(self, inputs: Mapping[str, Any]) -> Dict[str, np.ndarray]:
-        """One call: marshal, execute on the bound tier, finalise."""
-        arrays = dict(self._shared)
+        """One call: marshal the per-call arrays, execute on the bound tier,
+        finalise."""
+        arrays = dict(self._given)
         feeds = self._feeds
-        if self._tables:
+        if self._tables and len(inputs) > len(feeds):  # every feed is required: more are tables
             feeds = feeds + [table for table in self._tables if table[1] in inputs]
         for name, key, dtype, size, private in feeds:
             try:
@@ -154,8 +173,15 @@ class BoundKernel:
             arrays[name] = _flat(source, dtype, private)
         for name, size, dtype in self._zeroed:
             arrays[name] = np.zeros(size, dtype=dtype)
-        out = self.kernel.run(arrays, engine=self.tier, prepared=True)
-        return {key: finalize(spec, out[name]) for key, name, spec in self._outputs}
+        call = self._call
+        if feeds is not self._feeds:  # tables fed for this call: checked by the call
+            fed = {table[0]: arrays.pop(table[0]) for table in feeds[len(self._feeds):]}
+            call = functools.partial(call, fed=fed)
+        out = self.kernel.run(arrays, engine=self.tier, prepared=call)
+        results = {}
+        for key, name, spec in self._outputs:
+            results[key] = finalize(spec, out[name])
+        return results
 
     def __repr__(self) -> str:
         return f"BoundKernel({self.kernel.func.name!r}, tier={self.tier!r})"

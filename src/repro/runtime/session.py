@@ -181,14 +181,12 @@ class _Handle:
             operands.update(tables)
         elif self.size is not None:
             operands.update(structure.tables(self.size))
+            if self.sized_by == "nnz":  # a row search: its table, once per epoch
+                operands["rowof"] = structure.position_rows()
         elif self.feeds_values:
             operands["values"] = structure.data
         out = self.bound.run(operands)["out"]
         return out[..., : structure.nnz] if self.per_edge else out
-
-
-def _storage(structure: Any) -> Tuple[Any, Any]:
-    return getattr(structure, "indptr", None), getattr(structure, "indices", None)
 
 
 #: The epoch slot of a handle key for a CSR matrix that has been edited.
@@ -418,7 +416,12 @@ class Session:
         structure's footprint.  Only a native kernel takes tables per call;
         on any other tier the result is ``None`` and nothing ran.
         """
-        operands = {role: np.asarray(value) for role, value in operands.items()}
+        # One loop, no comprehension: this is every warm call's own work.
+        arrays: Dict[str, np.ndarray] = {}
+        signature: list = []
+        for role, value in operands.items():
+            value = arrays[role] = np.asarray(value)
+            signature += (value.shape, value.dtype)
         if options.get("dtype") is not None:
             options["dtype"] = np.dtype(options["dtype"])  # one key per spelling
         epoch = getattr(structure, "structure_epoch", None)
@@ -426,11 +429,11 @@ class Session:
             kind,
             id(structure),
             _EDITED if epoch else epoch,  # an edited matrix: its handles check a guard
-            tuple((value.shape, value.dtype) for value in operands.values()),
+            tuple(signature),
             tuple(options.values()),
             self._tuning_generation if options.get("tuned") else None,
         )
-        storage = _storage(structure)
+        storage = (getattr(structure, "indptr", None), getattr(structure, "indices", None))
         with self._lock:
             handle = self._handles.get(key)
             if handle is not None and not handle.fits(structure, storage):
@@ -449,10 +452,11 @@ class Session:
                     stats.native_runs += 1
                 else:
                     stats.emitted_runs += 1
-        if handle is not None:
-            self._count_thread_hit()
-            return handle.run(structure, operands, tables)
-        return self._execute_cold(key, kind, structure, storage, operands, options, tables)
+        if handle is None:
+            return self._execute_cold(key, kind, structure, storage, arrays, options, tables)
+        local = self._thread_hits  # this thread's hit count, as _count_thread_hit keeps it
+        local.count = getattr(local, "count", 0) + 1
+        return handle.run(structure, arrays, tables)
 
     def _execute_cold(
         self,
@@ -530,7 +534,10 @@ class Session:
         if feeds_values:
             feeds[names["values"]] = "values"
             for aux in kernel.func.aux_buffers:
-                feeds[aux.name] = aux.name.rpartition("_")[2]  # J_indptr -> "indptr"
+                axis, _, role = aux.name.rpartition("_")
+                feeds[aux.name] = role  # J_indptr -> "indptr"
+                if role == "indptr":  # the row table of a search over J's positions
+                    feeds[f"{axis}_rowof"] = "rowof"
         # The spec only finalises from here on; its operand arrays must not
         # stay pinned by the handle.
         outputs = [("out", names["out"], replace(spec, inputs={}))]

@@ -478,7 +478,31 @@ class TestIndependentFeatureLoops:
             func = build_add_program(m, n, a, b, dtype=name)
         else:
             func = build_relu_program(m, n, a, dtype=name)
-        assert emit_c.emit_c_source(lowered(func))[0].count(SIMD) == 1
+        # gemm: the lane loop of its row tile and that of the rows left over.
+        assert emit_c.emit_c_source(lowered(func))[0].count(SIMD) == (2 if op == "gemm" else 1)
+        assert_tiers_bit_exact(func)
+
+
+class TestRowTiles:
+    """gemm's compute pass runs four rows per reduction step (an
+    unroll-and-jam, ``emit_c.TILE_ROWS``) and the rows left over one at a
+    time: every row count around and below the tile, a reduction of no steps
+    and every lane remainder, against the interpreter bit for bit.  Values
+    span eight decades, so a changed order of additions shows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(0, 13), k=st.integers(0, 5), n=st.integers(1, 17), dtype=dtypes,
+        seed=st.integers(0, 2**16),
+    )
+    def test_gemm_tile_is_bit_exact(self, m, k, n, dtype, seed):
+        rng = np.random.default_rng(seed)
+        scale = lambda shape: 10.0 ** rng.integers(-4, 4, shape)  # noqa: E731
+        a = (rng.standard_normal((m, k)) * scale((m, k))).astype(dtype)
+        b = (rng.standard_normal((k, n)) * scale((k, n))).astype(dtype)
+        func = build_gemm_program(m, k, n, a, b, dtype=np.dtype(dtype).name)
+        source = emit_c.emit_c_source(lowered(func))[0]
+        assert source.count(f"+= {emit_c.TILE_ROWS})") == 1 and source.count(SIMD) == 2
         assert_tiers_bit_exact(func)
 
 

@@ -458,3 +458,133 @@ class TestLocalBuffers:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in workers)
         assert not errors, errors
+
+
+def _gemm_kernel(session, rows=9, inner=3, cols=5):
+    from repro.ops import registry
+
+    a = RNG(0).standard_normal((rows, inner)).astype(np.float32)
+    b = RNG(1).standard_normal((inner, cols)).astype(np.float32)
+    func, _names = registry.build_spec_program(registry.prepare(session, "gemm", a, b))
+    return session.build(func), a, b
+
+
+class TestBoundNativeCall:
+    """A warm native call is marshalled at bind time: the shared constants'
+    pointers, the bound tables and ``ipar`` / ``fpar`` are made once, and a
+    call wraps only its operands and the buffers it allocates.  No stored
+    operand can overlap another by construction, so only the unbound runner
+    (``Kernel.run``'s) sweeps addresses."""
+
+    @pytest.fixture(autouse=True)
+    def _native_only(self):
+        from repro.core.codegen.emit_c import toolchain_available
+
+        if not toolchain_available():
+            pytest.skip("no C compiler: the native tier does not load")
+
+    def test_bind_rejects_a_stored_slot_it_does_not_allocate(self):
+        kernel, a, b = _gemm_kernel(Session(persistent=False))
+        runner = kernel._runner("native")
+        assert runner.stored == {"C"}
+        with pytest.raises(ValueError, match="'C' is stored to but not allocated per call"):
+            runner.bind({}, {"A", "B"})
+        with pytest.raises(ValueError, match="'C' is stored to but not allocated per call"):
+            runner.bind({"C": np.zeros(45, dtype=np.float32)}, set())  # a constant is only read
+        call = runner.bind({"B": b.reshape(-1)}, {"C"})
+        out = call({"A": a.reshape(-1), "C": np.zeros(45, dtype=np.float32)})["C"]
+        assert np.array_equal(out, kernel.run({"A": a, "B": b}, engine="interpret")["C"])
+
+    def test_unbound_run_still_refuses_an_overlapping_stored_operand(self):
+        kernel, a, b = _gemm_kernel(Session(persistent=False))
+        pool = np.zeros(a.size + 45, dtype=np.float32)
+        pool[: a.size] = a.reshape(-1)
+        aliased = {"A": pool[: a.size], "B": b.reshape(-1), "C": pool[a.size - 1 : a.size + 44]}
+        with pytest.raises(ValueError, match="'C' is stored to and shares memory with 'A'"):
+            kernel._runner("native")(aliased)
+        assert np.array_equal(pool[: a.size], a.reshape(-1))  # nothing ran
+
+    def test_serial_regions_is_reported_through_the_bound_call(self):
+        from repro.formats.csf import CSFTensor
+        from repro.models.rgcn import RGCN
+
+        rng = RNG(6)
+        adjacency = CSFTensor.from_dense((rng.random((2, 6, 6)) < 0.4).astype(np.float32))
+        feats = rng.standard_normal((6, 8)).astype(np.float32)
+        for classes, serial in ((8, 0), (5, 1)):  # 5 lanes are no multiple of the 8-float tile
+            model = RGCN(adjacency, in_feats=8, hidden=8, num_classes=classes)
+            forward = model.compile(Session(persistent=False), feats, fuse=True)
+            forward(feats)
+            (unit,) = forward.compiled.units
+            assert unit.bound.tier == "native"
+            assert unit.kernel._runner("native").serial_regions == serial
+
+    def test_a_fed_row_table_is_checked(self):
+        """A fused SDDMM over an edited matrix is fed the matrix's row table
+        (made once per epoch, :meth:`CSRMatrix.position_rows`) and derives
+        none per call; a row table naming no row is refused by name."""
+        from repro.core.codegen import native
+
+        m = matrix(rows=20, cols=16)
+        m.insert_edges([0], [int(np.setdiff1d(np.arange(16), m.indices[: m.indptr[1]])[0])])
+        x = RNG(2).standard_normal((20, 4)).astype(np.float32)
+        y = RNG(3).standard_normal((4, 16)).astype(np.float32)
+        session = Session(persistent=False)
+        derived = []
+        real = native._rows_of_positions
+        expected = fresh(lambda s: s.sddmm(m, x, y))
+        session.sddmm(m, x, y)  # binds; its tables are the footprint's
+        native._rows_of_positions = lambda *args: derived.append(1) or real(*args)
+        try:
+            for _ in range(3):
+                assert np.array_equal(session.sddmm(m, x, y), expected)
+        finally:
+            native._rows_of_positions = real
+        assert session.stats.handle_hits == 3
+        assert not derived and m.position_rows() is m.position_rows()
+        rows = m.position_rows().copy()
+        rows[-1] = m.rows
+        tables = {**m.tables(m.nnz), "rowof": rows}
+        with pytest.raises(ValueError, match="'J_rowof' holds a row outside"):
+            session._execute("sddmm", m, {"x": x, "y": y}, tables=tables, fuse_ij=True)
+
+
+class TestWarmCallOverhead:
+    """What a warm call costs in Python, without a clock: the calls it makes
+    (``sys.setprofile``: Python and C functions) are a count that repeats
+    exactly.  A change that adds work to the hit path moves it."""
+
+    #: tier -> calls of a warm ``Session.gemm`` (cora rows, width 4) and a
+    #: warm CSR ``Session.spmm`` (cora).
+    PINNED = {"native": {"gemm": 34, "spmm": 38}, "emitted": {"gemm": 33, "spmm": 35}}
+
+    @staticmethod
+    def calls(call):
+        count = 0
+
+        def hook(_frame, event, _arg):
+            nonlocal count
+            count += event in ("call", "c_call")
+
+        call(), call()  # binds, then warms
+        sys.setprofile(hook)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return count - 1  # setprofile(None) itself
+
+    def test_warm_calls_are_pinned(self):
+        from repro.workloads.graphs import synthetic_graph
+
+        session = Session(persistent=False)
+        csr = synthetic_graph("cora", seed=1).to_csr()
+        a = RNG(0).standard_normal((csr.rows, 4)).astype(np.float32)
+        w = RNG(1).standard_normal((4, 4)).astype(np.float32)
+        x = RNG(2).standard_normal((csr.cols, 4)).astype(np.float32)
+        counts = {
+            "gemm": self.calls(lambda: session.gemm(a, w)),
+            "spmm": self.calls(lambda: session.spmm(csr, x)),
+        }
+        tier = next(iter(session._handles.values())).bound.tier
+        assert counts == self.PINNED[tier]

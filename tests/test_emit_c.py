@@ -84,7 +84,7 @@ def fused_rgcn(width=8, nodes=6, classes=None, session=None):
     return forward, feats, unit.kernel
 
 
-GOLDENS = ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr", "rgcn_fused"]
+GOLDENS = ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr", "rgcn_fused", "gemm"]
 
 
 def golden_lowered(name):
@@ -258,9 +258,21 @@ class TestSimdMarks:
         marks = {name: text.count(SIMD) for name, text in texts.items()}
         # rgcn_fused: the four serial nests (rgms, gemm, add, relu) and the same
         # four as members of a region; tile moves and fills carry none.
-        assert marks == {"spmm_csr": 1, "pruned_spmm_bsr": 1, "sddmm_csr_fused": 0, "rgcn_fused": 8}
+        # gemm: its row tile's lane loop and the lane loop of the rows left over.
+        assert marks == {"spmm_csr": 1, "pruned_spmm_bsr": 1, "sddmm_csr_fused": 0, "rgcn_fused": 8, "gemm": 2}
         regions = {name: text.count("static int _r") for name, text in texts.items()}
-        assert regions == {"spmm_csr": 0, "pruned_spmm_bsr": 0, "sddmm_csr_fused": 0, "rgcn_fused": 2}
+        assert regions == {"spmm_csr": 0, "pruned_spmm_bsr": 0, "sddmm_csr_fused": 0, "rgcn_fused": 2, "gemm": 0}
+        tiles = {name: text.count(f"+= {emit_c.TILE_ROWS})") for name, text in texts.items()}
+        assert tiles == {**dict.fromkeys(GOLDENS, 0), "gemm": 1}
+
+    @pytest.mark.parametrize("name", [name for name in GOLDENS if name != "gemm"])
+    def test_row_tiles_leave_every_other_golden_alone(self, name, monkeypatch):
+        """Only a lone dense reduction nest ``run`` always calls is tiled: the
+        other goldens print the same text with row tiling switched off (the
+        serial gemm nest of ``rgcn_fused``, a region's fallback, among them)."""
+        text = (GOLDEN_DIR / f"{name}.c").read_text()
+        monkeypatch.setattr(emit_c, "row_tile", lambda nest: None)
+        assert emit_c_source(golden_lowered(name))[0] == text
 
     def test_hyb_marks_one_loop_per_distinct_bucket_nest(self):
         from repro.formats.hyb import HybFormat
