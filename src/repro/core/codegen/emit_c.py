@@ -17,7 +17,10 @@ argument carries a *fused region*: consecutive nests that
 :func:`~repro.core.codegen.hazards.fused_regions` proves row- and lane-aligned
 run as one loop over rows with every output element in a fixed-width register
 tile, and a ``local`` buffer only the region touches is that tile and nothing
-else (``docs/runtime.md``, "Fused regions and ``local`` buffers").
+else (``docs/runtime.md``, "Fused regions and ``local`` buffers"); and a lone
+nest :func:`~repro.core.codegen.hazards.row_tile` accepts (dense ``gemm``)
+steps ``TILE_ROWS`` rows through its reduction at once (``docs/runtime.md``,
+"Row tiles").
 
 * :func:`emit_c_source` returns ``(c_source, binding)``.  ``run(bufs, tabs,
   ipar, fpar)`` reads the value buffers (``bufs``), the program's auxiliary
@@ -101,9 +104,8 @@ from .native import (  # noqa: F401  (re-exported: they lived here before the lo
 TILE_BYTES = 32
 
 #: Rows of a row tile: the compute pass of a nest :func:`row_tile` accepts runs
-#: this many rows per reduction step, so each step's operand row is loaded once
-#: per tile instead of once per row (8 rows measured no faster at ``-O2``;
-#: ``docs/dead-ends.md``).
+#: this many rows per reduction step, one lane loop updating them all (8 rows
+#: measured no faster at ``-O2``; ``docs/dead-ends.md``).
 TILE_ROWS = 4
 
 
@@ -586,7 +588,8 @@ class _Nest:
         compute pass of a nest ``run`` *always* calls is printed in row tiles
         where :func:`row_tile` allows it (:meth:`_emit_row_tile`)."""
         tile = row_tile(self.nest) if always and mode == "compute" else None
-        if tile is None or not self._emit_row_tile(*tile):
+        # A schedule's vectorize request on the row loop is answered by its walk.
+        if tile is None or tile[0].loop.kind == st.LOOP_VECTORIZED or not self._emit_row_tile(*tile):
             self._walk(self.nest, mode)
         return [f"{self._define('void', self._top.lines)};"] if self._top.lines else []
 

@@ -23,7 +23,9 @@ touch distinct elements, which is what lets :mod:`~repro.core.codegen.emit_c`
 print it under ``#pragma omp simd`` without changing a bit of the result.
 :func:`fused_regions` extends that proof across nests: consecutive top-level
 nests whose every dependence stays inside one output element ``(row, lane)``
-may share one row loop and keep that element in a register tile.
+may share one row loop and keep that element in a register tile, and
+:func:`row_tile` lets one such nest step several rows through its reduction
+at once.
 
 The module also holds the two plan-time helpers emitted kernels call through
 their ``helpers`` namespace (:func:`coords_to_positions`,
@@ -82,6 +84,7 @@ __all__ = [
     "analyze_hazards",
     "fused_regions",
     "loop_independence",
+    "row_tile",
     "coords_to_positions",
     "rows_of_positions",
     "sorted_axis_keys",
@@ -341,13 +344,13 @@ def row_tile(nest: Stmt) -> Optional[Tuple[RowNest, ForLoop]]:
     lane extent is at most its row stride, so rows own disjoint elements.
     Every element then still sees the serial sequence of operations.
     """
+    loops = find_loops(nest)  # post order: lane, reduction, row
+    if len(loops) != 3 or not sizes_only(loops[1].start, loops[1].extent):
+        return None  # the cheap test first: most nests fail it
     form = _row_nest(nest)
     if isinstance(form, str) or _joins((), form) is not None or form.feature.extent.value > form.stride:
         return None
-    reductions = [loop for loop in find_loops(nest.body) if loop is not form.feature]
-    if len(reductions) != 1 or not sizes_only(reductions[0].start, reductions[0].extent):
-        return None
-    return form, reductions[0]
+    return form, loops[1]
 
 
 def _joins(run: Sequence[RowNest], new: RowNest) -> Optional[str]:

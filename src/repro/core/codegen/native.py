@@ -520,14 +520,22 @@ class NativeRunner:
         self.stored = frozenset(name for name in binding.bufs if name in stored)
         self._local = local_buffers(func)
         tabs = [self._table(kind, name) for kind, name in binding.tabs]
-        names = [name if kind == "aux" else f"{name}_{kind}" for kind, name in binding.tabs]
-        self._names = [*binding.bufs, *names]
+        self._tab_names = [name if kind == "aux" else f"{name}_{kind}" for kind, name in binding.tabs]
         #: Tables a call may feed beside the auxiliary buffers: the per-position
         #: row table of a row search, by its ``tabs[]`` name (``J_rowof``).
         self.derived = {
-            name: table for (kind, _axis), name, table in zip(binding.tabs, names, tabs) if kind == "rowof"
+            name: table
+            for (kind, _axis), name, table in zip(binding.tabs, self._tab_names, tabs)
+            if kind == "rowof"
         }
         self._feedable = [*aux, *self.derived]
+        # The row count every entry of a fed row table must stay below, where
+        # the text takes a row for every position for granted (a ``rows`` fact).
+        self._rows = {
+            f"{name[: -len('_indptr')]}_rowof": sizes[name] - 1
+            for kind, name, _bound, _link in binding.facts
+            if kind == "rows" and f"{name[: -len('_indptr')]}_rowof" in self.derived
+        }
         # The auxiliary buffer each table follows when that buffer is fed per
         # call: itself, or the ``<axis>_indptr`` / ``<axis>_indices`` an axis
         # table mirrors; a fed row table is taken as it is.
@@ -579,17 +587,13 @@ class NativeRunner:
             why = check_tables(touched, {**self._aux, **fed}, self._sizes)
             if why is not None:
                 raise ValueError(f"fed table breaks the kernel's facts: {why}")
-        for (kind, axis), name in zip(binding.tabs, self._names[len(binding.bufs):]):
-            given = fed.get(name) if kind == "rowof" else None
-            if given is not None and given.size and ("rows", f"{axis}_indptr") in {f[:2] for f in binding.facts}:
-                rows = self._sizes[f"{axis}_indptr"] - 1
-                if given.min() < 0 or given.max() >= rows:
-                    raise ValueError(f"fed table breaks the kernel's facts: {name!r} holds a row outside [0, {rows})")
+        for name, rows in self._rows.items():
+            given = fed.get(name)
+            if given is not None and given.size and (given.min() < 0 or given.max() >= rows):
+                raise ValueError(f"fed table breaks the kernel's facts: {name!r} holds a row outside [0, {rows})")
         tabs = [
             fed[name] if name in fed else self._table(kind, axis, fed[source]) if source in fed else bound
-            for (kind, axis), name, source, bound in zip(
-                binding.tabs, self._names[len(binding.bufs):], self._follows, self._tabs[0]
-            )
+            for (kind, axis), name, source, bound in zip(binding.tabs, self._tab_names, self._follows, self._tabs[0])
         ]
         return (tabs, *self._ffi.pointers(tabs))
 
@@ -613,7 +617,7 @@ class NativeRunner:
         # The no-overlap contract the SIMD loops rest on: what the kernel stores
         # to is disjoint from every other operand of the call.  One sweep in
         # address order; ``holder`` is the operand reaching furthest so far.
-        names, given, starts = self._names, bufs + tabs, starts + tab_starts
+        names, given, starts = [*self.binding.bufs, *self._tab_names], bufs + tabs, starts + tab_starts
         stored = {slot for slot, name in enumerate(self.binding.bufs) if name in self.stored}
         reach = holder = -1
         for slot in sorted(range(len(names)), key=starts.__getitem__):

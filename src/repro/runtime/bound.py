@@ -155,10 +155,10 @@ class BoundKernel:
         """One call: marshal the per-call arrays, execute on the bound tier,
         finalise."""
         arrays = dict(self._given)
-        feeds = self._feeds
-        if self._tables and len(inputs) > len(feeds):  # every feed is required: more are tables
-            feeds = feeds + [table for table in self._tables if table[1] in inputs]
-        for name, key, dtype, size, private in feeds:
+        tables = ()
+        if self._tables and len(inputs) > len(self._feeds):  # every feed is required: more may be tables
+            tables = [table for table in self._tables if table[1] in inputs]
+        for name, key, dtype, size, private in (*self._feeds, *tables):
             try:
                 value = inputs[key]
             except KeyError:
@@ -174,9 +174,8 @@ class BoundKernel:
         for name, size, dtype in self._zeroed:
             arrays[name] = np.zeros(size, dtype=dtype)
         call = self._call
-        if feeds is not self._feeds:  # tables fed for this call: checked by the call
-            fed = {table[0]: arrays.pop(table[0]) for table in feeds[len(self._feeds):]}
-            call = functools.partial(call, fed=fed)
+        if tables:  # fed for this call, and checked by the call
+            call = functools.partial(call, fed={table[0]: arrays.pop(table[0]) for table in tables})
         out = self.kernel.run(arrays, engine=self.tier, prepared=call)
         results = {}
         for key, name, spec in self._outputs:

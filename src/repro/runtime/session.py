@@ -454,8 +454,7 @@ class Session:
                     stats.emitted_runs += 1
         if handle is None:
             return self._execute_cold(key, kind, structure, storage, arrays, options, tables)
-        local = self._thread_hits  # this thread's hit count, as _count_thread_hit keeps it
-        local.count = getattr(local, "count", 0) + 1
+        self._count_thread_hit()
         return handle.run(structure, arrays, tables)
 
     def _execute_cold(
