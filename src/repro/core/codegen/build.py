@@ -29,7 +29,7 @@ def _reason(exc: Exception) -> str:
 # -- the compiled tiers --------------------------------------------------------
 # A tier is an ``emit(func, cache, key)`` that prints the program for its
 # target and a ``load(func, emitted, cache, key)`` that turns the print into a
-# ``run(arrays)`` closure.  ``cache``/``key`` name the kernel's artifact store
+# ``run(arrays)`` runner.  ``cache``/``key`` name the kernel's artifact store
 # (both ``None`` for an uncached kernel): the emitted tier keeps its print
 # there (``<key>.py``), the native tier the print's binding and the name of what
 # the C compiler made of it (the json record; ``<artifact>.so``, one per text) —
@@ -302,7 +302,7 @@ class Kernel:
         return slot
 
     def _runner(self, tier: str) -> Any:
-        """The loaded ``run(arrays)`` closure of *tier*, or ``None``."""
+        """The loaded runner of *tier* (``runner(arrays)``), or ``None``."""
         return self._tier(tier)[1]
 
     def native_source(self) -> Optional[str]:

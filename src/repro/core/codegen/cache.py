@@ -168,7 +168,7 @@ class CacheEntry:
     ``tiers`` holds one slot per compiled tier (``"native"`` / ``"emitted"``):
     absent until :class:`Kernel` is first asked for that tier, then
     ``(emitted, runner)`` for good — what the tier's emitter printed and the
-    loaded ``run(arrays)`` closure, either ``None`` when that step declined,
+    loaded ``run(arrays)`` runner, either ``None`` when that step declined,
     with the reason in ``declined[tier]``.  ``lock`` serialises the one
     resolution, so threads racing on a first dispatch emit, compile and plan
     once.  Slots are per-process; what persists is each tier's artifact in

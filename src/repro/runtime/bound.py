@@ -4,9 +4,10 @@ Building a kernel answers *what to run*; binding it answers *what each call
 still has to do*.  A :class:`BoundKernel` resolves, once, everything a warm
 call would otherwise re-derive — the dispatch tier, which flat buffers are
 per-call operands, which are constants, which the kernel overwrites, which it
-owns outright (``local`` buffers on the native tier) — so
-that :meth:`BoundKernel.run` is left with handing arrays to the compiled
-runner and finalising its outputs.  Index tables are operands like any other:
+owns outright (``local`` buffers on the native tier) — and, on the native
+tier, marshals the call's constant part (``NativeRunner.bind``), so
+that :meth:`BoundKernel.run` is left with handing the per-call arrays to the
+bound call and finalising its outputs.  Index tables are operands like any other:
 bound with the kernel, and replaced for one call by a table fed under the
 same name (native tier; see :func:`~repro.core.codegen.emit_c.load_native`).
 ``Session`` memoises one per operator application (see ``docs/runtime.md``,
@@ -61,7 +62,8 @@ class BoundKernel:
         A value buffer named here is required on every call; an auxiliary
         buffer is an optional *table feed*, used on the native tier when the
         call provides its key and ignored by the emitted tier, whose plan is
-        fixed to the bound structure (:attr:`feeds_tables` tells which).
+        fixed to the bound structure (:attr:`feeds_tables` tells which); so
+        is a row table the native kernel derives (``J_rowof``).
     outputs:
         ``(result key, flat buffer name, spec)`` per array :meth:`run`
         returns; the spec finalises the raw buffer

@@ -519,29 +519,26 @@ class TestBoundNativeCall:
             assert unit.bound.tier == "native"
             assert unit.kernel._runner("native").serial_regions == serial
 
-    def test_a_fed_row_table_is_checked(self):
+    def test_a_fed_row_table_is_checked(self, monkeypatch):
         """A fused SDDMM over an edited matrix is fed the matrix's row table
         (made once per epoch, :meth:`CSRMatrix.position_rows`) and derives
         none per call; a row table naming no row is refused by name."""
         from repro.core.codegen import native
 
         m = matrix(rows=20, cols=16)
-        m.insert_edges([0], [int(np.setdiff1d(np.arange(16), m.indices[: m.indptr[1]])[0])])
+        m.insert_edges(*missing_edges(m, 1))
         x = RNG(2).standard_normal((20, 4)).astype(np.float32)
         y = RNG(3).standard_normal((4, 16)).astype(np.float32)
+        expected = fresh(lambda s: s.sddmm(m, x, y))
         session = Session(persistent=False)
+        session.sddmm(m, x, y)  # binds: the runner derives the footprint's table once
         derived = []
         real = native._rows_of_positions
-        expected = fresh(lambda s: s.sddmm(m, x, y))
-        session.sddmm(m, x, y)  # binds; its tables are the footprint's
-        native._rows_of_positions = lambda *args: derived.append(1) or real(*args)
-        try:
-            for _ in range(3):
-                assert np.array_equal(session.sddmm(m, x, y), expected)
-        finally:
-            native._rows_of_positions = real
-        assert session.stats.handle_hits == 3
-        assert not derived and m.position_rows() is m.position_rows()
+        monkeypatch.setattr(native, "_rows_of_positions", lambda *args: derived.append(1) or real(*args))
+        for _ in range(3):
+            assert np.array_equal(session.sddmm(m, x, y), expected)
+        assert session.stats.handle_hits == 3 and not derived
+        assert m.position_rows() is m.position_rows()
         rows = m.position_rows().copy()
         rows[-1] = m.rows
         tables = {**m.tables(m.nnz), "rowof": rows}
