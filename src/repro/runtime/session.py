@@ -452,10 +452,10 @@ class Session:
                     stats.native_runs += 1
                 else:
                     stats.emitted_runs += 1
-        if handle is None:
-            return self._execute_cold(key, kind, structure, storage, arrays, options, tables)
-        self._count_thread_hit()
-        return handle.run(structure, arrays, tables)
+        if handle is not None:
+            self._count_thread_hit()
+            return handle.run(structure, arrays, tables)
+        return self._execute_cold(key, kind, structure, storage, arrays, options, tables)
 
     def _execute_cold(
         self,
