@@ -382,6 +382,7 @@ class DiskKernelCache:
                 tuple(float(value) for value in stored["fpar"]),
                 tuple((what, why) for what, why in stored["serial"]),
                 tuple((kind, name, int(bound), link) for kind, name, bound, link in stored["facts"]),
+                tuple(str(name) for name in stored["zero"]),
             )
         except (KeyError, TypeError, ValueError, AttributeError):
             return None

@@ -31,6 +31,11 @@ steps ``TILE_ROWS`` rows through its reduction at once (``docs/runtime.md``,
   structure, shape and feature width of a program family.  ``binding``
   (:class:`NativeBinding`) names the arrays and scalars that fill the four
   blocks.
+* The top-level passes that store nothing but ``+0`` into buffers no earlier
+  pass reads or writes are called from a second entry, ``zero(bufs, tabs,
+  ipar, fpar)``, in front of ``run``; ``binding.zero`` names what it fills,
+  and a caller whose buffers arrive zeroed skips it (``docs/runtime.md``,
+  "Binding contract").
 * An access the index tables' facts prove in bounds is printed unchecked:
   positions of a variable axis lie below its ``indptr[-1]``, coordinates read
   from ``indices`` below the column count, dense affine indices within their
@@ -61,6 +66,7 @@ emitted NumPy tier, so the native tier is never a correctness risk.
 from __future__ import annotations
 
 import contextlib
+import math
 import re
 import sys
 import types
@@ -260,13 +266,21 @@ def _is_one(expr: ir.Expr) -> bool:
     return isinstance(expr, ir.IntImm) and expr.value == 1
 
 
+def _plus_zero(expr: ir.Expr) -> bool:
+    """Whether *expr* is a literal stored as all-zero bytes: ``0`` or
+    ``+0.0``, never ``-0.0``."""
+    literal = isinstance(expr, (ir.IntImm, ir.FloatImm))
+    return literal and expr.value == 0 and math.copysign(1.0, expr.value) > 0
+
+
 class _CEmitter:
     """Prints a program as one C function per top-level nest and pass, called
     in the interpreter's order from ``run``.  Nests that differ only in their
     operands and sizes (the buckets of a hyb matrix, the relations of a fused
     RGCN layer) print the same text and share one function.  A fused region
     is one more function in front of its members' calls: ``run`` makes those
-    only when the region's precondition fails."""
+    only when the region's precondition fails.  A pass that only clears what
+    no pass before it touches is called from a second entry, ``zero``."""
 
     def __init__(self, func: PrimFunc):
         if func.stage != STAGE_LOOP:
@@ -371,9 +385,15 @@ class _CEmitter:
         self.loc = {name: slot for slot, name in enumerate(order)}
         self.ipar += [self.flat[name].nbytes() for name in order]  # what _alloc reads
         run: List[str] = []
+        zero: List[str] = []  # the passes that only clear, called from zero()
+        cleared: Dict[str, None] = {}  # the buffers they clear
+        # The buffers the passes kept in run() so far load or store, and store.
+        touched: set = set()
+        written: set = set()
         joined: Dict[int, List[str]] = {}  # a member's init call: made beside its compute call
         for mode in ("init", "compute"):  # the interpreter's two passes
             calls: List[str] = []
+            clears: List[str] = []
             for k, nest in enumerate(nests):
                 first = home.get(k)
                 if first == k and mode == "compute":
@@ -382,7 +402,17 @@ class _CEmitter:
                     region = self._emit_region(f"_r{list(regions).index(first)}", members, kept)
                     lo, hi = spans[first]
                     fallback = ["++rc;", *([_ALLOC.format(lo, hi)] if hi > lo else [])]
-                call = _Nest(self, nest).emit(mode, always=first is None)
+                walk = _Nest(self, nest)
+                call = walk.emit(mode, always=first is None)
+                stores = walk.stores
+                if first is None and stores and all(stores.values()) and not (
+                    stores.keys() & (touched | self.loc.keys()) or walk.loads & written
+                ):  # it runs as well in front of every pass before it: from zero()
+                    clears += call
+                    cleared.update(dict.fromkeys(stores))
+                    continue
+                touched |= walk.loads | stores.keys()
+                written |= stores.keys()
                 if first is None:
                     calls += call
                 elif mode == "init":
@@ -391,6 +421,8 @@ class _CEmitter:
                     fallback += joined.pop(k, []) + call
                     if k == first + len(members) - 1:
                         calls += [f"if (!{region}) {{", *_indent(fallback), "}"]
+            if clears:
+                zero += [f"/* {mode} pass */", *clears]
             if calls:
                 run += [f"/* {mode} pass */", *calls]
         tail = ["return 0;"]
@@ -408,12 +440,15 @@ class _CEmitter:
             "#include <stdint.h>",
             *(text for name, text in _PRELUDE.items() if name in self.prelude),
             *self.definitions,
+            *(_ZERO + ["{", *_indent([*zero, "return 0;"]), "}"] if zero else []),
             f"int run(void **bufs, void **tabs, {_RUN_SCALARS})",
             "{",
             *_indent([*run, *tail]),
             "}",
         ]
-        blocks = (self.bufs, self.tabs, self.ipar, self.fpar, self.serial.items(), self.facts.values())
+        blocks = (
+            self.bufs, self.tabs, self.ipar, self.fpar, self.serial.items(), self.facts.values(), cleared,
+        )
         return "\n".join(lines) + "\n", NativeBinding(*map(tuple, blocks))
 
     def _emit_region(self, label: str, members: Sequence[RowNest], contracted: AbstractSet[str]) -> str:
@@ -483,6 +518,11 @@ class _CEmitter:
 
 _PLACEHOLDER = re.compile(r"__(\d+)__")
 _RUN_SCALARS = "const int64_t *ipar, const double *fpar"
+_ZERO = [
+    "/* The passes that store nothing but +0 where no pass before them reads or writes:",
+    " * called in front of run(), and skipped by a caller whose buffers arrive zeroed. */",
+    f"int zero(void **bufs, void **tabs, {_RUN_SCALARS})",
+]
 _ALLOC = "if (!_alloc(bufs, ipar, {}, {})) {{ rc = -1; goto done; }}"
 
 _Span = Tuple[ir.Expr, ir.Expr]  # the first and the last value a loop variable takes
@@ -581,6 +621,10 @@ class _Nest:
         #: lane loop of a row tile, whose independence is its rows' and lanes'.
         self._simd: List[st.ForLoop] = []
         self._jam: Optional[st.ForLoop] = None
+        #: What the pass printed touches: the buffers it loads from, and per
+        #: buffer it stores to, whether every such store is a literal ``+0``.
+        self.loads: set = set()
+        self.stores: Dict[str, bool] = {}
 
     def emit(self, mode: str, always: bool = False) -> List[str]:
         """Define the nest's function for *mode* (unless an identical one
@@ -1077,6 +1121,7 @@ class _Nest:
     def _emit_load(self, expr: ir.BufferLoad) -> _CVal:
         if len(expr.indices) != 1:
             raise UnsupportedForC("stage-III loads must use a single flat index")
+        self.loads.add(expr.buffer.name)
         tile = self._tile(expr.buffer.name, "in")
         if tile is not None:  # a region reads what it writes at the element it owns
             code, ct = tile, self._ctype(expr.buffer.name)
@@ -1435,6 +1480,8 @@ class _Nest:
             raise UnsupportedForC("stage-III stores must use a single flat index")
         if store.buffer.name in self.program.aux_names:
             raise UnsupportedForC(f"store to auxiliary buffer {store.buffer.name!r}")
+        name = store.buffer.name
+        self.stores[name] = self.stores.get(name, True) and _plus_zero(store.value)
         tile = self._tile(store.buffer.name, "out")
         if tile is not None:
             value = self._eval(store.value)

@@ -51,7 +51,7 @@ from ..stmt import collect_buffer_stores
 #: Bumped whenever the native-source contract (C layout, binding protocol, or
 #: compile flags) changes; it is part of every artifact's name, and a record
 #: of an older version is a cache miss that rebuilds, never an import.
-NATIVE_VERSION = 6
+NATIVE_VERSION = 7
 
 #: Environment variable disabling the native tier (``0`` / ``off`` / ``false``).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -177,6 +177,12 @@ class NativeBinding(NamedTuple):
     ``[0, cols)`` — or ``("indices", table, cols, "")``, all of it;
     ``("rows", table, nnz, "")`` — the table runs from exactly 0 to ``nnz``,
     so the row search of every position below ``nnz`` finds a row.
+
+    ``zero`` names the value buffers the text's second entry, ``zero(bufs,
+    tabs, ipar, fpar)``, fills: the passes that store nothing but ``+0`` to
+    buffers no earlier pass touches, printed out of ``run`` (``()``: the text
+    has no such entry).  The unbound call makes it in front of ``run``; a
+    bound call whose buffers all arrive zeroed skips it (:meth:`NativeRunner.bind`).
     """
 
     bufs: Tuple[str, ...]
@@ -185,6 +191,7 @@ class NativeBinding(NamedTuple):
     fpar: Tuple[float, ...]
     serial: Tuple[Tuple[str, str], ...] = ()
     facts: Tuple[Tuple[str, str, int, str], ...] = ()
+    zero: Tuple[str, ...] = ()
 
 
 def local_buffers(func: PrimFunc) -> List[str]:
@@ -271,10 +278,12 @@ def artifact_key(c_source: str) -> str:
 
 # -- compilation + loading -----------------------------------------------------
 class _Library(NamedTuple):
-    """One dlopened artifact: the handle that keeps it mapped and its ``run``."""
+    """One dlopened artifact: the handle that keeps it mapped, its ``run`` and
+    its ``zero`` (``None`` for a text that prints none)."""
 
     handle: Any
     run: Any
+    zero: Any = None
 
 
 #: artifact key -> :class:`_Library` (or ``False`` after a failed build), so a
@@ -314,7 +323,11 @@ class _Foreign:
     def dlopen(self, path: Path) -> _Library:
         """Map the shared object at *path* (``OSError`` when it does not load)."""
         handle = self._backend.load_library(str(path), 0)
-        return _Library(handle, handle.load_function(self._signature, "run"))
+        try:
+            zero = handle.load_function(self._signature, "zero")
+        except AttributeError:  # the text clears nothing out of ``run``
+            zero = None
+        return _Library(handle, handle.load_function(self._signature, "run"), zero)
 
     def pointers(self, arrays: List[np.ndarray], nulls: int = 0) -> Tuple[Any, List[int]]:
         """The C pointer block of *arrays* (which the caller keeps alive)
@@ -454,6 +467,10 @@ def load_native(
     A ``local`` buffer the program stores to (:func:`local_buffers`) is the
     kernel's own: ``run(arrays)`` neither reads it from *arrays* nor returns it.
 
+    A text with a ``zero`` entry (``binding.zero``) has ``run(arrays)`` call
+    it first, then ``run``: the interpreter's result, whatever the stored
+    buffers held.
+
     ``run(arrays)`` takes the value buffers per call and, like them, any
     auxiliary index table present in *arrays* under its buffer name: that
     array replaces the table bound here for this call (same dtype, length and
@@ -514,6 +531,8 @@ class NativeRunner:
         ffi = self._ffi = _get_ffi()
         self.name, self.binding, self.serial_regions = func.name, binding, 0
         self._lib, self._aux, self._sizes = lib, aux, sizes  # the library stays mapped
+        if binding.zero and lib.zero is None:
+            raise NativeBuildError(f"the artifact of {func.name!r} lacks the zero entry its binding names")
         self._axes = {axis.name: axis for axis in func.axes}
         stored = {store.buffer.name for store in collect_buffer_stores(func.body)}
         #: The value buffers of ``bufs[]`` the kernel stores to.
@@ -597,7 +616,9 @@ class NativeRunner:
         ]
         return (tabs, *self._ffi.pointers(tabs))
 
-    def _invoke(self, bufs: Any, tabs: Any) -> None:
+    def _invoke(self, bufs: Any, tabs: Any, zero: bool) -> None:
+        if zero:
+            self._lib.zero(bufs, tabs, *self._scalars)
         self.serial_regions = rc = self._lib.run(bufs, tabs, *self._scalars)
         if rc < 0:
             raise MemoryError(f"native kernel {self.name!r} could not allocate its local buffers")
@@ -630,20 +651,29 @@ class NativeRunner:
                 )
             if start + size > reach:
                 reach, holder = start + size, slot
-        self._invoke(buf_ptrs, tab_ptrs)
+        self._invoke(buf_ptrs, tab_ptrs, bool(self.binding.zero))
         for name in self._local:  # the kernel's own scratch: never the caller's arrays
             arrays.pop(name, None)
         return arrays
 
-    def bind(self, shared: Mapping[str, np.ndarray], allocated: AbstractSet[str]) -> Callable[..., Any]:
+    def bind(
+        self,
+        shared: Mapping[str, np.ndarray],
+        allocated: AbstractSet[str],
+        zeroed: AbstractSet[str] = frozenset(),
+    ) -> Callable[..., Any]:
         """Marshal, once, what every call of one caller shares.
 
         *shared* holds C-contiguous arrays the kernel only reads, by buffer
         name, for every call; *allocated* names the buffers the caller
-        allocates anew for each call.  Every buffer the kernel stores to must
-        be among them (or be the kernel's own ``local`` scratch): then no
-        stored operand can share memory with another, by construction, and a
-        call makes no address sweep.  ``ValueError`` otherwise.
+        allocates anew for each call, and *zeroed* those of them it allocates
+        holding all-zero bytes.  Every buffer the kernel stores to must be
+        among the allocated ones (or be the kernel's own ``local`` scratch):
+        then no stored operand can share memory with another, by
+        construction, and a call makes no address sweep.  ``ValueError``
+        otherwise.  When every buffer the text's ``zero`` entry fills
+        (``binding.zero``) is in *zeroed*, a call skips that entry: its stores
+        would write the bytes already there.
 
         Returns ``call(arrays, fed=None)``: *arrays* holds every other value
         buffer of ``bufs[]`` by name (C-contiguous); *fed*, tables fed for
@@ -662,13 +692,14 @@ class NativeRunner:
         ] or [ffi.null]  # each keeps its array alive
         slots = [(nulls + n, name) for n, name in enumerate(self.binding.bufs) if name not in shared]
         view, block, invoke, tabs = ffi.view, ffi.block, self._invoke, self._tabs
+        zero = not set(self.binding.zero) <= set(zeroed)
 
         def call(arrays: Dict[str, np.ndarray], fed: Optional[Dict[str, np.ndarray]] = None) -> Dict[str, np.ndarray]:
             held = views.copy()
             for slot, name in slots:
                 held[slot] = view(arrays[name])
             checked = self._fed_tables(fed) if fed else tabs  # held until the kernel returns
-            invoke(block(held), checked[1])
+            invoke(block(held), checked[1], zero)
             return arrays
 
         return call

@@ -23,7 +23,7 @@ array it returns never aliases storage a later call will touch.
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +99,8 @@ class BoundKernel:
         self._converted: List[Tuple[str, Any, np.dtype, bool]] = []
         #: (buffer, size, dtype) per buffer the kernel writes from zero.
         self._zeroed: List[Tuple[str, int, np.dtype]] = []
+        #: Those of them whose zeros a call stores itself (native tier, below).
+        self._written: FrozenSet[str] = frozenset()
         for flat in func.flat_buffers:
             name = flat.name
             dtype = np.dtype(_np_dtype(flat.dtype))
@@ -145,8 +147,17 @@ class BoundKernel:
                 self._tables.append((name, key, table.dtype, table.size, False))
         allocated = {feed[0] for feed in self._feeds if feed[4]}
         allocated.update(name for name, _source, _dtype, private in self._converted if private)
-        allocated.update(name for name, _size, _dtype in self._zeroed)
-        self._given, self._call = {}, runner.bind(self._shared, allocated)
+        zeroed = {name for name, _size, _dtype in self._zeroed}
+        allocated.update(zeroed)
+        # A call hands the kernel zeroed buffers, so it skips the text's
+        # ``zero`` entry when that fills nothing else.  Those buffers then get
+        # their zeros stored here, not from calloc: fresh pages a kernel
+        # first reads (``C = C + ...``) would fault twice, once to map the
+        # zero page and once to copy it on the first store.
+        clears = frozenset(runner.binding.zero)
+        if clears <= zeroed:
+            self._written = clears
+        self._given, self._call = {}, runner.bind(self._shared, allocated, zeroed)
 
     @property
     def feeds_tables(self) -> bool:
@@ -174,7 +185,11 @@ class BoundKernel:
         for name, source, dtype, private in self._converted:
             arrays[name] = _flat(source, dtype, private)
         for name, size, dtype in self._zeroed:
-            arrays[name] = np.zeros(size, dtype=dtype)
+            if name in self._written:
+                array = arrays[name] = np.empty(size, dtype=dtype)
+                array.fill(0)
+            else:
+                arrays[name] = np.zeros(size, dtype=dtype)
         call = self._call
         if tables:  # fed for this call, and checked by the call
             call = functools.partial(call, fed={table[0]: arrays.pop(table[0]) for table in tables})

@@ -11,7 +11,11 @@ the tiers' masking strategies differ most.
 
 Both compiled tiers are compared against the interpreter, the oracle: the
 native tier runs the loop nest in the interpreter's own order, the emitted
-tier batches it, and neither may differ from it by a bit.
+tier batches it, and neither may differ from it by a bit.  The native tier
+runs once more through its unbound runner and once through a bound call,
+with every buffer it stores to between guard zones whose bits must not move
+(``run_native_guarded``): a kernel that writes past a buffer fails here even
+where every value it returns is right.
 ``TestNativeLoopNest`` pins the interpreter semantics the native walker
 reproduces by construction (dropped stores, zero loads, serial scatter
 order, nests the hazard analysis rejects) and that one program family costs
@@ -93,11 +97,14 @@ def assert_tiers_bit_exact(func, expect_emitted=True):
             assert np.array_equal(interpreted[name], native[name]), (
                 f"native diverges from interpreter on {name!r}"
             )
+    if native is not None:
+        assert_guarded_runs_equal(kernel, interpreted)
     return emitted
 
 
 def assert_native_equals_interpreter(func, bindings=None):
-    """Run *func* on the native tier and the interpreter; compare bitwise."""
+    """Run *func* on the native tier and the interpreter; compare bitwise,
+    and again with the stored buffers between guard zones."""
     kernel = build(func, cache=False)
     expected = kernel.run(bindings, engine="interpret")
     got = kernel.run(bindings, engine="native")
@@ -105,7 +112,72 @@ def assert_native_equals_interpreter(func, bindings=None):
     for name, array in got.items():
         assert array.dtype == expected[name].dtype, name
         assert np.array_equal(array, expected[name]), f"native diverges on {name!r}"
+    assert_guarded_runs_equal(kernel, expected, bindings)
     return got
+
+
+#: The element a guard zone holds, by item size: a signalling NaN in float32
+#: and float64.  Arithmetic quiets it, so a store past a buffer changes its
+#: bits even where it writes back what it read plus 0.
+SENTINEL = {4: np.uint32(0x7FA5A5A5), 8: np.uint64(0x7FF5A5A5A5A5A5A5)}
+
+
+def guarded(array):
+    """A copy of *array* (flat) as the interior of a larger array whose two
+    margins, each as long as the copy (64 bytes at least, a multiple of 64,
+    so the interior keeps its alignment), hold :data:`SENTINEL`.  Returns
+    ``(interior view, margins)``: the backing array and its margin length."""
+    sentinel = SENTINEL[array.dtype.itemsize]
+    margin = max(64, -(-array.nbytes // 64) * 64) // sentinel.itemsize
+    backing = np.full(array.size + 2 * margin, sentinel)
+    interior = backing[margin:margin + array.size].view(array.dtype)
+    interior[...] = array.reshape(-1)
+    return interior, (backing, margin)
+
+
+def assert_guards_intact(margins):
+    """Every margin (:func:`guarded`, by buffer name) still holds the
+    sentinel, bit for bit: the kernel stored nothing past its buffers."""
+    for name, (backing, margin) in margins.items():
+        sentinel = SENTINEL[backing.itemsize]
+        for side, zone in (("before", backing[:margin]), ("past", backing[-margin:])):
+            moved = int(np.count_nonzero(zone != sentinel))
+            assert moved == 0, f"the kernel wrote {moved} elements {side} {name!r}"
+
+
+def run_native_guarded(kernel, bindings=None, bound=False):
+    """Run *kernel*'s native tier with every buffer it stores to as the
+    interior of a guarded array (:func:`guarded`), through the unbound runner
+    or, with *bound*, a call of ``runner.bind`` (the buffers whose bytes are
+    all zero count as allocated zeroed); check the guards and return the
+    stored buffers."""
+    from repro.runtime.executor import prepare_arrays
+
+    runner = kernel._runner("native")
+    aux = {buf.name for buf in kernel.func.aux_buffers}
+    arrays = prepare_arrays(kernel.func, {**kernel.defaults, **(bindings or {})}, skip=aux)
+    margins = {}
+    for name in runner.stored:
+        arrays[name], margins[name] = guarded(arrays[name])
+    if bound:
+        shared = {name: arrays.pop(name) for name in set(runner.binding.bufs) - runner.stored}
+        zeroed = {name for name in runner.stored if not arrays[name].view(np.uint8).any()}
+        out = runner.bind(shared, runner.stored, zeroed)(arrays)
+    else:
+        out = runner(arrays)
+    assert_guards_intact(margins)
+    return {name: out[name] for name in runner.stored}
+
+
+def assert_guarded_runs_equal(kernel, expected, bindings=None):
+    """The unbound runner and a bound call, each on guarded buffers, store
+    nothing outside them and equal *expected* (the interpreter's buffers)
+    bit for bit."""
+    for bound in (False, True):
+        for name, array in run_native_guarded(kernel, bindings, bound).items():
+            assert array.dtype == expected[name].dtype, name
+            same = np.array_equal(array.view(np.uint8), expected[name].view(np.uint8))  # NaN, -0.0
+            assert same, f"native ({'bound' if bound else 'unbound'}) diverges on {name!r}"
 
 
 def _loop_program(name, body, *buffers):
@@ -488,7 +560,8 @@ class TestRowTiles:
     unroll-and-jam, ``emit_c.TILE_ROWS``) and the rows left over one at a
     time: every row count around and below the tile, a reduction of no steps
     and every lane remainder, against the interpreter bit for bit.  Values
-    span eight decades, so a changed order of additions shows."""
+    span eight decades, so a changed order of additions shows; ``C`` sits
+    between guard zones, so a tile that runs a row too far shows too."""
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -552,8 +552,9 @@ class TestWarmCallOverhead:
     exactly.  A change that adds work to the hit path moves it."""
 
     #: tier -> calls of a warm ``Session.gemm`` (cora rows, width 4) and a
-    #: warm CSR ``Session.spmm`` (cora).
-    PINNED = {"native": {"gemm": 35, "spmm": 39}, "emitted": {"gemm": 34, "spmm": 36}}
+    #: warm CSR ``Session.spmm`` (cora).  The native output is allocated
+    #: ``np.empty`` + ``fill(0)``: one call more than ``np.zeros``.
+    PINNED = {"native": {"gemm": 36, "spmm": 40}, "emitted": {"gemm": 34, "spmm": 36}}
 
     @staticmethod
     def calls(call):

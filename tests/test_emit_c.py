@@ -280,10 +280,13 @@ class TestSimdMarks:
 
         csr = CSRMatrix.random(rows=40, cols=30, density=0.2, seed=5)
         hyb = HybFormat.from_csr(csr, num_col_parts=2, num_buckets=3)
-        source, _ = emit_c_source(build(build_spmm_hyb_program(hyb, 4), cache=False).func)
-        definitions, run = source.split("int run(")
+        source, binding = emit_c_source(build(build_spmm_hyb_program(hyb, 4), cache=False).func)
+        definitions, zero = source.split("int zero(")
+        zero, run = zero.split("int run(")
         nests = [text for text in definitions.split("static void ")[1:] if "rowmap" in text]
-        calls = len(re.findall(r"_k\d+\(", run)) - 1  # all but the zeroing nest
+        # The leading ``C = 0`` nest is called from zero(), every bucket's from run().
+        assert len(re.findall(r"_k\d+\(", zero)) == 1 and binding.zero == ("C",)
+        calls = len(re.findall(r"_k\d+\(", run))
         assert 1 <= len(nests) < calls == len(hyb.buckets)  # same-shape buckets share a function
         assert all(text.count(SIMD) == 1 for text in nests)
         assert source.count(SIMD) == len(nests)
