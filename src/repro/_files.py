@@ -1,14 +1,14 @@
 """What the persistent stores share: the atomic file write, the root a store's
-environment variable names, and one locked bag of event counters."""
+environment variable names, and their event counters (:class:`StoreStats`)."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+
+from .obs import Counters
 
 #: Values of a store's environment variable that disable the store.
 _DISABLED_ENV_VALUES = frozenset({"", "0", "off", "false", "disabled", "none"})
@@ -43,18 +43,9 @@ def atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-@dataclass
-class StoreStats:
+class StoreStats(Counters):
     """Event counters of one persistent store.  A store is read outside any
     cache lock, by every thread that misses: events are counted through
-    :meth:`count`, under a lock of their own."""
+    :meth:`~repro.obs.Counters.count`, under the counters' own lock."""
 
-    hits: int = 0
-    misses: int = 0
-    errors: int = 0
-    writes: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    def count(self, counter: str) -> None:
-        with self.lock:
-            setattr(self, counter, getattr(self, counter) + 1)
+    NAMES = ("hits", "misses", "errors", "writes")

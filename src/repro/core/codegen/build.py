@@ -88,7 +88,7 @@ def _emit_numpy(func: PrimFunc, cache: Optional[KernelCache], key: Optional[str]
 
         source = emit_numpy_source(func)
         if cache is not None:
-            cache.count("emissions")
+            cache.stats.count("emissions")
         if disk is not None:
             disk.put_source(key, source)
     return source
@@ -463,7 +463,7 @@ def build(
             # Aux buffers (indptr/indices) are materialised during lowering;
             # include their data so cache hits on later builds can rebind them.
             defaults.update(_collect_defaults(lowered))
-            cache_obj.count("lowerings")
+            cache_obj.stats.count("lowerings")
             entry = cache_obj.put(key, _structural_copy(lowered))
     # ``get()`` counted this lookup as a miss; a racing thread's entry stays one.
     return _cached_kernel(entry, defaults, cache_obj, key, hit=False)

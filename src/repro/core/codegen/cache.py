@@ -46,6 +46,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..._files import StoreStats, atomic_write, env_root
+from ...obs import Counters
 from ..nputils import MAX_LANES
 from ..program import PrimFunc
 from .native import NATIVE_VERSION, NativeBinding, native_tag
@@ -107,8 +108,7 @@ def structural_fingerprint(func: PrimFunc, config: Optional[Mapping[str, Any]] =
     return digest.hexdigest()
 
 
-@dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss counters of one :class:`KernelCache`.
 
     ``hits`` counts every lookup satisfied without lowering (from memory or
@@ -119,23 +119,21 @@ class CacheStats:
     one cold fingerprint lower it once), so a warm-started process can
     assert both are zero — and so can a cold one whose kernels the native
     tier serves, since source is emitted only for a tier that is asked to
-    run.
+    run.  ``native_hits`` counts native (.so) artifacts loaded from disk
+    without invoking the C compiler; ``native_rebuilds`` those built by
+    actually running it (cold cache, version/platform skew, or corruption —
+    skew always rebuilds).
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    lowerings: int = 0
-    emissions: int = 0
-    #: Native (.so) artifacts loaded from disk without invoking the compiler.
-    native_hits: int = 0
-    #: Native artifacts built by actually running the C compiler (cold cache,
-    #: version/platform skew, or corruption — skew always rebuilds).
-    native_rebuilds: int = 0
-    #: The persistent layer's own counters (attached when it is resolved).
-    disk: Optional[StoreStats] = field(default=None, repr=False)
+    NAMES = (
+        "hits", "misses", "evictions", "disk_hits", "disk_misses", "lowerings", "emissions",
+        "native_hits", "native_rebuilds",
+    )
+
+    def __init__(self, disk: Optional[StoreStats] = None):
+        super().__init__()
+        #: The persistent layer's own counters (attached when it is resolved).
+        self.disk = disk
 
     @property
     def disk_errors(self) -> int:
@@ -150,13 +148,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, disk_hits={self.disk_hits}, "
-            f"hit_rate={self.hit_rate:.0%})"
-        )
 
 
 @dataclass
@@ -490,12 +481,6 @@ class KernelCache:
         with self._lock:
             return key in self._entries
 
-    def count(self, counter: str, by: int = 1) -> None:
-        """Add *by* to ``stats.<counter>`` under the cache lock: builds run on
-        whichever thread asks first, and a lost update breaks exact counts."""
-        with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + by)
-
     def get(self, key: str) -> Optional[CacheEntry]:
         """Look up one fingerprint in memory, then on disk; ``None`` on miss.
 
@@ -507,29 +492,33 @@ class KernelCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry
-            disk = self.disk
-            if disk is None:
-                self.stats.misses += 1
-                return None
+            else:
+                disk = self.disk
+        if entry is not None:
+            self.stats.count("hits")
+            return entry
+        if disk is None:
+            self.stats.count("misses")
+            return None
         loaded = disk.get(key)
+        evicted = 0
         with self._lock:
             # Another thread may have stored the entry while we read disk;
             # prefer the shared one so its compiled runner is reused.
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry
-            if loaded is not None:
-                self.stats.disk_hits += 1
-                self.stats.hits += 1
-                self._store(key, loaded)
-                return loaded
-            self.stats.disk_misses += 1
-            self.stats.misses += 1
+            elif loaded is not None:
+                evicted = self._store(key, loaded)
+        if entry is not None:
+            self.stats.count("hits")
+            return entry
+        if loaded is None:
+            self.stats.count("disk_misses", "misses")
             return None
+        self.stats.count("disk_hits", "hits")
+        self.stats.count("evictions", by=evicted)
+        return loaded
 
     def put(self, key: str, lowered: PrimFunc) -> CacheEntry:
         """Insert the entry of a freshly lowered program and return it.
@@ -540,18 +529,22 @@ class KernelCache:
         """
         entry = CacheEntry(lowered=lowered)
         with self._lock:
-            self._store(key, entry)
+            evicted = self._store(key, entry)
             disk = self.disk
+        self.stats.count("evictions", by=evicted)
         if disk is not None:
             disk.put(key, entry)
         return entry
 
-    def _store(self, key: str, entry: CacheEntry) -> None:
+    def _store(self, key: str, entry: CacheEntry) -> int:
+        """Insert under the lock; returns how many entries were evicted."""
         self._entries[key] = entry
         self._entries.move_to_end(key)
+        evicted = 0
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
+            evicted += 1
+        return evicted
 
     @contextmanager
     def lowering(self, key: str) -> Iterator[Optional[CacheEntry]]:

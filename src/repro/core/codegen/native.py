@@ -420,14 +420,14 @@ def _obtain_lib(artifact: str, c_source: Optional[str], cache: Any, disk: Any) -
             with contextlib.suppress(OSError):
                 so_path.unlink()
         else:
-            cache.count("native_hits")
+            cache.stats.count("native_hits")
             return lib
     if c_source is None:
         raise FileNotFoundError(f"{so_path} is missing or does not load")
     compile_so(c_source, so_path)
     lib = _get_ffi().dlopen(so_path)
     if cache is not None:
-        cache.count("native_rebuilds")
+        cache.stats.count("native_rebuilds")
     return lib
 
 

@@ -40,6 +40,7 @@ from ..core.codegen.native import UnsupportedForEmission
 from ..core.script import EmitContext, ProgramBuilder
 from ..ops import registry
 from ..runtime.bound import BoundKernel
+from ..runtime.session import RUN_COUNTERS
 from .fusion import FusionGroup, plan_groups
 from .ir import DataflowGraph, GraphNode
 
@@ -87,9 +88,8 @@ class CompiledGraph:
                     self.units.append(self._build_single(node, index_of))
             else:
                 self.units.append(unit)
-        with session.stats.lock:
-            session.stats.graph_nodes_fused += self.num_nodes_fused
-            session.stats.graph_nodes_unfused += self.num_nodes_unfused
+        session.stats.count("graph_nodes_fused", by=self.num_nodes_fused)
+        session.stats.count("graph_nodes_unfused", by=self.num_nodes_unfused)
 
     # -- lowering ----------------------------------------------------------------
     def _standalone_kernel(self, node: GraphNode) -> Tuple[Dict[str, str], Any]:
@@ -231,7 +231,7 @@ class CompiledGraph:
             bound = self._bound(unit)
             if bound is not None:
                 env.update(bound.run(env))
-                self.session.stats.count_run(bound.tier)
+                self.session.stats.count(RUN_COUNTERS[bound.tier])
             else:
                 bindings: Dict[str, np.ndarray] = {}
                 for buffer_name, value_name in unit.bindmap.items():

@@ -57,13 +57,13 @@ from ..core.codegen.cache import KernelCache
 from ..core.program import PrimFunc
 from ..core.sparse_iteration import FusedAxisGroup, SparseIteration
 from ..core.stmt import SeqStmt
+from ..obs import Counters
 from ..ops import registry
 from .bound import BoundKernel
 from .keys import content_key
 
 
-@dataclass
-class SessionStats:
+class SessionStats(Counters):
     """Counters describing the compile/run activity of one session.
 
     ``native_runs`` / ``emitted_runs`` / ``interpreted_runs`` count which
@@ -77,32 +77,16 @@ class SessionStats:
     ``handle_hits``; on a derived format also one ``format_cache_hits``).
     ``table_rebinds`` counts handles of an edited CSR matrix bound anew
     because the matrix outgrew the capacity (or, fused SDDMM, the nnz) their
-    kernel was bound to.  Serving runs one session from several threads, so
-    every increment happens under :attr:`lock`.
+    kernel was bound to.  Serving runs one session from several threads;
+    every event is counted under the counters' own lock.
     """
 
-    builds: int = 0
-    kernel_cache_hits: int = 0
-    kernel_cache_misses: int = 0
-    format_cache_hits: int = 0
-    format_cache_misses: int = 0
-    native_runs: int = 0
-    emitted_runs: int = 0
-    interpreted_runs: int = 0
-    graph_nodes_fused: int = 0
-    graph_nodes_unfused: int = 0
-    table_rebinds: int = 0
-    stale_plan_reuses: int = 0
-    retunes_triggered: int = 0
-    handle_hits: int = 0
-    handle_misses: int = 0
-    lock: Any = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    def count_run(self, engine: Optional[str]) -> None:
-        """Record one kernel execution on *engine* (a :data:`ENGINES` name)."""
-        counter = "interpreted_runs" if engine == "interpret" else f"{engine}_runs"
-        with self.lock:
-            setattr(self, counter, getattr(self, counter) + 1)
+    NAMES = (
+        "builds", "kernel_cache_hits", "kernel_cache_misses", "format_cache_hits",
+        "format_cache_misses", "native_runs", "emitted_runs", "interpreted_runs",
+        "graph_nodes_fused", "graph_nodes_unfused", "table_rebinds", "stale_plan_reuses",
+        "retunes_triggered", "handle_hits", "handle_misses",
+    )
 
     @property
     def runs(self) -> int:
@@ -113,24 +97,9 @@ class SessionStats:
         """Runs served without the scalar interpreter (native or emitted)."""
         return self.native_runs + self.emitted_runs
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "builds": self.builds,
-            "kernel_cache_hits": self.kernel_cache_hits,
-            "kernel_cache_misses": self.kernel_cache_misses,
-            "format_cache_hits": self.format_cache_hits,
-            "format_cache_misses": self.format_cache_misses,
-            "native_runs": self.native_runs,
-            "emitted_runs": self.emitted_runs,
-            "interpreted_runs": self.interpreted_runs,
-            "graph_nodes_fused": self.graph_nodes_fused,
-            "graph_nodes_unfused": self.graph_nodes_unfused,
-            "table_rebinds": self.table_rebinds,
-            "stale_plan_reuses": self.stale_plan_reuses,
-            "retunes_triggered": self.retunes_triggered,
-            "handle_hits": self.handle_hits,
-            "handle_misses": self.handle_misses,
-        }
+
+#: The counter of each :data:`ENGINES` name: which tier served a run.
+RUN_COUNTERS = {"native": "native_runs", "emitted": "emitted_runs", "interpret": "interpreted_runs"}
 
 
 #: Sentinel: the session's tuning-record store is resolved lazily on first use.
@@ -162,6 +131,14 @@ class _Handle:
     sized_by: str = "capacity"
     #: Whether the result has one entry per position, cut to the nnz.
     per_edge: bool = False
+    #: The counters a hit moves besides the handle's own: its tier's runs and,
+    #: on a decomposition, ``format_cache_hits``.
+    counts: Tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.counts = (RUN_COUNTERS[self.bound.tier],) + (
+            ("format_cache_hits",) if self.derived_format else ()
+        )
 
     def outgrown(self, structure: Any) -> bool:
         """Whether the matrix left the positions the tables are padded to."""
@@ -325,8 +302,9 @@ class Session:
         self.stats = SessionStats()
         self.format_cache_capacity = int(format_cache_capacity)
         self._formats: "OrderedDict[str, Any]" = OrderedDict()
-        #: One lock for the session's counters and LRU bookkeeping.
-        self._lock = self.stats.lock
+        #: Guards the LRU bookkeeping of handles and formats; counters have
+        #: their own lock and are counted after leaving this one.
+        self._lock = threading.Lock()
         self._handles: "OrderedDict[tuple, _Handle]" = OrderedDict()
         #: Bumped whenever :meth:`autotune` records a plan, so ``tuned=True``
         #: handles bound under the previous plans stop matching.
@@ -362,13 +340,10 @@ class Session:
     def build(self, func: PrimFunc, horizontal_fusion: bool = True) -> Kernel:
         """Build *func* through the session's structural kernel cache."""
         kernel = build(func, horizontal_fusion=horizontal_fusion, cache=self.cache)
-        with self._lock:
-            self.stats.builds += 1
-            if kernel.cache_hit is True:
-                self.stats.kernel_cache_hits += 1
-            elif kernel.cache_hit is False:
-                self.stats.kernel_cache_misses += 1
-        if kernel.cache_hit:
+        hit = kernel.cache_hit  # None: built without a cache
+        lookup = () if hit is None else ("kernel_cache_hits" if hit else "kernel_cache_misses",)
+        self.stats.count("builds", *lookup)
+        if hit:
             self._count_thread_hit()
         return kernel
 
@@ -387,7 +362,7 @@ class Session:
     ) -> Dict[str, np.ndarray]:
         """Execute an already-built kernel with the session's engine."""
         result = kernel.run(bindings, engine=self.engine)
-        self.stats.count_run(kernel.last_engine)
+        self.stats.count(RUN_COUNTERS[kernel.last_engine])
         return result
 
     def _execute(
@@ -442,17 +417,8 @@ class Session:
                 if tables is not None and not handle.bound.feeds_tables:
                     return None
                 self._handles.move_to_end(key)
-                stats = self.stats
-                stats.handle_hits += 1
-                stats.builds += 1
-                stats.kernel_cache_hits += 1
-                if handle.derived_format:
-                    stats.format_cache_hits += 1
-                if handle.bound.tier == "native":
-                    stats.native_runs += 1
-                else:
-                    stats.emitted_runs += 1
         if handle is not None:
+            self.stats.count("handle_hits", "builds", "kernel_cache_hits", *handle.counts)
             self._count_thread_hit()
             return handle.run(structure, arrays, tables)
         return self._execute_cold(key, kind, structure, storage, arrays, options, tables)
@@ -547,15 +513,15 @@ class Session:
         )
         with self._lock:
             stale = self._handles.get(key)
-            if stale is not None and stale.outgrown(structure):
-                self.stats.table_rebinds += 1
-            self.stats.handle_misses += 1
             self._handles[key] = handle
             while len(self._handles) > self.format_cache_capacity:
                 self._handles.popitem(last=False)
+        if stale is not None and stale.outgrown(structure):
+            self.stats.count("table_rebinds")
+        self.stats.count("handle_misses")
         if tables is not None and not handle.bound.feeds_tables:
             return None
-        self.stats.count_run(tier)
+        self.stats.count(RUN_COUNTERS[tier])
         return handle.run(structure, operands, tables)
 
     # -- graph capture -----------------------------------------------------------
@@ -678,11 +644,9 @@ class Session:
         edits = int(getattr(structure, "mutation_count", 0)) - entry["mutations"]
         drift = edits / max(entry["nnz"], 1)
         if drift < self.drift_threshold:
-            with self._lock:
-                self.stats.stale_plan_reuses += 1
+            self.stats.count("stale_plan_reuses")
             return entry["record"]
-        with self._lock:
-            self.stats.retunes_triggered += 1
+        self.stats.count("retunes_triggered")
         del self._tuned_lineage[id(structure)]
         if self.auto_retune:
             result = self.autotune(workload, problem, **entry["kwargs"])
@@ -774,9 +738,10 @@ class Session:
             hit = self._formats.get(key)
             if hit is not None:
                 self._formats.move_to_end(key)
-                self.stats.format_cache_hits += 1
-                return hit
-            self.stats.format_cache_misses += 1
+        if hit is not None:
+            self.stats.count("format_cache_hits")
+            return hit
+        self.stats.count("format_cache_misses")
         entry = build_entry()
         with self._lock:
             self._formats[key] = entry

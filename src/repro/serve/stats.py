@@ -18,6 +18,8 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..obs import Counters
+
 #: Size of each per-tenant latency reservoir (ring buffer).
 DEFAULT_RESERVOIR = 4096
 
@@ -60,45 +62,29 @@ class LatencyReservoir:
         return float(np.percentile(self._buf[:filled], q))
 
 
-class TenantStats:
-    """Counters and latency for a single tenant."""
+class TenantStats(Counters):
+    """Counters and latency for a single tenant.
 
-    __slots__ = (
-        "requests",
-        "batched_requests",
-        "batches",
-        "occupancy_sum",
-        "cache_hits",
-        "degraded_eager",
-        "degraded_inline",
-        "degraded_reasons",
-        "errors",
-        "latency",
-        "stages",
+    ``requests``: completed, successfully or not; ``batched_requests``: run
+    inside a coalesced batch of size > 1; ``batches``: coalesced launches
+    holding at least one of the tenant's requests, with ``occupancy_sum``
+    the sum of their sizes; ``cache_hits``: requests whose group build the
+    kernel cache served; ``degraded_eager``: requests that fell back from a
+    failed batch to eager execution; ``degraded_inline``: requests run
+    inline on the caller thread (queue full, or left on the queue by
+    ``close()``); ``errors``: requests that completed with an exception.
+    """
+
+    NAMES = (
+        "requests", "batched_requests", "batches", "occupancy_sum", "cache_hits",
+        "degraded_eager", "degraded_inline", "errors",
     )
 
     def __init__(self):
-        #: Requests completed (successfully or not) for this tenant.
-        self.requests = 0
-        #: Requests that executed inside a coalesced batch of size > 1.
-        self.batched_requests = 0
-        #: Coalesced batch launches that contained at least one of this
-        #: tenant's requests.
-        self.batches = 0
-        #: Sum of batch sizes over ``batches`` (mean occupancy = sum/batches).
-        self.occupancy_sum = 0
-        #: Requests whose group build was served from the kernel cache.
-        self.cache_hits = 0
-        #: Requests that fell back from a failed batch to eager execution.
-        self.degraded_eager = 0
-        #: Requests executed inline on the caller thread (queue full, or
-        #: left on the queue by ``close()``).
-        self.degraded_inline = 0
+        super().__init__()
         #: ``degraded_eager`` split by why the coalesced launch failed: the
         #: type name of the exception it raised.
         self.degraded_reasons: Counter = Counter()
-        #: Requests that completed with an exception.
-        self.errors = 0
         self.latency = LatencyReservoir()
         #: One reservoir per entry of :data:`STAGES`.
         self.stages = {stage: LatencyReservoir() for stage in STAGES}
@@ -118,21 +104,17 @@ class TenantStats:
         return self.latency.percentile(99)
 
     def as_dict(self) -> Dict[str, object]:
+        counts: Dict[str, object] = super().as_dict()
+        del counts["occupancy_sum"]  # reported as its mean
         stages = {
             f"{stage}_p{q}_s": samples.percentile(q)
             for stage, samples in self.stages.items()
             for q in (50, 99)
         }
         return {
-            "requests": self.requests,
-            "batched_requests": self.batched_requests,
-            "batches": self.batches,
+            **counts,
             "mean_occupancy": self.mean_occupancy,
-            "cache_hits": self.cache_hits,
-            "degraded_eager": self.degraded_eager,
-            "degraded_inline": self.degraded_inline,
             "degraded_reasons": dict(self.degraded_reasons),
-            "errors": self.errors,
             "latency_count": self.latency.count,
             "p50_s": self.p50,
             "p99_s": self.p99,
@@ -143,9 +125,10 @@ class TenantStats:
 class ServingStats:
     """Thread-safe per-tenant statistics registry.
 
-    Every mutation happens under one lock; the batcher thread, inline
-    fallbacks on caller threads and the benchmark harness all write through
-    the same instance.
+    The batcher thread, inline fallbacks on caller threads and the benchmark
+    harness all write through the same instance.  Its lock guards the tenant
+    map, ``degraded_reasons`` and the latency reservoirs; counters are
+    counted after leaving it, under each tenant's own lock.
     """
 
     def __init__(self):
@@ -183,24 +166,23 @@ class ServingStats:
         launch degraded to eager.  ``stages`` are the seconds spent in each
         of :data:`STAGES`.
         """
+        events = ["requests"]
+        if batch_size > 1:
+            events.append("batched_requests")
+        if cache_hit:
+            events.append("cache_hits")
+        if degraded is not None:
+            events.append(f"degraded_{degraded}")
+        if error:
+            events.append("errors")
         with self._lock:
             stats = self._tenant(tenant)
-            stats.requests += 1
-            if batch_size > 1:
-                stats.batched_requests += 1
-            if cache_hit:
-                stats.cache_hits += 1
-            if degraded == "eager":
-                stats.degraded_eager += 1
-                if reason is not None:
-                    stats.degraded_reasons[reason] += 1
-            elif degraded == "inline":
-                stats.degraded_inline += 1
-            if error:
-                stats.errors += 1
+            if degraded == "eager" and reason is not None:
+                stats.degraded_reasons[reason] += 1
             stats.latency.add(latency_s)
             for samples, seconds in zip(stats.stages.values(), stages):
                 samples.add(seconds)
+        stats.count(*events)
 
     def record_batch(self, tenants, size: int) -> None:
         """Record one coalesced batch launch touching the given *tenants*.
@@ -209,10 +191,10 @@ class ServingStats:
         full batch size as its occupancy sample.
         """
         with self._lock:
-            for tenant in set(tenants):
-                stats = self._tenant(tenant)
-                stats.batches += 1
-                stats.occupancy_sum += size
+            records = [self._tenant(tenant) for tenant in set(tenants)]
+        for stats in records:
+            stats.count("batches")
+            stats.count("occupancy_sum", by=size)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """All tenants' stats as plain dictionaries (JSON-ready)."""

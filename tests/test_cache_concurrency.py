@@ -147,8 +147,8 @@ class TestCompileSideCounters:
     def test_counters_bumped_from_many_threads_lose_no_update(self):
         """``lowerings`` / ``emissions`` / ``native_hits`` / ``native_rebuilds``
         are bumped on whichever thread builds, and tests and the benchmark's
-        traced pass assert exact values: they go through ``KernelCache.count``,
-        under the cache lock.  More threads than cores and a switch interval
+        traced pass assert exact values: they go through ``cache.stats.count``,
+        under the counters' lock.  More threads than cores and a switch interval
         short enough that an unlocked read-modify-write would drop counts."""
         cache = KernelCache(disk=None)
         per_thread = 4000
@@ -157,8 +157,8 @@ class TestCompileSideCounters:
         try:
             def worker(tid):
                 for n in range(per_thread):
-                    cache.count("emissions" if n % 2 else "lowerings")
-                    cache.count("native_hits", by=2)
+                    cache.stats.count("emissions" if n % 2 else "lowerings")
+                    cache.stats.count("native_hits", by=2)
 
             _run_threads(worker)
         finally:
