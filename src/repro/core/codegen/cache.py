@@ -86,7 +86,9 @@ def structural_fingerprint(func: PrimFunc, config: Optional[Mapping[str, Any]] =
     Two calls return the same fingerprint exactly when the programs lower to
     the same stage-III loop nest: the printed program (iteration structure,
     buffer shapes and value dtypes), every axis's structural arrays, the
-    flat-buffer layout and *config* must all match.  Value data bound to
+    flat-buffer layout and *config* must all match.  So must the data of the
+    tables a program states itself (auxiliary buffers that are no axis's,
+    like hyb's ``rowmap``): they are structure too.  Value data bound to
     buffers does not participate, and neither does anything only an emitter
     reads: bumping one re-prints that tier's artifact (see
     :meth:`DiskKernelCache.get_source`) and re-lowers nothing.
@@ -101,6 +103,11 @@ def structural_fingerprint(func: PrimFunc, config: Optional[Mapping[str, Any]] =
         _hash_array(digest, getattr(axis, "indices", None))
     for buf in list(func.buffers) + list(func.aux_buffers):
         digest.update(f"|buf:{buf.name}:{buf.dtype}:{buf.scope}".encode())
+    # An axis's tables, materialised by lowering, hold the arrays hashed above.
+    of_axes = {f"{axis.name}_{kind}" for axis in func.axes for kind in ("indptr", "indices")}
+    for buf in func.aux_buffers:
+        if buf.name not in of_axes:
+            _hash_array(digest, buf.data)
     for flat in func.flat_buffers:
         digest.update(f"|flat:{flat.name}:{flat.size}:{flat.dtype}:{flat.scope}".encode())
     if config:

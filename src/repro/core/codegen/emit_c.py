@@ -38,17 +38,19 @@ steps ``TILE_ROWS`` rows through its reduction at once (``docs/runtime.md``,
   "Binding contract").
 * An access the index tables' facts prove in bounds is printed unchecked:
   positions of a variable axis lie below its ``indptr[-1]``, coordinates read
-  from ``indices`` below the column count, dense affine indices within their
-  extents.  The facts used travel in ``binding.facts`` and ``load_native``
-  checks them once per binding (``docs/runtime.md``, "Binding contract").
+  from ``indices`` below the column count — an ELL axis's from ``-1``, and from
+  0 inside the ``coordinate >= 0`` guard lowering puts on a padded slot — a
+  table with a stated domain (hyb's ``rowmap``) inside it, dense affine
+  indices within their extents.  The facts used travel in ``binding.facts``
+  and ``load_native`` checks them once per binding (``docs/runtime.md``,
+  "Binding contract").
 * Three rewrites keep the checked semantics of every other access off the hot
   path without changing what is computed: a subexpression that reads no
   written buffer is materialised once, at the depth of its deepest loop
   variable; a reduction loop the init statements do not index runs them once
   (if its trip count is positive); the bounds guards of an innermost loop's
   operands are hoisted into one range test in front of it — an unchecked body
-  when it holds, the checked body otherwise (which is how ELL/hyb ``-1``
-  padding keeps loading 0).
+  when it holds, the checked body otherwise.
 * Compiling, loading and calling the text is :mod:`~repro.core.codegen.native`,
   the load side, which never imports this module: a process that finds its
   kernels built does not bring the printer.  The names that lived here before
@@ -302,8 +304,6 @@ class _CEmitter:
         # (its class, the position count it bounds), where the tables of one
         # class (``J_indptr``, ``J_dense_indptr``) hold the same array; and
         # indices table of a sparse variable axis -> (its class, column count).
-        # ELL / hyb tables pad with -1 and have no entry: loads through them
-        # keep their range tests.
         variable = {a.name: a for a in func.axes if isinstance(a, (SparseVariableAxis, DenseVariableAxis))}
         self.indptr_of: Dict[str, Tuple[str, int]] = {}
         self.indices_of: Dict[str, Tuple[str, int]] = {}
@@ -317,6 +317,17 @@ class _CEmitter:
             table, home = f"{name}_indices", self.indptr_of.get(f"{name}_indptr")
             if isinstance(axis, SparseVariableAxis) and table in self.aux_names and home is not None:
                 self.indices_of[table] = (home[0], axis.length)
+        # Every other table with a buffer domain (Figure 7) -> (its fact kind,
+        # the domain): an ELL axis's indices lie in [-1, columns), -1 marking a
+        # padded slot ("padded"), and a table the program states, like hyb's
+        # rowmap, in [0, bound) ("indices", all of it).
+        domains = func.attrs.get("buffer_domains", {})
+        self.domain_of: Dict[str, Tuple[str, int, int]] = {
+            name: ("padded" if lo == -1 else "indices", lo, hi)
+            for name, (lo, hi) in domains.items()
+            if name in self.aux_names and lo in (-1, 0)
+            and name not in self.indptr_of and name not in self.indices_of
+        }
         #: The facts a proof used, by ``(kind, table)``: ``(kind, table, bound,
         #: link)`` (see :class:`NativeBinding`), checked by ``load_native``.
         self.facts: Dict[Tuple[str, str], Tuple[str, str, int, str]] = {}
@@ -339,6 +350,13 @@ class _CEmitter:
         if held is None or (everywhere and held[3]):
             self.facts["indices", table] = ("indices", table, cols, "" if everywhere else cls)
         return cols
+
+    def use_domain(self, table: str) -> Tuple[int, int]:
+        """The domain ``[lo, hi)`` of a table with one, whose every entry the
+        binding now checks to lie in it."""
+        kind, lo, hi = self.domain_of[table]
+        self.facts.setdefault((kind, table), (kind, table, hi, ""))
+        return lo, hi
 
     def use_rows(self, table: str) -> int:
         """The row count of an indptr table the binding now checks to run
@@ -516,6 +534,15 @@ class _CEmitter:
         return f"{label}(bufs, tabs, ipar, fpar)"
 
 
+def _lower_bounds(cond: ir.Expr) -> List[Tuple[ir.BufferLoad, int]]:
+    """``(load, lo)`` per conjunct ``load >= lo`` of *cond* (a literal *lo*)."""
+    if isinstance(cond, ir.And):
+        return _lower_bounds(cond.a) + _lower_bounds(cond.b)
+    if isinstance(cond, ir.GE) and isinstance(cond.a, ir.BufferLoad) and isinstance(cond.b, ir.IntImm):
+        return [(cond.a, int(cond.b.value))]
+    return []
+
+
 _PLACEHOLDER = re.compile(r"__(\d+)__")
 _RUN_SCALARS = "const int64_t *ipar, const double *fpar"
 _ZERO = [
@@ -615,6 +642,10 @@ class _Nest:
         self._ranges: Dict[ir.Var, _Rng] = {}
         #: Walking a reduction's init: its stores keep their guards.
         self._init = False
+        #: Table loads a condition in scope bounds below: structural key ->
+        #: (the bound, the depth of the branch it holds in).  An expression
+        #: materialised further out than that branch is proven without it.
+        self._floors: Dict[str, Tuple[int, int]] = {}
         #: Accesses printed without a guard on the binding's facts, so far.
         self._unguarded = 0
         #: Innermost loops printed as an unchecked SIMD loop, so far; and the
@@ -929,7 +960,11 @@ class _Nest:
         if isinstance(expr, ir.Cast):
             return self._range(expr.value) if expr.dtype.startswith("int") else None
         if isinstance(expr, ir.BufferLoad):
-            return self._table_range(expr)
+            rng = self._table_range(expr)
+            floor = self._floors.get(self._info(expr)[0]) if self._floors else None
+            if rng is None or floor is None or self._home.depth < floor[1]:
+                return rng
+            return _Rng(max(rng.lo, floor[0]), rng.hi)  # loaded under a guard that bounds it below
         if isinstance(expr, ir.Call) and expr.func == ROW_UPPER_BOUND:
             return self._row_range(expr)
         if not isinstance(expr, (ir.Add, ir.Sub, ir.Mul, ir.Min, ir.Max)):
@@ -967,6 +1002,9 @@ class _Nest:
         if name in program.indptr_of:
             cls, nnz = program.use_indptr(name)
             return _Rng(0, nnz, ("start", cls, self._info(load.indices[0])[0]))
+        if name in program.domain_of:
+            lo, hi = program.use_domain(name)
+            return _Rng(lo, hi - 1)
         if name not in program.indices_of:
             return None
         at = self._range(load.indices[0])
@@ -1315,7 +1353,18 @@ class _Nest:
         cond = self._eval(stmt.condition)
         # A structural zero in the condition reads as false.
         test = _bare(_and(cond.ok, self._truth(cond)))
-        text = [f"if ({test}) {{", *_indent(self._branch(stmt.then_case, "compute"))]
+        # The then-branch is a scope of its own, in which a pure table load the
+        # condition bounds below (``indices[p] >= 0``: a slot that is no
+        # padding) is known to be.
+        floors = dict(self._floors)
+        for bound in _lower_bounds(stmt.condition):
+            key, pure, _free, _heavy = self._info(bound[0])
+            if pure:
+                self._floors[key] = (bound[1], self._home.depth + 1)
+        with self._open_scope({}) as then:
+            self._walk(stmt.then_case, "compute")
+        self._floors = floors
+        text = [f"if ({test}) {{", *_indent(then)]
         if stmt.else_case is not None:
             text += ["} else {", *_indent(self._branch(stmt.else_case, "compute"))]
         self._sink.extend([*text, "}"])

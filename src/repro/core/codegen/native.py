@@ -51,7 +51,7 @@ from ..stmt import collect_buffer_stores
 #: Bumped whenever the native-source contract (C layout, binding protocol, or
 #: compile flags) changes; it is part of every artifact's name, and a record
 #: of an older version is a cache miss that rebuilds, never an import.
-NATIVE_VERSION = 7
+NATIVE_VERSION = 8
 
 #: Environment variable disabling the native tier (``0`` / ``off`` / ``false``).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -127,6 +127,9 @@ def check_tables(
         elif kind == "rows":
             if not (table.size and table[0] == 0 and table[-1] == bound):
                 return f"{name!r} does not run from 0 to {bound}"
+        elif kind == "padded":
+            if table.size and (table.min() < -1 or table.max() >= bound):
+                return f"{name!r} holds {table.min()}..{table.max()}, outside [-1, {bound})"
         else:
             end = (int(tables[link][-1]) if tables[link].size else 0) if link else table.size
             if end > table.size:
@@ -176,7 +179,11 @@ class NativeBinding(NamedTuple):
     ``("indices", table, cols, indptr)`` — ``table[:indptr[-1]]`` lies in
     ``[0, cols)`` — or ``("indices", table, cols, "")``, all of it;
     ``("rows", table, nnz, "")`` — the table runs from exactly 0 to ``nnz``,
-    so the row search of every position below ``nnz`` finds a row.
+    so the row search of every position below ``nnz`` finds a row;
+    ``("padded", table, cols, "")`` — an ELL coordinate table lies in
+    ``[-1, cols)``, -1 marking a padded slot, which the program skips.  A
+    table the program states a domain for (hyb's ``rowmap``) carries an
+    ``("indices", table, rows, "")`` fact.
 
     ``zero`` names the value buffers the text's second entry, ``zero(bufs,
     tabs, ipar, fpar)``, fills: the passes that store nothing but ``+0`` to

@@ -22,7 +22,7 @@ This reproduction provides an equivalent, explicit builder API::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class ProgramBuilder:
         self.name = name
         self._axes: List[Axis] = []
         self._buffers: List[SparseBuffer] = []
+        self._tables: List[SparseBuffer] = []
+        self._domains: Dict[str, Tuple[int, int]] = {}
         self._iterations: List[SparseIteration] = []
         self._current: Optional[_IterationFrame] = None
         self._finished = False
@@ -104,14 +106,29 @@ class ProgramBuilder:
         dtype: str = "float32",
         data: Optional[np.ndarray] = None,
     ) -> SparseBuffer:
-        if any(existing.name == name for existing in self._buffers):
-            raise ValueError(f"duplicate buffer name {name!r}")
-        buffer = match_sparse_buffer(name, axes, dtype, data)
-        self._buffers.append(buffer)
-        return buffer
+        return self._add_buffer(self._buffers, name, axes, dtype, data)
 
     # Alias mirroring common usage in examples.
     sparse_buffer = match_sparse_buffer
+
+    def table(self, name: str, axes: Sequence[Axis], data: np.ndarray, bound: int) -> SparseBuffer:
+        """An int32 index table the program reads as structure, like an
+        axis's ``indices`` (hyb's ``rowmap``): an auxiliary buffer whose
+        *data* is part of the structural fingerprint and whose every entry
+        lies in ``[0, bound)`` (its buffer domain, Figure 7), which the native
+        tier's binding checks once."""
+        buffer = self._add_buffer(self._tables, name, axes, "int32", data)
+        self._domains[name] = (0, int(bound))
+        return buffer
+
+    def _add_buffer(
+        self, into: List[SparseBuffer], name: str, axes: Sequence[Axis], dtype: str, data: Optional[np.ndarray]
+    ) -> SparseBuffer:
+        if any(existing.name == name for existing in [*self._buffers, *self._tables]):
+            raise ValueError(f"duplicate buffer name {name!r}")
+        buffer = match_sparse_buffer(name, axes, dtype, data)
+        into.append(buffer)
+        return buffer
 
     # -- sparse iterations -----------------------------------------------------
     @contextmanager
@@ -172,6 +189,8 @@ class ProgramBuilder:
             buffers=self._buffers,
             body=body,
             stage=STAGE_COORDINATE,
+            aux_buffers=self._tables,
+            attrs={"buffer_domains": dict(self._domains)} if self._domains else None,
         )
 
 
@@ -218,6 +237,9 @@ class EmitContext:
         data: Optional[np.ndarray] = None,
     ) -> SparseBuffer:
         return self.builder.match_sparse_buffer(self.name(base), axes, dtype=dtype, data=data)
+
+    def table(self, base: str, axes: Sequence[Axis], data: np.ndarray, bound: int) -> SparseBuffer:
+        return self.builder.table(self.name(base), axes, data, bound)
 
     # -- shared sparse axes ------------------------------------------------------
     def csr_axes(self, csr, row: str = "I", col: str = "J") -> Tuple[Axis, Axis]:

@@ -165,6 +165,7 @@ def decompose_format(
         buffers=new_buffers,
         body=body,
         stage=STAGE_COORDINATE,
+        aux_buffers=list(func.aux_buffers),
         attrs=dict(func.attrs),
     )
     result.attrs.setdefault("composable_formats", []).extend(rule.name for rule in rules)

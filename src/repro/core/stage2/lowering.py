@@ -24,8 +24,10 @@ from ..axes import Axis, DenseFixedAxis, DenseVariableAxis, SparseFixedAxis, Spa
 from ..buffers import SparseBuffer
 from ..expr import (
     BINARY_SEARCH,
+    GE,
     ROW_UPPER_BOUND,
     Add,
+    And,
     BinaryOp,
     BufferLoad,
     Call,
@@ -121,16 +123,18 @@ def lower_sparse_iterations(func: PrimFunc) -> PrimFunc:
         buffers=list(func.buffers),
         body=body,
         stage=STAGE_POSITION,
-        aux_buffers=aux.all_buffers(),
+        aux_buffers=[*func.aux_buffers, *aux.all_buffers()],  # the program's own tables first
         attrs=dict(func.attrs),
     )
-    # Buffer-domain hints (Figure 7): value ranges of the auxiliary buffers.
-    domains: Dict[str, Tuple[int, int]] = {}
+    # Buffer-domain hints (Figure 7): value ranges of the auxiliary buffers,
+    # after those the program states for its own tables.  An ELL axis pads
+    # with -1: its indices lie in [-1, length).
+    domains: Dict[str, Tuple[int, int]] = dict(func.attrs.get("buffer_domains", {}))
     for axis in func.axes:
         if isinstance(axis, (DenseVariableAxis, SparseVariableAxis)):
             domains[f"{axis.name}_indptr"] = (0, axis.nnz_total())
         if isinstance(axis, (SparseFixedAxis, SparseVariableAxis)):
-            domains[f"{axis.name}_indices"] = (0, axis.length)
+            domains[f"{axis.name}_indices"] = (-1 if axis.is_fixed else 0, axis.length)
     lowered.attrs["buffer_domains"] = domains
     return lowered
 
@@ -167,6 +171,7 @@ def _lower_iteration(iteration: SparseIteration, aux: AuxBuffers, func: PrimFunc
 
     loops: List[ForLoop] = []
     block_breaks: List[int] = []  # indices in `loops` after which a block boundary sits
+    guards: List[Optional[Expr]] = []  # per loop: the condition its body runs under
     for desc_kind, payload in loop_descriptions:
         if desc_kind == "axis":
             state: _AxisState = payload  # type: ignore[assignment]
@@ -174,10 +179,12 @@ def _lower_iteration(iteration: SparseIteration, aux: AuxBuffers, func: PrimFunc
             if needs_block and loops:
                 block_breaks.append(len(loops))
             loops.append(loop)
+            guards.append(_slot_guard([state], aux))
         else:
             group_states: List[_AxisState] = payload  # type: ignore[assignment]
             loop = _make_fused_loop(group_states, aux)
             loops.append(loop)
+            guards.append(_slot_guard(group_states, aux))
 
     # ---- step 3: coordinate translation of the body --------------------------
     translator = _CoordinateTranslator(states, aux)
@@ -207,11 +214,41 @@ def _lower_iteration(iteration: SparseIteration, aux: AuxBuffers, func: PrimFunc
     # ---- assemble nest, inserting structural blocks at the recorded breaks ---
     current: Stmt = inner_block
     for index in range(len(loops) - 1, -1, -1):
+        if guards[index] is not None:
+            current = IfThenElse(guards[index], current)
         current = loops[index].with_body(current)
         if index in block_breaks:
             current = Block(f"{iteration.name}_outer_{index}", current,
                             annotations={"structural": True})
     return current
+
+
+def _slot_guard(loop_states: List[_AxisState], aux: AuxBuffers) -> Optional[Expr]:
+    """The condition a slot of an ELL axis holds a non-zero under: its
+    coordinate is not the ``-1`` of a padded slot.
+
+    A sparse iteration visits non-zeros, so the body under a
+    :class:`SparseFixedAxis` loop (the fused loop of a group with one) runs
+    only where the slot's coordinate is ``>= 0``.  Every tier runs that one
+    guarded program.  The guard covers the loop's whole body, but a block's
+    ``init`` still runs: the init pass of every tier visits both branches of
+    a condition, so a row that is all padding is initialised all the same.
+    """
+    conds: List[Expr] = []
+    for state in loop_states:
+        coordinate = state.coordinate
+        if (
+            isinstance(state.axis, SparseFixedAxis)
+            and isinstance(coordinate, BufferLoad)
+            and coordinate.buffer is aux.indices.get(id(state.axis))
+        ):
+            conds.append(GE(coordinate, IntImm(0)))
+    if not conds:
+        return None
+    guard = conds[0]
+    for cond in conds[1:]:
+        guard = And(guard, cond)
+    return guard
 
 
 def _make_axis_loop(

@@ -165,7 +165,7 @@ def emit_spmm_hyb(
         values = ctx.buffer(
             f"A_{name}", [row_axis, col_axis], dtype=dtype, data=ell.data.reshape(-1)
         )
-        row_map = ctx.buffer(f"rowmap_{name}", [row_axis], dtype="int32", data=ell.row_map)
+        row_map = ctx.table(f"rowmap_{name}", [row_axis], ell.row_map, bound=rows)
         with ctx.sp_iter([row_axis, col_axis, k_local], "SRS", f"spmm_{name}") as (i, j, k):
             ctx.compute(
                 c_buf[row_map[i], k], c_buf[row_map[i], k] + values[i, j] * b_buf[j, k]
@@ -182,10 +182,12 @@ def build_spmm_hyb_program(
     """SpMM decomposed over the buckets of a hyb format.
 
     One sparse iteration is generated per ELL bucket; each iteration gathers
-    the bucket's rows through its ``row_map`` buffer (the non-affine indirect
-    indexing SparseTIR supports, Section 3.1) and accumulates into the shared
-    output.  Zero-initialisation of the output is a separate spatial
-    iteration, mirroring how the generated kernels accumulate across buckets.
+    the bucket's rows through its ``row_map`` table (the non-affine indirect
+    indexing SparseTIR supports, Section 3.1; structure, like the bucket's
+    column indices) and accumulates into the shared output.  A padded slot
+    (column ``-1``) holds no non-zero, and the lowered iteration skips it.
+    Zero-initialisation of the output is a separate spatial iteration,
+    mirroring how the generated kernels accumulate across buckets.
     """
     ctx = EmitContext(ProgramBuilder("spmm_hyb"))
     emit_spmm_hyb(ctx, hyb, feat_size, features, dtype=dtype)

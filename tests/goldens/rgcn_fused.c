@@ -1,5 +1,5 @@
 /* 'fused_rgms_rgms_add_gemm_add_relu_rgms_rgms_add_gemm_add': its stage-III loop nests in the interpreter's order, sizes in ipar.
- * Generated by repro.core.codegen.emit_c v7; do not edit. */
+ * Generated by repro.core.codegen.emit_c v8; do not edit. */
 #include <stdint.h>
 #include <stdlib.h>
 static int _alloc(void **bufs, const int64_t *bytes, int lo, int hi) {

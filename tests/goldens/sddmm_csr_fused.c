@@ -1,5 +1,5 @@
 /* 'sddmm': its stage-III loop nests in the interpreter's order, sizes in ipar.
- * Generated by repro.core.codegen.emit_c v7; do not edit. */
+ * Generated by repro.core.codegen.emit_c v8; do not edit. */
 #include <stdint.h>
 #define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
 #define _ROW(t, p, nnz, rows) ((p) < 0 ? -1 : (p) >= (nnz) ? (rows) : (t)[p])

@@ -1,5 +1,5 @@
 /* 'spmm': its stage-III loop nests in the interpreter's order, sizes in ipar.
- * Generated by repro.core.codegen.emit_c v7; do not edit. */
+ * Generated by repro.core.codegen.emit_c v8; do not edit. */
 #include <stdint.h>
 #define _IN(i, n) ((uint64_t)(i) < (uint64_t)(n))
 static void _k0(const int32_t *J_indptr, float *C, const int64_t *ip)

@@ -84,7 +84,7 @@ def fused_rgcn(width=8, nodes=6, classes=None, session=None):
     return forward, feats, unit.kernel
 
 
-GOLDENS = ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr", "rgcn_fused", "gemm"]
+GOLDENS = ["spmm_csr", "sddmm_csr_fused", "pruned_spmm_bsr", "rgcn_fused", "gemm", "spmm_hyb"]
 
 
 def golden_lowered(name):
@@ -259,9 +259,13 @@ class TestSimdMarks:
         # rgcn_fused: the four serial nests (rgms, gemm, add, relu) and the same
         # four as members of a region; tile moves and fills carry none.
         # gemm: its row tile's lane loop and the lane loop of the rows left over.
-        assert marks == {"spmm_csr": 1, "pruned_spmm_bsr": 1, "sddmm_csr_fused": 0, "rgcn_fused": 8, "gemm": 2}
+        # spmm_hyb: one nest both buckets call, its feature loop under the
+        # padded-slot guard.
+        assert marks == {
+            "spmm_csr": 1, "pruned_spmm_bsr": 1, "sddmm_csr_fused": 0, "rgcn_fused": 8, "gemm": 2, "spmm_hyb": 1,
+        }
         regions = {name: text.count("static int _r") for name, text in texts.items()}
-        assert regions == {"spmm_csr": 0, "pruned_spmm_bsr": 0, "sddmm_csr_fused": 0, "rgcn_fused": 2, "gemm": 0}
+        assert regions == {**dict.fromkeys(GOLDENS, 0), "rgcn_fused": 2}
         tiles = {name: text.count(f"+= {emit_c.TILE_ROWS})") for name, text in texts.items()}
         assert tiles == {**dict.fromkeys(GOLDENS, 0), "gemm": 1}
 

@@ -22,10 +22,11 @@ from repro.core.codegen.emit_numpy import (
 )
 from repro.formats.bsr import BSRMatrix
 from repro.formats.csr import CSRMatrix
+from repro.formats.hyb import HybFormat
 from repro.ops.elementwise import build_gemm_program
 from repro.ops.pruned_spmm import build_pruned_spmm_bsr_program
 from repro.ops.sddmm import build_sddmm_program
-from repro.ops.spmm import build_spmm_program
+from repro.ops.spmm import build_spmm_hyb_program, build_spmm_program
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -56,6 +57,8 @@ def canonical_lowered(name: str):
         )
         bsr = BSRMatrix.from_dense(dense, 2)
         func = build_pruned_spmm_bsr_program(bsr, 3)
+    elif name == "spmm_hyb":  # a bucket without padding (width 2) and one with (width 4)
+        func = build_spmm_hyb_program(HybFormat(csr, 1, [2, 4]), 3)
     elif name == "gemm":  # 6 rows: one tile of four and two rows left over
         a = np.arange(18, dtype=np.float32).reshape(6, 3) / 4
         b = np.arange(15, dtype=np.float32).reshape(3, 5) - 7

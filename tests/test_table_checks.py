@@ -6,7 +6,9 @@ contract"): ``indptr`` non-decreasing inside ``[0, nnz]``, ``indices`` inside
 ``[0, n)``.  ``load_native`` checks those facts once per binding, and per call
 for a table fed to one call.  This battery breaks them on purpose — a
 decreasing ``indptr``, ``indptr[-1] > nnz``, a negative index, an index
-``>= n`` — over CSR SpMM, SDDMM (fused and unfused) and BSR SpMM:
+``>= n`` — over CSR SpMM, SDDMM (fused and unfused) and BSR SpMM, and a hyb
+bucket's tables: a column below the ``-1`` of padding or ``>= n``, a
+``rowmap`` entry outside ``[0, rows)``:
 
 * a *bound* table that breaks one declines the native tier with
   ``TABLE_INVALID``, and the kernel gives the interpreter's answer on a lower
@@ -27,13 +29,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.codegen.build import build
+from repro.core.codegen.cache import DiskKernelCache, KernelCache
 from repro.core.codegen.emit_c import emit_c_source, toolchain_available
+from repro.core.codegen import native
 from repro.core.codegen.native import TABLE_INVALID
 from repro.formats.bsr import BSRMatrix
 from repro.formats.csr import CSRMatrix
+from repro.formats.hyb import HybFormat
 from repro.ops.pruned_spmm import build_pruned_spmm_bsr_program
 from repro.ops.sddmm import build_sddmm_program
-from repro.ops.spmm import build_spmm_program
+from repro.ops.spmm import build_spmm_hyb_program, build_spmm_program
 from repro.runtime.session import Session
 
 from test_emit_numpy import GOLDEN_DIR
@@ -197,3 +202,87 @@ class TestOneTextPerFamily:
             break_bound_tables(kernel, axis, fault, where)
         kernel.run()  # binds, and checks, the tables
         assert emit_c_source(kernel.func)[0] == golden
+
+
+#: The facts of a hyb binding: a bucket's column table lies in [-1, cols),
+#: -1 marking a padded slot the program skips; its rowmap in [0, rows).
+HYB_FAULTS = ["below_padding", "column_too_large", "row_negative", "row_too_large"]
+
+
+def hyb_family(rows, cols, fill, seed, feat=3, parts=2, buckets=3):
+    """``(stage-I hyb SpMM program, hyb)`` over a random CSR."""
+    hyb = HybFormat.from_csr(random_csr(rows, cols, fill, seed), num_col_parts=parts, num_buckets=buckets)
+    x = np.random.default_rng(seed + 1).standard_normal((cols, feat)).astype(np.float32)
+    return build_spmm_hyb_program(hyb, feat, x), hyb
+
+
+def break_hyb_tables(kernel, fault, where):
+    """Break one fact of a bucket's tables in the lowered program, in place."""
+    aux = {buf.name: buf.data for buf in kernel.func.aux_buffers}
+    rows, cols = kernel.func.axis("I").length, kernel.func.axis("J_").length
+    prefix = "rowmap_" if fault.startswith("row_") else "J_"
+    names = sorted(name for name in aux if name.startswith(prefix) and aux[name].size)
+    table = aux[names[where % len(names)]]
+    table[where % table.size] = {
+        "below_padding": -2 - where % 3, "column_too_large": cols + where % 4,
+        "row_negative": -1 - where % 3, "row_too_large": rows + where % 4,
+    }[fault]
+
+
+class TestHybTables:
+    @settings(**SETTINGS)
+    @given(shape=structures, fault=st.sampled_from(HYB_FAULTS), where=st.integers(0, 2**16))
+    def test_a_broken_bucket_table_runs_on_a_lower_tier(self, shape, fault, where):
+        kernel = build(hyb_family(*shape)[0], cache=False)
+        break_hyb_tables(kernel, fault, where)
+        got = kernel.run()["C"]
+        assert kernel.last_engine != "native"
+        if NATIVE:
+            assert kernel.declined["native"].startswith(f"{TABLE_INVALID}: ")
+        expected = kernel.run(engine="interpret")["C"]
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_bucket_nests_print_unchecked(self):
+        """Every bucket nest is CSR's: one SIMD feature loop under the
+        padded-slot guard, no range test on B or C and no checked copy."""
+        source, binding = emit_c_source(build(hyb_family(9, 8, 0.5, 3)[0], cache=False).func)
+        nests = [text for text in source.split("static void ")[1:] if "rowmap" in text]
+        assert nests and all(text.count("#pragma omp simd") == 1 for text in nests)
+        assert "_IN2(" not in source and "_LD(" not in source and "} else {" not in source
+        assert {kind for kind, *_rest in binding.facts} == {"padded", "indices"}
+
+    def test_a_hyb_without_padding_prints_the_family_text(self):
+        """The guard is the family's, not the structure's: rows of exactly
+        2 and 4 non-zeros (no padded slot) print the golden, whose width-4
+        bucket pads."""
+        dense = np.zeros((3, 6), dtype=np.float32)
+        dense[0, :2] = dense[1, 1:5] = dense[2, [0, 5]] = 1.5
+        hyb = HybFormat(CSRMatrix.from_dense(dense), 1, [2, 4])
+        assert hyb.stored == hyb.nnz
+        source = emit_c_source(build(build_spmm_hyb_program(hyb, 5), cache=False).func)[0]
+        assert source == (GOLDEN_DIR / "spmm_hyb.c").read_text()
+
+    @pytest.mark.skipif(not NATIVE, reason="the native tier needs a C compiler")
+    def test_the_facts_travel_in_the_json_record(self, tmp_path, monkeypatch):
+        """A warm process loads the hyb kernel from the record alone, and
+        still checks the bucket tables against its facts."""
+        monkeypatch.setattr(native, "_LIB_MEMO", {})  # compiled into this directory, so recorded
+        program, _hyb = hyb_family(9, 8, 0.5, 4)
+        cold = build(program, cache=KernelCache(disk=DiskKernelCache(tmp_path)))
+        cold.run()
+        assert cold.last_engine == "native"
+        artifact, binding = DiskKernelCache(tmp_path).get_native(cold._key)
+        assert binding == emit_c_source(cold.func)[1]
+        assert {kind for kind, *_rest in binding.facts} == {"padded", "indices"}
+        for fault in (None, "below_padding"):
+            cache = KernelCache(disk=DiskKernelCache(tmp_path))
+            warm = build(hyb_family(9, 8, 0.5, 4)[0], cache=cache)
+            if fault is not None:
+                break_hyb_tables(warm, fault, 5)
+            got = warm.run()["C"]
+            assert (cache.stats.lowerings, cache.stats.native_rebuilds) == (0, 0)
+            if fault is None:
+                assert warm.last_engine == "native"
+            else:
+                assert warm.declined["native"].startswith(f"{TABLE_INVALID}: ")
+                assert np.array_equal(got, warm.run(engine="interpret")["C"])

@@ -83,7 +83,7 @@ class TestWhatTheEmitterMoves:
         zeros = {name: emit_c_source(golden_lowered(name))[1].zero for name in GOLDENS}
         assert zeros == {
             "spmm_csr": ("C",), "sddmm_csr_fused": ("OUT",), "pruned_spmm_bsr": ("Y",),
-            "gemm": ("C",), "rgcn_fused": (),
+            "gemm": ("C",), "rgcn_fused": (), "spmm_hyb": ("C",),
         }
         for name, zero in zeros.items():
             assert ("int zero(" in (GOLDEN_DIR / f"{name}.c").read_text()) == bool(zero)
